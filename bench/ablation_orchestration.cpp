@@ -155,7 +155,6 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     cfg.orch = sys::OrchSpec::parse(row.orch);
     cfg.replicas = row.replicas;
-    cfg.dynamic_routing = row.replicas > 1;
     cfg.num_disks = farm + (cfg.orch.offload ? cfg.orch.log_disks : 0);
     return cfg;
   };

@@ -7,7 +7,7 @@
 //
 // Three profiles, shaped after the simulator's real hot paths:
 //   * schedule-heavy — self-rescheduling event chains carrying a 24-byte
-//     request payload (the sys/system.cpp arrival pump shape),
+//     request payload (the shape of a calendar-scheduled arrival stream),
 //   * cancel-heavy   — arm a 10 s timer, service a request, disarm the
 //     timer (the fixed-threshold spin-down policy arms and disarms on every
 //     request; this is the profile the ISSUE targets at >= 3x),
@@ -152,9 +152,9 @@ struct HandleOf<legacy::Simulation> {
   using type = legacy::EventHandle;
 };
 
-/// Mirrors the capture size of the real arrival pump (`this` + a by-value
-/// workload::Request): big enough that std::function heap-allocates it,
-/// small enough that the pooled calendar stores it inline.
+/// Mirrors the capture size of a calendar-scheduled arrival (`this` + a
+/// by-value workload::Request): big enough that std::function
+/// heap-allocates it, small enough that the pooled calendar stores it inline.
 struct Payload {
   std::uint64_t id = 0;
   double arrival = 0.0;

@@ -1,6 +1,6 @@
 // cache.h — byte-capacity whole-file caches in front of the disk farm.
 //
-// §5.1 places a 16 GB LRU cache before the dispatcher ("RND+LRU",
+// §5.1 places a 16 GB LRU cache before the file dispatcher ("RND+LRU",
 // "Pack_Disk4+LRU" in Figures 5/6) and reports a 5.6% hit ratio on the NERSC
 // workload.  The conclusions list cache policy as future work, so FIFO and
 // LFU variants are provided for the ablation bench.

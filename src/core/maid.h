@@ -14,7 +14,7 @@
 //   * reads of cached files are served by their cache disk; everything else
 //     goes to its data disk.
 //
-// The result plugs straight into StorageSystem: a mapping plus a per-disk
+// The result plugs straight into ExperimentConfig: a mapping plus a per-disk
 // policy vector (cache disks never spin down, data disks use the paper's
 // break-even threshold).
 #pragma once

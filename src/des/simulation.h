@@ -18,14 +18,13 @@
 //     calendar only ever holds live events; since a not-yet-due timer sits
 //     in a leaf, removal is O(1) in practice.  A stale handle — already
 //     fired, already cancelled, or its slot since reused — can never cancel
-//     anything,
-//   * on top of the callback core, process.h adds SimPy-style coroutine
-//     processes (`co_await sim.delay(t)`).
+//     anything.
 //
 // The kernel is intentionally single-threaded: determinism and simplicity
 // beat parallelism at this scale (a 720-hour NERSC replay is ~10^6 events).
-// Parallelism lives one level up, in sys/sweep.h, which runs independent
-// experiment configurations on a thread pool.
+// Parallelism lives one level up: sys/fleet.h gives each disk group its own
+// calendar, and sys/sweep.h runs independent experiment configurations on a
+// thread pool.
 //
 // Capacity bounds (both enforced with a clear throw, both far beyond any
 // simulated experiment): at most 2^24 (16.7M) concurrently pending events,
@@ -50,8 +49,8 @@ namespace spindown::des {
 using SimTime = double;
 
 /// Scheduled-event callback.  The 64-byte inline buffer covers every capture
-/// in the simulator's hot path (a `this` pointer, a coroutine handle, or a
-/// by-value Request); larger captures still work but heap-allocate.
+/// in the simulator's hot path (a `this` pointer plus a few scalars);
+/// larger captures still work but heap-allocate.
 using Callback = util::InlineFunction<void(), 64>;
 
 /// Identifies a scheduled event for cancellation.  Default-constructed

@@ -141,7 +141,7 @@ public:
   Disk& operator=(const Disk&) = delete;
 
   /// Submit a whole-file read arriving now.  `lba`/`blocks` locate the
-  /// file's extent in this disk's logical-block space (the dispatcher
+  /// file's extent in this disk's logical-block space (the router
   /// computes them from the catalog layout); `blocks` == 0 derives the
   /// extent length from `bytes`.  Completion is reported through the
   /// callback (if set).  `background` marks orchestration destage work: it

@@ -44,7 +44,7 @@ private:
 };
 
 std::string track_label(std::uint32_t track) {
-  if (track == kDispatcherTrack) return "dispatcher";
+  if (track == kRouterTrack) return "router";
   return "disk " + fmt_u64(track);
 }
 
@@ -90,7 +90,7 @@ void emit_metadata(Emitter& out, const RunTrace& trace) {
     for (const auto& [lane, unused] : lanes) {
       (void)unused;
       const std::string name =
-          lane == kDispatcherTrack ? "router" : "shard " + fmt_u64(lane);
+          lane == kRouterTrack ? "router" : "shard " + fmt_u64(lane);
       out.item(R"({"ph":"M","pid":1,"tid":)" + fmt_u64(lane) +
                R"(,"name":"thread_name","args":{"name":")" + name + R"("}})");
     }
@@ -194,7 +194,7 @@ void emit_profile(Emitter& out, const RunTrace& trace) {
 
 void jsonl_event(std::ostream& os, const TraceEvent& e, bool wall) {
   const std::int64_t track =
-      e.track == kDispatcherTrack ? -1 : static_cast<std::int64_t>(e.track);
+      e.track == kRouterTrack ? -1 : static_cast<std::int64_t>(e.track);
   char track_buf[24];
   std::snprintf(track_buf, sizeof track_buf, "%" PRId64, track);
   os << R"({"t":)" << fmt(e.t) << R"(,"track":)" << track_buf

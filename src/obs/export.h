@@ -7,7 +7,7 @@
 // bytes out.
 //
 // Chrome format (load in Perfetto or chrome://tracing):
-//   * pid 0 "sim" — one thread (track) per disk plus a "dispatcher" track;
+//   * pid 0 "sim" — one thread (track) per disk plus a "router" track;
 //     spans are async b/e pairs keyed by request id, lifecycle edges and
 //     policy decisions are thread-scoped instants, power states are "X"
 //     slices whose duration runs to the next transition (or the horizon).

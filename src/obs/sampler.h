@@ -9,8 +9,8 @@
 //
 // Determinism: the sampler is read-only, so it cannot perturb physical
 // results — and tick timestamps are computed as k * interval (never
-// accumulated), so the sampled timeline is identical whether the disk lives
-// on the single calendar or on any shard's calendar.  The tick events it
+// accumulated), so the sampled timeline is identical whichever shard's
+// calendar the disk lives on.  The tick events it
 // adds to the calendar are subtracted from the run's executed-event count by
 // the callers, so `RunResult::events` matches the untraced run exactly.
 #pragma once

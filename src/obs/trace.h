@@ -7,10 +7,10 @@
 // contract as RunResult: the canonical event stream is bit-identical at any
 // shard count, because
 //
-//   * every track (one per disk, plus one dispatcher track) is written by
+//   * every track (one per disk, plus one router track) is written by
 //     exactly one single-threaded owner, in sim-time order, and
 //   * the canonical merge concatenates the per-shard buffers and stable-
-//     sorts by track rank only (dispatcher first, then disks ascending), so
+//     sorts by track rank only (router first, then disks ascending), so
 //     per-track emission order — which is shard-invariant — is preserved.
 //
 // Wall-clock profiling samples are kept in a separate stream (RunTrace::
@@ -57,7 +57,7 @@ inline constexpr std::uint8_t kSpanRedirect = 7; ///< read routed to a
 
 /// Policy decision codes (kind == kPolicy).  Codes 0-3 are per-disk
 /// spin-down decisions on the disk's own track; 4-6 are fleet-orchestration
-/// decisions on the dispatcher track (src/orch/).
+/// decisions on the router track (src/orch/).
 inline constexpr std::uint8_t kPolicyTimerArmed = 0;  ///< finite timeout
 inline constexpr std::uint8_t kPolicyStayIdle = 1;    ///< nullopt: no timer
 inline constexpr std::uint8_t kPolicySpinDownNow = 2; ///< timeout <= 0
@@ -84,9 +84,9 @@ inline constexpr std::uint8_t kProfRouterFill = 0;   ///< router fills a window
 inline constexpr std::uint8_t kProfRingWait = 1;     ///< worker waits on ring
 inline constexpr std::uint8_t kProfWorkerReplay = 2; ///< worker replays batch
 
-/// Track id for events not owned by a disk (dispatcher / router decisions).
+/// Track id for events not owned by a disk (router decisions).
 /// Ranked before disk 0 in the canonical order, mirroring partials[0].
-inline constexpr std::uint32_t kDispatcherTrack = 0xffffffffu;
+inline constexpr std::uint32_t kRouterTrack = 0xffffffffu;
 
 /// One trace record.  40 bytes, trivially copyable; the exact-field equality
 /// is what the shard bit-identity tests compare.
@@ -102,8 +102,8 @@ struct TraceEvent {
   friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Single-writer event buffer.  Each shard worker (and the dispatcher or
-/// router) appends to its own buffer, so the hot path takes no lock; the
+/// Single-writer event buffer.  Each shard worker (and the router)
+/// appends to its own buffer, so the hot path takes no lock; the
 /// canonical merge happens once, after the run.
 class TraceBuffer {
 public:
@@ -132,7 +132,7 @@ private:
 };
 
 /// A whole run's trace.  `events` is the canonical sim-time stream
-/// (dispatcher track first, then disks in id order; per-track order is
+/// (router track first, then disks in id order; per-track order is
 /// emission order, i.e. non-decreasing sim time).  `profile` carries the
 /// wall-clock pipeline samples and is excluded from the determinism
 /// contract; `shards`/`workers` describe the pipeline shape and are only
@@ -145,9 +145,9 @@ struct RunTrace {
   std::uint32_t workers = 1;
 };
 
-/// Canonical-order sort key: dispatcher track ranks before every disk.
+/// Canonical-order sort key: the router track ranks before every disk.
 inline std::uint64_t track_rank(std::uint32_t track) {
-  return track == kDispatcherTrack ? 0 : std::uint64_t{track} + 1;
+  return track == kRouterTrack ? 0 : std::uint64_t{track} + 1;
 }
 
 /// Append `buffers`' events to `out` in canonical order.  Stable on the

@@ -104,7 +104,7 @@ void FleetController::route(double t, std::uint64_t id,
     if (const auto quota = budget_->maybe_recompute(t)) {
       if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
         trace_->emit(obs::Kind::kPolicy, obs::kPolicyBudget, t,
-                     obs::kDispatcherTrack, budget_->epochs(),
+                     obs::kRouterTrack, budget_->epochs(),
                      static_cast<double>(*quota), budget_->arrival_rate());
       }
     }
@@ -122,7 +122,7 @@ void FleetController::route(double t, std::uint64_t id,
         ++offloads_;
         if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
           trace_->emit(obs::Kind::kPolicy, obs::kPolicyOffload, t,
-                       obs::kDispatcherTrack, id,
+                       obs::kRouterTrack, id,
                        static_cast<double>(copy->log_disk),
                        static_cast<double>(primary));
         }
@@ -145,7 +145,7 @@ void FleetController::route(double t, std::uint64_t id,
     ++redirects_;
     if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
       trace_->emit(obs::Kind::kSpan, obs::kSpanRedirect, t,
-                   obs::kDispatcherTrack, id, static_cast<double>(c.disk),
+                   obs::kRouterTrack, id, static_cast<double>(c.disk),
                    static_cast<double>(primary));
     }
   }
@@ -218,7 +218,7 @@ void FleetController::trigger_destage(double t, std::uint64_t id,
   if (drained_.empty()) return; // every entry had already been settled
   if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
     trace_->emit(obs::Kind::kPolicy, obs::kPolicyDestage, t,
-                 obs::kDispatcherTrack, id, static_cast<double>(disk),
+                 obs::kRouterTrack, id, static_cast<double>(disk),
                  static_cast<double>(drained_.size()));
   }
   emit_destage_subs(t, drained_, out);
@@ -243,7 +243,7 @@ void FleetController::flush_deadlines(double t,
   for (const PendingWrite& p : drained_) {
     if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
       trace_->emit(obs::Kind::kPolicy, obs::kPolicyDestage, p.deadline,
-                   obs::kDispatcherTrack, p.request_id,
+                   obs::kRouterTrack, p.request_id,
                    static_cast<double>(p.target), 1.0);
     }
     model_.on_submit(p.target, p.deadline, p.bytes);

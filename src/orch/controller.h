@@ -26,7 +26,7 @@
 // triggered background destages.  It never reads simulator state — spin
 // predictions come from its own busy_until service model — so its output
 // is a pure function of the arrival stream and the run stays bit-identical
-// at any shard count.  Decisions are traced onto the dispatcher track
+// at any shard count.  Decisions are traced onto the router track
 // (obs::kSpanRedirect / kPolicyOffload / kPolicyDestage / kPolicyBudget).
 #pragma once
 

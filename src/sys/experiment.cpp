@@ -430,49 +430,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
 RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
                          FleetPerf* perf) {
-  if (config.catalog == nullptr) {
-    throw std::invalid_argument{"ExperimentConfig: catalog is required"};
-  }
-
-  const std::uint32_t shards =
-      effective_shards(config.shards, config.num_disks);
-  // Whole-episode measurement (horizon <= 0) needs the single global
-  // calendar; every built-in workload has a positive horizon.  Fleet
-  // orchestration lives in the router, so an orchestrated run takes the
-  // fleet path even at shards == 1 — one implementation defines its
-  // semantics, and shard bit-identity follows for free.
-  if ((shards > 1 || config.orch.enabled()) &&
-      config.workload.measurement_horizon() > 0.0) {
-    return run_fleet(config, shards, classify_fleet_path(config), perf,
-                     trace);
-  }
-  if (config.orch.enabled()) {
-    throw std::invalid_argument{
-        "ExperimentConfig: orchestration requires a workload with a "
-        "positive measurement horizon"};
-  }
-
-  const auto cache = config.cache.make();
-  StorageSystem system{*config.catalog, config.mapping, config.num_disks,
-                       config.params,   config.policy,  cache.get(),
-                       config.seed};
-  system.set_scheduler(config.scheduler);
-  for (const auto& [disk, policy] : config.policy_overrides) {
-    system.set_policy_override(disk, policy);
-  }
-  if (trace != nullptr && config.obs.enabled()) {
-    system.set_obs(config.obs.kind_mask(), config.obs.metrics_interval_s,
-                   trace);
-  }
-  if (perf != nullptr) {
-    *perf = FleetPerf{};
-    perf->path = classify_fleet_path(config);
-    perf->shards = 1;
-    perf->workers = 1;
-  }
-
-  const auto stream = config.workload.make_stream(*config.catalog, config.seed);
-  return system.run(*stream, config.workload.measurement_horizon());
+  return run_fleet(config, effective_shards(config.shards, config.num_disks),
+                   perf, trace);
 }
 
 } // namespace spindown::sys

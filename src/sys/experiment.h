@@ -150,12 +150,6 @@ struct CacheSpec {
 
   /// nullptr for kNone.
   std::unique_ptr<cache::FileCache> make() const;
-
-  /// True when the cache never couples requests routed to different disks
-  /// — i.e. there is no cache — so a sharded fleet run may skip the router
-  /// and generate arrivals shard-locally (sys/fleet.h FleetPath).  Any
-  /// real cache is shared mutable state keyed by global arrival order.
-  bool shard_decomposable() const { return kind == Kind::kNone; }
 };
 
 /// Observability selection (src/obs/): which trace-event families a run
@@ -217,8 +211,7 @@ struct ObsSpec {
 ///     form m* = ceil(lambda / (mu - ln(100)/SLO)) (Liu et al.).
 ///
 /// Orchestration is a deterministic function of the routed arrival stream,
-/// so every result stays bit-identical at any shard count; enabling it
-/// forces the fleet router path (like caches do via dynamic_routing).
+/// so every result stays bit-identical at any shard count.
 struct OrchSpec {
   bool redirect = false; ///< replica-aware read redirection
   bool offload = false;  ///< write off-loading onto log disks
@@ -270,43 +263,38 @@ struct ExperimentConfig {
   WorkloadSpec workload;
   std::uint64_t seed = 1;
   /// Shard the run's event calendar across this many per-disk-group
-  /// sub-simulations (sys/fleet.h).  1 = the single-calendar path; 0 =
-  /// auto (one shard per hardware thread, clamped so every shard owns at
-  /// least fleet.h's kAutoMinDisksPerShard disks).
+  /// sub-simulations (sys/fleet.h).  1 = one calendar driven by one worker
+  /// thread; 0 = auto (one shard per hardware thread, clamped so every
+  /// shard owns at least fleet.h's kAutoMinDisksPerShard disks).
   /// Sharding changes wall-clock only: every physical result field is
   /// bit-identical at any shard count.
   std::uint32_t shards = 1;
-  /// Set by scenario resolution when the placement does NOT reduce to the
-  /// static `mapping` vector above (PlacementSpec::static_mapping false —
-  /// i.e. `replicas=k` with k > 1, where the replica a read lands on is
-  /// chosen per request at arrival time).  Forces runs onto the router
-  /// path even with cache=none, because routing then depends on global
-  /// arrival order.
-  bool dynamic_routing = false;
   /// k-way replication degree from the placement (`replicas=` scenario
   /// key).  Replica r of file f lives at (mapping[f] + r * stride) % D
   /// with stride = max(1, D / k) over the D data disks; `mapping` above
   /// stores replica 0 (the primary).  1 = no replication.
   std::uint32_t replicas = 1;
-  /// Fleet orchestration (`orch=` scenario key).  When enabled() the run
-  /// takes the fleet router path at any shard count and num_disks includes
-  /// orch.log_disks always-on log disks appended after the data disks.
+  /// Fleet orchestration (`orch=` scenario key).  When enabled(),
+  /// num_disks includes orch.log_disks always-on log disks appended after
+  /// the data disks.
   OrchSpec orch;
   /// Which trace-event families to record when the run is handed a
   /// RunTrace sink.  Ignored (zero-cost) without one.
   ObsSpec obs;
 };
 
-/// Run one experiment to completion.  Deterministic given the config.
+/// Run one experiment to completion on the fleet engine (sys/fleet.h) at
+/// `config.shards` shards.  Deterministic given the config.  Throws
+/// std::invalid_argument on config errors, including a workload whose
+/// measurement horizon is not positive.
 RunResult run_experiment(const ExperimentConfig& config);
 
 /// As above, also collecting observability output.  When `trace` is
 /// non-null and config.obs enables any kind, the canonical sim-time event
-/// stream (bit-identical at any shard count) and — with obs profile on a
-/// sharded run — the wall-clock pipeline samples are appended to it.  When
-/// `perf` is non-null it receives the fleet pipeline diagnostics (for a
-/// single-calendar run: shards == workers == 1 with empty per-shard rows).
-/// The RunResult is bit-identical to the untraced overload's.
+/// stream (bit-identical at any shard count) and — with obs profile on —
+/// the wall-clock pipeline samples are appended to it.  When `perf`
+/// is non-null it receives the fleet pipeline diagnostics.  The RunResult
+/// is bit-identical to the untraced overload's.
 RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
                          FleetPerf* perf = nullptr);
 

@@ -18,6 +18,7 @@
 #include "stats/welford.h"
 #include "util/rng.h"
 #include "util/spsc_ring.h"
+#include "util/units.h"
 #include "workload/stream.h"
 
 namespace spindown::sys {
@@ -35,8 +36,6 @@ using obs::seconds_since;
 /// the full ring can never overflow — the free ring is the one
 /// backpressure point in the pipeline.
 constexpr std::size_t kBatchesPerShard = 16;
-
-constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
 /// Pre-routed submissions for one shard, one synchronization window.
 /// Structure-of-arrays like workload::RequestBlock: the worker's replay
@@ -83,17 +82,16 @@ struct ShardBatch {
 
 /// One shard's private calendar: the disks with id % shards == shard
 /// (local index l holds global disk shard + l * shards), per-disk response
-/// accumulators, and the horizon-snapshot rule — identical for both
-/// pipelines, and structurally the same episode as StorageSystem::run.
-/// Heap-allocated and never moved: the completion callbacks capture member
-/// addresses.
+/// accumulators, and the horizon-snapshot rule — the simulator's one
+/// episode.  Heap-allocated and never moved: the completion callbacks
+/// capture member addresses.
 class ShardSim {
 public:
   /// `obs_mask` non-zero enables tracing into a shard-private buffer
   /// (single-writer: exactly one thread ever drives this calendar).  The
   /// sampler is started after every disk exists, so its calendar ticks are
-  /// inserted after all idle timers — the same insertion order as the
-  /// single-calendar path, hence the same measure-zero tie resolution.
+  /// inserted after all idle timers at any shard count, hence the same
+  /// measure-zero tie resolution.
   ShardSim(const ExperimentConfig& config, double horizon,
            const std::vector<std::uint32_t>& disk_ids,
            const std::vector<util::Rng>& rngs,
@@ -130,8 +128,7 @@ public:
   /// Fixed tie rule: every pending disk event at t <= arrival runs before
   /// a submission at t — identical at any shard count.  The horizon
   /// snapshot (freezing the power/queue counters) is taken before the
-  /// local clock first passes the horizon, exactly like the
-  /// single-calendar path's snapshot event.
+  /// local clock first passes the horizon.
   void advance(double t) {
     if (snapshot_.empty() && t >= horizon_) {
       sim_.run_until(horizon_);
@@ -153,8 +150,7 @@ public:
   obs::TraceBuffer* trace_buffer() { return trace_.get(); }
 
   /// Drain: in-flight services run to completion past the horizon and
-  /// still record their response times — the same episode structure as
-  /// the single-calendar path.
+  /// still record their response times.
   RunResult finalize() {
     advance(horizon_);
     sim_.run();
@@ -186,7 +182,7 @@ private:
   std::uint64_t submissions_ = 0;
 };
 
-/// Everything both pipelines derive from the config before any thread
+/// Everything the pipeline derives from the config before any thread
 /// starts: the shard partition, the per-disk RNGs (split in disk-id order
 /// on the calling thread, so each disk's draw stream is a function of
 /// (seed, disk id) alone, never of the partition), and the shared
@@ -235,218 +231,6 @@ struct FleetSetup {
                                       config.obs.metrics_interval_s);
   }
 };
-
-// ---------------------------------------------------------------------------
-// Routerless fast path: shard-local arrival generation.
-// ---------------------------------------------------------------------------
-
-/// One fast-path worker thread: drives the shard calendars in `owned`.
-/// The synthetic arrival draws are a single global RNG stream, so every
-/// worker replays the whole stream (identical clone, identical draws) and
-/// keeps the arrivals its shards own — routing is the pure function
-/// mapping[file], so no shared mutable state exists and no two workers
-/// ever communicate.  Multiplexing several shard calendars onto one
-/// worker changes nothing: the calendars are independent, and each one
-/// sees exactly its own arrivals in arrival order.
-struct LocalWorker {
-  const ExperimentConfig* config = nullptr;
-  const FleetSetup* setup = nullptr;
-  std::vector<std::uint32_t> owned;               ///< shard indices
-  std::vector<std::unique_ptr<ShardSim>> sims;    ///< parallel to owned
-  std::uint64_t generated = 0;  ///< whole-stream arrival count
-  double busy_s = 0.0;
-  std::exception_ptr error;
-  std::vector<RunResult>* partials = nullptr;  ///< slot s+1 per shard s
-  /// kProfile stage sampling (obs profile): wall-clock offsets are taken
-  /// against the run-wide prof_t0 so every lane shares one time origin.
-  bool profiling = false;
-  PerfClock::time_point prof_t0{};
-  std::vector<obs::TraceEvent> prof; ///< kProfWorkerReplay, read after join
-
-  void run() {
-    try {
-      simulate();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-
-private:
-  void simulate() {
-    const auto t0 = PerfClock::now();
-    const std::uint32_t shards = setup->shards;
-    std::vector<std::uint32_t> slot(shards, kNoSlot);
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      slot[owned[i]] = static_cast<std::uint32_t>(i);
-    }
-    const auto stream =
-        config->workload.make_stream(*config->catalog, config->seed);
-    workload::WindowedStream windowed{*stream};
-    workload::RequestBlock block;
-    // Demux generation windows into per-shard batches and flush a whole
-    // stretch of windows at once: replaying kBatchesPerShard windows of
-    // one shard consecutively before touching the next keeps a single
-    // calendar's working set hot, exactly the drain pattern the routed
-    // pipeline's ring depth produces.  The batching exists purely for
-    // cache locality — there is no causality to protect — and cannot
-    // change results: each shard still sees its own arrivals in arrival
-    // order, and the interleaved run_until targets are monotone per
-    // shard, so the per-shard event execution sequence is identical to
-    // replaying arrival by arrival.
-    const double window = std::max(1e-3, setup->horizon / 256.0);
-    std::vector<ShardBatch> batches(owned.size());
-    double frontier = 0.0;
-    std::size_t buffered_windows = 0;
-    std::uint64_t flushes = 0;
-    const auto flush = [&] {
-      for (std::size_t s = 0; s < owned.size(); ++s) {
-        auto& batch = batches[s];
-        auto& sim = *sims[s];
-        const double p0 = profiling ? seconds_since(prof_t0) : 0.0;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          sim.advance(batch.time[i]);
-          sim.submit(batch.local_disk[i], batch.request_id[i],
-                     batch.bytes[i], batch.lba[i], batch.blocks[i]);
-        }
-        if (frontier > sim.now()) sim.advance(frontier);
-        batch.reset();
-        if (profiling) {
-          prof.push_back(obs::TraceEvent{p0, flushes,
-                                         seconds_since(prof_t0) - p0, 0.0,
-                                         owned[s], obs::Kind::kProfile,
-                                         obs::kProfWorkerReplay});
-        }
-      }
-      buffered_windows = 0;
-      ++flushes;
-    };
-    while (!windowed.exhausted()) {
-      frontier += window;
-      if (windowed.next_arrival() >= frontier) {
-        frontier = windowed.next_arrival() + window;
-      }
-      block.clear();
-      windowed.fill(frontier, std::numeric_limits<std::size_t>::max(),
-                    block);
-      generated += block.size();
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        const auto& file = config->catalog->by_id(block.file[i]);
-        const std::uint32_t disk = config->mapping[file.id];
-        const std::uint32_t s = slot[disk % shards];
-        if (s == kNoSlot) continue; // another worker's shard
-        const auto& extent = setup->extents[file.id];
-        const std::uint64_t lba = block.lba[i] != workload::kNoLba
-                                      ? block.lba[i]
-                                      : extent.lba;
-        batches[s].push(block.arrival[i], block.id[i], file.size, lba,
-                        extent.blocks, disk / shards);
-      }
-      if (++buffered_windows == kBatchesPerShard) flush();
-    }
-    flush();
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      (*partials)[owned[i] + 1] = sims[i]->finalize();
-    }
-    busy_s = seconds_since(t0);
-  }
-};
-
-std::vector<RunResult> run_shard_local(const ExperimentConfig& config,
-                                       const FleetSetup& setup,
-                                       FleetPerf* perf,
-                                       obs::RunTrace* trace) {
-  const std::uint32_t shards = setup.shards;
-  std::uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  const std::uint32_t n_workers = std::min(shards, hw);
-
-  const std::uint32_t mask = trace != nullptr ? config.obs.kind_mask() : 0;
-  const std::uint32_t sim_mask = mask & ~obs::kind_bit(obs::Kind::kProfile);
-  const bool profiling = trace != nullptr && config.obs.profile;
-  const auto prof_t0 = PerfClock::now();
-
-  std::vector<RunResult> partials(1 + shards);
-  std::vector<LocalWorker> workers(n_workers);
-  for (std::uint32_t w = 0; w < n_workers; ++w) {
-    workers[w].config = &config;
-    workers[w].setup = &setup;
-    workers[w].partials = &partials;
-    workers[w].profiling = profiling;
-    workers[w].prof_t0 = prof_t0;
-    for (std::uint32_t s = w; s < shards; s += n_workers) {
-      workers[w].owned.push_back(s);
-      workers[w].sims.push_back(setup.make_sim(config, s, sim_mask));
-    }
-  }
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(n_workers);
-    for (auto& worker : workers) {
-      threads.emplace_back([&worker] { worker.run(); });
-    }
-  } // workers join here
-  // Worker 0 owns shard 0: errors rethrow in lowest-shard-first order, the
-  // same schedule-independent convention as run_sweep.
-  for (const auto& worker : workers) {
-    if (worker.error) std::rethrow_exception(worker.error);
-  }
-
-  RunResult& root = partials[0];
-  root.power.horizon_s = setup.horizon;
-  root.requests = workers[0].generated; // every worker replays the whole
-                                        // stream; the counts are equal
-  const stats::LinearHistogram empty_hist{stats::ResponseSummary::kHistLo,
-                                          stats::ResponseSummary::kHistHi,
-                                          stats::ResponseSummary::kHistBins};
-  root.recompute_from_per_disk(empty_hist);
-
-  if (trace != nullptr && mask != 0) {
-    trace->horizon_s = setup.horizon;
-    trace->shards = shards;
-    trace->workers = n_workers;
-    if (sim_mask != 0) {
-      // Buffers gathered in shard order; append_canonical re-sorts by
-      // track (stably), so the gather order never shows in the output.
-      std::vector<obs::TraceBuffer*> buffers(shards, nullptr);
-      for (const auto& worker : workers) {
-        for (std::size_t i = 0; i < worker.owned.size(); ++i) {
-          buffers[worker.owned[i]] = worker.sims[i]->trace_buffer();
-        }
-      }
-      obs::append_canonical(trace->events, buffers);
-    }
-    // Profile samples are wall-clock (never part of the determinism
-    // contract); order them by lane then start offset for readability.
-    for (const auto& worker : workers) {
-      trace->profile.insert(trace->profile.end(), worker.prof.begin(),
-                            worker.prof.end());
-    }
-    std::stable_sort(trace->profile.begin(), trace->profile.end(),
-                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-                       if (obs::track_rank(a.track) != obs::track_rank(b.track))
-                         return obs::track_rank(a.track) <
-                                obs::track_rank(b.track);
-                       return a.t < b.t;
-                     });
-  }
-
-  if (perf != nullptr) {
-    perf->workers = n_workers;
-    perf->per_shard.resize(shards);
-    perf->worker_busy_s.assign(n_workers, 0.0);
-    perf->worker_wait_s.assign(n_workers, 0.0);
-    for (std::uint32_t w = 0; w < n_workers; ++w) {
-      perf->worker_busy_s[w] = workers[w].busy_s;
-      for (std::size_t i = 0; i < workers[w].owned.size(); ++i) {
-        const std::uint32_t s = workers[w].owned[i];
-        perf->per_shard[s].shard = s;
-        perf->per_shard[s].submissions = workers[w].sims[i]->submissions();
-        perf->per_shard[s].events = partials[s + 1].events;
-      }
-    }
-  }
-  return partials;
-}
 
 // ---------------------------------------------------------------------------
 // Pipelined router path: lock-free per-shard rings, recycled batch arenas.
@@ -608,16 +392,15 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   const auto stream =
       config.workload.make_stream(*config.catalog, config.seed);
 
-  // The router is the fleet's dispatcher: it owns the cache and performs
-  // every routing decision in global arrival order, so the dispatcher-track
-  // span events (cache hit/miss) are emitted here — same gate and fields as
-  // Dispatcher::dispatch, hence bit-identical to the single-calendar path.
+  // The router owns the cache and performs every routing decision in
+  // global arrival order, so the router-track span events (cache hit/miss)
+  // are emitted here, in an order no shard count can change.
   obs::TraceBuffer router_trace{sim_mask};
   const bool span_trace =
       cache != nullptr && router_trace.wants(obs::Kind::kSpan);
   // Orchestration: the controller rewrites the post-cache arrival stream in
   // global arrival order — a deterministic, shard-count-invariant function
-  // — emitting its decisions onto the dispatcher track.
+  // — emitting its decisions onto the router track.
   const auto controller = make_controller(config, setup, &router_trace);
   std::vector<orch::Submission> subs;
   std::vector<obs::TraceEvent> router_prof; ///< kProfRouterFill per window
@@ -659,6 +442,15 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         ring.try_push(arena); // holds a popped arena: cannot be full
         high_water[shard] = std::max(high_water[shard], ring.size());
       };
+      std::vector<ShardBatch*> current(shards, nullptr);
+      // Append the controller's submissions to their disks' batches.
+      const auto ship = [&] {
+        for (const auto& sub : subs) {
+          current[sub.disk % shards]->push(sub.t, sub.request_id, sub.bytes,
+                                           sub.lba, sub.blocks,
+                                           sub.disk / shards, sub.background);
+        }
+      };
 
       // Conservative windows: route all arrivals below each frontier, then
       // let every shard advance to it.  Any length is causally safe (no
@@ -667,7 +459,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       const double window = std::max(1e-3, horizon / 256.0);
       workload::WindowedStream windowed{*stream};
       workload::RequestBlock block;
-      std::vector<ShardBatch*> current(shards, nullptr);
       double frontier = 0.0;
       while (!windowed.exhausted()) {
         const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
@@ -682,19 +473,17 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
                       block);
         for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
         // Whole-window decision batch: every cache access and mapping
-        // lookup happens here, in global arrival order — exactly the
-        // sequence the single-calendar path sees — before anything is
+        // lookup happens here, in global arrival order, before anything is
         // published.
         for (std::size_t i = 0; i < block.size(); ++i) {
           ++dispatched;
           const auto& file = config.catalog->by_id(block.file[i]);
           if (cache != nullptr && cache->access(file.id, file.size)) {
-            // Cache hit, served from memory with zero latency (the only
-            // latency the experiment path configures): recorded here, in
-            // arrival order, exactly as the single-calendar path does.
+            // Cache hit, served from memory with zero latency: recorded
+            // here, in arrival order.
             if (span_trace) {
               router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheHit,
-                                block.arrival[i], obs::kDispatcherTrack,
+                                block.arrival[i], obs::kRouterTrack,
                                 block.id[i], file.size);
             }
             root.hits_response.add(0.0);
@@ -708,7 +497,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
           const std::uint32_t disk = config.mapping[file.id];
           if (span_trace) {
             router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
-                              block.arrival[i], obs::kDispatcherTrack,
+                              block.arrival[i], obs::kRouterTrack,
                               block.id[i], disk);
           }
           if (controller != nullptr) {
@@ -718,12 +507,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
             subs.clear();
             controller->flush_deadlines(block.arrival[i], subs);
             controller->route(block.arrival[i], block.id[i], file, subs);
-            for (const auto& sub : subs) {
-              current[sub.disk % shards]->push(sub.t, sub.request_id,
-                                               sub.bytes, sub.lba,
-                                               sub.blocks, sub.disk / shards,
-                                               sub.background);
-            }
+            ship();
             continue;
           }
           current[disk % shards]->push(block.arrival[i], block.id[i],
@@ -736,12 +520,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
           // >= frontier) still land after them.
           subs.clear();
           controller->flush_deadlines(frontier, subs);
-          for (const auto& sub : subs) {
-            current[sub.disk % shards]->push(sub.t, sub.request_id,
-                                             sub.bytes, sub.lba, sub.blocks,
-                                             sub.disk / shards,
-                                             sub.background);
-          }
+          ship();
         }
         for (std::uint32_t w = 0; w < shards; ++w) {
           current[w]->advance_to = frontier;
@@ -751,7 +530,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         if (profiling) {
           router_prof.push_back(obs::TraceEvent{
               f0, window_idx, seconds_since(prof_t0) - f0, 0.0,
-              obs::kDispatcherTrack, obs::Kind::kProfile,
+              obs::kRouterTrack, obs::Kind::kProfile,
               obs::kProfRouterFill});
         }
         ++window_idx;
@@ -764,12 +543,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         controller->flush_deadlines(horizon, subs);
         if (!subs.empty()) {
           for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-          for (const auto& sub : subs) {
-            current[sub.disk % shards]->push(sub.t, sub.request_id,
-                                             sub.bytes, sub.lba, sub.blocks,
-                                             sub.disk / shards,
-                                             sub.background);
-          }
+          ship();
           for (std::uint32_t w = 0; w < shards; ++w) {
             current[w]->advance_to = horizon;
             publish(w, current[w]);
@@ -860,13 +634,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
 
 } // namespace
 
-FleetPath classify_fleet_path(const ExperimentConfig& config) {
-  return config.cache.shard_decomposable() && !config.dynamic_routing &&
-                 !config.orch.enabled()
-             ? FleetPath::kShardLocal
-             : FleetPath::kRouted;
-}
-
 std::uint32_t effective_shards(std::uint32_t requested,
                                std::uint32_t num_disks) {
   std::uint32_t shards = requested;
@@ -886,7 +653,7 @@ std::uint32_t effective_shards(std::uint32_t requested,
 
 std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
                                           std::uint32_t shards,
-                                          FleetPath path, FleetPerf* perf,
+                                          FleetPerf* perf,
                                           obs::RunTrace* trace) {
   if (config.catalog == nullptr) {
     throw std::invalid_argument{"ExperimentConfig: catalog is required"};
@@ -897,21 +664,14 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
   for (const auto d : config.mapping) {
     if (d >= config.num_disks) {
       throw std::invalid_argument{
-          "StorageSystem: mapping references disk >= num_disks"};
+          "ExperimentConfig: mapping references disk >= num_disks"};
     }
   }
   const double horizon = config.workload.measurement_horizon();
-  if (horizon <= 0.0) {
+  if (!(horizon > 0.0)) {
     throw std::invalid_argument{
-        "run_fleet: needs a positive measurement horizon (whole-episode "
-        "measurement is a single-calendar feature)"};
-  }
-  if (path == FleetPath::kShardLocal &&
-      classify_fleet_path(config) != FleetPath::kShardLocal) {
-    throw std::invalid_argument{
-        "run_fleet: the shard-local fast path requires a shard-decomposable "
-        "scenario (cache=none and a static placement mapping); this config "
-        "needs the router"};
+        "ExperimentConfig: the workload's measurement horizon must be "
+        "positive (got " + util::format_roundtrip(horizon) + " s)"};
   }
   shards = std::max<std::uint32_t>(
       1, std::min(shards, std::max<std::uint32_t>(1, config.num_disks)));
@@ -919,30 +679,18 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
   const FleetSetup setup{config, shards};
   if (perf != nullptr) {
     *perf = FleetPerf{};
-    perf->path = path;
     perf->shards = shards;
   }
   if (trace != nullptr && !config.obs.enabled()) trace = nullptr;
-  return path == FleetPath::kShardLocal
-             ? run_shard_local(config, setup, perf, trace)
-             : run_routed(config, setup, perf, trace);
-}
-
-std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
-                                          std::uint32_t shards) {
-  return run_fleet_partials(config, shards, classify_fleet_path(config));
+  return run_routed(config, setup, perf, trace);
 }
 
 RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
-                    FleetPath path, FleetPerf* perf, obs::RunTrace* trace) {
-  auto partials = run_fleet_partials(config, shards, path, perf, trace);
+                    FleetPerf* perf, obs::RunTrace* trace) {
+  auto partials = run_fleet_partials(config, shards, perf, trace);
   RunResult result;
   for (const auto& p : partials) result.merge(p);
   return result;
-}
-
-RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards) {
-  return run_fleet(config, shards, classify_fleet_path(config));
 }
 
 } // namespace spindown::sys

@@ -1,66 +1,40 @@
-// fleet.h — one scenario, many calendars: sharded simulation of a disk farm.
+// fleet.h — the simulator's one engine: a routed, sharded disk farm.
 //
-// A single run's event calendar is partitioned into per-disk-group
-// sub-simulations (one des::Simulation per shard, reusing the pooled
-// calendar unchanged; disk d lives in shard d % shards).  The cut is clean
-// because the system's coupling is one-directional: disks interact only
-// through the dispatcher/cache *at arrival time* (the cache mutates when a
-// request is routed, never when it completes), and a completion never feeds
-// back into shared state.  Two execution pipelines exploit that, chosen by
-// classify_fleet_path():
+// Every scenario runs here (run_experiment calls run_fleet).  A run's event
+// calendar is partitioned into per-disk-group sub-simulations (one
+// des::Simulation per shard; disk d lives in shard d % shards), each driven
+// by its own worker thread.  The cut is clean because the system's coupling
+// is one-directional: disks interact only through the router at arrival
+// time (the cache and the orchestration controller mutate when a request is
+// routed, never when it completes), and a completion never feeds back into
+// shared state.
 //
-//   * kShardLocal (the routerless fast path) — when the scenario is
-//     *shard-decomposable*: no front cache (CacheSpec::shard_decomposable)
-//     and a placement that resolved to a static file→disk map
-//     (PlacementSpec::static_mapping; every built-in placement does).
-//     Routing a request is then the pure function mapping[file] — no
-//     arrival-order shared state exists — so workers generate arrivals
-//     themselves and submit locally: no router thread, no conservative
-//     windows, no mailboxes, zero cross-thread traffic on the hot path.
-//     The synthetic arrival draws are one global RNG stream (arrival times
-//     interleave with file choices), so a worker replays the *whole*
-//     stream and keeps the arrivals its disks own; to keep that replicated
-//     generation off the critical path on small hosts, the shard calendars
-//     — which are fully independent here — are multiplexed onto
-//     min(shards, hardware_concurrency) worker threads, each generating
-//     the stream once for all the shards it drives.  Worker grouping is an
-//     execution detail: every per-shard result is a function of the shard
-//     partition alone.
+// The router thread generates arrivals in conservative time windows,
+// performs every cache access, controller decision and mapping lookup in
+// global arrival order, batches a whole window of decisions, and publishes
+// each shard's pre-routed batch over a lock-free SPSC ring
+// (util/spsc_ring.h); a second ring per shard recycles drained batch arenas
+// back to the router, so the router fills window N+1 while workers drain
+// window N and the steady state allocates nothing.  Because the minimum
+// cross-shard latency is infinite (no feedback path), any window length is
+// causally safe; the window bounds router/worker skew and batch memory,
+// never correctness.  shards=1 is the same pipeline with one worker.
 //
-//   * kRouted (the pipelined router) — when a front cache makes routing
-//     depend on global arrival order.  The router thread generates
-//     arrivals in conservative time windows, performs every cache access
-//     and mapping lookup in arrival order (exactly the sequence the
-//     single-calendar path sees), batches a whole window of decisions, and
-//     publishes each shard's pre-routed batch over a lock-free SPSC ring
-//     (util/spsc_ring.h); a second ring per shard recycles drained batch
-//     arenas back to the router, so the router fills window N+1 while
-//     workers drain window N and the steady state allocates nothing.
-//     Because the minimum cross-shard latency is infinite (no feedback
-//     path), any window length is causally safe; the window bounds
-//     router/worker skew and batch memory, never correctness.
-//
-// Determinism: results are bit-identical on both paths, at every shard
-// count, and to the single-calendar path, because
+// Determinism: results are bit-identical at every shard count, because
 //   * each disk's RNG is split from the farm RNG in disk-id order,
-//     independent of the shard partition and of which pipeline runs;
-//   * synthetic arrival streams are replayed draw-for-draw (the router
-//     pulls one stream; each fast-path worker pulls an identical clone);
+//     independent of the shard partition;
+//   * the router pulls one arrival stream draw-for-draw and makes every
+//     routing decision in arrival order, whatever the shard count;
 //   * within a shard, replay uses run_until(arrival) + submit(), so
 //     pending disk events at t <= arrival always execute before a
 //     submission at t — a fixed tie rule that does not depend on how many
-//     shards exist (the single calendar orders such measure-zero FP ties
-//     by insertion sequence instead; synthetic arrival times are
-//     continuous, so the two rules agree);
+//     shards exist;
 //   * aggregation is canonical (RunResult::recompute_from_per_disk):
 //     moments fold in disk-id order, histograms merge bin-wise, so neither
 //     completion interleaving nor merge order can leak into the result.
 //
-// The per-request arithmetic is identical to the sequential path; sharding
-// buys wall-clock only.  `events` (calendar events executed) is the one
-// RunResult field that differs from the single calendar: both fleet paths
-// dispatch arrivals without scheduling them as events (and execute the
-// same event count as each other).
+// `events` (calendar events executed, summed over shards) is an engine
+// statistic: arrivals are submitted directly, never scheduled as events.
 #pragma once
 
 #include <cstdint>
@@ -70,19 +44,6 @@
 
 namespace spindown::sys {
 
-/// Which pipeline a fleet run uses.  Never affects results — only the
-/// thread/synchronization structure that produces them.
-enum class FleetPath {
-  kShardLocal, ///< routerless: workers generate + submit locally
-  kRouted,     ///< router thread + per-shard SPSC ring pipeline
-};
-
-/// Classify `config`: kShardLocal iff routing decisions are
-/// shard-decomposable — no front cache (CacheSpec::shard_decomposable) and
-/// a static placement mapping (ExperimentConfig::dynamic_routing false,
-/// which every built-in placement resolution guarantees).
-FleetPath classify_fleet_path(const ExperimentConfig& config);
-
 /// Pipeline diagnostics for one fleet run: wall-clock and occupancy
 /// counters for the bench/regression tooling.  Never part of RunResult or
 /// of any determinism contract — two bit-identical runs report different
@@ -90,16 +51,15 @@ FleetPath classify_fleet_path(const ExperimentConfig& config);
 struct ShardPerf {
   std::uint32_t shard = 0;
   std::uint64_t submissions = 0; ///< requests replayed into this shard
-  std::uint64_t batches = 0;     ///< routed batches consumed (0 fast-path)
+  std::uint64_t batches = 0;     ///< routed batches consumed
   std::uint64_t events = 0;      ///< calendar events executed by the shard
-  /// Max full-ring occupancy observed right after a router publish (0 on
-  /// the fast path): persistent highs mean workers lag the router,
-  /// persistent lows mean the router is the bottleneck.
+  /// Max full-ring occupancy observed right after a router publish:
+  /// persistent highs mean workers lag the router, persistent lows mean
+  /// the router is the bottleneck.
   std::size_t ring_high_water = 0;
 };
 
 struct FleetPerf {
-  FleetPath path = FleetPath::kShardLocal;
   std::uint32_t shards = 0;
   std::uint32_t workers = 0; ///< OS threads driving shard calendars
   double router_busy_s = 0.0;  ///< router generation + routing time
@@ -123,37 +83,27 @@ std::uint32_t effective_shards(std::uint32_t requested,
 inline constexpr std::uint32_t kAutoMinDisksPerShard = 32;
 
 /// Run `config` sharded `shards` ways and return the partial RunResults:
-/// element 0 is the generator-side partial (request count, cache stats,
+/// element 0 is the router-side partial (request count, cache stats,
 /// cache-hit response moments), elements 1..shards are the disk groups
 /// (disk d lives in shard d % shards).  Folding the partials with
-/// RunResult::merge — in any order — reproduces the single-calendar
-/// result; run_fleet() does exactly that.  `path` selects the pipeline;
-/// forcing kShardLocal on a non-decomposable config throws
-/// std::invalid_argument (the fast path cannot replay cache decisions).
-/// `perf`, when non-null, receives the run's pipeline diagnostics.
-/// `trace`, when non-null and config.obs enables any kind, receives the
-/// canonical sim-time event stream (obs::append_canonical order —
-/// bit-identical at any shard count on either pipeline, and to the
-/// single-calendar path) plus, when config.obs.profile is set, wall-clock
-/// pipeline stage samples in RunTrace::profile.
-/// Requires a positive measurement horizon (every built-in workload has
-/// one).  Throws std::invalid_argument on config errors.
+/// RunResult::merge — in any order — gives the same result at every shard
+/// count; run_fleet() does exactly that.  `perf`, when non-null, receives
+/// the run's pipeline diagnostics.  `trace`, when non-null and config.obs
+/// enables any kind, receives the canonical sim-time event stream
+/// (obs::append_canonical order — bit-identical at any shard count) plus,
+/// when config.obs.profile is set, wall-clock pipeline stage samples in
+/// RunTrace::profile.  Throws std::invalid_argument on config errors,
+/// including a non-positive measurement horizon.
 std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
                                           std::uint32_t shards,
-                                          FleetPath path,
                                           FleetPerf* perf = nullptr,
                                           obs::RunTrace* trace = nullptr);
-/// As above with path = classify_fleet_path(config).
-std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
-                                          std::uint32_t shards);
 
 /// Run `config` sharded `shards` ways (>= 1; not auto-resolved) and return
-/// the merged result.  Bit-identical to run_experiment with shards == 1 on
-/// every physical field, whichever pipeline runs.
+/// the merged result.  Every physical field is bit-identical at any shard
+/// count.
 RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
-                    FleetPath path, FleetPerf* perf = nullptr,
+                    FleetPerf* perf = nullptr,
                     obs::RunTrace* trace = nullptr);
-/// As above with path = classify_fleet_path(config).
-RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards);
 
 } // namespace spindown::sys

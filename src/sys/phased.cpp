@@ -22,29 +22,6 @@ workload::FileCatalog drifted_catalog(const workload::FileCatalog& base,
   return workload::FileCatalog{std::move(files)};
 }
 
-namespace {
-
-/// Pass-through stream that tallies per-file request counts — the "access
-/// statistics accumulated over periodic intervals" the reorganizer feeds on.
-class CountingStream final : public workload::RequestStream {
-public:
-  CountingStream(workload::RequestStream& inner,
-                 std::vector<std::uint64_t>& counts)
-      : inner_(inner), counts_(counts) {}
-
-  std::optional<workload::Request> next() override {
-    auto r = inner_.next();
-    if (r.has_value()) counts_.at(r->file) += 1;
-    return r;
-  }
-
-private:
-  workload::RequestStream& inner_;
-  std::vector<std::uint64_t>& counts_;
-};
-
-} // namespace
-
 PhasedResult run_phased(const PhasedConfig& config) {
   if (config.catalog == nullptr) {
     throw std::invalid_argument{"run_phased: catalog is required"};
@@ -73,20 +50,21 @@ PhasedResult run_phased(const PhasedConfig& config) {
     report.disks_used = current.disk_count;
 
     // Simulate this window on the current placement.
+    ExperimentConfig run;
+    run.catalog = &window_catalog;
+    run.mapping = current.disk_of;
+    run.num_disks = current.disk_count;
+    run.params = config.model.disk;
+    run.policy = config.policy;
+    run.scheduler = config.scheduler;
+    run.workload = WorkloadSpec::poisson(config.model.rate, config.window_s);
+    run.seed = config.seed + w;
+    report.run = run_experiment(run);
+    // The "access statistics accumulated over periodic intervals" the
+    // reorganizer feeds on: a second, draw-identical drain of the stream.
     std::vector<std::uint64_t> counts(base.size(), 0);
-    {
-      const auto cache = CacheSpec::none().make();
-      StorageSystem system{window_catalog, current.disk_of,
-                           current.disk_count, config.model.disk,
-                           config.policy, cache.get(),
-                           config.seed + w};
-      system.set_scheduler(config.scheduler);
-      workload::PoissonZipfStream inner{window_catalog, config.model.rate,
-                                        config.window_s,
-                                        util::Rng{config.seed + w}};
-      CountingStream counting{inner, counts};
-      report.run = system.run(counting, config.window_s);
-    }
+    const auto stream = run.workload.make_stream(window_catalog, run.seed);
+    while (const auto r = stream->next()) counts.at(r->file) += 1;
     out.total_energy += report.run.power.energy;
     out.response.merge(report.run.response);
 

@@ -604,7 +604,7 @@ const ScenarioCache::MappingEntry& ScenarioCache::mapping_for(
 
 ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   // A trace-kind workload must agree with the catalog it replays against:
-  // the dispatcher locates every record through the scenario catalog.
+  // the router locates every record through the scenario catalog.
   if (spec.workload.kind == WorkloadSpec::Kind::kTrace) {
     if (spec.workload.trace_path.empty()) {
       throw std::invalid_argument{
@@ -658,10 +658,6 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   cfg.seed = spec.seed;
   cfg.shards = spec.shards;
   cfg.obs = spec.obs;
-  // The base placement resolved to the static mapping vector above (replica
-  // 0); k > 1 makes routing per-request — replica-aware redirection picks a
-  // copy at arrival time — so the run must take the fleet router.
-  cfg.dynamic_routing = !spec.placement.static_mapping();
   cfg.replicas = spec.placement.replicas;
   cfg.orch = spec.orch;
   // The off-load tier appends its always-on log disks after the data
@@ -746,10 +742,7 @@ std::string to_json(const RunResult& r) {
 std::string to_json(const FleetPerf& perf) {
   const auto num = [](double v) { return util::format_roundtrip(v); };
   std::string out = "{";
-  out += "\"path\": \"";
-  out += perf.path == FleetPath::kShardLocal ? "shard-local" : "routed";
-  out += "\"";
-  out += ", \"shards\": " + std::to_string(perf.shards);
+  out += "\"shards\": " + std::to_string(perf.shards);
   out += ", \"workers\": " + std::to_string(perf.workers);
   out += ", \"router_busy_s\": " + num(perf.router_busy_s);
   out += ", \"router_stall_s\": " + num(perf.router_stall_s);

@@ -140,16 +140,6 @@ struct PlacementSpec {
   static PlacementSpec parse(const std::string& name);
   /// Canonical parseable key such that parse(spec()) round-trips.
   std::string spec() const;
-
-  /// True when resolution reduces this placement to a fixed file→disk map
-  /// (ExperimentConfig::mapping) that never changes during the run.  The
-  /// base placements all qualify — they decide disk assignment from the
-  /// catalog alone, before the first arrival — which is half of what lets
-  /// sharded runs take the routerless fast path (sys/fleet.h).  With
-  /// `replicas` > 1 the map is per request: replica-aware redirection
-  /// routes each read to whichever copy is spun up, so routing depends on
-  /// global arrival order and fleet runs fall back to the router.
-  bool static_mapping() const { return replicas <= 1; }
 };
 
 /// The complete experiment as a value.  Everything run_experiment needs is
@@ -176,10 +166,10 @@ struct ScenarioSpec {
   WorkloadSpec workload;
   std::uint64_t seed = 1;
   /// `shards=<n|auto>`: split the run across n per-disk-group
-  /// sub-simulations (sys/fleet.h); 1 (the default) is the single-calendar
-  /// path and 0 renders as "auto" (one shard per hardware thread, clamped
-  /// so every shard owns at least fleet.h's kAutoMinDisksPerShard disks —
-  /// oversharding a small farm costs more than it buys).  Shard
+  /// sub-simulations (sys/fleet.h); 1 (the default) is one calendar on one
+  /// worker thread and 0 renders as "auto" (one shard per hardware thread,
+  /// clamped so every shard owns at least fleet.h's kAutoMinDisksPerShard
+  /// disks — oversharding a small farm costs more than it buys).  Shard
   /// count changes wall-clock only, never results, so it is deliberately
   /// NOT part of the result-determining scenario identity: spec() omits
   /// the key at its default.

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "adapt/idle_predictor.h"
-#include "obs/sampler.h"
 #include "sys/spec_grammar.h"
 #include "adapt/share.h"
 #include "adapt/slack.h"
@@ -242,161 +241,6 @@ RunResult& RunResult::merge(const RunResult& other) {
   hist.merge(other.response.histogram());
   recompute_from_per_disk(hist);
   return *this;
-}
-
-StorageSystem::StorageSystem(const workload::FileCatalog& catalog,
-                             std::vector<std::uint32_t> mapping,
-                             std::uint32_t num_disks, disk::DiskParams params,
-                             const PolicySpec& policy, cache::FileCache* cache,
-                             std::uint64_t seed, double cache_hit_latency_s)
-    : catalog_(catalog), mapping_(std::move(mapping)), num_disks_(num_disks),
-      params_(std::move(params)), policy_(policy), cache_(cache), seed_(seed),
-      cache_hit_latency_(cache_hit_latency_s) {
-  for (const auto d : mapping_) {
-    if (d >= num_disks_) {
-      throw std::invalid_argument{
-          "StorageSystem: mapping references disk >= num_disks"};
-    }
-  }
-}
-
-void StorageSystem::set_policy_override(std::uint32_t disk,
-                                        const PolicySpec& policy) {
-  if (disk >= num_disks_) {
-    throw std::invalid_argument{"set_policy_override: unknown disk"};
-  }
-  policy_overrides_.emplace_back(disk, policy);
-}
-
-RunResult StorageSystem::run(workload::RequestStream& stream,
-                             double min_horizon) {
-  des::Simulation sim;
-  util::Rng farm_rng{seed_};
-
-  std::vector<std::unique_ptr<disk::Disk>> disks;
-  disks.reserve(num_disks_);
-  for (std::uint32_t d = 0; d < num_disks_; ++d) {
-    const PolicySpec* policy = &policy_;
-    for (const auto& [disk_id, override_policy] : policy_overrides_) {
-      if (disk_id == d) policy = &override_policy;
-    }
-    disks.push_back(std::make_unique<disk::Disk>(
-        sim, d, params_, policy->make(params_), farm_rng.split(),
-        scheduler_.make()));
-  }
-
-  RunResult result;
-  // Response accumulation is canonical, not chronological: per-disk Welford
-  // moments (folded in disk-id order at finalize) plus one shared histogram
-  // (bin-wise integer adds commute).  Completion order — which depends on
-  // how the calendar interleaves disks, and would differ between a single
-  // calendar and a sharded run at equal-timestamp completions — never
-  // touches the result.
-  std::vector<stats::Welford> per_disk_response(num_disks_);
-  stats::LinearHistogram hist{stats::ResponseSummary::kHistLo,
-                              stats::ResponseSummary::kHistHi,
-                              stats::ResponseSummary::kHistBins};
-  for (auto& d : disks) {
-    d->set_completion_callback(
-        [&per_disk_response, &hist](const disk::Completion& c) {
-          per_disk_response[c.disk_id].add(c.response_time());
-          hist.add(c.response_time());
-        });
-  }
-
-  std::vector<disk::Disk*> disk_ptrs;
-  disk_ptrs.reserve(disks.size());
-  for (auto& d : disks) disk_ptrs.push_back(d.get());
-
-  // Tracing: one single-writer buffer (this path is single-threaded), with
-  // the canonical track sort applied at the end.  Read-only with respect to
-  // the physics, so the RunResult is identical with tracing on or off.
-  const bool tracing = obs_out_ != nullptr && obs_mask_ != 0;
-  obs::TraceBuffer trace{tracing ? obs_mask_ : 0};
-  if (tracing) {
-    for (auto& d : disks) d->set_trace(&trace);
-  }
-
-  Dispatcher dispatcher{sim,       catalog_, mapping_,
-                        disk_ptrs, cache_,   cache_hit_latency_};
-  if (tracing) dispatcher.set_trace(&trace);
-  dispatcher.set_hit_callback([&result, &hist](std::uint64_t, double latency) {
-    result.hits_response.add(latency);
-    hist.add(latency);
-  });
-
-  // Pull-scheduled arrivals: each arrival event dispatches and schedules the
-  // next one, so only one pending arrival sits in the calendar at a time.
-  // The scheduled capture is (pump pointer + Request by value) — well inside
-  // the calendar's inline-callback buffer, so the arrival path of a replay
-  // performs no heap allocations.
-  struct ArrivalPump {
-    des::Simulation& sim;
-    Dispatcher& dispatcher;
-    workload::RequestStream& stream;
-    void operator()() {
-      auto req = stream.next();
-      if (!req.has_value()) return;
-      sim.schedule_at(req->arrival, [this, r = *req] {
-        dispatcher.dispatch(r);
-        (*this)();
-      });
-    }
-  };
-  ArrivalPump pump{sim, dispatcher, stream};
-  pump();
-
-  // Snapshot every disk ledger exactly at the measurement horizon so energy
-  // is integrated over an identical window for every configuration.  With
-  // min_horizon == 0 the snapshot happens after the calendar drains instead
-  // (measure over the whole episode).
-  std::vector<disk::DiskMetrics> snapshot;
-  const bool fixed_window = min_horizon > 0.0;
-  // Metrics sampling needs a known horizon; open-ended episodes (min_horizon
-  // == 0) have none, matching the fleet path's positive-horizon requirement.
-  obs::MetricsSampler sampler{sim, obs_interval_s_,
-                              fixed_window ? min_horizon : 0.0,
-                              tracing ? &trace : nullptr};
-  if (tracing && fixed_window) {
-    for (auto& d : disks) sampler.add_disk(d.get());
-    sampler.start();
-  }
-  if (fixed_window) {
-    sim.schedule_at(min_horizon, [&] {
-      snapshot.clear();
-      for (auto& d : disks) snapshot.push_back(d->metrics(sim.now()));
-    });
-  }
-
-  // Run everything: remaining services past the horizon still complete and
-  // contribute their response times.
-  sim.run();
-
-  const double horizon = fixed_window ? min_horizon : sim.now();
-  if (!fixed_window) {
-    for (auto& d : disks) snapshot.push_back(d->metrics(sim.now()));
-  }
-
-  result.requests = dispatcher.dispatched();
-  // Sampler ticks are bookkeeping events, not simulation work; subtracting
-  // them keeps `events` identical to the untraced run.
-  result.events = sim.executed() - sampler.ticks();
-  result.power.horizon_s = horizon;
-  // The snapshot freezes the power/queue counters at the horizon; response
-  // moments cover the whole episode (post-horizon drain included), so they
-  // are attached after the calendar empties.
-  for (auto& m : snapshot) m.response = per_disk_response[m.disk_id];
-  result.per_disk = std::move(snapshot);
-  if (cache_ != nullptr) result.cache = cache_->stats();
-  result.recompute_from_per_disk(hist);
-  if (tracing) {
-    obs_out_->horizon_s = horizon;
-    obs_out_->shards = 1;
-    obs_out_->workers = 1;
-    obs::TraceBuffer* const buffers[] = {&trace};
-    obs::append_canonical(obs_out_->events, buffers);
-  }
-  return result;
 }
 
 } // namespace spindown::sys

@@ -1,9 +1,10 @@
-// system.h — the complete simulated storage system.
+// system.h — the declarative farm specs and the result of one run.
 //
-// Wires together the DES kernel, a farm of disks, the dispatcher (plus
-// optional cache), and a request stream; runs to completion; and reports
-// power and response-time results.  Matches the paper's §4 environment:
-// workload generator -> file dispatcher -> disks.
+// PolicySpec and SchedulerSpec select the per-disk spin-down policy and
+// I/O discipline; RunResult carries the power and response-time results of
+// a run (sys/fleet.h produces them).  The simulated system matches the
+// paper's §4 environment: workload generator -> file router (plus optional
+// cache) -> disks.
 //
 // Energy accounting: all disks are snapshotted at the *measurement horizon*
 // (the stream's end time), so energy is integrated over an identical window
@@ -15,13 +16,10 @@
 #include <vector>
 
 #include "cache/cache.h"
-#include "des/simulation.h"
 #include "disk/disk.h"
 #include "disk/spin_policy.h"
 #include "stats/summary.h"
-#include "sys/dispatcher.h"
 #include "util/units.h"
-#include "workload/stream.h"
 
 namespace spindown::sys {
 
@@ -131,17 +129,16 @@ struct RunResult {
   stats::ResponseSummary response;
   /// Response moments of the cache-hit stream alone (zero when no cache).
   /// Kept separate from `response` because the canonical aggregation —
-  /// shared by the single-calendar path, the fleet path, and merge() —
-  /// rebuilds `response` as fold(hits, per-disk moments in disk-id order),
-  /// which is what makes the result independent of shard count.
+  /// shared by the fleet shards and merge() — rebuilds `response` as
+  /// fold(hits, per-disk moments in disk-id order), which is what makes the
+  /// result independent of shard count.
   stats::Welford hits_response;
   cache::CacheStats cache;     ///< zeros when no cache configured
   std::uint64_t requests = 0;
   /// Calendar events executed (summed across shards for a fleet run): the
   /// numerator of the events/s throughput figure.  An engine statistic,
-  /// not a physical result — the sharded path pre-routes arrivals instead
-  /// of scheduling them as calendar events, so `events` varies with shard
-  /// count while every physical field is shard-invariant.
+  /// not a physical result: it may vary with shard count while every
+  /// physical field is shard-invariant.
   std::uint64_t events = 0;
   std::vector<disk::DiskMetrics> per_disk; ///< at the horizon, disk-id order
   /// Horizon accounting (from the same snapshot as per_disk/energy, so every
@@ -166,8 +163,8 @@ struct RunResult {
   /// response summary — is *recomputed* from the merged per_disk vector in
   /// disk-id order rather than combined from the operands' aggregates, so
   /// merge is associative and order-independent bit-for-bit by
-  /// construction, and a fold over any shard partition reproduces the
-  /// single-calendar run exactly.  Caveat: `hits_response` is combined with
+  /// construction, and a fold over any shard partition gives the same
+  /// result.  Caveat: `hits_response` is combined with
   /// Chan's formula, so bitwise reproducibility requires that at most one
   /// operand in a merge tree carries cache hits (true for fleet partials:
   /// the router-side partial owns all hits).
@@ -176,60 +173,10 @@ struct RunResult {
   /// Recompute the per-disk-derived aggregates of this result — power
   /// totals, completed/in-flight accounting, and response =
   /// fold(hits_response, per_disk[i].response in disk-id order) over
-  /// `hist` — the canonical finalize shared by StorageSystem::run, the
-  /// fleet path, and merge().  per_disk must be sorted by disk_id and
+  /// `hist` — the canonical finalize shared by every fleet shard and
+  /// merge().  per_disk must be sorted by disk_id and
   /// power.horizon_s set.
   void recompute_from_per_disk(const stats::LinearHistogram& hist);
-};
-
-class StorageSystem {
-public:
-  /// `num_disks` must cover every disk index in `mapping`.  The cache
-  /// pointer may be null; ownership stays with the caller.
-  StorageSystem(const workload::FileCatalog& catalog,
-                std::vector<std::uint32_t> mapping, std::uint32_t num_disks,
-                disk::DiskParams params, const PolicySpec& policy,
-                cache::FileCache* cache = nullptr,
-                std::uint64_t seed = 1, double cache_hit_latency_s = 0.0);
-
-  /// Per-disk spin-down policy overrides (e.g. MAID's always-on cache
-  /// disks).  Disks without an entry use the constructor's policy.
-  void set_policy_override(std::uint32_t disk, const PolicySpec& policy);
-
-  /// Service discipline for every disk in the farm (default: FCFS, the
-  /// seed-compatible behavior).  Call before run().
-  void set_scheduler(const SchedulerSpec& scheduler) { scheduler_ = scheduler; }
-
-  /// Enable tracing for the next run(): record the event kinds in
-  /// `kind_mask` (obs::kind_bit), sampling metrics every
-  /// `metrics_interval_s` of sim time, into `out` (canonical order).
-  /// Tracing is read-only — the RunResult is bit-identical with it on or
-  /// off.  Call before run(); null `out` or an empty mask disables.
-  void set_obs(std::uint32_t kind_mask, double metrics_interval_s,
-               obs::RunTrace* out) {
-    obs_mask_ = kind_mask;
-    obs_interval_s_ = metrics_interval_s;
-    obs_out_ = out;
-  }
-
-  /// Drive the stream to exhaustion, measure energy over
-  /// [0, max(stream end, `min_horizon`)], then drain in-flight requests.
-  RunResult run(workload::RequestStream& stream, double min_horizon = 0.0);
-
-private:
-  const workload::FileCatalog& catalog_;
-  std::vector<std::uint32_t> mapping_;
-  std::uint32_t num_disks_;
-  disk::DiskParams params_;
-  PolicySpec policy_;
-  SchedulerSpec scheduler_;
-  cache::FileCache* cache_;
-  std::uint64_t seed_;
-  double cache_hit_latency_;
-  std::vector<std::pair<std::uint32_t, PolicySpec>> policy_overrides_;
-  std::uint32_t obs_mask_ = 0;
-  double obs_interval_s_ = 60.0;
-  obs::RunTrace* obs_out_ = nullptr;
 };
 
 /// Closed-form energy of the same served workload with power management

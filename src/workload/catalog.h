@@ -28,7 +28,7 @@ namespace spindown::workload {
 using FileId = std::uint32_t;
 
 /// "No logical block address": requests carrying this sentinel are located
-/// by the dispatcher from the catalog layout (layout_extents below).
+/// by the router from the catalog layout (layout_extents below).
 inline constexpr std::uint64_t kNoLba = ~0ULL;
 
 struct FileInfo {

@@ -1,7 +1,9 @@
 // Shard-count bit-identity of the canonical trace stream: the sim-time
-// events recorded by a sharded fleet run — on either pipeline — must equal
-// the single-calendar run's trace exactly (TraceEvent field-wise equality),
-// mirroring the RunResult invariance contract in tests/sys/fleet_test.cpp.
+// events recorded by a fleet run at any shard count must reproduce the
+// trace of the retired single-calendar engine exactly.  The reference is a
+// digest of every TraceEvent field (plus the horizon) captured from that
+// engine, mirroring the RunResult invariance contract in
+// tests/sys/fleet_test.cpp.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "support/physical_digest.h"
 #include "sys/fleet.h"
 #include "sys/scenario.h"
 #include "util/units.h"
@@ -16,6 +19,9 @@
 
 namespace spindown::obs {
 namespace {
+
+using test_support::physical_digest;
+using test_support::trace_digest;
 
 workload::FileCatalog fleet_catalog(std::size_t n_files = 96) {
   std::vector<workload::FileInfo> files(n_files);
@@ -45,93 +51,76 @@ sys::ExperimentConfig fleet_config(const workload::FileCatalog& cat,
   return cfg;
 }
 
-void expect_same_trace(const RunTrace& a, const RunTrace& b,
-                       const std::string& what) {
-  SCOPED_TRACE(what);
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    ASSERT_EQ(a.events[i], b.events[i]) << "event " << i << " differs";
+/// Runs `cfg` at 1, 2, 4 and 8 shards and checks every trace and result
+/// against the single-calendar reference digests.
+void expect_matches_reference(const sys::ExperimentConfig& cfg,
+                              std::size_t events, const char* trace_ref,
+                              const char* result_ref) {
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    RunTrace trace;
+    const auto r = sys::run_fleet(cfg, shards, nullptr, &trace);
+    EXPECT_EQ(trace.events.size(), events);
+    EXPECT_EQ(trace_digest(trace), trace_ref);
+    EXPECT_EQ(physical_digest(r), result_ref);
   }
-  EXPECT_DOUBLE_EQ(a.horizon_s, b.horizon_s);
 }
 
-TEST(TraceFleetIdentity, RouterlessPathMatchesSingleCalendar) {
+TEST(TraceFleetIdentity, CacheFreeRunMatchesSingleCalendar) {
   const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat, 24); // cache=none -> shard-decomposable
+  expect_matches_reference(fleet_config(cat, 24), 7473, "93523bc13caae85e",
+                           "b87ee925352f6f6a");
+}
 
-  RunTrace single;
-  const auto base = sys::run_experiment(cfg, &single);
-  ASSERT_FALSE(single.events.empty());
-
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    RunTrace sharded;
-    const auto r = sys::run_fleet(cfg, shards, sys::FleetPath::kShardLocal,
-                                  nullptr, &sharded);
-    expect_same_trace(single, sharded,
-                      "shard-local, shards=" + std::to_string(shards));
-    // `events` is the one field allowed to differ between the single
-    // calendar and the fleet paths (fleet.h) — compare physics instead.
-    EXPECT_EQ(r.requests, base.requests);
-    EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
+TEST(TraceFleetIdentity, CacheFreeRouterTrackStaysEmpty) {
+  // Without a cache the router emits no hit/miss spans: every event of the
+  // canonical stream belongs to a disk track, and the stream still matches
+  // the single-calendar reference (16 disks, so 8 shards own 2 each).
+  const auto cat = fleet_catalog();
+  const auto cfg = fleet_config(cat, 16);
+  RunTrace trace;
+  (void)sys::run_fleet(cfg, 4, nullptr, &trace);
+  ASSERT_FALSE(trace.events.empty());
+  for (const auto& e : trace.events) {
+    EXPECT_NE(e.track, kRouterTrack);
   }
+  expect_matches_reference(cfg, 7063, "e0606c2b813a55ac", "7e6c302e8651fe69");
 }
 
 TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 24);
-  cfg.cache = sys::CacheSpec::lru(util::mb(200.0)); // forces the router
+  cfg.cache = sys::CacheSpec::lru(util::mb(200.0));
 
-  RunTrace single;
-  const auto base = sys::run_experiment(cfg, &single);
-  ASSERT_FALSE(single.events.empty());
-  bool saw_cache_hit = false;
-  for (const auto& e : single.events) {
-    if (e.kind == Kind::kSpan && e.code == kSpanCacheHit) {
-      saw_cache_hit = true;
-      EXPECT_EQ(e.track, kDispatcherTrack);
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    RunTrace trace;
+    const auto r = sys::run_fleet(cfg, shards, nullptr, &trace);
+    bool saw_cache_hit = false;
+    for (const auto& e : trace.events) {
+      if (e.kind == Kind::kSpan && e.code == kSpanCacheHit) {
+        saw_cache_hit = true;
+        EXPECT_EQ(e.track, kRouterTrack);
+      }
     }
+    EXPECT_TRUE(saw_cache_hit) << "scenario must exercise the cache";
+    EXPECT_EQ(trace.events.size(), 7033u);
+    EXPECT_EQ(trace_digest(trace), "3f1224fa2add9ff3");
+    EXPECT_EQ(physical_digest(r), "4b57a375a7c00097");
   }
-  EXPECT_TRUE(saw_cache_hit) << "scenario must exercise the cache";
-
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    RunTrace sharded;
-    const auto r = sys::run_fleet(cfg, shards, sys::FleetPath::kRouted,
-                                  nullptr, &sharded);
-    expect_same_trace(single, sharded,
-                      "routed, shards=" + std::to_string(shards));
-    EXPECT_EQ(r.cache.hits, base.cache.hits);
-    EXPECT_DOUBLE_EQ(r.power.energy, base.power.energy);
-  }
-}
-
-TEST(TraceFleetIdentity, ForcedRouterOnDecomposableConfigMatchesToo) {
-  // cache=none normally takes the fast path; forcing the router must
-  // produce the same trace — the dispatcher track is simply empty (no
-  // cache, no hit/miss events), exactly like the single-calendar path.
-  const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat, 16);
-
-  RunTrace single;
-  (void)sys::run_experiment(cfg, &single);
-  RunTrace routed;
-  (void)sys::run_fleet(cfg, 4, sys::FleetPath::kRouted, nullptr, &routed);
-  expect_same_trace(single, routed, "forced router, shards=4");
 }
 
 TEST(TraceFleetIdentity, TracedFleetRunMatchesUntracedResult) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 24);
 
-  const auto plain = sys::run_fleet(cfg, 4, sys::FleetPath::kShardLocal);
+  const auto plain = sys::run_fleet(cfg, 4);
   RunTrace trace;
-  const auto traced =
-      sys::run_fleet(cfg, 4, sys::FleetPath::kShardLocal, nullptr, &trace);
+  const auto traced = sys::run_fleet(cfg, 4, nullptr, &trace);
   // Tracing is read-only — including the engine's event counter (sampler
   // ticks are subtracted).
   EXPECT_EQ(traced.events, plain.events);
-  EXPECT_EQ(traced.requests, plain.requests);
-  EXPECT_DOUBLE_EQ(traced.power.energy, plain.power.energy);
-  EXPECT_DOUBLE_EQ(traced.response.mean(), plain.response.mean());
+  EXPECT_EQ(physical_digest(traced), physical_digest(plain));
 }
 
 TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
@@ -139,33 +128,26 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
   auto cfg = fleet_config(cat, 16);
   cfg.obs.profile = true;
 
-  RunTrace fast;
-  (void)sys::run_fleet(cfg, 4, sys::FleetPath::kShardLocal, nullptr, &fast);
-  EXPECT_FALSE(fast.profile.empty());
-  for (const auto& e : fast.events) {
+  RunTrace trace;
+  (void)sys::run_fleet(cfg, 4, nullptr, &trace);
+  EXPECT_FALSE(trace.profile.empty());
+  for (const auto& e : trace.events) {
     EXPECT_NE(e.kind, Kind::kProfile);
   }
-  for (const auto& e : fast.profile) {
-    EXPECT_EQ(e.kind, Kind::kProfile);
-    EXPECT_EQ(e.code, kProfWorkerReplay); // no router on the fast path
-    EXPECT_GE(e.value, 0.0);
-  }
-
-  RunTrace routed;
-  cfg.cache = sys::CacheSpec::lru(util::mb(200.0));
-  (void)sys::run_fleet(cfg, 4, sys::FleetPath::kRouted, nullptr, &routed);
   bool fill = false, wait = false, replay = false;
-  for (const auto& e : routed.profile) {
+  for (const auto& e : trace.profile) {
+    EXPECT_EQ(e.kind, Kind::kProfile);
+    EXPECT_GE(e.value, 0.0);
     fill = fill || e.code == kProfRouterFill;
     wait = wait || e.code == kProfRingWait;
     replay = replay || e.code == kProfWorkerReplay;
     if (e.code == kProfRouterFill) {
-      EXPECT_EQ(e.track, kDispatcherTrack);
+      EXPECT_EQ(e.track, kRouterTrack);
     }
   }
   EXPECT_TRUE(fill && wait && replay)
       << "all three pipeline stages must be sampled";
-  EXPECT_EQ(routed.shards, 4u);
+  EXPECT_EQ(trace.shards, 4u);
 }
 
 } // namespace

@@ -48,16 +48,16 @@ TEST(TraceBuffer, EmitPreservesOrderAndFields) {
   EXPECT_EQ(buf.events()[1].code, kSpanComplete);
 }
 
-TEST(TraceCanonical, DispatcherTrackRanksFirstThenDisksAscending) {
+TEST(TraceCanonical, RouterTrackRanksFirstThenDisksAscending) {
   // Two buffers holding interleaved tracks: the merge must order by track
-  // rank (dispatcher, disk 0, disk 1, ...) and keep per-track emission
+  // rank (router, disk 0, disk 1, ...) and keep per-track emission
   // order regardless of which buffer a track lived in.
   TraceBuffer a{kind_bit(Kind::kSpan)};
   TraceBuffer b{kind_bit(Kind::kSpan)};
   a.emit(Kind::kSpan, kSpanSubmit, 1.0, 2, 10);
   a.emit(Kind::kSpan, kSpanSubmit, 2.0, 2, 11);
   a.emit(Kind::kSpan, kSpanSubmit, 0.5, 0, 12);
-  b.emit(Kind::kSpan, kSpanCacheMiss, 0.1, kDispatcherTrack, 13);
+  b.emit(Kind::kSpan, kSpanCacheMiss, 0.1, kRouterTrack, 13);
   b.emit(Kind::kSpan, kSpanSubmit, 3.0, 1, 14);
 
   std::vector<TraceEvent> out;
@@ -65,7 +65,7 @@ TEST(TraceCanonical, DispatcherTrackRanksFirstThenDisksAscending) {
   append_canonical(out, buffers);
 
   ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[0].track, kDispatcherTrack);
+  EXPECT_EQ(out[0].track, kRouterTrack);
   EXPECT_EQ(out[1].track, 0u);
   EXPECT_EQ(out[2].track, 1u);
   EXPECT_EQ(out[3].track, 2u);

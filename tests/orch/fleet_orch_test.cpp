@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "support/physical_digest.h"
 #include "sys/scenario.h"
 #include "util/units.h"
 
@@ -36,7 +37,6 @@ ExperimentConfig orch_config(const workload::FileCatalog& cat) {
   cfg.orch = OrchSpec::parse("redirect+offload:1:120+budget:p99:5");
   cfg.num_disks = 6 + cfg.orch.log_disks;
   cfg.replicas = 2;
-  cfg.dynamic_routing = true;
   cfg.workload = WorkloadSpec::poisson(0.8, 200.0);
   cfg.seed = 17;
   return cfg;
@@ -45,55 +45,7 @@ ExperimentConfig orch_config(const workload::FileCatalog& cat) {
 /// Every physical field of two RunResults must agree bitwise (same contract
 /// as tests/sys/fleet_test.cpp; `events` deliberately absent).
 void expect_same_physical(const RunResult& a, const RunResult& b) {
-  EXPECT_DOUBLE_EQ(a.power.horizon_s, b.power.horizon_s);
-  EXPECT_DOUBLE_EQ(a.power.energy, b.power.energy);
-  EXPECT_DOUBLE_EQ(a.power.average_power, b.power.average_power);
-  EXPECT_DOUBLE_EQ(a.power.always_on_energy, b.power.always_on_energy);
-  EXPECT_DOUBLE_EQ(a.power.saving_vs_always_on, b.power.saving_vs_always_on);
-  EXPECT_EQ(a.power.spin_ups, b.power.spin_ups);
-  EXPECT_EQ(a.power.spin_downs, b.power.spin_downs);
-  for (std::size_t s = 0; s < a.power.state_time.size(); ++s) {
-    EXPECT_DOUBLE_EQ(a.power.state_time[s], b.power.state_time[s]);
-  }
-  EXPECT_EQ(a.response.count(), b.response.count());
-  EXPECT_DOUBLE_EQ(a.response.mean(), b.response.mean());
-  EXPECT_DOUBLE_EQ(a.response.stddev(), b.response.stddev());
-  EXPECT_DOUBLE_EQ(a.response.min(), b.response.min());
-  EXPECT_DOUBLE_EQ(a.response.max(), b.response.max());
-  EXPECT_DOUBLE_EQ(a.response.p50(), b.response.p50());
-  EXPECT_DOUBLE_EQ(a.response.p95(), b.response.p95());
-  EXPECT_DOUBLE_EQ(a.response.p99(), b.response.p99());
-  EXPECT_EQ(a.hits_response.count(), b.hits_response.count());
-  EXPECT_DOUBLE_EQ(a.hits_response.mean(), b.hits_response.mean());
-  EXPECT_EQ(a.cache.hits, b.cache.hits);
-  EXPECT_EQ(a.cache.misses, b.cache.misses);
-  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.completed_at_horizon, b.completed_at_horizon);
-  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
-  ASSERT_EQ(a.per_disk.size(), b.per_disk.size());
-  for (std::size_t i = 0; i < a.per_disk.size(); ++i) {
-    SCOPED_TRACE("disk " + std::to_string(i));
-    const auto& da = a.per_disk[i];
-    const auto& db = b.per_disk[i];
-    EXPECT_EQ(da.disk_id, db.disk_id);
-    for (std::size_t s = 0; s < da.state_time.size(); ++s) {
-      EXPECT_DOUBLE_EQ(da.state_time[s], db.state_time[s]);
-    }
-    EXPECT_EQ(da.spin_ups, db.spin_ups);
-    EXPECT_EQ(da.spin_downs, db.spin_downs);
-    EXPECT_EQ(da.served, db.served);
-    EXPECT_EQ(da.bytes_served, db.bytes_served);
-    EXPECT_EQ(da.queued, db.queued);
-    EXPECT_EQ(da.in_service, db.in_service);
-    EXPECT_EQ(da.positionings, db.positionings);
-    EXPECT_EQ(da.idle_periods.total(), db.idle_periods.total());
-    EXPECT_EQ(da.response.count(), db.response.count());
-    EXPECT_DOUBLE_EQ(da.response.mean(), db.response.mean());
-    EXPECT_DOUBLE_EQ(da.response.max(), db.response.max());
-    EXPECT_DOUBLE_EQ(da.energy_j, db.energy_j);
-    EXPECT_DOUBLE_EQ(da.always_on_j, db.always_on_j);
-  }
+  EXPECT_EQ(test_support::physical_digest(a), test_support::physical_digest(b));
 }
 
 TEST(OrchFleet, BitIdenticalAcrossShardCountsWithEveryMechanismOn) {
@@ -138,7 +90,6 @@ TEST(OrchFleet, ForegroundStatsExcludeBackgroundDestages) {
   off.orch = OrchSpec::off();
   off.num_disks = 6;
   off.replicas = 1;
-  off.dynamic_routing = false;
   const auto without = run_experiment(off);
 
   EXPECT_EQ(with_orch.requests, without.requests);
@@ -157,12 +108,10 @@ TEST(OrchFleet, ReplicasWithoutOrchestrationAreInert) {
   plain.orch = OrchSpec::off();
   plain.num_disks = 6;
   plain.replicas = 1;
-  plain.dynamic_routing = false;
   const auto baseline = run_experiment(plain);
 
   auto replicated = plain;
   replicated.replicas = 2;
-  replicated.dynamic_routing = true; // what scenario resolution would set
   expect_same_physical(baseline, run_experiment(replicated));
 }
 
@@ -181,8 +130,6 @@ TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
   EXPECT_DOUBLE_EQ(cfg.orch.destage_deadline_s, 120.0);
   EXPECT_DOUBLE_EQ(cfg.orch.slo_p99_s, 0.5);
   EXPECT_EQ(cfg.replicas, 2u);
-  EXPECT_TRUE(cfg.dynamic_routing); // replicas=2 is a per-request placement
-  EXPECT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
 
   // The log tier appends to whatever the placement allocated.
   const auto base = resolve_scenario(spec.with("orch", "redirect"));

@@ -345,6 +345,25 @@ TEST(RunExperiment, DeterministicGivenSeed) {
   const auto b = run_experiment(cfg);
   EXPECT_DOUBLE_EQ(a.power.energy, b.power.energy);
   EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.response.count(), b.response.count());
+  EXPECT_DOUBLE_EQ(a.response.mean(), b.response.mean());
+}
+
+TEST(RunExperiment, RejectsNonPositiveHorizon) {
+  const auto cat = small_catalog();
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping = {0, 1, 0, 1, 0, 1, 0, 1};
+  cfg.num_disks = 2;
+  cfg.workload = WorkloadSpec::poisson(1.0, 0.0);
+  try {
+    (void)run_experiment(cfg);
+    FAIL() << "a zero measurement horizon must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("measurement horizon"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 } // namespace

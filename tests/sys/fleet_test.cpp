@@ -7,12 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "support/physical_digest.h"
 #include "sys/scenario.h"
 #include "util/units.h"
 #include "workload/trace.h"
 
 namespace spindown::sys {
 namespace {
+
+using test_support::physical_digest;
 
 workload::FileCatalog fleet_catalog(std::size_t n_files = 12) {
   std::vector<workload::FileInfo> files(n_files);
@@ -38,60 +41,11 @@ ExperimentConfig fleet_config(const workload::FileCatalog& cat,
   return cfg;
 }
 
-/// Every physical field of two RunResults must agree bitwise.  `events` is
-/// deliberately absent: it is an engine statistic (the fleet path routes
-/// arrivals without calendar events), not part of the invariance contract.
-void expect_same_physical(const RunResult& a, const RunResult& b) {
-  EXPECT_DOUBLE_EQ(a.power.horizon_s, b.power.horizon_s);
-  EXPECT_DOUBLE_EQ(a.power.energy, b.power.energy);
-  EXPECT_DOUBLE_EQ(a.power.average_power, b.power.average_power);
-  EXPECT_DOUBLE_EQ(a.power.always_on_energy, b.power.always_on_energy);
-  EXPECT_DOUBLE_EQ(a.power.saving_vs_always_on, b.power.saving_vs_always_on);
-  EXPECT_EQ(a.power.spin_ups, b.power.spin_ups);
-  EXPECT_EQ(a.power.spin_downs, b.power.spin_downs);
-  for (std::size_t s = 0; s < a.power.state_time.size(); ++s) {
-    EXPECT_DOUBLE_EQ(a.power.state_time[s], b.power.state_time[s]);
-  }
-  EXPECT_EQ(a.response.count(), b.response.count());
-  EXPECT_DOUBLE_EQ(a.response.mean(), b.response.mean());
-  EXPECT_DOUBLE_EQ(a.response.stddev(), b.response.stddev());
-  EXPECT_DOUBLE_EQ(a.response.min(), b.response.min());
-  EXPECT_DOUBLE_EQ(a.response.max(), b.response.max());
-  EXPECT_DOUBLE_EQ(a.response.p50(), b.response.p50());
-  EXPECT_DOUBLE_EQ(a.response.p95(), b.response.p95());
-  EXPECT_DOUBLE_EQ(a.response.p99(), b.response.p99());
-  EXPECT_EQ(a.hits_response.count(), b.hits_response.count());
-  EXPECT_DOUBLE_EQ(a.hits_response.mean(), b.hits_response.mean());
-  EXPECT_EQ(a.cache.hits, b.cache.hits);
-  EXPECT_EQ(a.cache.misses, b.cache.misses);
-  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.completed_at_horizon, b.completed_at_horizon);
-  EXPECT_EQ(a.in_flight_at_horizon, b.in_flight_at_horizon);
-  ASSERT_EQ(a.per_disk.size(), b.per_disk.size());
-  for (std::size_t i = 0; i < a.per_disk.size(); ++i) {
-    SCOPED_TRACE("disk " + std::to_string(i));
-    const auto& da = a.per_disk[i];
-    const auto& db = b.per_disk[i];
-    EXPECT_EQ(da.disk_id, db.disk_id);
-    for (std::size_t s = 0; s < da.state_time.size(); ++s) {
-      EXPECT_DOUBLE_EQ(da.state_time[s], db.state_time[s]);
-    }
-    EXPECT_EQ(da.spin_ups, db.spin_ups);
-    EXPECT_EQ(da.spin_downs, db.spin_downs);
-    EXPECT_EQ(da.served, db.served);
-    EXPECT_EQ(da.bytes_served, db.bytes_served);
-    EXPECT_EQ(da.queued, db.queued);
-    EXPECT_EQ(da.in_service, db.in_service);
-    EXPECT_EQ(da.positionings, db.positionings);
-    EXPECT_EQ(da.idle_periods.total(), db.idle_periods.total());
-    EXPECT_EQ(da.response.count(), db.response.count());
-    EXPECT_DOUBLE_EQ(da.response.mean(), db.response.mean());
-    EXPECT_DOUBLE_EQ(da.response.max(), db.response.max());
-    EXPECT_DOUBLE_EQ(da.energy_j, db.energy_j);
-    EXPECT_DOUBLE_EQ(da.always_on_j, db.always_on_j);
-  }
-}
+// The reference digests below were captured from the retired
+// single-calendar engine (one global event calendar with an arrival pump):
+// an independent record of each scenario's physics that the sharded engine
+// must reproduce at every shard count.  `events` is not in the digest — it
+// is an engine statistic, not part of the invariance contract.
 
 TEST(FleetInvariance, MatchesSingleCalendarAcrossShardCounts) {
   // The headline contract: every physical result field is bit-identical at
@@ -99,30 +53,63 @@ TEST(FleetInvariance, MatchesSingleCalendarAcrossShardCounts) {
   // a bursty workload with a cache, so per-disk RNG streams, arrival-order
   // cache mutation, and drain behavior are all exercised.
   const auto cat = fleet_catalog();
-  const std::vector<PolicySpec> policies{PolicySpec::break_even(),
-                                         PolicySpec::ewma()};
-  const std::vector<WorkloadSpec> workloads{
-      WorkloadSpec::poisson(0.8, 200.0),
-      WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0)};
-  const std::vector<CacheSpec> caches{CacheSpec::none(),
-                                      CacheSpec::lru(util::mb(200.0))};
-  for (const auto& p : policies) {
-    for (const auto& w : workloads) {
-      for (const auto& c : caches) {
-        auto cfg = fleet_config(cat);
-        cfg.policy = p;
-        cfg.workload = w;
-        cfg.cache = c;
-        cfg.shards = 1;
-        const auto baseline = run_experiment(cfg);
-        for (const std::uint32_t shards : {2u, 4u, 8u}) {
-          SCOPED_TRACE("policy " + p.spec() + " workload " + w.spec() +
-                       " cache " + c.spec() + " shards " +
-                       std::to_string(shards));
-          cfg.shards = shards;
-          expect_same_physical(baseline, run_experiment(cfg));
-        }
+  struct Case {
+    WorkloadSpec workload;
+    CacheSpec cache;
+    const char* digest;
+  };
+  const std::vector<Case> cases{
+      {WorkloadSpec::poisson(0.8, 200.0), CacheSpec::none(),
+       "9e3b6480fd9a4c94"},
+      {WorkloadSpec::poisson(0.8, 200.0), CacheSpec::lru(util::mb(200.0)),
+       "3a76d69d7d432f88"},
+      {WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0),
+       CacheSpec::none(), "8dc565aa392e7fae"},
+      {WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0),
+       CacheSpec::lru(util::mb(200.0)), "a8c78fe8e543aac0"}};
+  for (const auto& p : {PolicySpec::break_even(), PolicySpec::ewma()}) {
+    for (const auto& c : cases) {
+      auto cfg = fleet_config(cat);
+      cfg.policy = p;
+      cfg.workload = c.workload;
+      cfg.cache = c.cache;
+      for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("policy " + p.spec() + " workload " + c.workload.spec() +
+                     " cache " + c.cache.spec() + " shards " +
+                     std::to_string(shards));
+        cfg.shards = shards;
+        EXPECT_EQ(physical_digest(run_experiment(cfg)), c.digest);
       }
+    }
+  }
+}
+
+TEST(FleetInvariance, RepeatedRunsAreBitIdenticalOnTheSameScenario) {
+  // Two runs at the same shard count agree on every physical field and on
+  // the engine's event count, however the worker threads interleave.
+  // Crossed with an adaptive policy and a bursty workload so per-disk RNG
+  // consumption differs between disks.
+  const auto cat = fleet_catalog();
+  struct Case {
+    WorkloadSpec workload;
+    const char* digest;
+  };
+  const std::vector<Case> cases{
+      {WorkloadSpec::poisson(0.8, 200.0), "9e3b6480fd9a4c94"},
+      {WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0),
+       "8dc565aa392e7fae"}};
+  for (const auto& c : cases) {
+    auto cfg = fleet_config(cat);
+    cfg.policy = PolicySpec::ewma();
+    cfg.workload = c.workload;
+    for (const std::uint32_t shards : {2u, 4u, 8u}) {
+      SCOPED_TRACE("workload " + c.workload.spec() + " shards " +
+                   std::to_string(shards));
+      const auto first = run_fleet(cfg, shards);
+      const auto second = run_fleet(cfg, shards);
+      EXPECT_EQ(physical_digest(first), c.digest);
+      EXPECT_EQ(physical_digest(second), c.digest);
+      EXPECT_EQ(first.events, second.events);
     }
   }
 }
@@ -131,12 +118,11 @@ TEST(FleetMerge, TwoShardSplitEqualsSingleCalendar) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat);
   cfg.cache = CacheSpec::lru(util::mb(150.0));
-  const auto baseline = run_experiment(cfg); // shards == 1
   const auto partials = run_fleet_partials(cfg, 2);
   ASSERT_EQ(partials.size(), 3u); // router + 2 disk groups
   RunResult merged;
   for (const auto& p : partials) merged.merge(p);
-  expect_same_physical(baseline, merged);
+  EXPECT_EQ(physical_digest(merged), "91a00b9b45fc66ee");
 }
 
 TEST(FleetMerge, FoldIsAssociativeAndOrderIndependent) {
@@ -159,12 +145,10 @@ TEST(FleetMerge, FoldIsAssociativeAndOrderIndependent) {
   right.merge(partials[3]).merge(partials[1]);
   grouped.merge(left).merge(right);
 
-  expect_same_physical(forward, backward);
-  expect_same_physical(forward, grouped);
-
-  auto single = cfg;
-  single.shards = 1;
-  expect_same_physical(run_experiment(single), forward);
+  const std::string single_calendar = "9e3b6480fd9a4c94";
+  EXPECT_EQ(physical_digest(forward), single_calendar);
+  EXPECT_EQ(physical_digest(backward), single_calendar);
+  EXPECT_EQ(physical_digest(grouped), single_calendar);
 }
 
 TEST(FleetMerge, RejectsMismatchedHorizons) {
@@ -242,11 +226,11 @@ TEST(FleetTies, SimultaneousCompletionsMatchSingleCalendar) {
   cfg.num_disks = 4;
   cfg.workload = WorkloadSpec::replay(trace);
   cfg.seed = 23;
-  const auto baseline = run_experiment(cfg); // shards == 1
-  EXPECT_EQ(baseline.requests, 12u);
-  for (const std::uint32_t shards : {2u, 4u}) {
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    expect_same_physical(baseline, run_fleet(cfg, shards));
+    const auto r = run_fleet(cfg, shards);
+    EXPECT_EQ(r.requests, 12u);
+    EXPECT_EQ(physical_digest(r), "bf479b4975ac8c93");
   }
 }
 
@@ -273,120 +257,27 @@ TEST(EffectiveShards, AutoAppliesTheDisksPerShardFloor) {
   EXPECT_EQ(effective_shards(8, 16), 8u); // explicit: floor not applied
 }
 
-TEST(FleetPath, ClassifiesEveryPlacementByCacheOnly) {
-  // Every built-in placement resolves to a static file->disk map, so the
-  // fast-path/router split is decided by the cache alone: cache=none is
-  // shard-decomposable (routerless), any real cache needs the router.
-  const std::vector<std::string> placements{
-      "pack", "grouped:4", "random", "maid:2", "sea:0.8", "seg:2", "ffd"};
-  const std::vector<std::string> caches{"none", "lru:200m", "fifo:200m",
-                                        "lfu:200m"};
-  for (const auto& placement : placements) {
-    EXPECT_TRUE(PlacementSpec::parse(placement).static_mapping())
-        << placement;
-    for (const auto& cache : caches) {
-      SCOPED_TRACE("placement " + placement + " cache " + cache);
-      const auto spec =
-          ScenarioSpec::parse("catalog=table1(400,5) load=0.9 disks=16 "
-                              "workload=poisson(1,200)")
-              .with("placement", placement)
-              .with("cache", cache);
-      const auto resolved = resolve_scenario(spec);
-      EXPECT_FALSE(resolved.config.dynamic_routing);
-      const auto expected = cache == "none" ? FleetPath::kShardLocal
-                                            : FleetPath::kRouted;
-      EXPECT_EQ(classify_fleet_path(resolved.config), expected);
-    }
-  }
-}
-
-TEST(FleetPath, DynamicRoutingForcesTheRouter) {
-  // Reserved hook for future per-arrival placements (replica-aware
-  // redirection): a config flagged dynamic_routing must route even with
-  // cache=none, and forcing the fast path on it must throw.
-  const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat);
-  ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kShardLocal);
-  cfg.dynamic_routing = true;
-  EXPECT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
-  EXPECT_THROW(run_fleet(cfg, 2, FleetPath::kShardLocal),
-               std::invalid_argument);
-}
-
-TEST(FleetPath, ForcingTheFastPathOnACachefulConfigThrows) {
-  const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat);
-  cfg.cache = CacheSpec::lru(util::mb(200.0));
-  ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kRouted);
-  EXPECT_THROW(run_fleet(cfg, 2, FleetPath::kShardLocal),
-               std::invalid_argument);
-}
-
-TEST(FleetInvariance, BothPathsAreBitIdenticalOnTheSameScenario) {
-  // The tentpole contract: force the router on a shard-decomposable
-  // scenario (which would normally take the routerless fast path) and
-  // require bit-identical RunResults from both pipelines — and from the
-  // single calendar.  Crossed with an adaptive policy and a bursty
-  // workload so per-disk RNG consumption differs between disks.
-  const auto cat = fleet_catalog();
-  const std::vector<WorkloadSpec> workloads{
-      WorkloadSpec::poisson(0.8, 200.0),
-      WorkloadSpec::mmpp({{2.0, 0.1}, {30.0, 60.0}}, 200.0)};
-  for (const auto& w : workloads) {
-    auto cfg = fleet_config(cat);
-    cfg.policy = PolicySpec::ewma();
-    cfg.workload = w;
-    ASSERT_EQ(classify_fleet_path(cfg), FleetPath::kShardLocal);
-    const auto baseline = run_experiment(cfg); // shards == 1
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      SCOPED_TRACE("workload " + w.spec() + " shards " +
-                   std::to_string(shards));
-      const auto local = run_fleet(cfg, shards, FleetPath::kShardLocal);
-      const auto routed = run_fleet(cfg, shards, FleetPath::kRouted);
-      expect_same_physical(baseline, local);
-      expect_same_physical(baseline, routed);
-      EXPECT_EQ(local.events, routed.events); // same calendars either way
-    }
-  }
-}
-
 TEST(FleetPerf, CountersDescribeThePipeline) {
   const auto cat = fleet_catalog();
-  auto cfg = fleet_config(cat);
-
-  FleetPerf local;
-  const auto fast = run_fleet(cfg, 3, FleetPath::kShardLocal, &local);
-  EXPECT_EQ(local.path, FleetPath::kShardLocal);
-  EXPECT_EQ(local.shards, 3u);
-  EXPECT_GE(local.workers, 1u);
-  EXPECT_LE(local.workers, 3u);
-  ASSERT_EQ(local.per_shard.size(), 3u);
+  const auto cfg = fleet_config(cat);
+  FleetPerf perf;
+  const auto r = run_fleet(cfg, 3, &perf);
+  EXPECT_EQ(perf.shards, 3u);
+  EXPECT_EQ(perf.workers, 3u);
+  ASSERT_EQ(perf.per_shard.size(), 3u);
   std::uint64_t submitted = 0;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(local.per_shard[s].shard, s);
-    EXPECT_EQ(local.per_shard[s].batches, 0u); // no router, no batches
-    EXPECT_GT(local.per_shard[s].events, 0u);
-    submitted += local.per_shard[s].submissions;
+    EXPECT_EQ(perf.per_shard[s].shard, s);
+    EXPECT_GT(perf.per_shard[s].batches, 0u);
+    EXPECT_GT(perf.per_shard[s].events, 0u);
+    EXPECT_GE(perf.per_shard[s].ring_high_water, 1u);
+    submitted += perf.per_shard[s].submissions;
   }
-  EXPECT_EQ(submitted, fast.requests); // cache=none: every request lands
-
-  FleetPerf routed;
-  const auto slow = run_fleet(cfg, 3, FleetPath::kRouted, &routed);
-  EXPECT_EQ(routed.path, FleetPath::kRouted);
-  EXPECT_EQ(routed.workers, 3u);
-  ASSERT_EQ(routed.per_shard.size(), 3u);
-  submitted = 0;
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    EXPECT_GT(routed.per_shard[s].batches, 0u);
-    EXPECT_GE(routed.per_shard[s].ring_high_water, 1u);
-    submitted += routed.per_shard[s].submissions;
-  }
-  EXPECT_EQ(submitted, slow.requests);
-  EXPECT_EQ(slow.requests, fast.requests);
-  ASSERT_EQ(routed.worker_busy_s.size(), 3u);
-  ASSERT_EQ(routed.worker_wait_s.size(), 3u);
-  EXPECT_GE(routed.router_busy_s, 0.0);
-  EXPECT_GE(routed.router_stall_s, 0.0);
+  EXPECT_EQ(submitted, r.requests); // cache=none: every request lands
+  ASSERT_EQ(perf.worker_busy_s.size(), 3u);
+  ASSERT_EQ(perf.worker_wait_s.size(), 3u);
+  EXPECT_GE(perf.router_busy_s, 0.0);
+  EXPECT_GE(perf.router_stall_s, 0.0);
 }
 
 TEST(RunFleet, RequiresPositiveHorizon) {
@@ -396,7 +287,7 @@ TEST(RunFleet, RequiresPositiveHorizon) {
   EXPECT_THROW(run_fleet(cfg, 2), std::invalid_argument);
 }
 
-TEST(FleetScenario, ShardsKeySelectsTheFleetPath) {
+TEST(FleetScenario, ShardsKeyChangesWallClockOnly) {
   // End to end through the scenario grammar: the shards key changes
   // wall-clock strategy only, never the reported result row.
   const ScenarioSpec base = ScenarioSpec::parse(
@@ -404,7 +295,8 @@ TEST(FleetScenario, ShardsKeySelectsTheFleetPath) {
       "workload=poisson(1,300) seed=9");
   const auto baseline = run_scenario(base);
   const auto sharded = run_scenario(base.with("shards", "4"));
-  expect_same_physical(baseline, sharded);
+  EXPECT_EQ(physical_digest(baseline), "a0077b9a361ba0d6");
+  EXPECT_EQ(physical_digest(sharded), "a0077b9a361ba0d6");
   EXPECT_EQ(to_json(base, baseline).find("shards"), std::string::npos);
   EXPECT_NE(to_json(base.with("shards", "4"), sharded).find("shards=4"),
             std::string::npos);

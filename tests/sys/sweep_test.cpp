@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "support/physical_digest.h"
 #include "util/units.h"
 
 namespace spindown::sys {
 namespace {
+
+using test_support::physical_digest;
 
 workload::FileCatalog sweep_catalog() {
   std::vector<workload::FileInfo> files(6);
@@ -90,26 +93,17 @@ TEST(RunSweep, DeterministicAcrossThreadCounts) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("config " + std::to_string(i) + " threads " +
                    std::to_string(threads));
-      EXPECT_EQ(serial[i].requests, parallel[i].requests);
-      EXPECT_DOUBLE_EQ(serial[i].power.energy, parallel[i].power.energy);
-      EXPECT_EQ(serial[i].power.spin_downs, parallel[i].power.spin_downs);
-      EXPECT_EQ(serial[i].power.spin_ups, parallel[i].power.spin_ups);
-      EXPECT_EQ(serial[i].response.count(), parallel[i].response.count());
-      EXPECT_DOUBLE_EQ(serial[i].response.mean(), parallel[i].response.mean());
-      EXPECT_DOUBLE_EQ(serial[i].response.max(), parallel[i].response.max());
-      EXPECT_EQ(serial[i].completed_at_horizon,
-                parallel[i].completed_at_horizon);
-      EXPECT_EQ(serial[i].in_flight_at_horizon,
-                parallel[i].in_flight_at_horizon);
+      EXPECT_EQ(physical_digest(serial[i]), physical_digest(parallel[i]));
     }
   }
 }
 
 TEST(RunSweep, DeterministicAcrossShardCounts) {
   // The same adaptive × non-stationary grid, but varying the *intra-run*
-  // parallelism: each config re-run with the calendar sharded 2/4/8 ways
-  // must reproduce the single-calendar results bit for bit.  (Shard counts
-  // above the farm size clamp — still a valid configuration.)
+  // parallelism: each config run with the calendar sharded 1/2/4/8 ways
+  // must reproduce, bit for bit, the digest captured from the retired
+  // single-calendar engine.  (Shard counts above the farm size clamp —
+  // still a valid configuration.)
   const auto cat = sweep_catalog();
   std::vector<ExperimentConfig> configs;
   const std::vector<PolicySpec> policies{
@@ -127,29 +121,23 @@ TEST(RunSweep, DeterministicAcrossShardCounts) {
       configs.push_back(std::move(cfg));
     }
   }
-  const auto serial = run_sweep(configs, 1);
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
+  // One row per policy, one column per workload (poisson, nhpp, mmpp).
+  const std::vector<std::string> single_calendar{
+      "d892aa5a7b496179", "4a514c4717144e71", "0ef14d8449335edc",  // break-even
+      "3971dd5cccd4d0fa", "042e50e6052f565e", "56f50952718e1c98",  // randomized
+      "d892aa5a7b496179", "4a514c4717144e71", "0ef14d8449335edc",  // ewma
+      "d892aa5a7b496179", "2cc560e1fb7c585f", "0ef14d8449335edc",  // share
+      "d892aa5a7b496179", "4a514c4717144e71", "0ef14d8449335edc"}; // slack
+  ASSERT_EQ(configs.size(), single_calendar.size());
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     auto sharded_configs = configs;
     for (auto& cfg : sharded_configs) cfg.shards = shards;
     const auto sharded = run_sweep(sharded_configs, 2);
-    ASSERT_EQ(serial.size(), sharded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(sharded.size(), configs.size());
+    for (std::size_t i = 0; i < sharded.size(); ++i) {
       SCOPED_TRACE("config " + std::to_string(i) + " shards " +
                    std::to_string(shards));
-      EXPECT_EQ(serial[i].requests, sharded[i].requests);
-      EXPECT_DOUBLE_EQ(serial[i].power.energy, sharded[i].power.energy);
-      EXPECT_DOUBLE_EQ(serial[i].power.saving_vs_always_on,
-                       sharded[i].power.saving_vs_always_on);
-      EXPECT_EQ(serial[i].power.spin_downs, sharded[i].power.spin_downs);
-      EXPECT_EQ(serial[i].power.spin_ups, sharded[i].power.spin_ups);
-      EXPECT_EQ(serial[i].response.count(), sharded[i].response.count());
-      EXPECT_DOUBLE_EQ(serial[i].response.mean(), sharded[i].response.mean());
-      EXPECT_DOUBLE_EQ(serial[i].response.max(), sharded[i].response.max());
-      EXPECT_DOUBLE_EQ(serial[i].response.p99(), sharded[i].response.p99());
-      EXPECT_EQ(serial[i].completed_at_horizon,
-                sharded[i].completed_at_horizon);
-      EXPECT_EQ(serial[i].in_flight_at_horizon,
-                sharded[i].in_flight_at_horizon);
+      EXPECT_EQ(physical_digest(sharded[i]), single_calendar[i]);
     }
   }
 }

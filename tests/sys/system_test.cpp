@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
+
+#include "cache/cache.h"
+#include "obs/trace.h"
+#include "support/physical_digest.h"
+#include "sys/experiment.h"
 #include "util/units.h"
-#include "workload/stream.h"
+#include "workload/trace.h"
 
 namespace spindown::sys {
 namespace {
@@ -16,6 +23,20 @@ workload::FileCatalog uniform_catalog(std::size_t n, util::Bytes size) {
     files[i].popularity = 1.0 / static_cast<double>(n);
   }
   return workload::FileCatalog{files};
+}
+
+/// A trace replay of `trace` on `num_disks` disks; the measurement window
+/// is the trace duration + 1 s.
+ExperimentConfig replay_config(const workload::Trace& trace,
+                               std::vector<std::uint32_t> mapping,
+                               std::uint32_t num_disks, PolicySpec policy) {
+  ExperimentConfig cfg;
+  cfg.catalog = &trace.catalog();
+  cfg.mapping = std::move(mapping);
+  cfg.num_disks = num_disks;
+  cfg.policy = policy;
+  cfg.workload = WorkloadSpec::replay(trace);
+  return cfg;
 }
 
 TEST(PolicySpec, FactoryNames) {
@@ -36,22 +57,119 @@ TEST(AlwaysOnEnergy, ClosedForm) {
                    100.0 * 9.3 + 2.0 * (12.6 - 9.3) + 3.0 * (13.0 - 9.3));
 }
 
-TEST(StorageSystem, ValidatesMapping) {
-  const auto cat = uniform_catalog(2, util::mb(10.0));
-  EXPECT_THROW((StorageSystem{cat, std::vector<std::uint32_t>{0, 5}, 2,
-                              disk::DiskParams::st3500630as(),
-                              PolicySpec::never()}),
+TEST(Router, ValidatesMapping) {
+  const auto cat = uniform_catalog(3, util::mb(10.0));
+  const workload::Trace trace{cat, {{0.0, 0}}};
+  // Shorter than the catalog.
+  EXPECT_THROW(run_experiment(replay_config(trace, {0, 1}, 2,
+                                            PolicySpec::never())),
+               std::invalid_argument);
+  // References a disk outside the farm.
+  EXPECT_THROW(run_experiment(replay_config(trace, {0, 1, 7}, 2,
+                                            PolicySpec::never())),
                std::invalid_argument);
 }
 
-TEST(StorageSystem, TraceRunAccountsEveryRequest) {
+TEST(SystemRun, ValidatesMapping) {
+  // A mapping onto a disk outside the farm is rejected up front, before
+  // any shard is spawned, whatever the shard count.
+  const auto cat = uniform_catalog(2, util::mb(10.0));
+  const workload::Trace trace{cat, {{0.0, 0}, {1.0, 1}}};
+  auto cfg = replay_config(trace, {0, 5}, 2, PolicySpec::never());
+  for (const std::uint32_t shards : {1u, 2u}) {
+    cfg.shards = shards;
+    EXPECT_THROW(run_experiment(cfg), std::invalid_argument)
+        << "shards " << shards;
+  }
+}
+
+TEST(Router, RoutesByMappingTable) {
+  const auto cat = uniform_catalog(3, util::mb(72.0));
+  const workload::Trace trace{cat, {{0.0, 0}, {0.0, 1}, {0.0, 2}}};
+  const auto r = run_experiment(
+      replay_config(trace, {0, 1, 0}, 2, PolicySpec::never()));
+  EXPECT_EQ(r.requests, 3u);
+  // Files 0 and 2 serialize on disk 0; file 1 runs in parallel on disk 1.
+  EXPECT_EQ(r.per_disk[0].response.count(), 2u);
+  EXPECT_EQ(r.per_disk[1].response.count(), 1u);
+}
+
+TEST(Router, CacheHitsBypassDisks) {
+  const auto cat = uniform_catalog(3, util::mb(72.0));
+  const workload::Trace trace{cat, {{0.0, 0}, {10.0, 0}}};
+  auto cfg = replay_config(trace, {0, 1, 0}, 2, PolicySpec::never());
+  cfg.cache = CacheSpec::lru(util::gb(1.0));
+  const auto r = run_experiment(cfg);
+  EXPECT_EQ(r.cache.hits, 1u);
+  EXPECT_EQ(r.cache.misses, 1u);
+  EXPECT_EQ(r.completed_at_horizon, 1u); // only the miss reached a disk
+  ASSERT_EQ(r.hits_response.count(), 1u);
+  EXPECT_DOUBLE_EQ(r.hits_response.mean(), 0.0); // served from memory
+  EXPECT_EQ(r.response.count(), 2u);
+}
+
+TEST(Router, NoCacheMeansEveryRequestHitsDisks) {
+  const auto cat = uniform_catalog(3, util::mb(72.0));
+  const workload::Trace trace{
+      cat, {{0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}}};
+  const auto r = run_experiment(
+      replay_config(trace, {0, 0, 0}, 1, PolicySpec::never()));
+  EXPECT_EQ(r.cache.hits, 0u);
+  EXPECT_EQ(r.per_disk[0].response.count(), 5u);
+}
+
+TEST(Router, StampsRequestsWithLayoutLba) {
+  // With an SSTF disk the service order reveals the submitted LBAs.  Layout
+  // on disk 0 in id order: file 0 at [0, b0), file 1 at [b0, b0+b1), file 2
+  // after it.  Serving file 0 parks the head exactly at file 1's extent, so
+  // the queued file-1 request beats the earlier-arrived file-2 request —
+  // FCFS would serve them in arrival order.
+  std::vector<workload::FileInfo> files{{0, util::mb(72.0), 0.5},
+                                        {1, util::mb(144.0), 0.3},
+                                        {2, util::mb(36.0), 0.2}};
+  const workload::FileCatalog cat{files};
+  const workload::Trace trace{cat, {{0.0, 0}, {0.0, 2}, {0.0, 1}}};
+  auto cfg = replay_config(trace, {0, 0, 0}, 1, PolicySpec::never());
+  cfg.scheduler = SchedulerSpec::sstf();
+  cfg.obs.spans = true;
+  obs::RunTrace spans;
+  (void)run_experiment(cfg, &spans);
+  std::vector<std::uint64_t> completed;
+  for (const auto& e : spans.events) {
+    if (e.kind == obs::Kind::kSpan && e.code == obs::kSpanComplete) {
+      completed.push_back(e.id);
+    }
+  }
+  EXPECT_EQ(completed, (std::vector<std::uint64_t>{0, 2, 1}));
+}
+
+TEST(Router, ExplicitRequestLbaOverridesLayout) {
+  // A trace-pinned lba reaches the disk: the single request's positioning
+  // is billed for the pinned distance, not the layout extent's (file 0's
+  // layout lba is 0 = the head's start, which would cost only the settle
+  // floor).
+  const auto params = disk::DiskParams::st3500630as();
+  const auto cat = uniform_catalog(3, util::mb(72.0));
+  const std::uint64_t pinned = util::blocks_of(params.capacity) / 2;
+  const workload::Trace trace{cat, {{0.0, 0, pinned}}};
+  auto cfg = replay_config(trace, {0, 0, 0}, 1, PolicySpec::never());
+  cfg.scheduler = SchedulerSpec::sstf();
+  const auto r = run_experiment(cfg);
+  ASSERT_EQ(r.response.count(), 1u);
+  const double dist = static_cast<double>(pinned) /
+                      static_cast<double>(util::blocks_of(params.capacity));
+  EXPECT_NEAR(r.response.max(),
+              params.seek_time(dist) + params.avg_rotation_s +
+                  params.transfer_time(util::mb(72.0)),
+              1e-9);
+}
+
+TEST(SystemRun, TraceRunAccountsEveryRequest) {
   const auto cat = uniform_catalog(4, util::mb(72.0));
   const workload::Trace trace{
       cat, {{0.0, 0}, {1.0, 1}, {2.0, 2}, {3.0, 3}, {100.0, 0}}};
-  StorageSystem sys{cat, {0, 0, 1, 1}, 2, disk::DiskParams::st3500630as(),
-                    PolicySpec::never()};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, trace.duration() + 1.0);
+  const auto r = run_experiment(
+      replay_config(trace, {0, 0, 1, 1}, 2, PolicySpec::never()));
   EXPECT_EQ(r.requests, 5u);
   EXPECT_EQ(r.response.count(), 5u);
   EXPECT_EQ(r.per_disk.size(), 2u);
@@ -60,30 +178,27 @@ TEST(StorageSystem, TraceRunAccountsEveryRequest) {
   EXPECT_EQ(r.per_disk[0].served + r.per_disk[1].served, 4u);
 }
 
-TEST(StorageSystem, NeverPolicyMatchesAlwaysOnEnergy) {
+TEST(SystemRun, NeverPolicyMatchesAlwaysOnEnergy) {
   // With spin-down disabled, measured energy must equal the closed-form
   // always-on normalizer (same integration window) — saving == 0.
   const auto cat = uniform_catalog(3, util::mb(144.0));
   const workload::Trace trace{cat, {{5.0, 0}, {17.0, 1}, {31.0, 2}}};
-  StorageSystem sys{cat, {0, 1, 2}, 3, disk::DiskParams::st3500630as(),
-                    PolicySpec::never()};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, trace.duration() + 1.0);
+  const auto r = run_experiment(
+      replay_config(trace, {0, 1, 2}, 3, PolicySpec::never()));
   EXPECT_NEAR(r.power.energy, r.power.always_on_energy, 1e-6);
   EXPECT_NEAR(r.power.saving_vs_always_on, 0.0, 1e-9);
   EXPECT_EQ(r.power.spin_downs, 0u);
 }
 
-TEST(StorageSystem, AggressivePolicySavesEnergyOnSparseLoad) {
+TEST(SystemRun, AggressivePolicySavesEnergyOnSparseLoad) {
   const auto cat = uniform_catalog(3, util::mb(72.0));
-  // One request per disk, then a long quiet tail.
-  const workload::Trace trace{cat, {{0.0, 0}, {1.0, 1}, {2.0, 2}}};
-
-  auto run_with = [&](PolicySpec policy) {
-    StorageSystem sys{cat, {0, 1, 2}, 3, disk::DiskParams::st3500630as(),
-                      policy};
-    workload::TraceStream stream{trace};
-    return sys.run(stream, 4000.0);
+  // One request per disk, then a long quiet tail; the read of file 0 at
+  // 3999 s stretches the measurement window to 4000 s and lands too late
+  // for a second spin-down.
+  const workload::Trace trace{cat,
+                              {{0.0, 0}, {1.0, 1}, {2.0, 2}, {3999.0, 0}}};
+  const auto run_with = [&](PolicySpec policy) {
+    return run_experiment(replay_config(trace, {0, 1, 2}, 3, policy));
   };
   const auto never = run_with(PolicySpec::never());
   const auto fixed = run_with(PolicySpec::fixed(30.0));
@@ -95,46 +210,79 @@ TEST(StorageSystem, AggressivePolicySavesEnergyOnSparseLoad) {
   EXPECT_DOUBLE_EQ(never.power.horizon_s, 4000.0);
 }
 
-TEST(StorageSystem, SpinUpPenaltyVisibleInResponseTimes) {
+TEST(SystemRun, SpinUpPenaltyVisibleInResponseTimes) {
   const auto cat = uniform_catalog(1, util::mb(72.0));
   const auto params = disk::DiskParams::st3500630as();
   // Second request arrives long after the disk has gone to standby.
   const workload::Trace trace{cat, {{0.0, 0}, {500.0, 0}}};
-  StorageSystem sys{cat, {0}, 1, params, PolicySpec::fixed(20.0)};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, trace.duration() + 1.0);
+  const auto r = run_experiment(
+      replay_config(trace, {0}, 1, PolicySpec::fixed(20.0)));
   EXPECT_EQ(r.power.spin_ups, 1u);
   EXPECT_NEAR(r.response.max(),
               params.spinup_s + params.service_time(util::mb(72.0)), 1e-9);
   EXPECT_NEAR(r.response.min(), params.service_time(util::mb(72.0)), 1e-9);
 }
 
-TEST(StorageSystem, DeterministicAcrossRuns) {
+TEST(SystemRun, ArrivalAtTimerExpiryFindsTheDiskSpinningDown) {
+  // The one same-timestamp tie rule: pending disk events at t <= arrival
+  // run before the submission at t.  The second read lands exactly on the
+  // fixed:T idle-timer expiry (first completion + T, the same expression
+  // the disk evaluates), so the timer fires first: the disk spins down,
+  // and the read waits out the spin-down and a spin-up.  The opposite rule
+  // would disarm the timer and serve it at once.  The third read, long
+  // after, stretches the window past the spin-up.
+  const auto params = disk::DiskParams::st3500630as();
+  const auto size = util::mb(72.0);
+  const double threshold = 200.0;
+  const double expiry = params.service_time(size) + threshold;
+  const auto cat = uniform_catalog(1, size);
+  const workload::Trace trace{cat,
+                              {{0.0, 0}, {expiry, 0}, {expiry + 100.0, 0}}};
+  const auto r = run_experiment(
+      replay_config(trace, {0}, 1, PolicySpec::fixed(threshold)));
+  EXPECT_EQ(r.power.spin_downs, 1u);
+  EXPECT_EQ(r.power.spin_ups, 1u);
+  EXPECT_EQ(r.response.count(), 3u);
+  EXPECT_NEAR(r.response.max(),
+              params.spindown_s + params.spinup_s + params.service_time(size),
+              1e-9);
+  EXPECT_NEAR(r.response.min(), params.service_time(size), 1e-9);
+}
+
+TEST(SystemRun, DeterministicAcrossRuns) {
+  // Same config, same seed: two runs agree on every physical field.
   const auto cat = uniform_catalog(20, util::mb(100.0));
-  auto run_once = [&] {
-    std::vector<std::uint32_t> mapping(20, 0);
-    for (std::uint32_t i = 0; i < 20; ++i) mapping[i] = i % 4;
-    StorageSystem sys{cat, mapping, 4, disk::DiskParams::st3500630as(),
-                      PolicySpec::break_even(), nullptr, /*seed=*/7};
-    workload::PoissonZipfStream stream{cat, 0.5, 500.0, util::Rng{7}};
-    return sys.run(stream, 500.0);
-  };
-  const auto a = run_once();
-  const auto b = run_once();
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping.resize(20);
+  for (std::uint32_t i = 0; i < 20; ++i) cfg.mapping[i] = i % 4;
+  cfg.num_disks = 4;
+  cfg.policy = PolicySpec::break_even();
+  cfg.workload = WorkloadSpec::poisson(0.5, 500.0);
+  cfg.seed = 7;
+  const auto a = run_experiment(cfg);
+  const auto b = run_experiment(cfg);
+  EXPECT_GT(a.requests, 0u);
   EXPECT_DOUBLE_EQ(a.power.energy, b.power.energy);
   EXPECT_EQ(a.response.count(), b.response.count());
   EXPECT_DOUBLE_EQ(a.response.mean(), b.response.mean());
+  EXPECT_EQ(test_support::physical_digest(a),
+            test_support::physical_digest(b));
 }
 
-TEST(StorageSystem, RandomizedPolicySeedsDifferPerDisk) {
+TEST(SystemRun, RandomizedPolicySeedsDifferPerDisk) {
   // All disks idle from t=0 with no requests: randomized policy should give
   // them different spin-down times (they draw from split RNG streams).
   const auto cat = uniform_catalog(2, util::mb(10.0));
-  const workload::Trace empty{cat, {}};
-  StorageSystem sys{cat, {0, 1}, 8, disk::DiskParams::st3500630as(),
-                    PolicySpec::randomized()};
-  workload::TraceStream stream{empty};
-  const auto r = sys.run(stream, 200.0);
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping = {0, 1};
+  cfg.num_disks = 8;
+  cfg.policy = PolicySpec::randomized();
+  // A vanishing rate: no arrival inside the 200 s window.
+  cfg.workload = WorkloadSpec::poisson(1e-12, 200.0);
+  const auto r = run_experiment(cfg);
+  EXPECT_EQ(r.requests, 0u);
   EXPECT_EQ(r.power.spin_downs, 8u);
   // Idle times differ across disks (probability of a tie ~ 0).
   std::set<double> idle_times;
@@ -161,25 +309,28 @@ TEST(SchedulerSpecTest, FactoryNamesAndParse) {
   EXPECT_THROW(SchedulerSpec::parse("batch0"), std::invalid_argument);
 }
 
-TEST(StorageSystem, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
-  // 40 small files on one disk, all requested in one burst in shuffled
+TEST(SystemRun, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
+  // 40 small files on disk 0, all requested in one burst in shuffled
   // order: the queue is deep, FCFS jumps across the layout while the
   // geometry-aware disciplines sweep it — mean response and energy must
   // differ, and the batching scheduler must coalesce positioning phases.
-  const auto cat = uniform_catalog(40, util::mb(8.0));
+  // File 40 lives alone on disk 1; its read at 599 s only stretches the
+  // window to 600 s, past the burst's full drain.
+  const auto cat = uniform_catalog(41, util::mb(8.0));
   std::vector<workload::TraceRecord> records;
   for (std::size_t i = 0; i < 40; ++i) {
     // Deterministic shuffle: stride 17 is coprime with 40.
     records.push_back({0.0, static_cast<workload::FileId>((i * 17) % 40)});
   }
+  records.push_back({599.0, 40});
   const workload::Trace trace{cat, std::move(records)};
+  std::vector<std::uint32_t> mapping(41, 0);
+  mapping[40] = 1;
 
-  auto run_with = [&](const SchedulerSpec& spec) {
-    StorageSystem sys{cat, std::vector<std::uint32_t>(40, 0), 1,
-                      disk::DiskParams::st3500630as(), PolicySpec::never()};
-    sys.set_scheduler(spec);
-    workload::TraceStream stream{trace};
-    return sys.run(stream, 600.0); // horizon covers the full drain
+  const auto run_with = [&](const SchedulerSpec& spec) {
+    auto cfg = replay_config(trace, mapping, 2, PolicySpec::never());
+    cfg.scheduler = spec;
+    return run_experiment(cfg);
   };
   const auto fcfs = run_with(SchedulerSpec::fcfs());
   const auto sstf = run_with(SchedulerSpec::sstf());
@@ -189,7 +340,7 @@ TEST(StorageSystem, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
   // The burst built a real queue: mean response far exceeds one service.
   const double svc =
       disk::DiskParams::st3500630as().service_time(util::mb(8.0));
-  EXPECT_GT(fcfs.response.mean(), 5.0 * svc);
+  EXPECT_GT(fcfs.per_disk[0].response.mean(), 5.0 * svc);
 
   // Geometry-aware sweeps position cheaper than the constant-cost FCFS.
   EXPECT_LT(sstf.response.mean(), fcfs.response.mean());
@@ -200,35 +351,30 @@ TEST(StorageSystem, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
 
   // Batching coalesced adjacent extents: fewer positioning phases than
   // requests; the one-at-a-time disciplines pay one per request.
-  auto positionings = [](const RunResult& r) {
-    std::uint64_t n = 0;
-    for (const auto& m : r.per_disk) n += m.positionings;
-    return n;
-  };
-  EXPECT_EQ(positionings(fcfs), 40u);
-  EXPECT_EQ(positionings(sstf), 40u);
-  EXPECT_LT(positionings(batch), 40u);
+  EXPECT_EQ(fcfs.per_disk[0].positionings, 40u);
+  EXPECT_EQ(sstf.per_disk[0].positionings, 40u);
+  EXPECT_LT(batch.per_disk[0].positionings, 40u);
 
-  // Every discipline serves every request exactly once.
+  // Every discipline serves every burst request exactly once.
   for (const auto* r : {&fcfs, &sstf, &scan, &batch}) {
-    EXPECT_EQ(r->response.count(), 40u);
-    EXPECT_EQ(r->completed_at_horizon, 40u);
-    EXPECT_EQ(r->in_flight_at_horizon, 0u);
+    EXPECT_EQ(r->per_disk[0].response.count(), 40u);
+    EXPECT_EQ(r->per_disk[0].served, 40u);
+    EXPECT_EQ(r->per_disk[0].queued + r->per_disk[0].in_service, 0u);
   }
 }
 
-TEST(StorageSystem, HorizonSnapshotCountsInFlightExactlyOnce) {
-  // Two disks, 10 s transfers; at the 11 s horizon disk 0 has one request
-  // served and one mid-transfer, disk 1 has one mid-transfer and one
-  // queued.  The snapshot must place each of the five requests in exactly
-  // one bucket, while the response summary still drains them all.
+TEST(SystemRun, HorizonSnapshotCountsInFlightExactlyOnce) {
+  // Two disks, 10 s transfers; at the 11 s horizon (last arrival + 1 s)
+  // disk 0 has one request served and one mid-transfer, disk 1 has one
+  // mid-transfer and one queued.  The snapshot must place each of the four
+  // requests in exactly one bucket, while the response summary still
+  // drains them all.
   const auto cat = uniform_catalog(4, util::mb(720.0));
   const workload::Trace trace{
-      cat, {{0.0, 0}, {0.0, 1}, {2.0, 2}, {2.5, 3}}};
-  StorageSystem sys{cat, {0, 0, 1, 1}, 2, disk::DiskParams::st3500630as(),
-                    PolicySpec::never()};
-  workload::TraceStream stream{trace};
-  const auto r = sys.run(stream, 11.0);
+      cat, {{0.0, 0}, {0.0, 1}, {2.0, 2}, {10.0, 3}}};
+  const auto r = run_experiment(
+      replay_config(trace, {0, 0, 1, 1}, 2, PolicySpec::never()));
+  EXPECT_DOUBLE_EQ(r.power.horizon_s, 11.0);
   EXPECT_EQ(r.requests, 4u);
   EXPECT_EQ(r.completed_at_horizon, 1u);
   EXPECT_EQ(r.in_flight_at_horizon, 3u);

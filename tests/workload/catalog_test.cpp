@@ -138,6 +138,23 @@ TEST(LayoutExtents, PacksPerDiskInFileIdOrder) {
   EXPECT_EQ(ext[3].blocks, 1u);
 }
 
+TEST(LayoutExtents, ComputesCatalogLayoutExtents) {
+  // Mapping {0, 1, 0} on a three-disk farm: files 0 and 2 share disk 0,
+  // packed in id order; disk 2 holds nothing and shifts no extent.
+  std::vector<FileInfo> files{{0, util::mb(72.0), 0.5},
+                              {1, util::mb(144.0), 0.3},
+                              {2, util::mb(36.0), 0.2}};
+  const FileCatalog cat{files};
+  const auto ext = layout_extents(cat, {0, 1, 0}, 3);
+  ASSERT_EQ(ext.size(), 3u);
+  EXPECT_EQ(ext[0].lba, 0u);
+  EXPECT_EQ(ext[0].blocks, util::blocks_of(util::mb(72.0)));
+  EXPECT_EQ(ext[1].lba, 0u); // its own disk's address space
+  EXPECT_EQ(ext[1].blocks, util::blocks_of(util::mb(144.0)));
+  EXPECT_EQ(ext[2].lba, util::blocks_of(util::mb(72.0)));
+  EXPECT_EQ(ext[2].blocks, util::blocks_of(util::mb(36.0)));
+}
+
 TEST(LayoutExtents, ExtentsNeverOverlapWithinADisk) {
   SyntheticSpec spec;
   spec.n_files = 300;
