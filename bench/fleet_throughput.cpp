@@ -203,7 +203,6 @@ int main(int argc, char** argv) {
                  {"requests_per_sec", row.requests_per_sec()},
                  {"speedup_vs_shards1", row.speedup},
                  {"identical_to_shards1", row.identical},
-                 {"workers", perf.workers},
                  {"router_busy_s", perf.router_busy_s},
                  {"router_stall_s", perf.router_stall_s}});
       for (const auto& s : perf.per_shard) {

@@ -8,6 +8,11 @@
 // Semantics: whole files only (the paper's requests fetch whole files); a
 // file larger than the capacity is never admitted; admission happens on
 // miss (demand caching), evicting per policy until the file fits.
+//
+// Memory model (LRU/FIFO, recency.h): 4 B per catalog file for the
+// FileId -> slot index plus 24 B per resident file.  The index is a plain
+// vector sized to the largest id seen, so FileId must be dense — as it is
+// for FileCatalog, whose ids are its by_id() indices.
 #pragma once
 
 #include <cstdint>

@@ -83,8 +83,7 @@ void emit_metadata(Emitter& out, const RunTrace& trace) {
   if (!trace.profile.empty()) {
     out.item(R"({"ph":"M","pid":1,"tid":0,"name":"process_name",)"
              R"("args":{"name":"pipeline ()" + fmt_u64(trace.shards) +
-             " shards, " + fmt_u64(trace.workers) +
-             R"x( workers)"}})x");
+             R"x( shards)"}})x");
     std::map<std::uint32_t, bool> lanes;
     for (const TraceEvent& e : trace.profile) lanes[e.track] = true;
     for (const auto& [lane, unused] : lanes) {
@@ -222,8 +221,7 @@ void write_jsonl_trace(const RunTrace& trace, std::ostream& os) {
   os << R"({"format":"spindown-trace","version":1,"horizon_s":)"
      << fmt(trace.horizon_s);
   if (!trace.profile.empty()) {
-    os << R"(,"shards":)" << fmt_u64(trace.shards) << R"(,"workers":)"
-       << fmt_u64(trace.workers);
+    os << R"(,"shards":)" << fmt_u64(trace.shards);
   }
   os << "}\n";
   for (const TraceEvent& e : trace.events) jsonl_event(os, e, false);

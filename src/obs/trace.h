@@ -135,14 +135,13 @@ private:
 /// (router track first, then disks in id order; per-track order is
 /// emission order, i.e. non-decreasing sim time).  `profile` carries the
 /// wall-clock pipeline samples and is excluded from the determinism
-/// contract; `shards`/`workers` describe the pipeline shape and are only
-/// meaningful when `profile` is non-empty.
+/// contract; `shards` describes the pipeline shape (one worker thread per
+/// shard) and is only meaningful when `profile` is non-empty.
 struct RunTrace {
   std::vector<TraceEvent> events;
   std::vector<TraceEvent> profile;
   double horizon_s = 0.0;
   std::uint32_t shards = 1;
-  std::uint32_t workers = 1;
 };
 
 /// Canonical-order sort key: the router track ranks before every disk.

@@ -9,11 +9,11 @@ WriteOffload::WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
                            util::Bytes log_capacity, double deadline_s,
                            double horizon_s)
     : placer_(log_disks, log_capacity, core::FitRule::kBestFit),
-      data_disks_(data_disks), log_disks_(log_disks),
-      deadline_s_(deadline_s), horizon_s_(horizon_s),
+      data_disks_(data_disks), deadline_s_(deadline_s), horizon_s_(horizon_s),
       capacity_blocks_(std::max<std::uint64_t>(
           1, log_capacity / util::kBlockBytes)),
-      by_disk_(data_disks), log_cursor_(log_disks, 0) {
+      all_spinning_(log_disks, true), by_disk_(data_disks),
+      live_by_disk_(data_disks, 0), log_cursor_(log_disks, 0) {
   if (data_disks == 0 || log_disks == 0) {
     throw std::invalid_argument{
         "WriteOffload: need at least one data disk and one log disk"};
@@ -29,8 +29,7 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
     std::uint32_t target) {
   // Every log disk is always-on, so the spinning-aware placer degenerates
   // to best-fit over free buffer space — exactly §1.1's write rule.
-  const std::vector<bool> spinning(log_disks_, true);
-  const auto local = placer_.place(bytes, spinning);
+  const auto local = placer_.place(bytes, all_spinning_);
   if (!local.has_value()) return std::nullopt;
 
   PendingWrite p;
@@ -47,10 +46,12 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
   p.blocks = blocks;
   log_cursor_[*local] = (log_cursor_[*local] + blocks) % capacity_blocks_;
 
-  const std::size_t index = pending_.size();
+  const auto index = static_cast<std::uint32_t>(pending_.size());
   pending_.push_back(p);
   done_.push_back(false);
   by_disk_[target].push_back(index);
+  ++live_by_disk_[target];
+  if (file >= latest_.size()) latest_.resize(std::size_t{file} + 1, kNil);
   latest_[file] = index; // newer write shadows an older pending copy
   ++buffered_;
   return LogCopy{p.log_disk, p.log_lba};
@@ -58,27 +59,21 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
 
 std::optional<WriteOffload::LogCopy> WriteOffload::log_copy(
     workload::FileId file) const {
-  const auto it = latest_.find(file);
-  if (it == latest_.end()) return std::nullopt;
-  const PendingWrite& p = pending_[it->second];
+  if (file >= latest_.size() || latest_[file] == kNil) return std::nullopt;
+  const PendingWrite& p = pending_[latest_[file]];
   return LogCopy{p.log_disk, p.log_lba};
 }
 
 bool WriteOffload::has_pending(std::uint32_t target) const {
-  if (target >= by_disk_.size()) return false;
-  // Deadline drains scrub per-disk indices lazily, so the list may hold
-  // settled entries: pending means at least one *live* one.
-  for (const std::size_t index : by_disk_[target]) {
-    if (!done_[index]) return true;
-  }
-  return false;
+  return target < live_by_disk_.size() && live_by_disk_[target] > 0;
 }
 
-void WriteOffload::settle(std::size_t index, std::vector<PendingWrite>& out) {
+void WriteOffload::settle(std::uint32_t index,
+                          std::vector<PendingWrite>& out) {
   const PendingWrite& p = pending_[index];
   placer_.release(p.log_disk - data_disks_, p.bytes);
-  const auto it = latest_.find(p.file);
-  if (it != latest_.end() && it->second == index) latest_.erase(it);
+  if (latest_[p.file] == index) latest_[p.file] = kNil;
+  --live_by_disk_[p.target];
   done_[index] = true;
   ++destaged_;
   out.push_back(p);
@@ -87,7 +82,7 @@ void WriteOffload::settle(std::size_t index, std::vector<PendingWrite>& out) {
 void WriteOffload::drain_disk(std::uint32_t target,
                               std::vector<PendingWrite>& out) {
   if (target >= by_disk_.size()) return;
-  for (const std::size_t index : by_disk_[target]) {
+  for (const std::uint32_t index : by_disk_[target]) {
     if (!done_[index]) settle(index, out);
   }
   by_disk_[target].clear();
@@ -103,9 +98,12 @@ void WriteOffload::drain_due(double t, std::vector<PendingWrite>& out) {
     }
     const PendingWrite& p = pending_[head_];
     if (p.deadline > t) break;
-    // Settle, then scrub the stale index from the per-disk list lazily:
-    // done_ entries are skipped by drain_disk.
+    // Settle; the index stays in its disk's list (drain_disk skips done_
+    // entries) until that disk owes nothing, when the list is cleared — a
+    // disk whose debts always expire by deadline keeps no stale indices.
+    const std::uint32_t target = p.target;
     settle(head_, out);
+    if (live_by_disk_[target] == 0) by_disk_[target].clear();
     ++head_;
   }
 }

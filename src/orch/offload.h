@@ -26,8 +26,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/write_policy.h"
@@ -74,6 +74,7 @@ public:
   /// Freshest buffered copy of `file`, if one is still pending.
   std::optional<LogCopy> log_copy(workload::FileId file) const;
 
+  /// O(1): a live-debt count per data disk.
   bool has_pending(std::uint32_t target) const;
 
   /// Move every live pending write owed to `target` into `out` (in
@@ -90,20 +91,28 @@ public:
   std::uint64_t live() const { return buffered_ - destaged_; }
 
 private:
-  void settle(std::size_t index, std::vector<PendingWrite>& out);
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+
+  void settle(std::uint32_t index, std::vector<PendingWrite>& out);
 
   core::WritePlacer placer_; ///< indexed by log disk *local* id
   std::uint32_t data_disks_;
-  std::uint32_t log_disks_;
   double deadline_s_;
   double horizon_s_;
   std::uint64_t capacity_blocks_;
 
+  std::vector<bool> all_spinning_; ///< the placer's view of the tier
   std::vector<PendingWrite> pending_; ///< append-only; head_ = oldest live
   std::vector<bool> done_;            ///< parallel to pending_
-  std::size_t head_ = 0;
-  std::vector<std::vector<std::size_t>> by_disk_;   ///< live, per data disk
-  std::unordered_map<workload::FileId, std::size_t> latest_; ///< file -> idx
+  std::uint32_t head_ = 0;
+  /// Per data disk: indices buffered since its last drain (settled ones
+  /// included until the list is next cleared) and its live-debt count.
+  std::vector<std::vector<std::uint32_t>> by_disk_;
+  std::vector<std::uint32_t> live_by_disk_;
+  /// FileId -> index of its newest live pending write, kNil if none; dense
+  /// like the catalog's ids, grown to the largest file absorbed.
+  std::vector<std::uint32_t> latest_;
   std::vector<std::uint64_t> log_cursor_; ///< per log disk, blocks
   std::uint64_t buffered_ = 0;
   std::uint64_t destaged_ = 0;

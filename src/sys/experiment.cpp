@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "cache/fifo.h"
 #include "cache/lfu.h"
-#include "cache/lru.h"
+#include "cache/recency.h"
 #include "obs/trace.h"
 #include "sys/fleet.h"
 #include "sys/spec_grammar.h"

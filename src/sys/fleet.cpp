@@ -582,7 +582,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   if (trace != nullptr && mask != 0) {
     trace->horizon_s = horizon;
     trace->shards = shards;
-    trace->workers = shards;
     if (sim_mask != 0) {
       std::vector<obs::TraceBuffer*> buffers;
       buffers.reserve(1 + shards);
@@ -613,7 +612,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   for (auto& state : states) partials.push_back(std::move(state->partial));
 
   if (perf != nullptr) {
-    perf->workers = shards;
     perf->router_busy_s = std::max(0.0, router_wall - router_stall);
     perf->router_stall_s = router_stall;
     perf->per_shard.resize(shards);

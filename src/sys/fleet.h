@@ -60,12 +60,11 @@ struct ShardPerf {
 };
 
 struct FleetPerf {
-  std::uint32_t shards = 0;
-  std::uint32_t workers = 0; ///< OS threads driving shard calendars
+  std::uint32_t shards = 0; ///< one worker thread per shard calendar
   double router_busy_s = 0.0;  ///< router generation + routing time
   double router_stall_s = 0.0; ///< router blocked on a full ring
   std::vector<ShardPerf> per_shard;    ///< indexed by shard
-  std::vector<double> worker_busy_s;   ///< indexed by worker
+  std::vector<double> worker_busy_s;   ///< indexed by shard
   std::vector<double> worker_wait_s;   ///< blocked on an empty ring
 };
 

@@ -1,4 +1,4 @@
-#include "cache/lru.h"
+#include "cache/recency.h"
 
 #include <gtest/gtest.h>
 

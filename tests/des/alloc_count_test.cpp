@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "cache/recency.h"
 #include "des/simulation.h"
 #include "disk/disk.h"
 #include "disk/io_scheduler.h"
@@ -229,6 +230,36 @@ TEST(AllocCount, DiskCycleTracingIntoReservedBufferIsAllocationFree) {
   const std::uint64_t after = allocation_count();
   EXPECT_EQ(after - chain.before, 0u);
   EXPECT_GT(trace.size(), 5u * 20'000u); // the events really were recorded
+}
+
+// The front cache runs once per request on the router thread.  Once the
+// slab has grown to the peak resident count and the slot index to the
+// largest id, miss -> evict -> admit and hit cycles allocate nothing.
+template <typename Cache>
+void run_cache_cycle_test() {
+  Cache cache{10 * 100}; // room for ten 100-byte files
+  const auto round = [&cache] {
+    for (spindown::workload::FileId id = 0; id < 1000; ++id) {
+      cache.access(id, 100);                  // miss: evicts the tail
+      cache.access(id, 100);                  // hit at the head
+      if (id > 0) cache.access(id - 1, 100);  // hit behind the head
+    }
+  };
+  round(); // warm-up: grows the slab and the slot index
+  const std::uint64_t before = allocation_count();
+  for (int r = 0; r < 50; ++r) round();
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_GE(cache.stats().evictions, 50u * 1000u);
+  EXPECT_GE(cache.stats().hits, 50u * 1999u);
+}
+
+TEST(AllocCount, LruCacheMissEvictHitCycleIsAllocationFree) {
+  run_cache_cycle_test<spindown::cache::LruCache>();
+}
+
+TEST(AllocCount, FifoCacheMissEvictHitCycleIsAllocationFree) {
+  run_cache_cycle_test<spindown::cache::FifoCache>();
 }
 
 TEST(AllocCount, OversizedCaptureDoesAllocate) {

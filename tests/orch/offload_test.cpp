@@ -125,5 +125,60 @@ TEST(OrchOffload, FullTierRejectsUntilSpaceIsReleased) {
   EXPECT_TRUE(off.absorb(3.0, 3, 1, util::mb(6.0), 12, 0, 1).has_value());
 }
 
+// A disk whose debts always expire by deadline is never drained by a
+// foreground hit.  After thousands of such cycles it must owe nothing, a
+// triggered drain must find nothing, and no log copy may survive.
+void run_deadline_cycles(WriteOffload& off, int cycles) {
+  std::vector<PendingWrite> out;
+  for (int i = 0; i < cycles; ++i) {
+    const double t = 2.0 * kDeadline * i;
+    ASSERT_TRUE(off.absorb(t, static_cast<std::uint64_t>(i),
+                           /*file=*/static_cast<workload::FileId>(i % 7),
+                           util::mb(1.0), 2, 0, /*target=*/2)
+                    .has_value());
+    ASSERT_TRUE(off.has_pending(2));
+    out.clear();
+    off.drain_due(t + kDeadline, out);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_FALSE(off.has_pending(2));
+  }
+}
+
+TEST(OrchOffload, DeadlineDrainedDiskOwesNothing) {
+  auto off = WriteOffload{kDataDisks, kLogDisks, util::gb(1.0), kDeadline,
+                          /*horizon_s=*/1e9};
+  run_deadline_cycles(off, 5000);
+  EXPECT_FALSE(off.has_pending(2));
+  EXPECT_EQ(off.live(), 0u);
+  std::vector<PendingWrite> out;
+  off.drain_disk(2, out);
+  EXPECT_TRUE(out.empty());
+  for (workload::FileId f = 0; f < 7; ++f) {
+    EXPECT_FALSE(off.log_copy(f).has_value()) << "file " << f;
+  }
+}
+
+TEST(OrchOffload, AbsorbAfterDeadlineCyclesIsFoundAndDrained) {
+  auto off = WriteOffload{kDataDisks, kLogDisks, util::gb(1.0), kDeadline,
+                          /*horizon_s=*/1e9};
+  run_deadline_cycles(off, 5000);
+  const double t = 2.0 * kDeadline * 5000;
+  const auto copy = off.absorb(t, 9999, /*file=*/3, util::mb(1.0), 2, 42, 2);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_TRUE(off.has_pending(2));
+  const auto read_copy = off.log_copy(3);
+  ASSERT_TRUE(read_copy.has_value());
+  EXPECT_EQ(read_copy->log_lba, copy->log_lba);
+
+  std::vector<PendingWrite> out;
+  off.drain_disk(2, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].request_id, 9999u);
+  EXPECT_EQ(out[0].target_lba, 42u);
+  EXPECT_FALSE(off.has_pending(2));
+  EXPECT_FALSE(off.log_copy(3).has_value());
+  EXPECT_EQ(off.live(), 0u);
+}
+
 } // namespace
 } // namespace spindown::orch
