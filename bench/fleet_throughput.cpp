@@ -204,7 +204,9 @@ int main(int argc, char** argv) {
                  {"speedup_vs_shards1", row.speedup},
                  {"identical_to_shards1", row.identical},
                  {"router_busy_s", perf.router_busy_s},
-                 {"router_stall_s", perf.router_stall_s}});
+                 {"router_stall_s", perf.router_stall_s},
+                 {"feeder_busy_s", perf.feeder_busy_s},
+                 {"feeder_stall_s", perf.feeder_stall_s}});
       for (const auto& s : perf.per_shard) {
         json->row(
             {{"kind", "shard"},

@@ -48,6 +48,21 @@ std::string track_label(std::uint32_t track) {
   return "disk " + fmt_u64(track);
 }
 
+/// Profile lane name: the pipeline thread that recorded the sample.
+std::string lane_label(std::uint32_t lane) {
+  if (lane == kRouterTrack) return "router";
+  if (lane == kFeederTrack) return "feeder";
+  return "shard " + fmt_u64(lane);
+}
+
+/// JSONL track id: disks (and shard lanes) keep their index; the router is
+/// -1 and the feeder lane -2.
+std::int64_t jsonl_track(std::uint32_t track) {
+  if (track == kRouterTrack) return -1;
+  if (track == kFeederTrack) return -2;
+  return static_cast<std::int64_t>(track);
+}
+
 /// One farm-wide counter sample, folded from the per-disk metric gauges.
 struct CounterRow {
   double queued = 0.0;
@@ -88,10 +103,9 @@ void emit_metadata(Emitter& out, const RunTrace& trace) {
     for (const TraceEvent& e : trace.profile) lanes[e.track] = true;
     for (const auto& [lane, unused] : lanes) {
       (void)unused;
-      const std::string name =
-          lane == kRouterTrack ? "router" : "shard " + fmt_u64(lane);
       out.item(R"({"ph":"M","pid":1,"tid":)" + fmt_u64(lane) +
-               R"(,"name":"thread_name","args":{"name":")" + name + R"("}})");
+               R"(,"name":"thread_name","args":{"name":")" +
+               lane_label(lane) + R"("}})");
     }
   }
 }
@@ -192,10 +206,8 @@ void emit_profile(Emitter& out, const RunTrace& trace) {
 }
 
 void jsonl_event(std::ostream& os, const TraceEvent& e, bool wall) {
-  const std::int64_t track =
-      e.track == kRouterTrack ? -1 : static_cast<std::int64_t>(e.track);
   char track_buf[24];
-  std::snprintf(track_buf, sizeof track_buf, "%" PRId64, track);
+  std::snprintf(track_buf, sizeof track_buf, "%" PRId64, jsonl_track(e.track));
   os << R"({"t":)" << fmt(e.t) << R"(,"track":)" << track_buf
      << R"(,"kind":")" << kind_name(e.kind) << R"(","code":")"
      << code_name(e.kind, e.code) << R"(","id":)" << fmt_u64(e.id)

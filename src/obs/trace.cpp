@@ -79,6 +79,7 @@ std::string_view code_name(Kind k, std::uint8_t code) {
         case kProfRouterFill: return "router_fill";
         case kProfRingWait: return "ring_wait";
         case kProfWorkerReplay: return "worker_replay";
+        case kProfFeederFill: return "feeder_fill";
         default: break;
       }
       break;

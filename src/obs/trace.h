@@ -83,10 +83,16 @@ inline constexpr std::uint8_t kMetricPowerState = 1; ///< value=state index,
 inline constexpr std::uint8_t kProfRouterFill = 0;   ///< router fills a window
 inline constexpr std::uint8_t kProfRingWait = 1;     ///< worker waits on ring
 inline constexpr std::uint8_t kProfWorkerReplay = 2; ///< worker replays batch
+inline constexpr std::uint8_t kProfFeederFill = 3;   ///< feeder fills a chunk
 
 /// Track id for events not owned by a disk (router decisions).
 /// Ranked before disk 0 in the canonical order, mirroring partials[0].
 inline constexpr std::uint32_t kRouterTrack = 0xffffffffu;
+
+/// Profile lane of the fleet pipeline's feeder thread (arrival generation
+/// and the front cache).  kProfile samples only: the feeder never writes
+/// the canonical sim-time stream.
+inline constexpr std::uint32_t kFeederTrack = 0xfffffffdu;
 
 /// One trace record.  40 bytes, trivially copyable; the exact-field equality
 /// is what the shard bit-identity tests compare.

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "cache/cache.h"
 #include "des/simulation.h"
 #include "disk/disk.h"
 #include "obs/profile.h"
@@ -77,6 +78,44 @@ struct ShardBatch {
     background.clear();
     advance_to = 0.0;
     final = false;
+  }
+};
+
+/// Arrivals per feeder chunk and chunks in flight between feeder and
+/// router.  Bounds feeder run-ahead and handoff memory (about 150 KB per
+/// chunk) independently of the window length; like the shard arenas, the
+/// chunks are only ever held by one side, so the free ring is the feeder's
+/// one backpressure point.
+constexpr std::size_t kChunkEntries = 4096;
+constexpr std::size_t kFeedChunks = 8;
+
+/// Cache-filtered arrivals, in arrival order, for (part of) one window.
+/// The feeder fills `block` straight from the windowed stream and resolves
+/// each arrival's catalog size and cache outcome; the router consumes the
+/// parallel arrays without touching the catalog or the cache.
+struct FeedChunk {
+  workload::RequestBlock block; ///< arrival, id, file, lba
+  std::vector<util::Bytes> size;
+  std::vector<std::uint8_t> hit; ///< 1 = served from the front cache
+  double frontier = 0.0; ///< the window this chunk belongs to ends here
+  bool ends_window = false; ///< no more arrivals below `frontier` follow
+  bool last = false; ///< empty terminal chunk: the stream is exhausted
+
+  void reserve() {
+    block.arrival.reserve(kChunkEntries);
+    block.id.reserve(kChunkEntries);
+    block.file.reserve(kChunkEntries);
+    block.lba.reserve(kChunkEntries);
+    size.reserve(kChunkEntries);
+    hit.reserve(kChunkEntries);
+  }
+  void reset() {
+    block.clear();
+    size.clear();
+    hit.clear();
+    frontier = 0.0;
+    ends_window = false;
+    last = false;
   }
 };
 
@@ -233,11 +272,13 @@ struct FleetSetup {
 };
 
 // ---------------------------------------------------------------------------
-// Pipelined router path: lock-free per-shard rings, recycled batch arenas.
+// The pipeline: feeder -> router -> shard workers over lock-free rings,
+// each paired with a ring that recycles drained arenas.
 // ---------------------------------------------------------------------------
 
-/// Raised inside the router loop when a worker closed its rings (the
-/// worker's own exception is the root cause and is rethrown after join).
+/// Raised inside the router loop when the feeder or a worker closed its
+/// rings (that stage's own exception is the root cause and is rethrown
+/// after join).
 struct PipelineAborted {};
 
 /// One routed shard: a private calendar, the full ring (router -> worker,
@@ -321,6 +362,119 @@ private:
   }
 };
 
+/// The pipeline's first stage, on its own thread: pulls the arrival stream
+/// in conservative windows, resolves each arrival's catalog entry and front
+/// cache outcome in global arrival order (the cache has no other user), and
+/// forwards the results to the router in fixed-size chunks over `full`;
+/// the router returns drained chunks over `free_ring`.
+struct Feeder {
+  const workload::FileCatalog* catalog = nullptr;
+  workload::RequestStream* stream = nullptr;
+  cache::FileCache* cache = nullptr; ///< null: no front cache
+  double horizon = 0.0;
+  util::SpscRing<FeedChunk*> full{kFeedChunks};
+  util::SpscRing<FeedChunk*> free_ring{kFeedChunks};
+  std::vector<std::unique_ptr<FeedChunk>> arenas;
+  /// kProfile stage sampling (obs profile), shared run-wide time origin.
+  bool profiling = false;
+  PerfClock::time_point prof_t0{};
+  // Outputs, read after join.
+  std::exception_ptr error;
+  double busy_s = 0.0;
+  double stall_s = 0.0;
+  std::vector<obs::TraceEvent> prof; ///< kProfFeederFill per chunk
+
+  /// Reserves every chunk up front (on the calling thread), so handoff
+  /// memory is kFeedChunks * kChunkEntries entries whatever the window.
+  void init() {
+    arenas.reserve(kFeedChunks);
+    for (std::size_t i = 0; i < kFeedChunks; ++i) {
+      arenas.push_back(std::make_unique<FeedChunk>());
+      arenas.back()->reserve();
+      FeedChunk* chunk = arenas.back().get();
+      free_ring.try_push(chunk); // capacity == chunk count: cannot fail
+    }
+  }
+
+  void close() {
+    full.close();
+    free_ring.close();
+  }
+
+  void run() {
+    try {
+      feed();
+    } catch (...) {
+      error = std::current_exception();
+      close(); // unblock the router; it aborts on its next pop
+    }
+  }
+
+private:
+  /// A drained chunk, or null once the router closed the rings (abort).
+  FeedChunk* acquire() {
+    FeedChunk* chunk = nullptr;
+    if (!free_ring.try_pop(chunk)) {
+      const auto s0 = PerfClock::now();
+      if (!free_ring.pop(chunk)) return nullptr;
+      stall_s += seconds_since(s0);
+    }
+    chunk->reset();
+    return chunk;
+  }
+
+  void feed() {
+    const auto t0 = PerfClock::now();
+    // Conservative windows: the router routes all arrivals below each
+    // frontier, then lets every shard advance to it.  Any length is
+    // causally safe (no feedback path); this one bounds batch memory to a
+    // few thousand submissions per shard at the bench's request rates.
+    const double window = std::max(1e-3, horizon / 256.0);
+    workload::WindowedStream windowed{*stream};
+    double frontier = 0.0;
+    std::uint64_t chunk_idx = 0;
+    while (!windowed.exhausted()) {
+      frontier += window;
+      if (windowed.next_arrival() >= frontier) {
+        // Idle stretch: jump the frontier to the next arrival's window
+        // instead of shipping empty windows one by one.
+        frontier = windowed.next_arrival() + window;
+      }
+      bool ends_window = false;
+      while (!ends_window) {
+        FeedChunk* chunk = acquire();
+        if (chunk == nullptr) return;
+        const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
+        auto& block = chunk->block;
+        windowed.fill(frontier, kChunkEntries, block);
+        for (std::size_t i = 0; i < block.size(); ++i) {
+          const auto& file = catalog->by_id(block.file[i]);
+          chunk->size.push_back(file.size);
+          chunk->hit.push_back(
+              cache != nullptr && cache->access(file.id, file.size) ? 1 : 0);
+        }
+        ends_window =
+            windowed.exhausted() || windowed.next_arrival() >= frontier;
+        chunk->frontier = frontier;
+        chunk->ends_window = ends_window;
+        full.try_push(chunk); // holds a popped chunk: cannot be full
+        if (profiling) {
+          prof.push_back(obs::TraceEvent{
+              f0, chunk_idx, seconds_since(prof_t0) - f0, 0.0,
+              obs::kFeederTrack, obs::Kind::kProfile,
+              obs::kProfFeederFill});
+        }
+        ++chunk_idx;
+      }
+    }
+    FeedChunk* last = acquire();
+    if (last == nullptr) return;
+    last->last = true;
+    full.try_push(last);
+    busy_s = seconds_since(t0) - stall_s;
+  }
+};
+
 /// The controller's guess at how long a disk idles before its spin-down
 /// policy puts it to sleep: exact for fixed-threshold and never policies,
 /// the break-even threshold (the adaptive policies' anchor point) otherwise.
@@ -391,10 +545,19 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   const auto cache = config.cache.make();
   const auto stream =
       config.workload.make_stream(*config.catalog, config.seed);
+  Feeder feeder;
+  feeder.catalog = config.catalog;
+  feeder.stream = stream.get();
+  feeder.cache = cache.get();
+  feeder.horizon = horizon;
+  feeder.profiling = profiling;
+  feeder.prof_t0 = prof_t0;
+  feeder.init();
 
-  // The router owns the cache and performs every routing decision in
-  // global arrival order, so the router-track span events (cache hit/miss)
-  // are emitted here, in an order no shard count can change.
+  // The router performs every routing decision in global arrival order and
+  // is the one writer of the router track: the cache hit/miss spans are
+  // emitted here from the feeder's verdicts, in an order no shard count
+  // can change.
   obs::TraceBuffer router_trace{sim_mask};
   const bool span_trace =
       cache != nullptr && router_trace.wants(obs::Kind::kSpan);
@@ -423,18 +586,24 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
     for (auto& state : states) {
       workers.emplace_back([s = state.get()] { s->run(); });
     }
+    std::jthread feeder_thread;
     const auto t0 = PerfClock::now();
     try {
-      // Pop a drained arena for `shard`, charging blocked time to the
-      // router stall counter.  A closed ring means the worker died.
-      const auto acquire = [&](std::uint32_t shard) -> ShardBatch* {
+      // Started inside the try: if it cannot start, the rings below still
+      // close and the workers already running still exit.
+      feeder_thread = std::jthread{[&feeder] { feeder.run(); }};
+      // Blocking pop that charges the blocked time to the router stall
+      // counter.  A closed ring means a peer stage died.
+      const auto take = [&](auto& ring, auto*& out) {
+        if (ring.try_pop(out)) return;
+        const auto s0 = PerfClock::now();
+        if (!ring.pop(out)) throw PipelineAborted{};
+        router_stall += seconds_since(s0);
+      };
+      // Pop a drained arena for `shard`.
+      const auto acquire = [&](std::uint32_t shard) {
         ShardBatch* arena = nullptr;
-        auto& ring = states[shard]->free_ring;
-        if (!ring.try_pop(arena)) {
-          const auto s0 = PerfClock::now();
-          if (!ring.pop(arena)) throw PipelineAborted{};
-          router_stall += seconds_since(s0);
-        }
+        take(states[shard]->free_ring, arena);
         return arena;
       };
       const auto publish = [&](std::uint32_t shard, ShardBatch* arena) {
@@ -452,49 +621,36 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         }
       };
 
-      // Conservative windows: route all arrivals below each frontier, then
-      // let every shard advance to it.  Any length is causally safe (no
-      // feedback path); this one bounds batch memory to a few thousand
-      // submissions per shard at the bench's request rates.
-      const double window = std::max(1e-3, horizon / 256.0);
-      workload::WindowedStream windowed{*stream};
-      workload::RequestBlock block;
-      double frontier = 0.0;
-      while (!windowed.exhausted()) {
-        const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
-        frontier += window;
-        if (windowed.next_arrival() >= frontier) {
-          // Idle stretch: jump the frontier to the next arrival's window
-          // instead of shipping empty windows one by one.
-          frontier = windowed.next_arrival() + window;
+      // One window spans one or more feeder chunks; its shard batches are
+      // published once the chunk that ends it has been routed.
+      bool window_open = false;
+      double f0 = 0.0;
+      for (;;) {
+        FeedChunk* chunk = nullptr;
+        take(feeder.full, chunk);
+        if (chunk->last) break;
+        if (!window_open) {
+          f0 = profiling ? seconds_since(prof_t0) : 0.0;
+          for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
+          window_open = true;
         }
-        block.clear();
-        windowed.fill(frontier, std::numeric_limits<std::size_t>::max(),
-                      block);
-        for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-        // Whole-window decision batch: every cache access and mapping
-        // lookup happens here, in global arrival order, before anything is
-        // published.
+        const auto& block = chunk->block;
+        dispatched += block.size();
         for (std::size_t i = 0; i < block.size(); ++i) {
-          ++dispatched;
-          const auto& file = config.catalog->by_id(block.file[i]);
-          if (cache != nullptr && cache->access(file.id, file.size)) {
+          const workload::FileId file = block.file[i];
+          if (chunk->hit[i] != 0) {
             // Cache hit, served from memory with zero latency: recorded
             // here, in arrival order.
             if (span_trace) {
               router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheHit,
                                 block.arrival[i], obs::kRouterTrack,
-                                block.id[i], file.size);
+                                block.id[i], chunk->size[i]);
             }
             root.hits_response.add(0.0);
             root_hist.add(0.0);
             continue;
           }
-          const auto& extent = setup.extents[file.id];
-          const std::uint64_t lba = block.lba[i] != workload::kNoLba
-                                        ? block.lba[i]
-                                        : extent.lba;
-          const std::uint32_t disk = config.mapping[file.id];
+          const std::uint32_t disk = config.mapping[file];
           if (span_trace) {
             router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
                               block.arrival[i], obs::kRouterTrack,
@@ -504,16 +660,27 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
             // Deadline destages due before this arrival ship first (each
             // at its own deadline time), then the arrival's rewritten
             // submissions — so per-shard batch times stay non-decreasing.
+            workload::FileInfo info;
+            info.id = file;
+            info.size = chunk->size[i];
             subs.clear();
             controller->flush_deadlines(block.arrival[i], subs);
-            controller->route(block.arrival[i], block.id[i], file, subs);
+            controller->route(block.arrival[i], block.id[i], info, subs);
             ship();
             continue;
           }
+          const auto& extent = setup.extents[file];
+          const std::uint64_t lba = block.lba[i] != workload::kNoLba
+                                        ? block.lba[i]
+                                        : extent.lba;
           current[disk % shards]->push(block.arrival[i], block.id[i],
-                                       file.size, lba, extent.blocks,
+                                       chunk->size[i], lba, extent.blocks,
                                        disk / shards);
         }
+        const double frontier = chunk->frontier;
+        const bool ends_window = chunk->ends_window;
+        feeder.free_ring.try_push(chunk); // chunk count == capacity
+        if (!ends_window) continue;
         if (controller != nullptr) {
           // Destages due inside this window but after its last arrival:
           // flushed at the frontier so the next window's arrivals (all
@@ -527,6 +694,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
           publish(w, current[w]);
           current[w] = nullptr;
         }
+        window_open = false;
         if (profiling) {
           router_prof.push_back(obs::TraceEvent{
               f0, window_idx, seconds_since(prof_t0) - f0, 0.0,
@@ -561,18 +729,21 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       router_error = std::current_exception();
     }
     router_wall = seconds_since(t0);
-    // Normal completion: workers exit after their final batch (pushed
-    // before the close, so it is still delivered).  Abort: this wakes
-    // every blocked worker, which returns without finalizing.
+    // Normal completion: the feeder has already pushed its terminal chunk,
+    // and workers exit after their final batch (pushed before the close,
+    // so it is still delivered).  Abort: this wakes the feeder and
+    // every blocked worker, which return without finishing.
+    feeder.close();
     for (auto& state : states) {
       state->full.close();
       state->free_ring.close();
     }
-  } // workers join here
+  } // feeder and workers join here
 
   for (auto& state : states) {
     if (state->error) std::rethrow_exception(state->error);
   }
+  if (feeder.error) std::rethrow_exception(feeder.error);
   if (router_error) std::rethrow_exception(router_error);
 
   root.requests = dispatched;
@@ -593,6 +764,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
     }
     trace->profile.insert(trace->profile.end(), router_prof.begin(),
                           router_prof.end());
+    trace->profile.insert(trace->profile.end(), feeder.prof.begin(),
+                          feeder.prof.end());
     for (const auto& state : states) {
       trace->profile.insert(trace->profile.end(), state->prof.begin(),
                             state->prof.end());
@@ -614,6 +787,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   if (perf != nullptr) {
     perf->router_busy_s = std::max(0.0, router_wall - router_stall);
     perf->router_stall_s = router_stall;
+    perf->feeder_busy_s = feeder.busy_s;
+    perf->feeder_stall_s = feeder.stall_s;
     perf->per_shard.resize(shards);
     perf->worker_busy_s.assign(shards, 0.0);
     perf->worker_wait_s.assign(shards, 0.0);

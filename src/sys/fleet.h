@@ -9,22 +9,35 @@
 // routed, never when it completes), and a completion never feeds back into
 // shared state.
 //
-// The router thread generates arrivals in conservative time windows,
-// performs every cache access, controller decision and mapping lookup in
-// global arrival order, batches a whole window of decisions, and publishes
-// each shard's pre-routed batch over a lock-free SPSC ring
-// (util/spsc_ring.h); a second ring per shard recycles drained batch arenas
-// back to the router, so the router fills window N+1 while workers drain
-// window N and the steady state allocates nothing.  Because the minimum
-// cross-shard latency is infinite (no feedback path), any window length is
-// causally safe; the window bounds router/worker skew and batch memory,
-// never correctness.  shards=1 is the same pipeline with one worker.
+// Three kinds of thread form a pipeline:
+//   * the feeder (its own thread) pulls the arrival stream in conservative
+//     time windows, looks every arrival up in the catalog and the front
+//     cache in global arrival order, and forwards the cache-filtered
+//     arrivals to the router in fixed-size chunks;
+//   * the router (the calling thread) runs the orchestration controller
+//     and the mapping lookups in the same arrival order, batches a whole
+//     window of decisions, and publishes each shard's pre-routed batch;
+//   * one worker per shard replays its batches into its own calendar.
+// Every handoff is a lock-free SPSC ring (util/spsc_ring.h) paired with a
+// second ring that recycles drained arenas (feeder chunks, shard batches)
+// back to their producer, so the feeder fills chunk K+1 while the router
+// routes chunk K and workers drain window N, and the steady state
+// allocates nothing.  An idle stage parks on a futex instead of spinning.
+// Because the minimum cross-shard latency is infinite (no feedback path),
+// any window length is causally safe; the window bounds router/worker skew
+// and batch memory, never correctness.  shards=1 is the same pipeline with
+// one worker.
 //
 // Determinism: results are bit-identical at every shard count, because
 //   * each disk's RNG is split from the farm RNG in disk-id order,
 //     independent of the shard partition;
-//   * the router pulls one arrival stream draw-for-draw and makes every
-//     routing decision in arrival order, whatever the shard count;
+//   * the feeder pulls one arrival stream draw-for-draw and makes every
+//     cache decision in arrival order, and the router makes every routing
+//     decision in that same order, whatever the shard count;
+//   * the router track of the trace has exactly one writer, the router:
+//     cache hit/miss spans (from the feeder's forwarded verdicts) and the
+//     controller's decisions are emitted there in arrival order, and the
+//     feeder writes only wall-clock profile samples;
 //   * within a shard, replay uses run_until(arrival) + submit(), so
 //     pending disk events at t <= arrival always execute before a
 //     submission at t — a fixed tie rule that does not depend on how many
@@ -61,8 +74,12 @@ struct ShardPerf {
 
 struct FleetPerf {
   std::uint32_t shards = 0; ///< one worker thread per shard calendar
-  double router_busy_s = 0.0;  ///< router generation + routing time
-  double router_stall_s = 0.0; ///< router blocked on a full ring
+  double router_busy_s = 0.0;  ///< router routing + batching time
+  /// Router blocked on any ring: waiting for a feeder chunk or for a
+  /// drained shard arena.
+  double router_stall_s = 0.0;
+  double feeder_busy_s = 0.0;  ///< arrival generation + cache time
+  double feeder_stall_s = 0.0; ///< feeder waiting for a drained chunk
   std::vector<ShardPerf> per_shard;    ///< indexed by shard
   std::vector<double> worker_busy_s;   ///< indexed by shard
   std::vector<double> worker_wait_s;   ///< blocked on an empty ring

@@ -745,6 +745,8 @@ std::string to_json(const FleetPerf& perf) {
   out += "\"shards\": " + std::to_string(perf.shards);
   out += ", \"router_busy_s\": " + num(perf.router_busy_s);
   out += ", \"router_stall_s\": " + num(perf.router_stall_s);
+  out += ", \"feeder_busy_s\": " + num(perf.feeder_busy_s);
+  out += ", \"feeder_stall_s\": " + num(perf.feeder_stall_s);
   out += ", \"worker_busy_s\": [";
   for (std::size_t w = 0; w < perf.worker_busy_s.size(); ++w) {
     if (w != 0) out += ", ";

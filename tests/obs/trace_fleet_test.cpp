@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "support/physical_digest.h"
 #include "sys/fleet.h"
 #include "sys/scenario.h"
@@ -134,20 +136,60 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
   for (const auto& e : trace.events) {
     EXPECT_NE(e.kind, Kind::kProfile);
   }
-  bool fill = false, wait = false, replay = false;
+  bool fill = false, wait = false, replay = false, feed = false;
   for (const auto& e : trace.profile) {
     EXPECT_EQ(e.kind, Kind::kProfile);
     EXPECT_GE(e.value, 0.0);
     fill = fill || e.code == kProfRouterFill;
     wait = wait || e.code == kProfRingWait;
     replay = replay || e.code == kProfWorkerReplay;
+    feed = feed || e.code == kProfFeederFill;
     if (e.code == kProfRouterFill) {
       EXPECT_EQ(e.track, kRouterTrack);
     }
+    if (e.code == kProfFeederFill) {
+      EXPECT_EQ(e.track, kFeederTrack);
+    }
   }
-  EXPECT_TRUE(fill && wait && replay)
-      << "all three pipeline stages must be sampled";
+  EXPECT_TRUE(fill && wait && replay && feed)
+      << "all four pipeline stages must be sampled";
   EXPECT_EQ(trace.shards, 4u);
+}
+
+TEST(TraceFleetIdentity, OrchestratedTraceIsByteIdenticalAcrossShards) {
+  // The router track carries the cache hit/miss spans (from the feeder's
+  // verdicts) and every controller decision; both must land in the same
+  // order, so the exported file is byte-identical at shards 1 and 4 and
+  // matches the digest captured from the previous single-threaded router.
+  const auto cat = fleet_catalog();
+  auto cfg = fleet_config(cat, 12);
+  cfg.orch = sys::OrchSpec::parse("redirect+offload:1:60");
+  cfg.num_disks = 12 + cfg.orch.log_disks;
+  cfg.replicas = 2;
+  cfg.cache = sys::CacheSpec::lru(util::mb(300.0));
+  cfg.obs = sys::ObsSpec::parse("spans+policy");
+
+  std::string files[2];
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    RunTrace trace;
+    (void)sys::run_fleet(cfg, shards, nullptr, &trace);
+    bool hit = false, offload = false, destage = false;
+    for (const auto& e : trace.events) {
+      hit = hit || (e.kind == Kind::kSpan && e.code == kSpanCacheHit);
+      const bool policy = e.kind == Kind::kPolicy;
+      offload = offload || (policy && e.code == kPolicyOffload);
+      destage = destage || (policy && e.code == kPolicyDestage);
+    }
+    EXPECT_TRUE(hit && offload && destage)
+        << "scenario must exercise the cache, off-loading and destaging";
+    EXPECT_EQ(trace_digest(trace), "9e0078b2bcbd4eba");
+    std::ostringstream os;
+    write_chrome_trace(trace, os);
+    files[shards == 1 ? 0 : 1] = os.str();
+  }
+  EXPECT_FALSE(files[0].empty());
+  EXPECT_EQ(files[0], files[1]);
 }
 
 } // namespace

@@ -83,6 +83,8 @@ TEST(TraceNames, KindAndCodeTables) {
   EXPECT_EQ(code_name(Kind::kPolicy, kPolicyThresholdFired),
             "threshold_fired");
   EXPECT_EQ(code_name(Kind::kPower, 4), "standby");
+  EXPECT_EQ(code_name(Kind::kProfile, kProfRouterFill), "router_fill");
+  EXPECT_EQ(code_name(Kind::kProfile, kProfFeederFill), "feeder_fill");
 }
 
 // ------------------------------------------------------------- run traces
@@ -291,6 +293,25 @@ TEST(TraceExport, JsonlHasMetaLineAndOneObjectPerEvent) {
   }
   EXPECT_EQ(n, 1 + trace.events.size() + trace.profile.size());
   EXPECT_EQ(out.rfind(R"({"format":"spindown-trace")", 0), 0u);
+}
+
+TEST(TraceExport, FeederProfileLaneIsNamedInBothFormats) {
+  // The feeder's samples live on their own lane: "feeder" in the Chrome
+  // trace, track -2 in JSONL (the router is -1).
+  RunTrace trace;
+  trace.shards = 1;
+  trace.profile.push_back(TraceEvent{0.25, 3, 0.5, 0.0, kFeederTrack,
+                                     Kind::kProfile, kProfFeederFill});
+  std::ostringstream chrome;
+  write_chrome_trace(trace, chrome);
+  EXPECT_NE(chrome.str().find(R"("args":{"name":"feeder"})"),
+            std::string::npos);
+  EXPECT_NE(chrome.str().find(R"("name":"feeder_fill")"), std::string::npos);
+  std::ostringstream jsonl;
+  write_jsonl_trace(trace, jsonl);
+  EXPECT_NE(jsonl.str().find(R"("track":-2,"kind":"profile",)"
+                             R"("code":"feeder_fill")"),
+            std::string::npos);
 }
 
 } // namespace

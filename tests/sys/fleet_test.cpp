@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
 #include "support/physical_digest.h"
 #include "sys/scenario.h"
 #include "util/units.h"
@@ -277,6 +278,11 @@ TEST(FleetPerf, CountersDescribeThePipeline) {
   ASSERT_EQ(perf.worker_wait_s.size(), 3u);
   EXPECT_GE(perf.router_busy_s, 0.0);
   EXPECT_GE(perf.router_stall_s, 0.0);
+  EXPECT_GE(perf.feeder_busy_s, 0.0);
+  EXPECT_GE(perf.feeder_stall_s, 0.0);
+  const std::string json = to_json(perf);
+  EXPECT_NE(json.find("\"feeder_busy_s\": "), std::string::npos);
+  EXPECT_NE(json.find("\"feeder_stall_s\": "), std::string::npos);
 }
 
 TEST(RunFleet, RequiresPositiveHorizon) {
@@ -299,6 +305,136 @@ TEST(FleetScenario, ShardsKeyChangesWallClockOnly) {
   EXPECT_EQ(to_json(base, baseline).find("shards"), std::string::npos);
   EXPECT_NE(to_json(base.with("shards", "4"), sharded).find("shards=4"),
             std::string::npos);
+}
+
+// Pipeline edge cases: the feeder hands the router cache-filtered arrivals
+// in chunks of up to 4096, and a window may span several chunks, end in an
+// exactly full one, or be skipped over entirely when the frontier jumps an
+// idle stretch.  Each replay below stresses one of those seams and must
+// reproduce, at every shard count, the digest captured from the previous
+// engine, whose router generated, cached and routed whole windows on one
+// thread.
+
+/// 16 files of 1 MB on 8 disks: cheap to serve, so bursts of thousands of
+/// requests stay fast to simulate.
+workload::FileCatalog small_files() {
+  std::vector<workload::FileInfo> files(16);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    files[i].id = static_cast<workload::FileId>(i);
+    files[i].size = util::mb(1.0);
+    files[i].popularity = 1.0 / 16.0;
+  }
+  return workload::FileCatalog{files};
+}
+
+/// Appends `count` arrivals spaced `gap` seconds apart from `t0`, cycling
+/// the files with a stride so neighbouring requests hit different disks.
+void add_burst(std::vector<workload::TraceRecord>& records, double t0,
+               std::size_t count, double gap, std::uint32_t files) {
+  for (std::size_t i = 0; i < count; ++i) {
+    records.push_back({t0 + gap * static_cast<double>(i),
+                       static_cast<workload::FileId>((i * 5) % files),
+                       workload::kNoLba});
+  }
+}
+
+/// Runs `trace` replayed on `cat` (8 disks, round-robin mapping) at shards
+/// {1, 2, 3, 8} and checks each result against `digest`.
+void expect_pipeline_digest(const workload::FileCatalog& cat,
+                            const workload::Trace& trace, CacheSpec cache,
+                            PolicySpec policy, const char* digest) {
+  auto cfg = fleet_config(cat, 8);
+  cfg.workload = WorkloadSpec::replay(trace);
+  cfg.cache = cache;
+  cfg.policy = policy;
+  for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const auto r = run_fleet(cfg, shards);
+    EXPECT_EQ(r.requests, trace.size());
+    EXPECT_EQ(physical_digest(r), digest);
+  }
+}
+
+TEST(FleetPipeline, WindowSpanningSeveralChunksMatchesPreviousEngine) {
+  // Horizon 601 s gives 2.35 s windows: the opening burst of 10 000
+  // arrivals in 1 s fills one window across three chunks (4096 + 4096 +
+  // 1808), and the 4096-arrival burst at 300 s (0.41 s long) fills exactly
+  // one whole chunk of the window holding it.
+  const auto cat = small_files();
+  std::vector<workload::TraceRecord> records;
+  add_burst(records, 0.0, 10'000, 1e-4, 16);
+  add_burst(records, 5.0, 59, 5.0, 16); // sparse: 5 s .. 295 s
+  add_burst(records, 300.0, 4096, 1e-4, 16);
+  add_burst(records, 305.0, 60, 5.0, 16); // sparse: 305 s .. 600 s
+  const workload::Trace trace{cat, std::move(records)};
+  expect_pipeline_digest(cat, trace, CacheSpec::lru(util::mb(3.0)),
+                         PolicySpec::break_even(), "d9bccd8478b7b0fe");
+
+  // The profile confirms the seam is exercised: two windows take more
+  // than one chunk, so the feeder fills two more chunks than the router
+  // fills windows.
+  auto cfg = fleet_config(cat, 8);
+  cfg.workload = WorkloadSpec::replay(trace);
+  cfg.obs.profile = true;
+  obs::RunTrace profiled;
+  (void)run_fleet(cfg, 2, nullptr, &profiled);
+  std::size_t chunks = 0, windows = 0;
+  for (const auto& e : profiled.profile) {
+    chunks += e.code == obs::kProfFeederFill ? 1 : 0;
+    windows += e.code == obs::kProfRouterFill ? 1 : 0;
+  }
+  EXPECT_GT(windows, 0u);
+  EXPECT_EQ(chunks, windows + 2);
+}
+
+TEST(FleetPipeline, IdleStretchesJumpTheFrontier) {
+  // Bursts separated by idle gaps of up to 687 s on a 1394 s horizon
+  // (5.4 s windows): the frontier jumps straight to the next burst, and
+  // the disks spin down in between.
+  const auto cat = small_files();
+  std::vector<workload::TraceRecord> records;
+  for (const double t0 : {0.0, 250.0, 251.0, 700.0, 1390.0}) {
+    add_burst(records, t0, 300, 0.01, 16);
+  }
+  const workload::Trace trace{cat, std::move(records)};
+  expect_pipeline_digest(cat, trace, CacheSpec::none(), PolicySpec::fixed(10.0),
+                         "8fb07069eb453fb0");
+}
+
+TEST(FleetPipeline, CacheHeavyReplayWithAllHitChunks) {
+  // Four files and a cache that holds them all: after four cold misses
+  // every arrival is a hit, so nearly every chunk the feeder forwards is
+  // hits only and the shard batches stay empty window after window.
+  const auto cat = small_files();
+  std::vector<workload::TraceRecord> records;
+  add_burst(records, 0.0, 20'000, 0.01, 4);
+  const workload::Trace trace{cat, std::move(records)};
+  expect_pipeline_digest(cat, trace, CacheSpec::lru(util::mb(8.0)),
+                         PolicySpec::break_even(), "864a03ffd232ef37");
+}
+
+TEST(FleetPipeline, FeederErrorAbortsTheRunAndIsRethrown) {
+  // The replayed trace names a file the run's catalog lacks, well past the
+  // point where the feeder has every chunk in flight: its catalog lookup
+  // throws mid-run, the router and workers must unwind instead of waiting
+  // on the feeder forever, and the feeder's own exception surfaces.
+  const auto cat = small_files();
+  std::vector<workload::FileInfo> more(20);
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    more[i].id = static_cast<workload::FileId>(i);
+    more[i].size = util::mb(1.0);
+    more[i].popularity = 1.0 / 20.0;
+  }
+  std::vector<workload::TraceRecord> records;
+  add_burst(records, 0.0, 50'000, 0.001, 16);
+  records.push_back({49.9995, 19, workload::kNoLba}); // unknown to `cat`
+  const workload::Trace trace{workload::FileCatalog{more}, std::move(records)};
+  auto cfg = fleet_config(cat, 8);
+  cfg.workload = WorkloadSpec::replay(trace);
+  for (const std::uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    EXPECT_THROW(run_fleet(cfg, shards), std::out_of_range);
+  }
 }
 
 } // namespace

@@ -6,10 +6,15 @@
 
 #include "util/spsc_ring.h"
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -221,6 +226,156 @@ TEST(SpscRingStress, RecycleLoopNeverDuplicatesAnArena) {
   const std::uint64_t total =
       std::accumulate(arenas.begin(), arenas.end(), std::uint64_t{0});
   EXPECT_EQ(total, kLaps);
+}
+
+// Park/wake: a blocked push/pop spins briefly, then parks on a futex.  Each
+// test waits until the blocked side has registered as parked, then wakes
+// it from another thread through the one path under test.  A lost wake-up
+// hangs the test instead of passing it.
+
+/// Turns a lost wake-up into a test failure instead of a hang: unless
+/// disarmed within 20 s, runs `unblock` (which closes the rings, so a
+/// stranded push/pop returns) and records that it fired.
+class Watchdog {
+public:
+  explicit Watchdog(std::function<void()> unblock)
+      : thread_{[this, unblock = std::move(unblock)] {
+          std::unique_lock lock{mu_};
+          if (!cv_.wait_for(lock, std::chrono::seconds{20},
+                            [this] { return disarmed_; })) {
+            fired_ = true;
+            unblock();
+          }
+        }} {}
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    disarm();
+    thread_.join();
+  }
+
+  /// Stops the countdown; returns true when the watchdog had already fired.
+  bool disarm() {
+    std::lock_guard lock{mu_};
+    disarmed_ = true;
+    cv_.notify_one();
+    return fired_;
+  }
+
+private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool disarmed_ = false;
+  bool fired_ = false;
+  std::thread thread_;
+};
+
+/// Spin (off-core) until `ring` reports a parked waiter.
+template <typename T>
+void await_parked(const SpscRing<T>& ring) {
+  while (ring.parked() == 0) std::this_thread::yield();
+}
+
+TEST(SpscRingPark, ParkedPopIsWokenByTryPush) {
+  SpscRing<int> ring{2};
+  int out = 0;
+  bool got = false;
+  std::thread consumer{[&] { got = ring.pop(out); }};
+  await_parked(ring);
+  Watchdog dog{[&] { ring.close(); }};
+  int value = 41;
+  ASSERT_TRUE(ring.try_push(value));
+  consumer.join();
+  EXPECT_FALSE(dog.disarm()) << "lost wake-up";
+  EXPECT_TRUE(got);
+  EXPECT_EQ(out, 41);
+  EXPECT_EQ(ring.parked(), 0u);
+}
+
+TEST(SpscRingPark, ParkedPushIsWokenByTryPop) {
+  SpscRing<int> ring{2};
+  for (int v : {1, 2}) {
+    int value = v;
+    ASSERT_TRUE(ring.try_push(value));
+  }
+  bool pushed = false;
+  std::thread producer{[&] { pushed = ring.push(3); }};
+  await_parked(ring);
+  Watchdog dog{[&] { ring.close(); }};
+  int out = 0;
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(out, 1);
+  producer.join();
+  EXPECT_FALSE(dog.disarm()) << "lost wake-up";
+  EXPECT_TRUE(pushed);
+  for (int want : {2, 3}) {
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out, want);
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRingPark, CloseWakesAParkedPop) {
+  SpscRing<int> ring{2};
+  bool got = true;
+  std::thread consumer{[&] {
+    int out = 0;
+    got = ring.pop(out);
+  }};
+  await_parked(ring);
+  ring.close();
+  consumer.join();
+  EXPECT_FALSE(got); // closed and drained
+}
+
+TEST(SpscRingPark, CloseWakesAParkedPush) {
+  SpscRing<int> ring{2};
+  for (int v : {1, 2}) {
+    int value = v;
+    ASSERT_TRUE(ring.try_push(value));
+  }
+  bool pushed = true;
+  std::thread producer{[&] { pushed = ring.push(3); }};
+  await_parked(ring);
+  ring.close();
+  producer.join();
+  EXPECT_FALSE(pushed);
+  EXPECT_EQ(ring.size(), 2u); // the refused value never landed
+}
+
+// Ping-pong at the smallest capacity: every round trip hands the turn to
+// the other thread, so each side repeatedly runs dry and parks (or is
+// about to) while the peer publishes.  100k rounds with no hang is the
+// lost-wake-up regression.
+TEST(SpscRingPark, PingPongAtCapacityTwoLosesNoWakeUp) {
+  constexpr std::uint64_t kRounds = 100'000;
+  SpscRing<std::uint64_t> ping{2};
+  SpscRing<std::uint64_t> pong{2};
+  Watchdog dog{[&] {
+    ping.close();
+    pong.close();
+  }};
+  std::thread echo{[&] {
+    std::uint64_t v = 0;
+    while (ping.pop(v)) {
+      if (!pong.push(v + 1)) return;
+    }
+  }};
+  std::uint64_t sum = 0;
+  bool ordered = true;
+  std::uint64_t rounds = 0;
+  for (; rounds < kRounds; ++rounds) {
+    std::uint64_t back = 0;
+    if (!ping.push(rounds) || !pong.pop(back)) break; // watchdog fired
+    ordered = ordered && back == rounds + 1;
+    sum += back;
+  }
+  ping.close();
+  echo.join();
+  EXPECT_FALSE(dog.disarm()) << "lost wake-up after " << rounds << " rounds";
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(sum, kRounds * (kRounds + 1) / 2);
 }
 
 } // namespace

@@ -12,11 +12,13 @@ Validates the two export formats of src/obs/export.cpp:
       the canonical merge emits each track's events in sim-time order, so
       a violation means the deterministic merge broke
     - async "b"/"e" pairs balance per (cat, id, tid)
+    - pipeline profile slices (cat "pipeline") name a known stage
 
   JSONL (.jsonl):
     - line 1 is {"format":"spindown-trace","version":...} metadata
     - every following line is one flat event object with t/track/kind/code
     - per track, sim-time events (no "wall" flag) have non-decreasing t
+    - profile events name a known pipeline stage
 
 Usage:
     trace_check.py FILE [FILE...]     validate trace files (format by suffix)
@@ -33,6 +35,8 @@ from typing import Dict, List, Tuple
 
 CHROME_PHASES = {"M", "b", "e", "i", "X", "C"}
 JSONL_KINDS = {"span", "power", "policy", "metric", "profile"}
+# Wall-clock pipeline stages (src/obs/trace.h kProf* codes).
+PROFILE_STAGES = {"router_fill", "ring_wait", "worker_replay", "feeder_fill"}
 
 
 def _is_num(v) -> bool:
@@ -80,6 +84,10 @@ def check_chrome(text: str, label: str) -> List[str]:
             dur = ev.get("dur")
             if not _is_num(dur) or dur < 0:
                 errors.append(f"{where}: 'X' slice needs a dur >= 0")
+            if (ev.get("cat") == "pipeline"
+                    and ev.get("name") not in PROFILE_STAGES):
+                errors.append(f"{where}: unknown pipeline stage "
+                              f"{ev.get('name')!r}")
         elif ph in ("b", "e"):
             key = (str(ev.get("cat")), ev.get("id"), ev["tid"])
             open_spans[key] = open_spans.get(key, 0) + (1 if ph == "b" else
@@ -129,6 +137,9 @@ def check_jsonl(text: str, label: str) -> List[str]:
         if not _is_num(ev["t"]) or not isinstance(ev["track"], int):
             errors.append(f"{where}: 't' must be numeric, 'track' integer")
             continue
+        if ev["kind"] == "profile" and ev["code"] not in PROFILE_STAGES:
+            errors.append(f"{where}: unknown pipeline stage {ev['code']!r}")
+            continue
         if ev.get("wall"):
             continue  # profile samples are wall-clock offsets, unordered
         track = ev["track"]
@@ -158,11 +169,13 @@ GOOD_CHROME = """{"traceEvents":[
 {"ph":"X","cat":"power","name":"transfer","pid":0,"tid":3,"ts":1.0,"dur":2.5,"args":{}},
 {"ph":"e","cat":"request","name":"request","id":7,"pid":0,"tid":3,"ts":4.0,"args":{}},
 {"ph":"C","pid":0,"tid":4294967294,"ts":0.0,"name":"queued","args":{"queued":1}},
-{"ph":"i","s":"t","cat":"policy","name":"timer_armed","pid":0,"tid":5,"ts":9.0,"args":{}}
+{"ph":"i","s":"t","cat":"policy","name":"timer_armed","pid":0,"tid":5,"ts":9.0,"args":{}},
+{"ph":"X","cat":"pipeline","name":"feeder_fill","pid":1,"tid":4294967293,"ts":2.0,"dur":1.0,"args":{"window":0}}
 ],"displayTimeUnit":"ms"}
 """
 
 BAD_CHROME_BACKWARDS = GOOD_CHROME.replace('"tid":3,"ts":4.0', '"tid":3,"ts":0.1')
+BAD_CHROME_STAGE = GOOD_CHROME.replace('"feeder_fill"', '"feeder_nap"')
 BAD_CHROME_UNBALANCED = GOOD_CHROME.replace(
     '{"ph":"e","cat":"request","name":"request","id":7,"pid":0,"tid":3,'
     '"ts":4.0,"args":{}},\n', "")
@@ -172,11 +185,13 @@ GOOD_JSONL = """{"format":"spindown-trace","version":1,"horizon_s":10}
 {"t":1.5,"track":3,"kind":"power","code":"transfer","id":3,"value":0,"aux":0}
 {"t":0.25,"track":-1,"kind":"span","code":"cache_hit","id":9,"value":0,"aux":0}
 {"t":0.01,"track":2,"kind":"profile","code":"worker_replay","id":0,"value":0.1,"aux":0,"wall":true}
+{"t":0.02,"track":-2,"kind":"profile","code":"feeder_fill","id":0,"value":0.1,"aux":0,"wall":true}
 """
 
 BAD_JSONL_BACKWARDS = GOOD_JSONL.replace(
     '{"t":1.5,"track":3', '{"t":0.2,"track":3')
 BAD_JSONL_NOMETA = GOOD_JSONL.split("\n", 1)[1]
+BAD_JSONL_STAGE = GOOD_JSONL.replace('"feeder_fill"', '"feeder_nap"')
 
 
 def self_test() -> int:
@@ -186,10 +201,13 @@ def self_test() -> int:
                                           "<bad>"), True),
         ("unbalanced chrome", check_chrome(BAD_CHROME_UNBALANCED,
                                            "<bad>"), True),
+        ("unknown stage chrome", check_chrome(BAD_CHROME_STAGE,
+                                              "<bad>"), True),
         ("not json", check_chrome("{nope", "<bad>"), True),
         ("good jsonl", check_jsonl(GOOD_JSONL, "<good>"), False),
         ("backwards jsonl", check_jsonl(BAD_JSONL_BACKWARDS, "<bad>"), True),
         ("missing metadata", check_jsonl(BAD_JSONL_NOMETA, "<bad>"), True),
+        ("unknown stage jsonl", check_jsonl(BAD_JSONL_STAGE, "<bad>"), True),
     ]
     failures = [
         f"{name}: expected {'errors' if want else 'clean'}, got {errs}"
