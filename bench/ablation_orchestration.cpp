@@ -6,27 +6,27 @@
 // coordination *across* disks instead, on the identical catalog, farm, and
 // workload grid (stationary / diurnal / bursty, same seed), so rows are
 // directly comparable between the two committed baselines.  Mechanisms
-// (src/orch/), ablated one at a time and together:
+// (src/orch/):
 //
-//   * redirect        — replicas=2 + replica-aware read redirection: the
+//   * redirect — replicas=2 + replica-aware read redirection: the
 //     deterministic lowest-id tie-break concentrates reads on a prefix of
 //     the fleet, so the disks holding only cold copies sleep through;
-//   * offload         — a 1-disk always-on log tier absorbs writes aimed at
+//   * offload  — a 1-disk always-on log tier absorbs writes aimed at
 //     sleeping disks and destages them in batches (honest cost: the log
-//     disk's own idle draw is included in fleet energy);
-//   * redirect+budget — the global SLO sleep budget on top of redirection:
-//     the awake-disk quota from the fleet arrival estimate and streaming
-//     p99 (Liu et al.'s closed form) decides *how many* disks the
-//     redirection prefix may use.  The budget only expresses itself through
-//     routing, so it rides on redirect;
-//   * all             — all three mechanisms from one scenario string.
+//     disk's own idle draw is included in fleet energy).
 //
-// The per-disk reference rows are the adaptive ablation's policy set run
-// orchestration-off.  Acceptance (the tentpole's headline): on the diurnal
-// scenario some coordinated row must *strictly dominate* the per-disk set —
-// lower energy than the best per-disk energy AND lower mean response than
-// the best per-disk mean — and the coordinated run must be bit-identical
-// across shard counts.
+// The coordinated rows are the full 2x2 grid over {redirect, offload},
+// once over the break-even policy and once over ewma; the grid's off
+// corners are the per-disk rows of the same policy.  The per-disk
+// reference rows are the adaptive ablation's policy set run
+// orchestration-off.  The bench exits non-zero unless:
+//   * every mechanism changes some output: of all row pairs that differ
+//     only in that mechanism, at least one differs in energy, mean or p99
+//     response (a mechanism that moves nothing is dead weight);
+//   * on the diurnal scenario some coordinated row *strictly dominates*
+//     the per-disk set — lower energy than the best per-disk energy AND
+//     lower mean response than the best per-disk mean;
+//   * the coordinated run is bit-identical across shard counts.
 //
 //   $ ./ablation_orchestration [--quick] [--csv g.csv]
 //     [--json BENCH_orchestration.json] [--seed 1] [--threads n] [--slo 12]
@@ -53,11 +53,39 @@ using namespace spindown;
 
 struct OrchRow {
   std::string label;
-  std::string orch;           ///< OrchSpec string, "off" for per-disk rows
   sys::PolicySpec policy;
-  std::uint32_t replicas = 1;
-  bool coordinated = false;
+  bool redirect = false; ///< replicas=2 + read redirection
+  bool offload = false;  ///< 1-disk log tier
+
+  bool coordinated() const { return redirect || offload; }
+  std::uint32_t replicas() const { return redirect ? 2 : 1; }
+  /// OrchSpec string, "off" for per-disk rows.
+  std::string orch() const {
+    if (!coordinated()) return "off";
+    if (!offload) return "redirect";
+    return redirect ? "redirect+offload:1" : "offload:1";
+  }
 };
+
+/// The flags that select an orchestration mechanism on a row.
+struct Mechanism {
+  std::string name;
+  bool OrchRow::*flag;
+};
+
+/// True when rows a and b differ in `m` and in nothing else.
+bool differ_only_in(const OrchRow& a, const OrchRow& b, const Mechanism& m) {
+  OrchRow flipped = a;
+  flipped.*m.flag = !(a.*m.flag);
+  return flipped.redirect == b.redirect && flipped.offload == b.offload &&
+         a.policy.spec() == b.policy.spec();
+}
+
+bool same_output(const sys::RunResult& a, const sys::RunResult& b) {
+  return a.power.energy == b.power.energy &&
+         a.response.mean() == b.response.mean() &&
+         a.response.p99() == b.response.p99();
+}
 
 double total_energy(const sys::RunResult& r) { return r.power.energy; }
 
@@ -69,8 +97,7 @@ int main(int argc, char** argv) {
     std::cout << "usage: " << cli.program()
               << " [--quick] [--csv <path>] [--json <path>] [--seed <n>]"
                  " [--threads <n>] [--slo <s>]\n"
-                 "fleet orchestration (redirect/offload/budget) x workload "
-                 "grid\n";
+                 "fleet orchestration (redirect/offload) x workload grid\n";
     return 0;
   }
   const bool quick = cli.has("quick");
@@ -122,28 +149,25 @@ int main(int argc, char** argv) {
       {"bursty", sys::WorkloadSpec::mmpp(burst, horizon)},
   };
 
-  const std::string budget_key = "budget:p99:" + util::format_roundtrip(slo);
   const std::vector<OrchRow> rows{
       // Per-disk reference set: the adaptive ablation's policies, orch off.
-      {"break-even", "off", sys::PolicySpec::break_even(), 1, false},
-      {"ewma", "off", sys::PolicySpec::ewma(), 1, false},
-      {"share", "off", sys::PolicySpec::share(), 1, false},
-      {"slack", "off", sys::PolicySpec::slack(slo), 1, false},
+      {"break-even", sys::PolicySpec::break_even()},
+      {"ewma", sys::PolicySpec::ewma()},
+      {"share", sys::PolicySpec::share()},
+      {"slack", sys::PolicySpec::slack(slo)},
       // Coordinated set: per-disk policy pinned to break-even so every
       // delta below is attributable to the fleet-level mechanism.
-      {"redirect", "redirect", sys::PolicySpec::break_even(), 2, true},
-      {"offload", "offload:1", sys::PolicySpec::break_even(), 1, true},
-      {"redirect+budget", "redirect+" + budget_key,
-       sys::PolicySpec::break_even(), 2, true},
-      {"all", "redirect+offload:1+" + budget_key,
-       sys::PolicySpec::break_even(), 2, true},
+      {"redirect", sys::PolicySpec::break_even(), true, false},
+      {"offload", sys::PolicySpec::break_even(), false, true},
+      {"all", sys::PolicySpec::break_even(), true, true},
       // Coordination composes with per-disk adaptation: the same fleet
       // mechanisms over the adaptive ewma policy instead of break-even.
-      {"redirect+budget x ewma", "redirect+" + budget_key,
-       sys::PolicySpec::ewma(), 2, true},
-      {"all x ewma", "redirect+offload:1+" + budget_key,
-       sys::PolicySpec::ewma(), 2, true},
+      {"redirect x ewma", sys::PolicySpec::ewma(), true, false},
+      {"offload x ewma", sys::PolicySpec::ewma(), false, true},
+      {"all x ewma", sys::PolicySpec::ewma(), true, true},
   };
+  const std::vector<Mechanism> mechanisms{{"redirect", &OrchRow::redirect},
+                                          {"offload", &OrchRow::offload}};
 
   auto config_for = [&](const Scenario& s, const OrchRow& row) {
     sys::ExperimentConfig cfg;
@@ -153,8 +177,8 @@ int main(int argc, char** argv) {
     cfg.policy = row.policy;
     cfg.workload = s.workload;
     cfg.seed = seed;
-    cfg.orch = sys::OrchSpec::parse(row.orch);
-    cfg.replicas = row.replicas;
+    cfg.orch = sys::OrchSpec::parse(row.orch());
+    cfg.replicas = row.replicas();
     cfg.num_disks = farm + (cfg.orch.offload ? cfg.orch.log_disks : 0);
     return cfg;
   };
@@ -170,12 +194,12 @@ int main(int argc, char** argv) {
   configs.push_back(sharded);
 
   bench::print_header("Fleet orchestration x non-stationary workloads",
-                      "coordinated spin state: redirect / offload / budget");
+                      "coordinated spin state: redirect / offload");
   std::cout << "catalog: " << catalog.size() << " files, "
             << util::format_bytes(catalog.total_bytes()) << " on " << farm
             << " data disks (break-even " << util::format_seconds(B)
             << "); horizon " << util::format_seconds(horizon)
-            << ", budget SLO p99 < " << util::format_seconds(slo) << "\n\n";
+            << ", slack SLO p99 < " << util::format_seconds(slo) << "\n\n";
 
   const auto all_results = sys::run_sweep(configs, threads);
 
@@ -216,15 +240,15 @@ int main(int argc, char** argv) {
                               "spin-ups"}};
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = results[i];
-      table.row(rows[i].label, rows[i].orch,
+      table.row(rows[i].label, rows[i].orch(),
                 util::format_double(r.power.energy / 1000.0, 1),
                 util::format_double(r.power.saving_vs_always_on, 4),
                 util::format_double(r.response.mean(), 3),
                 util::format_double(r.response.p95(), 3),
                 util::format_double(r.response.p99(), 3), r.power.spin_ups);
       if (csv != nullptr) {
-        csv->row(s.name, rows[i].orch, rows[i].policy.spec(),
-                 rows[i].replicas, s.workload.spec(), r.power.energy,
+        csv->row(s.name, rows[i].orch(), rows[i].policy.spec(),
+                 rows[i].replicas(), s.workload.spec(), r.power.energy,
                  r.power.saving_vs_always_on, r.response.mean(),
                  r.response.p95(), r.response.p99(), r.power.spin_downs,
                  r.power.spin_ups, r.requests);
@@ -232,10 +256,11 @@ int main(int argc, char** argv) {
       if (json != nullptr) {
         json->row({{"scenario", s.name},
                    {"row", rows[i].label},
-                   {"orch", rows[i].orch},
+                   {"orch", rows[i].orch()},
                    {"policy", rows[i].policy.spec()},
-                   {"replicas", static_cast<std::uint64_t>(rows[i].replicas)},
-                   {"coordinated", rows[i].coordinated},
+                   {"replicas",
+                    static_cast<std::uint64_t>(rows[i].replicas())},
+                   {"coordinated", rows[i].coordinated()},
                    {"workload", s.workload.spec()},
                    {"energy_j", r.power.energy},
                    {"saving_vs_always_on", r.power.saving_vs_always_on},
@@ -255,7 +280,7 @@ int main(int argc, char** argv) {
     double best_energy = 0.0, best_mean = 0.0;
     bool first = true;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i].coordinated) continue;
+      if (rows[i].coordinated()) continue;
       const auto& r = results[i];
       if (first || total_energy(r) < best_energy) {
         best_energy = total_energy(r);
@@ -267,7 +292,7 @@ int main(int argc, char** argv) {
     }
     std::string dominator;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (!rows[i].coordinated) continue;
+      if (!rows[i].coordinated()) continue;
       const auto& r = results[i];
       if (total_energy(r) < best_energy && r.response.mean() < best_mean) {
         if (!dominator.empty()) dominator += ", ";
@@ -283,6 +308,35 @@ int main(int argc, char** argv) {
     if (s.name == "diurnal") {
       diurnal_dominates = !dominator.empty();
       diurnal_dominator = dominator;
+    }
+  }
+
+  // Every mechanism must change some output: across all scenarios, some
+  // pair of rows that differ only in that mechanism must differ in energy,
+  // mean or p99 response.
+  bool every_mechanism_moves = true;
+  for (const auto& m : mechanisms) {
+    std::size_t pairs = 0, moved = 0;
+    for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
+      const std::size_t base = sc * rows.size();
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        for (std::size_t j = 0; j < rows.size(); ++j) {
+          if (rows[i].*m.flag || !differ_only_in(rows[i], rows[j], m)) {
+            continue;
+          }
+          ++pairs;
+          if (!same_output(all_results[base + i], all_results[base + j])) {
+            ++moved;
+          }
+        }
+      }
+    }
+    std::cout << "mechanism " << m.name << ": " << moved << " of " << pairs
+              << " add-one pairs change energy/mean/p99\n";
+    if (moved == 0) {
+      every_mechanism_moves = false;
+      std::cout << "  FAIL: " << m.name
+                << " changes no output in any scenario\n";
     }
   }
 
@@ -303,7 +357,9 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     json->meta("diurnal_coordinated_dominates", diurnal_dominates);
     json->meta("shard_identity", shard_identity);
+    json->meta("every_mechanism_moves", every_mechanism_moves);
     json->finish();
   }
-  return diurnal_dominates && shard_identity ? 0 : 1;
+  return diurnal_dominates && shard_identity && every_mechanism_moves ? 0
+                                                                      : 1;
 }

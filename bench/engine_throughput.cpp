@@ -1,16 +1,16 @@
 // engine_throughput.cpp — events/sec baseline for the DES kernel.
 //
-// Self-timed (std::chrono) microbench of the pooled event calendar against a
-// faithful replica of the seed kernel (std::priority_queue of fat entries +
-// std::function callbacks + unordered_set lazy cancellation), measured in
-// the same run so the speedup is apples-to-apples on the same machine.
+// Self-timed (std::chrono) microbench of the pooled event calendar
+// (des::Simulation).  The committed BENCH_engine.json is a frozen record:
+// it also carries the seed kernel the calendar replaced, measured in the
+// same run (see README "Engine performance").
 //
 // Three profiles, shaped after the simulator's real hot paths:
 //   * schedule-heavy — self-rescheduling event chains carrying a 24-byte
 //     request payload (the shape of a calendar-scheduled arrival stream),
 //   * cancel-heavy   — arm a 10 s timer, service a request, disarm the
 //     timer (the fixed-threshold spin-down policy arms and disarms on every
-//     request; this is the profile the ISSUE targets at >= 3x),
+//     request),
 //   * replay-shaped  — a farm of disks with arrivals, service completions
 //     and idle timers that mostly get disarmed, occasionally fire (the
 //     NERSC trace replay shape).
@@ -20,17 +20,13 @@
 //
 // --quick shrinks every profile to a smoke-test size (CI runs this to keep
 // the binary from rotting; timing is not asserted).  --json writes the
-// machine-readable baseline; BENCH_engine.json at the repo root is the
-// committed snapshot regenerated via:
-//   ./build/bench/engine_throughput --json BENCH_engine.json
+// machine-readable result with the same pooled_* fields as the frozen
+// BENCH_engine.json, so a run compares against it field for field.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "des/simulation.h"
@@ -41,120 +37,8 @@ namespace {
 
 using namespace spindown;
 
-// ---------------------------------------------------------------------------
-// Replica of the seed kernel (pre-pooled-calendar), kept verbatim in spirit:
-// binary priority_queue of (time, seq, id, std::function) entries and an
-// unordered_set of cancelled ids pruned lazily at the head.
-
-namespace legacy {
-
-using SimTime = double;
-using Callback = std::function<void()>;
-
-class EventHandle {
-public:
-  EventHandle() = default;
-  bool valid() const { return id_ != 0; }
-
-private:
-  friend class Simulation;
-  explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
-};
-
-class Simulation {
-public:
-  SimTime now() const { return now_; }
-
-  EventHandle schedule_at(SimTime t, Callback fn) {
-    const std::uint64_t id = next_id_++;
-    queue_.push(Entry{t, next_seq_++, id, std::move(fn)});
-    return EventHandle{id};
-  }
-
-  EventHandle schedule_in(SimTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  bool cancel(EventHandle h) {
-    if (!h.valid() || h.id_ >= next_id_) return false;
-    return cancelled_.insert(h.id_).second;
-  }
-
-  bool step() {
-    prune_cancelled();
-    if (queue_.empty()) return false;
-    Entry e = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    now_ = e.time;
-    ++executed_;
-    e.fn();
-    return true;
-  }
-
-  void run_until(SimTime t) {
-    for (;;) {
-      prune_cancelled();
-      if (queue_.empty() || queue_.top().time > t) break;
-      step();
-    }
-    if (t > now_) now_ = t;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  std::uint64_t executed() const { return executed_; }
-
-private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint64_t id;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  void prune_cancelled() {
-    while (!queue_.empty()) {
-      const auto it = cancelled_.find(queue_.top().id);
-      if (it == cancelled_.end()) return;
-      cancelled_.erase(it);
-      queue_.pop();
-    }
-  }
-
-  SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;
-};
-
-} // namespace legacy
-
-template <class Sim>
-struct HandleOf;
-template <>
-struct HandleOf<des::Simulation> {
-  using type = des::EventHandle;
-};
-template <>
-struct HandleOf<legacy::Simulation> {
-  using type = legacy::EventHandle;
-};
-
 /// Mirrors the capture size of a calendar-scheduled arrival (`this` + a
-/// by-value workload::Request): big enough that std::function
-/// heap-allocates it, small enough that the pooled calendar stores it inline.
+/// by-value workload::Request), which the pooled calendar stores inline.
 struct Payload {
   std::uint64_t id = 0;
   double arrival = 0.0;
@@ -176,16 +60,15 @@ struct ProfileResult {
 };
 
 // ---------------------------------------------------------------------------
-// Profiles (templated over the kernel).
+// Profiles.
 
-template <class Sim>
 ProfileResult schedule_heavy(std::uint64_t target_events, std::uint64_t seed) {
-  Sim sim;
+  des::Simulation sim;
   util::Rng rng{seed};
   std::uint64_t remaining = target_events;
 
   struct Chain {
-    Sim& sim;
+    des::Simulation& sim;
     std::uint64_t& remaining;
     util::Rng rng;
     void fire(Payload p) {
@@ -214,9 +97,8 @@ ProfileResult schedule_heavy(std::uint64_t target_events, std::uint64_t seed) {
   return r;
 }
 
-template <class Sim>
 ProfileResult cancel_heavy(std::uint64_t cycles, std::uint64_t seed) {
-  Sim sim;
+  des::Simulation sim;
   std::uint64_t fired = 0;
   (void)seed; // deterministic profile: the request pattern is fixed
 
@@ -225,11 +107,11 @@ ProfileResult cancel_heavy(std::uint64_t cycles, std::uint64_t seed) {
   // so the cancel:execute ratio is 1:1.  Entirely event-driven — the whole
   // profile runs inside one sim.run(), like a real replay.
   struct Driver {
-    Sim& sim;
+    des::Simulation& sim;
     std::uint64_t remaining;
     std::uint64_t& fired;
     std::uint64_t cancels = 0;
-    typename HandleOf<Sim>::type timer{};
+    des::EventHandle timer{};
     bool armed = false;
     Payload p{1, 0.0, 65536};
 
@@ -265,19 +147,17 @@ ProfileResult cancel_heavy(std::uint64_t cycles, std::uint64_t seed) {
 
 constexpr double kReplayThreshold = 10.0; // idle-timer threshold (seconds)
 
-template <class Sim>
 ProfileResult replay_shaped(std::uint64_t target_arrivals, std::uint64_t seed) {
-  Sim sim;
+  des::Simulation sim;
   util::Rng farm_rng{seed};
-  using Handle = typename HandleOf<Sim>::type;
 
   struct DiskState {
-    Handle timer{};
+    des::EventHandle timer{};
     bool armed = false;
   };
 
   struct Farm {
-    Sim& sim;
+    des::Simulation& sim;
     util::Rng rng;
     std::uint64_t remaining;
     std::uint64_t cancels = 0;
@@ -336,7 +216,7 @@ ProfileResult replay_shaped(std::uint64_t target_arrivals, std::uint64_t seed) {
 // ---------------------------------------------------------------------------
 // Harness.
 
-template <class Sim, class Fn>
+template <class Fn>
 ProfileResult best_of(unsigned reps, Fn&& profile) {
   ProfileResult best;
   for (unsigned i = 0; i < reps; ++i) {
@@ -348,42 +228,23 @@ ProfileResult best_of(unsigned reps, Fn&& profile) {
   return best;
 }
 
-struct Comparison {
+struct Profile {
   std::string name;
-  ProfileResult pooled;
-  ProfileResult legacy;
-
-  double speedup() const {
-    return legacy.events_per_sec() > 0
-               ? pooled.events_per_sec() / legacy.events_per_sec()
-               : 0.0;
-  }
+  ProfileResult result;
 };
 
-void print(const Comparison& c) {
-  std::cout << c.name << ":\n"
-            << "  pooled : "
-            << static_cast<std::uint64_t>(c.pooled.events_per_sec())
+void print(const Profile& p) {
+  const ProfileResult& r = p.result;
+  std::cout << p.name << ": " << static_cast<std::uint64_t>(r.events_per_sec())
             << " events/s";
-  if (c.pooled.cancels > 0) {
-    std::cout << ", " << static_cast<std::uint64_t>(c.pooled.cancels_per_sec())
+  if (r.cancels > 0) {
+    std::cout << ", " << static_cast<std::uint64_t>(r.cancels_per_sec())
               << " cancels/s";
   }
-  std::cout << "  (" << c.pooled.events << " events in " << c.pooled.wall_s
-            << " s)\n"
-            << "  legacy : "
-            << static_cast<std::uint64_t>(c.legacy.events_per_sec())
-            << " events/s";
-  if (c.legacy.cancels > 0) {
-    std::cout << ", " << static_cast<std::uint64_t>(c.legacy.cancels_per_sec())
-              << " cancels/s";
-  }
-  std::cout << "  (" << c.legacy.events << " events in " << c.legacy.wall_s
-            << " s)\n"
-            << "  speedup: " << c.speedup() << "x\n";
+  std::cout << "  (" << r.events << " events in " << r.wall_s << " s)\n";
 }
 
-void write_json(const std::string& path, const std::vector<Comparison>& all,
+void write_json(const std::string& path, const std::vector<Profile>& all,
                 bool quick, std::uint64_t seed) {
   std::ofstream out{path};
   out << "{\n";
@@ -392,21 +253,13 @@ void write_json(const std::string& path, const std::vector<Comparison>& all,
   out << "  \"seed\": " << seed << ",\n";
   out << "  \"profiles\": {\n";
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const Comparison& c = all[i];
-    out << "    \"" << c.name << "\": {\n";
-    out << "      \"pooled_events_per_sec\": " << c.pooled.events_per_sec()
+    const ProfileResult& r = all[i].result;
+    out << "    \"" << all[i].name << "\": {\n";
+    out << "      \"pooled_events_per_sec\": " << r.events_per_sec() << ",\n";
+    out << "      \"pooled_cancels_per_sec\": " << r.cancels_per_sec()
         << ",\n";
-    out << "      \"pooled_cancels_per_sec\": " << c.pooled.cancels_per_sec()
-        << ",\n";
-    out << "      \"pooled_events\": " << c.pooled.events << ",\n";
-    out << "      \"pooled_wall_s\": " << c.pooled.wall_s << ",\n";
-    out << "      \"legacy_events_per_sec\": " << c.legacy.events_per_sec()
-        << ",\n";
-    out << "      \"legacy_cancels_per_sec\": " << c.legacy.cancels_per_sec()
-        << ",\n";
-    out << "      \"legacy_events\": " << c.legacy.events << ",\n";
-    out << "      \"legacy_wall_s\": " << c.legacy.wall_s << ",\n";
-    out << "      \"speedup\": " << c.speedup() << "\n";
+    out << "      \"pooled_events\": " << r.events << ",\n";
+    out << "      \"pooled_wall_s\": " << r.wall_s << "\n";
     out << "    }" << (i + 1 < all.size() ? "," : "") << "\n";
   }
   out << "  }\n";
@@ -420,9 +273,9 @@ int main(int argc, char** argv) {
   if (cli.has("help")) {
     std::cout << "usage: " << cli.program()
               << " [--quick] [--json <path>] [--seed <n>] [--reps <n>]\n"
-              << "Measures DES kernel throughput (pooled calendar vs. the\n"
-              << "seed kernel replica) on schedule-heavy, cancel-heavy and\n"
-              << "NERSC-replay-shaped profiles.\n";
+              << "Measures DES kernel throughput (pooled event calendar) on\n"
+              << "schedule-heavy, cancel-heavy and NERSC-replay-shaped\n"
+              << "profiles.\n";
     return 0;
   }
   const bool quick = cli.has("quick");
@@ -438,39 +291,18 @@ int main(int argc, char** argv) {
             << "   profiles sized " << (quick ? "--quick" : "full")
             << "; best of " << reps << " rep(s)\n\n";
 
-  std::vector<Comparison> all;
-
-  Comparison sched{"schedule_heavy", {}, {}};
-  sched.pooled = best_of<des::Simulation>(reps, [&] {
-    return schedule_heavy<des::Simulation>(sched_events, seed);
-  });
-  sched.legacy = best_of<legacy::Simulation>(reps, [&] {
-    return schedule_heavy<legacy::Simulation>(sched_events, seed);
-  });
-  print(sched);
-  all.push_back(sched);
-
-  Comparison cancel{"cancel_heavy", {}, {}};
-  cancel.pooled = best_of<des::Simulation>(
-      reps, [&] { return cancel_heavy<des::Simulation>(cancel_cycles, seed); });
-  cancel.legacy = best_of<legacy::Simulation>(reps, [&] {
-    return cancel_heavy<legacy::Simulation>(cancel_cycles, seed);
-  });
-  print(cancel);
-  all.push_back(cancel);
-
-  Comparison replay{"replay_shaped", {}, {}};
-  replay.pooled = best_of<des::Simulation>(reps, [&] {
-    return replay_shaped<des::Simulation>(replay_arrivals, seed);
-  });
-  replay.legacy = best_of<legacy::Simulation>(reps, [&] {
-    return replay_shaped<legacy::Simulation>(replay_arrivals, seed);
-  });
-  print(replay);
-  all.push_back(replay);
+  const std::vector<Profile> all{
+      {"schedule_heavy",
+       best_of(reps, [&] { return schedule_heavy(sched_events, seed); })},
+      {"cancel_heavy",
+       best_of(reps, [&] { return cancel_heavy(cancel_cycles, seed); })},
+      {"replay_shaped",
+       best_of(reps, [&] { return replay_shaped(replay_arrivals, seed); })},
+  };
+  for (const Profile& p : all) print(p);
 
   if (cli.has("json")) {
-    const std::string path = cli.get("json", "BENCH_engine.json");
+    const std::string path = cli.get("json", "engine_throughput.json");
     write_json(path, all, quick, seed);
     std::cout << "\nwrote " << path << "\n";
   }

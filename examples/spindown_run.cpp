@@ -37,6 +37,7 @@ void print_usage(const std::string& program) {
          "[,dur[,bfrac[,bmin[,bmax]]]])\n"
       << "              |trace:<stem>\n"
       << "      placement=pack|grouped:k|random|maid:c|sea:h|seg:k|ffd\n"
+      << "      replicas=<k>    copies per file (read redirection)\n"
       << "      load=<(0,1]>    disks=<farm floor; 0 = allocator decides>\n"
       << "      policy=break-even|never|randomized|fixed:T|ewma[:a]\n"
       << "              |share[:n]|slack[:slo]\n"
@@ -46,6 +47,8 @@ void print_usage(const std::string& program) {
       << "              |mmpp(r0,r1,d0,d1,T)|trace:<stem>|replay\n"
       << "      seed=<n>  label=<name>  shards=<n|auto>\n"
       << "      obs=off|all|spans+power+policy+metrics[:iv]+profile\n"
+      << "      orch=off|redirect|offload[:L[:deadline]]|writes:<frac>\n"
+      << "              ('+'-joined; writes: needs offload)\n"
       << "  --sweep 'key=v1,v2,...'  cross one axis (repeatable; axes cross)\n"
       << "  --shards <n|auto>  shard each run's calendar (sys/fleet.h);\n"
       << "                     shorthand for shards=<v> in the scenario —\n"

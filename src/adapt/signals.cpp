@@ -23,20 +23,4 @@ void StreamingQuantile::add(double x) {
   estimate_ = std::max(0.0, estimate_);
 }
 
-void RateEwma::observe_arrival(double t) {
-  ++arrivals_;
-  if (arrivals_ == 1) {
-    last_arrival_ = t;
-    return;
-  }
-  const double gap = std::max(1e-9, t - last_arrival_);
-  last_arrival_ = t;
-  if (arrivals_ == 2) {
-    gap_ewma_ = gap;
-  } else {
-    gap_ewma_ = alpha_ * gap + (1.0 - alpha_) * gap_ewma_;
-  }
-  rate_ = 1.0 / gap_ewma_;
-}
-
 } // namespace spindown::adapt

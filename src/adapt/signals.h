@@ -1,12 +1,5 @@
-// signals.h — streaming workload-signal estimators shared by the adaptive
-// policies (src/adapt/) and the fleet orchestration layer (src/orch/).
-//
-// Both consumers need the same two O(1)-state estimates of a live request
-// stream: "where is the p-th response-time percentile right now" and "how
-// fast are requests arriving".  Extracted here so the per-disk
-// SlackAwarePolicy and the fleet-wide SLO sleep budget literally share one
-// implementation — the budget's signals feed the same arithmetic the
-// per-disk policy learns from.
+// signals.h — streaming workload-signal estimator for the adaptive
+// policies (src/adapt/).
 //
 //   * StreamingQuantile — the stochastic-approximation (Frugal-style)
 //     quantile tracker: step up by gain·q·p on a sample above the estimate,
@@ -14,11 +7,8 @@
 //     with probability 1−p) balance the down-steps (probability p), which
 //     happens exactly at the p-quantile; the multiplicative step keeps it
 //     adapting under drift.
-//   * RateEwma — an EWMA over inter-arrival gaps, reported as a rate.  The
-//     gap (not the rate) is averaged so one long lull cannot be averaged
-//     away by many short gaps that preceded it.
 //
-// Both are deterministic functions of the sample sequence — no clocks, no
+// It is a deterministic function of the sample sequence — no clocks, no
 // randomness — so every consumer inherits the shard bit-identity contract
 // for free.
 #pragma once
@@ -33,8 +23,8 @@ namespace spindown::adapt {
 class StreamingQuantile {
 public:
   /// `percentile` in (0, 100); `gain` in (0, 1) — the step size as a
-  /// fraction of the current estimate (validated by the policy/controller
-  /// configs, asserted here only by arithmetic).
+  /// fraction of the current estimate (validated by the policy config,
+  /// asserted here only by arithmetic).
   StreamingQuantile(double percentile, double gain)
       : p_(percentile / 100.0), gain_(gain) {}
 
@@ -48,27 +38,6 @@ private:
   double gain_;
   double estimate_ = 0.0;
   std::uint64_t samples_ = 0;
-};
-
-/// Streaming arrival-rate estimate: EWMA of inter-arrival gaps, exposed as
-/// a rate.  Feed it absolute arrival times in non-decreasing order.  Until
-/// two arrivals have been seen rate() reports `initial_rate` (0 = unknown).
-class RateEwma {
-public:
-  explicit RateEwma(double alpha = 0.2, double initial_rate = 0.0)
-      : alpha_(alpha), rate_(initial_rate) {}
-
-  void observe_arrival(double t);
-
-  double rate() const { return rate_; }
-  std::uint64_t arrivals() const { return arrivals_; }
-
-private:
-  double alpha_;
-  double rate_;
-  double last_arrival_ = 0.0;
-  double gap_ewma_ = 0.0;
-  std::uint64_t arrivals_ = 0;
 };
 
 } // namespace spindown::adapt

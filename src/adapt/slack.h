@@ -2,7 +2,7 @@
 //
 // TimeTrader's framing (arXiv:1503.05338): latency *slack* — the gap
 // between the response-time SLO and what users actually experience — is a
-// budget, and power management is the natural place to spend it.  This
+// resource, and power management is the natural place to spend it.  This
 // policy tracks a streaming estimate of a response-time percentile (default
 // p99 — spin-up stalls hit a few percent of requests, so only the tail sees
 // them) from the disk's completion tap and steers a single threshold:
@@ -21,9 +21,9 @@
 // energy and response together.
 //
 // The percentile estimator is adapt::StreamingQuantile (signals.h), the
-// stochastic-approximation quantile tracker (Frugal-style) shared with the
-// fleet orchestration layer — O(1) state, converges to the p-quantile, and
-// keeps adapting when the workload drifts.
+// stochastic-approximation quantile tracker (Frugal-style) — O(1) state,
+// converges to the p-quantile, and keeps adapting when the workload
+// drifts.
 #pragma once
 
 #include <cstdint>

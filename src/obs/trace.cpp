@@ -63,7 +63,6 @@ std::string_view code_name(Kind k, std::uint8_t code) {
         case kPolicyThresholdFired: return "threshold_fired";
         case kPolicyOffload: return "offload";
         case kPolicyDestage: return "destage";
-        case kPolicyBudget: return "budget";
         default: break;
       }
       break;

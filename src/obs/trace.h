@@ -56,7 +56,7 @@ inline constexpr std::uint8_t kSpanRedirect = 7; ///< read routed to a
                                                  ///< disk, aux=primary)
 
 /// Policy decision codes (kind == kPolicy).  Codes 0-3 are per-disk
-/// spin-down decisions on the disk's own track; 4-6 are fleet-orchestration
+/// spin-down decisions on the disk's own track; 4-5 are fleet-orchestration
 /// decisions on the router track (src/orch/).
 inline constexpr std::uint8_t kPolicyTimerArmed = 0;  ///< finite timeout
 inline constexpr std::uint8_t kPolicyStayIdle = 1;    ///< nullopt: no timer
@@ -69,9 +69,6 @@ inline constexpr std::uint8_t kPolicyDestage = 5; ///< buffered writes flushed
                                                   ///< to their home disk
                                                   ///< (value=target disk,
                                                   ///< aux=batch size)
-inline constexpr std::uint8_t kPolicyBudget = 6;  ///< sleep budget recomputed
-                                                  ///< (value=awake quota,
-                                                  ///< aux=arrival-rate est.)
 
 /// Metric gauge codes (kind == kMetric).
 inline constexpr std::uint8_t kMetricQueueDepth = 0; ///< value=queued,

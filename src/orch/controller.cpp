@@ -28,12 +28,6 @@ FleetController::FleetController(
         cfg_.data_disks, cfg_.log_disks, cfg_.disk_capacity,
         cfg_.destage_deadline_s, cfg_.horizon_s);
   }
-  if (cfg_.budget) {
-    const double mu = 1.0 / model.service(static_cast<util::Bytes>(
-                                cfg_.mean_request_bytes));
-    budget_ = std::make_unique<SleepBudget>(cfg_.data_disks, mu,
-                                            cfg_.slo_p99_s);
-  }
   // Replica layout (copies r >= 1): each disk's LBA cursor continues where
   // the replica-0 layout ended, so the primary extents — and with them
   // every orchestration-off result — are byte-for-byte unchanged.
@@ -92,23 +86,9 @@ std::vector<std::uint32_t> FleetController::replica_disks(
   return disks;
 }
 
-std::uint32_t FleetController::awake_quota() const {
-  return budget_ != nullptr ? budget_->quota() : cfg_.data_disks;
-}
-
 void FleetController::route(double t, std::uint64_t id,
                             const workload::FileInfo& file,
                             std::vector<Submission>& out) {
-  if (budget_ != nullptr) {
-    budget_->observe_arrival(t);
-    if (const auto quota = budget_->maybe_recompute(t)) {
-      if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
-        trace_->emit(obs::Kind::kPolicy, obs::kPolicyBudget, t,
-                     obs::kRouterTrack, budget_->epochs(),
-                     static_cast<double>(*quota), budget_->arrival_rate());
-      }
-    }
-  }
   const std::uint32_t primary = mapping_[file.id];
   const auto& extent = extents_[file.id];
 
@@ -166,45 +146,26 @@ FleetController::Choice FleetController::pick_read_target(
   if (!cfg_.redirect || offset_.empty()) {
     return Choice{primary, extent.lba, extent.blocks};
   }
-  // Replica preference, all ties broken by lowest disk id: (1) a replica
-  // the model predicts awake (no spin-up at all), else (2) a replica
-  // inside the budget's awake prefix {0..quota-1} (wake a disk that must
-  // stay up anyway), else (3) the lowest-id replica.
-  const std::uint32_t quota = awake_quota();
-  Choice awake_best, prefix_best, id_best;
-  bool have_awake = false, have_prefix = false, have_id = false;
-  const auto consider = [&](std::uint32_t d, std::uint64_t lba,
-                            std::uint64_t blocks) {
-    const Choice c{d, lba, blocks};
-    if (!have_id || d < id_best.disk) {
-      id_best = c;
-      have_id = true;
-    }
-    if ((!have_awake || d < awake_best.disk) && model_.awake(d, t)) {
+  // Replica preference, ties broken by lowest disk id: a replica the model
+  // predicts awake (no spin-up at all), else the lowest-id replica.
+  Choice awake_best, id_best{primary, extent.lba, extent.blocks};
+  bool have_awake = model_.awake(primary, t);
+  if (have_awake) awake_best = id_best;
+  for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
+    const Choice c{replica_disk_[i], replica_extent_[i].lba,
+                   replica_extent_[i].blocks};
+    if (c.disk < id_best.disk) id_best = c;
+    if ((!have_awake || c.disk < awake_best.disk) && model_.awake(c.disk, t)) {
       awake_best = c;
       have_awake = true;
     }
-    if ((!have_prefix || d < prefix_best.disk) && d < quota) {
-      prefix_best = c;
-      have_prefix = true;
-    }
-  };
-  consider(primary, extent.lba, extent.blocks);
-  for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
-    consider(replica_disk_[i], replica_extent_[i].lba,
-             replica_extent_[i].blocks);
   }
-  if (have_awake) return awake_best;
-  if (have_prefix) return prefix_best;
-  return id_best;
+  return have_awake ? awake_best : id_best;
 }
 
 void FleetController::submit_foreground(double t, std::uint64_t id,
                                         util::Bytes bytes, const Choice& c,
                                         std::vector<Submission>& out) {
-  if (budget_ != nullptr) {
-    budget_->observe_response(model_.predict_response(c.disk, t, bytes));
-  }
   model_.on_submit(c.disk, t, bytes);
   out.push_back(Submission{t, id, bytes, c.lba, c.blocks, c.disk, false});
 }

@@ -5,7 +5,7 @@
 // The orchestration layer adds the coordination the paper's trade-off
 // analysis calls for at farm scale — *which* disk serves a request is a
 // fleet decision, and making it power-aware buys sleep time the local
-// policies cannot create on their own.  Three mechanisms compose behind
+// policies cannot create on their own.  Two mechanisms compose behind
 // FleetController:
 //
 //   * replica-aware read redirection — with `replicas=k`, each file has k
@@ -14,11 +14,7 @@
 //     controller predicts is spun up, deterministic tie-break by lowest
 //     disk id, so a cold replica's disk can stay asleep;
 //   * write off-loading — writes aimed at a sleeping disk detour to the
-//     always-on log tier and destage later (orch/offload.h);
-//   * global SLO sleep budget — an awake-disk quota from the fleet arrival
-//     estimate and a streaming p99 (orch/budget.h); redirection prefers
-//     replicas inside the awake prefix {0..quota-1}, concentrating load so
-//     the disks outside it sleep through.
+//     always-on log tier and destage later (orch/offload.h).
 //
 // The controller is a *deterministic stream rewriter*: it lives in the
 // fleet router (src/sys/fleet.cpp), sees every post-cache arrival in global
@@ -27,7 +23,7 @@
 // predictions come from its own busy_until service model — so its output
 // is a pure function of the arrival stream and the run stays bit-identical
 // at any shard count.  Decisions are traced onto the router track
-// (obs::kSpanRedirect / kPolicyOffload / kPolicyDestage / kPolicyBudget).
+// (obs::kSpanRedirect / kPolicyOffload / kPolicyDestage).
 #pragma once
 
 #include <algorithm>
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "orch/budget.h"
 #include "orch/offload.h"
 #include "util/units.h"
 #include "workload/catalog.h"
@@ -49,18 +44,16 @@ namespace spindown::orch {
 struct Config {
   bool redirect = false;
   bool offload = false;
-  bool budget = false;
+  bool budget = false; ///< unread: exists only for perfbench/bench.cpp
   std::uint32_t data_disks = 0; ///< disks [0, data_disks) hold the catalog
   std::uint32_t log_disks = 0;  ///< always-on tier at [data_disks, ...)
   std::uint32_t replicas = 1;   ///< k-way replication degree
   double destage_deadline_s = 600.0;
   double write_fraction = 0.2;  ///< share of requests classified as writes
-  double slo_p99_s = 5.0;       ///< budget: p99 response SLO
+  double slo_p99_s = 5.0;       ///< unread: only for perfbench/bench.cpp
   double horizon_s = 0.0;       ///< measurement window (caps deadlines)
   util::Bytes disk_capacity = 0; ///< per-disk bytes (log-tier buffer space)
-  /// Request-weighted mean file size (catalog.mean_request_bytes()): sets
-  /// the budget's per-disk service rate mu = 1 / service(mean bytes).
-  double mean_request_bytes = 0.0;
+  double mean_request_bytes = 0.0; ///< unread: only for perfbench/bench.cpp
 };
 
 /// The controller's model of one disk's service: enough physics to predict
@@ -110,13 +103,6 @@ public:
     return disk >= data_disks_ ||
            t <= busy_until_[disk] + model_.sleep_after_s;
   }
-  /// Predicted response: spin-up (if asleep) + queue drain + service.
-  double predict_response(std::uint32_t disk, double t,
-                          util::Bytes bytes) const {
-    const double wake = awake(disk, t) ? 0.0 : model_.spinup_s;
-    const double wait = std::max(0.0, busy_until_[disk] - t);
-    return wake + wait + model_.service(bytes);
-  }
   void on_submit(std::uint32_t disk, double t, util::Bytes bytes) {
     const double start = awake(disk, t)
                              ? std::max(busy_until_[disk], t)
@@ -162,7 +148,6 @@ public:
   /// size may be < k when the copies wrap onto the same disk).
   std::vector<std::uint32_t> replica_disks(workload::FileId file) const;
 
-  std::uint32_t awake_quota() const;
   std::uint64_t redirects() const { return redirects_; }
   std::uint64_t offloads() const { return offloads_; }
   std::uint64_t destages() const { return destages_; }
@@ -188,7 +173,6 @@ private:
   const std::vector<workload::FileExtent>& extents_;
   obs::TraceBuffer* trace_;
   std::unique_ptr<WriteOffload> offload_;
-  std::unique_ptr<SleepBudget> budget_;
   // Replica copies r >= 1, flattened per file: replica_at_[offset_[f] .. ).
   std::vector<std::uint32_t> offset_;
   std::vector<std::uint32_t> replica_disk_;

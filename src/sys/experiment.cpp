@@ -115,20 +115,13 @@ std::string OrchSpec::spec() const {
       add(writes);
     }
   }
-  if (budget) {
-    std::string token = "budget";
-    if (slo_p99_s != 5.0) {
-      token += ":p99:";
-      token += util::format_roundtrip(slo_p99_s);
-    }
-    add(token);
-  }
   return out;
 }
 
 OrchSpec OrchSpec::parse(const std::string& name) {
   if (name == "off") return off();
   OrchSpec o;
+  bool writes = false;
   for (const auto& token : split(name, '+')) {
     if (token == "redirect") {
       o.redirect = true;
@@ -167,23 +160,18 @@ OrchSpec OrchSpec::parse(const std::string& name) {
             "OrchSpec: write fraction must be in [0, 1] in '" + name + "'"};
       }
       o.write_fraction = frac;
-    } else if (token == "budget") {
-      o.budget = true;
-    } else if (token.rfind("budget:p99:", 0) == 0) {
-      o.budget = true;
-      const double slo = detail::parse_number(token.substr(11), name,
-                                              "OrchSpec");
-      if (slo <= 0.0) {
-        throw std::invalid_argument{
-            "OrchSpec: budget SLO must be positive in '" + name + "'"};
-      }
-      o.slo_p99_s = slo;
+      writes = true;
     } else {
       throw std::invalid_argument{
           "OrchSpec: unknown mechanism '" + token + "' in '" + name +
           "' (want off or '+'-joined redirect|offload[:L[:deadline]]|"
-          "budget:p99:<slo>|writes:<frac>)"};
+          "writes:<frac>)"};
     }
+  }
+  if (writes && !o.offload) {
+    // Only offload classifies writes; spec() could not echo the knob.
+    throw std::invalid_argument{
+        "OrchSpec: writes:<frac> needs offload in '" + name + "'"};
   }
   return o;
 }

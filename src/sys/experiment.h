@@ -193,7 +193,7 @@ struct ObsSpec {
 };
 
 /// Fleet power-orchestration selection (src/orch/): coordinated spin-state
-/// management *across* disks, layered over the per-disk policies.  Three
+/// management *across* disks, layered over the per-disk policies.  Two
 /// mechanisms compose behind one orch::FleetController:
 ///
 ///   * redirect — replica-aware read redirection: with `replicas=k` on the
@@ -204,18 +204,16 @@ struct ObsSpec {
 ///     always-on log disks absorbs writes aimed at sleeping data disks
 ///     (core::WritePlacer, spinning-aware best-fit) and destages them in a
 ///     batch when the target next serves a foreground read or when the
-///     destage deadline expires;
-///   * budget — a global SLO sleep budget: the controller tracks the
-///     fleet-wide arrival-rate estimate and a streaming p99 of predicted
-///     response, and caps how many disks may sleep using the M/M/1 closed
-///     form m* = ceil(lambda / (mu - ln(100)/SLO)) (Liu et al.).
+///     destage deadline expires.
 ///
 /// Orchestration is a deterministic function of the routed arrival stream,
 /// so every result stays bit-identical at any shard count.
 struct OrchSpec {
   bool redirect = false; ///< replica-aware read redirection
   bool offload = false;  ///< write off-loading onto log disks
-  bool budget = false;   ///< global SLO sleep budget
+  /// Fixed and unread: exist only because perfbench/bench.cpp reads them.
+  static constexpr bool budget = false;
+  static constexpr double slo_p99_s = 5.0;
   /// kOffload: size of the always-on log-disk tier appended after the data
   /// disks, and the latest a buffered write may wait before being destaged
   /// to its home disk.
@@ -223,23 +221,21 @@ struct OrchSpec {
   double destage_deadline_s = 600.0;
   /// Fraction of requests classified as writes (deterministic hash of the
   /// request id, so arrival streams are unchanged).  Only meaningful with
-  /// offload; reads ignore it.
+  /// offload, so parse() rejects it without.
   double write_fraction = 0.2;
-  /// kBudget: fleet-wide p99 response SLO (seconds).
-  double slo_p99_s = 5.0;
 
-  bool enabled() const { return redirect || offload || budget; }
+  bool enabled() const { return redirect || offload; }
 
   static OrchSpec off() { return {}; }
 
   /// Parse a CLI/report key; accepts everything spec() emits.  Grammar:
   /// "off", or '+'-joined mechanisms from {redirect,
-  /// offload[:log_disks[:deadline_s]], budget:p99:<slo_s>,
-  /// writes:<fraction>} in any order ("budget" alone takes the default
-  /// SLO).  Throws std::invalid_argument on anything else.
+  /// offload[:log_disks[:deadline_s]], writes:<fraction>} in any order
+  /// (writes: only together with offload).  Throws std::invalid_argument
+  /// on anything else.
   static OrchSpec parse(const std::string& name);
   /// Canonical parseable key — "off", "redirect",
-  /// "redirect+offload:1+budget:p99:0.05", ... (mechanisms in declaration
+  /// "redirect+offload:2+writes:0.5", ... (mechanisms in declaration
   /// order, knobs attached only when they differ from the defaults) — such
   /// that parse(spec()) round-trips the value.
   std::string spec() const;

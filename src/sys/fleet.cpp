@@ -500,16 +500,13 @@ std::unique_ptr<orch::FleetController> make_controller(
   orch::Config ocfg;
   ocfg.redirect = config.orch.redirect;
   ocfg.offload = config.orch.offload;
-  ocfg.budget = config.orch.budget;
   ocfg.log_disks = config.orch.offload ? config.orch.log_disks : 0;
   ocfg.data_disks = config.num_disks - ocfg.log_disks;
   ocfg.replicas = config.replicas;
   ocfg.destage_deadline_s = config.orch.destage_deadline_s;
   ocfg.write_fraction = config.orch.write_fraction;
-  ocfg.slo_p99_s = config.orch.slo_p99_s;
   ocfg.horizon_s = setup.horizon;
   ocfg.disk_capacity = config.params.capacity;
-  ocfg.mean_request_bytes = config.catalog->mean_request_bytes();
   orch::ServiceModel model;
   model.position_s = config.params.position_time();
   model.transfer_bps = config.params.transfer_bps;

@@ -182,10 +182,10 @@ struct ScenarioSpec {
   /// untraced run — so spec() omits the key at its default ("off").
   ObsSpec obs;
   /// `orch=<spec>`: fleet power orchestration (OrchSpec grammar: "off" or
-  /// '+'-joined redirect|offload[:L[:deadline]]|budget:p99:<slo>|
-  /// writes:<frac>).  Enabling any mechanism forces the fleet router path;
-  /// results stay bit-identical at any shard count.  spec() omits the key
-  /// at its default ("off").
+  /// '+'-joined redirect|offload[:L[:deadline]]|writes:<frac>).
+  /// Enabling any mechanism forces the fleet router path; results stay
+  /// bit-identical at any shard count.  spec() omits the key at its
+  /// default ("off").
   OrchSpec orch;
 
   /// Parse a whitespace-separated `key=value` list.  Keys: label, catalog,

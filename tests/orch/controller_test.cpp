@@ -145,11 +145,14 @@ TEST(RedirectController, ReadPrefersThePredictedAwakeReplica) {
   // extent), so replica bytes never alias primary bytes.
   EXPECT_EQ(out[0].lba, h.extents[1].lba + h.extents[1].blocks);
   EXPECT_EQ(out[0].blocks, h.extents[3].blocks);
-}
 
-TEST(RedirectController, QuotaDefaultsToTheWholeFleetWithoutABudget) {
-  Harness h{redirect_config()};
-  EXPECT_EQ(h.controller->awake_quota(), 4u);
+  // Much later every disk is asleep again.  File 3's primary (disk 3) is
+  // not its lowest-id replica, so the tie-break sends the read to disk 1.
+  out.clear();
+  h.controller->route(2000.0, 3, h.files[3], out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].disk, 1u);
+  EXPECT_EQ(h.controller->redirects(), 2u);
 }
 
 TEST(OrchController, SleepingPrimarySendsWritesToTheLogTier) {

@@ -26,7 +26,7 @@ workload::FileCatalog fleet_catalog(std::size_t n_files = 12) {
 }
 
 /// A 6-data-disk fleet with orchestration fully on: one log disk appended
-/// (num_disks = 7), 2-way replication, redirect + offload + budget.
+/// (num_disks = 7), 2-way replication, redirect + offload.
 ExperimentConfig orch_config(const workload::FileCatalog& cat) {
   ExperimentConfig cfg;
   cfg.catalog = &cat;
@@ -34,7 +34,7 @@ ExperimentConfig orch_config(const workload::FileCatalog& cat) {
   for (std::size_t i = 0; i < cfg.mapping.size(); ++i) {
     cfg.mapping[i] = static_cast<std::uint32_t>(i % 6);
   }
-  cfg.orch = OrchSpec::parse("redirect+offload:1:120+budget:p99:5");
+  cfg.orch = OrchSpec::parse("redirect+offload:1:120");
   cfg.num_disks = 6 + cfg.orch.log_disks;
   cfg.replicas = 2;
   cfg.workload = WorkloadSpec::poisson(0.8, 200.0);
@@ -51,8 +51,8 @@ void expect_same_physical(const RunResult& a, const RunResult& b) {
 TEST(OrchFleet, BitIdenticalAcrossShardCountsWithEveryMechanismOn) {
   // The tentpole contract extended to orchestration: replica-aware
   // redirection + write off-loading (destage deadline 120 s, well inside
-  // the 200 s horizon) + the SLO budget, crossed with a bursty workload
-  // and a cache, must stay bit-identical at any shard count.
+  // the 200 s horizon), crossed with a bursty workload and a cache, must
+  // stay bit-identical at any shard count.
   const auto cat = fleet_catalog();
   const std::vector<WorkloadSpec> workloads{
       WorkloadSpec::poisson(0.8, 200.0),
@@ -119,16 +119,14 @@ TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
   // The acceptance shape: one scenario string turns everything on.
   const auto spec = ScenarioSpec::parse(
       "catalog=table1(400,5) load=0.9 workload=poisson(1,200) replicas=2 "
-      "orch=redirect+offload:2:120+budget:p99:0.5");
+      "orch=redirect+offload:2:120");
   const auto resolved = resolve_scenario(spec);
   const auto& cfg = resolved.config;
   EXPECT_TRUE(cfg.orch.enabled());
   EXPECT_TRUE(cfg.orch.redirect);
   EXPECT_TRUE(cfg.orch.offload);
-  EXPECT_TRUE(cfg.orch.budget);
   EXPECT_EQ(cfg.orch.log_disks, 2u);
   EXPECT_DOUBLE_EQ(cfg.orch.destage_deadline_s, 120.0);
-  EXPECT_DOUBLE_EQ(cfg.orch.slo_p99_s, 0.5);
   EXPECT_EQ(cfg.replicas, 2u);
 
   // The log tier appends to whatever the placement allocated.

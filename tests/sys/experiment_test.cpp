@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "util/units.h"
 
@@ -62,6 +63,29 @@ TEST(CacheSpec, ParseRejectsGarbage) {
   EXPECT_THROW(CacheSpec::parse("lru:0"), std::invalid_argument);
   EXPECT_THROW(CacheSpec::parse("lru:sixteen"), std::invalid_argument);
   EXPECT_THROW(CacheSpec::parse("lru:-4g"), std::invalid_argument);
+}
+
+TEST(OrchSpec, ParseRejectsOrphanWritesAndRetiredTokens) {
+  // writes: only classifies requests for offload; without it spec() could
+  // not echo the knob, so parse(spec()) would silently drop it.
+  EXPECT_THROW(OrchSpec::parse("redirect+writes:0.5"), std::invalid_argument);
+  EXPECT_THROW(OrchSpec::parse("writes:0.5"), std::invalid_argument);
+  const auto with_offload = OrchSpec::parse("writes:0.5+redirect+offload");
+  EXPECT_DOUBLE_EQ(with_offload.write_fraction, 0.5);
+  EXPECT_EQ(with_offload.spec(), "redirect+offload+writes:0.5");
+
+  // budget is not a mechanism; the error names the rejected token.
+  for (const std::string token : {"budget", "budget:p99:1"}) {
+    SCOPED_TRACE(token);
+    try {
+      OrchSpec::parse("redirect+" + token);
+      ADD_FAILURE() << "parse accepted " << token;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("'" + token + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RunExperiment, RequiresCatalog) {

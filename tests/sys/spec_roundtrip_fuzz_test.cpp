@@ -139,13 +139,11 @@ public:
     if (coin()) return o;
     o.redirect = coin();
     o.offload = coin();
-    o.budget = coin();
     if (o.offload) {
       if (coin()) o.log_disks = static_cast<std::uint32_t>(integer(1, 64));
       if (coin()) o.destage_deadline_s = real(0.001, 1e5);
       if (coin()) o.write_fraction = real(0.0, 1.0);
     }
-    if (o.budget && coin()) o.slo_p99_s = real(0.001, 600.0);
     return o;
   }
 
