@@ -43,7 +43,7 @@ inline sys::ScenarioSpec packed_scenario(double rate, double load_fraction,
                                          std::uint64_t seed,
                                          std::size_t n_files = 40'000) {
   sys::ScenarioSpec s;
-  s.catalog = sys::CatalogSpec::table1(n_files, seed);
+  s.catalog = sys::CatalogSpec::table1(n_files);
   s.placement = sys::PlacementSpec::pack();
   s.load_fraction = load_fraction;
   s.disks = farm;
@@ -57,7 +57,7 @@ inline sys::ScenarioSpec random_scenario(double rate, std::uint32_t farm,
                                          std::uint64_t seed,
                                          std::size_t n_files = 40'000) {
   sys::ScenarioSpec s;
-  s.catalog = sys::CatalogSpec::table1(n_files, seed);
+  s.catalog = sys::CatalogSpec::table1(n_files);
   s.placement = sys::PlacementSpec::random();
   s.disks = farm;
   s.workload = sys::WorkloadSpec::poisson(rate, kPaperSimSeconds);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   //    popularity, inverse-Zipf sizes), packed with the paper's algorithm,
   //    under a Poisson read workload.
   sys::ScenarioSpec packed;
-  packed.catalog = sys::CatalogSpec::table1(n_files, seed);
+  packed.catalog = sys::CatalogSpec::table1(n_files);
   packed.placement = sys::PlacementSpec::pack();
   packed.load_fraction = 0.7;
   packed.workload = sys::WorkloadSpec::poisson(rate, 4000.0);

@@ -2,7 +2,7 @@
 // scenario space (catalog × placement × policy × scheduler × cache ×
 // workload × seed) from one string, any grid from --sweep axes.
 //
-//   $ ./spindown_run --scenario 'catalog=table1(2000,1) placement=pack
+//   $ ./spindown_run --scenario 'catalog=table1(2000) placement=pack
 //                                load=0.7 workload=poisson(2,1000)'
 //   $ ./spindown_run --scenario '...' --sweep 'policy=break-even,never'
 //                    --sweep 'seed=1,2,3' --json
@@ -32,23 +32,24 @@ void print_usage(const std::string& program) {
       << "usage: " << program << " --scenario '<key=value ...>' [options]\n\n"
       << "options:\n"
       << "  --scenario <spec>  the experiment (required); keys:\n"
-      << "      catalog=table1(n,seed)|synth(n,zipf,max,corr,seed)\n"
+      << "      catalog=table1(n)|synth(n,zipf,max,corr[,seed])\n"
       << "              |nersc(files,requests,seed"
          "[,dur[,bfrac[,bmin[,bmax]]]])\n"
-      << "              |trace:<stem>\n"
+      << "              |trace:<stem>   (seed: independent corr only)\n"
       << "      placement=pack|grouped:k|random|maid:c|sea:h|seg:k|ffd\n"
-      << "      replicas=<k>    copies per file (read redirection)\n"
+      << "      replicas=<k>    copies per file; needs orch=redirect\n"
       << "      load=<(0,1]>    disks=<farm floor; 0 = allocator decides>\n"
       << "      policy=break-even|never|randomized|fixed:T|ewma[:a]\n"
       << "              |share[:n]|slack[:slo]\n"
       << "      sched=fcfs|sstf|scan|clook|batch[N[xG]]\n"
       << "      cache=none|lru:16g|fifo:4g|lfu:16g\n"
       << "      workload=poisson(R,T)|nhpp(t:r;...,T[,P])\n"
-      << "              |mmpp(r0,r1,d0,d1,T)|trace:<stem>|replay\n"
+      << "              |mmpp(r0,r1,d0,d1,T)|replay\n"
       << "      seed=<n>  label=<name>  shards=<n|auto>\n"
       << "      obs=off|all|spans+power+policy+metrics[:iv]+profile\n"
       << "      orch=off|redirect|offload[:L[:deadline]]|writes:<frac>\n"
-      << "              ('+'-joined; writes: needs offload)\n"
+      << "              ('+'-joined; writes: needs offload,\n"
+      << "              redirect needs replicas > 1)\n"
       << "  --sweep 'key=v1,v2,...'  cross one axis (repeatable; axes cross)\n"
       << "  --shards <n|auto>  shard each run's calendar (sys/fleet.h);\n"
       << "                     shorthand for shards=<v> in the scenario —\n"

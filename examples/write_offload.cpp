@@ -4,142 +4,64 @@
 //  write files into an already spinning disk if sufficient space is found on
 //  it or write it into any other disk (using best-fit or first-fit policy)"
 //
-// A Poisson stream of writes lands on a small farm whose disks spin down at
-// the break-even threshold.  Two placement strategies are compared:
-//   * spinning-aware (the paper's policy, core::WritePlacer): prefer a disk
-//     that is currently spun up;
-//   * oblivious: round-robin over all disks regardless of power state.
-// Spinning-aware writes avoid spin-ups almost entirely, at the cost of
-// concentrating queueing on the warm disks — both sides of §1.1's trade-off
-// appear in the table (spin-ups and energy vs write latency).
+// A Poisson stream of writes (every request a write: orch writes:1) lands
+// on a packed 2000-file Table 1 farm whose disks spin down at the break-even
+// threshold.  Two scenarios are compared:
+//   * orch=off: every write goes to its file's home disk, spinning it up
+//     when it sleeps;
+//   * orch=offload+writes:1: a write aimed at a sleeping disk lands on an
+//     always-on log disk instead (core::WritePlacer, best-fit) and is
+//     destaged when its home disk next spins or at the destage deadline.
+// Off-loading avoids spin-ups at the cost of the log disk's own power and
+// the deferred destages — both sides of §1.1's trade-off appear in the
+// table (spin-ups and energy vs write latency).
 //
-//   $ ./write_offload [--writes 400] [--rate 0.02] [--disks 8] [--seed 1]
+//   $ ./write_offload [--rate 0.2] [--seed 1]
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "core/write_policy.h"
-#include "des/simulation.h"
-#include "disk/disk.h"
+#include "sys/scenario.h"
 #include "util/cli.h"
-#include "util/rng.h"
 #include "util/table.h"
-#include "util/units.h"
-
-namespace {
-
-using namespace spindown;
-
-struct Outcome {
-  std::uint64_t spin_ups = 0;
-  std::uint64_t placed = 0;
-  std::uint64_t rejected = 0;
-  util::Joules energy = 0.0;
-  double mean_latency = 0.0;
-};
-
-Outcome run(bool spinning_aware, std::uint32_t n_disks, std::size_t n_writes,
-            double rate, std::uint64_t seed) {
-  const auto params = disk::DiskParams::st3500630as();
-  des::Simulation sim;
-  util::Rng rng{seed};
-
-  std::vector<std::unique_ptr<disk::Disk>> disks;
-  for (std::uint32_t d = 0; d < n_disks; ++d) {
-    disks.push_back(std::make_unique<disk::Disk>(
-        sim, d, params, disk::make_break_even_policy(params), rng.split()));
-  }
-  double latency_sum = 0.0;
-  std::uint64_t completed = 0;
-  for (auto& d : disks) {
-    d->set_completion_callback([&](const disk::Completion& c) {
-      latency_sum += c.response_time();
-      ++completed;
-    });
-  }
-
-  core::WritePlacer placer{n_disks, params.capacity, core::FitRule::kBestFit};
-  Outcome out;
-  std::uint32_t rr_cursor = 0;
-
-  double t = 0.0;
-  std::uint64_t id = 0;
-  for (std::size_t w = 0; w < n_writes; ++w) {
-    t += rng.exponential(rate);
-    const util::Bytes size = util::gb(rng.uniform(0.1, 2.0));
-    sim.schedule_at(t, [&, size] {
-      std::optional<std::uint32_t> target;
-      if (spinning_aware) {
-        std::vector<bool> spinning(disks.size());
-        for (std::size_t d = 0; d < disks.size(); ++d) {
-          spinning[d] = disk::is_spun_up(disks[d]->state());
-        }
-        target = placer.place(size, spinning);
-      } else {
-        // Oblivious: next disk in rotation with room.
-        for (std::uint32_t tries = 0; tries < disks.size(); ++tries) {
-          const auto d = (rr_cursor + tries) % disks.size();
-          if (placer.free_on(static_cast<std::uint32_t>(d)) >= size) {
-            placer.add_used(static_cast<std::uint32_t>(d), size);
-            target = static_cast<std::uint32_t>(d);
-            rr_cursor = static_cast<std::uint32_t>(d + 1);
-            break;
-          }
-        }
-      }
-      if (!target.has_value()) {
-        ++out.rejected;
-        return;
-      }
-      ++out.placed;
-      disks[*target]->submit(id++, size);
-    });
-  }
-  sim.run();
-
-  for (auto& d : disks) {
-    const auto m = d->metrics(sim.now());
-    out.spin_ups += m.spin_ups;
-    out.energy += m.energy(params);
-  }
-  out.mean_latency =
-      completed > 0 ? latency_sum / static_cast<double>(completed) : 0.0;
-  return out;
-}
-
-} // namespace
 
 int main(int argc, char** argv) {
   using namespace spindown;
   const util::Cli cli{argc, argv};
   if (cli.has("help")) {
     std::cout << "usage: " << cli.program()
-              << " [--writes 400] [--rate 0.02] [--disks 8] [--seed 1]\n";
+              << " [--rate 0.2] [--seed 1]\n";
     return 0;
   }
-  const auto n_writes = static_cast<std::size_t>(cli.get_int("writes", 400));
-  const double rate = cli.get_double("rate", 0.02);
-  const auto n_disks = static_cast<std::uint32_t>(cli.get_int("disks", 8));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const double rate = cli.get_double("rate", 0.2);
+  const auto seed = cli.get_int("seed", 1);
 
-  std::cout << "write workload: " << n_writes << " writes at " << rate
-            << "/s onto " << n_disks
-            << " disks (break-even spin-down)\n\n";
+  const auto off = sys::ScenarioSpec::parse(
+      "catalog=table1(2000) placement=pack load=0.7 workload=poisson(" +
+      std::to_string(rate) + ",20000) seed=" + std::to_string(seed) +
+      " label=write-home");
+  const std::vector<sys::ScenarioSpec> specs{
+      off, off.with("orch", "offload+writes:1").with("label", "off-load")};
+  const auto results = sys::run_scenarios(specs);
 
-  const auto aware = run(true, n_disks, n_writes, rate, seed);
-  const auto oblivious = run(false, n_disks, n_writes, rate, seed);
-
-  util::TablePrinter table{{"strategy", "spin-ups", "energy (MJ)",
-                            "mean write latency (s)", "placed", "rejected"}};
-  auto add = [&](const std::string& name, const Outcome& o) {
-    table.row(name, o.spin_ups, util::format_double(o.energy / 1e6, 3),
-              util::format_double(o.mean_latency, 2), o.placed, o.rejected);
-  };
-  add("spinning-aware (paper §1.1)", aware);
-  add("oblivious round-robin", oblivious);
+  std::cout << "write workload: every request a write at " << rate
+            << "/s for 20000 s (break-even spin-down)\n";
+  util::TablePrinter table{{"strategy", "disks", "spin-ups", "energy (MJ)",
+                            "mean write latency (s)", "p99 (s)",
+                            "requests"}};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto& r = results[i];
+    table.row(specs[i].label, r.per_disk.size(), r.power.spin_ups,
+              util::format_double(r.power.energy / 1e6, 3),
+              util::format_double(r.response.mean(), 2),
+              util::format_double(r.response.p99(), 2), r.requests);
+  }
   table.print(std::cout);
 
-  std::cout << "\nspinning-aware avoids "
-            << (oblivious.spin_ups - aware.spin_ups)
-            << " spin-ups; files land hot and migrate later during "
-               "reorganization (see core::Reorganizer)\n";
+  std::cout << "\noff-loading avoids "
+            << static_cast<long long>(results[0].power.spin_ups) -
+                   static_cast<long long>(results[1].power.spin_ups)
+            << " spin-ups; replay either row with: spindown_run --scenario '"
+            << specs[1].spec() << "'\n";
   return 0;
 }

@@ -88,16 +88,18 @@ std::vector<std::uint32_t> FleetController::replica_disks(
 
 void FleetController::route(double t, std::uint64_t id,
                             const workload::FileInfo& file,
-                            std::vector<Submission>& out) {
+                            std::vector<Submission>& out, std::uint64_t lba) {
   const std::uint32_t primary = mapping_[file.id];
   const auto& extent = extents_[file.id];
+  const Choice home{primary, lba != workload::kNoLba ? lba : extent.lba,
+                    extent.blocks};
 
   if (offload_ != nullptr && classify_write(id, cfg_.write_fraction)) {
     // Writes target the primary copy only (the replicas are read-time
     // copies; keeping them in sync is the next reorganization's job).
     if (!model_.awake(primary, t)) {
       const auto copy = offload_->absorb(t, id, file.id, file.size,
-                                         extent.blocks, extent.lba, primary);
+                                         extent.blocks, home.lba, primary);
       if (copy.has_value()) {
         ++offloads_;
         if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
@@ -114,13 +116,12 @@ void FleetController::route(double t, std::uint64_t id,
     }
     // Awake primary (or a full log tier): write through — and since the
     // primary is spinning for this request anyway, settle its debt now.
-    submit_foreground(t, id, file.size,
-                      Choice{primary, extent.lba, extent.blocks}, out);
+    submit_foreground(t, id, file.size, home, out);
     trigger_destage(t, id, primary, out);
     return;
   }
 
-  const Choice c = pick_read_target(t, file);
+  const Choice c = pick_read_target(t, file, home);
   if (c.disk != primary) {
     ++redirects_;
     if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
@@ -134,22 +135,18 @@ void FleetController::route(double t, std::uint64_t id,
 }
 
 FleetController::Choice FleetController::pick_read_target(
-    double t, const workload::FileInfo& file) {
-  const std::uint32_t primary = mapping_[file.id];
-  const auto& extent = extents_[file.id];
+    double t, const workload::FileInfo& file, const Choice& primary) {
   if (offload_ != nullptr) {
     if (const auto copy = offload_->log_copy(file.id)) {
       // The freshest bytes live on the log tier until the destage lands.
-      return Choice{copy->log_disk, copy->log_lba, extent.blocks};
+      return Choice{copy->log_disk, copy->log_lba, primary.blocks};
     }
   }
-  if (!cfg_.redirect || offset_.empty()) {
-    return Choice{primary, extent.lba, extent.blocks};
-  }
+  if (!cfg_.redirect || offset_.empty()) return primary;
   // Replica preference, ties broken by lowest disk id: a replica the model
   // predicts awake (no spin-up at all), else the lowest-id replica.
-  Choice awake_best, id_best{primary, extent.lba, extent.blocks};
-  bool have_awake = model_.awake(primary, t);
+  Choice awake_best, id_best = primary;
+  bool have_awake = model_.awake(primary.disk, t);
   if (have_awake) awake_best = id_best;
   for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
     const Choice c{replica_disk_[i], replica_extent_[i].lba,

@@ -129,9 +129,14 @@ public:
 
   /// Rewrite one post-cache arrival (non-decreasing t) into submissions:
   /// exactly one foreground submission at time t, plus any background
-  /// destages it triggers (also at t, appended after it).
+  /// destages it triggers (also at t, appended after it).  `lba` is the
+  /// record's explicit address on the primary copy (a trace column), or
+  /// kNoLba for the file's catalog-layout extent — as the router does
+  /// without a controller, so orchestration that moves no request moves
+  /// no head either.
   void route(double t, std::uint64_t id, const workload::FileInfo& file,
-             std::vector<Submission>& out);
+             std::vector<Submission>& out,
+             std::uint64_t lba = workload::kNoLba);
 
   /// Emit background destages for every buffered write whose deadline has
   /// passed (each at its own deadline time).  Call with the window frontier
@@ -159,7 +164,8 @@ private:
     std::uint64_t blocks = 0;
   };
 
-  Choice pick_read_target(double t, const workload::FileInfo& file);
+  Choice pick_read_target(double t, const workload::FileInfo& file,
+                          const Choice& primary);
   void submit_foreground(double t, std::uint64_t id, util::Bytes bytes,
                          const Choice& c, std::vector<Submission>& out);
   void trigger_destage(double t, std::uint64_t id, std::uint32_t disk,

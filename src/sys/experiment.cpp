@@ -268,15 +268,6 @@ double WorkloadSpec::measurement_horizon() const {
   return horizon_s;
 }
 
-WorkloadSpec WorkloadSpec::trace_file(const std::string& stem) {
-  WorkloadSpec w;
-  w.kind = Kind::kTrace;
-  w.owned_trace = workload::Trace::load_shared(stem);
-  w.trace = w.owned_trace.get();
-  w.trace_path = stem;
-  return w;
-}
-
 double WorkloadSpec::mean_rate() const {
   switch (kind) {
     case Kind::kPoisson: return rate;
@@ -345,8 +336,7 @@ std::string WorkloadSpec::spec() const {
              util::format_roundtrip(mmpp_params.mean_dwell[0]) + "," +
              util::format_roundtrip(mmpp_params.mean_dwell[1]) + "," +
              util::format_roundtrip(horizon_s) + ")";
-    case Kind::kTrace:
-      return trace_path.empty() ? "trace" : "trace:" + trace_path;
+    case Kind::kTrace: return "trace";
     case Kind::kReplay: return "replay";
   }
   throw std::logic_error{"WorkloadSpec: unknown kind"};
@@ -354,14 +344,6 @@ std::string WorkloadSpec::spec() const {
 
 WorkloadSpec WorkloadSpec::parse(const std::string& name) {
   if (name == "replay") return replay_catalog();
-  if (name.rfind("trace:", 0) == 0) {
-    const std::string stem = name.substr(6);
-    if (stem.empty()) {
-      throw std::invalid_argument{
-          "WorkloadSpec: trace needs a CSV stem (trace:<path>)"};
-    }
-    return trace_file(stem);
-  }
   if (name.rfind("poisson", 0) == 0) {
     const auto args = parse_call(name, "poisson");
     if (args.size() != 2) {
@@ -390,6 +372,11 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
     const double horizon = parse_number(args[1], name);
     const double period =
         args.size() == 3 ? parse_number(args[2], name) : 0.0;
+    if (period < 0.0) {
+      // spec() writes only a positive period, so it could not echo this.
+      throw std::invalid_argument{"WorkloadSpec: nhpp period must not be "
+                                  "negative in '" + name + "'"};
+    }
     return nhpp(std::move(segments), horizon, period);
   }
   if (name.rfind("mmpp", 0) == 0) {
@@ -408,7 +395,7 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
   throw std::invalid_argument{
       "WorkloadSpec: unknown workload '" + name +
       "' (want poisson(R,T)|nhpp(t:r;...,T[,P])|mmpp(r0,r1,d0,d1,T)|"
-      "trace:<stem>|replay)"};
+      "replay)"};
 }
 
 RunResult run_experiment(const ExperimentConfig& config) {

@@ -41,12 +41,9 @@ struct WorkloadSpec {
   double period_s = 0.0;
   // kMmpp: 2-state burst model.
   workload::MmppParams mmpp_params;
-  // Trace replay (§5.1): not owned.  When the spec was parsed from
-  // "trace:<path>" this points into `owned_trace` and `trace_path` names
-  // the CSV stem, so spec() stays parseable.
+  // Trace replay (§5.1): not owned.  A scenario names it as
+  // workload=replay over a nersc or trace catalog.
   const workload::Trace* trace = nullptr;
-  std::shared_ptr<const workload::Trace> owned_trace;
-  std::string trace_path;
 
   static WorkloadSpec poisson(double rate, double horizon_s) {
     WorkloadSpec w;
@@ -61,9 +58,6 @@ struct WorkloadSpec {
     w.trace = &trace;
     return w;
   }
-  /// Load the trace saved at `stem` (Trace::save's two-CSV format) and own
-  /// it: the parseable, value-semantic form of replay().
-  static WorkloadSpec trace_file(const std::string& stem);
   /// Replay whatever trace the enclosing ScenarioSpec's catalog carries
   /// (nersc or trace catalogs).  Only runnable after scenario resolution;
   /// make_stream()/measurement_horizon() throw on an unresolved replay.
@@ -109,16 +103,16 @@ struct WorkloadSpec {
 
   /// Parse a CLI/report key; accepts everything spec() emits except the
   /// bare "trace" (an injected trace object cannot be named by a string —
-  /// save it and use "trace:<stem>").  Throws std::invalid_argument on
-  /// anything else.
+  /// save it and replay it as catalog=trace:<stem> workload=replay).
+  /// Throws std::invalid_argument on anything else, including a negative
+  /// nhpp period.
   static WorkloadSpec parse(const std::string& name);
   /// Canonical parseable key — "poisson(6,4000)",
   /// "nhpp(0:8;1200:0.05,8000,2000)" (segments start:rate, horizon,
   /// optional period), "mmpp(8,0.5,120,480,8000)" (rate0, rate1, dwell0,
-  /// dwell1, horizon), "trace:<stem>" (owned trace loaded from CSV) or
-  /// "replay" (the scenario catalog's trace) — such that parse(spec())
-  /// round-trips.  Only a replay() of an in-memory trace still renders as
-  /// the unparseable "trace".
+  /// dwell1, horizon) or "replay" (the scenario catalog's trace) — such
+  /// that parse(spec()) round-trips.  Only a replay() of an in-memory trace
+  /// renders as the unparseable "trace".
   std::string spec() const;
 };
 

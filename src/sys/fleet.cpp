@@ -662,7 +662,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
             info.size = chunk->size[i];
             subs.clear();
             controller->flush_deadlines(block.arrival[i], subs);
-            controller->route(block.arrival[i], block.id[i], info, subs);
+            controller->route(block.arrival[i], block.id[i], info, subs,
+                              block.lba[i]);
             ship();
             continue;
           }

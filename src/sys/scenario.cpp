@@ -119,11 +119,9 @@ std::string json_escape(const std::string& s) {
 
 // ---------------------------------------------------------------- catalog
 
-CatalogSpec CatalogSpec::table1(std::size_t n_files, std::uint64_t seed) {
+CatalogSpec CatalogSpec::table1(std::size_t n_files) {
   CatalogSpec c;
-  c.synth = workload::SyntheticSpec::paper_table1();
   c.synth.n_files = n_files;
-  c.seed = seed;
   return c;
 }
 
@@ -156,15 +154,16 @@ std::string CatalogSpec::spec() const {
       const bool is_table1 = synth.zipf_exponent == paper.zipf_exponent &&
                              synth.max_size == paper.max_size &&
                              synth.correlation == paper.correlation;
-      if (is_table1) {
-        return "table1(" + std::to_string(synth.n_files) + "," +
-               std::to_string(seed) + ")";
+      if (is_table1) return "table1(" + std::to_string(synth.n_files) + ")";
+      std::string out = "synth(" + std::to_string(synth.n_files) + "," +
+                        util::format_roundtrip(synth.zipf_exponent) + "," +
+                        util::format_bytes_spec(synth.max_size) + "," +
+                        correlation_name(synth.correlation);
+      // Only the independent correlation draws random numbers.
+      if (synth.correlation == workload::SizeCorrelation::kIndependent) {
+        out += "," + std::to_string(seed);
       }
-      return "synth(" + std::to_string(synth.n_files) + "," +
-             util::format_roundtrip(synth.zipf_exponent) + "," +
-             util::format_bytes_spec(synth.max_size) + "," +
-             correlation_name(synth.correlation) + "," + std::to_string(seed) +
-             ")";
+      return out + ")";
     }
     case Kind::kNersc: {
       const workload::NerscSpec d;
@@ -201,26 +200,29 @@ CatalogSpec CatalogSpec::parse(const std::string& name) {
     return trace(stem);
   }
   if (name.rfind("table1", 0) == 0) {
+    // table1(n,seed) is the older spelling: Table 1's inverse correlation
+    // draws no random numbers, so the seed is checked and dropped.
     const auto args = parse_call(name, "table1");
-    if (args.size() != 2) {
-      throw std::invalid_argument{"CatalogSpec: want table1(n,seed), got '" +
+    if (args.size() != 1 && args.size() != 2) {
+      throw std::invalid_argument{"CatalogSpec: want table1(n), got '" +
                                   name + "'"};
     }
-    return table1(parse_unsigned(args[0], name), parse_unsigned(args[1], name));
+    if (args.size() == 2) parse_unsigned(args[1], name);
+    return table1(parse_unsigned(args[0], name));
   }
   if (name.rfind("synth", 0) == 0) {
     const auto args = parse_call(name, "synth");
-    if (args.size() != 5) {
+    if (args.size() != 4 && args.size() != 5) {
       throw std::invalid_argument{
-          "CatalogSpec: want synth(n,zipf,maxsize,corr,seed), got '" + name +
-          "'"};
+          "CatalogSpec: want synth(n,zipf,maxsize,corr[,seed]), got '" +
+          name + "'"};
     }
     workload::SyntheticSpec s = workload::SyntheticSpec::paper_table1();
     s.n_files = parse_unsigned(args[0], name);
     s.zipf_exponent = parse_number(args[1], name);
     s.max_size = parse_size(args[2], name);
     s.correlation = parse_correlation(args[3], name);
-    return synthetic(s, parse_unsigned(args[4], name));
+    return synthetic(s, args.size() == 5 ? parse_unsigned(args[4], name) : 1);
   }
   if (name.rfind("nersc", 0) == 0) {
     const auto args = parse_call(name, "nersc");
@@ -241,7 +243,7 @@ CatalogSpec CatalogSpec::parse(const std::string& name) {
   }
   throw std::invalid_argument{
       "CatalogSpec: unknown catalog '" + name +
-      "' (want table1(n,seed)|synth(n,zipf,max,corr,seed)|"
+      "' (want table1(n)|synth(n,zipf,max,corr[,seed])|"
       "nersc(files,requests,seed,...)|trace:<stem>)"};
 }
 
@@ -339,7 +341,7 @@ void apply_key(ScenarioSpec& s, const std::string& key,
         parse_unsigned(value, "disks=" + value), 1'000'000));
   } else if (key == "policy") {
     s.policy = PolicySpec::parse(value);
-  } else if (key == "sched" || key == "scheduler") {
+  } else if (key == "sched") {
     s.scheduler = SchedulerSpec::parse(value);
   } else if (key == "cache") {
     s.cache = CacheSpec::parse(value);
@@ -468,14 +470,7 @@ const ScenarioCache::CatalogEntry& ScenarioCache::catalog_for(
       break;
     }
     case CatalogSpec::Kind::kTrace: {
-      // Reuse a trace the workload spec already loaded from the same stem.
-      std::shared_ptr<const workload::Trace> trace;
-      if (spec.workload.owned_trace != nullptr &&
-          spec.workload.trace_path == spec.catalog.path) {
-        trace = spec.workload.owned_trace;
-      } else {
-        trace = workload::Trace::load_shared(spec.catalog.path);
-      }
+      auto trace = workload::Trace::load_shared(spec.catalog.path);
       entry.trace = trace;
       entry.catalog = std::shared_ptr<const workload::FileCatalog>(
           trace, &trace->catalog());
@@ -603,21 +598,18 @@ const ScenarioCache::MappingEntry& ScenarioCache::mapping_for(
 }
 
 ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
-  // A trace-kind workload must agree with the catalog it replays against:
-  // the router locates every record through the scenario catalog.
+  // Checked here rather than in parse so --sweep's one-key with() chains
+  // may pass through either half on the way to a valid combination.
+  if ((spec.placement.replicas > 1) != spec.orch.redirect) {
+    throw std::invalid_argument{
+        "ScenarioSpec: replicas and orch=redirect go together (only "
+        "redirection reads the copies), got replicas=" +
+        std::to_string(spec.placement.replicas) + " orch=" + spec.orch.spec()};
+  }
   if (spec.workload.kind == WorkloadSpec::Kind::kTrace) {
-    if (spec.workload.trace_path.empty()) {
-      throw std::invalid_argument{
-          "ScenarioSpec: an injected in-memory trace cannot be resolved; "
-          "use workload=replay with a nersc/trace catalog, or trace:<stem>"};
-    }
-    if (spec.catalog.kind != CatalogSpec::Kind::kTrace ||
-        spec.catalog.path != spec.workload.trace_path) {
-      throw std::invalid_argument{
-          "ScenarioSpec: workload trace:" + spec.workload.trace_path +
-          " must replay its own catalog (set catalog=trace:" +
-          spec.workload.trace_path + " or use workload=replay)"};
-    }
+    throw std::invalid_argument{
+        "ScenarioSpec: an injected in-memory trace cannot be resolved; use "
+        "workload=replay with a nersc/trace catalog"};
   }
 
   ResolvedScenario out;
@@ -625,8 +617,7 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   out.catalog = cat.catalog;
   out.trace = cat.trace;
 
-  const bool replays = spec.workload.kind == WorkloadSpec::Kind::kReplay ||
-                       spec.workload.kind == WorkloadSpec::Kind::kTrace;
+  const bool replays = spec.workload.kind == WorkloadSpec::Kind::kReplay;
   if (replays && cat.trace == nullptr) {
     throw std::invalid_argument{
         "ScenarioSpec: workload '" + spec.workload.spec() +

@@ -5,7 +5,7 @@
 // one canonical, parseable string, so any figure point, ablation cell, or
 // future sweep is reproducible from a single line:
 //
-//   catalog=table1(40000,1) placement=pack load=0.8 disks=100
+//   catalog=table1(40000) placement=pack load=0.8 disks=100
 //   policy=break-even sched=fcfs cache=none workload=poisson(6,4000) seed=1
 //
 // parse(spec()) round-trips at the top level and for every component key.
@@ -38,7 +38,9 @@ struct CatalogSpec {
   Kind kind = Kind::kSynthetic;
   // kSynthetic: generator parameters + the generator's own seed (kept
   // separate from the run seed so e.g. golden configs can pin the layout
-  // while sweeping the arrival randomness).
+  // while sweeping the arrival randomness).  generate_catalog draws random
+  // numbers only for the independent size correlation, so the seed is part
+  // of the canonical name only there.
   workload::SyntheticSpec synth = workload::SyntheticSpec::paper_table1();
   std::uint64_t seed = 1;
   // kNersc: the synthesizer's spec.  Only the fields the grammar names
@@ -51,8 +53,7 @@ struct CatalogSpec {
   std::string path;
 
   /// Table 1's catalog, optionally scaled down.
-  static CatalogSpec table1(std::size_t n_files = 40'000,
-                            std::uint64_t seed = 1);
+  static CatalogSpec table1(std::size_t n_files = 40'000);
   static CatalogSpec synthetic(const workload::SyntheticSpec& synth,
                                std::uint64_t seed = 1);
   static CatalogSpec nersc_synth(const workload::NerscSpec& spec);
@@ -63,17 +64,20 @@ struct CatalogSpec {
   bool has_trace() const { return kind != Kind::kSynthetic; }
 
   /// Parse a catalog key; accepts everything spec() emits.  Grammar:
-  ///   table1(n,seed)                      — Table 1, n files
-  ///   synth(n,zipf,maxsize,corr,seed)     — corr: inverse|independent|direct,
+  ///   table1(n)                           — Table 1, n files
+  ///   synth(n,zipf,maxsize,corr[,seed])   — corr: inverse|independent|direct,
   ///                                         zipf 0 = the paper's 1-theta,
   ///                                         maxsize with util::parse_bytes
-  ///                                         suffix ("20g")
+  ///                                         suffix ("20g"); the seed only
+  ///                                         shuffles independent sizes
   ///   nersc(files,requests,seed[,dur_s[,bfrac[,bmin[,bmax]]]])
   ///   trace:<stem>                        — Trace::save CSV stem
-  /// Throws std::invalid_argument on anything else.
+  /// table1(n,seed) still parses; its seed changes nothing.  Throws
+  /// std::invalid_argument on anything else.
   static CatalogSpec parse(const std::string& name);
   /// Canonical parseable key such that parse(spec()) round-trips; emits the
-  /// table1(...) shorthand when only n_files differs from Table 1.
+  /// table1(n) shorthand when only n_files differs from Table 1, and the
+  /// seed only for the independent correlation.
   std::string spec() const;
 };
 
@@ -90,14 +94,15 @@ struct PlacementSpec {
   std::uint32_t size_classes = 2; ///< kSegregated: size classes
   /// k-way replication over the base placement (`replicas=` scenario key,
   /// orthogonal to the placement kind): replica r of file f lives at
-  /// (mapping[f] + r * stride) % D, stride = max(1, D / k).  With
-  /// orchestration redirect enabled, reads route to whichever replica is
-  /// predicted spun up; without it replica 0 (the base mapping) serves
-  /// every request and results match replicas=1 exactly.
+  /// (mapping[f] + r * stride) % D, stride = max(1, D / k).  Only
+  /// orchestration redirect reads the copies, so resolution rejects
+  /// replicas > 1 without `orch=redirect` (and redirect at replicas=1).
   std::uint32_t replicas = 1;
 
   static PlacementSpec pack() { return {}; }
+  /// Pack_Disks_v; v = 1 is Pack_Disks by construction, so it is pack().
   static PlacementSpec grouped(std::uint32_t v) {
+    if (v == 1) return pack();
     PlacementSpec p;
     p.kind = Kind::kGrouped;
     p.group_size = v;
@@ -120,7 +125,9 @@ struct PlacementSpec {
     p.hot_load_share = hot_load_share;
     return p;
   }
+  /// One size class is Pack_Disks by construction, so it is pack().
   static PlacementSpec segregated(std::uint32_t classes = 2) {
+    if (classes == 1) return pack();
     PlacementSpec p;
     p.kind = Kind::kSegregated;
     p.size_classes = classes;
@@ -134,9 +141,9 @@ struct PlacementSpec {
 
   /// Parse a placement key — "pack", "grouped:4", "random", "maid:4",
   /// "sea:0.8", "seg:2", "ffd" (bare "grouped"/"maid"/"sea"/"seg" take the
-  /// defaults above).  `replicas` is not part of this key; it has its own
-  /// top-level `replicas=` scenario key.  Throws std::invalid_argument on
-  /// anything else.
+  /// defaults above; "grouped:1" and "seg:1" are "pack").  `replicas` is
+  /// not part of this key; it has its own top-level `replicas=` scenario
+  /// key.  Throws std::invalid_argument on anything else.
   static PlacementSpec parse(const std::string& name);
   /// Canonical parseable key such that parse(spec()) round-trips.
   std::string spec() const;
@@ -189,10 +196,9 @@ struct ScenarioSpec {
   OrchSpec orch;
 
   /// Parse a whitespace-separated `key=value` list.  Keys: label, catalog,
-  /// placement, replicas, load, disks, policy, sched (alias scheduler),
-  /// cache, workload, seed, shards, obs, orch; missing keys keep their
-  /// defaults, unknown keys throw std::invalid_argument, later duplicates
-  /// win.
+  /// placement, replicas, load, disks, policy, sched, cache, workload,
+  /// seed, shards, obs, orch; missing keys keep their defaults, unknown
+  /// keys throw std::invalid_argument, later duplicates win.
   static ScenarioSpec parse(const std::string& text);
   /// Canonical fully-explicit key=value string such that
   /// parse(spec()) == *this.
@@ -228,6 +234,10 @@ struct ResolvedScenario {
 /// simulations), then run the configs in parallel with run_sweep.
 class ScenarioCache {
 public:
+  /// Throws std::invalid_argument on a spec that parses but cannot run:
+  /// replicas > 1 without orch=redirect or redirect at replicas=1 (the
+  /// copies would change nothing), a replay workload over a catalog
+  /// without a trace, a MAID farm no larger than its cache.
   ResolvedScenario resolve(const ScenarioSpec& spec);
 
 private:

@@ -78,12 +78,18 @@ Trace Trace::load(const std::filesystem::path& stem) {
     util::CsvReader tr{std::filesystem::path{stem.string() + ".trace.csv"}};
     auto header = tr.next();
     if (!header) throw std::runtime_error{"Trace::load: empty trace csv"};
-    while (auto row = tr.next()) {
+    for (std::size_t n = 1; auto row = tr.next(); ++n) {
       if (row->size() < 2) {
         throw std::runtime_error{"Trace::load: bad trace row"};
       }
       TraceRecord rec;
       rec.time = std::stod((*row)[0]);
+      // A NaN or infinite arrival never lets the simulated clock pass it,
+      // and a negative one precedes the run: reject both by data row.
+      if (!std::isfinite(rec.time) || rec.time < 0.0) {
+        throw std::runtime_error{"Trace::load: bad time_s '" + (*row)[0] +
+                                 "' in trace row " + std::to_string(n)};
+      }
       rec.file = static_cast<FileId>(std::stoul((*row)[1]));
       // Optional third column: explicit lba (may be empty per-row).
       if (row->size() >= 3 && !(*row)[2].empty()) {

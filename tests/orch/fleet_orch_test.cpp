@@ -10,6 +10,7 @@
 
 #include "support/physical_digest.h"
 #include "sys/scenario.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace spindown::sys {
@@ -115,10 +116,50 @@ TEST(OrchFleet, ReplicasWithoutOrchestrationAreInert) {
   expect_same_physical(baseline, run_experiment(replicated));
 }
 
+TEST(OrchFleet, ControllerSeeksToATraceRecordsExplicitLba) {
+  // A trace record may carry its own LBA, and the routerless path seeks
+  // there.  Off-loading with no writes moves no request, so it must seek
+  // there too: an LBA-aware scheduler would otherwise order the queues
+  // differently and move the response times.
+  const auto cat = fleet_catalog();
+  std::vector<workload::TraceRecord> records;
+  util::Rng rng{5};
+  for (int i = 0; i < 600; ++i) {
+    workload::TraceRecord r;
+    r.time = 0.05 * i;
+    r.file = static_cast<workload::FileId>(i % cat.size());
+    r.lba = rng.uniform_int(0, 500'000'000);
+    records.push_back(r);
+  }
+  const workload::Trace trace{cat, records};
+
+  auto off = orch_config(cat);
+  off.orch = OrchSpec::off();
+  off.num_disks = 6;
+  off.replicas = 1;
+  off.scheduler = SchedulerSpec::sstf();
+  off.workload = WorkloadSpec::replay(trace);
+  auto no_writes = off;
+  no_writes.orch = OrchSpec::parse("offload+writes:0");
+  no_writes.num_disks = 6 + no_writes.orch.log_disks;
+
+  const auto a = run_experiment(off);
+  const auto b = run_experiment(no_writes);
+  EXPECT_EQ(a.response.mean(), b.response.mean());
+  EXPECT_EQ(a.response.p99(), b.response.p99());
+  EXPECT_EQ(a.response.max(), b.response.max());
+  for (std::uint32_t d = 0; d < 6; ++d) {
+    SCOPED_TRACE(d);
+    EXPECT_EQ(a.per_disk[d].served, b.per_disk[d].served);
+    EXPECT_EQ(a.per_disk[d].response.mean(), b.per_disk[d].response.mean());
+    EXPECT_EQ(a.per_disk[d].energy_j, b.per_disk[d].energy_j);
+  }
+}
+
 TEST(OrchFleet, ScenarioStringDrivesTheWholeStack) {
   // The acceptance shape: one scenario string turns everything on.
   const auto spec = ScenarioSpec::parse(
-      "catalog=table1(400,5) load=0.9 workload=poisson(1,200) replicas=2 "
+      "catalog=table1(400) load=0.9 workload=poisson(1,200) replicas=2 "
       "orch=redirect+offload:2:120");
   const auto resolved = resolve_scenario(spec);
   const auto& cfg = resolved.config;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "util/units.h"
@@ -231,38 +230,6 @@ TEST(WorkloadSpec, SpecRoundTripsSyntheticKinds) {
   }
 }
 
-TEST(WorkloadSpec, TraceByPathRoundTripsThroughCsv) {
-  const auto cat = small_catalog();
-  const workload::Trace trace{cat, {{1.0, 0}, {2.0, 3}, {50.0, 7}}};
-  const auto stem = (std::filesystem::temp_directory_path() /
-                     "spindown_workload_spec_trace_tmp")
-                        .string();
-  trace.save(stem);
-
-  const auto w = WorkloadSpec::parse("trace:" + stem);
-  EXPECT_EQ(w.kind, WorkloadSpec::Kind::kTrace);
-  EXPECT_EQ(w.spec(), "trace:" + stem);
-  ASSERT_NE(w.trace, nullptr);
-  EXPECT_EQ(w.trace, w.owned_trace.get()); // the spec owns its trace
-  EXPECT_EQ(w.trace->size(), 3u);
-  EXPECT_DOUBLE_EQ(w.measurement_horizon(), trace.duration() + 1.0);
-
-  // Copies share the loaded trace (value semantics, one load).
-  const auto copy = w;
-  EXPECT_EQ(copy.trace, w.trace);
-
-  // And it is runnable end to end, like any other parsed workload.
-  ExperimentConfig cfg;
-  cfg.catalog = &w.trace->catalog();
-  cfg.mapping.assign(8, 0);
-  cfg.num_disks = 1;
-  cfg.workload = w;
-  EXPECT_EQ(run_experiment(cfg).requests, 3u);
-
-  std::filesystem::remove(stem + ".catalog.csv");
-  std::filesystem::remove(stem + ".trace.csv");
-}
-
 TEST(WorkloadSpec, ReplayParsesButNeedsResolution) {
   const auto w = WorkloadSpec::parse("replay");
   EXPECT_EQ(w.kind, WorkloadSpec::Kind::kReplay);
@@ -295,6 +262,9 @@ TEST(WorkloadSpec, MeanRateSummarizesEveryKind) {
 TEST(WorkloadSpec, ParseRejectsGarbageAndTraces) {
   EXPECT_THROW(WorkloadSpec::parse("trace"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("trace:"), std::invalid_argument);
+  // A trace is named by its catalog (catalog=trace:<stem> workload=replay),
+  // not by a second workload spelling.
+  EXPECT_THROW(WorkloadSpec::parse("trace:some_stem"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("poisson(6)"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("poisson(6,4000"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("nhpp(0-8,100)"), std::invalid_argument);
@@ -305,6 +275,10 @@ TEST(WorkloadSpec, ParseRejectsGarbageAndTraces) {
   EXPECT_THROW(WorkloadSpec::parse("poisson(nan,4000)"), std::invalid_argument);
   EXPECT_THROW(WorkloadSpec::parse("mmpp(inf,1,2,3,100)"),
                std::invalid_argument);
+  // spec() writes only a positive period, so a negative one could not be
+  // echoed back; zero is the documented "no period".
+  EXPECT_THROW(WorkloadSpec::parse("nhpp(0:1,100,-5)"), std::invalid_argument);
+  EXPECT_EQ(WorkloadSpec::parse("nhpp(0:1,100,0)").spec(), "nhpp(0:1,100)");
 }
 
 TEST(RunExperiment, NhppWorkloadEndToEnd) {

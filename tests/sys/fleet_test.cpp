@@ -296,7 +296,7 @@ TEST(FleetScenario, ShardsKeyChangesWallClockOnly) {
   // End to end through the scenario grammar: the shards key changes
   // wall-clock strategy only, never the reported result row.
   const ScenarioSpec base = ScenarioSpec::parse(
-      "catalog=table1(400,5) load=0.9 policy=break-even "
+      "catalog=table1(400) load=0.9 policy=break-even "
       "workload=poisson(1,300) seed=9");
   const auto baseline = run_scenario(base);
   const auto sharded = run_scenario(base.with("shards", "4"));

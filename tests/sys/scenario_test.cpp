@@ -12,13 +12,15 @@ namespace spindown::sys {
 namespace {
 
 TEST(CatalogSpec, Table1RoundTrips) {
-  const auto c = CatalogSpec::table1(600, 7);
-  EXPECT_EQ(c.spec(), "table1(600,7)");
+  const auto c = CatalogSpec::table1(600);
+  EXPECT_EQ(c.spec(), "table1(600)");
   const auto parsed = CatalogSpec::parse(c.spec());
   EXPECT_EQ(parsed.kind, CatalogSpec::Kind::kSynthetic);
   EXPECT_EQ(parsed.synth.n_files, 600u);
-  EXPECT_EQ(parsed.seed, 7u);
   EXPECT_EQ(parsed.spec(), c.spec());
+  // The older seeded spelling still parses, to the same canonical name:
+  // Table 1's inverse correlation draws no random numbers.
+  EXPECT_EQ(CatalogSpec::parse("table1(600,7)").spec(), "table1(600)");
 }
 
 TEST(CatalogSpec, SynthRoundTripsNonPaperShapes) {
@@ -35,7 +37,14 @@ TEST(CatalogSpec, SynthRoundTripsNonPaperShapes) {
   EXPECT_EQ(parsed.synth.max_size, util::gb(4.0));
   EXPECT_EQ(parsed.synth.correlation,
             workload::SizeCorrelation::kIndependent);
+  EXPECT_EQ(parsed.seed, 3u);
   EXPECT_EQ(parsed.spec(), c.spec());
+
+  // Only the independent correlation shuffles, so only it names a seed.
+  s.correlation = workload::SizeCorrelation::kDirect;
+  EXPECT_EQ(CatalogSpec::synthetic(s, 3).spec(), "synth(1000,0.75,4g,direct)");
+  EXPECT_EQ(CatalogSpec::parse("synth(1000,0.75,4g,direct,9)").spec(),
+            "synth(1000,0.75,4g,direct)");
 }
 
 TEST(CatalogSpec, NerscRoundTripsWithTrailingOptionals) {
@@ -61,8 +70,10 @@ TEST(CatalogSpec, NerscRoundTripsWithTrailingOptionals) {
 }
 
 TEST(CatalogSpec, ParseRejectsGarbage) {
-  EXPECT_THROW(CatalogSpec::parse("table1(600)"), std::invalid_argument);
+  EXPECT_THROW(CatalogSpec::parse("table1()"), std::invalid_argument);
+  EXPECT_THROW(CatalogSpec::parse("table1(600,1,2)"), std::invalid_argument);
   EXPECT_THROW(CatalogSpec::parse("table1(x,1)"), std::invalid_argument);
+  EXPECT_THROW(CatalogSpec::parse("table1(600,x)"), std::invalid_argument);
   EXPECT_THROW(CatalogSpec::parse("synth(10,0,20g,weird,1)"),
                std::invalid_argument);
   EXPECT_THROW(CatalogSpec::parse("nersc(10)"), std::invalid_argument);
@@ -78,6 +89,9 @@ TEST(PlacementSpec, RoundTripsEveryKind) {
     SCOPED_TRACE(key);
     EXPECT_EQ(PlacementSpec::parse(key).spec(), key);
   }
+  // Pack_Disks_1 and one size class are Pack_Disks by construction.
+  EXPECT_EQ(PlacementSpec::parse("grouped:1").spec(), "pack");
+  EXPECT_EQ(PlacementSpec::parse("seg:1").spec(), "pack");
   // Bare names take the documented defaults.
   EXPECT_EQ(PlacementSpec::parse("grouped").group_size, 4u);
   EXPECT_EQ(PlacementSpec::parse("maid").cache_disks, 4u);
@@ -106,7 +120,7 @@ TEST(ScenarioSpec, DefaultsRoundTrip) {
 
 TEST(ScenarioSpec, FullStringParsesAndCanonicalizes) {
   const auto s = ScenarioSpec::parse(
-      "catalog=table1(600,7) placement=grouped:4 load=0.9 disks=40 "
+      "catalog=table1(600) placement=grouped:4 load=0.9 disks=40 "
       "policy=fixed:10 sched=batch8 cache=lru:30g "
       "workload=poisson(1.2,800) seed=42 label=golden");
   EXPECT_EQ(s.catalog.synth.n_files, 600u);
@@ -123,7 +137,7 @@ TEST(ScenarioSpec, FullStringParsesAndCanonicalizes) {
   EXPECT_EQ(s.label, "golden");
   // Canonical emission is order-normalized and fully explicit.
   EXPECT_EQ(s.spec(),
-            "label=golden catalog=table1(600,7) placement=grouped:4 "
+            "label=golden catalog=table1(600) placement=grouped:4 "
             "load=0.9 disks=40 policy=fixed:10 sched=batch8 cache=lru:30g "
             "workload=poisson(1.2,800) seed=42");
   EXPECT_EQ(ScenarioSpec::parse(s.spec()), s);
@@ -133,6 +147,8 @@ TEST(ScenarioSpec, ParseRejectsBadInput) {
   EXPECT_THROW(ScenarioSpec::parse(""), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("catalog"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("warp=9"), std::invalid_argument);
+  // One name per key: `sched` has no `scheduler` alias.
+  EXPECT_THROW(ScenarioSpec::parse("scheduler=sstf"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("load=0"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("load=1.5"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("disks=many"), std::invalid_argument);
@@ -179,7 +195,7 @@ TEST(ScenarioSpec, WithReassignsOneKey) {
 
 ScenarioSpec small_packed_scenario() {
   ScenarioSpec s;
-  s.catalog = CatalogSpec::table1(300, 5);
+  s.catalog = CatalogSpec::table1(300);
   s.placement = PlacementSpec::pack();
   s.load_fraction = 0.8;
   s.workload = WorkloadSpec::poisson(1.5, 400.0);
@@ -267,6 +283,21 @@ TEST(ScenarioResolve, ReplayWithoutTraceCatalogThrows) {
   auto s = small_packed_scenario();
   s.workload = WorkloadSpec::replay_catalog();
   EXPECT_THROW(resolve_scenario(s), std::invalid_argument);
+}
+
+TEST(ScenarioResolve, ReplicasAndRedirectOnlyTogether) {
+  // Only redirection reads the copies, so either half alone would change
+  // nothing; resolution (not parse, so --sweep can pass through) refuses.
+  const auto base = small_packed_scenario();
+  EXPECT_THROW(resolve_scenario(base.with("replicas", "2")),
+               std::invalid_argument);
+  EXPECT_THROW(resolve_scenario(base.with("orch", "redirect")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      resolve_scenario(base.with("replicas", "2").with("orch", "offload")),
+      std::invalid_argument);
+  const auto both = base.with("replicas", "2").with("orch", "redirect");
+  EXPECT_EQ(resolve_scenario(both).config.replicas, 2u);
 }
 
 TEST(ScenarioResolve, MaidNeedsAnExplicitFarmAndPinsCacheDisks) {
@@ -363,7 +394,7 @@ TEST(ScenarioJson, EmitsOneParseableObject) {
   const auto json = to_json(small_packed_scenario(), result);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"scenario\": \"catalog=table1(300,5)"),
+  EXPECT_NE(json.find("\"scenario\": \"catalog=table1(300)"),
             std::string::npos);
   EXPECT_NE(json.find("\"energy_j\": "), std::string::npos);
   EXPECT_NE(json.find("\"resp_p99_s\": "), std::string::npos);

@@ -91,7 +91,7 @@ public:
   CatalogSpec catalog() {
     switch (integer(0, 2)) {
       case 0:
-        return CatalogSpec::table1(integer(10, 100'000), integer(0, 1 << 30));
+        return CatalogSpec::table1(integer(10, 100'000));
       case 1: {
         workload::SyntheticSpec s;
         s.n_files = integer(10, 100'000);

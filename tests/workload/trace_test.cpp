@@ -46,6 +46,13 @@ protected:
     std::filesystem::remove(stem_.string() + ".catalog.csv");
     std::filesystem::remove(stem_.string() + ".trace.csv");
   }
+  /// Save a three-record trace, then rewrite its second data row's time.
+  void small_trace_with_second_time(const std::string& time_s) {
+    const Trace trace{small_catalog(), {{1.0, 0}, {2.0, 1}, {3.0, 2}}};
+    trace.save(stem_);
+    std::ofstream out{stem_.string() + ".trace.csv"};
+    out << "time_s,file_id\n1.0,0\n" << time_s << ",1\n3.0,2\n";
+  }
 };
 
 TEST_F(TraceIo, SaveLoadRoundTrip) {
@@ -89,6 +96,24 @@ TEST_F(TraceIo, TracesWithoutLbaKeepTheLegacyTwoColumnFormat) {
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "time_s,file_id");
+}
+
+TEST_F(TraceIo, RejectsNonFiniteAndNegativeTimesNamingTheRow) {
+  for (const std::string bad : {"nan", "inf", "-inf", "-1"}) {
+    SCOPED_TRACE(bad);
+    small_trace_with_second_time(bad);
+    try {
+      (void)Trace::load(stem_);
+      ADD_FAILURE() << "time_s '" << bad << "' loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+    }
+  }
+  // Zero is the earliest legal arrival.
+  small_trace_with_second_time("0");
+  EXPECT_EQ(Trace::load(stem_).size(), 3u);
 }
 
 TEST(TraceAnalyze, BasicStatistics) {

@@ -19,7 +19,12 @@ silently break that contract:
                        src/sys/experiment.h must be exercised by
                        tests/sys/spec_roundtrip_fuzz_test.cpp, so a new
                        scenario axis cannot ship without a parse(spec())
-                       round-trip guard.
+                       round-trip guard.  And every key the scenario parser
+                       accepts, and every kind name a spec parse() accepts
+                       (the literals src/sys/*.cpp compares a token
+                       against), must appear in a string of
+                       tests/sys/grammar_mutation_test.cpp, so no spelling
+                       ships without a check that it changes the result.
   obs                  Wall-clock waivers are confined to the observability
                        layer's profiling timer: a DETERMINISM-OK(wall-clock)
                        annotation anywhere but src/obs/profile.h fires this
@@ -88,6 +93,11 @@ WALL_CLOCK_RE = re.compile(
 
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 SPEC_DECL_RE = re.compile(r"\b(?:struct|class)\s+(\w*Spec)\b")
+# A name the grammar accepts: a literal a token is compared against
+# (`key == "sched"`, `head == "pack"`) or matched as a prefix
+# (`name.rfind("nhpp", 0)`).
+GRAMMAR_NAME_RE = re.compile(r'(?:==\s*|\brfind\(\s*)"([^"\\]+)"')
+STRING_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
 
 
 class Finding(NamedTuple):
@@ -100,9 +110,16 @@ class Finding(NamedTuple):
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text: str) -> str:
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
     """Blank out comments and string/char literals, preserving newlines and
-    column positions so findings keep accurate locations."""
+    column positions so findings keep accurate locations.  With
+    keep_strings, only comments are blanked."""
+
+    def literal(s: str) -> str:
+        if keep_strings:
+            return s
+        return "".join(ch if ch == "\n" else " " for ch in s)
+
     out = []
     i, n = 0, len(text)
     mode = "code"  # code | line_comment | block_comment | string | char
@@ -126,17 +143,15 @@ def strip_comments_and_strings(text: str) -> str:
                         close = ")" + m.group(1) + '"'
                         end = text.find(close, i + m.end())
                         end = n if end < 0 else end + len(close)
-                        out.append(
-                            "".join(ch if ch == "\n" else " "
-                                    for ch in text[i:end]))
+                        out.append(literal(text[i:end]))
                         i = end
                         continue
                 mode = "string"
-                out.append(" ")
+                out.append(literal(c))
                 i += 1
             elif c == "'":
                 mode = "char"
-                out.append(" ")
+                out.append(literal(c))
                 i += 1
             else:
                 out.append(c)
@@ -158,15 +173,15 @@ def strip_comments_and_strings(text: str) -> str:
                 i += 1
         else:  # string or char literal
             if c == "\\":
-                out.append("  ")
+                out.append(literal(text[i:i + 2]))
                 i += 2
             elif (mode == "string" and c == '"') or (mode == "char"
                                                      and c == "'"):
                 mode = "code"
-                out.append(" ")
+                out.append(literal(c))
                 i += 1
             else:
-                out.append(c if c == "\n" else " ")
+                out.append(literal(c))
                 i += 1
     return "".join(out)
 
@@ -425,6 +440,48 @@ def check_spec_coverage(spec_headers: Sequence[str],
     return findings
 
 
+def check_grammar_coverage(grammar_sources: Sequence[str],
+                           mutation_test: str) -> List[Finding]:
+    """Every key and kind name the grammar sources accept must appear in a
+    string literal of the mutation test (comments do not count)."""
+    try:
+        test_text = strip_comments_and_strings(
+            open(mutation_test, encoding="utf-8").read(), keep_strings=True)
+    except OSError as e:
+        return [
+            Finding(mutation_test, 1, "spec-coverage",
+                    f"cannot read mutation test: {e}")
+        ]
+    literals = "\n".join(STRING_LITERAL_RE.findall(test_text))
+    findings: List[Finding] = []
+    seen = set()
+    for source in grammar_sources:
+        try:
+            text = strip_comments_and_strings(
+                open(source, encoding="utf-8").read(), keep_strings=True)
+        except OSError as e:
+            findings.append(
+                Finding(source, 1, "spec-coverage",
+                        f"cannot read grammar source: {e}"))
+            continue
+        for m in GRAMMAR_NAME_RE.finditer(text):
+            name = m.group(1).rstrip(":(")
+            if name in seen:
+                continue
+            seen.add(name)
+            if re.search(rf"(?<![A-Za-z-]){re.escape(name)}(?![A-Za-z-])",
+                         literals):
+                continue
+            line = text.count("\n", 0, m.start()) + 1
+            findings.append(
+                Finding(
+                    source, line, "spec-coverage",
+                    f"grammar name `{name}` is not exercised by "
+                    f"{os.path.basename(mutation_test)} — every key and "
+                    "kind needs a one-token mutation, or deletion"))
+    return findings
+
+
 # --- driver -----------------------------------------------------------------
 
 
@@ -473,8 +530,14 @@ def lint_tree(root: str, paths: Optional[Sequence[str]] = None) -> List[Finding]
     scenario_h = os.path.join(root, "src", "sys", "scenario.h")
     experiment_h = os.path.join(root, "src", "sys", "experiment.h")
     fuzz = os.path.join(root, "tests", "sys", "spec_roundtrip_fuzz_test.cpp")
+    mutation = os.path.join(root, "tests", "sys", "grammar_mutation_test.cpp")
     if not paths and os.path.exists(scenario_h):
         findings += check_spec_coverage([scenario_h, experiment_h], fuzz)
+        grammar = [
+            os.path.join(root, "src", "sys", name)
+            for name in ("scenario.cpp", "experiment.cpp", "system.cpp")
+        ]
+        findings += check_grammar_coverage(grammar, mutation)
     return findings
 
 
@@ -483,7 +546,8 @@ def lint_tree(root: str, paths: Optional[Sequence[str]] = None) -> List[Finding]
 
 def self_test(fixture_dir: str) -> int:
     """Each bad fixture must fire exactly its rule; the clean fixture must be
-    silent; the spec fixture must flag only the unregistered Spec."""
+    silent; the spec fixtures must flag only the unregistered Spec and the
+    unlisted grammar key."""
     failures: List[str] = []
 
     def expect(desc: str, cond: bool):
@@ -521,6 +585,15 @@ def self_test(fixture_dir: str) -> int:
         f"{[f.message for f in spec_findings]}",
         len(spec_findings) == 1 and "BarSpec" in spec_findings[0].message)
 
+    grammar_findings = check_grammar_coverage(
+        [os.path.join(fixture_dir, "spec_coverage", "mini_grammar.cpp")],
+        os.path.join(fixture_dir, "spec_coverage", "mini_mutation_test.cpp"))
+    expect(
+        "spec_coverage: expected exactly the key `beta` flagged, got "
+        f"{[f.message for f in grammar_findings]}",
+        len(grammar_findings) == 1
+        and "`beta`" in grammar_findings[0].message)
+
     unjustified = lint_file(os.path.join(fixture_dir, "bad_empty_reason.cpp"),
                             RULES)
     expect(
@@ -534,7 +607,7 @@ def self_test(fixture_dir: str) -> int:
             print("  -", f)
         return 1
     print("determinism_lint self-test passed "
-          f"({len(cases) + 3} fixture checks).")
+          f"({len(cases) + 4} fixture checks).")
     return 0
 
 
