@@ -1,4 +1,5 @@
-// pack_disks.h — the paper's core algorithm (§3.1, Algorithm 3).
+// pack_disks.h — the paper's core algorithm (§3.1, Algorithm 3) and its
+// group form Pack_Disks_v (§3.2): one packer, parameterized by v.
 //
 // Pack_Disks is an O(n log n) approximation for two-dimensional vector
 // packing with guarantee  C_PD <= C*/(1 - rho) + 1  (Theorem 1), where rho
@@ -19,13 +20,30 @@
 //   * a disk is also closed as soon as it is "complete": both totals within
 //     [1 - rho, 1];
 //   * when one heap empties, Pack_Remaining packs the leftovers of the other
-//     heap by its own dimension only (the other dimension provably cannot
-//     overflow, asserted in the implementation).
+//     heap, starting a new disk when an item does not fit.
+//
+// Pack_Disks tends to place many same-size files on the same disk.  When a
+// user requests a batch of similar-size files at once (observed in the real
+// NERSC log), those requests all queue on one disk.  Pack_Disks_v packs a
+// *group* of v disks at a time, handing consecutive items to the group's
+// disks round-robin, so a batch of similar files lands on v spindles.  The
+// paper leaves the details open; this implementation chooses:
+//   * a rotating cursor picks the next open disk of the group; each picked
+//     disk takes one ordinary Pack_Disks step (draw, evict-and-close on
+//     overflow, close when complete);
+//   * when every disk of the group is closed, a fresh group of v opens;
+//   * Pack_Remaining also goes round-robin: an item that does not fit the
+//     cursor disk closes it and moves on; when no open disk can take the
+//     item, a fresh group opens.
+// With v = 1 the group is a single disk and these rules are Pack_Disks.
 //
 // Ties between equal heap keys are broken toward the smaller item index so
-// the packing is deterministic and bit-identical to the O(n^2) reference
-// implementation (chang_reference.h), which the tests exploit.
+// the packing is deterministic and, at v = 1, bit-identical to the O(n^2)
+// reference implementation (chang_reference.h), which the tests exploit.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
 
 #include "core/allocator.h"
 
@@ -33,16 +51,21 @@ namespace spindown::core {
 
 class PackDisks final : public Allocator {
 public:
-  PackDisks() = default;
+  /// group_size >= 1: number of disks packed concurrently (the paper's v).
+  explicit PackDisks(std::size_t group_size = 1);
 
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override { return "pack_disks"; }
+  /// "pack_disks" at v = 1, "pack_disks_<v>" otherwise.
+  std::string name() const override;
+
+  std::size_t group_size() const { return v_; }
 
   /// Number of evictions performed in the last allocate() call (each closes
   /// a disk; exposed for tests of Lemmas 3/4).
   std::uint64_t last_evictions() const { return evictions_; }
 
 private:
+  std::size_t v_;
   std::uint64_t evictions_ = 0;
 };
 

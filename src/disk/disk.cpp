@@ -90,8 +90,6 @@ void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
   }
   switch (state_) {
     case PowerState::kIdle:
-      // The idle gap ends now; record it for offline-optimal analysis.
-      idle_gaps_.push_back(sim_.now() - idle_since_);
       disarm_idle_timer();
       start_service();
       break;

@@ -176,11 +176,6 @@ public:
   /// Snapshot of the counters with the ledger flushed to `now`.
   DiskMetrics metrics(double now) const;
 
-  /// Completed idle-gap durations (time from going idle to the next
-  /// arrival), recorded when the policy never spun the disk down during the
-  /// gap.  Input for offline-optimal analysis.
-  const std::vector<double>& idle_gaps() const { return idle_gaps_; }
-
 private:
   void enter(PowerState next);
   double positioning_time(std::uint64_t target_lba) const;
@@ -236,7 +231,6 @@ private:
   std::uint64_t bg_in_batch_ = 0;
   std::uint64_t positionings_ = 0;
   util::Bytes bytes_served_ = 0;
-  std::vector<double> idle_gaps_;
   stats::LogHistogram idle_periods_{DiskMetrics::kIdleHistLo,
                                     DiskMetrics::kIdleHistHi,
                                     DiskMetrics::kIdleHistBins};

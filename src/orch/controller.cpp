@@ -86,6 +86,56 @@ std::vector<std::uint32_t> FleetController::replica_disks(
   return disks;
 }
 
+// route()'s helpers are inline so the per-miss path is one function.
+inline FleetController::Choice FleetController::pick_read_target(
+    double t, const workload::FileInfo& file, const Choice& primary) {
+  if (offload_ != nullptr) {
+    if (const auto copy = offload_->log_copy(file.id)) {
+      // The freshest bytes live on the log tier until the destage lands.
+      return Choice{copy->log_disk, copy->log_lba, primary.blocks};
+    }
+  }
+  if (!cfg_.redirect || offset_.empty()) return primary;
+  // Replica preference, ties broken by lowest disk id: a replica the model
+  // predicts awake (no spin-up at all), else the lowest-id replica.
+  Choice awake_best, id_best = primary;
+  bool have_awake = model_.awake(primary.disk, t);
+  if (have_awake) awake_best = id_best;
+  for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
+    const Choice c{replica_disk_[i], replica_extent_[i].lba,
+                   replica_extent_[i].blocks};
+    if (c.disk < id_best.disk) id_best = c;
+    if ((!have_awake || c.disk < awake_best.disk) && model_.awake(c.disk, t)) {
+      awake_best = c;
+      have_awake = true;
+    }
+  }
+  return have_awake ? awake_best : id_best;
+}
+
+inline void FleetController::submit_foreground(double t, std::uint64_t id,
+                                               util::Bytes bytes,
+                                               const Choice& c,
+                                               std::vector<Submission>& out) {
+  model_.on_submit(c.disk, t, bytes);
+  out.push_back(Submission{t, id, bytes, c.lba, c.blocks, c.disk, false});
+}
+
+inline void FleetController::trigger_destage(double t, std::uint64_t id,
+                                             std::uint32_t disk,
+                                             std::vector<Submission>& out) {
+  if (offload_ == nullptr || !offload_->has_pending(disk)) return;
+  drained_.clear();
+  offload_->drain_disk(disk, drained_);
+  if (drained_.empty()) return; // every entry had already been settled
+  if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
+    trace_->emit(obs::Kind::kPolicy, obs::kPolicyDestage, t,
+                 obs::kRouterTrack, id, static_cast<double>(disk),
+                 static_cast<double>(drained_.size()));
+  }
+  emit_destage_subs(t, drained_, out);
+}
+
 void FleetController::route(double t, std::uint64_t id,
                             const workload::FileInfo& file,
                             std::vector<Submission>& out, std::uint64_t lba) {
@@ -132,54 +182,6 @@ void FleetController::route(double t, std::uint64_t id,
   }
   submit_foreground(t, id, file.size, c, out);
   if (c.disk < cfg_.data_disks) trigger_destage(t, id, c.disk, out);
-}
-
-FleetController::Choice FleetController::pick_read_target(
-    double t, const workload::FileInfo& file, const Choice& primary) {
-  if (offload_ != nullptr) {
-    if (const auto copy = offload_->log_copy(file.id)) {
-      // The freshest bytes live on the log tier until the destage lands.
-      return Choice{copy->log_disk, copy->log_lba, primary.blocks};
-    }
-  }
-  if (!cfg_.redirect || offset_.empty()) return primary;
-  // Replica preference, ties broken by lowest disk id: a replica the model
-  // predicts awake (no spin-up at all), else the lowest-id replica.
-  Choice awake_best, id_best = primary;
-  bool have_awake = model_.awake(primary.disk, t);
-  if (have_awake) awake_best = id_best;
-  for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
-    const Choice c{replica_disk_[i], replica_extent_[i].lba,
-                   replica_extent_[i].blocks};
-    if (c.disk < id_best.disk) id_best = c;
-    if ((!have_awake || c.disk < awake_best.disk) && model_.awake(c.disk, t)) {
-      awake_best = c;
-      have_awake = true;
-    }
-  }
-  return have_awake ? awake_best : id_best;
-}
-
-void FleetController::submit_foreground(double t, std::uint64_t id,
-                                        util::Bytes bytes, const Choice& c,
-                                        std::vector<Submission>& out) {
-  model_.on_submit(c.disk, t, bytes);
-  out.push_back(Submission{t, id, bytes, c.lba, c.blocks, c.disk, false});
-}
-
-void FleetController::trigger_destage(double t, std::uint64_t id,
-                                      std::uint32_t disk,
-                                      std::vector<Submission>& out) {
-  if (offload_ == nullptr || !offload_->has_pending(disk)) return;
-  drained_.clear();
-  offload_->drain_disk(disk, drained_);
-  if (drained_.empty()) return; // every entry had already been settled
-  if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
-    trace_->emit(obs::Kind::kPolicy, obs::kPolicyDestage, t,
-                 obs::kRouterTrack, id, static_cast<double>(disk),
-                 static_cast<double>(drained_.size()));
-  }
-  emit_destage_subs(t, drained_, out);
 }
 
 void FleetController::emit_destage_subs(double t,

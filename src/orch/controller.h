@@ -19,11 +19,13 @@
 // The controller is a *deterministic stream rewriter*: it lives in the
 // fleet router (src/sys/fleet.cpp), sees every post-cache arrival in global
 // arrival order, and rewrites each into one foreground submission plus any
-// triggered background destages.  It never reads simulator state — spin
-// predictions come from its own busy_until service model — so its output
-// is a pure function of the arrival stream and the run stays bit-identical
-// at any shard count.  Decisions are traced onto the router track
-// (obs::kSpanRedirect / kPolicyOffload / kPolicyDestage).
+// triggered background destages.  Every run routes through it; with no
+// mechanism enabled (orch=off) each read goes to its primary copy.  It
+// never reads simulator state — spin predictions come from its own
+// busy_until service model — so its output is a pure function of the
+// arrival stream and the run stays bit-identical at any shard count.
+// Decisions are traced onto the router track (obs::kSpanRedirect /
+// kPolicyOffload / kPolicyDestage).
 #pragma once
 
 #include <algorithm>
@@ -131,9 +133,7 @@ public:
   /// exactly one foreground submission at time t, plus any background
   /// destages it triggers (also at t, appended after it).  `lba` is the
   /// record's explicit address on the primary copy (a trace column), or
-  /// kNoLba for the file's catalog-layout extent — as the router does
-  /// without a controller, so orchestration that moves no request moves
-  /// no head either.
+  /// kNoLba for the file's catalog-layout extent.
   void route(double t, std::uint64_t id, const workload::FileInfo& file,
              std::vector<Submission>& out,
              std::uint64_t lba = workload::kNoLba);

@@ -491,12 +491,12 @@ double sleep_after_estimate(const ExperimentConfig& config) {
   }
 }
 
-/// Build the orchestration controller for a routed run, or null when the
-/// scenario has orchestration off.
-std::unique_ptr<orch::FleetController> make_controller(
-    const ExperimentConfig& config, const FleetSetup& setup,
-    obs::TraceBuffer* trace) {
-  if (!config.orch.enabled()) return nullptr;
+/// Build the orchestration controller that routes every cache miss of a
+/// run; with orchestration off it enables no mechanism and sends each miss
+/// to its primary copy.
+orch::FleetController make_controller(const ExperimentConfig& config,
+                                      const FleetSetup& setup,
+                                      obs::TraceBuffer* trace) {
   orch::Config ocfg;
   ocfg.redirect = config.orch.redirect;
   ocfg.offload = config.orch.offload;
@@ -512,8 +512,8 @@ std::unique_ptr<orch::FleetController> make_controller(
   model.transfer_bps = config.params.transfer_bps;
   model.spinup_s = config.params.spinup_s;
   model.sleep_after_s = sleep_after_estimate(config);
-  return std::make_unique<orch::FleetController>(ocfg, model, config.mapping,
-                                                 setup.extents, trace);
+  return orch::FleetController{ocfg, model, config.mapping, setup.extents,
+                               trace};
 }
 
 std::vector<RunResult> run_routed(const ExperimentConfig& config,
@@ -558,10 +558,10 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   obs::TraceBuffer router_trace{sim_mask};
   const bool span_trace =
       cache != nullptr && router_trace.wants(obs::Kind::kSpan);
-  // Orchestration: the controller rewrites the post-cache arrival stream in
-  // global arrival order — a deterministic, shard-count-invariant function
-  // — emitting its decisions onto the router track.
-  const auto controller = make_controller(config, setup, &router_trace);
+  // The controller rewrites the post-cache arrival stream in global
+  // arrival order — a deterministic, shard-count-invariant function —
+  // emitting its orchestration decisions onto the router track.
+  auto controller = make_controller(config, setup, &router_trace);
   std::vector<orch::Submission> subs;
   std::vector<obs::TraceEvent> router_prof; ///< kProfRouterFill per window
   std::uint64_t window_idx = 0;
@@ -647,46 +647,33 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
             root_hist.add(0.0);
             continue;
           }
-          const std::uint32_t disk = config.mapping[file];
           if (span_trace) {
             router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
                               block.arrival[i], obs::kRouterTrack,
-                              block.id[i], disk);
+                              block.id[i], config.mapping[file]);
           }
-          if (controller != nullptr) {
-            // Deadline destages due before this arrival ship first (each
-            // at its own deadline time), then the arrival's rewritten
-            // submissions — so per-shard batch times stay non-decreasing.
-            workload::FileInfo info;
-            info.id = file;
-            info.size = chunk->size[i];
-            subs.clear();
-            controller->flush_deadlines(block.arrival[i], subs);
-            controller->route(block.arrival[i], block.id[i], info, subs,
-                              block.lba[i]);
-            ship();
-            continue;
-          }
-          const auto& extent = setup.extents[file];
-          const std::uint64_t lba = block.lba[i] != workload::kNoLba
-                                        ? block.lba[i]
-                                        : extent.lba;
-          current[disk % shards]->push(block.arrival[i], block.id[i],
-                                       chunk->size[i], lba, extent.blocks,
-                                       disk / shards);
+          // Deadline destages due before this arrival ship first (each at
+          // its own deadline time), then the arrival's rewritten
+          // submissions — so per-shard batch times stay non-decreasing.
+          workload::FileInfo info;
+          info.id = file;
+          info.size = chunk->size[i];
+          subs.clear();
+          controller.flush_deadlines(block.arrival[i], subs);
+          controller.route(block.arrival[i], block.id[i], info, subs,
+                           block.lba[i]);
+          ship();
         }
         const double frontier = chunk->frontier;
         const bool ends_window = chunk->ends_window;
         feeder.free_ring.try_push(chunk); // chunk count == capacity
         if (!ends_window) continue;
-        if (controller != nullptr) {
-          // Destages due inside this window but after its last arrival:
-          // flushed at the frontier so the next window's arrivals (all
-          // >= frontier) still land after them.
-          subs.clear();
-          controller->flush_deadlines(frontier, subs);
-          ship();
-        }
+        // Destages due inside this window but after its last arrival:
+        // flushed at the frontier so the next window's arrivals (all
+        // >= frontier) still land after them.
+        subs.clear();
+        controller.flush_deadlines(frontier, subs);
+        ship();
         for (std::uint32_t w = 0; w < shards; ++w) {
           current[w]->advance_to = frontier;
           publish(w, current[w]);
@@ -701,20 +688,18 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         }
         ++window_idx;
       }
-      if (controller != nullptr) {
-        // Every remaining buffered write has a deadline <= horizon (the
-        // absorb-time cap), so one flush at the horizon drains the log
-        // tier inside the measurement window.
-        subs.clear();
-        controller->flush_deadlines(horizon, subs);
-        if (!subs.empty()) {
-          for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-          ship();
-          for (std::uint32_t w = 0; w < shards; ++w) {
-            current[w]->advance_to = horizon;
-            publish(w, current[w]);
-            current[w] = nullptr;
-          }
+      // Every remaining buffered write has a deadline <= horizon (the
+      // absorb-time cap), so one flush at the horizon drains the log tier
+      // inside the measurement window.
+      subs.clear();
+      controller.flush_deadlines(horizon, subs);
+      if (!subs.empty()) {
+        for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
+        ship();
+        for (std::uint32_t w = 0; w < shards; ++w) {
+          current[w]->advance_to = horizon;
+          publish(w, current[w]);
+          current[w] = nullptr;
         }
       }
       for (std::uint32_t w = 0; w < shards; ++w) {

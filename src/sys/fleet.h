@@ -14,9 +14,11 @@
 //     time windows, looks every arrival up in the catalog and the front
 //     cache in global arrival order, and forwards the cache-filtered
 //     arrivals to the router in fixed-size chunks;
-//   * the router (the calling thread) runs the orchestration controller
-//     and the mapping lookups in the same arrival order, batches a whole
-//     window of decisions, and publishes each shard's pre-routed batch;
+//   * the router (the calling thread) hands every cache miss, in the same
+//     arrival order, to the orchestration controller (orch/controller.h),
+//     the one place a miss's disk and extent are picked (with orchestration
+//     off it enables no mechanism and picks the primary copy), batches a
+//     whole window of submissions, and publishes each shard's batch;
 //   * one worker per shard replays its batches into its own calendar.
 // Every handoff is a lock-free SPSC ring (util/spsc_ring.h) paired with a
 // second ring that recycles drained arenas (feeder chunks, shard batches)

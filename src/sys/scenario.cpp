@@ -9,7 +9,6 @@
 #include "core/maid.h"
 #include "core/normalize.h"
 #include "core/pack_disks.h"
-#include "core/pack_grouped.h"
 #include "core/pack_segregated.h"
 #include "core/random_alloc.h"
 #include "core/sea.h"
@@ -524,15 +523,12 @@ const ScenarioCache::MappingEntry& ScenarioCache::mapping_for(
     entry.alloc_disks = a.disk_count;
   };
   switch (placement.kind) {
-    case PlacementSpec::Kind::kPack: {
-      const auto items = core::normalize(*cat.catalog, model);
-      core::PackDisks pack;
-      from_assignment(pack.allocate(items));
-      break;
-    }
+    case PlacementSpec::Kind::kPack:
     case PlacementSpec::Kind::kGrouped: {
       const auto items = core::normalize(*cat.catalog, model);
-      core::PackDisksGrouped pack{placement.group_size};
+      core::PackDisks pack{placement.kind == PlacementSpec::Kind::kGrouped
+                               ? placement.group_size
+                               : 1};
       from_assignment(pack.allocate(items));
       break;
     }

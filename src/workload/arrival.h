@@ -6,8 +6,8 @@
 // Figures 5/6.  Real farm traffic is diurnal and bursty, so the adaptive
 // policies in src/adapt/ need arrival processes whose rate *moves*:
 //
-//   * PoissonArrivals       — the Table 1 process, draw-for-draw identical
-//                             to workload::PoissonProcess (the seed path).
+//   * PoissonArrivals       — the Table 1 process: one exponential draw
+//                             per arrival.
 //   * PiecewiseRateArrivals — a non-homogeneous Poisson process with a
 //                             piecewise-constant rate function, sampled by
 //                             Lewis–Shedler thinning; an optional period
@@ -46,8 +46,7 @@ public:
 };
 
 /// Homogeneous Poisson process: exponential inter-arrivals at a fixed rate.
-/// Consumes exactly one exponential draw per arrival — the same stream as
-/// workload::PoissonProcess, so the default experiment path is bit-exact.
+/// Consumes exactly one exponential draw per arrival.
 class PoissonArrivals final : public ArrivalProcess {
 public:
   explicit PoissonArrivals(double rate);

@@ -35,17 +35,6 @@ std::size_t ZipfPopularity::sample(util::Rng& rng) const {
   return alias_.sample(rng) + 1;
 }
 
-PoissonProcess::PoissonProcess(double rate) : rate_(rate) {
-  if (rate <= 0.0) {
-    throw std::invalid_argument{"PoissonProcess: rate must be > 0"};
-  }
-}
-
-double PoissonProcess::next_arrival(util::Rng& rng) {
-  now_ += rng.exponential(rate_);
-  return now_;
-}
-
 BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
     : lo_(lo), hi_(hi), alpha_(alpha) {
   if (!(lo > 0.0) || !(hi > lo)) {

@@ -6,7 +6,8 @@
 //     c = 1 / H_n^(1-theta) the normalizer,
 //   * file sizes: inverse Zipf-like (most popular file is smallest),
 //     188 MB .. 20 GB,
-//   * arrivals: Poisson with rate R in [1, 12] requests/second.
+//   * arrivals: Poisson with rate R in [1, 12] requests/second
+//     (workload::PoissonArrivals, arrival.h).
 // The NERSC synthesizer additionally needs a bounded Pareto (power-law) size
 // sampler whose mean can be calibrated to the published 544 MB.
 #pragma once
@@ -46,27 +47,6 @@ private:
   double normalizer_; // 1 / H_n^(exponent)
   std::vector<double> probs_;
   util::AliasTable alias_;
-};
-
-/// Homogeneous Poisson arrival process: exponential inter-arrival times.
-class PoissonProcess {
-public:
-  /// rate in events per second (> 0).
-  explicit PoissonProcess(double rate);
-
-  double rate() const { return rate_; }
-
-  /// Advance and return the next arrival time (strictly increasing).
-  double next_arrival(util::Rng& rng);
-
-  /// Current clock (time of the last arrival generated).
-  double now() const { return now_; }
-
-  void reset(double t0 = 0.0) { now_ = t0; }
-
-private:
-  double rate_;
-  double now_ = 0.0;
 };
 
 /// Bounded Pareto distribution on [lo, hi] with shape alpha > 0, alpha != 1.

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "workload/arrival.h"
 #include "workload/distributions.h"
 
 namespace spindown::workload {
@@ -131,7 +132,7 @@ Trace synthesize_nersc(const NerscSpec& spec) {
       spec.day_fraction + (1.0 - spec.day_fraction) * spec.night_intensity;
   const double peak_rate =
       spec.diurnal ? epoch_rate / mean_intensity : epoch_rate;
-  PoissonProcess epochs{peak_rate};
+  PoissonArrivals epochs{peak_rate};
   auto next_epoch = [&]() {
     for (;;) {
       const double t = epochs.next_arrival(rng);

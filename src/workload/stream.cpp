@@ -67,10 +67,6 @@ std::size_t WindowedStream::fill(double t_end, std::size_t max_count,
   return appended;
 }
 
-PoissonZipfStream::PoissonZipfStream(const FileCatalog& catalog, double rate,
-                                     double horizon, util::Rng rng)
-    : inner_(catalog, std::make_unique<PoissonArrivals>(rate), horizon, rng) {}
-
 TraceStream::TraceStream(const Trace& trace) : trace_(trace) {}
 
 std::optional<Request> TraceStream::next() {

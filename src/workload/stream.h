@@ -5,9 +5,6 @@
 //     file choice (O(1) alias sampling).  This is the general synthetic
 //     generator: Poisson reproduces Table 1; NHPP/MMPP produce the
 //     non-stationary workloads that stress adaptive spin-down policies.
-//   * PoissonZipfStream — Table 1's generator, a thin wrapper over
-//     ArrivalZipfStream with a PoissonArrivals process (kept for its name
-//     and ubiquity in the benches; draw-for-draw identical to the seed).
 //   * TraceStream — replays a Trace (used for the NERSC experiments, where
 //     "all of the 115,832 requests are regenerated based on the time in the
 //     real life workload data").
@@ -107,20 +104,6 @@ private:
   util::Rng rng_;
   util::AliasTable file_choice_;
   std::uint64_t next_id_ = 0;
-};
-
-/// Table 1 generator: Poisson(R) arrivals, Zipf file choice.
-class PoissonZipfStream final : public RequestStream {
-public:
-  /// Generates until `horizon` seconds (exclusive).  The catalog's
-  /// popularity vector defines the file-choice distribution.
-  PoissonZipfStream(const FileCatalog& catalog, double rate, double horizon,
-                    util::Rng rng);
-
-  std::optional<Request> next() override { return inner_.next(); }
-
-private:
-  ArrivalZipfStream inner_;
 };
 
 /// Replays a trace verbatim.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/bounds.h"
 #include "instance_helpers.h"
 
@@ -165,6 +167,96 @@ TEST(PackDisks, EvictionsCloseDisks) {
   // The counter is observable; whether evictions occur is instance-specific,
   // but the assignment must remain feasible either way.
   SUCCEED() << "evictions=" << pd.last_evictions();
+}
+
+// --- Pack_Disks_v (§3.2): v disks packed round-robin -------------------
+
+TEST(PackDisksV, RejectsZeroGroup) {
+  EXPECT_THROW(PackDisks{0}, std::invalid_argument);
+}
+
+TEST(PackDisksV, NameIncludesGroupSize) {
+  EXPECT_EQ(PackDisks{4}.group_size(), 4u);
+  EXPECT_EQ(PackDisks{4}.name(), "pack_disks_4");
+  EXPECT_EQ(PackDisks{}.name(), "pack_disks");
+}
+
+TEST(PackDisksV, EmptyAndSingleton) {
+  PackDisks g{4};
+  EXPECT_EQ(g.allocate(std::vector<Item>{}).disk_count, 0u);
+  const std::vector<Item> one{{0.4, 0.3, 0}};
+  const auto a = g.allocate(one);
+  EXPECT_EQ(a.disk_count, 1u);
+  EXPECT_TRUE(is_feasible(a, one));
+}
+
+class GroupSizeSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GroupSizeSweep, FeasibleForAllGroupSizes) {
+  const auto items = random_instance(1500, 0.08, 21);
+  PackDisks g{GetParam()};
+  const auto a = g.allocate(items);
+  EXPECT_TRUE(is_feasible(a, items));
+  // Still within the same order of disks as the lower bound (the group
+  // variant trades a little packing tightness for batch dispersion; allow
+  // a factor that the paper's v <= 8 stays well inside).
+  const auto report = bound_report(items);
+  EXPECT_LE(a.disk_count, 2 * report.lower_bound + GetParam() + 1);
+  // Every eviction closes a disk.
+  EXPECT_LE(g.last_evictions(), a.disk_count);
+}
+
+INSTANTIATE_TEST_SUITE_P(V, GroupSizeSweep,
+                         ::testing::Values(1, 2, 3, 4, 6, 8, 16));
+
+TEST(PackDisksV, SpreadsConsecutiveSimilarItems) {
+  // The design goal (§3.2): a run of same-size items must land on several
+  // disks, not one.  Build a batch of identical items small enough that
+  // Pack_Disks would put them all on one disk.
+  std::vector<Item> items;
+  for (std::uint32_t i = 0; i < 16; ++i) items.push_back({0.05, 0.05, i});
+  PackDisks g4{4};
+  const auto a = g4.allocate(items);
+  // The first four consecutive items must be on four different disks.
+  std::set<std::uint32_t> first_four{a.disk_of[0], a.disk_of[1],
+                                     a.disk_of[2], a.disk_of[3]};
+  EXPECT_EQ(first_four.size(), 4u);
+}
+
+TEST(PackDisksV, V1DoesNotSpread) {
+  std::vector<Item> items;
+  for (std::uint32_t i = 0; i < 16; ++i) items.push_back({0.05, 0.05, i});
+  PackDisks g1{1};
+  const auto a = g1.allocate(items);
+  std::set<std::uint32_t> first_four{a.disk_of[0], a.disk_of[1],
+                                     a.disk_of[2], a.disk_of[3]};
+  EXPECT_EQ(first_four.size(), 1u);
+}
+
+TEST(PackDisksV, GroupLargerThanItems) {
+  std::vector<Item> items{{0.2, 0.1, 0}, {0.1, 0.2, 1}};
+  PackDisks g8{8};
+  const auto a = g8.allocate(items);
+  EXPECT_TRUE(is_feasible(a, items));
+  EXPECT_LE(a.disk_count, 2u);
+}
+
+TEST(PackDisksV, DeterministicAcrossCalls) {
+  const auto items = random_instance(800, 0.1, 33);
+  PackDisks g{4};
+  const auto a = g.allocate(items);
+  const auto b = g.allocate(items);
+  EXPECT_EQ(a.disk_of, b.disk_of);
+}
+
+TEST(PackDisksV, AllItemsAssignedExactlyOnce) {
+  const auto items = random_instance(3000, 0.05, 55);
+  PackDisks g{6};
+  const auto a = g.allocate(items);
+  ASSERT_EQ(a.disk_of.size(), items.size());
+  for (const auto& it : items) {
+    EXPECT_LT(a.disk_of[it.index], a.disk_count);
+  }
 }
 
 } // namespace

@@ -166,11 +166,17 @@ TEST_F(DiskFixture, IdleGapsRecordedBetweenArrivals) {
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   sim_.schedule_at(svc + 40.0, [&] { d->submit(1, size); });
   sim_.run();
-  // Gap 0: [0, 0) before the first request (disk idle from t = 0);
-  // gap 1: 40 s between first completion and second arrival.
-  ASSERT_EQ(d->idle_gaps().size(), 2u);
-  EXPECT_NEAR(d->idle_gaps()[0], 0.0, 1e-12);
-  EXPECT_NEAR(d->idle_gaps()[1], 40.0, 1e-9);
+  // Period 0: [0, 0) before the first request (disk idle from t = 0),
+  // counted but too short for any bin; period 1: 40 s between first
+  // completion and second arrival.
+  const auto periods = d->metrics(sim_.now()).idle_periods;
+  EXPECT_EQ(periods.total(), 2u);
+  ASSERT_EQ(periods.binned(), 1u);
+  for (std::size_t i = 0; i < periods.bins(); ++i) {
+    const bool holds_40s =
+        periods.bin_lo(i) <= 40.0 && 40.0 < periods.bin_hi(i);
+    EXPECT_EQ(periods.bin_count(i), holds_40s ? 1u : 0u) << "bin " << i;
+  }
 }
 
 TEST_F(DiskFixture, BurstDuringSpinUpQueuesAll) {

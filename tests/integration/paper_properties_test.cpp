@@ -10,7 +10,6 @@
 
 #include "core/normalize.h"
 #include "core/pack_disks.h"
-#include "core/pack_grouped.h"
 #include "sys/experiment.h"
 #include "sys/sweep.h"
 #include "workload/catalog.h"
@@ -112,7 +111,7 @@ TEST(PaperProperties, GroupedPackingDispersesBatches) {
     return sys::run_experiment(cfg);
   };
   core::PackDisks v1;
-  core::PackDisksGrouped v4{4};
+  core::PackDisks v4{4};
   const auto r1 = run_with(v1);
   const auto r4 = run_with(v4);
   // Dispersion must help the upper tail of response times.

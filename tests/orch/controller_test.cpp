@@ -76,6 +76,30 @@ std::uint64_t find_id(bool want_write, double fraction,
   }
 }
 
+TEST(OrchController, NoMechanismRoutesEveryMissToItsPrimaryCopy) {
+  // orch=off: every cache miss still routes through the controller, which
+  // sends it to its primary copy at the record's explicit LBA, or at the
+  // file's layout extent when the record has none.
+  Config config;
+  config.data_disks = 4;
+  Harness h{config};
+  std::vector<Submission> out;
+  h.controller->route(1.0, 7, h.files[2], out);
+  h.controller->route(2.0, 8, h.files[3], out, 12'345);
+  h.controller->flush_deadlines(1e9, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].disk, 2u);
+  EXPECT_EQ(out[0].lba, h.extents[2].lba);
+  EXPECT_EQ(out[0].blocks, h.extents[2].blocks);
+  EXPECT_EQ(out[1].disk, 3u);
+  EXPECT_EQ(out[1].lba, 12'345u);
+  EXPECT_EQ(out[1].request_id, 8u);
+  EXPECT_FALSE(out[1].background);
+  EXPECT_EQ(h.controller->redirects() + h.controller->offloads() +
+                h.controller->destages(),
+            0u);
+}
+
 TEST(RedirectController, ReplicaPlacementStridesAcrossTheFleet) {
   Harness h{redirect_config()};
   // k = 2 over 4 disks: stride max(1, 4/2) = 2, so file f's second copy

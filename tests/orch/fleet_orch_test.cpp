@@ -117,10 +117,10 @@ TEST(OrchFleet, ReplicasWithoutOrchestrationAreInert) {
 }
 
 TEST(OrchFleet, ControllerSeeksToATraceRecordsExplicitLba) {
-  // A trace record may carry its own LBA, and the routerless path seeks
-  // there.  Off-loading with no writes moves no request, so it must seek
-  // there too: an LBA-aware scheduler would otherwise order the queues
-  // differently and move the response times.
+  // A trace record may carry its own LBA.  Off-loading with no writes
+  // moves no request, so every request must seek to the same address as
+  // with orchestration off: an LBA-aware scheduler would otherwise order
+  // the queues differently and move the response times.
   const auto cat = fleet_catalog();
   std::vector<workload::TraceRecord> records;
   util::Rng rng{5};

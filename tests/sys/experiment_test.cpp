@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "util/units.h"
@@ -315,7 +316,7 @@ TEST(RunExperiment, PoissonPathBitExactThroughArrivalProcess) {
   // The WorkloadSpec::make_stream plumbing must not disturb the seed
   // path: running the same config twice (it now goes through
   // ArrivalZipfStream + PoissonArrivals) gives identical results, and the
-  // request count matches a hand-built PoissonZipfStream drive.
+  // request count matches a hand-built ArrivalZipfStream drive.
   const auto cat = small_catalog();
   ExperimentConfig cfg;
   cfg.catalog = &cat;
@@ -325,7 +326,9 @@ TEST(RunExperiment, PoissonPathBitExactThroughArrivalProcess) {
   cfg.seed = 9;
   const auto r = run_experiment(cfg);
 
-  workload::PoissonZipfStream stream{cat, 1.5, 250.0, util::Rng{9}};
+  workload::ArrivalZipfStream stream{
+      cat, std::make_unique<workload::PoissonArrivals>(1.5), 250.0,
+      util::Rng{9}};
   std::uint64_t n = 0;
   while (stream.next().has_value()) ++n;
   EXPECT_EQ(r.requests, n);

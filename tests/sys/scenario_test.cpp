@@ -4,7 +4,6 @@
 
 #include "core/normalize.h"
 #include "core/pack_disks.h"
-#include "core/pack_grouped.h"
 #include "core/random_alloc.h"
 #include "util/units.h"
 

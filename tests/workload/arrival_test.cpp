@@ -11,15 +11,38 @@
 namespace spindown::workload {
 namespace {
 
-TEST(PoissonArrivals, MatchesPoissonProcessDrawForDraw) {
-  // The interface must subsume the seed path bit-exactly: same rng, same
-  // arrival sequence.
-  PoissonArrivals a{3.5};
-  PoissonProcess p{3.5};
-  util::Rng ra{42}, rp{42};
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_DOUBLE_EQ(a.next_arrival(ra), p.next_arrival(rp));
+TEST(PoissonArrivals, InterArrivalMeanMatchesRate) {
+  PoissonArrivals p{4.0};
+  util::Rng rng{7};
+  double prev = 0.0;
+  double sum = 0.0;
+  constexpr int kN = 100000;
+  for (int i = 0; i < kN; ++i) {
+    const double t = p.next_arrival(rng);
+    EXPECT_GT(t, prev);
+    sum += t - prev;
+    prev = t;
   }
+  EXPECT_NEAR(sum / kN, 0.25, 0.005);
+}
+
+TEST(PoissonArrivals, CountInWindowIsPoisson) {
+  // Mean and variance of the per-second counts should both be ~rate.
+  PoissonArrivals p{6.0};
+  util::Rng rng{11};
+  std::vector<int> counts(2000, 0);
+  double t = 0.0;
+  while ((t = p.next_arrival(rng)) < 2000.0) {
+    ++counts[static_cast<std::size_t>(t)];
+  }
+  double mean = 0.0;
+  for (int c : counts) mean += c;
+  mean /= static_cast<double>(counts.size());
+  double var = 0.0;
+  for (int c : counts) var += (c - mean) * (c - mean);
+  var /= static_cast<double>(counts.size());
+  EXPECT_NEAR(mean, 6.0, 0.25);
+  EXPECT_NEAR(var, 6.0, 0.6);
 }
 
 TEST(PoissonArrivals, RejectsNonPositiveRate) {
@@ -159,28 +182,6 @@ TEST(MmppArrivals, SilentStateEmitsNothing) {
     ++n;
   }
   EXPECT_NEAR(static_cast<double>(n), 200000.0, 0.25 * 200000.0);
-}
-
-TEST(ArrivalZipfStream, PoissonPathMatchesPoissonZipfStream) {
-  std::vector<FileInfo> files(6);
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    files[i].id = static_cast<FileId>(i);
-    files[i].size = 1000 * (i + 1);
-    files[i].popularity = 1.0 / 6.0;
-  }
-  const FileCatalog cat{files};
-  ArrivalZipfStream general{cat, std::make_unique<PoissonArrivals>(2.0), 500.0,
-                            util::Rng{33}};
-  PoissonZipfStream seedlike{cat, 2.0, 500.0, util::Rng{33}};
-  for (;;) {
-    const auto a = general.next();
-    const auto b = seedlike.next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_DOUBLE_EQ(a->arrival, b->arrival);
-    EXPECT_EQ(a->file, b->file);
-    EXPECT_EQ(a->id, b->id);
-  }
 }
 
 TEST(ArrivalZipfStream, RejectsNullProcessAndEmptyCatalog) {

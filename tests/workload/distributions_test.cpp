@@ -79,52 +79,6 @@ TEST_P(ZipfExponentSweep, NormalizedAndSkewed) {
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfExponentSweep,
                          ::testing::Values(0.3, 0.4425, 0.6, 0.8, 1.0, 1.2));
 
-TEST(PoissonProcess, InterArrivalMeanMatchesRate) {
-  PoissonProcess p{4.0};
-  util::Rng rng{7};
-  double prev = 0.0;
-  double sum = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) {
-    const double t = p.next_arrival(rng);
-    EXPECT_GT(t, prev);
-    sum += t - prev;
-    prev = t;
-  }
-  EXPECT_NEAR(sum / kN, 0.25, 0.005);
-}
-
-TEST(PoissonProcess, CountInWindowIsPoisson) {
-  // Mean and variance of the per-second counts should both be ~rate.
-  PoissonProcess p{6.0};
-  util::Rng rng{11};
-  std::vector<int> counts(2000, 0);
-  double t = 0.0;
-  while ((t = p.next_arrival(rng)) < 2000.0) {
-    ++counts[static_cast<std::size_t>(t)];
-  }
-  double mean = 0.0;
-  for (int c : counts) mean += c;
-  mean /= static_cast<double>(counts.size());
-  double var = 0.0;
-  for (int c : counts) var += (c - mean) * (c - mean);
-  var /= static_cast<double>(counts.size());
-  EXPECT_NEAR(mean, 6.0, 0.25);
-  EXPECT_NEAR(var, 6.0, 0.6);
-}
-
-TEST(PoissonProcess, ResetRestartsClock) {
-  PoissonProcess p{1.0};
-  util::Rng rng{13};
-  p.next_arrival(rng);
-  p.reset();
-  EXPECT_DOUBLE_EQ(p.now(), 0.0);
-}
-
-TEST(PoissonProcess, RejectsNonPositiveRate) {
-  EXPECT_THROW(PoissonProcess{0.0}, std::invalid_argument);
-}
-
 TEST(BoundedPareto, SamplesWithinBounds) {
   const BoundedPareto bp{1.0, 100.0, 1.2};
   util::Rng rng{17};

@@ -19,9 +19,16 @@ FileCatalog skewed_catalog() {
   return FileCatalog{files};
 }
 
-TEST(PoissonZipfStream, ArrivalsAreOrderedAndBounded) {
+/// Table 1's generator: Poisson(rate) arrivals, Zipf file choice.
+ArrivalZipfStream poisson_stream(const FileCatalog& cat, double rate,
+                                 double horizon, std::uint64_t seed) {
+  return ArrivalZipfStream{cat, std::make_unique<PoissonArrivals>(rate),
+                           horizon, util::Rng{seed}};
+}
+
+TEST(ArrivalZipfStream, ArrivalsAreOrderedAndBounded) {
   const auto cat = skewed_catalog();
-  PoissonZipfStream stream{cat, 5.0, 100.0, util::Rng{1}};
+  auto stream = poisson_stream(cat, 5.0, 100.0, 1);
   double prev = 0.0;
   std::uint64_t expected_id = 0;
   while (auto r = stream.next()) {
@@ -34,17 +41,17 @@ TEST(PoissonZipfStream, ArrivalsAreOrderedAndBounded) {
   EXPECT_FALSE(stream.next().has_value()); // exhausted stays exhausted
 }
 
-TEST(PoissonZipfStream, RequestCountNearRateTimesHorizon) {
+TEST(ArrivalZipfStream, RequestCountNearRateTimesHorizon) {
   const auto cat = skewed_catalog();
-  PoissonZipfStream stream{cat, 5.0, 2000.0, util::Rng{2}};
+  auto stream = poisson_stream(cat, 5.0, 2000.0, 2);
   std::size_t count = 0;
   while (stream.next()) ++count;
   EXPECT_NEAR(static_cast<double>(count), 10000.0, 350.0); // ~3 sigma
 }
 
-TEST(PoissonZipfStream, FileChoiceFollowsPopularity) {
+TEST(ArrivalZipfStream, FileChoiceFollowsPopularity) {
   const auto cat = skewed_catalog();
-  PoissonZipfStream stream{cat, 50.0, 2000.0, util::Rng{3}};
+  auto stream = poisson_stream(cat, 50.0, 2000.0, 3);
   std::map<FileId, int> counts;
   int total = 0;
   while (auto r = stream.next()) {
@@ -56,10 +63,10 @@ TEST(PoissonZipfStream, FileChoiceFollowsPopularity) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / total, 0.1, 0.02);
 }
 
-TEST(PoissonZipfStream, DeterministicGivenSeed) {
+TEST(ArrivalZipfStream, DeterministicGivenSeed) {
   const auto cat = skewed_catalog();
-  PoissonZipfStream a{cat, 5.0, 50.0, util::Rng{42}};
-  PoissonZipfStream b{cat, 5.0, 50.0, util::Rng{42}};
+  auto a = poisson_stream(cat, 5.0, 50.0, 42);
+  auto b = poisson_stream(cat, 5.0, 50.0, 42);
   while (true) {
     auto ra = a.next();
     auto rb = b.next();
@@ -70,10 +77,9 @@ TEST(PoissonZipfStream, DeterministicGivenSeed) {
   }
 }
 
-TEST(PoissonZipfStream, EmptyCatalogThrows) {
+TEST(ArrivalZipfStream, EmptyCatalogThrows) {
   const FileCatalog empty;
-  EXPECT_THROW((PoissonZipfStream{empty, 1.0, 10.0, util::Rng{1}}),
-               std::invalid_argument);
+  EXPECT_THROW(poisson_stream(empty, 1.0, 10.0, 1), std::invalid_argument);
 }
 
 TEST(TraceStream, ReplaysVerbatim) {
