@@ -50,6 +50,18 @@ TEST(PoissonArrivals, RejectsNonPositiveRate) {
   EXPECT_THROW(PoissonArrivals{-1.0}, std::invalid_argument);
 }
 
+TEST(PoissonProcess, RejectsNonPositiveRate) {
+  // Every Poisson family here refuses a rate that is nowhere positive: such
+  // a process would never emit an arrival.
+  EXPECT_THROW(PoissonArrivals{0.0}, std::invalid_argument);
+  EXPECT_THROW((PiecewiseRateArrivals{{{0.0, 0.0}}}), std::invalid_argument);
+  EXPECT_THROW((PiecewiseRateArrivals{{{0.0, 0.0}, {10.0, 0.0}}, 20.0}),
+               std::invalid_argument);
+  MmppParams silent;
+  silent.rate = {0.0, 0.0};
+  EXPECT_THROW(MmppArrivals{silent}, std::invalid_argument);
+}
+
 TEST(PiecewiseRateArrivals, ValidatesSegments) {
   EXPECT_THROW(PiecewiseRateArrivals{{}}, std::invalid_argument);
   EXPECT_THROW((PiecewiseRateArrivals{{{5.0, 1.0}}}), std::invalid_argument);
