@@ -145,10 +145,8 @@ int main(int argc, char** argv) {
       {"slack", sys::PolicySpec::slack(slo), true},
   };
 
-  auto config_for = [&](const Scenario& s, const sys::PolicySpec& policy,
-                        const std::string& label) {
+  auto config_for = [&](const Scenario& s, const sys::PolicySpec& policy) {
     sys::ExperimentConfig cfg;
-    cfg.label = s.name + " x " + label;
     cfg.catalog = &catalog;
     cfg.mapping = assignment.disk_of;
     cfg.num_disks = farm;
@@ -161,10 +159,10 @@ int main(int argc, char** argv) {
   std::vector<sys::ExperimentConfig> configs;
   for (const auto& s : scenarios) {
     for (const double t : fixed_grid) {
-      configs.push_back(config_for(s, sys::PolicySpec::fixed(t), "fixed"));
+      configs.push_back(config_for(s, sys::PolicySpec::fixed(t)));
     }
     for (const auto& row : policy_rows) {
-      configs.push_back(config_for(s, row.policy, row.label));
+      configs.push_back(config_for(s, row.policy));
     }
   }
 

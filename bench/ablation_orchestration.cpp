@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
 
   auto config_for = [&](const Scenario& s, const OrchRow& row) {
     sys::ExperimentConfig cfg;
-    cfg.label = s.name + " x " + row.label;
     cfg.catalog = &catalog;
     cfg.mapping = assignment.disk_of;
     cfg.policy = row.policy;

@@ -59,10 +59,9 @@ int main(int argc, char** argv) {
       {"randomized e/(e-1)", sys::PolicySpec::randomized()},
   };
   std::vector<sys::ExperimentConfig> policy_configs;
-  for (const auto& [name, policy] : policies) {
+  for (const auto& entry : policies) {
     auto cfg = base_config();
-    cfg.label = name;
-    cfg.policy = policy;
+    cfg.policy = entry.second;
     policy_configs.push_back(std::move(cfg));
   }
   const auto policy_results = sys::run_sweep(policy_configs, opts.threads);
@@ -113,10 +112,9 @@ int main(int argc, char** argv) {
       {"lfu", sys::CacheSpec::lfu()},
   };
   std::vector<sys::ExperimentConfig> cache_configs;
-  for (const auto& [name, cache] : caches) {
+  for (const auto& entry : caches) {
     auto cfg = base_config();
-    cfg.label = name;
-    cfg.cache = cache;
+    cfg.cache = entry.second;
     cache_configs.push_back(std::move(cfg));
   }
   const auto cache_results = sys::run_sweep(cache_configs, opts.threads);

@@ -90,15 +90,14 @@ int main(int argc, char** argv) {
   };
 
   std::vector<sys::ExperimentConfig> configs;
-  for (const auto& [sname, sspec] : schedulers) {
-    for (const auto& [pname, pspec] : policies) {
+  for (const auto& scheduler : schedulers) {
+    for (const auto& policy : policies) {
       sys::ExperimentConfig cfg;
-      cfg.label = sname + " x " + pname;
       cfg.catalog = &catalog;
       cfg.mapping = assignment.disk_of;
       cfg.num_disks = farm;
-      cfg.policy = pspec;
-      cfg.scheduler = sspec;
+      cfg.policy = policy.second;
+      cfg.scheduler = scheduler.second;
       cfg.workload = sys::WorkloadSpec::poisson(rate, horizon);
       cfg.seed = seed;
       configs.push_back(std::move(cfg));

@@ -11,6 +11,7 @@
 #include "disk/disk.h"
 #include "disk/params.h"
 #include "disk/power.h"
+#include "sys/system.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   // Validate the state machine energetics with a micro-simulation: one
   // request, long idle gap, spin-down, second request (spin-up + service).
   des::Simulation sim;
-  disk::Disk d{sim, 0, p, disk::make_break_even_policy(p),
+  disk::Disk d{sim, 0, p, sys::PolicySpec::break_even().make(p),
                util::Rng{opts.seed}};
   const util::Bytes file = util::mb(100.0);
   sim.schedule_at(0.0, [&] { d.submit(0, file); });

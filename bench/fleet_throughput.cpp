@@ -150,9 +150,10 @@ int main(int argc, char** argv) {
       sys::FleetPerf perf;
       sys::RunResult result;
       double wall = 0.0;
+      cfg.shards = shards;
       for (int rep = 0; rep < reps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        result = sys::run_fleet(cfg, shards, &perf);
+        result = sys::run_experiment(cfg, nullptr, &perf);
         const double rep_wall = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() - t0)
                                     .count();

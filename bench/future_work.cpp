@@ -18,6 +18,7 @@
 #include "core/pack_segregated.h"
 #include "paper_workload.h"
 #include "sys/phased.h"
+#include "sys/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace spindown;
@@ -39,10 +40,9 @@ int main(int argc, char** argv) {
 
     util::TablePrinter table{{"allocator", "disks", "mean resp (s)",
                               "p95 (s)", "p99 (s)", "avg power (W)"}};
-    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
-                                std::size_t{4}, std::size_t{8}}) {
-      core::SegregatedPackDisks seg{k};
-      const auto a = seg.allocate(items);
+    for (const std::uint32_t k : {1u, 2u, 4u, 8u}) {
+      const auto a = core::SegregatedPackDisks{k}.allocate(items);
+      const auto placement = sys::PlacementSpec::segregated(k).spec();
       sys::ExperimentConfig cfg;
       cfg.catalog = &catalog;
       cfg.mapping = a.disk_of;
@@ -50,14 +50,14 @@ int main(int argc, char** argv) {
       cfg.workload = sys::WorkloadSpec::poisson(model.rate, 3000.0);
       cfg.seed = opts.seed;
       const auto r = sys::run_experiment(cfg);
-      table.row(k == 1 ? "pack_disks (k=1)" : seg.name(), a.disk_count,
+      table.row(placement, a.disk_count,
                 util::format_double(r.response.mean(), 2),
                 util::format_double(r.response.p95(), 2),
                 util::format_double(r.response.p99(), 2),
                 util::format_double(r.power.average_power, 1));
       if (csv) {
-        csv->row("segregation", seg.name(), "p99_s", r.response.p99());
-        csv->row("segregation", seg.name(), "disks", a.disk_count);
+        csv->row("segregation", placement, "p99_s", r.response.p99());
+        csv->row("segregation", placement, "disks", a.disk_count);
       }
     }
     table.print(std::cout);

@@ -28,7 +28,6 @@
 
 #include "des/simulation.h"
 #include "disk/disk.h"
-#include "disk/io_scheduler.h"
 #include "disk/spin_policy.h"
 #include "sys/system.h"
 #include "util/cli.h"
@@ -132,43 +131,33 @@ int main(int argc, char** argv) {
             << util::format_seconds(params.break_even_threshold()) << "\n";
   std::cout << "gaps: " << n_gaps << " x " << dist << " (mean "
             << util::format_seconds(mean_gap) << "), scheduler "
-            << scheduler.name() << "\n\n";
+            << scheduler.spec() << "\n\n";
 
   const util::Joules opt = disk::offline_optimal_idle_energy(params, gaps);
 
-  struct Entry {
-    std::string name;
-    std::function<std::unique_ptr<disk::SpinDownPolicy>()> make;
-  };
-  std::vector<Entry> policies{
-      {"never spin down", [&] { return disk::make_never_policy(); }},
-      {"immediate", [&] { return disk::make_fixed_policy(0.0); }},
-      {"fixed mean/2",
-       [&] { return disk::make_fixed_policy(0.5 * mean_gap); }},
-      {"break-even (2-competitive)",
-       [&] { return disk::make_break_even_policy(params); }},
-      {"randomized (e/(e-1))",
-       [&] { return disk::make_randomized_policy(params); }},
-      {"ewma predictor (online)",
-       [&] { return sys::PolicySpec::ewma().make(params); }},
-      {"share combiner (online)",
-       [&] { return sys::PolicySpec::share().make(params); }},
+  std::vector<std::pair<std::string, sys::PolicySpec>> policies{
+      {"never spin down", sys::PolicySpec::never()},
+      {"immediate", sys::PolicySpec::fixed(0.0)},
+      {"fixed mean/2", sys::PolicySpec::fixed(0.5 * mean_gap)},
+      {"break-even (2-competitive)", sys::PolicySpec::break_even()},
+      {"randomized (e/(e-1))", sys::PolicySpec::randomized()},
+      {"ewma predictor (online)", sys::PolicySpec::ewma()},
+      {"share combiner (online)", sys::PolicySpec::share()},
   };
   if (cli.has("policy")) {
     const auto spec = sys::PolicySpec::parse(cli.get("policy", "break-even"));
-    policies.push_back(
-        {"--policy " + spec.spec(), [&, spec] { return spec.make(params); }});
+    policies.emplace_back("--policy " + spec.spec(), spec);
   }
 
   util::TablePrinter table{{"policy", "gap energy (kJ)", "vs offline opt",
                             "spin-downs", "mean resp (s)"}};
-  for (const auto& p : policies) {
+  for (const auto& [name, spec] : policies) {
     std::uint64_t spin_downs = 0;
     double mean_resp = 0.0;
     const auto energy =
-        run_policy(params, p.make(), scheduler, gaps, seed, spin_downs,
-                   mean_resp);
-    table.row(p.name, util::format_double(energy / 1000.0, 1),
+        run_policy(params, spec.make(params), scheduler, gaps, seed,
+                   spin_downs, mean_resp);
+    table.row(name, util::format_double(energy / 1000.0, 1),
               util::format_double(energy / opt, 3), spin_downs,
               util::format_double(mean_resp, 2));
   }

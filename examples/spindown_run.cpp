@@ -41,7 +41,8 @@ void print_usage(const std::string& program) {
       << "      load=<(0,1]>    disks=<farm floor; 0 = allocator decides>\n"
       << "      policy=break-even|never|randomized|fixed:T|ewma[:a]\n"
       << "              |share[:n]|slack[:slo]\n"
-      << "      sched=fcfs|sstf|scan|clook|batch[N[xG]]\n"
+      << "      sched=fcfs|sstf|scan|clook|batch[N[xG]]  (N >= 2;"
+         " batch1 is clook)\n"
       << "      cache=none|lru:16g|fifo:4g|lfu:16g\n"
       << "      workload=poisson(R,T)|nhpp(t:r;...,T[,P])\n"
       << "              |mmpp(r0,r1,d0,d1,T)|replay\n"

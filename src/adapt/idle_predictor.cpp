@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/units.h"
-
 namespace spindown::adapt {
 
 EwmaIdlePredictorPolicy::EwmaIdlePredictorPolicy(const disk::DiskParams& params,
@@ -51,15 +49,6 @@ void EwmaIdlePredictorPolicy::observe_idle(double duration, bool) {
     ewma_ += gain * (duration - ewma_);
   }
   ++observed_;
-}
-
-std::string EwmaIdlePredictorPolicy::name() const {
-  return "ewma(a=" + util::format_double(config_.alpha, 3) + ")";
-}
-
-std::unique_ptr<disk::SpinDownPolicy> make_ewma_policy(
-    const disk::DiskParams& params, EwmaPredictorConfig config) {
-  return std::make_unique<EwmaIdlePredictorPolicy>(params, config);
 }
 
 } // namespace spindown::adapt

@@ -31,9 +31,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 
 #include "disk/params.h"
 #include "disk/spin_policy.h"
@@ -55,13 +53,11 @@ public:
 
   std::optional<double> idle_timeout(util::Rng& rng) override;
   void observe_idle(double duration, bool spun_down) override;
-  std::string name() const override;
 
   /// Trace probe: the EWMA-predicted next idle duration.
   double trace_estimate() const override { return ewma_; }
 
   double predicted_idle() const { return ewma_; }
-  double predicted_deviation() const { return dev_; }
   std::uint64_t observed() const { return observed_; }
   double break_even() const { return break_even_; }
 
@@ -72,8 +68,5 @@ private:
   double dev_ = 0.0;
   std::uint64_t observed_ = 0;
 };
-
-std::unique_ptr<disk::SpinDownPolicy> make_ewma_policy(
-    const disk::DiskParams& params, EwmaPredictorConfig config = {});
 
 } // namespace spindown::adapt

@@ -101,13 +101,4 @@ void ShareThresholdPolicy::observe_idle(double duration, bool) {
   }
 }
 
-std::string ShareThresholdPolicy::name() const {
-  return "share(" + std::to_string(config_.experts) + ")";
-}
-
-std::unique_ptr<disk::SpinDownPolicy> make_share_policy(
-    const disk::DiskParams& params, ShareConfig config) {
-  return std::make_unique<ShareThresholdPolicy>(params, config);
-}
-
 } // namespace spindown::adapt

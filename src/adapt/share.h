@@ -24,9 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "disk/params.h"
@@ -58,7 +56,6 @@ public:
 
   std::optional<double> idle_timeout(util::Rng& rng) override;
   void observe_idle(double duration, bool spun_down) override;
-  std::string name() const override;
 
   /// The threshold currently played: the weight-weighted mean of the grid.
   double current_threshold() const;
@@ -74,8 +71,5 @@ private:
   std::vector<double> weights_; ///< kept normalised to sum 1
   std::vector<double> losses_;  ///< per-round scratch (no steady-state allocs)
 };
-
-std::unique_ptr<disk::SpinDownPolicy> make_share_policy(
-    const disk::DiskParams& params, ShareConfig config = {});
 
 } // namespace spindown::adapt

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/units.h"
-
 namespace spindown::adapt {
 
 SlackAwarePolicy::SlackAwarePolicy(const disk::DiskParams& params,
@@ -46,16 +44,6 @@ void SlackAwarePolicy::observe_completion(double response_time_s) {
   } else {
     threshold_ = std::max(lo, threshold_ * config_.narrow);
   }
-}
-
-std::string SlackAwarePolicy::name() const {
-  return "slack(p" + util::format_double(config_.percentile, 1) + "<" +
-         util::format_seconds(config_.target_response_s) + ")";
-}
-
-std::unique_ptr<disk::SpinDownPolicy> make_slack_policy(
-    const disk::DiskParams& params, SlackConfig config) {
-  return std::make_unique<SlackAwarePolicy>(params, config);
 }
 
 } // namespace spindown::adapt

@@ -27,9 +27,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 
 #include "adapt/signals.h"
 #include "disk/params.h"
@@ -57,7 +55,6 @@ public:
 
   std::optional<double> idle_timeout(util::Rng& rng) override;
   void observe_completion(double response_time_s) override;
-  std::string name() const override;
 
   double threshold() const { return threshold_; }
   /// Trace probe: the controller's current spin-down threshold.
@@ -72,8 +69,5 @@ private:
   double threshold_;
   StreamingQuantile quantile_;
 };
-
-std::unique_ptr<disk::SpinDownPolicy> make_slack_policy(
-    const disk::DiskParams& params, SlackConfig config = {});
 
 } // namespace spindown::adapt

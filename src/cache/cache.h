@@ -13,10 +13,11 @@
 // FileId -> slot index plus 24 B per resident file.  The index is a plain
 // vector sized to the largest id seen, so FileId must be dense — as it is
 // for FileCatalog, whose ids are its by_id() indices.
+//
+// sys::CacheSpec names every cache and builds it.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "util/units.h"
 #include "workload/catalog.h"
@@ -52,7 +53,6 @@ public:
   virtual std::size_t entries() const = 0;
 
   virtual const CacheStats& stats() const = 0;
-  virtual std::string name() const = 0;
 };
 
 } // namespace spindown::cache

@@ -20,7 +20,6 @@ public:
   util::Bytes used() const override { return used_; }
   std::size_t entries() const override { return entries_.size(); }
   const CacheStats& stats() const override { return stats_; }
-  std::string name() const override { return "lfu"; }
 
   /// Access frequency recorded for a resident file (0 if absent); exposed
   /// for tests.

@@ -34,7 +34,6 @@ public:
   util::Bytes used() const override { return used_; }
   std::size_t entries() const override { return entries_; }
   const CacheStats& stats() const override { return stats_; }
-  std::string name() const override { return kPromoteOnHit ? "lru" : "fifo"; }
 
 private:
   static constexpr std::uint32_t kNil =

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 
 #include "core/item.h"
 
@@ -16,8 +15,6 @@ public:
   /// Partition the instance into disks.  Implementations must produce a
   /// feasible assignment (is_feasible) for any valid instance.
   virtual Assignment allocate(std::span<const Item> items) = 0;
-
-  virtual std::string name() const = 0;
 };
 
 } // namespace spindown::core

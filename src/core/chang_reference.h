@@ -18,7 +18,6 @@ namespace spindown::core {
 class ChangHwangPark final : public Allocator {
 public:
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override { return "chang_hwang_park"; }
 };
 
 } // namespace spindown::core

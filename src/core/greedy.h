@@ -18,19 +18,16 @@ namespace spindown::core {
 class FirstFit final : public Allocator {
 public:
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override { return "first_fit"; }
 };
 
 class BestFit final : public Allocator {
 public:
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override { return "best_fit"; }
 };
 
 class FirstFitDecreasing final : public Allocator {
 public:
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override { return "first_fit_decreasing"; }
 };
 
 } // namespace spindown::core

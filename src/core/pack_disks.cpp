@@ -242,10 +242,6 @@ PackDisks::PackDisks(std::size_t group_size) : v_(group_size) {
   }
 }
 
-std::string PackDisks::name() const {
-  return v_ == 1 ? "pack_disks" : "pack_disks_" + std::to_string(v_);
-}
-
 Assignment PackDisks::allocate(std::span<const Item> items) {
   validate_instance(items);
   evictions_ = 0;

@@ -56,7 +56,6 @@ public:
 
   Assignment allocate(std::span<const Item> items) override;
   /// "pack_disks" at v = 1, "pack_disks_<v>" otherwise.
-  std::string name() const override;
 
   std::size_t group_size() const { return v_; }
 

@@ -15,10 +15,6 @@ SegregatedPackDisks::SegregatedPackDisks(std::size_t classes)
   }
 }
 
-std::string SegregatedPackDisks::name() const {
-  return "segregated_pack_disks_" + std::to_string(classes_);
-}
-
 Assignment SegregatedPackDisks::allocate(std::span<const Item> items) {
   validate_instance(items);
   Assignment out;

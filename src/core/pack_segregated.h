@@ -26,7 +26,6 @@ public:
   explicit SegregatedPackDisks(std::size_t classes);
 
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override;
 
   std::size_t classes() const { return classes_; }
 

@@ -24,7 +24,6 @@ public:
   RandomAllocator(std::uint32_t num_disks, std::uint64_t seed);
 
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override { return "random"; }
 
   std::uint32_t num_disks() const { return num_disks_; }
 

@@ -15,10 +15,6 @@ SeaAllocator::SeaAllocator(double hot_load_share)
   }
 }
 
-std::string SeaAllocator::name() const {
-  return "sea_striping";
-}
-
 Assignment SeaAllocator::allocate(std::span<const Item> items) {
   validate_instance(items);
   Assignment out;

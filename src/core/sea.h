@@ -32,7 +32,6 @@ public:
   explicit SeaAllocator(double hot_load_share = 0.8);
 
   Assignment allocate(std::span<const Item> items) override;
-  std::string name() const override;
 
   /// After allocate(): disks [0, hot_disks) form the hot zone.
   std::uint32_t hot_disks() const { return hot_disks_; }

@@ -13,26 +13,6 @@ util::Joules DiskMetrics::energy(const DiskParams& p) const {
   return total;
 }
 
-void DiskMetrics::merge(const DiskMetrics& other) {
-  disk_id = std::min(disk_id, other.disk_id);
-  for (std::size_t i = 0; i < kPowerStateCount; ++i) {
-    state_time[i] += other.state_time[i];
-  }
-  spin_ups += other.spin_ups;
-  spin_downs += other.spin_downs;
-  served += other.served;
-  bytes_served += other.bytes_served;
-  queued += other.queued;
-  in_service += other.in_service;
-  destage_served += other.destage_served;
-  destage_pending += other.destage_pending;
-  positionings += other.positionings;
-  idle_periods.merge(other.idle_periods);
-  response.merge(other.response);
-  energy_j += other.energy_j;
-  always_on_j += other.always_on_j;
-}
-
 Disk::Disk(des::Simulation& sim, std::uint32_t id, DiskParams params,
            std::unique_ptr<SpinDownPolicy> policy, util::Rng rng,
            std::unique_ptr<IoScheduler> scheduler)
@@ -41,7 +21,8 @@ Disk::Disk(des::Simulation& sim, std::uint32_t id, DiskParams params,
       params_(std::move(params)),
       policy_(std::move(policy)),
       rng_(rng),
-      scheduler_(scheduler ? std::move(scheduler) : make_fcfs_scheduler()),
+      scheduler_(scheduler ? std::move(scheduler)
+                           : std::make_unique<FcfsScheduler>()),
       ledger_(PowerState::kIdle, sim.now()), idle_since_(sim.now()) {
   assert(policy_ != nullptr);
   capacity_blocks_ = std::max<double>(

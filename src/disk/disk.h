@@ -115,12 +115,6 @@ struct DiskMetrics {
   }
   /// Integrated energy under the device's power model.
   util::Joules energy(const DiskParams& p) const;
-
-  /// Fold another record's counters into this one — disjoint observation
-  /// sets of the same farm (window- or shard-aggregation).  Sums the
-  /// counters, state times, and energies; merges the histograms bin-wise
-  /// and the response moments with Chan's formula; keeps the lower disk_id.
-  void merge(const DiskMetrics& other);
 };
 
 class Disk {

@@ -39,20 +39,6 @@ std::uint64_t distance(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : b - a;
 }
 
-/// C-LOOK pick: the nearest job at or past the head on the upward sweep,
-/// wrapping to the globally lowest LBA when nothing lies ahead.  Shared by
-/// ClookScheduler and BatchScheduler (which seeds its batch the same way).
-std::size_t clook_pick(const std::vector<IoJob>& jobs, std::uint64_t head_lba) {
-  Best ahead;
-  Best lowest;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto lba = jobs[i].lba;
-    if (lba >= head_lba) ahead.offer(lba - head_lba, jobs[i], i);
-    lowest.offer(lba, jobs[i], i);
-  }
-  return ahead.found ? ahead.index : lowest.index;
-}
-
 } // namespace
 
 void FcfsScheduler::push(const IoJob& job) {
@@ -109,26 +95,25 @@ void ScanScheduler::pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) {
   assert(false && "unreachable: a non-empty pool always matches one sweep");
 }
 
-void ClookScheduler::pop_batch(std::uint64_t head_lba,
-                               std::vector<IoJob>& out) {
-  assert(!jobs_.empty());
-  out.push_back(take(jobs_, clook_pick(jobs_, head_lba)));
-}
-
 BatchScheduler::BatchScheduler(std::uint32_t max_batch,
                                std::uint64_t coalesce_gap_blocks)
     : max_batch_(std::max<std::uint32_t>(1, max_batch)),
       coalesce_gap_blocks_(coalesce_gap_blocks) {}
 
-std::string BatchScheduler::name() const {
-  return "batch" + std::to_string(max_batch_);
-}
-
 void BatchScheduler::pop_batch(std::uint64_t head_lba,
                                std::vector<IoJob>& out) {
   assert(!jobs_.empty());
-  // Seed the batch with the C-LOOK sweep's next job.
-  out.push_back(take(jobs_, clook_pick(jobs_, head_lba)));
+  // Seed the batch with the C-LOOK sweep's next job: the nearest job at or
+  // past the head, wrapping to the globally lowest LBA when nothing lies
+  // ahead.
+  Best ahead;
+  Best lowest;
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    const auto lba = jobs_[i].lba;
+    if (lba >= head_lba) ahead.offer(lba - head_lba, jobs_[i], i);
+    lowest.offer(lba, jobs_[i], i);
+  }
+  out.push_back(take(jobs_, ahead.found ? ahead.index : lowest.index));
   std::uint64_t end = out.back().lba + out.back().blocks;
 
   // Coalesce: repeatedly absorb the nearest pending extent that starts
@@ -146,23 +131,6 @@ void BatchScheduler::pop_batch(std::uint64_t head_lba,
     out.push_back(take(jobs_, next.index));
     end = out.back().lba + out.back().blocks;
   }
-}
-
-std::unique_ptr<IoScheduler> make_fcfs_scheduler() {
-  return std::make_unique<FcfsScheduler>();
-}
-std::unique_ptr<IoScheduler> make_sstf_scheduler() {
-  return std::make_unique<SstfScheduler>();
-}
-std::unique_ptr<IoScheduler> make_scan_scheduler() {
-  return std::make_unique<ScanScheduler>();
-}
-std::unique_ptr<IoScheduler> make_clook_scheduler() {
-  return std::make_unique<ClookScheduler>();
-}
-std::unique_ptr<IoScheduler> make_batch_scheduler(
-    std::uint32_t max_batch, std::uint64_t coalesce_gap_blocks) {
-  return std::make_unique<BatchScheduler>(max_batch, coalesce_gap_blocks);
 }
 
 } // namespace spindown::disk

@@ -15,11 +15,13 @@
 //   * ScanScheduler  — the elevator (LOOK variant): sweeps in one direction,
 //                      serving requests in LBA order, and reverses at the
 //                      last pending request.
-//   * ClookScheduler — circular LOOK: sweeps upward only; on reaching the
-//                      top it jumps back to the lowest pending LBA.
-//   * BatchScheduler — C-LOOK order plus coalescing: LBA-adjacent (or
-//                      near-adjacent) extents are merged into one batch and
-//                      billed a single positioning phase.
+//   * BatchScheduler — circular LOOK (sweeps upward only; on reaching the
+//                      top it jumps back to the lowest pending LBA) plus
+//                      coalescing: LBA-adjacent (or near-adjacent) extents
+//                      are merged into one batch and billed a single
+//                      positioning phase.  A batch of one is plain C-LOOK.
+//
+// sys::SchedulerSpec names every discipline and builds it.
 //
 // Geometry: a job's location is an LBA extent (start block + length, 512-byte
 // blocks, per-disk address space; see workload::layout_extents).  Geometry-
@@ -33,8 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "util/units.h"
@@ -75,8 +75,6 @@ public:
   /// Geometry-aware disciplines are billed DiskParams::seek_time(distance);
   /// FCFS returns false and keeps the legacy constant positioning cost.
   virtual bool geometry_aware() const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 /// Arrival order; constant positioning cost (the seed behavior).
@@ -86,7 +84,6 @@ public:
   std::size_t size() const override { return count_; }
   void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
   bool geometry_aware() const override { return false; }
-  std::string name() const override { return "fcfs"; }
 
 private:
   // Grow-only ring buffer: steady-state push/pop never allocates (a deque
@@ -103,7 +100,6 @@ public:
   std::size_t size() const override { return jobs_.size(); }
   void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
   bool geometry_aware() const override { return true; }
-  std::string name() const override { return "sstf"; }
 
 private:
   std::vector<IoJob> jobs_;
@@ -117,30 +113,17 @@ public:
   std::size_t size() const override { return jobs_.size(); }
   void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
   bool geometry_aware() const override { return true; }
-  std::string name() const override { return "scan"; }
 
 private:
   std::vector<IoJob> jobs_;
   bool upward_ = true;
 };
 
-/// Circular LOOK: sweep upward; wrap to the lowest pending LBA at the top.
-class ClookScheduler final : public IoScheduler {
-public:
-  void push(const IoJob& job) override { jobs_.push_back(job); }
-  std::size_t size() const override { return jobs_.size(); }
-  void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
-  bool geometry_aware() const override { return true; }
-  std::string name() const override { return "clook"; }
-
-private:
-  std::vector<IoJob> jobs_;
-};
-
-/// C-LOOK order with coalescing: after picking the sweep's next job, any
-/// pending extent starting within `coalesce_gap_blocks` after the batch's
-/// end is appended (up to `max_batch` jobs), so adjacent extents pay one
-/// positioning phase between them.
+/// Circular LOOK (sweep upward; wrap to the lowest pending LBA at the top)
+/// with coalescing: after picking the sweep's next job, any pending extent
+/// starting within `coalesce_gap_blocks` after the batch's end is appended
+/// (up to `max_batch` jobs), so adjacent extents pay one positioning phase
+/// between them.  max_batch = 1 is plain C-LOOK.
 class BatchScheduler final : public IoScheduler {
 public:
   explicit BatchScheduler(std::uint32_t max_batch = 16,
@@ -149,20 +132,11 @@ public:
   std::size_t size() const override { return jobs_.size(); }
   void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
   bool geometry_aware() const override { return true; }
-  std::string name() const override;
 
 private:
   std::vector<IoJob> jobs_;
   std::uint32_t max_batch_;
   std::uint64_t coalesce_gap_blocks_;
 };
-
-/// Factory helpers (mirror the spin-policy factories).
-std::unique_ptr<IoScheduler> make_fcfs_scheduler();
-std::unique_ptr<IoScheduler> make_sstf_scheduler();
-std::unique_ptr<IoScheduler> make_scan_scheduler();
-std::unique_ptr<IoScheduler> make_clook_scheduler();
-std::unique_ptr<IoScheduler> make_batch_scheduler(
-    std::uint32_t max_batch = 16, std::uint64_t coalesce_gap_blocks = 2048);
 
 } // namespace spindown::disk

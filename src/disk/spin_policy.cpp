@@ -14,22 +14,6 @@ FixedThresholdPolicy::FixedThresholdPolicy(double threshold_s)
   }
 }
 
-std::string FixedThresholdPolicy::name() const {
-  return "fixed(" + util::format_seconds(threshold_) + ")";
-}
-
-std::unique_ptr<SpinDownPolicy> make_fixed_policy(double threshold_s) {
-  return std::make_unique<FixedThresholdPolicy>(threshold_s);
-}
-
-std::unique_ptr<SpinDownPolicy> make_never_policy() {
-  return std::make_unique<NeverSpinDownPolicy>();
-}
-
-std::unique_ptr<SpinDownPolicy> make_break_even_policy(const DiskParams& p) {
-  return std::make_unique<FixedThresholdPolicy>(p.break_even_threshold());
-}
-
 RandomizedCompetitivePolicy::RandomizedCompetitivePolicy(const DiskParams& p)
     : break_even_(p.break_even_threshold()) {}
 
@@ -39,10 +23,6 @@ std::optional<double> RandomizedCompetitivePolicy::idle_timeout(
   //   F(t) = (e^(t/B) - 1) / (e - 1)  =>  t = B ln(1 + u(e - 1)).
   const double u = rng.uniform01();
   return break_even_ * std::log(1.0 + u * (M_E - 1.0));
-}
-
-std::unique_ptr<SpinDownPolicy> make_randomized_policy(const DiskParams& p) {
-  return std::make_unique<RandomizedCompetitivePolicy>(p);
 }
 
 util::Joules offline_optimal_idle_energy(const DiskParams& p,

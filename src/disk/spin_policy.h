@@ -6,11 +6,11 @@
 // this choice; we implement those policies as well, for the ablation bench:
 //
 //   * FixedThresholdPolicy(T)   — the paper's policy; T = 0 is "immediately
-//                                 spin down", a useful extreme.
+//                                 spin down", a useful extreme, and T = the
+//                                 2-competitive break-even time is the
+//                                 paper's default.
 //   * NeverSpinDownPolicy       — the "no power management" baseline that
 //                                 Figure 5's normalization divides by.
-//   * BreakEvenPolicy           — FixedThreshold at the 2-competitive
-//                                 break-even point (the paper's default).
 //   * RandomizedCompetitivePolicy — draws the threshold from the density
 //       f(t) = e^(t/B) / (B (e - 1)),  t in [0, B]   (B = break-even)
 //     which is e/(e-1) ~ 1.58-competitive against oblivious adversaries
@@ -22,13 +22,12 @@
 // idle-period durations and per-request response times — which the static
 // policies here ignore; the *online* policies built on them (EWMA idle
 // prediction, the multiplicative-weights "share" expert combiner, the
-// slack-aware SLO controller) live in src/adapt/.
+// slack-aware SLO controller) live in src/adapt/.  sys::PolicySpec names
+// every policy and builds it.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
-#include <string>
 
 #include "disk/params.h"
 #include "util/rng.h"
@@ -61,9 +60,6 @@ public:
     (void)response_time_s;
   }
 
-  /// Human-readable name for reports.
-  virtual std::string name() const = 0;
-
   /// Observability probe: the policy's current operating point, attached to
   /// every decision event on the trace (kind kPolicy, `aux` field).  Static
   /// policies report their threshold; the adaptive policies report their
@@ -77,7 +73,6 @@ class FixedThresholdPolicy final : public SpinDownPolicy {
 public:
   explicit FixedThresholdPolicy(double threshold_s);
   std::optional<double> idle_timeout(util::Rng&) override { return threshold_; }
-  std::string name() const override;
   double trace_estimate() const override { return threshold_; }
   double threshold() const { return threshold_; }
 
@@ -90,25 +85,16 @@ public:
   std::optional<double> idle_timeout(util::Rng&) override {
     return std::nullopt;
   }
-  std::string name() const override { return "never"; }
 };
-
-/// Factory helpers.
-std::unique_ptr<SpinDownPolicy> make_fixed_policy(double threshold_s);
-std::unique_ptr<SpinDownPolicy> make_never_policy();
-std::unique_ptr<SpinDownPolicy> make_break_even_policy(const DiskParams& p);
 
 class RandomizedCompetitivePolicy final : public SpinDownPolicy {
 public:
   explicit RandomizedCompetitivePolicy(const DiskParams& p);
   std::optional<double> idle_timeout(util::Rng& rng) override;
-  std::string name() const override { return "randomized-competitive"; }
 
 private:
   double break_even_;
 };
-
-std::unique_ptr<SpinDownPolicy> make_randomized_policy(const DiskParams& p);
 
 /// Offline-optimal energy for a single disk given its idle-gap sequence:
 /// for each gap g, the adversary-free optimum pays

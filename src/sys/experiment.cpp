@@ -404,8 +404,13 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
 RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
                          FleetPerf* perf) {
-  return run_fleet(config, effective_shards(config.shards, config.num_disks),
-                   perf, trace);
+  RunResult result;
+  for (const auto& p : run_fleet_partials(
+           config, effective_shards(config.shards, config.num_disks), perf,
+           trace)) {
+    result.merge(p);
+  }
+  return result;
 }
 
 } // namespace spindown::sys

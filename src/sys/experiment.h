@@ -238,7 +238,6 @@ struct OrchSpec {
 };
 
 struct ExperimentConfig {
-  std::string label;
   const workload::FileCatalog* catalog = nullptr; ///< not owned
   std::vector<std::uint32_t> mapping;             ///< file id -> disk
   std::uint32_t num_disks = 0;

@@ -815,7 +815,8 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
     throw std::invalid_argument{"ExperimentConfig: catalog is required"};
   }
   if (config.mapping.size() < config.catalog->size()) {
-    throw std::invalid_argument{"run_fleet: mapping smaller than catalog"};
+    throw std::invalid_argument{
+        "ExperimentConfig: mapping smaller than catalog"};
   }
   for (const auto d : config.mapping) {
     if (d >= config.num_disks) {
@@ -839,14 +840,6 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
   }
   if (trace != nullptr && !config.obs.enabled()) trace = nullptr;
   return run_routed(config, setup, perf, trace);
-}
-
-RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
-                    FleetPerf* perf, obs::RunTrace* trace) {
-  auto partials = run_fleet_partials(config, shards, perf, trace);
-  RunResult result;
-  for (const auto& p : partials) result.merge(p);
-  return result;
 }
 
 } // namespace spindown::sys

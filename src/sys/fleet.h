@@ -1,13 +1,13 @@
 // fleet.h — the simulator's one engine: a routed, sharded disk farm.
 //
-// Every scenario runs here (run_experiment calls run_fleet).  A run's event
-// calendar is partitioned into per-disk-group sub-simulations (one
-// des::Simulation per shard; disk d lives in shard d % shards), each driven
-// by its own worker thread.  The cut is clean because the system's coupling
-// is one-directional: disks interact only through the router at arrival
-// time (the cache and the orchestration controller mutate when a request is
-// routed, never when it completes), and a completion never feeds back into
-// shared state.
+// Every scenario runs here (run_experiment merges run_fleet_partials).  A
+// run's event calendar is partitioned into per-disk-group sub-simulations
+// (one des::Simulation per shard; disk d lives in shard d % shards), each
+// driven by its own worker thread.  The cut is clean because the system's
+// coupling is one-directional: disks interact only through the router at
+// arrival time (the cache and the orchestration controller mutate when a
+// request is routed, never when it completes), and a completion never feeds
+// back into shared state.
 //
 // Three kinds of thread form a pipeline:
 //   * the feeder (its own thread) pulls the arrival stream in conservative
@@ -105,23 +105,16 @@ inline constexpr std::uint32_t kAutoMinDisksPerShard = 32;
 /// cache-hit response moments), elements 1..shards are the disk groups
 /// (disk d lives in shard d % shards).  Folding the partials with
 /// RunResult::merge — in any order — gives the same result at every shard
-/// count; run_fleet() does exactly that.  `perf`, when non-null, receives
-/// the run's pipeline diagnostics.  `trace`, when non-null and config.obs
-/// enables any kind, receives the canonical sim-time event stream
-/// (obs::append_canonical order — bit-identical at any shard count) plus,
-/// when config.obs.profile is set, wall-clock pipeline stage samples in
-/// RunTrace::profile.  Throws std::invalid_argument on config errors,
+/// count; run_experiment() does exactly that.  `perf`, when non-null,
+/// receives the run's pipeline diagnostics.  `trace`, when non-null and
+/// config.obs enables any kind, receives the canonical sim-time event
+/// stream (obs::append_canonical order — bit-identical at any shard count)
+/// plus, when config.obs.profile is set, wall-clock pipeline stage samples
+/// in RunTrace::profile.  Throws std::invalid_argument on config errors,
 /// including a non-positive measurement horizon.
 std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
                                           std::uint32_t shards,
                                           FleetPerf* perf = nullptr,
                                           obs::RunTrace* trace = nullptr);
-
-/// Run `config` sharded `shards` ways (>= 1; not auto-resolved) and return
-/// the merged result.  Every physical field is bit-identical at any shard
-/// count.
-RunResult run_fleet(const ExperimentConfig& config, std::uint32_t shards,
-                    FleetPerf* perf = nullptr,
-                    obs::RunTrace* trace = nullptr);
 
 } // namespace spindown::sys

@@ -628,7 +628,6 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   const auto& mapping = mapping_for(spec, cat, rate);
 
   ExperimentConfig cfg;
-  cfg.label = spec.label;
   cfg.catalog = out.catalog.get();
   cfg.mapping = *mapping.mapping;
   cfg.num_disks = mapping.alloc_disks;

@@ -59,10 +59,6 @@ struct CatalogSpec {
   static CatalogSpec nersc_synth(const workload::NerscSpec& spec);
   static CatalogSpec trace(std::string path);
 
-  /// True when resolution yields a request trace alongside the catalog
-  /// (what a "replay" workload needs).
-  bool has_trace() const { return kind != Kind::kSynthetic; }
-
   /// Parse a catalog key; accepts everything spec() emits.  Grammar:
   ///   table1(n)                           — Table 1, n files
   ///   synth(n,zipf,maxsize,corr[,seed])   — corr: inverse|independent|direct,

@@ -15,17 +15,16 @@ namespace spindown::sys {
 
 std::unique_ptr<disk::IoScheduler> SchedulerSpec::make() const {
   switch (kind) {
-    case Kind::kFcfs: return disk::make_fcfs_scheduler();
-    case Kind::kSstf: return disk::make_sstf_scheduler();
-    case Kind::kScan: return disk::make_scan_scheduler();
-    case Kind::kClook: return disk::make_clook_scheduler();
+    case Kind::kFcfs: return std::make_unique<disk::FcfsScheduler>();
+    case Kind::kSstf: return std::make_unique<disk::SstfScheduler>();
+    case Kind::kScan: return std::make_unique<disk::ScanScheduler>();
+    case Kind::kClook: return std::make_unique<disk::BatchScheduler>(1);
     case Kind::kBatch:
-      return disk::make_batch_scheduler(max_batch, coalesce_gap_blocks);
+      return std::make_unique<disk::BatchScheduler>(max_batch,
+                                                    coalesce_gap_blocks);
   }
   throw std::logic_error{"SchedulerSpec: unknown kind"};
 }
-
-std::string SchedulerSpec::name() const { return make()->name(); }
 
 std::string SchedulerSpec::spec() const {
   switch (kind) {
@@ -51,9 +50,9 @@ SchedulerSpec SchedulerSpec::parse(const std::string& name) {
   if (name == "sstf") return sstf();
   if (name == "scan") return scan();
   if (name == "clook") return clook();
-  // "batch", "batchN" (N = max batch size; what name() emits, so labels
-  // copied from reports round-trip) or "batchNxG" (G = coalesce gap in
-  // blocks; what spec() emits for non-default gaps).
+  // "batch", "batchN" (N = max batch size) or "batchNxG" (G = coalesce gap
+  // in blocks; what spec() emits for non-default gaps).  batch1[xG] is
+  // clook: batch() canonicalizes it.
   if (name.rfind("batch", 0) == 0) {
     std::string suffix = name.substr(5);
     if (suffix.empty()) return batch();
@@ -77,31 +76,31 @@ SchedulerSpec SchedulerSpec::parse(const std::string& name) {
 std::unique_ptr<disk::SpinDownPolicy> PolicySpec::make(
     const disk::DiskParams& p) const {
   switch (kind) {
-    case Kind::kBreakEven: return disk::make_break_even_policy(p);
-    case Kind::kFixed: return disk::make_fixed_policy(fixed_threshold_s);
-    case Kind::kNever: return disk::make_never_policy();
-    case Kind::kRandomized: return disk::make_randomized_policy(p);
+    case Kind::kBreakEven:
+      return std::make_unique<disk::FixedThresholdPolicy>(
+          p.break_even_threshold());
+    case Kind::kFixed:
+      return std::make_unique<disk::FixedThresholdPolicy>(fixed_threshold_s);
+    case Kind::kNever: return std::make_unique<disk::NeverSpinDownPolicy>();
+    case Kind::kRandomized:
+      return std::make_unique<disk::RandomizedCompetitivePolicy>(p);
     case Kind::kEwma: {
       adapt::EwmaPredictorConfig cfg;
       cfg.alpha = ewma_alpha;
-      return adapt::make_ewma_policy(p, cfg);
+      return std::make_unique<adapt::EwmaIdlePredictorPolicy>(p, cfg);
     }
     case Kind::kShare: {
       adapt::ShareConfig cfg;
       cfg.experts = share_experts;
-      return adapt::make_share_policy(p, cfg);
+      return std::make_unique<adapt::ShareThresholdPolicy>(p, cfg);
     }
     case Kind::kSlack: {
       adapt::SlackConfig cfg;
       cfg.target_response_s = slack_target_s;
-      return adapt::make_slack_policy(p, cfg);
+      return std::make_unique<adapt::SlackAwarePolicy>(p, cfg);
     }
   }
   throw std::logic_error{"PolicySpec: unknown kind"};
-}
-
-std::string PolicySpec::name(const disk::DiskParams& p) const {
-  return make(p)->name();
 }
 
 std::string PolicySpec::spec() const {

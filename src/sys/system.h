@@ -36,13 +36,15 @@ struct SchedulerSpec {
   static SchedulerSpec sstf() { return SchedulerSpec{Kind::kSstf, 0, 0}; }
   static SchedulerSpec scan() { return SchedulerSpec{Kind::kScan, 0, 0}; }
   static SchedulerSpec clook() { return SchedulerSpec{Kind::kClook, 0, 0}; }
+  /// A batch of at most one job never coalesces: max_batch <= 1 is clook().
   static SchedulerSpec batch(std::uint32_t max_batch = 16,
                              std::uint64_t gap_blocks = 2048) {
+    if (max_batch <= 1) return clook();
     return SchedulerSpec{Kind::kBatch, max_batch, gap_blocks};
   }
   /// Parse a CLI name ("fcfs", "sstf", "scan", "clook", "batch", "batchN",
-  /// "batchNxG" with G the coalesce gap in blocks); throws
-  /// std::invalid_argument on anything else.
+  /// "batchNxG" with G the coalesce gap in blocks; "batch1[xG]" is
+  /// "clook"); throws std::invalid_argument on anything else.
   static SchedulerSpec parse(const std::string& name);
 
   /// Canonical parseable key — "fcfs", "sstf", "scan", "clook", "batch16",
@@ -51,7 +53,6 @@ struct SchedulerSpec {
   std::string spec() const;
 
   std::unique_ptr<disk::IoScheduler> make() const;
-  std::string name() const;
 };
 
 /// Spin-down policy selection for a whole farm.  The static kinds are the
@@ -109,7 +110,6 @@ struct PolicySpec {
   std::string spec() const;
 
   std::unique_ptr<disk::SpinDownPolicy> make(const disk::DiskParams& p) const;
-  std::string name(const disk::DiskParams& p) const;
 };
 
 /// Power-side results over the measurement window.

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/units.h"
-
 namespace spindown::workload {
 
 PoissonArrivals::PoissonArrivals(double rate) : rate_(rate) {
@@ -18,10 +16,6 @@ PoissonArrivals::PoissonArrivals(double rate) : rate_(rate) {
 double PoissonArrivals::next_arrival(util::Rng& rng) {
   now_ += rng.exponential(rate_);
   return now_;
-}
-
-std::string PoissonArrivals::name() const {
-  return "poisson(" + util::format_double(rate_, 3) + "/s)";
 }
 
 PiecewiseRateArrivals::PiecewiseRateArrivals(std::vector<RateSegment> segments,
@@ -85,17 +79,6 @@ double PiecewiseRateArrivals::next_arrival(util::Rng& rng) {
   }
 }
 
-std::string PiecewiseRateArrivals::name() const {
-  std::string out = "nhpp(";
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (i > 0) out += ";";
-    out += util::format_double(segments_[i].start, 3) + ":" +
-           util::format_double(segments_[i].rate, 3);
-  }
-  if (period_ > 0.0) out += " per " + util::format_seconds(period_);
-  return out + ")";
-}
-
 MmppArrivals::MmppArrivals(MmppParams params) : params_(params) {
   if (params_.rate[0] < 0.0 || params_.rate[1] < 0.0 ||
       (params_.rate[0] <= 0.0 && params_.rate[1] <= 0.0)) {
@@ -128,13 +111,6 @@ double MmppArrivals::next_arrival(util::Rng& rng) {
     ++switches_;
     switch_at_ = now_ + rng.exponential(1.0 / params_.mean_dwell[state_]);
   }
-}
-
-std::string MmppArrivals::name() const {
-  return "mmpp(" + util::format_double(params_.rate[0], 3) + "/s x " +
-         util::format_seconds(params_.mean_dwell[0]) + ", " +
-         util::format_double(params_.rate[1], 3) + "/s x " +
-         util::format_seconds(params_.mean_dwell[1]) + ")";
 }
 
 } // namespace spindown::workload

@@ -18,12 +18,11 @@
 //
 // All processes advance an internal clock and emit strictly increasing
 // arrival times; determinism comes entirely from the caller's Rng.
+// sys::WorkloadSpec names every process and builds it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -40,9 +39,6 @@ public:
 
   /// Current clock (time of the last arrival generated).
   virtual double now() const = 0;
-
-  /// Human-readable name for reports.
-  virtual std::string name() const = 0;
 };
 
 /// Homogeneous Poisson process: exponential inter-arrivals at a fixed rate.
@@ -53,7 +49,6 @@ public:
 
   double next_arrival(util::Rng& rng) override;
   double now() const override { return now_; }
-  std::string name() const override;
   double rate() const { return rate_; }
 
 private:
@@ -83,7 +78,6 @@ public:
 
   double next_arrival(util::Rng& rng) override;
   double now() const override { return now_; }
-  std::string name() const override;
 
   /// The instantaneous rate at absolute time t.
   double rate_at(double t) const;
@@ -116,7 +110,6 @@ public:
 
   double next_arrival(util::Rng& rng) override;
   double now() const override { return now_; }
-  std::string name() const override;
 
   const MmppParams& params() const { return params_; }
   /// Current modulating state (0 or 1) and total switches so far —

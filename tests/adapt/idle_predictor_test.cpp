@@ -102,10 +102,5 @@ TEST(EwmaIdlePredictor, RejectsBadConfig) {
                std::invalid_argument);
 }
 
-TEST(EwmaIdlePredictor, NameMentionsGain) {
-  EwmaIdlePredictorPolicy policy{kParams};
-  EXPECT_EQ(policy.name(), "ewma(a=0.25)");
-}
-
 } // namespace
 } // namespace spindown::adapt

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+
 #include "core/bounds.h"
 #include "instance_helpers.h"
 
@@ -57,23 +60,19 @@ class GreedyFeasibility : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GreedyFeasibility, AllHeuristicsFeasible) {
   const auto items = random_instance(1200, 0.15, GetParam());
-  for (auto* alloc : std::initializer_list<Allocator*>{
-           new FirstFit{}, new BestFit{}, new FirstFitDecreasing{}}) {
-    std::unique_ptr<Allocator> owned{alloc};
-    const auto a = owned->allocate(items);
-    EXPECT_TRUE(is_feasible(a, items)) << owned->name();
-    EXPECT_GE(a.disk_count, bound_report(items).lower_bound) << owned->name();
+  std::unique_ptr<Allocator> allocators[] = {
+      std::make_unique<FirstFit>(), std::make_unique<BestFit>(),
+      std::make_unique<FirstFitDecreasing>()};
+  for (std::size_t i = 0; i < std::size(allocators); ++i) {
+    const auto a = allocators[i]->allocate(items);
+    EXPECT_TRUE(is_feasible(a, items)) << "allocator " << i;
+    EXPECT_GE(a.disk_count, bound_report(items).lower_bound)
+        << "allocator " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyFeasibility,
                          ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(GreedyNames, AreDistinct) {
-  EXPECT_EQ(FirstFit{}.name(), "first_fit");
-  EXPECT_EQ(BestFit{}.name(), "best_fit");
-  EXPECT_EQ(FirstFitDecreasing{}.name(), "first_fit_decreasing");
-}
 
 } // namespace
 } // namespace spindown::core

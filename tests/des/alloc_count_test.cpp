@@ -111,8 +111,8 @@ void run_disk_cycle_test(std::unique_ptr<spindown::disk::IoScheduler> sched) {
   using spindown::disk::Disk;
   Simulation sim;
   Disk disk{sim, 0, spindown::disk::DiskParams::st3500630as(),
-            spindown::disk::make_never_policy(), spindown::util::Rng{1},
-            std::move(sched)};
+            std::make_unique<spindown::disk::NeverSpinDownPolicy>(),
+            spindown::util::Rng{1}, std::move(sched)};
 
   struct Chain {
     Simulation& sim;
@@ -143,15 +143,15 @@ void run_disk_cycle_test(std::unique_ptr<spindown::disk::IoScheduler> sched) {
 }
 
 TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeFcfs) {
-  run_disk_cycle_test(spindown::disk::make_fcfs_scheduler());
+  run_disk_cycle_test(std::make_unique<spindown::disk::FcfsScheduler>());
 }
 
 TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeSstf) {
-  run_disk_cycle_test(spindown::disk::make_sstf_scheduler());
+  run_disk_cycle_test(std::make_unique<spindown::disk::SstfScheduler>());
 }
 
 TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeBatch) {
-  run_disk_cycle_test(spindown::disk::make_batch_scheduler());
+  run_disk_cycle_test(std::make_unique<spindown::disk::BatchScheduler>());
 }
 
 // The same disk cycle with observability wired but OFF: a Disk holding a
@@ -162,8 +162,9 @@ TEST(AllocCount, DiskCycleWithObsOffIsAllocationFree) {
   using spindown::disk::Disk;
   Simulation sim;
   Disk disk{sim, 0, spindown::disk::DiskParams::st3500630as(),
-            spindown::disk::make_never_policy(), spindown::util::Rng{1},
-            spindown::disk::make_fcfs_scheduler()};
+            std::make_unique<spindown::disk::NeverSpinDownPolicy>(),
+            spindown::util::Rng{1},
+            std::make_unique<spindown::disk::FcfsScheduler>()};
   disk.set_trace(nullptr); // obs=off: explicit null sink
 
   struct Chain {
@@ -203,8 +204,9 @@ TEST(AllocCount, DiskCycleTracingIntoReservedBufferIsAllocationFree) {
   // 5 span edges plus up to 3 power transitions per request.
   trace.reserve(10 * 21'000);
   Disk disk{sim, 0, spindown::disk::DiskParams::st3500630as(),
-            spindown::disk::make_never_policy(), spindown::util::Rng{1},
-            spindown::disk::make_fcfs_scheduler()};
+            std::make_unique<spindown::disk::NeverSpinDownPolicy>(),
+            spindown::util::Rng{1},
+            std::make_unique<spindown::disk::FcfsScheduler>()};
   disk.set_trace(&trace);
 
   struct Chain {

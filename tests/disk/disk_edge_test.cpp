@@ -23,7 +23,7 @@ protected:
 };
 
 TEST_F(DiskEdge, ZeroByteReadStillPaysPositioning) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   sim_.schedule_at(0.0, [&] { d->submit(0, 0); });
   sim_.run();
   ASSERT_EQ(completions_.size(), 1u);
@@ -31,7 +31,7 @@ TEST_F(DiskEdge, ZeroByteReadStillPaysPositioning) {
 }
 
 TEST_F(DiskEdge, ArrivalDuringPositioningQueues) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   // Mid-positioning (positioning lasts 12.66 ms).
@@ -43,7 +43,7 @@ TEST_F(DiskEdge, ArrivalDuringPositioningQueues) {
 }
 
 TEST_F(DiskEdge, DiskIdCarriedInCompletions) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   sim_.schedule_at(0.0, [&] { d->submit(77, util::mb(1.0)); });
   sim_.run();
   ASSERT_EQ(completions_.size(), 1u);
@@ -55,7 +55,7 @@ TEST_F(DiskEdge, DiskIdCarriedInCompletions) {
 TEST_F(DiskEdge, BackToBackArrivalAtExactCompletionInstant) {
   // A request arriving in the same event round as a completion must be
   // served (order: completion event first — FIFO by schedule time).
-  auto d = make_disk(make_fixed_policy(30.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(30.0));
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
@@ -68,7 +68,7 @@ TEST_F(DiskEdge, BackToBackArrivalAtExactCompletionInstant) {
 }
 
 TEST_F(DiskEdge, MetricsEnergyMatchesStateTimes) {
-  auto d = make_disk(make_fixed_policy(5.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
   sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(144.0)); });
   sim_.schedule_at(200.0, [&] { d->submit(1, util::mb(36.0)); });
   sim_.run();
@@ -87,7 +87,7 @@ TEST_F(DiskEdge, MetricsEnergyMatchesStateTimes) {
 TEST_F(DiskEdge, ManyRapidCyclesRemainConsistent) {
   // Stress: requests spaced just past the (short) threshold force repeated
   // full standby cycles; counters and ledger must stay coherent.
-  auto d = make_disk(make_fixed_policy(1.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(1.0));
   const util::Bytes size = util::mb(7.2); // 0.1 s transfer
   // One full cycle: spin-up (15) + service (~0.11) + idle (1) + spin-down
   // (10) ~ 26.1 s; space arrivals past it so each lands in standby.

@@ -25,7 +25,7 @@ protected:
 };
 
 TEST_F(DiskFixture, SingleRequestServiceTime) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0); // exactly 1 s transfer
   sim_.schedule_at(0.0, [&] { d->submit(7, size); });
   sim_.run();
@@ -39,7 +39,7 @@ TEST_F(DiskFixture, SingleRequestServiceTime) {
 }
 
 TEST_F(DiskFixture, FcfsQueueing) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
   sim_.schedule_at(0.0, [&] {
     d->submit(0, size);
@@ -58,7 +58,7 @@ TEST_F(DiskFixture, FcfsQueueing) {
 }
 
 TEST_F(DiskFixture, SpinsDownAfterThreshold) {
-  auto d = make_disk(make_fixed_policy(20.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(72.0)); });
   sim_.run();
   EXPECT_EQ(d->state(), PowerState::kStandby);
@@ -70,7 +70,7 @@ TEST_F(DiskFixture, SpinsDownAfterThreshold) {
 }
 
 TEST_F(DiskFixture, RequestToStandbyDiskPaysSpinUp) {
-  auto d = make_disk(make_fixed_policy(20.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   const util::Bytes size = util::mb(72.0);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   const double t2 = 100.0; // disk is long in standby by then
@@ -83,7 +83,7 @@ TEST_F(DiskFixture, RequestToStandbyDiskPaysSpinUp) {
 }
 
 TEST_F(DiskFixture, ArrivalDuringSpinDownWaitsForFullRoundTrip) {
-  auto d = make_disk(make_fixed_policy(20.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   const util::Bytes size = util::mb(72.0);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   const double svc = params_.service_time(size);
@@ -99,7 +99,7 @@ TEST_F(DiskFixture, ArrivalDuringSpinDownWaitsForFullRoundTrip) {
 }
 
 TEST_F(DiskFixture, ArrivalDuringIdleCancelsSpinDown) {
-  auto d = make_disk(make_fixed_policy(20.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   const util::Bytes size = util::mb(72.0);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   const double svc = params_.service_time(size);
@@ -115,7 +115,7 @@ TEST_F(DiskFixture, ArrivalDuringIdleCancelsSpinDown) {
 }
 
 TEST_F(DiskFixture, NeverPolicyNeverSpinsDown) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(10.0)); });
   sim_.schedule_at(10'000.0, [&] {});
   sim_.run();
@@ -124,7 +124,7 @@ TEST_F(DiskFixture, NeverPolicyNeverSpinsDown) {
 }
 
 TEST_F(DiskFixture, ImmediateSpinDownPolicy) {
-  auto d = make_disk(make_fixed_policy(0.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(0.0));
   // The disk starts idle: it should begin spinning down at t = 0.
   sim_.run();
   EXPECT_EQ(d->state(), PowerState::kStandby);
@@ -132,7 +132,7 @@ TEST_F(DiskFixture, ImmediateSpinDownPolicy) {
 }
 
 TEST_F(DiskFixture, EnergyIntegrationMatchesHandComputation) {
-  auto d = make_disk(make_fixed_policy(30.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(30.0));
   const util::Bytes size = util::mb(144.0); // 2 s transfer
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   sim_.run();
@@ -146,7 +146,7 @@ TEST_F(DiskFixture, EnergyIntegrationMatchesHandComputation) {
 }
 
 TEST_F(DiskFixture, MetricsSnapshotAtIntermediateTime) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(720.0)); }); // 10 s
   sim_.schedule_at(5.0, [&] {
     const auto m = d->metrics(sim_.now());
@@ -160,7 +160,7 @@ TEST_F(DiskFixture, MetricsSnapshotAtIntermediateTime) {
 }
 
 TEST_F(DiskFixture, IdleGapsRecordedBetweenArrivals) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
@@ -180,7 +180,7 @@ TEST_F(DiskFixture, IdleGapsRecordedBetweenArrivals) {
 }
 
 TEST_F(DiskFixture, BurstDuringSpinUpQueuesAll) {
-  auto d = make_disk(make_fixed_policy(5.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
   const util::Bytes size = util::mb(72.0);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   // Disk reaches standby at svc + 5 + 10; burst arrives at 50.
@@ -200,7 +200,7 @@ TEST_F(DiskFixture, BurstDuringSpinUpQueuesAll) {
 }
 
 TEST_F(DiskFixture, ManyCyclesCountSpinEvents) {
-  auto d = make_disk(make_fixed_policy(10.0));
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(10.0));
   const util::Bytes size = util::mb(72.0);
   // Requests spaced far enough apart that the disk standby-cycles each time.
   for (int i = 0; i < 5; ++i) {
@@ -224,7 +224,6 @@ public:
   void observe_completion(double response) override {
     responses.push_back(response);
   }
-  std::string name() const override { return "probe"; }
 
   std::vector<std::pair<double, bool>> idle_periods;
   std::vector<double> responses;
@@ -288,7 +287,7 @@ TEST_F(DiskFixture, PolicyObservesEveryCompletionResponse) {
 }
 
 TEST_F(DiskFixture, MetricsExposeIdlePeriodHistogram) {
-  auto d = make_disk(make_never_policy());
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
   sim_.schedule_at(50.0, [&] { d->submit(0, size); });

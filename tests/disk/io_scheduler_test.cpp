@@ -104,13 +104,15 @@ TEST(ScanScheduler, SweepsUpThenReverses) {
   EXPECT_EQ(drain(s, 400), (std::vector<std::uint64_t>{0, 2, 1, 3}));
 }
 
-TEST(ClookScheduler, WrapsToLowestPendingLba) {
-  ClookScheduler s;
+TEST(BatchScheduler, SizeOneWrapsToLowestPendingLba) {
+  BatchScheduler s{/*max_batch=*/1}; // plain C-LOOK
   s.push(job(0, 500));
   s.push(job(1, 300));
   s.push(job(2, 700));
   s.push(job(3, 100));
-  // Head 400: up to 500, 700; wrap to the lowest (100), then 300.
+  // Head 400: up to 500, 700; wrap to the lowest (100), then 300.  The
+  // default 2048-block gap would coalesce these extents; a batch of one
+  // cannot, so this is the C-LOOK order.
   EXPECT_EQ(drain(s, 400), (std::vector<std::uint64_t>{0, 2, 3, 1}));
 }
 
@@ -172,7 +174,8 @@ protected:
   std::vector<Completion> completions_;
 
   std::unique_ptr<Disk> make_disk(std::unique_ptr<IoScheduler> sched) {
-    auto d = std::make_unique<Disk>(sim_, 0, params_, make_never_policy(),
+    auto d = std::make_unique<Disk>(sim_, 0, params_,
+                                    std::make_unique<NeverSpinDownPolicy>(),
                                     util::Rng{1}, std::move(sched));
     d->set_completion_callback(
         [this](const Completion& c) { completions_.push_back(c); });
@@ -181,7 +184,7 @@ protected:
 };
 
 TEST_F(SchedulerDiskFixture, SstfReordersAQueuedBurst) {
-  auto d = make_disk(make_sstf_scheduler());
+  auto d = make_disk(std::make_unique<SstfScheduler>());
   const util::Bytes size = util::mb(72.0);
   const std::uint64_t blocks = util::blocks_of(size);
   // Burst of three while the first is in service: the far one (id 1) must
@@ -199,7 +202,7 @@ TEST_F(SchedulerDiskFixture, SstfReordersAQueuedBurst) {
 }
 
 TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
-  auto d = make_disk(make_sstf_scheduler());
+  auto d = make_disk(std::make_unique<SstfScheduler>());
   const util::Bytes size = util::mb(72.0); // 1 s transfer
   const std::uint64_t capacity_blocks = util::blocks_of(params_.capacity);
   // One request at LBA 0 (head starts there: zero distance), then one at
@@ -224,7 +227,7 @@ TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
 }
 
 TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
-  auto d = make_disk(make_batch_scheduler(16, 64));
+  auto d = make_disk(std::make_unique<BatchScheduler>(16, 64));
   const util::Bytes size = util::mb(72.0); // 1 s transfer each
   const std::uint64_t blocks = util::blocks_of(size);
   const std::uint64_t warm_lba = 10'000'000;
@@ -263,7 +266,7 @@ TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
 }
 
 TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
-  auto d = make_disk(make_fcfs_scheduler());
+  auto d = make_disk(std::make_unique<FcfsScheduler>());
   const util::Bytes size = util::mb(720.0); // 10 s transfer
   sim_.schedule_at(0.0, [&] {
     d->submit(0, size);
@@ -295,7 +298,8 @@ TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
 TEST_F(SchedulerDiskFixture, FcfsDefaultMatchesLegacyConstantPositioning) {
   // A Disk constructed without a scheduler serves FCFS with the constant
   // position_time() — the seed simulator's exact timing.
-  auto d = std::make_unique<Disk>(sim_, 0, params_, make_never_policy(),
+  auto d = std::make_unique<Disk>(sim_, 0, params_,
+                                  std::make_unique<NeverSpinDownPolicy>(),
                                   util::Rng{1});
   d->set_completion_callback(
       [this](const Completion& c) { completions_.push_back(c); });

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "sys/system.h"
+
 namespace spindown::disk {
 namespace {
 
@@ -34,12 +36,11 @@ TEST(NeverSpinDownPolicy, ReturnsNullopt) {
   NeverSpinDownPolicy policy;
   util::Rng rng{1};
   EXPECT_FALSE(policy.idle_timeout(rng).has_value());
-  EXPECT_EQ(policy.name(), "never");
 }
 
 TEST(BreakEvenPolicy, UsesTable2Threshold) {
   const auto p = DiskParams::st3500630as();
-  const auto policy = make_break_even_policy(p);
+  const auto policy = sys::PolicySpec::break_even().make(p);
   util::Rng rng{1};
   EXPECT_NEAR(*policy->idle_timeout(rng), 53.3, 0.05);
 }

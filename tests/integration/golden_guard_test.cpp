@@ -74,7 +74,6 @@ TEST(GoldenGuard, FcfsDefaultReproducesPreRefactorSweepExactly) {
   std::vector<ExperimentConfig> configs;
   for (int i = 0; i < 3; ++i) {
     ExperimentConfig cfg;
-    cfg.label = "golden";
     cfg.catalog = &cat;
     cfg.mapping = a.disk_of;
     cfg.num_disks = a.disk_count;

@@ -55,13 +55,13 @@ sys::ExperimentConfig fleet_config(const workload::FileCatalog& cat,
 
 /// Runs `cfg` at 1, 2, 4 and 8 shards and checks every trace and result
 /// against the single-calendar reference digests.
-void expect_matches_reference(const sys::ExperimentConfig& cfg,
-                              std::size_t events, const char* trace_ref,
-                              const char* result_ref) {
+void expect_matches_reference(sys::ExperimentConfig cfg, std::size_t events,
+                              const char* trace_ref, const char* result_ref) {
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
+    cfg.shards = shards;
     RunTrace trace;
-    const auto r = sys::run_fleet(cfg, shards, nullptr, &trace);
+    const auto r = sys::run_experiment(cfg, &trace);
     EXPECT_EQ(trace.events.size(), events);
     EXPECT_EQ(trace_digest(trace), trace_ref);
     EXPECT_EQ(physical_digest(r), result_ref);
@@ -79,9 +79,10 @@ TEST(TraceFleetIdentity, CacheFreeRouterTrackStaysEmpty) {
   // canonical stream belongs to a disk track, and the stream still matches
   // the single-calendar reference (16 disks, so 8 shards own 2 each).
   const auto cat = fleet_catalog();
-  const auto cfg = fleet_config(cat, 16);
+  auto cfg = fleet_config(cat, 16);
+  cfg.shards = 4;
   RunTrace trace;
-  (void)sys::run_fleet(cfg, 4, nullptr, &trace);
+  (void)sys::run_experiment(cfg, &trace);
   ASSERT_FALSE(trace.events.empty());
   for (const auto& e : trace.events) {
     EXPECT_NE(e.track, kRouterTrack);
@@ -96,8 +97,9 @@ TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
 
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
+    cfg.shards = shards;
     RunTrace trace;
-    const auto r = sys::run_fleet(cfg, shards, nullptr, &trace);
+    const auto r = sys::run_experiment(cfg, &trace);
     bool saw_cache_hit = false;
     for (const auto& e : trace.events) {
       if (e.kind == Kind::kSpan && e.code == kSpanCacheHit) {
@@ -115,10 +117,11 @@ TEST(TraceFleetIdentity, RoutedPathMatchesSingleCalendar) {
 TEST(TraceFleetIdentity, TracedFleetRunMatchesUntracedResult) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 24);
+  cfg.shards = 4;
 
-  const auto plain = sys::run_fleet(cfg, 4);
+  const auto plain = sys::run_experiment(cfg);
   RunTrace trace;
-  const auto traced = sys::run_fleet(cfg, 4, nullptr, &trace);
+  const auto traced = sys::run_experiment(cfg, &trace);
   // Tracing is read-only — including the engine's event counter (sampler
   // ticks are subtracted).
   EXPECT_EQ(traced.events, plain.events);
@@ -129,9 +132,10 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 16);
   cfg.obs.profile = true;
+  cfg.shards = 4;
 
   RunTrace trace;
-  (void)sys::run_fleet(cfg, 4, nullptr, &trace);
+  (void)sys::run_experiment(cfg, &trace);
   EXPECT_FALSE(trace.profile.empty());
   for (const auto& e : trace.events) {
     EXPECT_NE(e.kind, Kind::kProfile);
@@ -172,8 +176,9 @@ TEST(TraceFleetIdentity, OrchestratedTraceIsByteIdenticalAcrossShards) {
   std::string files[2];
   for (const std::uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
+    cfg.shards = shards;
     RunTrace trace;
-    (void)sys::run_fleet(cfg, shards, nullptr, &trace);
+    (void)sys::run_experiment(cfg, &trace);
     bool hit = false, offload = false, destage = false;
     for (const auto& e : trace.events) {
       hit = hit || (e.kind == Kind::kSpan && e.code == kSpanCacheHit);

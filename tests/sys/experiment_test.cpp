@@ -5,6 +5,8 @@
 #include <memory>
 #include <string>
 
+#include "cache/lfu.h"
+#include "cache/recency.h"
 #include "util/units.h"
 
 namespace spindown::sys {
@@ -23,11 +25,12 @@ workload::FileCatalog small_catalog() {
 TEST(CacheSpec, Factories) {
   EXPECT_EQ(CacheSpec::none().make(), nullptr);
   auto lru = CacheSpec::lru(util::mb(100.0)).make();
-  ASSERT_NE(lru, nullptr);
-  EXPECT_EQ(lru->name(), "lru");
+  EXPECT_NE(dynamic_cast<cache::LruCache*>(lru.get()), nullptr);
   EXPECT_EQ(lru->capacity(), util::mb(100.0));
-  EXPECT_EQ(CacheSpec::fifo().make()->name(), "fifo");
-  EXPECT_EQ(CacheSpec::lfu().make()->name(), "lfu");
+  EXPECT_NE(dynamic_cast<cache::FifoCache*>(CacheSpec::fifo().make().get()),
+            nullptr);
+  EXPECT_NE(dynamic_cast<cache::LfuCache*>(CacheSpec::lfu().make().get()),
+            nullptr);
 }
 
 TEST(CacheSpec, SpecRoundTripsEveryKind) {

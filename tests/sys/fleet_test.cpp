@@ -106,8 +106,9 @@ TEST(FleetInvariance, RepeatedRunsAreBitIdenticalOnTheSameScenario) {
     for (const std::uint32_t shards : {2u, 4u, 8u}) {
       SCOPED_TRACE("workload " + c.workload.spec() + " shards " +
                    std::to_string(shards));
-      const auto first = run_fleet(cfg, shards);
-      const auto second = run_fleet(cfg, shards);
+      cfg.shards = shards;
+      const auto first = run_experiment(cfg);
+      const auto second = run_experiment(cfg);
       EXPECT_EQ(physical_digest(first), c.digest);
       EXPECT_EQ(physical_digest(second), c.digest);
       EXPECT_EQ(first.events, second.events);
@@ -172,33 +173,6 @@ TEST(FleetMerge, RejectsOverlappingDiskIds) {
   EXPECT_THROW(merged.merge(a), std::invalid_argument);
 }
 
-TEST(DiskMetricsMerge, SumsCountersAndKeepsLowerId) {
-  disk::DiskMetrics a, b;
-  a.disk_id = 3;
-  a.spin_ups = 2;
-  a.served = 10;
-  a.state_time[0] = 1.5;
-  a.energy_j = 100.0;
-  a.response.add(1.0);
-  a.idle_periods.add(0.5);
-  b.disk_id = 1;
-  b.spin_ups = 1;
-  b.served = 4;
-  b.state_time[0] = 2.5;
-  b.energy_j = 50.0;
-  b.response.add(3.0);
-  b.idle_periods.add(2.0, 3);
-  a.merge(b);
-  EXPECT_EQ(a.disk_id, 1u);
-  EXPECT_EQ(a.spin_ups, 3u);
-  EXPECT_EQ(a.served, 14u);
-  EXPECT_DOUBLE_EQ(a.state_time[0], 4.0);
-  EXPECT_DOUBLE_EQ(a.energy_j, 150.0);
-  EXPECT_EQ(a.response.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.response.mean(), 2.0);
-  EXPECT_EQ(a.idle_periods.total(), 4u);
-}
-
 TEST(FleetTies, SimultaneousCompletionsMatchSingleCalendar) {
   // Regression for the latent completion-ordering assumption: requests of
   // identical size submitted at the same instant to different disks finish
@@ -229,7 +203,8 @@ TEST(FleetTies, SimultaneousCompletionsMatchSingleCalendar) {
   cfg.seed = 23;
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    const auto r = run_fleet(cfg, shards);
+    cfg.shards = shards;
+    const auto r = run_experiment(cfg);
     EXPECT_EQ(r.requests, 12u);
     EXPECT_EQ(physical_digest(r), "bf479b4975ac8c93");
   }
@@ -260,9 +235,10 @@ TEST(EffectiveShards, AutoAppliesTheDisksPerShardFloor) {
 
 TEST(FleetPerf, CountersDescribeThePipeline) {
   const auto cat = fleet_catalog();
-  const auto cfg = fleet_config(cat);
+  auto cfg = fleet_config(cat);
+  cfg.shards = 3;
   FleetPerf perf;
-  const auto r = run_fleet(cfg, 3, &perf);
+  const auto r = run_experiment(cfg, nullptr, &perf);
   EXPECT_EQ(perf.shards, 3u);
   ASSERT_EQ(perf.per_shard.size(), 3u);
   std::uint64_t submitted = 0;
@@ -289,7 +265,8 @@ TEST(RunFleet, RequiresPositiveHorizon) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat);
   cfg.workload = WorkloadSpec::poisson(0.8, 0.0);
-  EXPECT_THROW(run_fleet(cfg, 2), std::invalid_argument);
+  cfg.shards = 2;
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
 TEST(FleetScenario, ShardsKeyChangesWallClockOnly) {
@@ -349,7 +326,8 @@ void expect_pipeline_digest(const workload::FileCatalog& cat,
   cfg.policy = policy;
   for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    const auto r = run_fleet(cfg, shards);
+    cfg.shards = shards;
+    const auto r = run_experiment(cfg);
     EXPECT_EQ(r.requests, trace.size());
     EXPECT_EQ(physical_digest(r), digest);
   }
@@ -376,8 +354,9 @@ TEST(FleetPipeline, WindowSpanningSeveralChunksMatchesPreviousEngine) {
   auto cfg = fleet_config(cat, 8);
   cfg.workload = WorkloadSpec::replay(trace);
   cfg.obs.profile = true;
+  cfg.shards = 2;
   obs::RunTrace profiled;
-  (void)run_fleet(cfg, 2, nullptr, &profiled);
+  (void)run_experiment(cfg, &profiled);
   std::size_t chunks = 0, windows = 0;
   for (const auto& e : profiled.profile) {
     chunks += e.code == obs::kProfFeederFill ? 1 : 0;
@@ -433,7 +412,8 @@ TEST(FleetPipeline, FeederErrorAbortsTheRunAndIsRethrown) {
   cfg.workload = WorkloadSpec::replay(trace);
   for (const std::uint32_t shards : {1u, 3u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    EXPECT_THROW(run_fleet(cfg, shards), std::out_of_range);
+    cfg.shards = shards;
+    EXPECT_THROW(run_experiment(cfg), std::out_of_range);
   }
 }
 

@@ -105,8 +105,10 @@ std::vector<Mutation> mutations(const std::string& trace_stem) {
       {"", "sched=scan"},
       {"", "sched=clook"},
       {"", "sched=batch"},
+      {"sched=clook", "sched=batch1"}, // a batch of one is C-LOOK
       {"sched=batch", "sched=batch4"},
       {kNersc + " sched=batch", "sched=batch16x4096"},
+      {kNersc + " sched=clook", "sched=batch1x4096"},
       // front cache
       {"", "cache=none"},
       {"", "cache=lru"},

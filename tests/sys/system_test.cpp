@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
 
+#include "adapt/idle_predictor.h"
+#include "adapt/share.h"
+#include "adapt/slack.h"
 #include "cache/cache.h"
 #include "obs/trace.h"
 #include "support/physical_digest.h"
@@ -39,12 +43,30 @@ ExperimentConfig replay_config(const workload::Trace& trace,
   return cfg;
 }
 
+/// True when `made` points at a T (the dynamic type a spec's make() built).
+template <typename T, typename Base>
+bool is_a(const std::unique_ptr<Base>& made) {
+  return dynamic_cast<const T*>(made.get()) != nullptr;
+}
+
 TEST(PolicySpec, FactoryNames) {
   const auto p = disk::DiskParams::st3500630as();
-  EXPECT_EQ(PolicySpec::never().name(p), "never");
-  EXPECT_EQ(PolicySpec::fixed(10.0).name(p), "fixed(10 s)");
-  EXPECT_EQ(PolicySpec::randomized().name(p), "randomized-competitive");
-  EXPECT_NE(PolicySpec::break_even().name(p).find("53.2"), std::string::npos);
+  EXPECT_TRUE(is_a<disk::NeverSpinDownPolicy>(PolicySpec::never().make(p)));
+  const auto fixed = PolicySpec::fixed(10.0).make(p);
+  const auto* f = dynamic_cast<const disk::FixedThresholdPolicy*>(fixed.get());
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->threshold(), 10.0);
+  const auto break_even = PolicySpec::break_even().make(p);
+  const auto* b =
+      dynamic_cast<const disk::FixedThresholdPolicy*>(break_even.get());
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->threshold(), p.break_even_threshold());
+  EXPECT_TRUE(is_a<disk::RandomizedCompetitivePolicy>(
+      PolicySpec::randomized().make(p)));
+  EXPECT_TRUE(
+      is_a<adapt::EwmaIdlePredictorPolicy>(PolicySpec::ewma().make(p)));
+  EXPECT_TRUE(is_a<adapt::ShareThresholdPolicy>(PolicySpec::share().make(p)));
+  EXPECT_TRUE(is_a<adapt::SlackAwarePolicy>(PolicySpec::slack().make(p)));
 }
 
 TEST(AlwaysOnEnergy, ClosedForm) {
@@ -293,16 +315,19 @@ TEST(SystemRun, RandomizedPolicySeedsDifferPerDisk) {
 }
 
 TEST(SchedulerSpecTest, FactoryNamesAndParse) {
-  EXPECT_EQ(SchedulerSpec::fcfs().name(), "fcfs");
-  EXPECT_EQ(SchedulerSpec::sstf().name(), "sstf");
-  EXPECT_EQ(SchedulerSpec::scan().name(), "scan");
-  EXPECT_EQ(SchedulerSpec::clook().name(), "clook");
-  EXPECT_EQ(SchedulerSpec::batch(8).name(), "batch8");
-  EXPECT_EQ(SchedulerSpec::parse("sstf").name(), "sstf");
+  EXPECT_TRUE(is_a<disk::FcfsScheduler>(SchedulerSpec::fcfs().make()));
+  EXPECT_TRUE(is_a<disk::SstfScheduler>(SchedulerSpec::sstf().make()));
+  EXPECT_TRUE(is_a<disk::ScanScheduler>(SchedulerSpec::scan().make()));
+  // C-LOOK is a batch of one; batch(1) is clook().
+  EXPECT_TRUE(is_a<disk::BatchScheduler>(SchedulerSpec::clook().make()));
+  EXPECT_TRUE(is_a<disk::BatchScheduler>(SchedulerSpec::batch(8).make()));
+  EXPECT_EQ(SchedulerSpec::batch(1).spec(), "clook");
+  EXPECT_EQ(SchedulerSpec::parse("batch1x4096").spec(), "clook");
+  EXPECT_EQ(SchedulerSpec::parse("sstf").kind, SchedulerSpec::Kind::kSstf);
   EXPECT_EQ(SchedulerSpec::parse("fcfs").kind, SchedulerSpec::Kind::kFcfs);
-  // name() round-trips through parse(), including the parameterized batch.
+  // spec() round-trips through parse(), including the parameterized batch.
   EXPECT_EQ(SchedulerSpec::parse("batch8").max_batch, 8u);
-  EXPECT_EQ(SchedulerSpec::parse(SchedulerSpec::batch(8).name()).name(),
+  EXPECT_EQ(SchedulerSpec::parse(SchedulerSpec::batch(8).spec()).spec(),
             "batch8");
   EXPECT_THROW(SchedulerSpec::parse("elevator"), std::invalid_argument);
   EXPECT_THROW(SchedulerSpec::parse("batchx"), std::invalid_argument);
