@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace spindown::disk {
+
+namespace {
+constexpr double kNever = std::numeric_limits<double>::infinity();
+} // namespace
 
 util::Joules DiskMetrics::energy(const DiskParams& p) const {
   util::Joules total = 0.0;
@@ -30,19 +35,36 @@ Disk::Disk(des::Simulation& sim, std::uint32_t id, DiskParams params,
   arm_idle_timer();
 }
 
-void Disk::enter(PowerState next) {
+void Disk::enter(PowerState next, double t) {
   assert(can_transition(state_, next));
   if (trace_ != nullptr && trace_->wants(obs::Kind::kPower)) {
-    trace_->emit(obs::Kind::kPower, static_cast<std::uint8_t>(next),
-                 sim_.now(), id_, 0,
-                 static_cast<double>(static_cast<unsigned>(state_)));
+    trace_->emit(obs::Kind::kPower, static_cast<std::uint8_t>(next), t, id_,
+                 0, static_cast<double>(static_cast<unsigned>(state_)));
   }
-  ledger_.transition(sim_.now(), next);
+  ledger_.transition(t, next);
   state_ = next;
+}
+
+void Disk::settle(double t) {
+  if (state_ == PowerState::kPositioning && transfer_start_ <= t) {
+    enter(PowerState::kTransfer, transfer_start_);
+    trace_transfer(transfer_start_);
+  }
+  if (state_ == PowerState::kIdle && sleep_at_ <= t && sleep_at_ < kNever) {
+    if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
+      trace_->emit(obs::Kind::kPolicy, obs::kPolicyThresholdFired, sleep_at_,
+                   id_, 0, sleep_at_ - idle_since_);
+    }
+    begin_spin_down(sleep_at_);
+  }
+  if (state_ == PowerState::kSpinningDown && standby_at_ <= t) {
+    finish_spin_down(standby_at_);
+  }
 }
 
 void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
                   std::uint64_t lba, std::uint64_t blocks, bool background) {
+  settle(sim_.now());
   IoJob job;
   job.request_id = request_id;
   job.bytes = bytes;
@@ -71,13 +93,18 @@ void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
   }
   switch (state_) {
     case PowerState::kIdle:
-      disarm_idle_timer();
       start_service();
       break;
     case PowerState::kStandby:
-      begin_spin_up();
+      begin_spin_up(sim_.now());
       break;
     case PowerState::kSpinningDown:
+      // The spin-down's first arrival wakes the disk at the standby time;
+      // settling there parks it and spins it straight back up.
+      if (scheduler_->size() == 1) {
+        sim_.schedule_at(standby_at_, [this] { settle(sim_.now()); });
+      }
+      break;
     case PowerState::kSpinningUp:
     case PowerState::kPositioning:
     case PowerState::kTransfer:
@@ -119,27 +146,25 @@ void Disk::start_service() {
                    job.request_id, static_cast<double>(batch_.size()));
     }
   }
-  enter(PowerState::kPositioning);
-  sim_.schedule_in(positioning_time(batch_.front().lba),
-                   [this] { finish_positioning(); });
+  enter(PowerState::kPositioning, sim_.now());
+  // One event per request: positioning ends (settle() applies it) and the
+  // first transfer starts at transfer_start_; the event is its completion.
+  transfer_start_ = sim_.now() + positioning_time(batch_.front().lba);
+  sim_.schedule_at(
+      transfer_start_ + params_.transfer_time(batch_.front().bytes),
+      [this] { finish_transfer(); });
 }
 
-void Disk::finish_positioning() {
-  enter(PowerState::kTransfer);
-  start_transfer();
-}
-
-void Disk::start_transfer() {
+void Disk::trace_transfer(double t) {
   if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
-    trace_->emit(obs::Kind::kSpan, obs::kSpanTransfer, sim_.now(), id_,
+    trace_->emit(obs::Kind::kSpan, obs::kSpanTransfer, t, id_,
                  batch_[batch_pos_].request_id,
                  static_cast<double>(batch_[batch_pos_].bytes));
   }
-  sim_.schedule_in(params_.transfer_time(batch_[batch_pos_].bytes),
-                   [this] { finish_transfer(); });
 }
 
 void Disk::finish_transfer() {
+  settle(sim_.now());
   const IoJob& job = batch_[batch_pos_];
   if (job.background) {
     ++destage_served_;
@@ -172,7 +197,9 @@ void Disk::finish_transfer() {
   if (batch_pos_ < batch_.size()) {
     // Coalesced batch: the next extent is (near-)adjacent, so the head
     // streams straight into it — no further positioning phase is billed.
-    start_transfer();
+    trace_transfer(sim_.now());
+    sim_.schedule_in(params_.transfer_time(batch_[batch_pos_].bytes),
+                     [this] { finish_transfer(); });
   } else if (!scheduler_->empty()) {
     start_service();
   } else {
@@ -181,7 +208,7 @@ void Disk::finish_transfer() {
 }
 
 void Disk::go_idle() {
-  enter(PowerState::kIdle);
+  enter(PowerState::kIdle, sim_.now());
   idle_since_ = sim_.now();
   idle_period_open_ = true;
   idle_spun_down_ = false;
@@ -190,6 +217,7 @@ void Disk::go_idle() {
 
 void Disk::arm_idle_timer() {
   assert(state_ == PowerState::kIdle);
+  sleep_at_ = kNever;
   const auto timeout = policy_->idle_timeout(rng_);
   const bool tracing =
       trace_ != nullptr && trace_->wants(obs::Kind::kPolicy);
@@ -205,49 +233,36 @@ void Disk::arm_idle_timer() {
       trace_->emit(obs::Kind::kPolicy, obs::kPolicySpinDownNow, sim_.now(),
                    id_, 0, *timeout, policy_->trace_estimate());
     }
-    begin_spin_down();
+    begin_spin_down(sim_.now());
     return;
   }
   if (tracing) {
     trace_->emit(obs::Kind::kPolicy, obs::kPolicyTimerArmed, sim_.now(), id_,
                  0, *timeout, policy_->trace_estimate());
   }
-  idle_timer_ = sim_.schedule_in(*timeout, [this] {
-    idle_timer_ = des::EventHandle{};
-    if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
-      trace_->emit(obs::Kind::kPolicy, obs::kPolicyThresholdFired, sim_.now(),
-                   id_, 0, sim_.now() - idle_since_);
-    }
-    begin_spin_down();
-  });
+  // No timer: settle() starts the spin-down once the clock reaches it.
+  sleep_at_ = sim_.now() + *timeout;
 }
 
-void Disk::disarm_idle_timer() {
-  // Generation-counted handles make this safe unconditionally: cancelling an
-  // inert or already-fired handle is a no-op returning false.
-  sim_.cancel(idle_timer_);
-  idle_timer_ = des::EventHandle{};
-}
-
-void Disk::begin_spin_down() {
+void Disk::begin_spin_down(double t) {
   assert(state_ == PowerState::kIdle);
   idle_spun_down_ = true;
   ++spin_downs_;
-  enter(PowerState::kSpinningDown);
-  sim_.schedule_in(params_.spindown_s, [this] { finish_spin_down(); });
+  enter(PowerState::kSpinningDown, t);
+  standby_at_ = t + params_.spindown_s;
 }
 
-void Disk::finish_spin_down() {
-  enter(PowerState::kStandby);
+void Disk::finish_spin_down(double t) {
+  enter(PowerState::kStandby, t);
   // Requests that arrived during the spin-down force an immediate spin-up.
-  if (!scheduler_->empty()) begin_spin_up();
+  if (!scheduler_->empty()) begin_spin_up(t);
 }
 
-void Disk::begin_spin_up() {
+void Disk::begin_spin_up(double t) {
   assert(state_ == PowerState::kStandby);
   ++spin_ups_;
-  enter(PowerState::kSpinningUp);
-  sim_.schedule_in(params_.spinup_s, [this] { finish_spin_up(); });
+  enter(PowerState::kSpinningUp, t);
+  sim_.schedule_at(t + params_.spinup_s, [this] { finish_spin_up(); });
 }
 
 void Disk::finish_spin_up() {
@@ -260,7 +275,8 @@ void Disk::finish_spin_up() {
   }
 }
 
-DiskMetrics Disk::metrics(double now) const {
+DiskMetrics Disk::metrics(double now) {
+  settle(now);
   auto ledger = ledger_; // copy, then flush the copy to `now`
   ledger.flush(now);
   DiskMetrics m;

@@ -15,11 +15,26 @@
 // Each service batch has two billed phases: positioning (at seek power) and
 // one transfer per batch member (at active power, back-to-back — a coalesced
 // batch pays a single positioning phase).  When the queue drains the disk
-// goes idle and asks its SpinDownPolicy for a timeout; when the timer fires
-// it spins down (10 s) into standby (0.8 W).  A request arriving at a
-// standby disk triggers a spin-up (15 s) and is served after it; a request
-// arriving mid-spin-down waits for the spin-down to complete and then for
-// the spin-up (the head cannot abort a retraction).
+// goes idle and asks its SpinDownPolicy for a timeout; once the timeout
+// passes it spins down (10 s) into standby (0.8 W).  A request arriving at
+// a standby disk triggers a spin-up (15 s) and is served after it; a
+// request arriving mid-spin-down waits for the spin-down to complete and
+// then for the spin-up (the head cannot abort a retraction).
+//
+// Lazy timeline.  Most transitions are fixed the moment their phase begins,
+// so they get no calendar event.  When a batch starts positioning, the time
+// its transfer starts is known; when the policy draws its timeout at idle
+// start, the spin-down and standby times are known.  The calendar holds only
+// one event per served request (its completion) and one per spin-up (which
+// always has waiting requests), plus one at the standby time of a spin-down
+// that a request arrived during.  settle(t) applies every transition due by
+// `t` at its own timestamp and in the order the state machine takes them,
+// emitting the same power/policy/span trace events an eager machine would.
+// It runs at the top of submit(), in state() and metrics(), and from the
+// metrics sampler, so every reader sees the settled state.  Tie rule: a
+// transition due at t resolves before anything else the disk does at t —
+// an arrival exactly at a sleep time finds the disk spinning down, and a
+// gauge sampled at a transfer start reads "transfer".
 //
 // Every state residency is integrated into a time-weighted ledger, so energy
 // is exact under the piecewise-constant power model.
@@ -156,9 +171,19 @@ public:
   /// decisions on track `id()` subject to the buffer's kind mask.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
 
+  /// Apply every lazy transition due by `t` (the transfer start, the
+  /// spin-down, the standby entry), each at its own time.  `t` must not
+  /// pass one of the disk's pending calendar events; +infinity after the
+  /// calendar has drained plays the trailing idle chain out.
+  void settle(double t);
+
   std::uint32_t id() const { return id_; }
   const DiskParams& params() const { return params_; }
-  PowerState state() const { return state_; }
+  /// Power state at sim.now(), settled.
+  PowerState state() {
+    settle(sim_.now());
+    return state_;
+  }
   const IoScheduler& scheduler() const { return *scheduler_; }
   std::size_t queue_length() const { return scheduler_->size(); }
   /// Requests in the active batch (cheap gauge taps for the sampler).
@@ -167,22 +192,21 @@ public:
   /// Current head position (first block past the last transferred extent).
   std::uint64_t head_lba() const { return head_lba_; }
 
-  /// Snapshot of the counters with the ledger flushed to `now`.
-  DiskMetrics metrics(double now) const;
+  /// Snapshot of the counters, settled and with the ledger flushed to
+  /// `now`.
+  DiskMetrics metrics(double now);
 
 private:
-  void enter(PowerState next);
+  void enter(PowerState next, double t);
   double positioning_time(std::uint64_t target_lba) const;
   void start_service();
-  void finish_positioning();
-  void start_transfer();
+  void trace_transfer(double t);
   void finish_transfer();
   void go_idle();
   void arm_idle_timer();
-  void disarm_idle_timer();
-  void begin_spin_down();
-  void finish_spin_down();
-  void begin_spin_up();
+  void begin_spin_down(double t);
+  void finish_spin_down(double t);
+  void begin_spin_up(double t);
   void finish_spin_up();
 
   des::Simulation& sim_;
@@ -202,7 +226,12 @@ private:
   std::uint64_t head_lba_ = 0;
   double capacity_blocks_ = 1.0;
   std::uint64_t submit_seq_ = 0;
-  des::EventHandle idle_timer_;
+  /// The lazy timeline: the active batch leaves positioning at
+  /// transfer_start_; an idle disk begins spinning down at sleep_at_
+  /// (+infinity: never) and a spinning-down disk parks at standby_at_.
+  double transfer_start_ = 0.0;
+  double sleep_at_ = 0.0;
+  double standby_at_ = 0.0;
   double idle_since_ = 0.0;
   /// True from go_idle() (or construction) until the arrival that ends the
   /// period; an arrival mid-spin-down/standby closes the same period, so

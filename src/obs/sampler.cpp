@@ -15,7 +15,8 @@ void MetricsSampler::start() {
 void MetricsSampler::tick() {
   ++ticks_;
   const double t = sim_.now();
-  for (const disk::Disk* d : disks_) {
+  for (disk::Disk* d : disks_) {
+    d->settle(t); // its due transitions precede the gauges on its track
     trace_->emit(Kind::kMetric, kMetricQueueDepth, t, d->id(), 0,
                  static_cast<double>(d->queue_length()),
                  static_cast<double>(d->in_service_count()));

@@ -7,12 +7,13 @@
 //   kMetricQueueDepth  value = scheduler queue length, aux = in-service
 //   kMetricPowerState  value = power-state index,      aux = served total
 //
-// Determinism: the sampler is read-only, so it cannot perturb physical
-// results — and tick timestamps are computed as k * interval (never
-// accumulated), so the sampled timeline is identical whichever shard's
-// calendar the disk lives on.  The tick events it
-// adds to the calendar are subtracted from the run's executed-event count by
-// the callers, so `RunResult::events` matches the untraced run exactly.
+// Determinism: before reading a disk the sampler only settles it (applies
+// the lazy transitions already due, see disk.h), which cannot perturb
+// physical results — and tick timestamps are computed as k * interval
+// (never accumulated), so the sampled timeline is identical whichever
+// shard's calendar the disk lives on.  The tick events it adds to the
+// calendar are subtracted from the run's executed-event count by the
+// callers, so `RunResult::events` matches the untraced run exactly.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ public:
   MetricsSampler& operator=(const MetricsSampler&) = delete;
 
   /// Register a disk to sample.  All registrations must precede start().
-  void add_disk(const disk::Disk* d) { disks_.push_back(d); }
+  void add_disk(disk::Disk* d) { disks_.push_back(d); }
 
   /// Schedule the first tick (at `interval`, if below the horizon).
   void start();
@@ -54,7 +55,7 @@ private:
   double interval_;
   double horizon_;
   TraceBuffer* trace_;
-  std::vector<const disk::Disk*> disks_;
+  std::vector<disk::Disk*> disks_;
   std::uint64_t next_k_ = 1;
   std::uint64_t ticks_ = 0;
 };

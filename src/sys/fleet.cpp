@@ -127,10 +127,10 @@ struct FeedChunk {
 class ShardSim {
 public:
   /// `obs_mask` non-zero enables tracing into a shard-private buffer
-  /// (single-writer: exactly one thread ever drives this calendar).  The
-  /// sampler is started after every disk exists, so its calendar ticks are
-  /// inserted after all idle timers at any shard count, hence the same
-  /// measure-zero tie resolution.
+  /// (single-writer: exactly one thread ever drives this calendar).  A
+  /// sampler tick settles each disk before reading it, so a tick that ties
+  /// with a disk transition reads the post-transition state at any shard
+  /// count.
   ShardSim(const ExperimentConfig& config, double horizon,
            const std::vector<std::uint32_t>& disk_ids,
            const std::vector<util::Rng>& rngs,
@@ -165,9 +165,10 @@ public:
   ShardSim& operator=(const ShardSim&) = delete;
 
   /// Fixed tie rule: every pending disk event at t <= arrival runs before
-  /// a submission at t — identical at any shard count.  The horizon
-  /// snapshot (freezing the power/queue counters) is taken before the
-  /// local clock first passes the horizon.
+  /// a submission at t (and Disk::submit settles the disk's lazy
+  /// transitions at t first) — identical at any shard count.  The horizon
+  /// snapshot (freezing the power/queue counters, settled at the horizon)
+  /// is taken before the local clock first passes the horizon.
   void advance(double t) {
     if (snapshot_.empty() && t >= horizon_) {
       sim_.run_until(horizon_);
@@ -189,10 +190,14 @@ public:
   obs::TraceBuffer* trace_buffer() { return trace_.get(); }
 
   /// Drain: in-flight services run to completion past the horizon and
-  /// still record their response times.
+  /// still record their response times; settling each disk to +infinity
+  /// then plays its trailing idle chain out into the trace.
   RunResult finalize() {
     advance(horizon_);
     sim_.run();
+    for (const auto& d : disks_) {
+      d->settle(std::numeric_limits<double>::infinity());
+    }
     for (std::size_t l = 0; l < snapshot_.size(); ++l) {
       snapshot_[l].response = responses_[l];
     }

@@ -40,8 +40,9 @@
 //     cache hit/miss spans (from the feeder's forwarded verdicts) and the
 //     controller's decisions are emitted there in arrival order, and the
 //     feeder writes only wall-clock profile samples;
-//   * within a shard, replay uses run_until(arrival) + submit(), so
-//     pending disk events at t <= arrival always execute before a
+//   * within a shard, replay uses run_until(arrival) + submit(), and
+//     submit() first settles the disk's lazy transitions (disk.h), so
+//     every disk event and transition at t <= arrival happens before a
 //     submission at t — a fixed tie rule that does not depend on how many
 //     shards exist;
 //   * aggregation is canonical (RunResult::recompute_from_per_disk):

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "disk/disk.h"
+#include "obs/sampler.h"
+#include "obs/trace.h"
 #include "util/units.h"
 
 namespace spindown::disk {
@@ -60,7 +62,7 @@ TEST_F(DiskEdge, BackToBackArrivalAtExactCompletionInstant) {
   const double svc = params_.service_time(size);
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   sim_.schedule_at(svc, [&] { d->submit(1, size); });
-  sim_.run();
+  sim_.run_until(2 * svc + 30.0 + params_.spindown_s);
   ASSERT_EQ(completions_.size(), 2u);
   // No idle gap in between: second service begins immediately.
   EXPECT_NEAR(completions_[1].completion, 2 * svc, 1e-9);
@@ -95,7 +97,8 @@ TEST_F(DiskEdge, ManyRapidCyclesRemainConsistent) {
   for (int i = 0; i < 50; ++i) {
     sim_.schedule_at(spacing * i, [&, i] { d->submit(i, size); });
   }
-  sim_.run();
+  sim_.run_until(spacing * 49 + params_.spinup_s +
+                 params_.service_time(size) + 1.0 + params_.spindown_s);
   const auto m = d->metrics(sim_.now());
   EXPECT_EQ(m.served, 50u);
   EXPECT_EQ(completions_.size(), 50u);
@@ -105,6 +108,160 @@ TEST_F(DiskEdge, ManyRapidCyclesRemainConsistent) {
   for (std::size_t i = 1; i < completions_.size(); ++i) {
     EXPECT_GE(completions_[i].response_time(), params_.spinup_s);
   }
+}
+
+// Ties between a lazy transition (disk.h) and whatever else happens at
+// the same instant: the transition always resolves first.
+
+/// (kind, code, request id) of a trace event, for order checks.
+struct Step {
+  obs::Kind kind;
+  std::uint8_t code;
+  std::uint64_t id;
+  friend bool operator==(const Step&, const Step&) = default;
+};
+
+std::vector<Step> steps_at(const obs::TraceBuffer& trace, double t) {
+  std::vector<Step> out;
+  for (const auto& e : trace.events()) {
+    if (e.t == t) out.push_back({e.kind, e.code, e.id});
+  }
+  return out;
+}
+
+std::uint8_t code_of(PowerState s) { return static_cast<std::uint8_t>(s); }
+
+TEST_F(DiskEdge, ArrivalAtTransferStartFindsTheDiskTransferring) {
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
+  obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kPower) |
+                         obs::kind_bit(obs::Kind::kSpan));
+  d->set_trace(&trace);
+  const util::Bytes size = util::mb(72.0);
+  d->submit(0, size);
+  const double transfer_start = 0.0 + params_.position_time();
+  sim_.run_until(transfer_start);
+  d->submit(1, size);
+  const std::vector<Step> want = {
+      {obs::Kind::kPower, code_of(PowerState::kTransfer), 0},
+      {obs::Kind::kSpan, obs::kSpanTransfer, 0},
+      {obs::Kind::kSpan, obs::kSpanSubmit, 1},
+      {obs::Kind::kSpan, obs::kSpanEnqueue, 1}};
+  EXPECT_EQ(steps_at(trace, transfer_start), want);
+  sim_.run();
+  ASSERT_EQ(completions_.size(), 2u);
+  EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
+  const auto m = d->metrics(sim_.now());
+  EXPECT_EQ(m.positionings, 2u);
+  EXPECT_NEAR(m.time_in(PowerState::kPositioning),
+              2 * params_.position_time(), 1e-12);
+}
+
+TEST_F(DiskEdge, ArrivalAtStandbyTimeFindsTheDiskParked) {
+  // fixed:5 from t = 0: the disk sleeps at 5 and parks at 15.  An arrival
+  // at exactly 15 finds it in standby (zero residency) and spins it up.
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
+  obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kPower) |
+                         obs::kind_bit(obs::Kind::kSpan));
+  d->set_trace(&trace);
+  const util::Bytes size = util::mb(72.0);
+  const double standby = 5.0 + params_.spindown_s;
+  sim_.run_until(standby);
+  d->submit(0, size);
+  const std::vector<Step> want = {
+      {obs::Kind::kPower, code_of(PowerState::kStandby), 0},
+      {obs::Kind::kSpan, obs::kSpanSubmit, 0},
+      {obs::Kind::kSpan, obs::kSpanEnqueue, 0},
+      {obs::Kind::kPower, code_of(PowerState::kSpinningUp), 0}};
+  EXPECT_EQ(steps_at(trace, standby), want);
+  sim_.run();
+  ASSERT_EQ(completions_.size(), 1u);
+  EXPECT_EQ(completions_[0].service_start, standby + params_.spinup_s);
+  const auto m = d->metrics(sim_.now());
+  EXPECT_EQ(m.spin_downs, 1u);
+  EXPECT_EQ(m.spin_ups, 1u);
+  EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
+  EXPECT_EQ(m.time_in(PowerState::kSpinningDown), params_.spindown_s);
+}
+
+TEST_F(DiskEdge, ArrivalAtStandbyTimeAfterAWakingArrivalQueues) {
+  // A read mid-spin-down books the disk's wake-up at the standby time; a
+  // second read at exactly that time finds the spin-up already begun and
+  // queues behind the first.
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
+  const util::Bytes size = util::mb(72.0);
+  const double standby = 5.0 + params_.spindown_s;
+  sim_.run_until(8.0);
+  d->submit(0, size);
+  sim_.run_until(standby);
+  EXPECT_EQ(d->state(), PowerState::kSpinningUp);
+  d->submit(1, size);
+  sim_.run();
+  ASSERT_EQ(completions_.size(), 2u);
+  EXPECT_EQ(completions_[0].service_start, standby + params_.spinup_s);
+  EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
+  const auto m = d->metrics(sim_.now());
+  EXPECT_EQ(m.spin_ups, 1u);
+  EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
+}
+
+/// First power-state gauge the sampler emitted.
+const obs::TraceEvent* first_power_gauge(const obs::TraceBuffer& trace) {
+  for (const auto& e : trace.events()) {
+    if (e.kind == obs::Kind::kMetric && e.code == obs::kMetricPowerState) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
+TEST_F(DiskEdge, SamplerTickAtTransferStartReadsTransfer) {
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
+  obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kMetric) |
+                         obs::kind_bit(obs::Kind::kPower));
+  d->set_trace(&trace);
+  const double transfer_start = 0.0 + params_.position_time();
+  obs::MetricsSampler sampler(sim_, transfer_start, 1.0, &trace);
+  sampler.add_disk(d.get());
+  sampler.start();
+  d->submit(0, util::mb(72.0));
+  sim_.run_until(transfer_start);
+  const obs::TraceEvent* gauge = first_power_gauge(trace);
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->t, transfer_start);
+  EXPECT_EQ(gauge->value, static_cast<double>(PowerState::kTransfer));
+  // The transition itself precedes the gauge on the disk's track.
+  EXPECT_EQ(trace.events().front().kind, obs::Kind::kPower);
+  EXPECT_EQ(trace.events().front().code, code_of(PowerState::kPositioning));
+  EXPECT_EQ(trace.events()[1].code, code_of(PowerState::kTransfer));
+  EXPECT_EQ(trace.events()[1].t, transfer_start);
+}
+
+TEST_F(DiskEdge, SamplerTickAtSleepTimeReadsSpinningDown) {
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(3.0));
+  obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kMetric) |
+                         obs::kind_bit(obs::Kind::kPower));
+  d->set_trace(&trace);
+  obs::MetricsSampler sampler(sim_, 3.0, 100.0, &trace);
+  sampler.add_disk(d.get());
+  sampler.start();
+  sim_.run_until(3.0);
+  const obs::TraceEvent* gauge = first_power_gauge(trace);
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->t, 3.0);
+  EXPECT_EQ(gauge->value, static_cast<double>(PowerState::kSpinningDown));
+  EXPECT_EQ(trace.events().front().code, code_of(PowerState::kSpinningDown));
+}
+
+TEST_F(DiskEdge, HorizonAtSleepTimeCountsTheSpinDown) {
+  // A snapshot exactly at the sleep time settles the spin-down into it:
+  // counted, with zero spin-down and zero standby residency.
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(3.0));
+  sim_.run_until(3.0);
+  const auto m = d->metrics(3.0);
+  EXPECT_EQ(m.spin_downs, 1u);
+  EXPECT_EQ(m.time_in(PowerState::kIdle), 3.0);
+  EXPECT_EQ(m.time_in(PowerState::kSpinningDown), 0.0);
+  EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
 }
 
 } // namespace

@@ -60,7 +60,9 @@ TEST_F(DiskFixture, FcfsQueueing) {
 TEST_F(DiskFixture, SpinsDownAfterThreshold) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(72.0)); });
-  sim_.run();
+  // The idle chain has no calendar events: run to its standby time.
+  sim_.run_until(params_.service_time(util::mb(72.0)) + 20.0 +
+                 params_.spindown_s);
   EXPECT_EQ(d->state(), PowerState::kStandby);
   const auto m = d->metrics(sim_.now());
   EXPECT_EQ(m.spin_downs, 1u);
@@ -126,7 +128,7 @@ TEST_F(DiskFixture, NeverPolicyNeverSpinsDown) {
 TEST_F(DiskFixture, ImmediateSpinDownPolicy) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(0.0));
   // The disk starts idle: it should begin spinning down at t = 0.
-  sim_.run();
+  sim_.run_until(params_.spindown_s);
   EXPECT_EQ(d->state(), PowerState::kStandby);
   EXPECT_EQ(d->metrics(sim_.now()).spin_downs, 1u);
 }
@@ -135,7 +137,7 @@ TEST_F(DiskFixture, EnergyIntegrationMatchesHandComputation) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(30.0));
   const util::Bytes size = util::mb(144.0); // 2 s transfer
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
-  sim_.run();
+  sim_.run_until(params_.service_time(size) + 30.0 + params_.spindown_s);
   // Timeline: position (12.66 ms) + transfer (2 s) + idle 30 s +
   // spin-down 10 s; the run ends in standby with zero standby time.
   const auto m = d->metrics(sim_.now());
@@ -206,7 +208,9 @@ TEST_F(DiskFixture, ManyCyclesCountSpinEvents) {
   for (int i = 0; i < 5; ++i) {
     sim_.schedule_at(100.0 * i, [&, i] { d->submit(i, size); });
   }
-  sim_.run();
+  // Until the last cycle parks: spin-up, service, idle, spin-down.
+  sim_.run_until(400.0 + params_.spinup_s + params_.service_time(size) +
+                 10.0 + params_.spindown_s);
   const auto m = d->metrics(sim_.now());
   EXPECT_EQ(m.served, 5u);
   EXPECT_EQ(m.spin_downs, 5u);
@@ -260,7 +264,8 @@ TEST_F(DiskFixture, PolicyObservesFullPeriodAcrossSpinDown) {
   sim_.schedule_at(0.0, [&] { d->submit(0, size); });
   const double svc = params_.service_time(size);
   sim_.schedule_at(svc + 200.0, [&] { d->submit(1, size); });
-  sim_.run();
+  sim_.run_until(svc + 200.0 + params_.spinup_s + svc + 10.0 +
+                 params_.spindown_s);
   ASSERT_EQ(probe->idle_periods.size(), 2u);
   EXPECT_DOUBLE_EQ(probe->idle_periods[0].first, 0.0); // arrival at t = 0
   EXPECT_NEAR(probe->idle_periods[1].first, 200.0, 1e-9);
