@@ -22,51 +22,24 @@ std::uint32_t Simulation::acquire_slot() {
 void Simulation::recycle(std::uint32_t slot) {
   Node& n = nodes_[slot];
   n.fn.reset();
-  // Bump the generation so handles to the old occupant stop matching; skip
-  // 0, which is reserved for inert handles.
-  if (++n.generation == 0) n.generation = 1;
-  n.state = NodeState::kFree;
   n.next_free = free_head_;
   free_head_ = slot;
 }
 
-EventHandle Simulation::schedule_at(SimTime t, Callback fn) {
+void Simulation::schedule_at(SimTime t, Callback fn) {
   if (t < now_) throw std::invalid_argument{"schedule_at: time in the past"};
   if (next_seq_ > kMaxSeq) {
     throw std::length_error{
         "Simulation: event sequence space exhausted (2^40 events)"};
   }
   const std::uint32_t slot = acquire_slot();
-  Node& n = nodes_[slot];
-  n.fn = std::move(fn);
-  n.state = NodeState::kScheduled;
-  const std::uint32_t generation = n.generation;
-  // The push's move observer records the key's settling position in
-  // n.heap_index (it writes through the slab, never resizes it).
+  nodes_[slot].fn = std::move(fn);
   queue_.push(Key{t, (next_seq_++ << 24) | slot});
-  ++live_;
-  return EventHandle{slot, generation};
 }
 
-EventHandle Simulation::schedule_in(SimTime delay, Callback fn) {
+void Simulation::schedule_in(SimTime delay, Callback fn) {
   if (delay < 0.0) throw std::invalid_argument{"schedule_in: negative delay"};
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-bool Simulation::cancel(EventHandle h) {
-  if (!h.valid() || h.slot_ >= nodes_.size()) return false;
-  Node& n = nodes_[h.slot_];
-  if (n.state != NodeState::kScheduled || n.generation != h.generation_) {
-    return false;
-  }
-  // Remove the key in place (the node knows where it sits) and recycle the
-  // slot immediately; the calendar never carries dead entries.
-  const Key removed = queue_.remove_at(n.heap_index);
-  assert(removed.slot() == h.slot_);
-  (void)removed;
-  recycle(h.slot_);
-  --live_;
-  return true;
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 bool Simulation::step() {
@@ -74,7 +47,6 @@ bool Simulation::step() {
   const Key key = queue_.pop();
   const std::uint32_t slot = key.slot();
   Node& n = nodes_[slot];
-  assert(n.state == NodeState::kScheduled);
   assert(key.time >= now_);
   now_ = key.time;
   // Move the callback out and recycle the slot *before* firing, so the
@@ -82,7 +54,6 @@ bool Simulation::step() {
   // growing the slab) freely.
   Callback fn = std::move(n.fn);
   recycle(slot);
-  --live_;
   ++executed_;
   fn();
   return true;

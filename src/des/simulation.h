@@ -11,14 +11,10 @@
 //     InlineFunctions (64-byte small-buffer storage), and the calendar is a
 //     4-ary min-heap of 16-byte (time, seq|slot) keys — so the steady-state
 //     schedule -> fire -> recycle cycle performs zero heap allocations,
-//   * scheduling returns a generation-counted handle for cancellation (used
-//     by the disk's idleness timer, which is disarmed whenever a request
-//     arrives).  Cancellation removes the calendar key eagerly — each node
-//     tracks its key's heap position via the heap's move observer — so the
-//     calendar only ever holds live events; since a not-yet-due timer sits
-//     in a leaf, removal is O(1) in practice.  A stale handle — already
-//     fired, already cancelled, or its slot since reused — can never cancel
-//     anything.
+//   * there is no cancellation: every scheduled event runs.  The disk
+//     schedules only events that are certain to happen (a completion, the
+//     end of a spin-up) and resolves its idle timeline lazily (disk.h), so
+//     nothing ever needs to be taken back off the calendar.
 //
 // The kernel is intentionally single-threaded: determinism and simplicity
 // beat parallelism at this scale (a 720-hour NERSC replay is ~10^6 events).
@@ -53,25 +49,6 @@ using SimTime = double;
 /// larger captures still work but heap-allocate.
 using Callback = util::InlineFunction<void(), 64>;
 
-/// Identifies a scheduled event for cancellation.  Default-constructed
-/// handles are inert ("no event").  A handle is a (slot, generation) pair:
-/// the slot's generation is bumped every time it is recycled, so a handle
-/// kept past its event's execution or cancellation stops matching.  (The
-/// generation is 32-bit: a handle hoarded across 2^32 reuses of one slot
-/// would match again; callers clear or overwrite handles long before that.)
-class EventHandle {
-public:
-  EventHandle() = default;
-  bool valid() const { return generation_ != 0; }
-
-private:
-  friend class Simulation;
-  EventHandle(std::uint32_t slot, std::uint32_t generation)
-      : slot_(slot), generation_(generation) {}
-  std::uint32_t slot_ = 0;
-  std::uint32_t generation_ = 0; // 0 is the inert handle
-};
-
 class Simulation {
 public:
   Simulation() = default;
@@ -82,17 +59,10 @@ public:
   SimTime now() const { return now_; }
 
   /// Schedule `fn` to run at absolute time `t` (>= now).
-  EventHandle schedule_at(SimTime t, Callback fn);
+  void schedule_at(SimTime t, Callback fn);
 
   /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
-  EventHandle schedule_in(SimTime delay, Callback fn);
-
-  /// Cancel a pending event: the callback (and its captures) is destroyed
-  /// and the calendar key removed immediately.  O(heap depth) worst case,
-  /// O(1) in practice (a not-yet-due event's key sits in a heap leaf).
-  /// Returns false if the event already ran, was already cancelled, or the
-  /// handle is inert/stale.
-  bool cancel(EventHandle h);
+  void schedule_in(SimTime delay, Callback fn);
 
   /// Run a single event.  Returns false if the calendar is empty.
   bool step();
@@ -108,10 +78,8 @@ public:
   /// pending events never reallocate.
   void reserve(std::size_t events);
 
-  /// Number of live pending events (scheduled, not yet run, not cancelled).
-  /// Exact: cancellation decrements the count immediately and stale cancels
-  /// are rejected, so the count can never wrap.
-  std::size_t pending() const { return live_; }
+  /// Number of pending events (scheduled, not yet run).
+  std::size_t pending() const { return queue_.size(); }
 
   /// Total events executed so far (for tests and engine statistics).
   std::uint64_t executed() const { return executed_; }
@@ -120,18 +88,10 @@ public:
   std::size_t slab_size() const { return nodes_.size(); }
 
 private:
-  enum class NodeState : std::uint8_t { kFree, kScheduled };
-
-  /// One slab entry.  `generation` makes handles safe across slot reuse;
-  /// `heap_index` is the position of this event's key in the calendar heap,
-  /// kept current by the heap's move observer so cancel() can remove the
-  /// key in place.
+  /// One slab entry: a pending callback, or a link in the free list.
   struct Node {
     Callback fn;
-    std::uint32_t generation = 1;
     std::uint32_t next_free = kNoSlot;
-    std::uint32_t heap_index = 0;
-    NodeState state = NodeState::kFree;
   };
 
   /// Calendar key: 16 bytes so a 4-ary node's children pack into one cache
@@ -154,14 +114,6 @@ private:
       return a.packed > b.packed;
     }
   };
-  /// Heap move observer: records where each key settles so cancellation can
-  /// find (and remove) it without searching.
-  struct TrackIndex {
-    std::vector<Node>* nodes;
-    void operator()(const Key& k, std::size_t idx) const noexcept {
-      (*nodes)[k.slot()].heap_index = static_cast<std::uint32_t>(idx);
-    }
-  };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   static constexpr std::uint64_t kSlotMask = (1ull << 24) - 1;   // 16.7M slots
@@ -173,11 +125,9 @@ private:
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t live_ = 0;
   std::vector<Node> nodes_;
   std::uint32_t free_head_ = kNoSlot;
-  util::BinaryHeap<Key, Later, 4, TrackIndex> queue_{Later{},
-                                                     TrackIndex{&nodes_}};
+  util::BinaryHeap<Key, Later, 4> queue_;
 };
 
 } // namespace spindown::des

@@ -9,20 +9,12 @@
 // so the allocator code reads like the paper's pseudocode (heaps S and L of
 // "size-intensive" / "load-intensive" elements).
 //
-// Two extensions serve the simulation kernel:
-//   * `Arity` generalises the branching factor.  The default of 2 keeps the
-//     Pack_Disks semantics (and its invariant tests) untouched; the kernel
-//     instantiates Arity = 4, which trades slightly more comparisons per
-//     level for half the levels and better cache behaviour on small keys (a
-//     4-ary node's children span a single 64-byte line at 16 bytes each).
-//   * `MoveObserver` is called as obs(element, index) whenever push / pop /
-//     remove_at settles an element at a position, letting the caller
-//     maintain an element -> index map and delete arbitrary elements in
-//     O(depth) via remove_at (the kernel cancels timers this way; a timer
-//     far in the future sits in a leaf, so its removal is O(1) in
-//     practice).  The default observer is a no-op that inlines to nothing.
-//     Note: the O(n) heapify constructor does not notify — start from an
-//     empty heap when using an observer.
+// `Arity` generalises the branching factor for the simulation kernel.  The
+// default of 2 keeps the Pack_Disks semantics (and its invariant tests)
+// untouched; the kernel instantiates Arity = 4, which trades slightly more
+// comparisons per level for half the levels and better cache behaviour on
+// small keys (a 4-ary node's children span a single 64-byte line at 16
+// bytes each).
 #pragma once
 
 #include <algorithm>
@@ -34,24 +26,17 @@
 
 namespace spindown::util {
 
-struct NoopMoveObserver {
-  template <typename T>
-  void operator()(const T&, std::size_t) const noexcept {}
-};
-
 /// D-ary max-heap over T ordered by Compare (std::less -> max-heap, like
 /// std::priority_queue).  Construction from a vector is O(n) (Floyd).
-template <typename T, typename Compare = std::less<T>, std::size_t Arity = 2,
-          typename MoveObserver = NoopMoveObserver>
+template <typename T, typename Compare = std::less<T>, std::size_t Arity = 2>
 class BinaryHeap {
   static_assert(Arity >= 2, "a heap needs at least two children per node");
 
 public:
   BinaryHeap() = default;
-  explicit BinaryHeap(Compare cmp, MoveObserver obs = MoveObserver{})
-      : cmp_(std::move(cmp)), obs_(std::move(obs)) {}
+  explicit BinaryHeap(Compare cmp) : cmp_(std::move(cmp)) {}
 
-  /// O(n) heapify of an existing collection.  Does not notify the observer.
+  /// O(n) heapify of an existing collection.
   explicit BinaryHeap(std::vector<T> items, Compare cmp = Compare{})
       : data_(std::move(items)), cmp_(std::move(cmp)) {
     if (data_.size() > 1) {
@@ -78,23 +63,13 @@ public:
   }
 
   /// Remove and return the largest element.  Precondition: non-empty.
-  T pop() { return remove_at(0); }
-
-  /// Remove and return the element at backing-array position `i` (found via
-  /// the MoveObserver's index map), restoring the invariant.  O(depth); O(1)
-  /// when the element is a leaf that compares below its replacement's path.
-  T remove_at(std::size_t i) {
-    assert(i < data_.size());
-    T out = std::move(data_[i]);
-    const std::size_t last = data_.size() - 1;
-    if (i != last) {
-      data_[i] = std::move(data_[last]);
+  T pop() {
+    assert(!data_.empty());
+    T out = std::move(data_.front());
+    if (data_.size() > 1) {
+      data_.front() = std::move(data_.back());
       data_.pop_back();
-      if (i > 0 && cmp_(data_[parent(i)], data_[i])) {
-        sift_up(i);
-      } else {
-        sift_down(i);
-      }
+      sift_down(0);
     } else {
       data_.pop_back();
     }
@@ -128,11 +103,9 @@ private:
       const std::size_t p = parent(i);
       if (!cmp_(data_[p], moving)) break;
       data_[i] = std::move(data_[p]);
-      obs_(data_[i], i);
       i = p;
     }
     data_[i] = std::move(moving);
-    obs_(data_[i], i);
   }
 
   void sift_down(std::size_t i) {
@@ -149,16 +122,13 @@ private:
       }
       if (!cmp_(moving, data_[largest])) break;
       data_[i] = std::move(data_[largest]);
-      obs_(data_[i], i);
       i = largest;
     }
     data_[i] = std::move(moving);
-    obs_(data_[i], i);
   }
 
   std::vector<T> data_;
   Compare cmp_;
-  MoveObserver obs_;
 };
 
 } // namespace spindown::util
