@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
   const double t2 = 400.0; // well past threshold + spin-down
   sim.schedule_at(t2, [&] { d.submit(1, file); });
   sim.run();
-  const auto m = d.metrics(sim.now());
+  const double end = d.settle_all(); // after the final spin-down
+  const auto m = d.metrics(end);
 
   // Full episode: service, idle-out, spin-down, standby until t2, spin-up,
   // service, idle-out again, final spin-down (the simulation ends there).

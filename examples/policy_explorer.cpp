@@ -93,7 +93,9 @@ util::Joules run_policy(const disk::DiskParams& params,
     });
   }
   sim.run();
-  const auto m = d.metrics(sim.now());
+  // The episode ends when the disk comes to rest after the last request.
+  const double end = d.settle_all();
+  const auto m = d.metrics(end);
   spin_downs = m.spin_downs;
   mean_resp = served > 0 ? total_resp / static_cast<double>(served) : 0.0;
   // Subtract the service energy (identical across policies).

@@ -62,6 +62,11 @@ void Disk::settle(double t) {
   }
 }
 
+double Disk::settle_all() {
+  settle(kNever);
+  return ledger_.last_change();
+}
+
 void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
                   std::uint64_t lba, std::uint64_t blocks, bool background) {
   settle(sim_.now());

@@ -173,9 +173,13 @@ public:
 
   /// Apply every lazy transition due by `t` (the transfer start, the
   /// spin-down, the standby entry), each at its own time.  `t` must not
-  /// pass one of the disk's pending calendar events; +infinity after the
-  /// calendar has drained plays the trailing idle chain out.
+  /// pass one of the disk's pending calendar events.
   void settle(double t);
+
+  /// Once the calendar has drained: play the trailing idle chain out
+  /// (settle to +infinity) and return when the disk came to rest, the time
+  /// of its last power-state change.
+  double settle_all();
 
   std::uint32_t id() const { return id_; }
   const DiskParams& params() const { return params_; }

@@ -37,6 +37,7 @@ public:
   }
 
   E current() const { return current_; }
+  double last_change() const { return last_change_; }
   double time_in(E state) const { return times_[index(state)]; }
   double elapsed() const { return last_change_ - start_; }
 

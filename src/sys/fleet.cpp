@@ -195,9 +195,7 @@ public:
   RunResult finalize() {
     advance(horizon_);
     sim_.run();
-    for (const auto& d : disks_) {
-      d->settle(std::numeric_limits<double>::infinity());
-    }
+    for (const auto& d : disks_) d->settle_all();
     for (std::size_t l = 0; l < snapshot_.size(); ++l) {
       snapshot_[l].response = responses_[l];
     }
