@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "support/physical_digest.h"
 #include "util/units.h"
 #include "workload/trace.h"
 
@@ -186,6 +188,86 @@ TEST(NerscSynth, DiurnalPreservesHeadlineStatistics) {
   EXPECT_EQ(s_on.distinct_files, s_off.distinct_files);
   EXPECT_NEAR(s_on.duration_s, s_off.duration_s, 1.0);
   EXPECT_NEAR(s_on.arrival_rate, s_off.arrival_rate, 1e-4);
+}
+
+// FNV-1a of every record (time bits, file, lba) and of every catalog entry
+// (size, popularity bits), captured once from the straightforward
+// synthesizer (generate, rescale, stable-sort).  Any change to the RNG draw
+// order, the arithmetic or the tie order among equal times moves a digest.
+struct SynthDigests {
+  std::string records;
+  std::string catalog;
+};
+
+SynthDigests synth_digests(const NerscSpec& spec) {
+  const auto trace = synthesize_nersc(spec);
+  test_support::Fnv1a rec;
+  rec.add(std::uint64_t{trace.size()});
+  for (const auto& r : trace.records()) {
+    rec.add(r.time);
+    rec.add(std::uint64_t{r.file});
+    rec.add(r.lba);
+  }
+  test_support::Fnv1a cat;
+  cat.add(std::uint64_t{trace.catalog().size()});
+  for (const auto& f : trace.catalog().files()) {
+    cat.add(std::uint64_t{f.size});
+    cat.add(f.popularity);
+  }
+  return {rec.hex(), cat.hex()};
+}
+
+NerscSpec small_spec(std::size_t files, std::size_t requests) {
+  NerscSpec spec;
+  spec.n_files = files;
+  spec.n_requests = requests;
+  spec.duration_s = 10.0 * util::kDay;
+  return spec;
+}
+
+TEST(NerscSynth, GoldenDigests) {
+  struct Case {
+    const char* name;
+    NerscSpec spec;
+    const char* records;
+    const char* catalog;
+  };
+  auto diurnal_off = small_spec(20'000, 50'000);
+  diurnal_off.diurnal = false;
+  auto batch_heavy = small_spec(20'000, 50'000);
+  batch_heavy.batch_fraction = 0.9;
+  batch_heavy.batch_min = 8;
+  batch_heavy.batch_max = 40;
+  // Zero spacing: every request of a batch shares one arrival time.
+  auto ties = small_spec(20'000, 50'000);
+  ties.batch_spacing_s = 0.0;
+  // One request per file: no Zipf surplus is drawn.
+  auto one_each = small_spec(20'000, 20'000);
+  // nersc(2000,40000,7,3600,1.0,200,400): each batch spans 100-200 s, far
+  // more than the few tens of seconds between epochs, so every batch tail
+  // overlaps several later batches.
+  NerscSpec overlap;
+  overlap.n_files = 2000;
+  overlap.n_requests = 40'000;
+  overlap.seed = 7;
+  overlap.duration_s = 3600.0;
+  overlap.batch_fraction = 1.0;
+  overlap.batch_min = 200;
+  overlap.batch_max = 400;
+  const Case cases[] = {
+      {"paper", NerscSpec::paper(), "39041388b9597c09", "7e791e367236732d"},
+      {"diurnal_off", diurnal_off, "2d95f2641194be2b", "8cd6ce1faf102579"},
+      {"batch_heavy", batch_heavy, "7a969707a435a0d6", "8cd6ce1faf102579"},
+      {"ties", ties, "5abea039b3489a76", "8cd6ce1faf102579"},
+      {"one_each", one_each, "5b5dcc5bf54a45b3", "ccd43c123a02bcd7"},
+      {"overlap", overlap, "1cfcd6e5735e0589", "a76364db15a28cef"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto d = synth_digests(c.spec);
+    EXPECT_EQ(d.records, c.records);
+    EXPECT_EQ(d.catalog, c.catalog);
+  }
 }
 
 } // namespace
