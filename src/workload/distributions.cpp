@@ -36,7 +36,8 @@ std::size_t ZipfPopularity::sample(util::Rng& rng) const {
 }
 
 BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
-    : lo_(lo), hi_(hi), alpha_(alpha) {
+    : lo_(lo), hi_(hi), alpha_(alpha), lo_a_(std::pow(lo, alpha)),
+      hi_a_(std::pow(hi, alpha)) {
   if (!(lo > 0.0) || !(hi > lo)) {
     throw std::invalid_argument{"BoundedPareto: need 0 < lo < hi"};
   }
@@ -48,9 +49,8 @@ BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
 double BoundedPareto::mean() const {
   // E[X] = alpha/(alpha-1) * (lo^alpha)(lo^(1-alpha) - hi^(1-alpha))
   //        / (1 - (lo/hi)^alpha)
-  const double la = std::pow(lo_, alpha_);
   const double num =
-      alpha_ / (alpha_ - 1.0) * la *
+      alpha_ / (alpha_ - 1.0) * lo_a_ *
       (std::pow(lo_, 1.0 - alpha_) - std::pow(hi_, 1.0 - alpha_));
   const double den = 1.0 - std::pow(lo_ / hi_, alpha_);
   return num / den;
@@ -59,10 +59,8 @@ double BoundedPareto::mean() const {
 double BoundedPareto::sample(util::Rng& rng) const {
   // Inverse-CDF sampling of the truncated Pareto.
   const double u = rng.uniform01();
-  const double l_a = std::pow(lo_, alpha_);
-  const double h_a = std::pow(hi_, alpha_);
-  const double x =
-      std::pow(-(u * h_a - u * l_a - h_a) / (h_a * l_a), -1.0 / alpha_);
+  const double x = std::pow(-(u * hi_a_ - u * lo_a_ - hi_a_) / (hi_a_ * lo_a_),
+                            -1.0 / alpha_);
   return std::min(std::max(x, lo_), hi_);
 }
 

@@ -1,6 +1,7 @@
 #include "workload/nersc.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -45,14 +46,47 @@ std::vector<std::uint32_t> draw_access_counts(const NerscSpec& spec,
 
   // Zipf weights over popularity ranks; ranks map to files via a shuffle.
   const ZipfPopularity zipf{spec.n_files, spec.popularity_exponent};
-  util::AliasTable alias{zipf.probabilities()};
   std::vector<std::uint32_t> rank_to_file(spec.n_files);
   std::iota(rank_to_file.begin(), rank_to_file.end(), 0u);
   rng.shuffle(std::span{rank_to_file});
-  for (std::size_t e = 0; e < extra; ++e) {
-    counts[rank_to_file[alias.sample(rng)]] += 1;
+  // Count by rank first: hot ranks stay in cache, and the file lookup is
+  // one sequential pass.
+  std::vector<std::uint32_t> by_rank(spec.n_files, 0);
+  for (std::size_t e = 0; e < extra; ++e) by_rank[zipf.sample(rng) - 1] += 1;
+  for (std::size_t r = 0; r < spec.n_files; ++r) {
+    counts[rank_to_file[r]] += by_rank[r];
   }
   return counts;
+}
+
+/// Stable sort by time after scaling every time by `scale`, in one pass
+/// over nearly sorted records.  Insertion never moves a record past an
+/// equal time, so it is exact; it costs O(n + inversions).  Past 8 moves per
+/// record on average the input is far from sorted, and std::stable_sort
+/// finishes the job in O(n log n).  That keeps the result: the records
+/// insertion has placed already precede every later record of equal time.
+void scale_and_sort(std::vector<TraceRecord>& records, double scale) {
+  std::size_t budget = 8 * records.size();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    TraceRecord r = records[i];
+    r.time *= scale;
+    std::size_t j = i;
+    for (; j > 0 && r.time < records[j - 1].time; --j) {
+      records[j] = records[j - 1];
+    }
+    records[j] = r;
+    if (i - j > budget) {
+      for (std::size_t k = i + 1; k < records.size(); ++k) {
+        records[k].time *= scale;
+      }
+      std::stable_sort(records.begin(), records.end(),
+                       [](const TraceRecord& a, const TraceRecord& b) {
+                         return a.time < b.time;
+                       });
+      return;
+    }
+    budget -= i - j;
+  }
 }
 
 } // namespace
@@ -74,48 +108,53 @@ Trace synthesize_nersc(const NerscSpec& spec) {
   catalog.normalize_popularity();
 
   // Request tokens grouped into 80 size bins so batches can draw
-  // similar-size files (the §3.2 phenomenon).
+  // similar-size files (the §3.2 phenomenon).  The bins are slices of one
+  // token array; `left[b]` counts the tokens bin b has not handed out yet,
+  // which sit at the front of its slice.
   const double lo = std::max<double>(1.0, static_cast<double>(spec.min_size));
   const double hi = static_cast<double>(spec.max_size) * 1.0001;
   constexpr std::size_t kBins = 80;
   const double log_lo = std::log(lo);
   const double log_w = (std::log(hi) - log_lo) / static_cast<double>(kBins);
-  auto bin_of = [&](util::Bytes s) {
-    const double ls = std::log(std::max<double>(1.0, static_cast<double>(s)));
-    auto b = static_cast<std::size_t>((ls - log_lo) / log_w);
-    return std::min(b, kBins - 1);
-  };
-
-  std::vector<std::vector<FileId>> bin_tokens(kBins);
+  std::vector<std::uint8_t> bin_of(spec.n_files);
+  std::array<std::size_t, kBins> left{};
   for (std::size_t i = 0; i < spec.n_files; ++i) {
-    for (std::uint32_t c = 0; c < counts[i]; ++c) {
-      bin_tokens[bin_of(sizes[i])].push_back(static_cast<FileId>(i));
+    const double ls =
+        std::log(std::max<double>(1.0, static_cast<double>(sizes[i])));
+    const auto b = std::min(
+        static_cast<std::size_t>((ls - log_lo) / log_w), kBins - 1);
+    bin_of[i] = static_cast<std::uint8_t>(b);
+    left[b] += counts[i];
+  }
+  std::array<std::size_t, kBins> start{};
+  std::exclusive_scan(left.begin(), left.end(), start.begin(), std::size_t{0});
+  std::vector<FileId> tokens(spec.n_requests);
+  {
+    auto fill = start;
+    for (std::size_t i = 0; i < spec.n_files; ++i) {
+      std::fill_n(tokens.data() + fill[bin_of[i]], counts[i],
+                  static_cast<FileId>(i));
+      fill[bin_of[i]] += counts[i];
     }
   }
   // Shuffle within each bin so batch membership is not id-ordered.
-  for (auto& tokens : bin_tokens) rng.shuffle(std::span{tokens});
+  for (std::size_t b = 0; b < kBins; ++b) {
+    rng.shuffle(std::span{tokens}.subspan(start[b], left[b]));
+  }
 
-  // Remaining-token counts drive weighted bin choice for singleton arrivals.
+  // Tokens leave a bin from the back of its slice.
   std::size_t remaining = spec.n_requests;
   auto pop_from_bin = [&](std::size_t b) {
-    FileId f = bin_tokens[b].back();
-    bin_tokens[b].pop_back();
     --remaining;
-    return f;
+    return tokens[start[b] + --left[b]];
   };
   auto pick_weighted_bin = [&]() {
-    // Weighted by remaining tokens; linear scan over 80 bins is cheap.
+    // Weighted by remaining tokens; the counts sum to `remaining`, so the
+    // scan stops inside the array.
     auto target = rng.uniform_int(0, remaining - 1);
-    for (std::size_t b = 0; b < kBins; ++b) {
-      const auto sz = bin_tokens[b].size();
-      if (target < sz) return b;
-      target -= sz;
-    }
-    // Floating-point-free arithmetic: unreachable if counts are consistent.
-    for (std::size_t b = kBins; b-- > 0;) {
-      if (!bin_tokens[b].empty()) return b;
-    }
-    throw std::logic_error{"nersc synth: token pools exhausted early"};
+    std::size_t b = 0;
+    for (; target >= left[b]; ++b) target -= left[b];
+    return b;
   };
 
   // Arrival epochs: Poisson with rate chosen so the expected request count
@@ -144,8 +183,15 @@ Trace synthesize_nersc(const NerscSpec& spec) {
     }
   };
 
+  // Records come out in epoch order; only batch tails, at most
+  // (batch_max - 1) * batch_spacing_s long, overlap later epochs.
   std::vector<TraceRecord> records;
   records.reserve(spec.n_requests);
+  double t_max = 0.0;
+  auto emit = [&](double t, FileId f) {
+    records.push_back(TraceRecord{t, f});
+    t_max = std::max(t_max, t);
+  };
   while (remaining > 0) {
     const double t = next_epoch();
     const bool batch = rng.uniform01() < spec.batch_fraction;
@@ -154,28 +200,20 @@ Trace synthesize_nersc(const NerscSpec& spec) {
       std::size_t b = pick_weighted_bin();
       const auto want = static_cast<std::size_t>(
           rng.uniform_int(spec.batch_min, spec.batch_max));
-      const auto k = std::min({want, bin_tokens[b].size(), remaining});
+      const auto k = std::min(want, left[b]);
       for (std::size_t j = 0; j < k; ++j) {
-        records.push_back(
-            TraceRecord{t + static_cast<double>(j) * spec.batch_spacing_s,
-                        pop_from_bin(b)});
+        emit(t + static_cast<double>(j) * spec.batch_spacing_s,
+             pop_from_bin(b));
       }
     } else {
-      records.push_back(TraceRecord{t, pop_from_bin(pick_weighted_bin())});
+      emit(t, pop_from_bin(pick_weighted_bin()));
     }
   }
   assert(records.size() == spec.n_requests);
 
   // Rescale timestamps to land the last arrival exactly at duration_s; this
   // pins the mean arrival rate to the published 0.044683/s.
-  const double t_max =
-      std::max_element(records.begin(), records.end(),
-                       [](auto& a, auto& b) { return a.time < b.time; })
-          ->time;
-  if (t_max > 0.0) {
-    const double scale = spec.duration_s / t_max;
-    for (auto& r : records) r.time *= scale;
-  }
+  scale_and_sort(records, t_max > 0.0 ? spec.duration_s / t_max : 1.0);
 
   return Trace{std::move(catalog), std::move(records)};
 }

@@ -19,6 +19,13 @@
 // Downstream results (Figures 5, 6, and the group-size sweep) depend only on
 // these aggregates — skewed cold-tail popularity, the arrival process, and
 // burstiness — so matching them preserves the behaviour being measured.
+//
+// Records are generated epoch by epoch, so they come out nearly sorted:
+// only a batch's tail, at most (batch_max - 1) * batch_spacing_s long, can
+// overlap later epochs.  After the final rescale an exact stable sort puts
+// them in time order in O(n + inversions): an insertion pass, finished by
+// std::stable_sort if the input turns out far from sorted.  The Trace
+// constructor then finds them sorted and does not sort again.
 #pragma once
 
 #include <cstdint>

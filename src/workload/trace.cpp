@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -10,14 +11,20 @@ namespace spindown::workload {
 
 Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records)
     : catalog_(std::move(catalog)), records_(std::move(records)) {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time < b.time;
-                   });
+  bool sorted = true;
+  double prev = -std::numeric_limits<double>::infinity();
   for (const auto& r : records_) {
     if (r.file >= catalog_.size()) {
       throw std::invalid_argument{"Trace: record references unknown file"};
     }
+    sorted = sorted && !(r.time < prev);
+    prev = r.time;
+  }
+  if (!sorted) {
+    std::stable_sort(records_.begin(), records_.end(),
+                     [](const TraceRecord& a, const TraceRecord& b) {
+                       return a.time < b.time;
+                     });
   }
 }
 

@@ -30,6 +30,10 @@ struct TraceRecord {
 class Trace {
 public:
   Trace() = default;
+  /// Stable-sorts `records` by time, so records of equal time keep their
+  /// order.  One pass checks every file id (throws std::invalid_argument on
+  /// an unknown one) and whether the records are already sorted; sorted
+  /// input, such as a synthesized or saved trace, is kept as given.
   Trace(FileCatalog catalog, std::vector<TraceRecord> records);
 
   const FileCatalog& catalog() const { return catalog_; }

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "util/units.h"
 
@@ -28,8 +30,51 @@ TEST(Trace, SortsRecordsByTime) {
   EXPECT_DOUBLE_EQ(t.duration(), 5.0);
 }
 
+TEST(Trace, SortIsStableAmongEqualTimes) {
+  // Unsorted: records of equal time keep the order they were given in.
+  const Trace unsorted{small_catalog(),
+                       {{2.0, 2}, {1.0, 1}, {2.0, 0}, {1.0, 2}, {2.0, 1}}};
+  const std::vector<std::pair<double, FileId>> want{
+      {1.0, 1}, {1.0, 2}, {2.0, 2}, {2.0, 0}, {2.0, 1}};
+  ASSERT_EQ(unsorted.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(unsorted.records()[i].time, want[i].first) << i;
+    EXPECT_EQ(unsorted.records()[i].file, want[i].second) << i;
+  }
+  // Enough records that an unstable sort would reorder ties: file i is
+  // given i-th, so a stable result is ordered by (time, file).
+  std::vector<FileInfo> files;
+  std::vector<TraceRecord> many;
+  for (FileId i = 0; i < 200; ++i) {
+    files.push_back({i, util::mb(1.0), 1.0});
+    many.push_back({static_cast<double>((i * 7) % 5), i});
+  }
+  const Trace big{FileCatalog{files}, many};
+  for (std::size_t i = 1; i < big.size(); ++i) {
+    const auto& a = big.records()[i - 1];
+    const auto& b = big.records()[i];
+    EXPECT_TRUE(a.time < b.time || (a.time == b.time && a.file < b.file))
+        << i;
+  }
+  // Already sorted, ties included: every record comes back where it was.
+  const std::vector<TraceRecord> in{
+      {0.5, 2, 7}, {1.0, 1}, {1.0, 0, 3}, {1.0, 2}, {4.0, 0}};
+  const Trace sorted{small_catalog(), in};
+  ASSERT_EQ(sorted.size(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(sorted.records()[i].time, in[i].time) << i;
+    EXPECT_EQ(sorted.records()[i].file, in[i].file) << i;
+    EXPECT_EQ(sorted.records()[i].lba, in[i].lba) << i;
+  }
+}
+
 TEST(Trace, RejectsUnknownFiles) {
   EXPECT_THROW((Trace{small_catalog(), {{1.0, 9}}}), std::invalid_argument);
+  // Sorted input skips the sort; unsorted input sorts after the check.
+  EXPECT_THROW((Trace{small_catalog(), {{1.0, 0}, {2.0, 9}, {3.0, 1}}}),
+               std::invalid_argument);
+  EXPECT_THROW((Trace{small_catalog(), {{3.0, 0}, {2.0, 1}, {1.0, 9}}}),
+               std::invalid_argument);
 }
 
 TEST(Trace, EmptyTraceBasics) {
