@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "workload/arrival.h"
 #include "workload/distributions.h"
@@ -17,6 +18,30 @@ NerscSpec NerscSpec::paper() {
 }
 
 namespace {
+
+/// Reject batch and duration settings the generator cannot honour, naming
+/// the field and its value.
+void validate(const NerscSpec& spec) {
+  if (spec.batch_min > spec.batch_max) {
+    throw std::invalid_argument{
+        "NerscSpec: batch_min " + std::to_string(spec.batch_min) +
+        " exceeds batch_max " + std::to_string(spec.batch_max)};
+  }
+  if (!(spec.batch_fraction >= 0.0 && spec.batch_fraction <= 1.0)) {
+    throw std::invalid_argument{"NerscSpec: batch_fraction " +
+                                util::format_roundtrip(spec.batch_fraction) +
+                                " is outside [0, 1]"};
+  }
+  if (spec.batch_max == 0 && spec.batch_fraction == 1.0) {
+    throw std::invalid_argument{
+        "NerscSpec: batch_max 0 with batch_fraction 1 emits no request"};
+  }
+  if (!(std::isfinite(spec.duration_s) && spec.duration_s > 0.0)) {
+    throw std::invalid_argument{"NerscSpec: duration_s " +
+                                util::format_roundtrip(spec.duration_s) +
+                                " is not finite and > 0"};
+  }
+}
 
 /// Sizes: bounded Pareto calibrated to the target mean.  Heavy-tailed, so
 /// the 80-bin histogram is log-log linear, matching the paper's observation.
@@ -92,6 +117,7 @@ void scale_and_sort(std::vector<TraceRecord>& records, double scale) {
 } // namespace
 
 Trace synthesize_nersc(const NerscSpec& spec) {
+  validate(spec);
   util::Rng rng{spec.seed};
 
   const auto sizes = draw_sizes(spec, rng);

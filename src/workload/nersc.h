@@ -70,6 +70,9 @@ struct NerscSpec {
 };
 
 /// Build the synthetic trace.  Deterministic given the spec (seed included).
+/// Throws std::invalid_argument, naming the field and its value, when
+/// batch_min > batch_max, batch_fraction is outside [0, 1], batch_max is 0
+/// with batch_fraction 1, or duration_s is not finite and > 0.
 Trace synthesize_nersc(const NerscSpec& spec);
 
 } // namespace spindown::workload

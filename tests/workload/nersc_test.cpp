@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "support/physical_digest.h"
@@ -133,6 +134,68 @@ TEST(NerscSynth, RejectsFewerRequestsThanFiles) {
   spec.n_files = 100;
   spec.n_requests = 50;
   EXPECT_THROW(synthesize_nersc(spec), std::invalid_argument);
+}
+
+/// The message synthesize_nersc throws for `spec` ("" if it does not).
+std::string rejection(const NerscSpec& spec) {
+  try {
+    synthesize_nersc(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NerscSynth, RejectsBatchMinAboveBatchMax) {
+  // nersc(10,20,1,1000,0.5,9,2): used to draw from a wrapped span.
+  NerscSpec spec;
+  spec.n_files = 10;
+  spec.n_requests = 20;
+  spec.duration_s = 1000.0;
+  spec.batch_fraction = 0.5;
+  spec.batch_min = 9;
+  spec.batch_max = 2;
+  EXPECT_EQ(rejection(spec), "NerscSpec: batch_min 9 exceeds batch_max 2");
+  spec.batch_min = 2;
+  EXPECT_EQ(rejection(spec), "");
+}
+
+TEST(NerscSynth, RejectsBatchFractionOutsideUnitInterval) {
+  NerscSpec spec;
+  spec.n_files = 10;
+  spec.n_requests = 20;
+  spec.batch_fraction = 1.5;
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: batch_fraction 1.5 is outside [0, 1]");
+  spec.batch_fraction = -0.25;
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: batch_fraction -0.25 is outside [0, 1]");
+  spec.batch_fraction = std::nan("");
+  EXPECT_NE(rejection(spec).find("batch_fraction nan"), std::string::npos);
+  for (const double f : {0.0, 1.0}) {
+    spec.batch_fraction = f;
+    EXPECT_EQ(rejection(spec), "");
+  }
+  // Every epoch a batch, and every batch empty: nothing would ever be drawn.
+  spec.batch_min = 0;
+  spec.batch_max = 0;
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: batch_max 0 with batch_fraction 1 emits no request");
+}
+
+TEST(NerscSynth, RejectsNonPositiveOrNonFiniteDuration) {
+  NerscSpec spec;
+  spec.n_files = 10;
+  spec.n_requests = 20;
+  spec.duration_s = 0.0;
+  EXPECT_EQ(rejection(spec), "NerscSpec: duration_s 0 is not finite and > 0");
+  spec.duration_s = -5.0;
+  EXPECT_EQ(rejection(spec), "NerscSpec: duration_s -5 is not finite and > 0");
+  spec.duration_s = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: duration_s inf is not finite and > 0");
+  spec.duration_s = std::nan("");
+  EXPECT_NE(rejection(spec).find("duration_s nan"), std::string::npos);
 }
 
 TEST(NerscSynth, DiurnalModulationCreatesQuietNights) {
