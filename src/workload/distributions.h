@@ -70,7 +70,7 @@ public:
 
 private:
   double lo_, hi_, alpha_;
-  double lo_a_, hi_a_; // lo^alpha and hi^alpha, for sample()
+  double lo_a_, hi_a_; // lo^alpha and hi^alpha, computed once
 };
 
 } // namespace spindown::workload

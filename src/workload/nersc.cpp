@@ -84,33 +84,25 @@ std::vector<std::uint32_t> draw_access_counts(const NerscSpec& spec,
   return counts;
 }
 
-/// Stable sort by time after scaling every time by `scale`, in one pass
-/// over nearly sorted records.  Insertion never moves a record past an
-/// equal time, so it is exact; it costs O(n + inversions).  Past 8 moves per
-/// record on average the input is far from sorted, and std::stable_sort
-/// finishes the job in O(n log n).  That keeps the result: the records
-/// insertion has placed already precede every later record of equal time.
+/// Scale every time by `scale` and, in the same pass, stable-sort the
+/// nearly sorted records by time with insertion: O(n + inversions).
+/// Insertion moves a record only past larger times, so records of equal
+/// time keep their order.  Far from sorted input would make this quadratic,
+/// so insertion stops after 8 moves per record on average; the rest is only
+/// scaled, and the Trace constructor's std::stable_sort finishes in
+/// O(n log n).  The order is the same either way: at every step of this
+/// pass, records of equal time are still in input order.
 void scale_and_sort(std::vector<TraceRecord>& records, double scale) {
-  std::size_t budget = 8 * records.size();
+  std::size_t moves_left = 8 * records.size();
   for (std::size_t i = 0; i < records.size(); ++i) {
     TraceRecord r = records[i];
     r.time *= scale;
     std::size_t j = i;
-    for (; j > 0 && r.time < records[j - 1].time; --j) {
+    for (; j > 0 && moves_left > 0 && r.time < records[j - 1].time; --j) {
       records[j] = records[j - 1];
+      --moves_left;
     }
     records[j] = r;
-    if (i - j > budget) {
-      for (std::size_t k = i + 1; k < records.size(); ++k) {
-        records[k].time *= scale;
-      }
-      std::stable_sort(records.begin(), records.end(),
-                       [](const TraceRecord& a, const TraceRecord& b) {
-                         return a.time < b.time;
-                       });
-      return;
-    }
-    budget -= i - j;
   }
 }
 

@@ -22,10 +22,11 @@
 //
 // Records are generated epoch by epoch, so they come out nearly sorted:
 // only a batch's tail, at most (batch_max - 1) * batch_spacing_s long, can
-// overlap later epochs.  After the final rescale an exact stable sort puts
-// them in time order in O(n + inversions): an insertion pass, finished by
-// std::stable_sort if the input turns out far from sorted.  The Trace
-// constructor then finds them sorted and does not sort again.
+// overlap later epochs.  The final rescale runs as an insertion pass that
+// stable-sorts them in O(n + inversions), so the Trace constructor finds
+// them sorted and skips its own sort.  On far from sorted input insertion
+// stops after 8 moves per record on average, and the constructor's
+// std::stable_sort finishes with the same result.
 #pragma once
 
 #include <cstdint>

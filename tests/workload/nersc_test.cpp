@@ -308,7 +308,8 @@ TEST(NerscSynth, GoldenDigests) {
   auto one_each = small_spec(20'000, 20'000);
   // nersc(2000,40000,7,3600,1.0,200,400): each batch spans 100-200 s, far
   // more than the few tens of seconds between epochs, so every batch tail
-  // overlaps several later batches.
+  // overlaps several later batches.  The synthesizer's insertion pass runs
+  // out of moves, and the Trace constructor's stable sort finishes.
   NerscSpec overlap;
   overlap.n_files = 2000;
   overlap.n_requests = 40'000;
