@@ -1,6 +1,6 @@
 // ablation_policies.cpp — design-choice ablations beyond the paper's grid.
 //
-// Three studies on the scaled NERSC workload with Pack_Disks placement:
+// Four studies on the scaled NERSC workload with Pack_Disks placement:
 //   1. Spin-down policy family (§2's related work, made concrete):
 //      never / immediate / break-even / fixed 10 min / randomized, each
 //      reported as the ratio of its energy to an analytic floor (busy
@@ -10,14 +10,21 @@
 //      16 GB.
 //   3. Service-time model: full positioning + transfer vs the paper's
 //      simpler l = r*s/B normalization — how much the allocation changes.
+//   4. Device: Table 2's desktop drive vs a low-power 2.5" profile.
+//
+// Every run is a ScenarioSpec; the lines under each table re-run its rows
+// with `spindown_run --scenario` (except the 2.5" row: the device is not in
+// the grammar).
 #include <iostream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/normalize.h"
 #include "core/pack_disks.h"
-#include "disk/spin_policy.h"
 #include "paper_workload.h"
-#include "sys/sweep.h"
+#include "sys/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace spindown;
@@ -29,48 +36,50 @@ int main(int argc, char** argv) {
   spec.n_files = opts.full ? 40'000 : 15'000;
   spec.n_requests = opts.full ? 55'000 : 20'000;
   spec.duration_s = (opts.full ? 14.0 : 5.0) * util::kDay;
-  const auto trace = workload::synthesize_nersc(spec);
+  // Every run replays the trace on Pack_Disks at L = 0.8.  Studies 1, 2
+  // and 4 each vary one key of this base and run as one sweep, so the
+  // trace is synthesized and packed once per device.
+  sys::ScenarioSpec base;
+  base.catalog = sys::CatalogSpec::nersc_synth(spec);
+  base.workload = sys::WorkloadSpec::replay_catalog();
+  base.seed = opts.seed;
+  const auto packed = sys::resolve_scenario(base);
+  const auto& trace = *packed.trace;
 
-  core::LoadModel model;
-  model.rate = static_cast<double>(trace.size()) / trace.duration();
-  model.load_fraction = 0.8;
-  const auto items = core::normalize(trace.catalog(), model);
-  core::PackDisks pack;
-  const auto placement = pack.allocate(items);
-
-  auto base_config = [&] {
-    sys::ExperimentConfig cfg;
-    cfg.catalog = &trace.catalog();
-    cfg.mapping = placement.disk_of;
-    cfg.num_disks = placement.disk_count;
-    cfg.workload = sys::WorkloadSpec::replay(trace);
-    cfg.seed = opts.seed;
-    return cfg;
+  const std::vector<std::pair<std::string, std::string>> policies{
+      {"never", "never"},
+      {"immediate", "fixed:0"},
+      {"break-even (53.3 s)", "break-even"},
+      {"fixed 10 min", "fixed:600"},
+      {"randomized e/(e-1)", "randomized"},
   };
+  const std::vector<std::string> caches{"none", "lru", "fifo", "lfu"};
+  // The device is ScenarioSpec::params, outside the string grammar.
+  const auto params = disk::DiskParams::st3500630as();
+  const std::vector<disk::DiskParams> devices{
+      params, disk::DiskParams::laptop_2_5in()};
+  std::vector<sys::ScenarioSpec> specs;
+  for (const auto& entry : policies) {
+    specs.push_back(base.with("policy", entry.second));
+  }
+  for (const auto& name : caches) specs.push_back(base.with("cache", name));
+  for (const auto& device : devices) {
+    specs.push_back(base);
+    specs.back().params = device;
+  }
+  const auto results = sys::run_scenarios(specs, opts.threads);
+  const std::span<const sys::ScenarioSpec> rows{specs};
+  const std::size_t cache_at = policies.size();
+  const std::size_t device_at = cache_at + caches.size();
 
   // --- Study 1: spin-down policies --------------------------------------
   std::cout << "[1] spin-down policy family (placement fixed: pack_disks, "
-            << placement.disk_count << " disks)\n\n";
-  std::vector<std::pair<std::string, sys::PolicySpec>> policies{
-      {"never", sys::PolicySpec::never()},
-      {"immediate", sys::PolicySpec::fixed(0.0)},
-      {"break-even (53.3 s)", sys::PolicySpec::break_even()},
-      {"fixed 10 min", sys::PolicySpec::fixed(600.0)},
-      {"randomized e/(e-1)", sys::PolicySpec::randomized()},
-  };
-  std::vector<sys::ExperimentConfig> policy_configs;
-  for (const auto& entry : policies) {
-    auto cfg = base_config();
-    cfg.policy = entry.second;
-    policy_configs.push_back(std::move(cfg));
-  }
-  const auto policy_results = sys::run_sweep(policy_configs, opts.threads);
+            << packed.config.num_disks << " disks)\n\n";
 
   // The floor: busy energy (positioning + transfer; identical across
   // policies, which serve the same requests) plus every idle second at
   // standby draw, both taken from the never-spin-down run.
-  const auto& never_run = policy_results[0];
-  const auto params = disk::DiskParams::st3500630as();
+  const auto& never_run = results[0];
   double busy_energy = 0.0;
   double idle_time_total = 0.0;
   for (const auto& m : never_run.per_disk) {
@@ -87,7 +96,7 @@ int main(int argc, char** argv) {
   auto csv = opts.csv();
   if (csv) csv->write_row({"study", "name", "metric", "value"});
   for (std::size_t i = 0; i < policies.size(); ++i) {
-    const auto& r = policy_results[i];
+    const auto& r = results[i];
     ptable.row(policies[i].first,
                util::format_double(r.power.energy / 1e6, 2),
                util::format_double(r.power.saving_vs_always_on, 3),
@@ -100,55 +109,47 @@ int main(int argc, char** argv) {
     }
   }
   ptable.print(std::cout);
+  bench::print_scenarios(rows.first(policies.size()));
   std::cout << "(floor = busy energy + all idle at standby draw; unreachable "
                "but a valid\n lower bound for every policy)\n\n";
 
   // --- Study 2: cache policy ---------------------------------------------
   std::cout << "[2] cache policy at 16 GB (threshold = break-even)\n\n";
-  std::vector<std::pair<std::string, sys::CacheSpec>> caches{
-      {"none", sys::CacheSpec::none()},
-      {"lru", sys::CacheSpec::lru()},
-      {"fifo", sys::CacheSpec::fifo()},
-      {"lfu", sys::CacheSpec::lfu()},
-  };
-  std::vector<sys::ExperimentConfig> cache_configs;
-  for (const auto& entry : caches) {
-    auto cfg = base_config();
-    cfg.cache = entry.second;
-    cache_configs.push_back(std::move(cfg));
-  }
-  const auto cache_results = sys::run_sweep(cache_configs, opts.threads);
   util::TablePrinter ctable{{"cache", "hit ratio", "energy (MJ)",
                              "mean resp (s)"}};
   for (std::size_t i = 0; i < caches.size(); ++i) {
-    const auto& r = cache_results[i];
-    ctable.row(caches[i].first,
+    const auto& r = results[cache_at + i];
+    ctable.row(caches[i],
                util::format_double(100.0 * r.cache.hit_ratio(), 1) + "%",
                util::format_double(r.power.energy / 1e6, 2),
                util::format_double(r.response.mean(), 2));
     if (csv) {
-      csv->row("cache", caches[i].first, "hit_ratio", r.cache.hit_ratio());
+      csv->row("cache", caches[i], "hit_ratio", r.cache.hit_ratio());
     }
   }
   ctable.print(std::cout);
+  bench::print_scenarios(rows.subspan(cache_at, caches.size()));
   std::cout << "(paper: LRU hit ratio ~5.6% on this workload — caches help "
                "little)\n\n";
 
   // --- Study 3: load model -----------------------------------------------
   std::cout << "[3] service-time model in the normalizer\n\n";
-  core::LoadModel simple = model;
+  core::LoadModel simple;
+  simple.rate = static_cast<double>(trace.size()) / trace.duration();
+  simple.load_fraction = base.load_fraction;
   simple.include_positioning = false;
-  const auto simple_items = core::normalize(trace.catalog(), simple);
-  const auto a_simple = pack.allocate(simple_items);
+  const auto a_simple =
+      core::PackDisks{}.allocate(core::normalize(trace.catalog(), simple));
+  const auto& placement = packed.config.mapping;
   std::size_t moved = 0;
-  for (std::size_t i = 0; i < placement.disk_of.size(); ++i) {
-    if (placement.disk_of[i] != a_simple.disk_of[i]) ++moved;
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    if (placement[i] != a_simple.disk_of[i]) ++moved;
   }
   util::TablePrinter mtable{{"model", "disks", "files placed differently"}};
-  mtable.row("position+transfer (default)", placement.disk_count, "-");
+  mtable.row("position+transfer (default)", packed.config.num_disks, "-");
   mtable.row("transfer only (paper's l=r*s/B)", a_simple.disk_count,
              std::to_string(moved) + " / " +
-                 std::to_string(placement.disk_of.size()));
+                 std::to_string(placement.size()));
   mtable.print(std::cout);
   std::cout << "(for whole-file reads of hundreds of MB the 12.7 ms "
                "positioning term\n barely moves the packing)\n\n";
@@ -156,34 +157,25 @@ int main(int argc, char** argv) {
   // --- Study 4: device sensitivity ----------------------------------------
   std::cout << "[4] device sensitivity: Table 2's 3.5\" desktop drive vs a "
                "low-power 2.5\" profile\n\n";
-  const auto laptop = disk::DiskParams::laptop_2_5in();
   util::TablePrinter dtable{{"device", "break-even", "transition E",
                              "saving", "mean resp (s)", "spin-downs"}};
-  for (const auto* device : {&params, &laptop}) {
-    core::LoadModel dev_model = model;
-    dev_model.disk = *device;
-    core::PackDisks dev_pack;
-    const auto dev_items = core::normalize(trace.catalog(), dev_model);
-    const auto dev_placement = dev_pack.allocate(dev_items);
-    sys::ExperimentConfig cfg;
-    cfg.catalog = &trace.catalog();
-    cfg.mapping = dev_placement.disk_of;
-    cfg.num_disks = dev_placement.disk_count;
-    cfg.params = *device;
-    cfg.workload = sys::WorkloadSpec::replay(trace);
-    cfg.seed = opts.seed;
-    const auto r = sys::run_experiment(cfg);
-    dtable.row(device->model,
-               util::format_seconds(device->break_even_threshold()),
-               util::format_double(device->transition_energy(), 0) + " J",
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const auto& device = devices[i];
+    const auto& r = results[device_at + i];
+    dtable.row(device.model,
+               util::format_seconds(device.break_even_threshold()),
+               util::format_double(device.transition_energy(), 0) + " J",
                util::format_double(r.power.saving_vs_always_on, 3),
                util::format_double(r.response.mean(), 2),
                r.power.spin_downs);
     if (csv) {
-      csv->row("device", device->model, "saving", r.power.saving_vs_always_on);
+      csv->row("device", device.model, "saving", r.power.saving_vs_always_on);
     }
   }
   dtable.print(std::cout);
+  bench::print_scenarios(rows.subspan(device_at, 1));
+  std::cout << "scenario: none (the " << devices[1].model
+            << " device is outside the grammar)\n";
   std::cout << "(cheap transitions let the 2.5\" profile spin down far more "
                "often;\n its low idle draw also shrinks what there is to "
                "save relative to always-on)\n";

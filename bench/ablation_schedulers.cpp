@@ -20,27 +20,13 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/normalize.h"
-#include "core/pack_disks.h"
 #include "paper_workload.h"
-#include "sys/experiment.h"
-#include "sys/sweep.h"
+#include "sys/scenario.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "workload/catalog.h"
-
-namespace {
-
-using namespace spindown;
-
-struct Cell {
-  sys::SchedulerSpec scheduler;
-  sys::PolicySpec policy;
-};
-
-} // namespace
 
 int main(int argc, char** argv) {
+  using namespace spindown;
   const util::Cli cli{argc, argv};
   if (cli.has("help")) {
     std::cout << "usage: " << cli.program()
@@ -53,54 +39,42 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const auto threads = static_cast<unsigned>(cli.get_int("threads", 0));
 
-  // Queue-building catalog: many small files (16 MB cap keeps transfers in
-  // the positioning regime), Zipf popularity as in Table 1.
-  workload::SyntheticSpec spec = workload::SyntheticSpec::paper_table1();
-  spec.n_files = quick ? 800 : 3000;
-  spec.max_size = util::mb(16.0);
-  util::Rng rng{seed};
-  const auto catalog = workload::generate_catalog(spec, rng);
-
   const double rate = cli.get_double("rate", quick ? 40.0 : 120.0);
   const double horizon = quick ? 400.0 : 2000.0;
 
-  core::LoadModel model;
-  model.rate = rate;
-  model.load_fraction = 0.9;
-  core::PackDisks pack;
-  const auto assignment = pack.allocate(core::normalize(catalog, model));
+  // Queue-building catalog: many small files (16 MB cap keeps transfers in
+  // the positioning regime), Zipf popularity as in Table 1.
+  workload::SyntheticSpec synth = workload::SyntheticSpec::paper_table1();
+  synth.n_files = quick ? 800 : 3000;
+  synth.max_size = util::mb(16.0);
+  sys::ScenarioSpec base;
+  base.catalog = sys::CatalogSpec::synthetic(synth);
+  base.load_fraction = 0.9;
+  base.workload = sys::WorkloadSpec::poisson(rate, horizon);
+  base.seed = seed;
+  const auto packed = sys::resolve_scenario(base);
+  const auto& catalog = *packed.catalog;
+  const std::uint32_t packed_disks = packed.config.num_disks;
   // The farm keeps the spare disks consolidation freed (the paper's whole
   // economics): spares see no requests, so the spin-down policy decides
   // whether they idle at 9.3 W or park at 0.8 W — the policy axis of the
   // grid — while the loaded disks' queues expose the scheduler axis.
-  const std::uint32_t farm =
-      assignment.disk_count + (assignment.disk_count + 1) / 2;
+  const std::uint32_t farm = packed_disks + (packed_disks + 1) / 2;
+  const auto on_farm = base.with("disks", std::to_string(farm));
 
-  const std::vector<std::pair<std::string, sys::SchedulerSpec>> schedulers{
-      {"fcfs", sys::SchedulerSpec::fcfs()},
-      {"sstf", sys::SchedulerSpec::sstf()},
-      {"scan", sys::SchedulerSpec::scan()},
-      {"clook", sys::SchedulerSpec::clook()},
-      {"batch", sys::SchedulerSpec::batch()},
-  };
-  const std::vector<std::pair<std::string, sys::PolicySpec>> policies{
-      {"never", sys::PolicySpec::never()},
-      {"break-even", sys::PolicySpec::break_even()},
-      {"fixed-10s", sys::PolicySpec::fixed(10.0)},
+  const std::vector<std::string> schedulers{"fcfs", "sstf", "scan", "clook",
+                                            "batch"};
+  const std::vector<std::pair<std::string, std::string>> policies{
+      {"never", "never"},
+      {"break-even", "break-even"},
+      {"fixed-10s", "fixed:10"},
   };
 
-  std::vector<sys::ExperimentConfig> configs;
+  std::vector<sys::ScenarioSpec> specs;
   for (const auto& scheduler : schedulers) {
     for (const auto& policy : policies) {
-      sys::ExperimentConfig cfg;
-      cfg.catalog = &catalog;
-      cfg.mapping = assignment.disk_of;
-      cfg.num_disks = farm;
-      cfg.policy = policy.second;
-      cfg.scheduler = scheduler.second;
-      cfg.workload = sys::WorkloadSpec::poisson(rate, horizon);
-      cfg.seed = seed;
-      configs.push_back(std::move(cfg));
+      specs.push_back(
+          on_farm.with("sched", scheduler).with("policy", policy.second));
     }
   }
 
@@ -109,11 +83,11 @@ int main(int argc, char** argv) {
       "beyond the paper: geometry-aware service disciplines");
   std::cout << "catalog: " << catalog.size() << " files, "
             << util::format_bytes(catalog.total_bytes()) << " packed onto "
-            << assignment.disk_count << " of " << farm << " disks; R = "
+            << packed_disks << " of " << farm << " disks; R = "
             << util::format_double(rate, 1) << " req/s over "
             << util::format_seconds(horizon) << "\n\n";
 
-  const auto results = sys::run_sweep(configs, threads);
+  const auto results = sys::run_scenarios(specs, threads);
 
   util::TablePrinter table{{"scheduler", "policy", "mean resp (s)",
                             "p99 resp (s)", "energy (kJ)", "saving",
@@ -139,7 +113,7 @@ int main(int argc, char** argv) {
   }
 
   std::size_t i = 0;
-  for (const auto& [sname, sspec] : schedulers) {
+  for (const auto& sname : schedulers) {
     for (const auto& [pname, pspec] : policies) {
       const auto& r = results[i++];
       std::uint64_t positionings = 0;
@@ -156,7 +130,7 @@ int main(int argc, char** argv) {
       }
       if (json != nullptr) {
         json->row({{"scheduler", sname},
-                   {"policy", pspec.spec()},
+                   {"policy", pspec},
                    {"mean_resp_s", r.response.mean()},
                    {"p99_resp_s", r.response.p99()},
                    {"energy_j", r.power.energy},
@@ -168,6 +142,7 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+  bench::print_scenarios(specs);
   std::cout << "\npositionings < requests on a row means the batching\n"
                "scheduler coalesced adjacent extents into shared seeks;\n"
                "geometry-aware rows pay seek(distance) instead of the\n"

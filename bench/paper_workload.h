@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,12 @@
 #include "workload/nersc.h"
 
 namespace spindown::bench {
+
+/// One "scenario: <spec()>" line per table row, printed under the table,
+/// so `spindown_run --scenario` can re-run any row.
+inline void print_scenarios(std::span<const sys::ScenarioSpec> specs) {
+  for (const auto& s : specs) std::cout << "scenario: " << s.spec() << "\n";
+}
 
 /// Table 1 constants.
 inline constexpr std::uint32_t kPaperFarmDisks = 100;

@@ -8,7 +8,9 @@
 // (file count, size skew, request rate), it sweeps the load constraint L,
 // packs with Pack_Disks, verifies each candidate with a short simulation,
 // and reports the smallest farm meeting a target mean response time,
-// together with its predicted power bill.
+// together with its predicted power bill.  Each candidate is a
+// ScenarioSpec; the lines under the table re-run them with
+// `spindown_run --scenario`.
 //
 //   $ ./capacity_planning --files 40000 --rate 4.0 --target-resp 12
 //     (also: --kwh-price 0.12, --seed 1)
@@ -17,13 +19,11 @@
 
 #include "core/bounds.h"
 #include "core/normalize.h"
-#include "core/pack_disks.h"
 #include "core/queueing.h"
-#include "sys/experiment.h"
+#include "sys/scenario.h"
 #include "sys/sweep.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "workload/catalog.h"
 
 int main(int argc, char** argv) {
   using namespace spindown;
@@ -40,38 +40,40 @@ int main(int argc, char** argv) {
   const double kwh_price = cli.get_double("kwh-price", 0.12);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 
-  workload::SyntheticSpec spec = workload::SyntheticSpec::paper_table1();
-  spec.n_files = n_files;
-  util::Rng rng{seed};
-  const auto catalog = workload::generate_catalog(spec, rng);
+  // One scenario per candidate load constraint L, each packed, predicted
+  // in closed form (M/G/1 per disk) and then simulated briefly.
+  const std::vector<double> loads{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+  sys::ScenarioSpec base;
+  base.catalog = sys::CatalogSpec::table1(n_files);
+  base.workload = sys::WorkloadSpec::poisson(rate, 2000.0);
+  base.seed = seed;
+  sys::ScenarioCache cache;
+  std::vector<sys::ScenarioSpec> specs;
+  std::vector<sys::ResolvedScenario> resolved;
+  std::vector<sys::ExperimentConfig> configs;
+  std::vector<std::uint32_t> farm_sizes;
+  std::vector<double> mg1_predictions;
+  for (const double l : loads) {
+    specs.push_back(base);
+    specs.back().load_fraction = l;
+    resolved.push_back(cache.resolve(specs.back()));
+    const auto& cfg = resolved.back().config;
+    core::LoadModel model;
+    model.rate = rate;
+    model.load_fraction = l;
+    mg1_predictions.push_back(
+        core::predict_mg1(*cfg.catalog,
+                          core::Assignment{cfg.mapping, cfg.num_disks}, model)
+            .mean_response);
+    farm_sizes.push_back(cfg.num_disks);
+    configs.push_back(cfg);
+  }
+  const auto& catalog = *resolved.front().catalog;
 
   std::cout << "workload: " << catalog.size() << " files, "
             << util::format_bytes(catalog.total_bytes()) << ", R = " << rate
             << " req/s, target mean response " << target_resp << " s\n\n";
 
-  // Candidate packings across the L sweep, each simulated briefly.
-  std::vector<double> loads{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
-  std::vector<sys::ExperimentConfig> configs;
-  std::vector<std::uint32_t> farm_sizes;
-  std::vector<double> mg1_predictions;
-  for (const double l : loads) {
-    core::LoadModel model;
-    model.rate = rate;
-    model.load_fraction = l;
-    core::PackDisks pack;
-    const auto a = pack.allocate(core::normalize(catalog, model));
-    // Closed-form prediction (M/G/1 per disk) before any simulation runs.
-    mg1_predictions.push_back(
-        core::predict_mg1(catalog, a, model).mean_response);
-    sys::ExperimentConfig cfg;
-    cfg.catalog = &catalog;
-    cfg.mapping = a.disk_of;
-    cfg.num_disks = a.disk_count;
-    cfg.workload = sys::WorkloadSpec::poisson(rate, 2000.0);
-    cfg.seed = seed;
-    configs.push_back(std::move(cfg));
-    farm_sizes.push_back(a.disk_count);
-  }
   const auto results = sys::run_sweep(configs);
 
   util::TablePrinter table{{"L", "disks", "predicted resp (s)",
@@ -100,6 +102,9 @@ int main(int argc, char** argv) {
               ok ? "yes" : "no");
   }
   table.print(std::cout);
+  for (const auto& spec : specs) {
+    std::cout << "scenario: " << spec.spec() << "\n";
+  }
 
   const auto report = core::bound_report(
       core::normalize(catalog, [&] {

@@ -336,8 +336,12 @@ void apply_key(ScenarioSpec& s, const std::string& key,
     }
     s.load_fraction = l;
   } else if (key == "disks") {
-    s.disks = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        parse_unsigned(value, "disks=" + value), 1'000'000));
+    const auto n = parse_unsigned(value, "disks=" + value);
+    if (n > 1'000'000) {
+      throw std::invalid_argument{
+          "ScenarioSpec: disks must be in [0, 1000000], got '" + value + "'"};
+    }
+    s.disks = static_cast<std::uint32_t>(n);
   } else if (key == "policy") {
     s.policy = PolicySpec::parse(value);
   } else if (key == "sched") {

@@ -158,6 +158,7 @@ struct ScenarioSpec {
   /// Farm-size floor.  0 lets the allocator decide; random placement with
   /// disks=0 spreads over as many disks as Pack_Disks would use (§5.1's
   /// convention); MAID requires an explicit farm (cache + data disks).
+  /// parse() rejects values above 1 000 000.
   std::uint32_t disks = 0;
   /// Disk model.  Not part of the string grammar (every experiment in the
   /// paper uses the ST3500630AS); programmatic overrides are invisible to

@@ -139,9 +139,21 @@ PolicySpec PolicySpec::parse(const std::string& name) {
       throw std::invalid_argument{"PolicySpec: fixed needs a threshold "
                                   "(fixed:<seconds>)"};
     }
-    return fixed(numeric_arg(0.0));
+    const double t = numeric_arg(0.0);
+    if (t < 0.0) {
+      throw std::invalid_argument{"PolicySpec: fixed threshold must be >= 0, "
+                                  "got '" + name + "'"};
+    }
+    return fixed(t);
   }
-  if (head == "ewma") return ewma(numeric_arg(PolicySpec{}.ewma_alpha));
+  if (head == "ewma") {
+    const double alpha = numeric_arg(PolicySpec{}.ewma_alpha);
+    if (!(alpha > 0.0 && alpha <= 1.0)) {
+      throw std::invalid_argument{"PolicySpec: ewma alpha must be in (0, 1], "
+                                  "got '" + name + "'"};
+    }
+    return ewma(alpha);
+  }
   if (head == "share") {
     const double n =
         numeric_arg(static_cast<double>(PolicySpec{}.share_experts));
@@ -153,7 +165,14 @@ PolicySpec PolicySpec::parse(const std::string& name) {
     }
     return share(static_cast<std::uint32_t>(n));
   }
-  if (head == "slack") return slack(numeric_arg(PolicySpec{}.slack_target_s));
+  if (head == "slack") {
+    const double slo = numeric_arg(PolicySpec{}.slack_target_s);
+    if (!(slo > 0.0)) {
+      throw std::invalid_argument{"PolicySpec: slack SLO must be > 0, got '" +
+                                  name + "'"};
+    }
+    return slack(slo);
+  }
   throw std::invalid_argument{
       "PolicySpec: unknown policy '" + name +
       "' (want break-even|never|randomized|fixed:T|ewma[:a]|share[:n]|"

@@ -102,7 +102,8 @@ struct PolicySpec {
 
   /// Parse a CLI/report key; accepts everything spec() emits plus the bare
   /// adaptive names ("ewma", "share", "slack") with default knobs.  Throws
-  /// std::invalid_argument on anything else.
+  /// std::invalid_argument on anything else, including knobs the policy
+  /// constructors reject (fixed < 0, ewma outside (0, 1], slack <= 0).
   static PolicySpec parse(const std::string& name);
   /// Canonical parseable key — "break-even", "never", "randomized",
   /// "fixed:10", "ewma:0.25", "share:12", "slack:60" — such that

@@ -7,7 +7,6 @@
 #include "core/normalize.h"
 #include "core/pack_disks.h"
 #include "core/random_alloc.h"
-#include "core/reorganizer.h"
 #include "sys/experiment.h"
 #include "workload/catalog.h"
 #include "workload/nersc.h"
@@ -111,34 +110,6 @@ TEST(EndToEnd, NerscTraceRoundTripPreservesSimulation) {
   // small relative energy slack.
   EXPECT_NEAR(original.power.energy, replayed.power.energy,
               original.power.energy * 1e-6);
-}
-
-TEST(EndToEnd, ReorganizerImprovesAfterPopularityDrift) {
-  // Build a catalog, pack it, observe a drifted workload window, re-pack;
-  // the new plan should dedicate fewer disks to the (now cold) files.
-  workload::SyntheticSpec spec = workload::SyntheticSpec::paper_table1();
-  spec.n_files = 600;
-  util::Rng rng{3};
-  auto catalog = workload::generate_catalog(spec, rng);
-
-  core::LoadModel model;
-  model.rate = 0.5;
-  model.load_fraction = 0.8;
-  core::PackDisks pack;
-  const auto before = pack.allocate(core::normalize(catalog, model));
-
-  // Observed window: popularity reversed (the cold tail became hot).
-  std::vector<std::uint64_t> counts(600);
-  for (std::size_t i = 0; i < 600; ++i) {
-    counts[i] = 1 + (i * 997) % 50; // varied, uncorrelated with before
-  }
-  core::Reorganizer reorg{model};
-  const auto plan = reorg.plan(catalog, counts, 10'000.0, before);
-  EXPECT_GT(plan.disks_after, 0u);
-  EXPECT_FALSE(plan.moved.empty());
-  // The relabeling keeps the majority of bytes in place relative to a naive
-  // identity labeling... at minimum it must not move *everything*.
-  EXPECT_LT(plan.moved.size(), catalog.size());
 }
 
 } // namespace

@@ -206,6 +206,16 @@ TEST(PolicySpec, ParseRejectsGarbage) {
   EXPECT_THROW(PolicySpec::parse("fixed:1e999"), std::invalid_argument);
   EXPECT_THROW(PolicySpec::parse("share:5e9"), std::invalid_argument);
   EXPECT_THROW(PolicySpec::parse("share:nan"), std::invalid_argument);
+  // Knobs the policy constructors would reject fail the parse, not the run.
+  EXPECT_THROW(PolicySpec::parse("fixed:-5"), std::invalid_argument);
+  EXPECT_THROW(PolicySpec::parse("ewma:0"), std::invalid_argument);
+  EXPECT_THROW(PolicySpec::parse("ewma:2"), std::invalid_argument);
+  EXPECT_THROW(PolicySpec::parse("ewma:-0.5"), std::invalid_argument);
+  EXPECT_THROW(PolicySpec::parse("slack:0"), std::invalid_argument);
+  EXPECT_THROW(PolicySpec::parse("slack:-1"), std::invalid_argument);
+  // The bounds themselves still parse.
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("fixed:0").fixed_threshold_s, 0.0);
+  EXPECT_DOUBLE_EQ(PolicySpec::parse("ewma:1").ewma_alpha, 1.0);
 }
 
 TEST(WorkloadSpec, SpecRoundTripsSyntheticKinds) {

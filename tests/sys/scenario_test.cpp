@@ -151,6 +151,11 @@ TEST(ScenarioSpec, ParseRejectsBadInput) {
   EXPECT_THROW(ScenarioSpec::parse("load=0"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("load=1.5"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("disks=many"), std::invalid_argument);
+  // A farm above the limit throws instead of clamping to another scenario.
+  EXPECT_EQ(ScenarioSpec::parse("disks=1000000").disks, 1'000'000u);
+  EXPECT_THROW(ScenarioSpec::parse("disks=1000001"), std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::parse("disks=4294967295"),
+               std::invalid_argument);
   // Overflowing counts stay inside the documented std::invalid_argument
   // contract instead of leaking std::out_of_range from std::stoull.
   EXPECT_THROW(ScenarioSpec::parse("seed=99999999999999999999999"),
