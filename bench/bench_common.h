@@ -35,8 +35,8 @@ namespace spindown::bench {
 /// terse: writer.row({{"policy", "ewma"}, {"energy_j", 1234.5}}).
 class JsonValue {
 public:
-  JsonValue(const char* s) : rendered_(quote(s)) {}                // NOLINT
-  JsonValue(const std::string& s) : rendered_(quote(s)) {}         // NOLINT
+  JsonValue(const char* s) : rendered_(util::json_quote(s)) {}        // NOLINT
+  JsonValue(const std::string& s) : rendered_(util::json_quote(s)) {} // NOLINT
   JsonValue(bool b) : rendered_(b ? "true" : "false") {}           // NOLINT
   JsonValue(double v) {                                            // NOLINT
     char buf[40];
@@ -51,27 +51,6 @@ public:
   const std::string& rendered() const { return rendered_; }
 
 private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-          } else {
-            out += c;
-          }
-      }
-    }
-    return out + "\"";
-  }
-
   std::string rendered_;
 };
 

@@ -1,9 +1,9 @@
 // engine_throughput.cpp — events/sec baseline for the DES kernel.
 //
 // Self-timed (std::chrono) microbench of the pooled event calendar
-// (des::Simulation).  The committed BENCH_engine.json is a frozen record:
-// it also carries the seed kernel the calendar replaced, measured in the
-// same run (see README "Engine performance").
+// (des::Simulation).  The committed BENCH_engine.json is a frozen record
+// of the pooled calendar's pooled_* fields (see README "Engine
+// performance").
 //
 // Two profiles, shaped after the simulator's real hot paths:
 //   * schedule-heavy — self-rescheduling event chains carrying a 24-byte
@@ -200,8 +200,13 @@ int main(int argc, char** argv) {
   }
   const bool quick = cli.has("quick");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const auto reps =
-      static_cast<unsigned>(cli.get_int("reps", quick ? 1 : 3));
+  const std::int64_t reps_arg = cli.get_int("reps", quick ? 1 : 3);
+  if (reps_arg < 1) {
+    std::cerr << "engine_throughput: --reps must be at least 1, got "
+              << reps_arg << "\n";
+    return 2;
+  }
+  const auto reps = static_cast<unsigned>(reps_arg);
 
   const std::uint64_t sched_events = quick ? 20000 : 4000000;
   const std::uint64_t replay_arrivals = quick ? 10000 : 1000000;

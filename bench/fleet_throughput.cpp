@@ -94,8 +94,12 @@ int main(int argc, char** argv) {
   // Wall-clock per row is the best of `reps` runs: the simulation is
   // deterministic, so repetition only strips scheduler/cache noise from
   // the timing (the result is checked bit-identical on every rep).
-  const int reps = std::max(
-      1, static_cast<int>(cli.get_int("reps", quick ? 1 : 3)));
+  const std::int64_t reps = cli.get_int("reps", quick ? 1 : 3);
+  if (reps < 1) {
+    std::cerr << "fleet_throughput: --reps must be at least 1, got " << reps
+              << "\n";
+    return 2;
+  }
   // Measurement sized per scale so every farm processes the same request
   // volume: horizon = target / rate.
   const double target_requests = quick ? 2.0e4 : 4.0e5;
@@ -119,7 +123,7 @@ int main(int argc, char** argv) {
   if (json != nullptr) {
     json->meta("rate_per_disk", kRatePerDisk);
     json->meta("target_requests", target_requests);
-    json->meta("reps", static_cast<std::int64_t>(reps));
+    json->meta("reps", reps);
     json->meta("hardware_concurrency",
                static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   }

@@ -1,11 +1,15 @@
 #include "core/chang_reference.h"
 
-#include <cassert>
+#include <algorithm>
+#include <string>
 #include <vector>
 
 namespace spindown::core {
 
 namespace {
+
+/// Rounding tolerance of the lemma checks (never of a packing decision).
+constexpr double kEps = 1e-12;
 
 /// Unordered pool scanned linearly for its maximum-key element: the O(n)
 /// stand-in for the max-heap.
@@ -18,7 +22,6 @@ public:
   /// Remove and return the index of the max-key element (ties: smallest
   /// index), by linear scan.
   std::uint32_t pop_max() {
-    assert(!elems_.empty());
     std::size_t best = 0;
     for (std::size_t i = 1; i < elems_.size(); ++i) {
       if (elems_[i].key > elems_[best].key ||
@@ -40,21 +43,21 @@ private:
   std::vector<Elem> elems_;
 };
 
-struct Member {
-  std::uint32_t index;
-  bool from_s; ///< drawn from the size-intensive pool
-};
+[[noreturn]] void fail(const std::string& what) {
+  throw AuditFailure{"Pack_Disks audit: " + what};
+}
 
 } // namespace
 
 Assignment ChangHwangPark::allocate(std::span<const Item> items) {
   validate_instance(items);
+  report_ = AuditReport{};
   Assignment out;
   out.disk_of.assign(items.size(), 0);
   if (items.empty()) return out;
 
-  const double r = rho(items);
-  const double threshold = 1.0 - r;
+  report_.rho = rho(items);
+  const double threshold = 1.0 - report_.rho;
 
   ScanPool pool_s, pool_l;
   for (const auto& it : items) {
@@ -65,79 +68,109 @@ Assignment ChangHwangPark::allocate(std::span<const Item> items) {
     }
   }
 
-  std::vector<Member> disk;
+  // The open disk: running totals and its members by origin pool, in the
+  // order they were added.
+  double S = 0.0, L = 0.0;
+  std::vector<std::uint32_t> s_list, l_list;
 
-  // Totals recomputed from scratch on every query — the naive O(|Di|) cost
-  // this reference exists to exhibit.
-  auto S = [&] {
-    double acc = 0.0;
-    for (const auto& m : disk) acc += items[m.index].s;
-    return acc;
-  };
-  auto L = [&] {
-    double acc = 0.0;
-    for (const auto& m : disk) acc += items[m.index].l;
-    return acc;
+  auto add = [&](std::vector<std::uint32_t>& list, std::uint32_t j) {
+    list.push_back(j);
+    S += items[j].s;
+    L += items[j].l;
+    if (S > 1.0 + kEps) fail("size total exceeded 1 on an open disk");
+    if (L > 1.0 + kEps) fail("load total exceeded 1 on an open disk");
   };
 
   auto close_disk = [&] {
-    for (const auto& m : disk) out.disk_of[m.index] = out.disk_count;
+    for (const auto idx : s_list) out.disk_of[idx] = out.disk_count;
+    for (const auto idx : l_list) out.disk_of[idx] = out.disk_count;
     ++out.disk_count;
-    disk.clear();
+    S = L = 0.0;
+    s_list.clear();
+    l_list.clear();
   };
 
-  // Linear search from the back for the most recently added member of the
-  // given origin; remove and return its index.
-  auto evict_last_of = [&](bool from_s) {
-    for (std::size_t i = disk.size(); i-- > 0;) {
-      if (disk[i].from_s == from_s) {
-        const auto idx = disk[i].index;
-        disk.erase(disk.begin() + static_cast<std::ptrdiff_t>(i));
-        return idx;
-      }
+  // Overflow in the dominating dimension: evict the last member drawn from
+  // that side's pool back to it (Lemma 1 on the size side, 2 on the load
+  // side), insert j, and close the now complete disk (Lemma 3/4).
+  auto evict_and_close = [&](bool size_side, std::uint32_t j) {
+    auto& evict_from = size_side ? s_list : l_list;
+    const std::string lemma = size_side ? "Lemma 1" : "Lemma 2";
+    if (evict_from.empty()) fail(lemma + " violated: list empty on overflow");
+    const auto k = evict_from.back();
+    const double key = size_side ? items[k].s_key() : items[k].l_key();
+    if (key < (size_side ? S - L : L - S) - kEps) {
+      fail(lemma + " violated: evicted key below the disk's imbalance");
     }
-    assert(false && "eviction target must exist (Lemmas 1/2)");
-    return disk.back().index;
+    ++report_.lemma12_checks;
+    evict_from.pop_back();
+    S -= items[k].s;
+    L -= items[k].l;
+    (size_side ? pool_s : pool_l).add(key, k);
+    add(size_side ? l_list : s_list, j);
+    ++report_.evictions;
+    if (S < threshold - kEps || L < threshold - kEps) {
+      fail("Lemma 3/4 violated: post-eviction disk not complete (S=" +
+           std::to_string(S) + " L=" + std::to_string(L) + ")");
+    }
+    ++report_.lemma34_checks;
+    ++report_.disks_closed_complete;
+    close_disk();
   };
 
-  auto complete = [&] { return S() >= threshold && L() >= threshold; };
-
-  while ((S() >= L() && !pool_l.empty()) || (S() < L() && !pool_s.empty())) {
-    if (S() >= L()) {
+  while ((S >= L && !pool_l.empty()) || (S < L && !pool_s.empty())) {
+    ++report_.steps;
+    if (S >= L) {
       const auto j = pool_l.pop_max();
-      if (S() + items[j].s > 1.0) {
-        const auto k = evict_last_of(/*from_s=*/true);
-        pool_s.add(items[k].s_key(), k);
-        disk.push_back(Member{j, false});
-        close_disk();
+      if (S + items[j].s > 1.0) {
+        evict_and_close(/*size_side=*/true, j);
         continue;
       }
-      disk.push_back(Member{j, false});
+      add(l_list, j);
     } else {
       const auto j = pool_s.pop_max();
-      if (L() + items[j].l > 1.0) {
-        const auto k = evict_last_of(/*from_s=*/false);
-        pool_l.add(items[k].l_key(), k);
-        disk.push_back(Member{j, true});
-        close_disk();
+      if (L + items[j].l > 1.0) {
+        evict_and_close(/*size_side=*/false, j);
         continue;
       }
-      disk.push_back(Member{j, true});
+      add(s_list, j);
     }
-    if (complete()) close_disk();
+    if (S >= threshold && L >= threshold) {
+      ++report_.disks_closed_complete;
+      close_disk();
+    }
   }
 
+  // Lemma 5: at most one of the heaps is non-empty after the main loop.
+  if (!pool_s.empty() && !pool_l.empty()) {
+    fail("Lemma 5 violated: both heaps non-empty after the main loop");
+  }
+
+  // Pack_Remaining (size side, then load side — at most one runs).
   while (!pool_s.empty()) {
     const auto j = pool_s.pop_max();
-    if (S() + items[j].s > 1.0) close_disk();
-    disk.push_back(Member{j, true});
+    if (S + items[j].s > 1.0) close_disk();
+    add(s_list, j);
+    ++report_.remaining_packed;
   }
   while (!pool_l.empty()) {
     const auto j = pool_l.pop_max();
-    if (L() + items[j].l > 1.0) close_disk();
-    disk.push_back(Member{j, false});
+    if (L + items[j].l > 1.0) close_disk();
+    add(l_list, j);
+    ++report_.remaining_packed;
   }
-  if (!disk.empty()) close_disk();
+  if (!s_list.empty() || !l_list.empty()) close_disk();
+
+  // Lemma 6 / Theorem 1 case analysis: at most one disk (the last of each
+  // phase) may miss the completeness threshold in both dimensions.
+  for (const auto& d : disk_totals(out, items)) {
+    if (std::max(d.s, d.l) < threshold - kEps) ++report_.incomplete_disks;
+  }
+  if (report_.incomplete_disks > 1) {
+    fail("Lemma 6 violated: " + std::to_string(report_.incomplete_disks) +
+         " disks below the completeness threshold in both dimensions");
+  }
+  if (!is_feasible(out, items)) fail("final assignment infeasible");
   return out;
 }
 

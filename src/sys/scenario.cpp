@@ -1,7 +1,6 @@
 #include "sys/scenario.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -90,28 +89,6 @@ std::string params_memo_key(const disk::DiskParams& p) {
          util::format_roundtrip(p.avg_seek_s) + "|" +
          util::format_roundtrip(p.avg_rotation_s) + "|" +
          util::format_roundtrip(p.transfer_bps);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 } // namespace
@@ -763,7 +740,7 @@ std::string to_json(const FleetPerf& perf) {
 }
 
 std::string to_json(const ScenarioSpec& spec, const RunResult& r) {
-  std::string out = "{\"scenario\": \"" + json_escape(spec.spec()) + "\", ";
+  std::string out = "{\"scenario\": " + util::json_quote(spec.spec()) + ", ";
   const std::string body = to_json(r);
   out += body.substr(1); // splice the metric fields into the same object
   return out;

@@ -33,6 +33,28 @@ std::string format_roundtrip(double v) {
   return std::string{buf.data()};
 }
 
+std::string json_quote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          std::array<char, 8> buf{};
+          std::snprintf(buf.data(), buf.size(), "\\u%04x", c);
+          out += buf.data();
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out + "\"";
+}
+
 std::optional<double> parse_finite_double(const std::string& s) {
   if (s.empty()) return std::nullopt;
   char* end = nullptr;

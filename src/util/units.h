@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace spindown::util {
 
@@ -65,6 +66,10 @@ std::string format_double(double v, int max_decimals = 3);
 /// "0.3333333333333333").  For the PolicySpec/WorkloadSpec key round-trip:
 /// parse(spec()) must reproduce the value bit for bit.
 std::string format_roundtrip(double v);
+
+/// `s` as a JSON string literal, surrounding quotes included: quotes and
+/// backslashes escaped, control characters as \n, \t or \u00XX.
+std::string json_quote(std::string_view s);
 
 /// Strict numeric parse: the whole string must be one finite double;
 /// nullopt on trailing garbage, empty input, "nan"/"inf", or overflow.

@@ -1,7 +1,11 @@
 // instance_helpers.h — shared random-instance generators for core tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/item.h"
@@ -35,6 +39,40 @@ inline std::vector<Item> skewed_instance(std::size_t n, double max_coord,
     items[i].l = max_coord * std::pow(1.0 - u, 2.0) * rng.uniform01() + 1e-6;
   }
   return items;
+}
+
+/// One generated instance: n items with coordinates up to max_coord, from
+/// skewed_instance or random_instance.
+struct InstanceCase {
+  std::size_t n;
+  double max_coord;
+  std::uint64_t seed;
+  bool skewed;
+
+  std::vector<Item> items() const {
+    return skewed ? skewed_instance(n, max_coord, seed)
+                  : random_instance(n, max_coord, seed);
+  }
+
+  /// E.g. "n100_max0p3_seed4"; "_skewed" appended for the skewed generator.
+  std::string name() const {
+    char coord[32];
+    std::snprintf(coord, sizeof coord, "%g", max_coord);
+    std::string out = "n" + std::to_string(n) + "_max" + coord + "_seed" +
+                      std::to_string(seed) + (skewed ? "_skewed" : "");
+    for (char& ch : out) {
+      if (ch == '.') ch = 'p';
+    }
+    return out;
+  }
+};
+
+/// gtest name generator for InstanceCase parameters.  The default printer
+/// would dump the struct's raw bytes, uninitialized padding included, so
+/// names would differ between builds.
+inline std::string case_name(
+    const ::testing::TestParamInfo<InstanceCase>& info) {
+  return info.param.name();
 }
 
 } // namespace spindown::core::testing

@@ -10,8 +10,8 @@
 namespace spindown::core {
 namespace {
 
+using testing::InstanceCase;
 using testing::random_instance;
-using testing::skewed_instance;
 
 TEST(PackDisks, EmptyInstance) {
   PackDisks pd;
@@ -101,19 +101,10 @@ TEST(PackDisks, ClosedDisksAreNearlyFull) {
 
 // ---- Theorem 1 property sweep -----------------------------------------
 
-struct SweepCase {
-  std::size_t n;
-  double max_coord;
-  std::uint64_t seed;
-  bool skewed;
-};
-
-class Theorem1Sweep : public ::testing::TestWithParam<SweepCase> {};
+class Theorem1Sweep : public ::testing::TestWithParam<InstanceCase> {};
 
 TEST_P(Theorem1Sweep, FeasibleAndWithinGuarantee) {
-  const auto& c = GetParam();
-  const auto items = c.skewed ? skewed_instance(c.n, c.max_coord, c.seed)
-                              : random_instance(c.n, c.max_coord, c.seed);
+  const auto items = GetParam().items();
   PackDisks pd;
   const auto a = pd.allocate(items);
 
@@ -131,16 +122,17 @@ TEST_P(Theorem1Sweep, FeasibleAndWithinGuarantee) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomInstances, Theorem1Sweep,
-    ::testing::Values(SweepCase{10, 0.5, 1, false},
-                      SweepCase{100, 0.3, 2, false},
-                      SweepCase{100, 0.05, 3, false},
-                      SweepCase{1000, 0.1, 4, false},
-                      SweepCase{1000, 0.02, 5, false},
-                      SweepCase{5000, 0.01, 6, false},
-                      SweepCase{137, 0.9, 7, false},
-                      SweepCase{1000, 0.1, 8, true},
-                      SweepCase{2000, 0.05, 9, true},
-                      SweepCase{500, 0.5, 10, true}));
+    ::testing::Values(InstanceCase{10, 0.5, 1, false},
+                      InstanceCase{100, 0.3, 2, false},
+                      InstanceCase{100, 0.05, 3, false},
+                      InstanceCase{1000, 0.1, 4, false},
+                      InstanceCase{1000, 0.02, 5, false},
+                      InstanceCase{5000, 0.01, 6, false},
+                      InstanceCase{137, 0.9, 7, false},
+                      InstanceCase{1000, 0.1, 8, true},
+                      InstanceCase{2000, 0.05, 9, true},
+                      InstanceCase{500, 0.5, 10, true}),
+    testing::case_name);
 
 // Packing efficiency: on easy instances (small rho) the algorithm should be
 // close to the lower bound, not just within the loose guarantee.
