@@ -1,11 +1,7 @@
 // instance_helpers.h — shared random-instance generators for core tests.
 #pragma once
 
-#include <gtest/gtest.h>
-
 #include <cmath>
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "core/item.h"
@@ -42,37 +38,22 @@ inline std::vector<Item> skewed_instance(std::size_t n, double max_coord,
 }
 
 /// One generated instance: n items with coordinates up to max_coord, from
-/// skewed_instance or random_instance.
+/// skewed_instance or random_instance.  gtest names each case by printing
+/// its raw bytes, so the tail after `skewed` is an explicit, zeroed member:
+/// compiler padding there would be uninitialized and change the names
+/// from one build to the next.
 struct InstanceCase {
   std::size_t n;
   double max_coord;
   std::uint64_t seed;
   bool skewed;
+  char zero_tail[7]{};
 
   std::vector<Item> items() const {
     return skewed ? skewed_instance(n, max_coord, seed)
                   : random_instance(n, max_coord, seed);
   }
-
-  /// E.g. "n100_max0p3_seed4"; "_skewed" appended for the skewed generator.
-  std::string name() const {
-    char coord[32];
-    std::snprintf(coord, sizeof coord, "%g", max_coord);
-    std::string out = "n" + std::to_string(n) + "_max" + coord + "_seed" +
-                      std::to_string(seed) + (skewed ? "_skewed" : "");
-    for (char& ch : out) {
-      if (ch == '.') ch = 'p';
-    }
-    return out;
-  }
 };
-
-/// gtest name generator for InstanceCase parameters.  The default printer
-/// would dump the struct's raw bytes, uninitialized padding included, so
-/// names would differ between builds.
-inline std::string case_name(
-    const ::testing::TestParamInfo<InstanceCase>& info) {
-  return info.param.name();
-}
+static_assert(sizeof(InstanceCase) == 32, "InstanceCase has no padding");
 
 } // namespace spindown::core::testing

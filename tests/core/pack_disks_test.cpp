@@ -131,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
                       InstanceCase{137, 0.9, 7, false},
                       InstanceCase{1000, 0.1, 8, true},
                       InstanceCase{2000, 0.05, 9, true},
-                      InstanceCase{500, 0.5, 10, true}),
-    testing::case_name);
+                      InstanceCase{500, 0.5, 10, true}));
 
 // Packing efficiency: on easy instances (small rho) the algorithm should be
 // close to the lower bound, not just within the loose guarantee.
