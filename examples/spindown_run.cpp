@@ -39,6 +39,7 @@ void print_usage(const std::string& program) {
       << "      placement=pack|grouped:k|random|maid:c|sea:h|seg:k|ffd\n"
       << "      replicas=<k>    copies per file; needs orch=redirect\n"
       << "      load=<(0,1]>    disks=<farm floor; 0 = allocator decides>\n"
+      << "      device=st3500630as|laptop_2_5in  (the disk model)\n"
       << "      policy=break-even|never|randomized|fixed:T|ewma[:a]\n"
       << "              |share[:n]|slack[:slo]\n"
       << "      sched=fcfs|sstf|scan|clook|batch[N[xG]]  (N >= 2;"

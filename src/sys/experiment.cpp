@@ -23,6 +23,15 @@ std::vector<std::string> parse_call(const std::string& name,
 
 using detail::split;
 
+const workload::Trace& replayed(const workload::Trace* trace) {
+  if (trace == nullptr) {
+    throw std::invalid_argument{
+        "WorkloadSpec: 'replay' must be resolved against a scenario "
+        "catalog that carries a trace (sys::resolve_scenario)"};
+  }
+  return *trace;
+}
+
 } // namespace
 
 std::uint32_t ObsSpec::kind_mask() const {
@@ -238,33 +247,16 @@ std::unique_ptr<workload::RequestStream> WorkloadSpec::make_stream(
       return std::make_unique<workload::ArrivalZipfStream>(
           catalog, std::make_unique<workload::MmppArrivals>(mmpp_params),
           horizon_s, util::Rng{seed});
-    case Kind::kTrace:
-      if (trace == nullptr) {
-        throw std::invalid_argument{"WorkloadSpec: trace is required"};
-      }
-      return std::make_unique<workload::TraceStream>(*trace);
     case Kind::kReplay:
-      throw std::invalid_argument{
-          "WorkloadSpec: 'replay' must be resolved against a scenario "
-          "catalog that carries a trace (sys::resolve_scenario)"};
+      return std::make_unique<workload::TraceStream>(replayed(trace));
   }
   throw std::logic_error{"WorkloadSpec: unknown kind"};
 }
 
 double WorkloadSpec::measurement_horizon() const {
-  if (kind == Kind::kReplay) {
-    throw std::invalid_argument{
-        "WorkloadSpec: 'replay' must be resolved against a scenario "
-        "catalog that carries a trace (sys::resolve_scenario)"};
-  }
-  if (kind == Kind::kTrace) {
-    if (trace == nullptr) {
-      throw std::invalid_argument{"WorkloadSpec: trace is required"};
-    }
-    // +1 s so the request landing exactly at the trace end is inside the
-    // measurement window.
-    return trace->duration() + 1.0;
-  }
+  // +1 s so the request landing exactly at the trace end is inside the
+  // measurement window.
+  if (kind == Kind::kReplay) return replayed(trace).duration() + 1.0;
   return horizon_s;
 }
 
@@ -294,15 +286,10 @@ double WorkloadSpec::mean_rate() const {
               mmpp_params.rate[1] * mmpp_params.mean_dwell[1]) /
              dwell;
     }
-    case Kind::kTrace:
-      if (trace == nullptr) {
-        throw std::invalid_argument{"WorkloadSpec: trace is required"};
-      }
-      return static_cast<double>(trace->size()) /
-             std::max(1.0, trace->duration());
-    case Kind::kReplay:
-      throw std::invalid_argument{
-          "WorkloadSpec: 'replay' has no rate until scenario resolution"};
+    case Kind::kReplay: {
+      const auto& t = replayed(trace);
+      return static_cast<double>(t.size()) / std::max(1.0, t.duration());
+    }
   }
   throw std::logic_error{"WorkloadSpec: unknown kind"};
 }
@@ -336,7 +323,6 @@ std::string WorkloadSpec::spec() const {
              util::format_roundtrip(mmpp_params.mean_dwell[0]) + "," +
              util::format_roundtrip(mmpp_params.mean_dwell[1]) + "," +
              util::format_roundtrip(horizon_s) + ")";
-    case Kind::kTrace: return "trace";
     case Kind::kReplay: return "replay";
   }
   throw std::logic_error{"WorkloadSpec: unknown kind"};

@@ -25,13 +25,13 @@ namespace spindown::sys {
 struct FleetPerf;
 
 /// What drives the arrivals.  Synthetic kinds pair an ArrivalProcess
-/// (workload/arrival.h) with Zipf file choice over [0, horizon); kTrace
+/// (workload/arrival.h) with Zipf file choice over [0, horizon); kReplay
 /// replays a trace verbatim.  The non-stationary kinds (kNhpp diurnal
 /// cycles, kMmpp bursts) exist to stress the adaptive spin-down policies:
 /// under them the best threshold moves hour to hour, which a static sweep
 /// cannot follow.
 struct WorkloadSpec {
-  enum class Kind { kPoisson, kTrace, kNhpp, kMmpp, kReplay };
+  enum class Kind { kPoisson, kNhpp, kMmpp, kReplay };
   Kind kind = Kind::kPoisson;
   // Poisson (Table 1): rate R over [0, horizon).
   double rate = 6.0;
@@ -41,8 +41,9 @@ struct WorkloadSpec {
   double period_s = 0.0;
   // kMmpp: 2-state burst model.
   workload::MmppParams mmpp_params;
-  // Trace replay (§5.1): not owned.  A scenario names it as
-  // workload=replay over a nersc or trace catalog.
+  // kReplay (§5.1): the replayed trace, not owned.  A scenario names it as
+  // workload=replay over a nersc or trace catalog, and scenario resolution
+  // fills it in from that catalog.
   const workload::Trace* trace = nullptr;
 
   static WorkloadSpec poisson(double rate, double horizon_s) {
@@ -52,15 +53,16 @@ struct WorkloadSpec {
     w.horizon_s = horizon_s;
     return w;
   }
+  /// Replay `trace` (a hand-built ExperimentConfig's workload).
   static WorkloadSpec replay(const workload::Trace& trace) {
-    WorkloadSpec w;
-    w.kind = Kind::kTrace;
+    WorkloadSpec w = replay_catalog();
     w.trace = &trace;
     return w;
   }
   /// Replay whatever trace the enclosing ScenarioSpec's catalog carries
   /// (nersc or trace catalogs).  Only runnable after scenario resolution;
-  /// make_stream()/measurement_horizon() throw on an unresolved replay.
+  /// make_stream()/measurement_horizon()/mean_rate() throw while `trace`
+  /// is unset.
   static WorkloadSpec replay_catalog() {
     WorkloadSpec w;
     w.kind = Kind::kReplay;
@@ -98,21 +100,19 @@ struct WorkloadSpec {
   /// model needs when a placement is derived from the workload: the Poisson
   /// rate, the time-average of NHPP segments over the horizon (one period
   /// when periodic), the MMPP stationary mean, or requests/duration for a
-  /// trace.  Throws on an unresolved kReplay.
+  /// replay.  Throws on a replay whose trace is unset.
   double mean_rate() const;
 
-  /// Parse a CLI/report key; accepts everything spec() emits except the
-  /// bare "trace" (an injected trace object cannot be named by a string —
-  /// save it and replay it as catalog=trace:<stem> workload=replay).
-  /// Throws std::invalid_argument on anything else, including a negative
-  /// nhpp period.
+  /// Parse a CLI/report key; accepts everything spec() emits.  Throws
+  /// std::invalid_argument on anything else, including a negative nhpp
+  /// period.
   static WorkloadSpec parse(const std::string& name);
   /// Canonical parseable key — "poisson(6,4000)",
   /// "nhpp(0:8;1200:0.05,8000,2000)" (segments start:rate, horizon,
   /// optional period), "mmpp(8,0.5,120,480,8000)" (rate0, rate1, dwell0,
   /// dwell1, horizon) or "replay" (the scenario catalog's trace) — such
-  /// that parse(spec()) round-trips.  Only a replay() of an in-memory trace
-  /// renders as the unparseable "trace".
+  /// that parse(spec()) round-trips.  A replay's trace pointer is not part
+  /// of the string.
   std::string spec() const;
 };
 

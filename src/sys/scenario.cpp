@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/greedy.h"
 #include "core/maid.h"
@@ -61,34 +62,28 @@ util::Bytes parse_size(const std::string& s, const std::string& context) {
   return *v;
 }
 
-/// Memo key for a catalog: the canonical spec string plus every
-/// resolution-relevant field the grammar does *not* carry (programmatic
-/// NerscSpec overrides), so two specs that would synthesize different
-/// traces never share a cache entry.
-std::string catalog_memo_key(const CatalogSpec& c) {
-  std::string key = c.spec();
-  if (c.kind == CatalogSpec::Kind::kNersc) {
-    const auto& n = c.nersc;
-    key += "|" + std::to_string(n.mean_size) + "|" +
-           std::to_string(n.min_size) + "|" + std::to_string(n.max_size) +
-           "|" + util::format_roundtrip(n.popularity_exponent) + "|" +
-           util::format_roundtrip(n.batch_spacing_s) + "|" +
-           (n.diurnal ? "d1" : "d0") + "|" +
-           util::format_roundtrip(n.day_fraction) + "|" +
-           util::format_roundtrip(n.night_intensity);
+/// The `device=` presets.
+constexpr std::pair<const char*, disk::DiskParams (*)()> kDevices[] = {
+    {"st3500630as", &disk::DiskParams::st3500630as},
+    {"laptop_2_5in", &disk::DiskParams::laptop_2_5in}};
+
+disk::DiskParams parse_device(const std::string& value) {
+  for (const auto& [name, make] : kDevices) {
+    if (value == name) return make();
   }
-  return key;
+  throw std::invalid_argument{"ScenarioSpec: unknown device '" + value +
+                              "' (want st3500630as|laptop_2_5in)"};
 }
 
-/// The DiskParams fields that shape a placement: capacity (size
-/// normalization, MAID fill) and the service-time model (load
-/// normalization).  Part of every mapping memo key, since params is a
-/// programmatic (non-grammar) field.
-std::string params_memo_key(const disk::DiskParams& p) {
-  return std::to_string(p.capacity) + "|" +
-         util::format_roundtrip(p.avg_seek_s) + "|" +
-         util::format_roundtrip(p.avg_rotation_s) + "|" +
-         util::format_roundtrip(p.transfer_bps);
+/// The `device=` name of `params`; throws, naming the field, when it is
+/// not a preset.
+std::string device_name(const disk::DiskParams& params) {
+  for (const auto& [name, make] : kDevices) {
+    if (make() == params) return name;
+  }
+  throw std::invalid_argument{
+      "ScenarioSpec: params ('" + params.model +
+      "') is not a device preset (want st3500630as|laptop_2_5in)"};
 }
 
 } // namespace
@@ -319,6 +314,8 @@ void apply_key(ScenarioSpec& s, const std::string& key,
           "ScenarioSpec: disks must be in [0, 1000000], got '" + value + "'"};
     }
     s.disks = static_cast<std::uint32_t>(n);
+  } else if (key == "device") {
+    s.params = parse_device(value);
   } else if (key == "policy") {
     s.policy = PolicySpec::parse(value);
   } else if (key == "sched") {
@@ -355,8 +352,8 @@ void apply_key(ScenarioSpec& s, const std::string& key,
   } else {
     throw std::invalid_argument{
         "ScenarioSpec: unknown key '" + key +
-        "' (want label|catalog|placement|replicas|load|disks|policy|sched|"
-        "cache|workload|seed|shards|obs|orch)"};
+        "' (want label|catalog|placement|replicas|load|disks|device|policy|"
+        "sched|cache|workload|seed|shards|obs|orch)"};
   }
 }
 
@@ -397,6 +394,11 @@ std::string ScenarioSpec::spec() const {
   }
   out += " load=" + util::format_roundtrip(load_fraction);
   out += " disks=" + std::to_string(disks);
+  // Like replicas: the paper's device is the default, so the key appears
+  // only off-default and pre-device canonical strings are unchanged.
+  if (params != disk::DiskParams::st3500630as()) {
+    out += " device=" + device_name(params);
+  }
   out += " policy=" + policy.spec();
   out += " sched=" + scheduler.spec();
   out += " cache=" + cache.spec();
@@ -429,7 +431,7 @@ ScenarioSpec ScenarioSpec::with(const std::string& key,
 
 const ScenarioCache::CatalogEntry& ScenarioCache::catalog_for(
     const ScenarioSpec& spec) {
-  const std::string key = catalog_memo_key(spec.catalog);
+  const std::string key = spec.catalog.spec();
   if (const auto it = catalogs_.find(key); it != catalogs_.end()) {
     return it->second;
   }
@@ -463,8 +465,8 @@ const ScenarioCache::CatalogEntry& ScenarioCache::catalog_for(
 const ScenarioCache::MappingEntry& ScenarioCache::mapping_for(
     const ScenarioSpec& spec, const CatalogEntry& cat, double rate) {
   const auto& placement = spec.placement;
-  std::string key = catalog_memo_key(spec.catalog) + "|" + placement.spec() +
-                    "|" + params_memo_key(spec.params);
+  std::string key = spec.catalog.spec() + "|" + placement.spec() + "|" +
+                    device_name(spec.params);
 
   core::LoadModel model;
   model.rate = rate;
@@ -583,10 +585,20 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
         "redirection reads the copies), got replicas=" +
         std::to_string(spec.placement.replicas) + " orch=" + spec.orch.spec()};
   }
-  if (spec.workload.kind == WorkloadSpec::Kind::kTrace) {
+  // Every input must be one the canonical string names, so that the memo
+  // keys below can be canonical strings.
+  device_name(spec.params);
+  if (spec.catalog.kind == CatalogSpec::Kind::kNersc &&
+      CatalogSpec::parse(spec.catalog.spec()).nersc != spec.catalog.nersc) {
     throw std::invalid_argument{
-        "ScenarioSpec: an injected in-memory trace cannot be resolved; use "
-        "workload=replay with a nersc/trace catalog"};
+        "ScenarioSpec: catalog.nersc sets a NerscSpec field that '" +
+        spec.catalog.spec() + "' cannot name"};
+  }
+  if (spec.workload.trace != nullptr) {
+    throw std::invalid_argument{
+        "ScenarioSpec: workload.trace is an injected in-memory trace, which "
+        "no string names; save it and use catalog=trace:<stem> "
+        "workload=replay"};
   }
 
   ResolvedScenario out;
@@ -594,19 +606,17 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   out.catalog = cat.catalog;
   out.trace = cat.trace;
 
-  const bool replays = spec.workload.kind == WorkloadSpec::Kind::kReplay;
-  if (replays && cat.trace == nullptr) {
-    throw std::invalid_argument{
-        "ScenarioSpec: workload '" + spec.workload.spec() +
-        "' needs a catalog that carries a trace (nersc(...) or "
-        "trace:<stem>)"};
+  WorkloadSpec workload = spec.workload;
+  if (workload.kind == WorkloadSpec::Kind::kReplay) {
+    if (cat.trace == nullptr) {
+      throw std::invalid_argument{
+          "ScenarioSpec: workload 'replay' needs a catalog that carries a "
+          "trace (nersc(...) or trace:<stem>)"};
+    }
+    workload.trace = cat.trace.get();
   }
-  const double rate = std::max(
-      1e-6, replays ? static_cast<double>(cat.trace->size()) /
-                          std::max(1.0, cat.trace->duration())
-                    : spec.workload.mean_rate());
-
-  const auto& mapping = mapping_for(spec, cat, rate);
+  const auto& mapping =
+      mapping_for(spec, cat, std::max(1e-6, workload.mean_rate()));
 
   ExperimentConfig cfg;
   cfg.catalog = out.catalog.get();
@@ -621,7 +631,7 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   cfg.scheduler = spec.scheduler;
   cfg.policy_overrides = mapping.policy_overrides;
   cfg.cache = spec.cache;
-  cfg.workload = replays ? WorkloadSpec::replay(*cat.trace) : spec.workload;
+  cfg.workload = std::move(workload);
   cfg.seed = spec.seed;
   cfg.shards = spec.shards;
   cfg.obs = spec.obs;

@@ -43,10 +43,9 @@ struct CatalogSpec {
   // of the canonical name only there.
   workload::SyntheticSpec synth = workload::SyntheticSpec::paper_table1();
   std::uint64_t seed = 1;
-  // kNersc: the synthesizer's spec.  Only the fields the grammar names
-  // (n_files, n_requests, seed, duration_s, batch_fraction, batch_min,
-  // batch_max) round-trip; leave the rest at their defaults when the
-  // scenario must be nameable by a string.
+  // kNersc: the synthesizer's spec.  The grammar names n_files,
+  // n_requests, seed, duration_s, batch_fraction, batch_min and batch_max;
+  // resolution rejects a spec that sets any other field.
   workload::NerscSpec nersc;
   // kTrace: CSV stem for Trace::load (no whitespace; the scenario grammar
   // is whitespace-separated).
@@ -160,9 +159,10 @@ struct ScenarioSpec {
   /// convention); MAID requires an explicit farm (cache + data disks).
   /// parse() rejects values above 1 000 000.
   std::uint32_t disks = 0;
-  /// Disk model.  Not part of the string grammar (every experiment in the
-  /// paper uses the ST3500630AS); programmatic overrides are invisible to
-  /// spec()/operator==.
+  /// `device=st3500630as|laptop_2_5in`: the disk model, one of the
+  /// DiskParams presets.  Every experiment in the paper uses the
+  /// ST3500630AS, so spec() omits the key at that default.  spec() and
+  /// resolution throw on any other value, which no string can name.
   disk::DiskParams params = disk::DiskParams::st3500630as();
   PolicySpec policy = PolicySpec::break_even();
   SchedulerSpec scheduler = SchedulerSpec::fcfs();
@@ -193,9 +193,9 @@ struct ScenarioSpec {
   OrchSpec orch;
 
   /// Parse a whitespace-separated `key=value` list.  Keys: label, catalog,
-  /// placement, replicas, load, disks, policy, sched, cache, workload,
-  /// seed, shards, obs, orch; missing keys keep their defaults, unknown
-  /// keys throw std::invalid_argument, later duplicates win.
+  /// placement, replicas, load, disks, device, policy, sched, cache,
+  /// workload, seed, shards, obs, orch; missing keys keep their defaults,
+  /// unknown keys throw std::invalid_argument, later duplicates win.
   static ScenarioSpec parse(const std::string& text);
   /// Canonical fully-explicit key=value string such that
   /// parse(spec()) == *this.
@@ -205,8 +205,9 @@ struct ScenarioSpec {
   ScenarioSpec with(const std::string& key, const std::string& value) const;
 
   /// Canonical-name equality: two scenarios are equal iff their canonical
-  /// strings are (fields outside the grammar — params, an injected raw
-  /// trace — do not participate).
+  /// strings are.  Inputs the string cannot name (a NerscSpec field outside
+  /// nersc(...), a workload's trace pointer) do not participate;
+  /// ScenarioCache::resolve rejects them.
   friend bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) {
     return a.spec() == b.spec();
   }
@@ -234,7 +235,12 @@ public:
   /// Throws std::invalid_argument on a spec that parses but cannot run:
   /// replicas > 1 without orch=redirect or redirect at replicas=1 (the
   /// copies would change nothing), a replay workload over a catalog
-  /// without a trace, a MAID farm no larger than its cache.
+  /// without a trace, a MAID farm no larger than its cache.  Also throws,
+  /// naming the field, on an input the canonical string cannot name:
+  /// `params` that is not a device preset, a `catalog.nersc` field outside
+  /// nersc(...), or a `workload.trace` set by hand.  So a resolved
+  /// scenario is exactly its string, and the memo keys are canonical
+  /// strings.
   ResolvedScenario resolve(const ScenarioSpec& spec);
 
 private:

@@ -49,18 +49,17 @@ inline double parse_number(const std::string& s, const std::string& context,
   return *v;
 }
 
-/// Strict decimal std::uint64_t parse.  Rejects signs, garbage, and
-/// overflow (at most 19 digits always fits), so std::out_of_range can
-/// never escape a spec parser.
+/// Strict decimal std::uint64_t parse (util::parse_unsigned): signs,
+/// garbage and overflow throw std::invalid_argument.
 inline std::uint64_t parse_unsigned(const std::string& s,
                                     const std::string& context,
                                     const std::string& who) {
-  if (s.empty() || s.size() > 19 ||
-      s.find_first_not_of("0123456789") != std::string::npos) {
+  const auto v = util::parse_unsigned(s);
+  if (!v.has_value()) {
     throw std::invalid_argument{who + ": bad count '" + s + "' in " +
                                 context};
   }
-  return std::stoull(s);
+  return *v;
 }
 
 } // namespace spindown::sys::detail

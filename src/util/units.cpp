@@ -1,7 +1,9 @@
 #include "util/units.h"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -26,11 +28,23 @@ std::string format_roundtrip(double v) {
     std::snprintf(buf.data(), buf.size(), "%.0f", v);
     return std::string{buf.data()};
   }
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
-    if (std::strtod(buf.data(), nullptr) == v) break;
+  // The shortest "%.*g" rendering that parses back to v.  No precision
+  // below the digit count of the shortest round-trip form can, so the
+  // search starts there; to_chars with a precision prints what %.*g does.
+  char* const first = buf.data();
+  char* const last = first + buf.size();
+  char* end = std::to_chars(first, last, v, std::chars_format::scientific).ptr;
+  int precision = static_cast<int>(
+      std::count_if(first, std::find(first, end, 'e'),
+                    [](char c) { return c >= '0' && c <= '9'; }));
+  for (;; ++precision) {
+    end = std::to_chars(first, last, v, std::chars_format::general, precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(first, end, back);
+    if (back == v || precision >= 17) break;
   }
-  return std::string{buf.data()};
+  return std::string{first, end};
 }
 
 std::string json_quote(std::string_view s) {
@@ -61,6 +75,17 @@ std::optional<double> parse_finite_double(const std::string& s) {
   const double v = std::strtod(s.c_str(), &end);
   if (end != s.c_str() + s.size()) return std::nullopt;
   if (!std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> parse_unsigned(const std::string& s) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    return std::nullopt;
+  }
+  std::uint64_t v = 0;
+  if (std::from_chars(s.data(), s.data() + s.size(), v).ec != std::errc{}) {
+    return std::nullopt; // overflow
+  }
   return v;
 }
 

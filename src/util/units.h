@@ -77,6 +77,11 @@ std::string json_quote(std::string_view s);
 /// would corrupt the event calendar / hang the arrival loop downstream).
 std::optional<double> parse_finite_double(const std::string& s);
 
+/// Strict decimal parse of a std::uint64_t: digits only (no sign, space or
+/// trailing garbage); nullopt on empty input or overflow.  The backend of
+/// every count in a spec key or a trace CSV.
+std::optional<std::uint64_t> parse_unsigned(const std::string& s);
+
 /// Byte count with an optional SI suffix — "16g", "0.5gb", "4096", "100m",
 /// "64kb", "970b" (suffix case-insensitive; 1 k = 1e3 as everywhere in this
 /// tree).  nullopt on garbage, negatives, or non-finite values.  The backend

@@ -68,6 +68,8 @@ struct NerscSpec {
   std::uint64_t seed = 20090531; ///< default: the log's start date
 
   static NerscSpec paper();
+
+  friend bool operator==(const NerscSpec&, const NerscSpec&) = default;
 };
 
 /// Build the synthetic trace.  Deterministic given the spec (seed included).

@@ -1,11 +1,16 @@
 #include "workload/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/csv.h"
+#include "util/units.h"
 
 namespace spindown::workload {
 
@@ -33,12 +38,14 @@ double Trace::duration() const {
 }
 
 void Trace::save(const std::filesystem::path& stem) const {
+  // Doubles are written with util::format_roundtrip, so load() gives back
+  // the same bits.
   {
     util::CsvWriter cat{std::filesystem::path{stem.string() + ".catalog.csv"}};
     cat.write_row({"id", "size_bytes", "popularity"});
     for (const auto& f : catalog_.files()) {
       cat.row(std::to_string(f.id), std::to_string(f.size),
-              std::to_string(f.popularity));
+              util::format_roundtrip(f.popularity));
     }
   }
   {
@@ -51,59 +58,109 @@ void Trace::save(const std::filesystem::path& stem) const {
     if (with_lba) {
       tr.write_row({"time_s", "file_id", "lba"});
       for (const auto& r : records_) {
-        tr.row(std::to_string(r.time), std::to_string(r.file),
+        tr.row(util::format_roundtrip(r.time), std::to_string(r.file),
                r.lba == kNoLba ? std::string{} : std::to_string(r.lba));
       }
     } else {
       tr.write_row({"time_s", "file_id"});
       for (const auto& r : records_) {
-        tr.row(std::to_string(r.time), std::to_string(r.file));
+        tr.row(util::format_roundtrip(r.time), std::to_string(r.file));
       }
     }
   }
 }
 
-Trace Trace::load(const std::filesystem::path& stem) {
-  std::vector<FileInfo> files;
-  {
-    util::CsvReader cat{std::filesystem::path{stem.string() + ".catalog.csv"}};
-    auto header = cat.next();
-    if (!header) throw std::runtime_error{"Trace::load: empty catalog csv"};
-    while (auto row = cat.next()) {
-      if (row->size() < 3) {
-        throw std::runtime_error{"Trace::load: bad catalog row"};
-      }
-      FileInfo f;
-      f.id = static_cast<FileId>(std::stoul((*row)[0]));
-      f.size = std::stoull((*row)[1]);
-      f.popularity = std::stod((*row)[2]);
-      files.push_back(f);
+namespace {
+
+/// The data rows of one trace CSV, after its header.  Every field parses
+/// strictly; a bad one throws std::runtime_error naming the file, the data
+/// row and the column.
+class DataRows {
+public:
+  DataRows(std::string path, std::array<const char*, 3> columns,
+           std::size_t required)
+      : path_(std::move(path)), columns_(columns), required_(required),
+        reader_(std::filesystem::path{path_}) {
+    if (!reader_.next()) {
+      throw std::runtime_error{"Trace::load: no header in " + path_};
     }
   }
-  std::vector<TraceRecord> records;
-  {
-    util::CsvReader tr{std::filesystem::path{stem.string() + ".trace.csv"}};
-    auto header = tr.next();
-    if (!header) throw std::runtime_error{"Trace::load: empty trace csv"};
-    for (std::size_t n = 1; auto row = tr.next(); ++n) {
-      if (row->size() < 2) {
-        throw std::runtime_error{"Trace::load: bad trace row"};
-      }
-      TraceRecord rec;
-      rec.time = std::stod((*row)[0]);
-      // A NaN or infinite arrival never lets the simulated clock pass it,
-      // and a negative one precedes the run: reject both by data row.
-      if (!std::isfinite(rec.time) || rec.time < 0.0) {
-        throw std::runtime_error{"Trace::load: bad time_s '" + (*row)[0] +
-                                 "' in trace row " + std::to_string(n)};
-      }
-      rec.file = static_cast<FileId>(std::stoul((*row)[1]));
-      // Optional third column: explicit lba (may be empty per-row).
-      if (row->size() >= 3 && !(*row)[2].empty()) {
-        rec.lba = std::stoull((*row)[2]);
-      }
-      records.push_back(rec);
+
+  /// Advance to the next data row; false at the end of the file.
+  bool next() {
+    auto row = reader_.next();
+    if (!row) return false;
+    ++number_;
+    row_ = std::move(*row);
+    if (row_.size() < required_) {
+      throw std::runtime_error{
+          "Trace::load: data row " + std::to_string(number_) + " of " +
+          path_ + " has " + std::to_string(row_.size()) + " fields, want " +
+          std::to_string(required_)};
     }
+    return true;
+  }
+
+  bool has(std::size_t column) const {
+    return column < row_.size() && !row_[column].empty();
+  }
+
+  std::uint64_t count(std::size_t column,
+                      std::uint64_t max = ~std::uint64_t{0}) const {
+    const auto v = util::parse_unsigned(row_[column]);
+    if (!v.has_value() || *v > max) fail(column);
+    return *v;
+  }
+
+  /// A time or a popularity: finite and not negative.  A NaN or infinite
+  /// arrival never lets the simulated clock pass it, and a negative one
+  /// precedes the run.
+  double non_negative(std::size_t column) const {
+    const auto v = util::parse_finite_double(row_[column]);
+    if (!v.has_value() || *v < 0.0) fail(column);
+    return *v;
+  }
+
+private:
+  [[noreturn]] void fail(std::size_t column) const {
+    throw std::runtime_error{std::string{"Trace::load: bad "} +
+                             columns_[column] + " '" + row_[column] +
+                             "' in data row " + std::to_string(number_) +
+                             " of " + path_};
+  }
+
+  std::string path_;
+  std::array<const char*, 3> columns_;
+  std::size_t required_;
+  util::CsvReader reader_;
+  std::vector<std::string> row_;
+  std::size_t number_ = 0;
+};
+
+constexpr std::uint64_t kMaxFileId = std::numeric_limits<FileId>::max();
+
+} // namespace
+
+Trace Trace::load(const std::filesystem::path& stem) {
+  std::vector<FileInfo> files;
+  DataRows cat{stem.string() + ".catalog.csv",
+               {"id", "size_bytes", "popularity"}, 3};
+  while (cat.next()) {
+    FileInfo f;
+    f.id = static_cast<FileId>(cat.count(0, kMaxFileId));
+    f.size = cat.count(1);
+    f.popularity = cat.non_negative(2);
+    files.push_back(f);
+  }
+  std::vector<TraceRecord> records;
+  DataRows tr{stem.string() + ".trace.csv", {"time_s", "file_id", "lba"}, 2};
+  while (tr.next()) {
+    TraceRecord rec;
+    rec.time = tr.non_negative(0);
+    rec.file = static_cast<FileId>(tr.count(1, kMaxFileId));
+    // Optional third column: explicit lba (may be empty per-row).
+    if (tr.has(2)) rec.lba = tr.count(2);
+    records.push_back(rec);
   }
   return Trace{FileCatalog{std::move(files)}, std::move(records)};
 }

@@ -45,8 +45,15 @@ public:
   double duration() const;
 
   /// Persist as two CSVs: <stem>.catalog.csv (id,size,popularity) and
-  /// <stem>.trace.csv (time,file).  Throws on I/O failure.
+  /// <stem>.trace.csv (time,file[,lba]).  load() reads back the same bits.
+  /// Throws on I/O failure.
   void save(const std::filesystem::path& stem) const;
+  /// Read what save() writes.  Every field parses strictly: a row with too
+  /// few fields, or a field with trailing characters, a negative or
+  /// non-finite time or popularity, or an id of 2^32 or more, throws
+  /// std::runtime_error naming the file, the data row and the column.
+  /// Catalog ids that are not dense 0..n-1, or records of unknown files,
+  /// throw std::invalid_argument.
   static Trace load(const std::filesystem::path& stem);
 
   /// load() behind a shared_ptr — the ownership shape value-semantic specs

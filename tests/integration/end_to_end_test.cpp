@@ -106,10 +106,11 @@ TEST(EndToEnd, NerscTraceRoundTripPreservesSimulation) {
   const auto original = run(trace);
   const auto replayed = run(loaded);
   EXPECT_EQ(original.requests, replayed.requests);
-  // Timestamps survive the CSV round trip with ~1e-6 precision; allow a
-  // small relative energy slack.
-  EXPECT_NEAR(original.power.energy, replayed.power.energy,
-              original.power.energy * 1e-6);
+  // Times and popularities survive the CSV round trip bit for bit, so the
+  // packing and the replay are the same.
+  EXPECT_EQ(original.power.energy, replayed.power.energy);
+  EXPECT_EQ(original.response.mean(), replayed.response.mean());
+  EXPECT_EQ(original.power.spin_ups, replayed.power.spin_ups);
 }
 
 } // namespace

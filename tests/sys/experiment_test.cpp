@@ -131,7 +131,7 @@ TEST(RunExperiment, TraceWorkloadNeedsTrace) {
   cfg.catalog = &cat;
   cfg.mapping.assign(8, 0);
   cfg.num_disks = 1;
-  cfg.workload.kind = WorkloadSpec::Kind::kTrace;
+  cfg.workload = WorkloadSpec::replay_catalog(); // no trace filled in
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
@@ -251,6 +251,7 @@ TEST(WorkloadSpec, ReplayParsesButNeedsResolution) {
   EXPECT_THROW(w.measurement_horizon(), std::invalid_argument);
   const auto cat = small_catalog();
   EXPECT_THROW(w.make_stream(cat, 1), std::invalid_argument);
+  EXPECT_THROW(w.mean_rate(), std::invalid_argument);
 }
 
 TEST(WorkloadSpec, MeanRateSummarizesEveryKind) {

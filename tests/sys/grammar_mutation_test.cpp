@@ -2,14 +2,14 @@
 // the result, or it is not a spelling of its own.
 //
 // From one small base scenario, each one-token mutation runs next to the
-// scenario it mutates: each placement, policy, scheduler, cache, catalog and
-// workload kind, each orch= mechanism and knob, and replicas=.  A mutation
-// whose canonical spec() differs from its starting point must also differ
-// in physical digest — a token that renames a scenario without changing its
-// result is a dead or duplicate spelling, to be deleted or canonicalized.
-// A mutation that keeps the canonical name (an accepted older spelling, a
-// default written out) must keep the digest.  label=, obs= and shards= are
-// the inverse check: they never change the result.
+// scenario it mutates: each placement, device, policy, scheduler, cache,
+// catalog and workload kind, each orch= mechanism and knob, and replicas=.
+// A mutation whose canonical spec() differs from its starting point must
+// also differ in physical digest — a token that renames a scenario without
+// changing its result is a dead or duplicate spelling, to be deleted or
+// canonicalized.  A mutation that keeps the canonical name (an accepted
+// older spelling, a default written out) must keep the digest.  label=,
+// obs= and shards= are the inverse check: they never change the result.
 //
 // tools/lint/determinism_lint.py (rule spec-coverage) requires every key
 // the scenario parser accepts, and every kind name a spec parse() accepts,
@@ -85,6 +85,8 @@ std::vector<Mutation> mutations(const std::string& trace_stem) {
       {kMaid, "placement=maid"},
       {"", "disks=40"},
       {"", "load=0.5"},
+      {"", "device=st3500630as"}, // the default device written out
+      {"", "device=laptop_2_5in"},
       {"", kRedirect},
       {kRedirect, "replicas=3"},
       // spin-down policy

@@ -278,7 +278,7 @@ TEST(ScenarioResolve, NerscCatalogCarriesReplayableTrace) {
   const auto resolved = resolve_scenario(s);
   ASSERT_NE(resolved.trace, nullptr);
   EXPECT_EQ(resolved.trace->size(), 700u);
-  EXPECT_EQ(resolved.config.workload.kind, WorkloadSpec::Kind::kTrace);
+  EXPECT_EQ(resolved.config.workload.kind, WorkloadSpec::Kind::kReplay);
   EXPECT_EQ(resolved.config.workload.trace, resolved.trace.get());
   EXPECT_EQ(resolved.config.catalog, &resolved.trace->catalog());
 }
@@ -347,35 +347,65 @@ TEST(ScenarioCacheTest, MemoizesCatalogAndMappingAcrossASweep) {
   EXPECT_LE(d.config.num_disks, a.config.num_disks);
 }
 
-TEST(ScenarioCacheTest, ProgrammaticParamsOverridesDoNotShareMappings) {
-  // `params` is outside the string grammar but inside the memo key: halving
-  // the disk capacity must not reuse the full-capacity packing.
+TEST(ScenarioCacheTest, DeviceKeySelectsParamsAndItsOwnMapping) {
+  // The device is part of the scenario's name and of the mapping memo key:
+  // the slower laptop drive must not reuse the desktop drive's packing.
   ScenarioCache cache;
-  const auto base = small_packed_scenario();
-  auto half = base;
-  half.params.capacity /= 2;
-  const auto full_cap = cache.resolve(base);
-  const auto half_cap = cache.resolve(half);
-  EXPECT_GT(half_cap.config.num_disks, full_cap.config.num_disks);
-  EXPECT_NE(half_cap.config.mapping, full_cap.config.mapping);
+  // A rate the laptop drive can serve: its hottest file must fit one disk.
+  const auto base = small_packed_scenario().with("workload", "poisson(1,400)");
+  const auto laptop = base.with("device", "laptop_2_5in");
+  EXPECT_NE(laptop, base);
+  EXPECT_NE(laptop.spec().find(" device=laptop_2_5in "), std::string::npos);
+  EXPECT_EQ(ScenarioSpec::parse(laptop.spec()), laptop);
+  // The paper's drive is the default, so naming it changes nothing.
+  EXPECT_EQ(base.with("device", "st3500630as").spec(), base.spec());
+  EXPECT_THROW(base.with("device", "floppy"), std::invalid_argument);
+
+  const auto desktop_run = cache.resolve(base);
+  const auto laptop_run = cache.resolve(laptop);
+  EXPECT_EQ(desktop_run.config.params, disk::DiskParams::st3500630as());
+  EXPECT_EQ(laptop_run.config.params, disk::DiskParams::laptop_2_5in());
+  EXPECT_EQ(laptop_run.catalog.get(), desktop_run.catalog.get());
+  EXPECT_GT(laptop_run.config.num_disks, desktop_run.config.num_disks);
+  EXPECT_NE(laptop_run.config.mapping, desktop_run.config.mapping);
 }
 
-TEST(ScenarioCacheTest, NonGrammarNerscFieldsDoNotShareCatalogs) {
-  // Programmatic NerscSpec overrides the grammar cannot name (e.g. the
-  // diurnal flag) must produce distinct traces, not a stale cache hit.
+TEST(ScenarioResolve, InputsOutsideTheGrammarAreRejectedNamingTheField) {
+  // A resolved scenario is exactly its string: an input spec() cannot
+  // print is refused, not silently dropped from the name.
+  const auto expect_rejected = [](const ScenarioSpec& s,
+                                  const std::string& field) {
+    SCOPED_TRACE(field);
+    try {
+      (void)resolve_scenario(s);
+      ADD_FAILURE() << "resolved";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  auto half = small_packed_scenario();
+  half.params.capacity /= 2;
+  expect_rejected(half, "params");
+  EXPECT_THROW((void)half.spec(), std::invalid_argument);
+
   workload::NerscSpec n;
   n.n_files = 300;
   n.n_requests = 500;
   n.duration_s = 2.0 * util::kDay;
-  ScenarioSpec s;
-  s.catalog = CatalogSpec::nersc_synth(n);
-  s.workload = WorkloadSpec::replay_catalog();
-  auto flat = s;
+  ScenarioSpec flat;
+  flat.catalog = CatalogSpec::nersc_synth(n);
+  flat.workload = WorkloadSpec::replay_catalog();
   flat.catalog.nersc.diurnal = false;
-  ScenarioCache cache;
-  const auto a = cache.resolve(s);
-  const auto b = cache.resolve(flat);
-  EXPECT_NE(a.trace.get(), b.trace.get());
+  expect_rejected(flat, "catalog.nersc");
+
+  std::vector<workload::FileInfo> files(2);
+  files[0] = {0, util::mb(10.0), 0.5};
+  files[1] = {1, util::mb(10.0), 0.5};
+  const workload::Trace trace{workload::FileCatalog{files}, {{1.0, 0}}};
+  auto injected = small_packed_scenario();
+  injected.workload = WorkloadSpec::replay(trace);
+  expect_rejected(injected, "workload.trace");
 }
 
 TEST(ScenarioRun, SweepMatchesIndividualRuns) {

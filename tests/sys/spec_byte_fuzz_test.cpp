@@ -14,7 +14,9 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "support/byte_mutation.h"
 #include "sys/scenario.h"
 #include "util/rng.h"
 
@@ -35,33 +37,8 @@ constexpr const char* kSeeds[] = {
     "shards=4 obs=all",
 };
 
-/// Bytes the grammar gives meaning to; drawing these half the time reaches
-/// deeper into the component parsers than uniform bytes alone.
-constexpr char kGrammarBytes[] = "=:,;()+-.e0123456789 gkmx";
-
-char random_byte(util::Rng& rng) {
-  if (rng.uniform_int(0, 1) == 0) {
-    return static_cast<char>(rng.uniform_int(0, 255));
-  }
-  return kGrammarBytes[rng.uniform_int(0, sizeof kGrammarBytes - 2)];
-}
-
-std::string mutate(std::string s, util::Rng& rng) {
-  const auto edits = rng.uniform_int(1, 3);
-  for (std::uint64_t e = 0; e < edits; ++e) {
-    const auto op = rng.uniform_int(0, 2);
-    if (s.empty() || op == 1) {
-      s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                               rng.uniform_int(0, s.size())),
-               random_byte(rng));
-    } else if (op == 0) {
-      s[rng.uniform_int(0, s.size() - 1)] = random_byte(rng);
-    } else {
-      s.erase(rng.uniform_int(0, s.size() - 1), 1);
-    }
-  }
-  return s;
-}
+/// Bytes the grammar gives meaning to.
+constexpr std::string_view kGrammarBytes = "=:,;()+-.e0123456789 gkmx";
 
 TEST(SpecByteFuzz, OnlyInvalidArgumentEscapesAndParsedInputsRoundTrip) {
   for (const char* seed : kSeeds) {
@@ -72,8 +49,8 @@ TEST(SpecByteFuzz, OnlyInvalidArgumentEscapesAndParsedInputsRoundTrip) {
   std::size_t parsed = 0;
   constexpr int kIterations = 20'000;
   for (int i = 0; i < kIterations; ++i) {
-    const std::string input = mutate(
-        kSeeds[rng.uniform_int(0, std::size(kSeeds) - 1)], rng);
+    const std::string input = test_support::mutate_bytes(
+        kSeeds[rng.uniform_int(0, std::size(kSeeds) - 1)], kGrammarBytes, rng);
     std::string rendered;
     try {
       rendered = ScenarioSpec::parse(input).spec();

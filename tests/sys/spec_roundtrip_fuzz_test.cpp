@@ -170,6 +170,7 @@ public:
     s.placement = placement();
     s.load_fraction = real(0.01, 1.0);
     s.disks = static_cast<std::uint32_t>(integer(0, 500));
+    if (coin()) s.params = disk::DiskParams::laptop_2_5in();
     s.policy = policy();
     s.scheduler = scheduler();
     s.cache = cache();
@@ -316,6 +317,7 @@ TEST(SpecRoundTripFuzz, ComposedScenarioIdentity) {
     const auto parsed = ScenarioSpec::parse(s.spec());
     EXPECT_EQ(parsed, s);               // canonical-name equality
     EXPECT_EQ(parsed.spec(), s.spec()); // and the string is a fixed point
+    EXPECT_EQ(parsed.params, s.params); // the device= key
   }
 }
 

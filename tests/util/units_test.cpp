@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <string>
+
 namespace spindown::util {
 namespace {
 
@@ -49,6 +57,49 @@ TEST(Units, FormatRoundtripIsShortAndExact) {
     const auto back = parse_finite_double(s);
     ASSERT_TRUE(back.has_value()) << s;
     EXPECT_EQ(*back, v) << s;
+  }
+}
+
+TEST(Units, FormatRoundtripIsTheShortestPrintfRendering) {
+  // The definition, as a naive search: the first %.*g precision whose
+  // output parses back to v (integers below 1e15 print as %.0f).
+  const auto reference = [](double v) {
+    std::array<char, 40> buf{};
+    if (v == std::floor(v) && std::abs(v) < 1e15) {
+      std::snprintf(buf.data(), buf.size(), "%.0f", v);
+      return std::string{buf.data()};
+    }
+    for (int precision = 1; precision <= 17; ++precision) {
+      std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
+      if (std::strtod(buf.data(), nullptr) == v) break;
+    }
+    return std::string{buf.data()};
+  };
+  std::mt19937_64 rng{2009};
+  for (int i = 0; i < 5'000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    // Any bit pattern, a uniform draw, and powers of two (whose rounding
+    // interval is lopsided) with their lower neighbours.
+    const double pow2 =
+        std::ldexp(1.0, static_cast<int>(rng() % 2000) - 1000);
+    for (const double x :
+         {v, std::uniform_real_distribution<double>{0.0, 1e6}(rng), pow2,
+          std::nextafter(pow2, 0.0)}) {
+      if (!std::isfinite(x)) continue;
+      ASSERT_EQ(format_roundtrip(x), reference(x)) << bits;
+    }
+  }
+}
+
+TEST(Units, ParseUnsignedIsStrict) {
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("4294967296"), 4'294'967'296u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "-5", "+5", " 5", "5 ", "1x9", "0x10", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_unsigned(bad).has_value()) << bad;
   }
 }
 

@@ -85,8 +85,11 @@ TEST(Trace, EmptyTraceBasics) {
 
 class TraceIo : public ::testing::Test {
 protected:
+  // One stem per test: ctest runs the cases as parallel processes.
   std::filesystem::path stem_ =
-      std::filesystem::temp_directory_path() / "spindown_trace_test";
+      std::filesystem::temp_directory_path() /
+      (std::string{"spindown_trace_test_"} +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   void TearDown() override {
     std::filesystem::remove(stem_.string() + ".catalog.csv");
     std::filesystem::remove(stem_.string() + ".trace.csv");
@@ -98,7 +101,29 @@ protected:
     std::ofstream out{stem_.string() + ".trace.csv"};
     out << "time_s,file_id\n1.0,0\n" << time_s << ",1\n3.0,2\n";
   }
+  /// Write both CSVs verbatim (each after its header).
+  void write(const std::string& catalog_rows, const std::string& trace_rows) {
+    std::ofstream{stem_.string() + ".catalog.csv"}
+        << "id,size_bytes,popularity\n" << catalog_rows;
+    std::ofstream{stem_.string() + ".trace.csv"}
+        << "time_s,file_id\n" << trace_rows;
+  }
+  /// load() must throw std::runtime_error whose message holds every
+  /// fragment (the file, the data row, the column and the bad field).
+  void expect_load_error(const std::vector<std::string>& fragments) {
+    try {
+      (void)Trace::load(stem_);
+      ADD_FAILURE() << "loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      for (const auto& f : fragments) {
+        EXPECT_NE(what.find(f), std::string::npos) << f << " not in " << what;
+      }
+    }
+  }
 };
+
+constexpr const char* kCatalogRows = "0,10,0.5\n1,20,0.3\n2,30,0.2\n";
 
 TEST_F(TraceIo, SaveLoadRoundTrip) {
   const Trace original{small_catalog(), {{1.0, 0}, {2.5, 2}, {7.25, 1}}};
@@ -159,6 +184,68 @@ TEST_F(TraceIo, RejectsNonFiniteAndNegativeTimesNamingTheRow) {
   // Zero is the earliest legal arrival.
   small_trace_with_second_time("0");
   EXPECT_EQ(Trace::load(stem_).size(), 3u);
+}
+
+TEST_F(TraceIo, SaveLoadRoundTripIsBitExact) {
+  // Doubles with no short decimal form: a fixed six-decimal rendering
+  // moved most of them (and zeroed small popularities).
+  std::vector<FileInfo> files{{0, 7, 1.0 / 3.0},
+                              {1, 11, 1e-9},
+                              {2, 13, 2.0 / 3.0 - 1e-9}};
+  const Trace original{FileCatalog{files},
+                       {{0.1, 0}, {1.0 / 7.0 + 1e4, 2}, {86399.123456789, 1}}};
+  original.save(stem_);
+  const Trace loaded = Trace::load(stem_);
+  ASSERT_EQ(loaded.size(), original.size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    EXPECT_EQ(loaded.records()[i].time, original.records()[i].time);
+    EXPECT_EQ(loaded.records()[i].file, original.records()[i].file);
+  }
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(loaded.catalog()[i].popularity, files[i].popularity);
+  }
+}
+
+TEST_F(TraceIo, RejectsTrailingCharactersNamingTheColumn) {
+  // "0.5abc,1x9" used to replay as t = 0.5, file 1.
+  write(kCatalogRows, "0.5abc,1x9\n");
+  expect_load_error({"time_s '0.5abc'", "data row 1", ".trace.csv"});
+  write(kCatalogRows, "0.5,1x9\n");
+  expect_load_error({"file_id '1x9'", "data row 1", ".trace.csv"});
+}
+
+TEST_F(TraceIo, RejectsFileIdsOfTwoToThe32) {
+  // 4294967296 used to wrap to file 0.
+  write(kCatalogRows, "1.0,0\n2.0,4294967296\n");
+  expect_load_error({"file_id '4294967296'", "data row 2", ".trace.csv"});
+  write("4294967296,10,1\n", "");
+  expect_load_error({"id '4294967296'", "data row 1", ".catalog.csv"});
+}
+
+TEST_F(TraceIo, RejectsNegativeSizes) {
+  // -5 used to become 2^64 - 5 and fail later, in the packer.
+  write("0,10,0.5\n1,-5,0.5\n", "1.0,0\n");
+  expect_load_error({"size_bytes '-5'", "data row 2", ".catalog.csv"});
+}
+
+TEST_F(TraceIo, RejectsNonNumericFieldsNamingFileRowAndColumn) {
+  // These used to fail with the bare message "stod" or "stoul".
+  write("0,10,0.5\n1,20,0.3\n2,30,high\n", "1.0,0\n");
+  expect_load_error({"popularity 'high'", "data row 3", ".catalog.csv"});
+  write(kCatalogRows, "1.0,0\nsoon,1\n");
+  expect_load_error({"time_s 'soon'", "data row 2", ".trace.csv"});
+  write(kCatalogRows, "1.0,0,disk\n");
+  expect_load_error({"lba 'disk'", "data row 1", ".trace.csv"});
+  write(kCatalogRows, "1.0\n");
+  expect_load_error({"data row 1", ".trace.csv", "1 fields, want 2"});
+}
+
+TEST_F(TraceIo, RejectsNegativeOrNonFinitePopularity) {
+  for (const std::string bad : {"-0.1", "nan", "inf"}) {
+    SCOPED_TRACE(bad);
+    write("0,10,0.5\n1,20," + bad + "\n", "1.0,0\n");
+    expect_load_error({"popularity '" + bad + "'", "data row 2"});
+  }
 }
 
 TEST(TraceAnalyze, BasicStatistics) {
