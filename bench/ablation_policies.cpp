@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   // policies, which serve the same requests) plus every idle second at
   // standby draw, both taken from the never-spin-down run.
   const auto& never_run = results[0];
-  const auto& params = base.params;
+  const disk::DiskParams params = base.params;
   double busy_energy = 0.0;
   double idle_time_total = 0.0;
   for (const auto& m : never_run.per_disk) {
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   util::TablePrinter dtable{{"device", "break-even", "transition E",
                              "saving", "mean resp (s)", "spin-downs"}};
   for (std::size_t i = 0; i < devices.size(); ++i) {
-    const auto& device = specs[device_at + i].params;
+    const disk::DiskParams device = specs[device_at + i].params;
     const auto& r = results[device_at + i];
     dtable.row(device.model,
                util::format_seconds(device.break_even_threshold()),

@@ -90,8 +90,6 @@ struct DiskParams {
   /// lets the benches quantify how the trade-off shifts with the hardware
   /// (much cheaper transitions, much lower idle draw).
   static DiskParams laptop_2_5in();
-
-  friend bool operator==(const DiskParams&, const DiskParams&) = default;
 };
 
 } // namespace spindown::disk

@@ -62,30 +62,6 @@ util::Bytes parse_size(const std::string& s, const std::string& context) {
   return *v;
 }
 
-/// The `device=` presets.
-constexpr std::pair<const char*, disk::DiskParams (*)()> kDevices[] = {
-    {"st3500630as", &disk::DiskParams::st3500630as},
-    {"laptop_2_5in", &disk::DiskParams::laptop_2_5in}};
-
-disk::DiskParams parse_device(const std::string& value) {
-  for (const auto& [name, make] : kDevices) {
-    if (value == name) return make();
-  }
-  throw std::invalid_argument{"ScenarioSpec: unknown device '" + value +
-                              "' (want st3500630as|laptop_2_5in)"};
-}
-
-/// The `device=` name of `params`; throws, naming the field, when it is
-/// not a preset.
-std::string device_name(const disk::DiskParams& params) {
-  for (const auto& [name, make] : kDevices) {
-    if (make() == params) return name;
-  }
-  throw std::invalid_argument{
-      "ScenarioSpec: params ('" + params.model +
-      "') is not a device preset (want st3500630as|laptop_2_5in)"};
-}
-
 } // namespace
 
 // ---------------------------------------------------------------- catalog
@@ -288,6 +264,24 @@ PlacementSpec PlacementSpec::parse(const std::string& name) {
       "' (want pack|grouped:k|random|maid:c|sea:h|seg:k|ffd)"};
 }
 
+// ----------------------------------------------------------------- device
+
+DeviceSpec DeviceSpec::parse(const std::string& name) {
+  if (name == "st3500630as") return {Kind::kSt3500630as};
+  if (name == "laptop_2_5in") return {Kind::kLaptop25in};
+  throw std::invalid_argument{"ScenarioSpec: unknown device '" + name +
+                              "' (want st3500630as|laptop_2_5in)"};
+}
+
+std::string DeviceSpec::spec() const {
+  return kind == Kind::kLaptop25in ? "laptop_2_5in" : "st3500630as";
+}
+
+DeviceSpec::operator disk::DiskParams() const {
+  return kind == Kind::kLaptop25in ? disk::DiskParams::laptop_2_5in()
+                                   : disk::DiskParams::st3500630as();
+}
+
 // --------------------------------------------------------------- scenario
 
 namespace {
@@ -315,7 +309,7 @@ void apply_key(ScenarioSpec& s, const std::string& key,
     }
     s.disks = static_cast<std::uint32_t>(n);
   } else if (key == "device") {
-    s.params = parse_device(value);
+    s.params = DeviceSpec::parse(value);
   } else if (key == "policy") {
     s.policy = PolicySpec::parse(value);
   } else if (key == "sched") {
@@ -396,9 +390,7 @@ std::string ScenarioSpec::spec() const {
   out += " disks=" + std::to_string(disks);
   // Like replicas: the paper's device is the default, so the key appears
   // only off-default and pre-device canonical strings are unchanged.
-  if (params != disk::DiskParams::st3500630as()) {
-    out += " device=" + device_name(params);
-  }
+  if (params != DeviceSpec{}) out += " device=" + params.spec();
   out += " policy=" + policy.spec();
   out += " sched=" + scheduler.spec();
   out += " cache=" + cache.spec();
@@ -466,7 +458,7 @@ const ScenarioCache::MappingEntry& ScenarioCache::mapping_for(
     const ScenarioSpec& spec, const CatalogEntry& cat, double rate) {
   const auto& placement = spec.placement;
   std::string key = spec.catalog.spec() + "|" + placement.spec() + "|" +
-                    device_name(spec.params);
+                    spec.params.spec();
 
   core::LoadModel model;
   model.rate = rate;
@@ -563,7 +555,7 @@ const ScenarioCache::MappingEntry& ScenarioCache::mapping_for(
       }
       const auto maid = core::build_maid(*cat.catalog, placement.cache_disks,
                                          spec.disks - placement.cache_disks,
-                                         spec.params.capacity);
+                                         model.disk.capacity);
       entry.mapping = std::make_shared<const std::vector<std::uint32_t>>(
           maid.mapping);
       entry.alloc_disks = maid.total_disks;
@@ -587,7 +579,6 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
   }
   // Every input must be one the canonical string names, so that the memo
   // keys below can be canonical strings.
-  device_name(spec.params);
   if (spec.catalog.kind == CatalogSpec::Kind::kNersc &&
       CatalogSpec::parse(spec.catalog.spec()).nersc != spec.catalog.nersc) {
     throw std::invalid_argument{

@@ -144,6 +144,22 @@ struct PlacementSpec {
   std::string spec() const;
 };
 
+/// The disk model (`device=` key): one of the DiskParams presets, so every
+/// value has a name.  Every experiment in the paper uses the ST3500630AS.
+struct DeviceSpec {
+  enum class Kind { kSt3500630as, kLaptop25in };
+  Kind kind = Kind::kSt3500630as;
+
+  /// "st3500630as" or "laptop_2_5in"; throws std::invalid_argument on
+  /// anything else.  parse(spec()) round-trips.
+  static DeviceSpec parse(const std::string& name);
+  std::string spec() const;
+  /// The preset.  Implicit, so a scenario's `params` reads as a DiskParams.
+  operator disk::DiskParams() const;
+
+  friend bool operator==(DeviceSpec, DeviceSpec) = default;
+};
+
 /// The complete experiment as a value.  Everything run_experiment needs is
 /// derivable from this spec alone; see the file comment for the grammar.
 struct ScenarioSpec {
@@ -159,11 +175,9 @@ struct ScenarioSpec {
   /// convention); MAID requires an explicit farm (cache + data disks).
   /// parse() rejects values above 1 000 000.
   std::uint32_t disks = 0;
-  /// `device=st3500630as|laptop_2_5in`: the disk model, one of the
-  /// DiskParams presets.  Every experiment in the paper uses the
-  /// ST3500630AS, so spec() omits the key at that default.  spec() and
-  /// resolution throw on any other value, which no string can name.
-  disk::DiskParams params = disk::DiskParams::st3500630as();
+  /// `device=st3500630as|laptop_2_5in`: the disk model.  spec() omits the
+  /// key at the paper's ST3500630AS.
+  DeviceSpec params;
   PolicySpec policy = PolicySpec::break_even();
   SchedulerSpec scheduler = SchedulerSpec::fcfs();
   CacheSpec cache = CacheSpec::none();
@@ -236,11 +250,10 @@ public:
   /// replicas > 1 without orch=redirect or redirect at replicas=1 (the
   /// copies would change nothing), a replay workload over a catalog
   /// without a trace, a MAID farm no larger than its cache.  Also throws,
-  /// naming the field, on an input the canonical string cannot name:
-  /// `params` that is not a device preset, a `catalog.nersc` field outside
-  /// nersc(...), or a `workload.trace` set by hand.  So a resolved
-  /// scenario is exactly its string, and the memo keys are canonical
-  /// strings.
+  /// naming the field, on an input the canonical string cannot name: a
+  /// `catalog.nersc` field outside nersc(...) or a `workload.trace` set by
+  /// hand.  So a resolved scenario is exactly its string, and the memo
+  /// keys are canonical strings.
   ResolvedScenario resolve(const ScenarioSpec& spec);
 
 private:

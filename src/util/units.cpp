@@ -1,6 +1,5 @@
 #include "util/units.h"
 
-#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
@@ -28,23 +27,11 @@ std::string format_roundtrip(double v) {
     std::snprintf(buf.data(), buf.size(), "%.0f", v);
     return std::string{buf.data()};
   }
-  // The shortest "%.*g" rendering that parses back to v.  No precision
-  // below the digit count of the shortest round-trip form can, so the
-  // search starts there; to_chars with a precision prints what %.*g does.
-  char* const first = buf.data();
-  char* const last = first + buf.size();
-  char* end = std::to_chars(first, last, v, std::chars_format::scientific).ptr;
-  int precision = static_cast<int>(
-      std::count_if(first, std::find(first, end, 'e'),
-                    [](char c) { return c >= '0' && c <= '9'; }));
-  for (;; ++precision) {
-    end = std::to_chars(first, last, v, std::chars_format::general, precision)
-              .ptr;
-    double back = 0.0;
-    std::from_chars(first, end, back);
-    if (back == v || precision >= 17) break;
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
+    if (std::strtod(buf.data(), nullptr) == v) break;
   }
-  return std::string{first, end};
+  return std::string{buf.data()};
 }
 
 std::string json_quote(std::string_view s) {

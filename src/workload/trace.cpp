@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -115,10 +116,18 @@ public:
   /// A time or a popularity: finite and not negative.  A NaN or infinite
   /// arrival never lets the simulated clock pass it, and a negative one
   /// precedes the run.
+  /// Parsed with from_chars over the whole field, which, unlike strtod,
+  /// takes no leading space, '+' or hex form.
   double non_negative(std::size_t column) const {
-    const auto v = util::parse_finite_double(row_[column]);
-    if (!v.has_value() || *v < 0.0) fail(column);
-    return *v;
+    const std::string& s = row_[column];
+    const char* const end = s.data() + s.size();
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(s.data(), end, v, std::chars_format::general);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0.0) {
+      fail(column);
+    }
+    return v;
   }
 
 private:

@@ -49,8 +49,9 @@ public:
   /// Throws on I/O failure.
   void save(const std::filesystem::path& stem) const;
   /// Read what save() writes.  Every field parses strictly: a row with too
-  /// few fields, or a field with trailing characters, a negative or
-  /// non-finite time or popularity, or an id of 2^32 or more, throws
+  /// few fields, or a field with a leading space, '+' or hex form or with
+  /// trailing characters, a negative or non-finite time or popularity, or
+  /// an id of 2^32 or more, throws
   /// std::runtime_error naming the file, the data row and the column.
   /// Catalog ids that are not dense 0..n-1, or records of unknown files,
   /// throw std::invalid_argument.

@@ -170,7 +170,7 @@ public:
     s.placement = placement();
     s.load_fraction = real(0.01, 1.0);
     s.disks = static_cast<std::uint32_t>(integer(0, 500));
-    if (coin()) s.params = disk::DiskParams::laptop_2_5in();
+    if (coin()) s.params.kind = DeviceSpec::Kind::kLaptop25in;
     s.policy = policy();
     s.scheduler = scheduler();
     s.cache = cache();

@@ -2,14 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <random>
-#include <string>
-
 namespace spindown::util {
 namespace {
 
@@ -57,39 +49,6 @@ TEST(Units, FormatRoundtripIsShortAndExact) {
     const auto back = parse_finite_double(s);
     ASSERT_TRUE(back.has_value()) << s;
     EXPECT_EQ(*back, v) << s;
-  }
-}
-
-TEST(Units, FormatRoundtripIsTheShortestPrintfRendering) {
-  // The definition, as a naive search: the first %.*g precision whose
-  // output parses back to v (integers below 1e15 print as %.0f).
-  const auto reference = [](double v) {
-    std::array<char, 40> buf{};
-    if (v == std::floor(v) && std::abs(v) < 1e15) {
-      std::snprintf(buf.data(), buf.size(), "%.0f", v);
-      return std::string{buf.data()};
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-      std::snprintf(buf.data(), buf.size(), "%.*g", precision, v);
-      if (std::strtod(buf.data(), nullptr) == v) break;
-    }
-    return std::string{buf.data()};
-  };
-  std::mt19937_64 rng{2009};
-  for (int i = 0; i < 5'000; ++i) {
-    const std::uint64_t bits = rng();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    // Any bit pattern, a uniform draw, and powers of two (whose rounding
-    // interval is lopsided) with their lower neighbours.
-    const double pow2 =
-        std::ldexp(1.0, static_cast<int>(rng() % 2000) - 1000);
-    for (const double x :
-         {v, std::uniform_real_distribution<double>{0.0, 1e6}(rng), pow2,
-          std::nextafter(pow2, 0.0)}) {
-      if (!std::isfinite(x)) continue;
-      ASSERT_EQ(format_roundtrip(x), reference(x)) << bits;
-    }
   }
 }
 

@@ -36,9 +36,8 @@ constexpr std::string_view kTrace =
 /// Bytes the CSV parser gives meaning to.
 constexpr std::string_view kCsvBytes = "0123456789.,-+e\n\"x ";
 
-
 /// Some file systems flush a file that is truncated and rewritten when it
-/// is closed; removing it first keeps 20 000 rewrites fast.
+/// is closed; removing it first keeps thousands of rewrites fast.
 void remove_csvs(const std::string& stem) {
   std::filesystem::remove(stem + ".catalog.csv");
   std::filesystem::remove(stem + ".trace.csv");

@@ -238,6 +238,15 @@ TEST_F(TraceIo, RejectsNonNumericFieldsNamingFileRowAndColumn) {
   expect_load_error({"lba 'disk'", "data row 1", ".trace.csv"});
   write(kCatalogRows, "1.0\n");
   expect_load_error({"data row 1", ".trace.csv", "1 fields, want 2"});
+  // Times and popularities are held to the counts' rules: no leading space,
+  // '+' or hex form, which strtod would take.
+  for (const std::string bad : {" 1.5", "+1.5", "0x1p3"}) {
+    SCOPED_TRACE(bad);
+    write("0,10,0.5\n1,20," + bad + "\n", "1.0,0\n");
+    expect_load_error({"popularity '" + bad + "'", "data row 2"});
+    write(kCatalogRows, bad + ",0\n");
+    expect_load_error({"time_s '" + bad + "'", "data row 1", ".trace.csv"});
+  }
 }
 
 TEST_F(TraceIo, RejectsNegativeOrNonFinitePopularity) {
