@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "util/rng.h"
 #include "util/units.h"
 #include "workload/catalog.h"
 
@@ -258,6 +260,105 @@ TEST(OrchController, AwakePrimaryWritesThroughWithoutOffload) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].disk, 0u);
   EXPECT_EQ(h.controller->offloads(), 0u);
+}
+
+TEST(OrchController, EverySubmissionCarriesItsWholeFileExtent) {
+  // The fleet router ships each submission's bytes and lets the disk derive
+  // the extent length as util::blocks_of(bytes).  That is only right if
+  // every kind of submission moves exactly one whole file: foreground
+  // reads on the primary or a replica, off-loaded writes and reads of the
+  // log copy, write-through (awake primary, or a full log tier), and
+  // destages triggered by a foreground service or due at their deadline.
+  // 24 files of uneven sizes (never a whole number of blocks) on 6 data
+  // disks + 1 log disk holding about three files; arrivals ~2 s apart keep
+  // most disks asleep (10 s spin-down), so half the requests, the writes,
+  // keep filling and draining the tier.
+  std::vector<workload::FileInfo> files;
+  for (std::uint32_t f = 0; f < 24; ++f) {
+    files.push_back(workload::FileInfo{f, 300'001 + 7'919ULL * f, 1.0 / 24});
+  }
+  const workload::FileCatalog catalog{files};
+  std::vector<std::uint32_t> mapping;
+  for (std::uint32_t f = 0; f < 24; ++f) mapping.push_back(f % 6);
+  const auto extents = workload::layout_extents(catalog, mapping, 7);
+
+  for (const std::uint32_t replicas : {2u, 3u}) {
+    SCOPED_TRACE("replicas " + std::to_string(replicas));
+    Config config;
+    config.redirect = true;
+    config.offload = true;
+    config.data_disks = 6;
+    config.log_disks = 1;
+    config.replicas = replicas;
+    config.destage_deadline_s = 30.0;
+    config.write_fraction = 0.5;
+    config.horizon_s = 1e9;
+    config.disk_capacity = 1'000'000;
+    FleetController controller{config, Harness::service(), mapping, extents,
+                               nullptr};
+    // Mirrors the controller's busy-horizon model submission by submission,
+    // so a write-through can be told apart by its primary's predicted state.
+    DiskModel mirror{7, 6, Harness::service()};
+    std::vector<workload::FileId> file_of;
+    enum Kind {
+      kPrimaryRead, kReplicaRead, kLogWrite, kLogRead, kWriteThroughAwake,
+      kWriteThroughTierFull, kTriggeredDestage, kDeadlineDestage, kKinds
+    };
+    std::vector<std::uint64_t> seen(kKinds, 0);
+    const auto check = [&](const Submission& sub) {
+      const workload::FileId file =
+          file_of[sub.request_id & ~kBackgroundIdBit];
+      EXPECT_EQ(sub.bytes, files[file].size);
+      EXPECT_EQ(util::blocks_of(sub.bytes), extents[file].blocks);
+      EXPECT_EQ(sub.blocks, util::blocks_of(sub.bytes));
+      mirror.on_submit(sub.disk, sub.t, sub.bytes);
+    };
+
+    util::Rng rng{41};
+    double t = 0.0;
+    std::vector<Submission> out;
+    for (std::uint64_t id = 0; id < 4'000; ++id) {
+      t += rng.uniform(0.5, 3.5);
+      const auto file = static_cast<workload::FileId>(rng.uniform_int(0, 23));
+      file_of.push_back(file);
+      out.clear();
+      controller.flush_deadlines(t, out);
+      for (const Submission& sub : out) {
+        EXPECT_TRUE(sub.background);
+        ++seen[kDeadlineDestage];
+        check(sub);
+      }
+      out.clear();
+      controller.route(t, id, files[file], out);
+      ASSERT_FALSE(out.empty());
+      const Submission& fg = out[0];
+      EXPECT_FALSE(fg.background);
+      const bool write = FleetController::classify_write(id, 0.5);
+      if (fg.disk >= config.data_disks) {
+        ++seen[write ? kLogWrite : kLogRead];
+      } else if (write) {
+        ++seen[mirror.awake(fg.disk, t) ? kWriteThroughAwake
+                                        : kWriteThroughTierFull];
+      } else {
+        ++seen[fg.disk == mapping[file] ? kPrimaryRead : kReplicaRead];
+      }
+      for (std::size_t i = 1; i < out.size(); ++i) {
+        EXPECT_TRUE(out[i].background);
+        ++seen[kTriggeredDestage];
+      }
+      for (const Submission& sub : out) check(sub);
+    }
+    out.clear();
+    controller.flush_deadlines(config.horizon_s, out);
+    for (const Submission& sub : out) {
+      ++seen[kDeadlineDestage];
+      check(sub);
+    }
+    for (int k = 0; k < kKinds; ++k) {
+      SCOPED_TRACE("kind " + std::to_string(k));
+      EXPECT_GT(seen[k], 0u);
+    }
+  }
 }
 
 } // namespace

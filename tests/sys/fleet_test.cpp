@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "support/physical_digest.h"
 #include "sys/scenario.h"
+#include "util/rng.h"
 #include "util/units.h"
 #include "workload/trace.h"
 
@@ -390,6 +391,68 @@ TEST(FleetPipeline, CacheHeavyReplayWithAllHitChunks) {
   const workload::Trace trace{cat, std::move(records)};
   expect_pipeline_digest(cat, trace, CacheSpec::lru(util::mb(8.0)),
                          PolicySpec::break_even(), "864a03ffd232ef37");
+}
+
+TEST(FleetPipeline, ExplicitLbasWithOrchestrationAcrossChunkSeams) {
+  // Every record carries its own LBA, and every orchestration mechanism is
+  // live: 7 data disks + 1 log disk, 2-way replicas, 40% writes off-loaded
+  // to the log tier with a 5 s destage deadline, SSTF so each address moves
+  // the service order.  The sparse phases (one arrival per 0.5 s, each disk
+  // idle 3.5 s against a 2 s spin-down) absorb writes; the 3 s burst of
+  // 12 000 arrivals at 300 s fills a 2.35 s window across three chunks.
+  // The burst touches only files 0 and 1 (primaries 0 and 1, replicas 3
+  // and 4), so a debt owed to disk 2, 5 or 6 can only destage by deadline
+  // there, mid-window and between chunk boundaries, while the requests on
+  // the burst's disks trigger destages of their own debts.
+  const auto cat = small_files();
+  util::Rng lba_rng{23};
+  std::vector<workload::TraceRecord> records;
+  const auto add = [&](double t0, std::size_t count, double gap,
+                       std::uint32_t files) {
+    for (std::size_t i = 0; i < count; ++i) {
+      records.push_back({t0 + gap * static_cast<double>(i),
+                         static_cast<workload::FileId>((i * 5) % files),
+                         lba_rng.uniform_int(0, 900'000'000)});
+    }
+  };
+  add(0.0, 600, 0.5, 14);        // 0 .. 299.5 s, each disk every 3.5 s
+  add(300.0, 12'000, 2.5e-4, 2); // 300 .. 303 s
+  add(305.0, 592, 0.5, 16);      // 305 .. 600.5 s
+  const workload::Trace trace{cat, std::move(records)};
+
+  auto cfg = fleet_config(cat, 7);
+  cfg.orch = OrchSpec::parse("redirect+offload:1:5+writes:0.4");
+  cfg.num_disks = 7 + cfg.orch.log_disks;
+  cfg.replicas = 2;
+  cfg.workload = WorkloadSpec::replay(trace);
+  cfg.policy = PolicySpec::fixed(2.0);
+  cfg.scheduler = SchedulerSpec::sstf();
+  for (const std::uint32_t shards : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    cfg.shards = shards;
+    const auto r = run_experiment(cfg);
+    EXPECT_EQ(r.requests, trace.size());
+    EXPECT_EQ(physical_digest(r), "1ce311898cb043f2");
+  }
+
+  // The seams are exercised: writes were off-loaded, and a disk no burst
+  // request touches still received a destage inside the burst.
+  cfg.obs = ObsSpec::parse("policy");
+  cfg.shards = 3;
+  obs::RunTrace traced;
+  (void)run_experiment(cfg, &traced);
+  std::size_t offloads = 0, deadline_destages_in_burst = 0;
+  for (const auto& e : traced.events) {
+    if (e.kind != obs::Kind::kPolicy) continue;
+    offloads += e.code == obs::kPolicyOffload ? 1 : 0;
+    const bool untouched = e.value == 2.0 || e.value == 5.0 || e.value == 6.0;
+    if (e.code == obs::kPolicyDestage && untouched && e.t > 300.0 &&
+        e.t < 303.0) {
+      ++deadline_destages_in_burst;
+    }
+  }
+  EXPECT_GT(offloads, 0u);
+  EXPECT_GT(deadline_destages_in_burst, 0u);
 }
 
 TEST(FleetPipeline, FeederErrorAbortsTheRunAndIsRethrown) {
