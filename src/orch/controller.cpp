@@ -55,8 +55,7 @@ FleetController::FleetController(
         }
         if (dup) continue;
         replica_disk_.push_back(d);
-        replica_extent_.push_back(
-            workload::FileExtent{cursor[d], extents_[f].blocks});
+        replica_lba_.push_back(cursor[d]);
         cursor[d] += extents_[f].blocks;
       }
     }
@@ -92,7 +91,7 @@ inline FleetController::Choice FleetController::pick_read_target(
   if (offload_ != nullptr) {
     if (const auto copy = offload_->log_copy(file.id)) {
       // The freshest bytes live on the log tier until the destage lands.
-      return Choice{copy->log_disk, copy->log_lba, primary.blocks};
+      return Choice{copy->log_disk, copy->log_lba};
     }
   }
   if (!cfg_.redirect || offset_.empty()) return primary;
@@ -102,8 +101,7 @@ inline FleetController::Choice FleetController::pick_read_target(
   bool have_awake = model_.awake(primary.disk, t);
   if (have_awake) awake_best = id_best;
   for (std::uint32_t i = offset_[file.id]; i < offset_[file.id + 1]; ++i) {
-    const Choice c{replica_disk_[i], replica_extent_[i].lba,
-                   replica_extent_[i].blocks};
+    const Choice c{replica_disk_[i], replica_lba_[i]};
     if (c.disk < id_best.disk) id_best = c;
     if ((!have_awake || c.disk < awake_best.disk) && model_.awake(c.disk, t)) {
       awake_best = c;
@@ -118,7 +116,7 @@ inline void FleetController::submit_foreground(double t, std::uint64_t id,
                                                const Choice& c,
                                                std::vector<Submission>& out) {
   model_.on_submit(c.disk, t, bytes);
-  out.push_back(Submission{t, id, bytes, c.lba, c.blocks, c.disk, false});
+  out.push_back(Submission{t, id, bytes, c.lba, c.disk, false});
 }
 
 inline void FleetController::trigger_destage(double t, std::uint64_t id,
@@ -141,8 +139,7 @@ void FleetController::route(double t, std::uint64_t id,
                             std::vector<Submission>& out, std::uint64_t lba) {
   const std::uint32_t primary = mapping_[file.id];
   const auto& extent = extents_[file.id];
-  const Choice home{primary, lba != workload::kNoLba ? lba : extent.lba,
-                    extent.blocks};
+  const Choice home{primary, lba != workload::kNoLba ? lba : extent.lba};
 
   if (offload_ != nullptr && classify_write(id, cfg_.write_fraction)) {
     // Writes target the primary copy only (the replicas are read-time
@@ -158,9 +155,8 @@ void FleetController::route(double t, std::uint64_t id,
                        static_cast<double>(copy->log_disk),
                        static_cast<double>(primary));
         }
-        submit_foreground(
-            t, id, file.size,
-            Choice{copy->log_disk, copy->log_lba, extent.blocks}, out);
+        submit_foreground(t, id, file.size,
+                          Choice{copy->log_disk, copy->log_lba}, out);
         return;
       }
     }
@@ -190,7 +186,7 @@ void FleetController::emit_destage_subs(double t,
   for (const PendingWrite& p : batch) {
     model_.on_submit(p.target, t, p.bytes);
     out.push_back(Submission{t, p.request_id | kBackgroundIdBit, p.bytes,
-                             p.target_lba, p.blocks, p.target, true});
+                             p.target_lba, p.target, true});
     ++destages_;
   }
 }
@@ -208,8 +204,7 @@ void FleetController::flush_deadlines(double t,
     }
     model_.on_submit(p.target, p.deadline, p.bytes);
     out.push_back(Submission{p.deadline, p.request_id | kBackgroundIdBit,
-                             p.bytes, p.target_lba, p.blocks, p.target,
-                             true});
+                             p.bytes, p.target_lba, p.target, true});
     ++destages_;
   }
 }

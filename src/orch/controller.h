@@ -80,13 +80,14 @@ inline constexpr std::uint64_t kBackgroundIdBit = 1ULL << 63;
 
 /// One rewritten submission the router ships to a shard.  `t` values are
 /// non-decreasing across everything one controller emits, which is what
-/// lets the router append them to the per-shard batches directly.
+/// lets the router append them to the per-shard batches directly.  Every
+/// submission moves one whole file starting at `lba`, so its extent length
+/// is util::blocks_of(bytes) — the disk derives it.
 struct Submission {
   double t = 0.0;
   std::uint64_t request_id = 0;
   util::Bytes bytes = 0;
   std::uint64_t lba = 0;
-  std::uint64_t blocks = 0;
   std::uint32_t disk = 0;
   bool background = false; ///< destage: excluded from foreground stats
 };
@@ -161,7 +162,6 @@ private:
   struct Choice {
     std::uint32_t disk = 0;
     std::uint64_t lba = 0;
-    std::uint64_t blocks = 0;
   };
 
   Choice pick_read_target(double t, const workload::FileInfo& file,
@@ -179,10 +179,10 @@ private:
   const std::vector<workload::FileExtent>& extents_;
   obs::TraceBuffer* trace_;
   std::unique_ptr<WriteOffload> offload_;
-  // Replica copies r >= 1, flattened per file: replica_at_[offset_[f] .. ).
+  // Replica copies r >= 1, flattened per file: [offset_[f], offset_[f+1]).
   std::vector<std::uint32_t> offset_;
   std::vector<std::uint32_t> replica_disk_;
-  std::vector<workload::FileExtent> replica_extent_;
+  std::vector<std::uint64_t> replica_lba_;
   std::vector<PendingWrite> drained_; ///< scratch, reused per call
   std::uint64_t redirects_ = 0;
   std::uint64_t offloads_ = 0;

@@ -43,7 +43,6 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
   p.bytes = bytes;
   p.target_lba = target_lba;
   p.log_lba = log_cursor_[*local];
-  p.blocks = blocks;
   log_cursor_[*local] = (log_cursor_[*local] + blocks) % capacity_blocks_;
 
   const auto index = static_cast<std::uint32_t>(pending_.size());

@@ -46,7 +46,6 @@ struct PendingWrite {
   util::Bytes bytes = 0;
   std::uint64_t target_lba = 0;  ///< home extent (destage destination)
   std::uint64_t log_lba = 0;     ///< log-cursor extent (reads until destage)
-  std::uint64_t blocks = 0;
 };
 
 class WriteOffload {

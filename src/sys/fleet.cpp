@@ -4,6 +4,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -38,81 +39,70 @@ using obs::seconds_since;
 /// backpressure point in the pipeline.
 constexpr std::size_t kBatchesPerShard = 16;
 
+/// One routed submission, written by the router and replayed by a worker
+/// on another core: one 40-byte record per request, so the handoff moves
+/// one cache line's worth of data, not a line per field.  No extent length:
+/// every submission moves one whole file, so the disk derives it as
+/// util::blocks_of(bytes).
+struct ShardRecord {
+  double time;
+  std::uint64_t request_id;
+  util::Bytes bytes;
+  std::uint64_t lba;
+  std::uint32_t local_disk;
+  bool background; ///< orchestration destage I/O
+};
+static_assert(sizeof(ShardRecord) == 40);
+
 /// Pre-routed submissions for one shard, one synchronization window.
-/// Structure-of-arrays like workload::RequestBlock: the worker's replay
-/// loop touches time[] on every iteration but the payload fields only at
-/// submit time.  Instances live in per-shard arenas and are recycled
-/// through the free ring — reset() keeps vector capacity, so the steady
-/// state allocates nothing.
+/// Instances live in per-shard arenas and are recycled through the free
+/// ring — reset() keeps vector capacity, so the steady state allocates
+/// nothing.
 struct ShardBatch {
-  std::vector<double> time;
-  std::vector<std::uint64_t> request_id;
-  std::vector<util::Bytes> bytes;
-  std::vector<std::uint64_t> lba;
-  std::vector<std::uint64_t> blocks;
-  std::vector<std::uint32_t> local_disk;
-  std::vector<std::uint8_t> background; ///< orchestration destage I/O
+  std::vector<ShardRecord> records;
   /// The routed frontier: the worker may advance its clock here after
   /// replaying the batch (the router has routed every arrival below it).
   double advance_to = 0.0;
   bool final = false;
 
-  std::size_t size() const { return time.size(); }
-  void push(double t, std::uint64_t id, util::Bytes b, std::uint64_t l,
-            std::uint64_t nblocks, std::uint32_t disk, bool bg = false) {
-    time.push_back(t);
-    request_id.push_back(id);
-    bytes.push_back(b);
-    lba.push_back(l);
-    blocks.push_back(nblocks);
-    local_disk.push_back(disk);
-    background.push_back(bg ? 1 : 0);
-  }
   void reset() {
-    time.clear();
-    request_id.clear();
-    bytes.clear();
-    lba.clear();
-    blocks.clear();
-    local_disk.clear();
-    background.clear();
+    records.clear();
     advance_to = 0.0;
     final = false;
   }
 };
 
 /// Arrivals per feeder chunk and chunks in flight between feeder and
-/// router.  Bounds feeder run-ahead and handoff memory (about 150 KB per
-/// chunk) independently of the window length; like the shard arenas, the
-/// chunks are only ever held by one side, so the free ring is the feeder's
-/// one backpressure point.
+/// router.  Bounds feeder run-ahead and handoff memory (160 KB per chunk)
+/// independently of the window length; like the shard arenas, the chunks
+/// are only ever held by one side, so the free ring is the feeder's one
+/// backpressure point.
 constexpr std::size_t kChunkEntries = 4096;
 constexpr std::size_t kFeedChunks = 8;
 
+/// One arrival as the router consumes it: the request plus the catalog
+/// size and front-cache outcome the feeder resolved for it.
+struct FeedRecord {
+  double arrival;
+  std::uint64_t id;
+  std::uint64_t lba; ///< explicit address, or workload::kNoLba
+  util::Bytes size;
+  workload::FileId file;
+  bool hit; ///< served from the front cache
+};
+static_assert(sizeof(FeedRecord) == 40);
+
 /// Cache-filtered arrivals, in arrival order, for (part of) one window.
-/// The feeder fills `block` straight from the windowed stream and resolves
-/// each arrival's catalog size and cache outcome; the router consumes the
-/// parallel arrays without touching the catalog or the cache.
+/// The router consumes the records without touching the catalog or the
+/// cache.
 struct FeedChunk {
-  workload::RequestBlock block; ///< arrival, id, file, lba
-  std::vector<util::Bytes> size;
-  std::vector<std::uint8_t> hit; ///< 1 = served from the front cache
+  std::vector<FeedRecord> records;
   double frontier = 0.0; ///< the window this chunk belongs to ends here
   bool ends_window = false; ///< no more arrivals below `frontier` follow
   bool last = false; ///< empty terminal chunk: the stream is exhausted
 
-  void reserve() {
-    block.arrival.reserve(kChunkEntries);
-    block.id.reserve(kChunkEntries);
-    block.file.reserve(kChunkEntries);
-    block.lba.reserve(kChunkEntries);
-    size.reserve(kChunkEntries);
-    hit.reserve(kChunkEntries);
-  }
   void reset() {
-    block.clear();
-    size.clear();
-    hit.clear();
+    records.clear();
     frontier = 0.0;
     ends_window = false;
     last = false;
@@ -178,10 +168,9 @@ public:
     sim_.run_until(t);
   }
 
-  void submit(std::uint32_t local_disk, std::uint64_t request_id,
-              util::Bytes bytes, std::uint64_t lba, std::uint64_t blocks,
-              bool background = false) {
-    disks_[local_disk]->submit(request_id, bytes, lba, blocks, background);
+  void submit(const ShardRecord& r) {
+    disks_[r.local_disk]->submit(r.request_id, r.bytes, r.lba, 0,
+                                 r.background);
     ++submissions_;
   }
 
@@ -341,11 +330,9 @@ private:
             obs::Kind::kProfile, obs::kProfRingWait});
       }
       const double r0 = profiling ? seconds_since(prof_t0) : 0.0;
-      for (std::size_t i = 0; i < batch->size(); ++i) {
-        sim->advance(batch->time[i]);
-        sim->submit(batch->local_disk[i], batch->request_id[i],
-                    batch->bytes[i], batch->lba[i], batch->blocks[i],
-                    batch->background[i] != 0);
+      for (const ShardRecord& r : batch->records) {
+        sim->advance(r.time);
+        sim->submit(r);
       }
       const bool final = batch->final;
       if (!final && batch->advance_to > sim->now()) {
@@ -366,7 +353,9 @@ private:
 };
 
 /// The pipeline's first stage, on its own thread: pulls the arrival stream
-/// in conservative windows, resolves each arrival's catalog entry and front
+/// in conservative windows (one lookahead request decides where a window
+/// ends, so the stream's draw order is that of pulling it directly),
+/// resolves each arrival's catalog entry and front
 /// cache outcome in global arrival order (the cache has no other user), and
 /// forwards the results to the router in fixed-size chunks over `full`;
 /// the router returns drained chunks over `free_ring`.
@@ -393,7 +382,7 @@ struct Feeder {
     arenas.reserve(kFeedChunks);
     for (std::size_t i = 0; i < kFeedChunks; ++i) {
       arenas.push_back(std::make_unique<FeedChunk>());
-      arenas.back()->reserve();
+      arenas.back()->records.reserve(kChunkEntries);
       FeedChunk* chunk = arenas.back().get();
       free_ring.try_push(chunk); // capacity == chunk count: cannot fail
     }
@@ -433,31 +422,32 @@ private:
     // causally safe (no feedback path); this one bounds batch memory to a
     // few thousand submissions per shard at the bench's request rates.
     const double window = std::max(1e-3, horizon / 256.0);
-    workload::WindowedStream windowed{*stream};
+    std::optional<workload::Request> next = stream->next();
     double frontier = 0.0;
     std::uint64_t chunk_idx = 0;
-    while (!windowed.exhausted()) {
+    while (next.has_value()) {
       frontier += window;
-      if (windowed.next_arrival() >= frontier) {
+      if (next->arrival >= frontier) {
         // Idle stretch: jump the frontier to the next arrival's window
         // instead of shipping empty windows one by one.
-        frontier = windowed.next_arrival() + window;
+        frontier = next->arrival + window;
       }
       bool ends_window = false;
       while (!ends_window) {
         FeedChunk* chunk = acquire();
         if (chunk == nullptr) return;
         const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
-        auto& block = chunk->block;
-        windowed.fill(frontier, kChunkEntries, block);
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          const auto& file = catalog->by_id(block.file[i]);
-          chunk->size.push_back(file.size);
-          chunk->hit.push_back(
-              cache != nullptr && cache->access(file.id, file.size) ? 1 : 0);
+        auto& records = chunk->records;
+        while (next.has_value() && next->arrival < frontier &&
+               records.size() < kChunkEntries) {
+          const auto& file = catalog->by_id(next->file);
+          const bool hit =
+              cache != nullptr && cache->access(file.id, file.size);
+          records.push_back(FeedRecord{next->arrival, next->id, next->lba,
+                                       file.size, next->file, hit});
+          next = stream->next();
         }
-        ends_window =
-            windowed.exhausted() || windowed.next_arrival() >= frontier;
+        ends_window = !next.has_value() || next->arrival >= frontier;
         chunk->frontier = frontier;
         chunk->ends_window = ends_window;
         full.try_push(chunk); // holds a popped chunk: cannot be full
@@ -615,9 +605,9 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       // Append the controller's submissions to their disks' batches.
       const auto ship = [&] {
         for (const auto& sub : subs) {
-          current[sub.disk % shards]->push(sub.t, sub.request_id, sub.bytes,
-                                           sub.lba, sub.blocks,
-                                           sub.disk / shards, sub.background);
+          current[sub.disk % shards]->records.push_back(
+            ShardRecord{sub.t, sub.request_id, sub.bytes, sub.lba,
+                        sub.disk / shards, sub.background});
         }
       };
 
@@ -634,17 +624,14 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
           for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
           window_open = true;
         }
-        const auto& block = chunk->block;
-        dispatched += block.size();
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          const workload::FileId file = block.file[i];
-          if (chunk->hit[i] != 0) {
+        dispatched += chunk->records.size();
+        for (const FeedRecord& r : chunk->records) {
+          if (r.hit) {
             // Cache hit, served from memory with zero latency: recorded
             // here, in arrival order.
             if (span_trace) {
               router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheHit,
-                                block.arrival[i], obs::kRouterTrack,
-                                block.id[i], chunk->size[i]);
+                                r.arrival, obs::kRouterTrack, r.id, r.size);
             }
             root.hits_response.add(0.0);
             root_hist.add(0.0);
@@ -652,19 +639,18 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
           }
           if (span_trace) {
             router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
-                              block.arrival[i], obs::kRouterTrack,
-                              block.id[i], config.mapping[file]);
+                              r.arrival, obs::kRouterTrack, r.id,
+                              config.mapping[r.file]);
           }
           // Deadline destages due before this arrival ship first (each at
           // its own deadline time), then the arrival's rewritten
           // submissions — so per-shard batch times stay non-decreasing.
           workload::FileInfo info;
-          info.id = file;
-          info.size = chunk->size[i];
+          info.id = r.file;
+          info.size = r.size;
           subs.clear();
-          controller.flush_deadlines(block.arrival[i], subs);
-          controller.route(block.arrival[i], block.id[i], info, subs,
-                           block.lba[i]);
+          controller.flush_deadlines(r.arrival, subs);
+          controller.route(r.arrival, r.id, info, subs, r.lba);
           ship();
         }
         const double frontier = chunk->frontier;

@@ -28,45 +28,6 @@ std::optional<Request> ArrivalZipfStream::next() {
   return r;
 }
 
-void RequestBlock::clear() {
-  arrival.clear();
-  id.clear();
-  file.clear();
-  lba.clear();
-}
-
-void RequestBlock::push(const Request& r) {
-  arrival.push_back(r.arrival);
-  id.push_back(r.id);
-  file.push_back(r.file);
-  lba.push_back(r.lba);
-}
-
-Request RequestBlock::get(std::size_t i) const {
-  Request r;
-  r.arrival = arrival[i];
-  r.id = id[i];
-  r.file = file[i];
-  r.lba = lba[i];
-  return r;
-}
-
-WindowedStream::WindowedStream(RequestStream& inner) : inner_(inner) {
-  pending_ = inner_.next();
-}
-
-std::size_t WindowedStream::fill(double t_end, std::size_t max_count,
-                                 RequestBlock& out) {
-  std::size_t appended = 0;
-  while (pending_.has_value() && appended < max_count &&
-         pending_->arrival < t_end) {
-    out.push(*pending_);
-    pending_ = inner_.next();
-    ++appended;
-  }
-  return appended;
-}
-
 TraceStream::TraceStream(const Trace& trace) : trace_(trace) {}
 
 std::optional<Request> TraceStream::next() {

@@ -40,51 +40,6 @@ public:
   virtual std::optional<Request> next() = 0;
 };
 
-/// Structure-of-arrays storage for a window of pre-generated requests.
-/// The fleet router (sys/fleet.h) fills one block per synchronization
-/// window and scans the parallel arrays when routing; keeping the fields
-/// in separate contiguous vectors avoids dragging the full Request stride
-/// through the cache when a pass only needs arrival times and file ids.
-struct RequestBlock {
-  std::vector<double> arrival;
-  std::vector<std::uint64_t> id;
-  std::vector<FileId> file;
-  std::vector<std::uint64_t> lba;
-
-  std::size_t size() const { return arrival.size(); }
-  bool empty() const { return arrival.empty(); }
-  void clear();
-  void push(const Request& r);
-  /// Reassemble element i (bounds unchecked, like vector::operator[]).
-  Request get(std::size_t i) const;
-};
-
-/// Batched pre-generation over any RequestStream: draws requests one
-/// window at a time while buffering a single lookahead request, so the
-/// sequence of next() calls — and therefore every RNG draw of a synthetic
-/// generator — is identical to pulling the stream directly.  This is what
-/// lets the sharded simulation consume arrivals in windows without
-/// perturbing the workload.
-class WindowedStream {
-public:
-  explicit WindowedStream(RequestStream& inner);
-
-  /// Append every request with arrival < `t_end` (at most `max_count`)
-  /// onto `out`.  Returns the number appended; 0 means the window is empty
-  /// or the stream is exhausted.
-  std::size_t fill(double t_end, std::size_t max_count, RequestBlock& out);
-
-  /// True once the underlying stream has returned nullopt.
-  bool exhausted() const { return !pending_.has_value(); }
-  /// Arrival time of the buffered lookahead request (exhausted() must be
-  /// false).
-  double next_arrival() const { return pending_->arrival; }
-
-private:
-  RequestStream& inner_;
-  std::optional<Request> pending_;
-};
-
 /// General synthetic generator: arrival times from an ArrivalProcess, file
 /// choice by the catalog's popularity vector.
 class ArrivalZipfStream final : public RequestStream {

@@ -92,7 +92,7 @@ TEST(OrchController, NoMechanismRoutesEveryMissToItsPrimaryCopy) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].disk, 2u);
   EXPECT_EQ(out[0].lba, h.extents[2].lba);
-  EXPECT_EQ(out[0].blocks, h.extents[2].blocks);
+  EXPECT_EQ(util::blocks_of(out[0].bytes), h.extents[2].blocks);
   EXPECT_EQ(out[1].disk, 3u);
   EXPECT_EQ(out[1].lba, 12'345u);
   EXPECT_EQ(out[1].request_id, 8u);
@@ -170,7 +170,7 @@ TEST(RedirectController, ReadPrefersThePredictedAwakeReplica) {
   // The replica extent continues after disk 1's primary layout (file 1's
   // extent), so replica bytes never alias primary bytes.
   EXPECT_EQ(out[0].lba, h.extents[1].lba + h.extents[1].blocks);
-  EXPECT_EQ(out[0].blocks, h.extents[3].blocks);
+  EXPECT_EQ(util::blocks_of(out[0].bytes), h.extents[3].blocks);
 
   // Much later every disk is asleep again.  File 3's primary (disk 3) is
   // not its lowest-id replica, so the tie-break sends the read to disk 1.
@@ -310,7 +310,6 @@ TEST(OrchController, EverySubmissionCarriesItsWholeFileExtent) {
           file_of[sub.request_id & ~kBackgroundIdBit];
       EXPECT_EQ(sub.bytes, files[file].size);
       EXPECT_EQ(util::blocks_of(sub.bytes), extents[file].blocks);
-      EXPECT_EQ(sub.blocks, util::blocks_of(sub.bytes));
       mirror.on_submit(sub.disk, sub.t, sub.bytes);
     };
 
