@@ -1,6 +1,7 @@
 #include "orch/offload.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 namespace spindown::orch {
@@ -45,13 +46,13 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
   p.log_lba = log_cursor_[*local];
   log_cursor_[*local] = (log_cursor_[*local] + blocks) % capacity_blocks_;
 
-  const auto index = static_cast<std::uint32_t>(pending_.size());
+  const auto seq = base_ + static_cast<std::uint32_t>(pending_.size());
   pending_.push_back(p);
   done_.push_back(false);
-  by_disk_[target].push_back(index);
+  by_disk_[target].push_back(seq);
   ++live_by_disk_[target];
   if (file >= latest_.size()) latest_.resize(std::size_t{file} + 1, kNil);
-  latest_[file] = index; // newer write shadows an older pending copy
+  latest_[file] = seq; // newer write shadows an older pending copy
   ++buffered_;
   return LogCopy{p.log_disk, p.log_lba};
 }
@@ -59,7 +60,7 @@ std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
 std::optional<WriteOffload::LogCopy> WriteOffload::log_copy(
     workload::FileId file) const {
   if (file >= latest_.size() || latest_[file] == kNil) return std::nullopt;
-  const PendingWrite& p = pending_[latest_[file]];
+  const PendingWrite& p = pending_[latest_[file] - base_];
   return LogCopy{p.log_disk, p.log_lba};
 }
 
@@ -67,13 +68,12 @@ bool WriteOffload::has_pending(std::uint32_t target) const {
   return target < live_by_disk_.size() && live_by_disk_[target] > 0;
 }
 
-void WriteOffload::settle(std::uint32_t index,
-                          std::vector<PendingWrite>& out) {
-  const PendingWrite& p = pending_[index];
+void WriteOffload::settle(std::uint32_t seq, std::vector<PendingWrite>& out) {
+  const PendingWrite& p = pending_[seq - base_];
   placer_.release(p.log_disk - data_disks_, p.bytes);
-  if (latest_[p.file] == index) latest_[p.file] = kNil;
+  if (latest_[p.file] == seq) latest_[p.file] = kNil;
   --live_by_disk_[p.target];
-  done_[index] = true;
+  done_[seq - base_] = true;
   ++destaged_;
   out.push_back(p);
 }
@@ -81,8 +81,8 @@ void WriteOffload::settle(std::uint32_t index,
 void WriteOffload::drain_disk(std::uint32_t target,
                               std::vector<PendingWrite>& out) {
   if (target >= by_disk_.size()) return;
-  for (const std::uint32_t index : by_disk_[target]) {
-    if (!done_[index]) settle(index, out);
+  for (const std::uint32_t seq : by_disk_[target]) {
+    if (seq >= base_ && !done_[seq - base_]) settle(seq, out);
   }
   by_disk_[target].clear();
 }
@@ -90,20 +90,40 @@ void WriteOffload::drain_disk(std::uint32_t target,
 void WriteOffload::drain_due(double t, std::vector<PendingWrite>& out) {
   // Deadlines are non-decreasing in insertion order (monotone t, constant
   // deadline_s, horizon cap), so "everything due" is a prefix.
-  while (head_ < pending_.size()) {
-    if (done_[head_]) {
+  const auto end = base_ + static_cast<std::uint32_t>(pending_.size());
+  while (head_ < end) {
+    if (done_[head_ - base_]) {
       ++head_;
       continue;
     }
-    const PendingWrite& p = pending_[head_];
+    const PendingWrite& p = pending_[head_ - base_];
     if (p.deadline > t) break;
-    // Settle; the index stays in its disk's list (drain_disk skips done_
+    // Settle; the number stays in its disk's list (drain_disk skips settled
     // entries) until that disk owes nothing, when the list is cleared — a
-    // disk whose debts always expire by deadline keeps no stale indices.
+    // disk whose debts always expire by deadline keeps no stale numbers.
     const std::uint32_t target = p.target;
     settle(head_, out);
     if (live_by_disk_[target] == 0) by_disk_[target].clear();
     ++head_;
+  }
+  drop_settled_prefix();
+}
+
+void WriteOffload::drop_settled_prefix() {
+  // Everything below head_ is settled.  Dropping it only once it is over
+  // half the queue (and not tiny) keeps the erase amortized O(1) per write.
+  constexpr std::size_t kMinDrop = 64;
+  const std::size_t settled = head_ - base_;
+  if (settled < kMinDrop || 2 * settled < pending_.size()) return;
+  const auto cut = static_cast<std::ptrdiff_t>(settled);
+  pending_.erase(pending_.begin(), pending_.begin() + cut);
+  done_.erase(done_.begin(), done_.begin() + cut);
+  base_ = head_;
+  // A disk that always owes something never has its list cleared: trim the
+  // numbers that fell below base_ (each list is in absorb order).
+  for (auto& list : by_disk_) {
+    list.erase(list.begin(),
+               std::lower_bound(list.begin(), list.end(), base_));
   }
 }
 

@@ -23,8 +23,15 @@
 // deadline order and drain_due() is a pop from the head — no ordering data
 // structure, no ties to break.  The horizon cap guarantees every pending
 // write destages inside the measurement window.
+//
+// Memory: writes are numbered by absorb order, and the queue keeps only the
+// suffix from the oldest write that may still be live.  Once the head has
+// passed half of it, the settled prefix is dropped, so after each
+// drain_due(t) the queue holds at most twice the writes absorbed after
+// t - deadline_s (plus a 64-write floor), not every write of the run.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -88,12 +95,15 @@ public:
   std::uint64_t buffered() const { return buffered_; }
   std::uint64_t destaged() const { return destaged_; }
   std::uint64_t live() const { return buffered_ - destaged_; }
+  /// Pending writes still held in memory, settled ones included.
+  std::size_t retained() const { return pending_.size(); }
 
 private:
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
 
-  void settle(std::uint32_t index, std::vector<PendingWrite>& out);
+  void settle(std::uint32_t seq, std::vector<PendingWrite>& out);
+  void drop_settled_prefix();
 
   core::WritePlacer placer_; ///< indexed by log disk *local* id
   std::uint32_t data_disks_;
@@ -102,15 +112,19 @@ private:
   std::uint64_t capacity_blocks_;
 
   std::vector<bool> all_spinning_; ///< the placer's view of the tier
-  std::vector<PendingWrite> pending_; ///< append-only; head_ = oldest live
-  std::vector<bool> done_;            ///< parallel to pending_
-  std::uint32_t head_ = 0;
-  /// Per data disk: indices buffered since its last drain (settled ones
-  /// included until the list is next cleared) and its live-debt count.
+  /// Writes by sequence number (absorb order): pending_[s - base_] holds
+  /// write s.  Every write below base_ is settled.
+  std::vector<PendingWrite> pending_;
+  std::vector<bool> done_; ///< parallel to pending_
+  std::uint32_t base_ = 0;
+  std::uint32_t head_ = 0; ///< oldest sequence number that may be live
+  /// Per data disk: sequence numbers buffered since its last drain (settled
+  /// ones included until the list is next cleared or falls below base_)
+  /// and its live-debt count.
   std::vector<std::vector<std::uint32_t>> by_disk_;
   std::vector<std::uint32_t> live_by_disk_;
-  /// FileId -> index of its newest live pending write, kNil if none; dense
-  /// like the catalog's ids, grown to the largest file absorbed.
+  /// FileId -> sequence number of its newest live pending write, kNil if
+  /// none; dense like the catalog's ids, grown to the largest file absorbed.
   std::vector<std::uint32_t> latest_;
   std::vector<std::uint64_t> log_cursor_; ///< per log disk, blocks
   std::uint64_t buffered_ = 0;

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "core/write_policy.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace spindown::orch {
@@ -178,6 +184,215 @@ TEST(OrchOffload, AbsorbAfterDeadlineCyclesIsFoundAndDrained) {
   EXPECT_FALSE(off.has_pending(2));
   EXPECT_FALSE(off.log_copy(3).has_value());
   EXPECT_EQ(off.live(), 0u);
+}
+
+/// The append-only queue WriteOffload used before it dropped its settled
+/// prefix, kept verbatim in behaviour as the oracle for the compacting one:
+/// every pending write stays in `pending` for the whole run.
+class AppendOnlyOffload {
+public:
+  AppendOnlyOffload(std::uint32_t data_disks, std::uint32_t log_disks,
+                    util::Bytes log_capacity, double deadline_s,
+                    double horizon_s)
+      : placer_(log_disks, log_capacity, core::FitRule::kBestFit),
+        data_disks_(data_disks), deadline_s_(deadline_s),
+        horizon_s_(horizon_s),
+        capacity_blocks_(std::max<std::uint64_t>(
+            1, log_capacity / util::kBlockBytes)),
+        all_spinning_(log_disks, true), by_disk_(data_disks),
+        live_by_disk_(data_disks, 0), log_cursor_(log_disks, 0) {}
+
+  std::optional<WriteOffload::LogCopy> absorb(
+      double t, std::uint64_t request_id, workload::FileId file,
+      util::Bytes bytes, std::uint64_t blocks, std::uint64_t target_lba,
+      std::uint32_t target) {
+    const auto local = placer_.place(bytes, all_spinning_);
+    if (!local.has_value()) return std::nullopt;
+    PendingWrite p;
+    p.deadline = std::min(t + deadline_s_, horizon_s_);
+    p.target = target;
+    p.log_disk = data_disks_ + *local;
+    p.file = file;
+    p.request_id = request_id;
+    p.bytes = bytes;
+    p.target_lba = target_lba;
+    p.log_lba = log_cursor_[*local];
+    log_cursor_[*local] = (log_cursor_[*local] + blocks) % capacity_blocks_;
+    const auto index = static_cast<std::uint32_t>(pending_.size());
+    pending_.push_back(p);
+    done_.push_back(false);
+    by_disk_[target].push_back(index);
+    ++live_by_disk_[target];
+    if (file >= latest_.size()) latest_.resize(std::size_t{file} + 1, kNil);
+    latest_[file] = index;
+    return WriteOffload::LogCopy{p.log_disk, p.log_lba};
+  }
+
+  std::optional<WriteOffload::LogCopy> log_copy(workload::FileId file) const {
+    if (file >= latest_.size() || latest_[file] == kNil) return std::nullopt;
+    const PendingWrite& p = pending_[latest_[file]];
+    return WriteOffload::LogCopy{p.log_disk, p.log_lba};
+  }
+
+  bool has_pending(std::uint32_t target) const {
+    return live_by_disk_[target] > 0;
+  }
+
+  void drain_disk(std::uint32_t target, std::vector<PendingWrite>& out) {
+    for (const std::uint32_t index : by_disk_[target]) {
+      if (!done_[index]) settle(index, out);
+    }
+    by_disk_[target].clear();
+  }
+
+  void drain_due(double t, std::vector<PendingWrite>& out) {
+    while (head_ < pending_.size()) {
+      if (done_[head_]) {
+        ++head_;
+        continue;
+      }
+      const PendingWrite& p = pending_[head_];
+      if (p.deadline > t) break;
+      const std::uint32_t target = p.target;
+      settle(head_, out);
+      if (live_by_disk_[target] == 0) by_disk_[target].clear();
+      ++head_;
+    }
+  }
+
+  std::size_t retained() const { return pending_.size(); }
+
+private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  void settle(std::uint32_t index, std::vector<PendingWrite>& out) {
+    const PendingWrite& p = pending_[index];
+    placer_.release(p.log_disk - data_disks_, p.bytes);
+    if (latest_[p.file] == index) latest_[p.file] = kNil;
+    --live_by_disk_[p.target];
+    done_[index] = true;
+    out.push_back(p);
+  }
+
+  core::WritePlacer placer_;
+  std::uint32_t data_disks_;
+  double deadline_s_;
+  double horizon_s_;
+  std::uint64_t capacity_blocks_;
+  std::vector<bool> all_spinning_;
+  std::vector<PendingWrite> pending_;
+  std::vector<bool> done_;
+  std::uint32_t head_ = 0;
+  std::vector<std::vector<std::uint32_t>> by_disk_;
+  std::vector<std::uint32_t> live_by_disk_;
+  std::vector<std::uint32_t> latest_;
+  std::vector<std::uint64_t> log_cursor_;
+};
+
+void expect_same_writes(const std::vector<PendingWrite>& got,
+                        const std::vector<PendingWrite>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    EXPECT_EQ(got[i].deadline, want[i].deadline);
+    EXPECT_EQ(got[i].target, want[i].target);
+    EXPECT_EQ(got[i].log_disk, want[i].log_disk);
+    EXPECT_EQ(got[i].file, want[i].file);
+    EXPECT_EQ(got[i].request_id, want[i].request_id);
+    EXPECT_EQ(got[i].bytes, want[i].bytes);
+    EXPECT_EQ(got[i].target_lba, want[i].target_lba);
+    EXPECT_EQ(got[i].log_lba, want[i].log_lba);
+  }
+}
+
+TEST(OrchOffload, DroppingTheSettledPrefixDrainsLikeTheAppendOnlyQueue) {
+  // 200 000 seeded steps of absorb / drain_disk / drain_due on 6 data
+  // disks and 2 log disks small enough to fill: every drained batch, log
+  // copy and debt flag must equal the append-only oracle's, while the
+  // compacting queue stays small.  Phase 1 mixes triggered drains with
+  // deadline drains; there, after drain_due(t), at most twice the writes
+  // absorbed after t - deadline (plus the 64-write floor) are retained.
+  // Phase 2 drains by deadline only, so every write past the head is live
+  // and the bound is twice live() (plus the floor).
+  constexpr std::uint32_t kData = 6;
+  constexpr double kDl = 50.0;
+  WriteOffload off{kData, 2, util::mb(40.0), kDl, 1e9};
+  AppendOnlyOffload ref{kData, 2, util::mb(40.0), kDl, 1e9};
+  util::Rng rng{2024};
+  std::vector<double> absorbed_at;
+  std::vector<PendingWrite> got, want;
+  double t = 0.0;
+  std::uint64_t id = 0;
+  std::size_t max_retained = 0, rejected = 0;
+  for (int phase = 1; phase <= 2; ++phase) {
+    SCOPED_TRACE("phase " + std::to_string(phase));
+    for (int step = 0; step < 100'000; ++step) {
+      t += rng.uniform(0.0, 1.0);
+      const std::uint64_t op = rng.uniform_int(0, 9);
+      got.clear();
+      want.clear();
+      if (op < 6) {
+        const auto file =
+            static_cast<workload::FileId>(rng.uniform_int(0, 99));
+        const util::Bytes bytes =
+            util::mb(1.0) + 4'096 * rng.uniform_int(0, 255);
+        const auto target =
+            static_cast<std::uint32_t>(rng.uniform_int(0, kData - 1));
+        const std::uint64_t lba = rng.uniform_int(0, 1'000'000);
+        const auto a = off.absorb(t, id, file, bytes, util::blocks_of(bytes),
+                                  lba, target);
+        const auto b = ref.absorb(t, id, file, bytes, util::blocks_of(bytes),
+                                  lba, target);
+        ++id;
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          EXPECT_EQ(a->log_disk, b->log_disk);
+          EXPECT_EQ(a->log_lba, b->log_lba);
+          absorbed_at.push_back(t);
+        } else {
+          ++rejected;
+        }
+      } else if (op < 8 && phase == 1) {
+        const auto target =
+            static_cast<std::uint32_t>(rng.uniform_int(0, kData - 1));
+        off.drain_disk(target, got);
+        ref.drain_disk(target, want);
+      } else {
+        off.drain_due(t, got);
+        ref.drain_due(t, want);
+        const auto recent = static_cast<std::size_t>(
+            absorbed_at.end() -
+            std::upper_bound(absorbed_at.begin(), absorbed_at.end(), t - kDl));
+        EXPECT_LE(off.retained(), 2 * recent + 64);
+        if (phase == 2) {
+          EXPECT_LE(off.retained(), 2 * off.live() + 64);
+        }
+      }
+      expect_same_writes(got, want);
+      const auto file = static_cast<workload::FileId>(rng.uniform_int(0, 99));
+      const auto a = off.log_copy(file);
+      const auto b = ref.log_copy(file);
+      ASSERT_EQ(a.has_value(), b.has_value());
+      if (a.has_value()) {
+        EXPECT_EQ(a->log_lba, b->log_lba);
+      }
+      for (std::uint32_t d = 0; d < kData; ++d) {
+        ASSERT_EQ(off.has_pending(d), ref.has_pending(d));
+      }
+      max_retained = std::max(max_retained, off.retained());
+      if (HasFailure()) return;
+    }
+  }
+  got.clear();
+  want.clear();
+  off.drain_due(2e9, got);
+  ref.drain_due(2e9, want);
+  expect_same_writes(got, want);
+  EXPECT_EQ(off.live(), 0u);
+  EXPECT_GT(rejected, 0u); // the tier filled up, and drained again
+  // The oracle kept every absorbed write; the compacting queue a sliver.
+  EXPECT_EQ(ref.retained(), absorbed_at.size());
+  EXPECT_LT(max_retained * 20, absorbed_at.size());
 }
 
 } // namespace
