@@ -24,7 +24,10 @@
 // second ring that recycles drained arenas (feeder chunks, shard batches)
 // back to their producer, so the feeder fills chunk K+1 while the router
 // routes chunk K and workers drain window N, and the steady state
-// allocates nothing.  An idle stage parks on a futex instead of spinning.
+// allocates nothing.  An arena is one vector of fixed 40-byte records, one
+// per request: the consuming core reads one contiguous record per request,
+// not one cache line per field.  An idle stage parks on a futex instead of
+// spinning.
 // Because the minimum cross-shard latency is infinite (no feedback path),
 // any window length is causally safe; the window bounds router/worker skew
 // and batch memory, never correctness.  shards=1 is the same pipeline with
