@@ -82,7 +82,7 @@ void WriteOffload::drain_disk(std::uint32_t target,
                               std::vector<PendingWrite>& out) {
   if (target >= by_disk_.size()) return;
   for (const std::uint32_t seq : by_disk_[target]) {
-    if (seq >= base_ && !done_[seq - base_]) settle(seq, out);
+    if (!done_[seq - base_]) settle(seq, out);
   }
   by_disk_[target].clear();
 }

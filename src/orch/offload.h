@@ -119,8 +119,8 @@ private:
   std::uint32_t base_ = 0;
   std::uint32_t head_ = 0; ///< oldest sequence number that may be live
   /// Per data disk: sequence numbers buffered since its last drain (settled
-  /// ones included until the list is next cleared or falls below base_)
-  /// and its live-debt count.
+  /// ones included until the list is next cleared; none is below base_,
+  /// drop_settled_prefix trims them) and its live-debt count.
   std::vector<std::vector<std::uint32_t>> by_disk_;
   std::vector<std::uint32_t> live_by_disk_;
   /// FileId -> sequence number of its newest live pending write, kNil if

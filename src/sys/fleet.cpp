@@ -355,10 +355,10 @@ private:
 /// The pipeline's first stage, on its own thread: pulls the arrival stream
 /// in conservative windows (one lookahead request decides where a window
 /// ends, so the stream's draw order is that of pulling it directly),
-/// resolves each arrival's catalog entry and front
-/// cache outcome in global arrival order (the cache has no other user), and
-/// forwards the results to the router in fixed-size chunks over `full`;
-/// the router returns drained chunks over `free_ring`.
+/// resolves each arrival's catalog entry and front cache outcome in global
+/// arrival order (the cache has no other user), and forwards the results
+/// to the router in fixed-size chunks over `full`; the router returns
+/// drained chunks over `free_ring`.
 struct Feeder {
   const workload::FileCatalog* catalog = nullptr;
   workload::RequestStream* stream = nullptr;
@@ -606,8 +606,8 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       const auto ship = [&] {
         for (const auto& sub : subs) {
           current[sub.disk % shards]->records.push_back(
-            ShardRecord{sub.t, sub.request_id, sub.bytes, sub.lba,
-                        sub.disk / shards, sub.background});
+              ShardRecord{sub.t, sub.request_id, sub.bytes, sub.lba,
+                          sub.disk / shards, sub.background});
         }
       };
 

@@ -192,8 +192,7 @@ def measure(args):
                                             args.seconds, args.trace)
                 metas[side] = meta
                 print("bench_pairs: %s seed %d pair %d %s: %s" % (
-                    workload, seed, i, side,
-                    json.dumps({k: values[k] for k in sorted(values)[:3]})),
+                    workload, seed, i, side, json.dumps(values)),
                     file=sys.stderr, flush=True)
                 return values
             results, _ = run_pairs(run, args.pairs)
