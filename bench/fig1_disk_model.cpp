@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "des/simulation.h"
 #include "disk/disk.h"
 #include "disk/params.h"
 #include "disk/power.h"
@@ -46,14 +45,12 @@ int main(int argc, char** argv) {
 
   // Validate the state machine energetics with a micro-simulation: one
   // request, long idle gap, spin-down, second request (spin-up + service).
-  des::Simulation sim;
-  disk::Disk d{sim, 0, p, sys::PolicySpec::break_even().make(p),
+  disk::Disk d{0, p, sys::PolicySpec::break_even().make(p),
                util::Rng{opts.seed}};
   const util::Bytes file = util::mb(100.0);
-  sim.schedule_at(0.0, [&] { d.submit(0, file); });
+  d.submit(0.0, 0, file);
   const double t2 = 400.0; // well past threshold + spin-down
-  sim.schedule_at(t2, [&] { d.submit(1, file); });
-  sim.run();
+  d.submit(t2, 1, file);
   const double end = d.settle_all(); // after the final spin-down
   const auto m = d.metrics(end);
 

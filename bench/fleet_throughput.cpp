@@ -6,7 +6,7 @@
 // recycled batch arenas) at 1/2/4/8 shards.  The shards=1 row of each farm
 // size is the baseline.
 //
-// Self-timed (std::chrono); each row reports calendar events executed,
+// Self-timed (std::chrono); each row reports the disks' resolved events,
 // wall-clock, events/s and the wall-clock speedup over shards=1 at the
 // same scale.  Every sharded run is also checked bit-for-bit against the
 // shards=1 result (energy, response mean/count, spin-ups), so the bench
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
         << "usage: " << cli.program()
         << " [--quick] [--reps <n>] [--json <path>] [--seed <n>]\n"
         << "Scales one scenario across 64/512/4096 disks and 1/2/4/8\n"
-        << "calendar shards; reports events/s and the wall-clock speedup\n"
+        << "shards; reports events/s and the wall-clock speedup\n"
         << "over shards=1, and verifies every sharded result is\n"
         << "bit-identical to it.\n";
     return 0;

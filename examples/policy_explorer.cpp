@@ -26,7 +26,6 @@
 #include <iostream>
 #include <vector>
 
-#include "des/simulation.h"
 #include "disk/disk.h"
 #include "disk/spin_policy.h"
 #include "sys/system.h"
@@ -67,8 +66,7 @@ util::Joules run_policy(const disk::DiskParams& params,
                         const sys::SchedulerSpec& scheduler,
                         const std::vector<double>& gaps, std::uint64_t seed,
                         std::uint64_t& spin_downs, double& mean_resp) {
-  des::Simulation sim;
-  disk::Disk d{sim, 0, params, std::move(policy), util::Rng{seed},
+  disk::Disk d{0, params, std::move(policy), util::Rng{seed},
                scheduler.make()};
   double total_resp = 0.0;
   std::uint64_t served = 0;
@@ -79,20 +77,15 @@ util::Joules run_policy(const disk::DiskParams& params,
 
   const util::Bytes file = util::mb(72.0); // 1 s transfer
   const double svc = params.service_time(file);
-  // Request k arrives svc + gap after request k-1 *started service*; when a
-  // spin-up intervenes the next gap begins after that completion instead, so
-  // schedule arrivals cumulatively from each completion.
+  // Request k arrives svc + gap after request k-1: unless a spin-up delayed
+  // that service, the disk then idles for exactly `gap`.
   double t = 0.0;
   std::uint64_t id = 0;
-  sim.schedule_at(t, [&] { d.submit(id++, file); });
+  d.submit(t, id++, file);
   for (const double gap : gaps) {
     t += svc + gap;
-    sim.schedule_at(t, [&, t] {
-      (void)t;
-      d.submit(id++, file);
-    });
+    d.submit(t, id++, file);
   }
-  sim.run();
   // The episode ends when the disk comes to rest after the last request.
   const double end = d.settle_all();
   const auto m = d.metrics(end);

@@ -53,7 +53,7 @@ void print_usage(const std::string& program) {
       << "              ('+'-joined; writes: needs offload,\n"
       << "              redirect needs replicas > 1)\n"
       << "  --sweep 'key=v1,v2,...'  cross one axis (repeatable; axes cross)\n"
-      << "  --shards <n|auto>  shard each run's calendar (sys/fleet.h);\n"
+      << "  --shards <n|auto>  shard each run's disks (sys/fleet.h);\n"
       << "                     shorthand for shards=<v> in the scenario —\n"
       << "                     results are bit-identical at any count\n"
       << "  --trace <file>     write the run's trace (single scenario only):\n"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace spindown::disk {
 
@@ -18,21 +20,20 @@ util::Joules DiskMetrics::energy(const DiskParams& p) const {
   return total;
 }
 
-Disk::Disk(des::Simulation& sim, std::uint32_t id, DiskParams params,
+Disk::Disk(std::uint32_t id, DiskParams params,
            std::unique_ptr<SpinDownPolicy> policy, util::Rng rng,
            std::unique_ptr<IoScheduler> scheduler)
-    : sim_(sim),
-      id_(id),
+    : id_(id),
       params_(std::move(params)),
       policy_(std::move(policy)),
       rng_(rng),
       scheduler_(scheduler ? std::move(scheduler)
                            : std::make_unique<FcfsScheduler>()),
-      ledger_(PowerState::kIdle, sim.now()), idle_since_(sim.now()) {
+      ledger_(PowerState::kIdle, 0.0) {
   assert(policy_ != nullptr);
   capacity_blocks_ = std::max<double>(
       1.0, static_cast<double>(util::blocks_of(params_.capacity)));
-  arm_idle_timer();
+  arm_idle_timer(0.0);
 }
 
 void Disk::enter(PowerState next, double t) {
@@ -46,20 +47,21 @@ void Disk::enter(PowerState next, double t) {
 }
 
 void Disk::settle(double t) {
-  if (state_ == PowerState::kPositioning && transfer_start_ <= t) {
-    enter(PowerState::kTransfer, transfer_start_);
-    trace_transfer(transfer_start_);
-  }
-  if (state_ == PowerState::kIdle && sleep_at_ <= t && sleep_at_ < kNever) {
-    if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
-      trace_->emit(obs::Kind::kPolicy, obs::kPolicyThresholdFired, sleep_at_,
-                   id_, 0, sleep_at_ - idle_since_);
+  if (settling_) {
+    // A completion callback submitting: the disk stands at the completion.
+    if (t > clock_) {
+      throw std::logic_error{
+          "Disk: a completion callback may only act at its completion time"};
     }
-    begin_spin_down(sleep_at_);
+    return;
   }
-  if (state_ == PowerState::kSpinningDown && standby_at_ <= t) {
-    finish_spin_down(standby_at_);
+  settling_ = true;
+  while (due_ <= t && due_ < kNever) {
+    clock_ = due_;
+    apply_due();
   }
+  settling_ = false;
+  clock_ = std::max(clock_, t);
 }
 
 double Disk::settle_all() {
@@ -67,53 +69,97 @@ double Disk::settle_all() {
   return ledger_.last_change();
 }
 
-void Disk::submit(std::uint64_t request_id, util::Bytes bytes,
-                  std::uint64_t lba, std::uint64_t blocks, bool background) {
-  settle(sim_.now());
+void Disk::apply_due() {
+  const double t = due_;
+  switch (state_) {
+    case PowerState::kPositioning:
+      enter(PowerState::kTransfer, t);
+      trace_transfer(t);
+      due_ = t + params_.transfer_time(batch_[batch_pos_].bytes);
+      break;
+    case PowerState::kTransfer:
+      finish_transfer(t);
+      break;
+    case PowerState::kIdle:
+      if (trace_ != nullptr && trace_->wants(obs::Kind::kPolicy)) {
+        trace_->emit(obs::Kind::kPolicy, obs::kPolicyThresholdFired, t, id_,
+                     0, t - idle_since_);
+      }
+      begin_spin_down(t);
+      break;
+    case PowerState::kSpinningDown:
+      enter(PowerState::kStandby, t);
+      due_ = kNever;
+      // Requests that arrived during the spin-down wake the disk at once.
+      if (!scheduler_->empty()) {
+        ++events_;
+        begin_spin_up(t);
+      }
+      break;
+    case PowerState::kSpinningUp:
+      ++events_;
+      if (!scheduler_->empty()) {
+        start_service(t);
+      } else {
+        // Cannot normally happen (spin-ups are demand-driven), but a policy
+        // extension could spin up proactively; settle into idle.
+        go_idle(t);
+      }
+      break;
+    case PowerState::kStandby:
+      due_ = kNever; // standby waits for an arrival
+      break;
+  }
+}
+
+void Disk::submit(double t, std::uint64_t request_id, util::Bytes bytes,
+                  std::uint64_t lba, bool background) {
+  if (!(t >= clock_)) {
+    throw std::invalid_argument{
+        "Disk::submit: arrival at " + util::format_roundtrip(t) +
+        " s is earlier than disk " + std::to_string(id_) +
+        "'s clock at " + util::format_roundtrip(clock_) + " s"};
+  }
+  settle(t);
   IoJob job;
   job.request_id = request_id;
   job.bytes = bytes;
-  job.arrival = sim_.now();
+  job.arrival = t;
   job.lba = lba;
-  job.blocks = blocks != 0 ? blocks : util::blocks_of(bytes);
+  job.blocks = util::blocks_of(bytes);
   job.seq = submit_seq_++;
   job.background = background;
   if (background) ++bg_in_scheduler_;
   scheduler_->push(job);
   if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
-    trace_->emit(obs::Kind::kSpan, obs::kSpanSubmit, sim_.now(), id_,
-                 request_id, static_cast<double>(bytes));
-    trace_->emit(obs::Kind::kSpan, obs::kSpanEnqueue, sim_.now(), id_,
-                 request_id, static_cast<double>(scheduler_->size()));
+    trace_->emit(obs::Kind::kSpan, obs::kSpanSubmit, t, id_, request_id,
+                 static_cast<double>(bytes));
+    trace_->emit(obs::Kind::kSpan, obs::kSpanEnqueue, t, id_, request_id,
+                 static_cast<double>(scheduler_->size()));
   }
   if (idle_period_open_) {
     // First arrival since the disk went idle: the idle period ends now,
     // whatever power state the policy steered it through.  Score it before
     // any state change so an adaptive policy sees period k before deciding
     // period k+1.
-    const double duration = sim_.now() - idle_since_;
+    const double duration = t - idle_since_;
     idle_periods_.add(duration);
     policy_->observe_idle(duration, idle_spun_down_);
     idle_period_open_ = false;
   }
   switch (state_) {
     case PowerState::kIdle:
-      start_service();
+      start_service(t);
       break;
     case PowerState::kStandby:
-      begin_spin_up(sim_.now());
+      begin_spin_up(t);
       break;
     case PowerState::kSpinningDown:
-      // The spin-down's first arrival wakes the disk at the standby time;
-      // settling there parks it and spins it straight back up.
-      if (scheduler_->size() == 1) {
-        sim_.schedule_at(standby_at_, [this] { settle(sim_.now()); });
-      }
-      break;
     case PowerState::kSpinningUp:
     case PowerState::kPositioning:
     case PowerState::kTransfer:
-      // Queued; picked up when the current activity finishes.
+      // Queued; picked up when the current phase ends (a spin-down parks
+      // and spins straight back up).
       break;
   }
 }
@@ -127,7 +173,7 @@ double Disk::positioning_time(std::uint64_t target_lba) const {
   return params_.seek_time(distance) + params_.avg_rotation_s;
 }
 
-void Disk::start_service() {
+void Disk::start_service(double t) {
   assert(!scheduler_->empty());
   assert(state_ == PowerState::kIdle || state_ == PowerState::kTransfer ||
          state_ == PowerState::kSpinningUp);
@@ -143,21 +189,16 @@ void Disk::start_service() {
       }
     }
   }
-  service_start_ = sim_.now();
+  service_start_ = t;
   ++positionings_;
   if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
     for (const IoJob& job : batch_) {
-      trace_->emit(obs::Kind::kSpan, obs::kSpanPosition, sim_.now(), id_,
+      trace_->emit(obs::Kind::kSpan, obs::kSpanPosition, t, id_,
                    job.request_id, static_cast<double>(batch_.size()));
     }
   }
-  enter(PowerState::kPositioning, sim_.now());
-  // One event per request: positioning ends (settle() applies it) and the
-  // first transfer starts at transfer_start_; the event is its completion.
-  transfer_start_ = sim_.now() + positioning_time(batch_.front().lba);
-  sim_.schedule_at(
-      transfer_start_ + params_.transfer_time(batch_.front().bytes),
-      [this] { finish_transfer(); });
+  enter(PowerState::kPositioning, t);
+  due_ = t + positioning_time(batch_.front().lba);
 }
 
 void Disk::trace_transfer(double t) {
@@ -168,8 +209,8 @@ void Disk::trace_transfer(double t) {
   }
 }
 
-void Disk::finish_transfer() {
-  settle(sim_.now());
+void Disk::finish_transfer(double t) {
+  ++events_;
   const IoJob& job = batch_[batch_pos_];
   if (job.background) {
     ++destage_served_;
@@ -180,20 +221,20 @@ void Disk::finish_transfer() {
   }
   head_lba_ = job.lba + job.blocks;
   if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
-    trace_->emit(obs::Kind::kSpan, obs::kSpanComplete, sim_.now(), id_,
-                 job.request_id, sim_.now() - job.arrival,
+    trace_->emit(obs::Kind::kSpan, obs::kSpanComplete, t, id_,
+                 job.request_id, t - job.arrival,
                  service_start_ - job.arrival);
   }
   // Background work carries no response-time signal: the policy learns
   // from foreground traffic only.
-  if (!job.background) policy_->observe_completion(sim_.now() - job.arrival);
+  if (!job.background) policy_->observe_completion(t - job.arrival);
   if (on_complete_) {
     Completion c;
     c.request_id = job.request_id;
     c.disk_id = id_;
     c.arrival = job.arrival;
     c.service_start = service_start_;
-    c.completion = sim_.now();
+    c.completion = t;
     c.bytes = job.bytes;
     c.background = job.background;
     on_complete_(c);
@@ -202,51 +243,50 @@ void Disk::finish_transfer() {
   if (batch_pos_ < batch_.size()) {
     // Coalesced batch: the next extent is (near-)adjacent, so the head
     // streams straight into it — no further positioning phase is billed.
-    trace_transfer(sim_.now());
-    sim_.schedule_in(params_.transfer_time(batch_[batch_pos_].bytes),
-                     [this] { finish_transfer(); });
+    trace_transfer(t);
+    due_ = t + params_.transfer_time(batch_[batch_pos_].bytes);
   } else if (!scheduler_->empty()) {
-    start_service();
+    start_service(t);
   } else {
-    go_idle();
+    go_idle(t);
   }
 }
 
-void Disk::go_idle() {
-  enter(PowerState::kIdle, sim_.now());
-  idle_since_ = sim_.now();
+void Disk::go_idle(double t) {
+  enter(PowerState::kIdle, t);
+  idle_since_ = t;
   idle_period_open_ = true;
   idle_spun_down_ = false;
-  arm_idle_timer();
+  arm_idle_timer(t);
 }
 
-void Disk::arm_idle_timer() {
+void Disk::arm_idle_timer(double t) {
   assert(state_ == PowerState::kIdle);
-  sleep_at_ = kNever;
+  due_ = kNever;
   const auto timeout = policy_->idle_timeout(rng_);
   const bool tracing =
       trace_ != nullptr && trace_->wants(obs::Kind::kPolicy);
   if (!timeout.has_value()) {
     if (tracing) {
-      trace_->emit(obs::Kind::kPolicy, obs::kPolicyStayIdle, sim_.now(), id_,
-                   0, 0.0, policy_->trace_estimate());
+      trace_->emit(obs::Kind::kPolicy, obs::kPolicyStayIdle, t, id_, 0, 0.0,
+                   policy_->trace_estimate());
     }
     return; // stay idle forever (never-spin-down)
   }
   if (*timeout <= 0.0) {
     if (tracing) {
-      trace_->emit(obs::Kind::kPolicy, obs::kPolicySpinDownNow, sim_.now(),
-                   id_, 0, *timeout, policy_->trace_estimate());
+      trace_->emit(obs::Kind::kPolicy, obs::kPolicySpinDownNow, t, id_, 0,
+                   *timeout, policy_->trace_estimate());
     }
-    begin_spin_down(sim_.now());
+    begin_spin_down(t);
     return;
   }
   if (tracing) {
-    trace_->emit(obs::Kind::kPolicy, obs::kPolicyTimerArmed, sim_.now(), id_,
-                 0, *timeout, policy_->trace_estimate());
+    trace_->emit(obs::Kind::kPolicy, obs::kPolicyTimerArmed, t, id_, 0,
+                 *timeout, policy_->trace_estimate());
   }
   // No timer: settle() starts the spin-down once the clock reaches it.
-  sleep_at_ = sim_.now() + *timeout;
+  due_ = t + *timeout;
 }
 
 void Disk::begin_spin_down(double t) {
@@ -254,30 +294,14 @@ void Disk::begin_spin_down(double t) {
   idle_spun_down_ = true;
   ++spin_downs_;
   enter(PowerState::kSpinningDown, t);
-  standby_at_ = t + params_.spindown_s;
-}
-
-void Disk::finish_spin_down(double t) {
-  enter(PowerState::kStandby, t);
-  // Requests that arrived during the spin-down force an immediate spin-up.
-  if (!scheduler_->empty()) begin_spin_up(t);
+  due_ = t + params_.spindown_s;
 }
 
 void Disk::begin_spin_up(double t) {
   assert(state_ == PowerState::kStandby);
   ++spin_ups_;
   enter(PowerState::kSpinningUp, t);
-  sim_.schedule_at(t + params_.spinup_s, [this] { finish_spin_up(); });
-}
-
-void Disk::finish_spin_up() {
-  if (!scheduler_->empty()) {
-    start_service();
-  } else {
-    // Cannot normally happen (spin-ups are demand-driven), but a policy
-    // extension could spin up proactively; settle into idle.
-    go_idle();
-  }
+  due_ = t + params_.spinup_s;
 }
 
 DiskMetrics Disk::metrics(double now) {

@@ -21,20 +21,24 @@
 // request arriving mid-spin-down waits for the spin-down to complete and
 // then for the spin-up (the head cannot abort a retraction).
 //
-// Lazy timeline.  Most transitions are fixed the moment their phase begins,
-// so they get no calendar event.  When a batch starts positioning, the time
-// its transfer starts is known; when the policy draws its timeout at idle
-// start, the spin-down and standby times are known.  The calendar holds only
-// one event per served request (its completion) and one per spin-up (which
-// always has waiting requests), plus one at the standby time of a spin-down
-// that a request arrived during.  settle(t) applies every transition due by
-// `t` at its own timestamp and in the order the state machine takes them,
-// emitting the same power/policy/span trace events an eager machine would.
-// It runs at the top of submit(), in state() and metrics(), and from the
-// metrics sampler, so every reader sees the settled state.  Tie rule: a
-// transition due at t resolves before anything else the disk does at t —
-// an arrival exactly at a sleep time finds the disk spinning down, and a
-// gauge sampled at a transfer start reads "transfer".
+// Lazy timeline.  Every transition is fixed the moment its phase begins:
+// when a batch starts positioning, its transfer start is known; when a
+// transfer starts, its completion is known; when the policy draws its
+// timeout at idle start, the spin-down and standby times are known; when a
+// spin-up starts, its end is known.  So the disk needs no event calendar.
+// It keeps one due time, that of the current phase's end, and settle(t)
+// applies every transition due by `t` at its own timestamp and in the order
+// the state machine takes them: transfer start, transfer completion (which
+// fires the completion callback, then starts the next batch member, the
+// next batch or the idle period), spin-down, standby entry (and the wake of
+// a spin-down that requests arrived during), spin-up end.  It emits the
+// power/policy/span trace events an eager machine would.  settle() runs at
+// the top of submit(), in state() and metrics(), and from the metrics
+// sampler, so every reader sees the settled state.  Tie rule: a transition
+// due at t resolves before anything else the disk does at t — an arrival
+// exactly at a completion finds the next request already started, an
+// arrival at a sleep time finds the disk spinning down, and a gauge sampled
+// at a completion reads the state after it.
 //
 // Every state residency is integrated into a time-weighted ledger, so energy
 // is exact under the piecewise-constant power model.
@@ -45,7 +49,6 @@
 #include <memory>
 #include <vector>
 
-#include "des/simulation.h"
 #include "disk/io_scheduler.h"
 #include "obs/trace.h"
 #include "disk/params.h"
@@ -81,8 +84,8 @@ struct Completion {
 /// submitted == served + in_service + queued.
 struct DiskMetrics {
   /// Which disk these counters belong to.  Farm aggregation folds metrics
-  /// in disk-id order, so the result is independent of which shard (or
-  /// calendar) produced each record.
+  /// in disk-id order, so the result is independent of which shard
+  /// produced each record.
   std::uint32_t disk_id = 0;
   std::array<double, kPowerStateCount> state_time{};
   std::uint64_t spin_ups = 0;
@@ -139,53 +142,54 @@ public:
   /// hot path.
   using CompletionCallback = util::InlineFunction<void(const Completion&), 64>;
 
-  /// The disk starts spun up and idle at sim.now(), as in the paper's runs.
+  /// The disk starts spun up and idle at t = 0, as in the paper's runs.
   /// `scheduler` defaults (nullptr) to FCFS — the seed-compatible
   /// discipline.
-  Disk(des::Simulation& sim, std::uint32_t id, DiskParams params,
+  Disk(std::uint32_t id, DiskParams params,
        std::unique_ptr<SpinDownPolicy> policy, util::Rng rng,
        std::unique_ptr<IoScheduler> scheduler = nullptr);
 
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
-  /// Submit a whole-file read arriving now.  `lba`/`blocks` locate the
-  /// file's extent in this disk's logical-block space (the router
-  /// computes them from the catalog layout); `blocks` == 0 derives the
-  /// extent length from `bytes`.  Completion is reported through the
-  /// callback (if set).  `background` marks orchestration destage work: it
-  /// is serviced (and billed energy) like any job but stays out of the
-  /// foreground served/queued/in-service counters, the response statistics,
-  /// and the spin-down policy's completion signal.
-  void submit(std::uint64_t request_id, util::Bytes bytes,
-              std::uint64_t lba = 0, std::uint64_t blocks = 0,
-              bool background = false);
+  /// Submit a whole-file read arriving at `t`, after settling to `t`.
+  /// `lba` is the first block of the file's extent in this disk's
+  /// logical-block space (the router computes it from the catalog layout);
+  /// the extent is util::blocks_of(bytes) long.  Completion is reported
+  /// through the callback (if set), from settle().  `background` marks
+  /// orchestration destage work: it is serviced (and billed energy) like
+  /// any job but stays out of the foreground served/queued/in-service
+  /// counters, the response statistics, and the spin-down policy's
+  /// completion signal.  Throws std::invalid_argument when `t` is earlier
+  /// than the time the disk is settled to (or NaN).  A completion callback
+  /// may submit at its own completion time.
+  void submit(double t, std::uint64_t request_id, util::Bytes bytes,
+              std::uint64_t lba = 0, bool background = false);
 
   void set_completion_callback(CompletionCallback cb) {
     on_complete_ = std::move(cb);
   }
 
   /// Attach a trace sink (null disables).  The buffer must be single-writer
-  /// from this disk's calendar thread and outlive the disk's activity; the
+  /// from the thread that drives this disk and outlive the disk's activity; the
   /// disk emits power transitions, request-lifecycle spans, and policy
   /// decisions on track `id()` subject to the buffer's kind mask.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
 
-  /// Apply every lazy transition due by `t` (the transfer start, the
-  /// spin-down, the standby entry), each at its own time.  `t` must not
-  /// pass one of the disk's pending calendar events.
+  /// Apply every transition due by `t`, each at its own time (see the file
+  /// comment).  A `t` at or before the settled time changes nothing.
   void settle(double t);
 
-  /// Once the calendar has drained: play the trailing idle chain out
-  /// (settle to +infinity) and return when the disk came to rest, the time
-  /// of its last power-state change.
+  /// After the last submission: drain the queue and play the trailing idle
+  /// chain out (settle to +infinity); return when the disk came to rest,
+  /// the time of its last power-state change.
   double settle_all();
 
   std::uint32_t id() const { return id_; }
   const DiskParams& params() const { return params_; }
-  /// Power state at sim.now(), settled.
-  PowerState state() {
-    settle(sim_.now());
+  /// Power state at `t`, settled.
+  PowerState state(double t) {
+    settle(t);
     return state_;
   }
   const IoScheduler& scheduler() const { return *scheduler_; }
@@ -193,6 +197,10 @@ public:
   /// Requests in the active batch (cheap gauge taps for the sampler).
   std::size_t in_service_count() const { return batch_.size() - batch_pos_; }
   std::uint64_t served_count() const { return served_; }
+  /// Discrete events resolved so far: one per completed transfer, one per
+  /// spin-up end, one per spin-down that ends with requests waiting.  An
+  /// engine statistic (RunResult::events), not a physical result.
+  std::uint64_t events() const { return events_; }
   /// Current head position (first block past the last transferred extent).
   std::uint64_t head_lba() const { return head_lba_; }
 
@@ -203,17 +211,15 @@ public:
 private:
   void enter(PowerState next, double t);
   double positioning_time(std::uint64_t target_lba) const;
-  void start_service();
+  void apply_due();
+  void start_service(double t);
   void trace_transfer(double t);
-  void finish_transfer();
-  void go_idle();
-  void arm_idle_timer();
+  void finish_transfer(double t);
+  void go_idle(double t);
+  void arm_idle_timer(double t);
   void begin_spin_down(double t);
-  void finish_spin_down(double t);
   void begin_spin_up(double t);
-  void finish_spin_up();
 
-  des::Simulation& sim_;
   std::uint32_t id_;
   DiskParams params_;
   std::unique_ptr<SpinDownPolicy> policy_;
@@ -230,12 +236,13 @@ private:
   std::uint64_t head_lba_ = 0;
   double capacity_blocks_ = 1.0;
   std::uint64_t submit_seq_ = 0;
-  /// The lazy timeline: the active batch leaves positioning at
-  /// transfer_start_; an idle disk begins spinning down at sleep_at_
-  /// (+infinity: never) and a spinning-down disk parks at standby_at_.
-  double transfer_start_ = 0.0;
-  double sleep_at_ = 0.0;
-  double standby_at_ = 0.0;
+  /// The lazy timeline: the current phase ends at due_ (+infinity: never —
+  /// standby, or idle under a policy that does not spin down), and the
+  /// disk is settled up to clock_.  settling_ guards settle() against a
+  /// completion callback that submits.
+  double due_ = 0.0;
+  double clock_ = 0.0;
+  bool settling_ = false;
   double idle_since_ = 0.0;
   /// True from go_idle() (or construction) until the arrival that ends the
   /// period; an arrival mid-spin-down/standby closes the same period, so
@@ -250,6 +257,7 @@ private:
   std::uint64_t spin_ups_ = 0;
   std::uint64_t spin_downs_ = 0;
   std::uint64_t served_ = 0;
+  std::uint64_t events_ = 0;
   std::uint64_t destage_served_ = 0;
   /// Background population split by location (scheduler vs active batch),
   /// maintained so metrics() can report foreground queued/in_service

@@ -1,25 +1,26 @@
 // sampler.h — sim-time metrics sampling into the trace stream.
 //
-// A MetricsSampler schedules itself at t = k * interval (k = 1, 2, ...,
-// strictly below the horizon) on the calendar that owns its disks and emits
-// two gauges per disk per tick:
+// A MetricsSampler emits two gauges per disk at every tick t = k * interval
+// (k = 1, 2, ..., strictly below the horizon):
 //
 //   kMetricQueueDepth  value = scheduler queue length, aux = in-service
 //   kMetricPowerState  value = power-state index,      aux = served total
 //
-// Determinism: before reading a disk the sampler only settles it (applies
-// the lazy transitions already due, see disk.h), which cannot perturb
-// physical results — and tick timestamps are computed as k * interval
-// (never accumulated), so the sampled timeline is identical whichever
-// shard's calendar the disk lives on.  The tick events it adds to the
-// calendar are subtracted from the run's executed-event count by the
-// callers, so `RunResult::events` matches the untraced run exactly.
+// The shard that owns the disks drives it: sample_until(t) emits every
+// tick not yet emitted that lies at or before t, and the shard calls it
+// before each submission and before its horizon snapshot.  Before reading
+// a disk at tick τ the sampler settles it to τ (disk.h), so a gauge reads
+// the disk after every transition at or before τ, completions and spin-up
+// ends included; settling cannot perturb physical results.  Tick
+// timestamps are computed as k * interval (never accumulated), so the
+// sampled timeline is identical whichever shard the disk lives on.  Ticks
+// are observation only: they are not events and never enter
+// `RunResult::events`.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "des/simulation.h"
 #include "obs/trace.h"
 
 namespace spindown::disk {
@@ -30,34 +31,26 @@ namespace spindown::obs {
 
 class MetricsSampler {
 public:
-  /// `trace` may be null or lack kMetric; start() is then a no-op.
-  MetricsSampler(des::Simulation& sim, double interval_s, double horizon_s,
-                 TraceBuffer* trace)
-      : sim_(sim), interval_(interval_s), horizon_(horizon_s), trace_(trace) {}
+  /// `trace` may be null or lack kMetric; sample_until() is then a no-op.
+  MetricsSampler(double interval_s, double horizon_s, TraceBuffer* trace)
+      : interval_(interval_s), horizon_(horizon_s), trace_(trace) {}
 
   MetricsSampler(const MetricsSampler&) = delete;
   MetricsSampler& operator=(const MetricsSampler&) = delete;
 
-  /// Register a disk to sample.  All registrations must precede start().
+  /// Register a disk to sample.  All registrations must precede the first
+  /// sample_until().
   void add_disk(disk::Disk* d) { disks_.push_back(d); }
 
-  /// Schedule the first tick (at `interval`, if below the horizon).
-  void start();
-
-  /// Ticks executed so far — the number of calendar events this sampler
-  /// consumed, for the callers' executed-count correction.
-  std::uint64_t ticks() const { return ticks_; }
+  /// Emit every remaining tick at or before `t` (and below the horizon).
+  void sample_until(double t);
 
 private:
-  void tick();
-
-  des::Simulation& sim_;
   double interval_;
   double horizon_;
   TraceBuffer* trace_;
   std::vector<disk::Disk*> disks_;
   std::uint64_t next_k_ = 1;
-  std::uint64_t ticks_ = 0;
 };
 
 } // namespace spindown::obs

@@ -396,6 +396,9 @@ RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
            trace)) {
     result.merge(p);
   }
+#ifndef NDEBUG
+  check_conservation(result, config.params);
+#endif
   return result;
 }
 

@@ -251,9 +251,9 @@ struct ExperimentConfig {
   CacheSpec cache = CacheSpec::none();
   WorkloadSpec workload;
   std::uint64_t seed = 1;
-  /// Shard the run's event calendar across this many per-disk-group
-  /// sub-simulations (sys/fleet.h).  1 = one calendar driven by one worker
-  /// thread; 0 = auto (one shard per hardware thread, clamped so every
+  /// Shard the run's disks across this many per-disk-group
+  /// sub-simulations (sys/fleet.h).  1 = one disk group driven by one
+  /// worker thread; 0 = auto (one shard per hardware thread, clamped so every
   /// shard owns at least fleet.h's kAutoMinDisksPerShard disks).
   /// Sharding changes wall-clock only: every physical result field is
   /// bit-identical at any shard count.

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "cache/cache.h"
-#include "des/simulation.h"
 #include "disk/disk.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
@@ -109,18 +108,17 @@ struct FeedChunk {
   }
 };
 
-/// One shard's private calendar: the disks with id % shards == shard
-/// (local index l holds global disk shard + l * shards), per-disk response
-/// accumulators, and the horizon-snapshot rule — the simulator's one
-/// episode.  Heap-allocated and never moved: the completion callbacks
-/// capture member addresses.
+/// One shard's disk group: the disks with id % shards == shard (local index
+/// l holds global disk shard + l * shards), per-disk response accumulators,
+/// the metrics sampler, and the horizon-snapshot rule — the simulator's one
+/// episode.  Disks never interact, so there is no calendar: each disk
+/// settles its own timeline (disk.h) when a submission, a sampler tick or
+/// the snapshot reaches it.  Heap-allocated and never moved: the completion
+/// callbacks capture member addresses.
 class ShardSim {
 public:
   /// `obs_mask` non-zero enables tracing into a shard-private buffer
-  /// (single-writer: exactly one thread ever drives this calendar).  A
-  /// sampler tick settles each disk before reading it, so a tick that ties
-  /// with a disk transition reads the post-transition state at any shard
-  /// count.
+  /// (single-writer: exactly one thread ever drives this shard).
   ShardSim(const ExperimentConfig& config, double horizon,
            const std::vector<std::uint32_t>& disk_ids,
            const std::vector<util::Rng>& rngs,
@@ -134,7 +132,7 @@ public:
     responses_.resize(disk_ids.size());
     for (std::size_t l = 0; l < disk_ids.size(); ++l) {
       disks_.push_back(std::make_unique<disk::Disk>(
-          sim_, disk_ids[l], config.params, policies[l]->make(config.params),
+          disk_ids[l], config.params, policies[l]->make(config.params),
           rngs[l], config.scheduler.make()));
       if (trace_ != nullptr) disks_.back()->set_trace(trace_.get());
       disks_.back()->set_completion_callback(
@@ -146,61 +144,57 @@ public:
     }
     if (trace_ != nullptr) {
       sampler_ = std::make_unique<obs::MetricsSampler>(
-          sim_, metrics_interval_s, horizon, trace_.get());
+          metrics_interval_s, horizon, trace_.get());
       for (const auto& d : disks_) sampler_->add_disk(d.get());
-      sampler_->start();
     }
   }
   ShardSim(const ShardSim&) = delete;
   ShardSim& operator=(const ShardSim&) = delete;
 
-  /// Fixed tie rule: every pending disk event at t <= arrival runs before
-  /// a submission at t (and Disk::submit settles the disk's lazy
-  /// transitions at t first) — identical at any shard count.  The horizon
-  /// snapshot (freezing the power/queue counters, settled at the horizon)
-  /// is taken before the local clock first passes the horizon.
+  /// Emit the sampler ticks up to `t`, and take the horizon snapshot
+  /// (the power/queue counters, each disk settled to the horizon) before
+  /// the shard first moves past the horizon.  A submission at t follows
+  /// (Disk::submit settles its disk to t first), so every transition at
+  /// t' <= t precedes it — a fixed tie rule that does not depend on how
+  /// many shards exist.
   void advance(double t) {
     if (snapshot_.empty() && t >= horizon_) {
-      sim_.run_until(horizon_);
+      if (sampler_ != nullptr) sampler_->sample_until(horizon_);
       snapshot_.reserve(disks_.size());
       for (const auto& d : disks_) snapshot_.push_back(d->metrics(horizon_));
     }
-    sim_.run_until(t);
+    if (sampler_ != nullptr) sampler_->sample_until(t);
   }
 
   void submit(const ShardRecord& r) {
-    disks_[r.local_disk]->submit(r.request_id, r.bytes, r.lba, 0,
+    disks_[r.local_disk]->submit(r.time, r.request_id, r.bytes, r.lba,
                                  r.background);
     ++submissions_;
   }
 
-  double now() const { return sim_.now(); }
   std::uint64_t submissions() const { return submissions_; }
   obs::TraceBuffer* trace_buffer() { return trace_.get(); }
 
   /// Drain: in-flight services run to completion past the horizon and
   /// still record their response times; settling each disk to +infinity
-  /// then plays its trailing idle chain out into the trace.
+  /// also plays its trailing idle chain out into the trace.
   RunResult finalize() {
     advance(horizon_);
-    sim_.run();
-    for (const auto& d : disks_) d->settle_all();
+    RunResult partial;
+    for (const auto& d : disks_) {
+      d->settle_all();
+      partial.events += d->events();
+    }
     for (std::size_t l = 0; l < snapshot_.size(); ++l) {
       snapshot_[l].response = responses_[l];
     }
-    RunResult partial;
     partial.power.horizon_s = horizon_;
-    // Sampler ticks are observation overhead, not simulated physics:
-    // subtract them so `events` matches the untraced run bit-for-bit.
-    partial.events =
-        sim_.executed() - (sampler_ != nullptr ? sampler_->ticks() : 0);
     partial.per_disk = std::move(snapshot_);
     partial.recompute_from_per_disk(hist_);
     return partial;
   }
 
 private:
-  des::Simulation sim_;
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::unique_ptr<obs::MetricsSampler> sampler_;
   std::vector<std::unique_ptr<disk::Disk>> disks_;
@@ -253,7 +247,7 @@ struct FleetSetup {
   }
 
   /// `obs_mask` covers the sim-time kinds only (kProfile samples are
-  /// collected by the pipelines themselves, not the shard calendars).
+  /// collected by the pipelines themselves, not the shard disk groups).
   std::unique_ptr<ShardSim> make_sim(const ExperimentConfig& config,
                                      std::uint32_t shard,
                                      std::uint32_t obs_mask = 0) const {
@@ -273,7 +267,7 @@ struct FleetSetup {
 /// after join).
 struct PipelineAborted {};
 
-/// One routed shard: a private calendar, the full ring (router -> worker,
+/// One routed shard: a private disk group, the full ring (router -> worker,
 /// carries filled batches) and the free ring (worker -> router, recycles
 /// drained arenas).  The arenas double-buffer generically: the router
 /// fills window N+1 (or several) while the worker drains window N, and a
@@ -335,9 +329,7 @@ private:
         sim->submit(r);
       }
       const bool final = batch->final;
-      if (!final && batch->advance_to > sim->now()) {
-        sim->advance(batch->advance_to);
-      }
+      if (!final) sim->advance(batch->advance_to);
       batch->reset();
       free_ring.try_push(batch); // capacity == arena count: cannot fail
       if (profiling) {

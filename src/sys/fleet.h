@@ -1,13 +1,15 @@
 // fleet.h — the simulator's one engine: a routed, sharded disk farm.
 //
 // Every scenario runs here (run_experiment merges run_fleet_partials).  A
-// run's event calendar is partitioned into per-disk-group sub-simulations
-// (one des::Simulation per shard; disk d lives in shard d % shards), each
-// driven by its own worker thread.  The cut is clean because the system's
-// coupling is one-directional: disks interact only through the router at
-// arrival time (the cache and the orchestration controller mutate when a
-// request is routed, never when it completes), and a completion never feeds
-// back into shared state.
+// run's disks are partitioned into per-disk-group sub-simulations (disk d
+// lives in shard d % shards), each driven by its own worker thread.  The
+// cut is clean because the system's coupling is one-directional: disks
+// interact only through the router at arrival time (the cache and the
+// orchestration controller mutate when a request is routed, never when it
+// completes), and a completion never feeds back into shared state.  Within
+// a shard the disks do not interact at all, so a shard has no event
+// calendar: each disk's timeline depends only on its own arrivals, and the
+// disk resolves it itself, lazily (disk.h).
 //
 // Three kinds of thread form a pipeline:
 //   * the feeder (its own thread) pulls the arrival stream in conservative
@@ -19,7 +21,9 @@
 //     the one place a miss's disk and extent are picked (with orchestration
 //     off it enables no mechanism and picks the primary copy), batches a
 //     whole window of submissions, and publishes each shard's batch;
-//   * one worker per shard replays its batches into its own calendar.
+//   * one worker per shard replays its batches into its own disks: each
+//     record is a Disk::submit at the record's time, preceded by the
+//     metrics sampler's ticks up to that time.
 // Every handoff is a lock-free SPSC ring (util/spsc_ring.h) paired with a
 // second ring that recycles drained arenas (feeder chunks, shard batches)
 // back to their producer, so the feeder fills chunk K+1 while the router
@@ -43,17 +47,19 @@
 //     cache hit/miss spans (from the feeder's forwarded verdicts) and the
 //     controller's decisions are emitted there in arrival order, and the
 //     feeder writes only wall-clock profile samples;
-//   * within a shard, replay uses run_until(arrival) + submit(), and
-//     submit() first settles the disk's lazy transitions (disk.h), so
-//     every disk event and transition at t <= arrival happens before a
-//     submission at t — a fixed tie rule that does not depend on how many
-//     shards exist;
+//   * a disk's timeline is a function of its own arrivals alone, and
+//     submit() first settles the disk to the arrival (disk.h), so every
+//     transition at t <= arrival happens before a submission at t — a
+//     fixed tie rule that does not depend on how many shards exist; a
+//     sampler tick at τ likewise reads each disk after every transition
+//     at t <= τ;
 //   * aggregation is canonical (RunResult::recompute_from_per_disk):
 //     moments fold in disk-id order, histograms merge bin-wise, so neither
 //     completion interleaving nor merge order can leak into the result.
 //
-// `events` (calendar events executed, summed over shards) is an engine
-// statistic: arrivals are submitted directly, never scheduled as events.
+// `events` (the disks' resolved events, summed over shards: completions,
+// spin-up ends, and spin-downs that end with requests waiting) is an
+// engine statistic; arrivals and sampler ticks are not events.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +77,7 @@ struct ShardPerf {
   std::uint32_t shard = 0;
   std::uint64_t submissions = 0; ///< requests replayed into this shard
   std::uint64_t batches = 0;     ///< routed batches consumed
-  std::uint64_t events = 0;      ///< calendar events executed by the shard
+  std::uint64_t events = 0;      ///< disk events resolved by the shard
   /// Max full-ring occupancy observed right after a router publish:
   /// persistent highs mean workers lag the router, persistent lows mean
   /// the router is the bottleneck.
@@ -79,7 +85,7 @@ struct ShardPerf {
 };
 
 struct FleetPerf {
-  std::uint32_t shards = 0; ///< one worker thread per shard calendar
+  std::uint32_t shards = 0; ///< one worker thread per shard
   double router_busy_s = 0.0;  ///< router routing + batching time
   /// Router blocked on any ring: waiting for a feeder chunk or for a
   /// drained shard arena.

@@ -606,6 +606,21 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
     }
     workload.trace = cat.trace.get();
   }
+  if (spec.obs.metrics) {
+    // Each tick emits two gauges per disk, so an unbounded tick count is an
+    // unbounded run and trace.
+    const double horizon = workload.measurement_horizon();
+    const double ticks = horizon / spec.obs.metrics_interval_s;
+    if (ticks > kMaxMetricTicks) {
+      throw std::invalid_argument{
+          "ScenarioSpec: obs=metrics:" +
+          util::format_roundtrip(spec.obs.metrics_interval_s) + " over a " +
+          util::format_roundtrip(horizon) + " s horizon samples " +
+          util::format_roundtrip(ticks) + " ticks, more than " +
+          util::format_roundtrip(kMaxMetricTicks) +
+          "; use a longer interval"};
+    }
+  }
   const auto& mapping =
       mapping_for(spec, cat, std::max(1e-6, workload.mean_rate()));
 

@@ -184,8 +184,8 @@ struct ScenarioSpec {
   WorkloadSpec workload;
   std::uint64_t seed = 1;
   /// `shards=<n|auto>`: split the run across n per-disk-group
-  /// sub-simulations (sys/fleet.h); 1 (the default) is one calendar on one
-  /// worker thread and 0 renders as "auto" (one shard per hardware thread,
+  /// sub-simulations (sys/fleet.h); 1 (the default) is one disk group on
+  /// one worker thread and 0 renders as "auto" (one shard per hardware thread,
   /// clamped so every shard owns at least fleet.h's kAutoMinDisksPerShard
   /// disks — oversharding a small farm costs more than it buys).  Shard
   /// count changes wall-clock only, never results, so it is deliberately
@@ -253,8 +253,14 @@ public:
   /// naming the field, on an input the canonical string cannot name: a
   /// `catalog.nersc` field outside nersc(...) or a `workload.trace` set by
   /// hand.  So a resolved scenario is exactly its string, and the memo
-  /// keys are canonical strings.
+  /// keys are canonical strings.  Throws, naming the interval, the horizon
+  /// and the tick count, when `obs=metrics:<iv>` would sample more than
+  /// kMaxMetricTicks ticks over the measurement horizon.
   ResolvedScenario resolve(const ScenarioSpec& spec);
+
+  /// Upper bound on horizon / metrics interval (each tick emits two gauges
+  /// per disk).
+  static constexpr double kMaxMetricTicks = 1e6;
 
 private:
   struct CatalogEntry {

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "adapt/idle_predictor.h"
 #include "sys/spec_grammar.h"
@@ -221,6 +222,34 @@ void RunResult::recompute_from_per_disk(const stats::LinearHistogram& hist) {
           ? 1.0 - power.energy / power.always_on_energy
           : 0.0;
   response = stats::ResponseSummary::from_parts(fold, hist);
+}
+
+void check_conservation(const RunResult& r, const disk::DiskParams& params) {
+  util::Joules by_state = 0.0;
+  for (const auto& m : r.per_disk) {
+    for (std::size_t s = 0; s < disk::kPowerStateCount; ++s) {
+      by_state += m.state_time[s] *
+                  disk::power_of(static_cast<disk::PowerState>(s), params);
+    }
+  }
+  const double scale = std::max(std::abs(r.power.energy), 1e-300);
+  if (!(std::abs(by_state - r.power.energy) / scale <= 1e-9)) {
+    throw std::logic_error{
+        "RunResult: energy " + util::format_roundtrip(r.power.energy) +
+        " J != sum of state_time x state power " +
+        util::format_roundtrip(by_state) + " J"};
+  }
+  const std::uint64_t accounted =
+      r.completed_at_horizon + r.in_flight_at_horizon + r.cache.hits;
+  if (r.requests != accounted) {
+    throw std::logic_error{
+        "RunResult: requests " + std::to_string(r.requests) +
+        " != completed + in flight + cache hits " +
+        std::to_string(accounted) + " (" +
+        std::to_string(r.completed_at_horizon) + " + " +
+        std::to_string(r.in_flight_at_horizon) + " + " +
+        std::to_string(r.cache.hits) + ")"};
+  }
 }
 
 RunResult& RunResult::merge(const RunResult& other) {

@@ -136,10 +136,10 @@ struct RunResult {
   stats::Welford hits_response;
   cache::CacheStats cache;     ///< zeros when no cache configured
   std::uint64_t requests = 0;
-  /// Calendar events executed (summed across shards for a fleet run): the
-  /// numerator of the events/s throughput figure.  An engine statistic,
-  /// not a physical result: it may vary with shard count while every
-  /// physical field is shard-invariant.
+  /// Discrete disk events resolved (Disk::events(), summed over disks):
+  /// one per completed transfer, one per spin-up end, one per spin-down
+  /// that ends with requests waiting.  The numerator of the events/s
+  /// throughput figure; an engine statistic, not a physical result.
   std::uint64_t events = 0;
   std::vector<disk::DiskMetrics> per_disk; ///< at the horizon, disk-id order
   /// Horizon accounting (from the same snapshot as per_disk/energy, so every
@@ -179,6 +179,15 @@ struct RunResult {
   /// power.horizon_s set.
   void recompute_from_per_disk(const stats::LinearHistogram& hist);
 };
+
+/// Check a run's two conservation identities: power.energy equals the sum
+/// over disks and power states of state_time x the state's power under
+/// `params` (to 1e-9 relative), and
+///   requests == completed_at_horizon + in_flight_at_horizon + cache.hits.
+/// Throws std::logic_error naming the broken identity and both sides.
+/// run_experiment runs it on every result in builds with assertions on
+/// (!NDEBUG): a transition the disks failed to apply breaks one of them.
+void check_conservation(const RunResult& r, const disk::DiskParams& params);
 
 /// Closed-form energy of the same served workload with power management
 /// disabled (every disk spinning for the whole window): the Figure 5

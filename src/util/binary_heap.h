@@ -1,5 +1,4 @@
-// binary_heap.h — the d-ary heap the Pack_Disks algorithm and the DES event
-// calendar are built on.
+// binary_heap.h — the d-ary heap the Pack_Disks algorithm is built on.
 //
 // The paper's complexity argument (Lemma 7) relies on two heap properties:
 //   * O(n) construction from an unordered collection, and
@@ -9,12 +8,10 @@
 // so the allocator code reads like the paper's pseudocode (heaps S and L of
 // "size-intensive" / "load-intensive" elements).
 //
-// `Arity` generalises the branching factor for the simulation kernel.  The
-// default of 2 keeps the Pack_Disks semantics (and its invariant tests)
-// untouched; the kernel instantiates Arity = 4, which trades slightly more
-// comparisons per level for half the levels and better cache behaviour on
-// small keys (a 4-ary node's children span a single 64-byte line at 16
-// bytes each).
+// `Arity` generalises the branching factor.  Pack_Disks uses the default of
+// 2; a 4-ary heap trades slightly more comparisons per level for half the
+// levels and better cache behaviour on small keys (a 4-ary node's children
+// span a single 64-byte line at 16 bytes each).
 #pragma once
 
 #include <algorithm>
@@ -47,8 +44,7 @@ public:
   bool empty() const { return data_.empty(); }
   std::size_t size() const { return data_.size(); }
 
-  /// Pre-size the backing array (the event calendar uses this so steady-state
-  /// pushes never reallocate).
+  /// Pre-size the backing array so steady-state pushes never reallocate.
   void reserve(std::size_t n) { data_.reserve(n); }
 
   /// Largest element (by Compare).  Precondition: non-empty.

@@ -74,7 +74,7 @@ std::string json_quote(std::string_view s);
 /// Strict numeric parse: the whole string must be one finite double;
 /// nullopt on trailing garbage, empty input, "nan"/"inf", or overflow.
 /// The shared backend of every spec-key parser (a NaN threshold or rate
-/// would corrupt the event calendar / hang the arrival loop downstream).
+/// would corrupt a disk's timeline / hang the arrival loop downstream).
 std::optional<double> parse_finite_double(const std::string& s);
 
 /// Strict decimal parse of a std::uint64_t: digits only (no sign, space or

@@ -1,6 +1,9 @@
 // disk_edge_test.cpp — corner cases of the disk actor beyond the main suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "disk/disk.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
@@ -11,12 +14,11 @@ namespace {
 
 class DiskEdge : public ::testing::Test {
 protected:
-  des::Simulation sim_;
   DiskParams params_ = DiskParams::st3500630as();
   std::vector<Completion> completions_;
 
   std::unique_ptr<Disk> make_disk(std::unique_ptr<SpinDownPolicy> policy) {
-    auto d = std::make_unique<Disk>(sim_, 3, params_, std::move(policy),
+    auto d = std::make_unique<Disk>(3, params_, std::move(policy),
                                     util::Rng{5});
     d->set_completion_callback(
         [this](const Completion& c) { completions_.push_back(c); });
@@ -26,8 +28,8 @@ protected:
 
 TEST_F(DiskEdge, ZeroByteReadStillPaysPositioning) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
-  sim_.schedule_at(0.0, [&] { d->submit(0, 0); });
-  sim_.run();
+  d->submit(0.0, 0, 0);
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_NEAR(completions_[0].response_time(), params_.position_time(), 1e-12);
 }
@@ -35,10 +37,10 @@ TEST_F(DiskEdge, ZeroByteReadStillPaysPositioning) {
 TEST_F(DiskEdge, ArrivalDuringPositioningQueues) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
+  d->submit(0.0, 0, size);
   // Mid-positioning (positioning lasts 12.66 ms).
-  sim_.schedule_at(0.005, [&] { d->submit(1, size); });
-  sim_.run();
+  d->submit(0.005, 1, size);
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 2u);
   const double svc = params_.service_time(size);
   EXPECT_NEAR(completions_[1].completion, 2 * svc, 1e-9);
@@ -46,8 +48,8 @@ TEST_F(DiskEdge, ArrivalDuringPositioningQueues) {
 
 TEST_F(DiskEdge, DiskIdCarriedInCompletions) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
-  sim_.schedule_at(0.0, [&] { d->submit(77, util::mb(1.0)); });
-  sim_.run();
+  d->submit(0.0, 77, util::mb(1.0));
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_EQ(completions_[0].disk_id, 3u);
   EXPECT_EQ(completions_[0].request_id, 77u);
@@ -55,26 +57,28 @@ TEST_F(DiskEdge, DiskIdCarriedInCompletions) {
 }
 
 TEST_F(DiskEdge, BackToBackArrivalAtExactCompletionInstant) {
-  // A request arriving in the same event round as a completion must be
-  // served (order: completion event first — FIFO by schedule time).
+  // A request arriving at the instant of a completion is served at once:
+  // the completion resolves first (tie rule) and the arrival finds the
+  // disk idle.
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(30.0));
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
-  sim_.schedule_at(svc, [&] { d->submit(1, size); });
-  sim_.run_until(2 * svc + 30.0 + params_.spindown_s);
+  d->submit(0.0, 0, size);
+  d->submit(svc, 1, size);
+  const double parked = 2 * svc + 30.0 + params_.spindown_s;
+  d->settle(parked);
   ASSERT_EQ(completions_.size(), 2u);
   // No idle gap in between: second service begins immediately.
   EXPECT_NEAR(completions_[1].completion, 2 * svc, 1e-9);
-  EXPECT_EQ(d->metrics(sim_.now()).spin_downs, 1u); // only the final one
+  EXPECT_EQ(d->metrics(parked).spin_downs, 1u); // only the final one
 }
 
 TEST_F(DiskEdge, MetricsEnergyMatchesStateTimes) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
-  sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(144.0)); });
-  sim_.schedule_at(200.0, [&] { d->submit(1, util::mb(36.0)); });
-  sim_.run();
-  const auto m = d->metrics(sim_.now());
+  d->submit(0.0, 0, util::mb(144.0));
+  d->submit(200.0, 1, util::mb(36.0));
+  const double end = d->settle_all();
+  const auto m = d->metrics(end);
   util::Joules manual = 0.0;
   for (std::size_t i = 0; i < kPowerStateCount; ++i) {
     manual += m.state_time[i] * power_of(static_cast<PowerState>(i), params_);
@@ -83,7 +87,7 @@ TEST_F(DiskEdge, MetricsEnergyMatchesStateTimes) {
   // Total state time covers the whole run.
   double total = 0.0;
   for (const auto t : m.state_time) total += t;
-  EXPECT_NEAR(total, sim_.now(), 1e-9);
+  EXPECT_NEAR(total, end, 1e-9);
 }
 
 TEST_F(DiskEdge, ManyRapidCyclesRemainConsistent) {
@@ -94,12 +98,10 @@ TEST_F(DiskEdge, ManyRapidCyclesRemainConsistent) {
   // One full cycle: spin-up (15) + service (~0.11) + idle (1) + spin-down
   // (10) ~ 26.1 s; space arrivals past it so each lands in standby.
   const double spacing = 30.0;
-  for (int i = 0; i < 50; ++i) {
-    sim_.schedule_at(spacing * i, [&, i] { d->submit(i, size); });
-  }
-  sim_.run_until(spacing * 49 + params_.spinup_s +
-                 params_.service_time(size) + 1.0 + params_.spindown_s);
-  const auto m = d->metrics(sim_.now());
+  for (int i = 0; i < 50; ++i) d->submit(spacing * i, i, size);
+  const auto m = d->metrics(spacing * 49 + params_.spinup_s +
+                            params_.service_time(size) + 1.0 +
+                            params_.spindown_s);
   EXPECT_EQ(m.served, 50u);
   EXPECT_EQ(completions_.size(), 50u);
   EXPECT_EQ(m.spin_downs, 50u);
@@ -137,20 +139,18 @@ TEST_F(DiskEdge, ArrivalAtTransferStartFindsTheDiskTransferring) {
                          obs::kind_bit(obs::Kind::kSpan));
   d->set_trace(&trace);
   const util::Bytes size = util::mb(72.0);
-  d->submit(0, size);
+  d->submit(0.0, 0, size);
   const double transfer_start = 0.0 + params_.position_time();
-  sim_.run_until(transfer_start);
-  d->submit(1, size);
+  d->submit(transfer_start, 1, size);
   const std::vector<Step> want = {
       {obs::Kind::kPower, code_of(PowerState::kTransfer), 0},
       {obs::Kind::kSpan, obs::kSpanTransfer, 0},
       {obs::Kind::kSpan, obs::kSpanSubmit, 1},
       {obs::Kind::kSpan, obs::kSpanEnqueue, 1}};
   EXPECT_EQ(steps_at(trace, transfer_start), want);
-  sim_.run();
+  const auto m = d->metrics(d->settle_all());
   ASSERT_EQ(completions_.size(), 2u);
   EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
-  const auto m = d->metrics(sim_.now());
   EXPECT_EQ(m.positionings, 2u);
   EXPECT_NEAR(m.time_in(PowerState::kPositioning),
               2 * params_.position_time(), 1e-12);
@@ -165,18 +165,18 @@ TEST_F(DiskEdge, ArrivalAtStandbyTimeFindsTheDiskParked) {
   d->set_trace(&trace);
   const util::Bytes size = util::mb(72.0);
   const double standby = 5.0 + params_.spindown_s;
-  sim_.run_until(standby);
-  d->submit(0, size);
+  d->submit(standby, 0, size);
   const std::vector<Step> want = {
       {obs::Kind::kPower, code_of(PowerState::kStandby), 0},
       {obs::Kind::kSpan, obs::kSpanSubmit, 0},
       {obs::Kind::kSpan, obs::kSpanEnqueue, 0},
       {obs::Kind::kPower, code_of(PowerState::kSpinningUp), 0}};
   EXPECT_EQ(steps_at(trace, standby), want);
-  sim_.run();
+  // After the service, before the disk's next sleep (5 s later).
+  const auto m = d->metrics(standby + params_.spinup_s +
+                            params_.service_time(size) + 1.0);
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_EQ(completions_[0].service_start, standby + params_.spinup_s);
-  const auto m = d->metrics(sim_.now());
   EXPECT_EQ(m.spin_downs, 1u);
   EXPECT_EQ(m.spin_ups, 1u);
   EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
@@ -190,16 +190,13 @@ TEST_F(DiskEdge, ArrivalAtStandbyTimeAfterAWakingArrivalQueues) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
   const util::Bytes size = util::mb(72.0);
   const double standby = 5.0 + params_.spindown_s;
-  sim_.run_until(8.0);
-  d->submit(0, size);
-  sim_.run_until(standby);
-  EXPECT_EQ(d->state(), PowerState::kSpinningUp);
-  d->submit(1, size);
-  sim_.run();
+  d->submit(8.0, 0, size);
+  EXPECT_EQ(d->state(standby), PowerState::kSpinningUp);
+  d->submit(standby, 1, size);
+  const auto m = d->metrics(d->settle_all());
   ASSERT_EQ(completions_.size(), 2u);
   EXPECT_EQ(completions_[0].service_start, standby + params_.spinup_s);
   EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
-  const auto m = d->metrics(sim_.now());
   EXPECT_EQ(m.spin_ups, 1u);
   EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
 }
@@ -220,11 +217,10 @@ TEST_F(DiskEdge, SamplerTickAtTransferStartReadsTransfer) {
                          obs::kind_bit(obs::Kind::kPower));
   d->set_trace(&trace);
   const double transfer_start = 0.0 + params_.position_time();
-  obs::MetricsSampler sampler(sim_, transfer_start, 1.0, &trace);
+  obs::MetricsSampler sampler(transfer_start, 1.0, &trace);
   sampler.add_disk(d.get());
-  sampler.start();
-  d->submit(0, util::mb(72.0));
-  sim_.run_until(transfer_start);
+  d->submit(0.0, 0, util::mb(72.0));
+  sampler.sample_until(transfer_start);
   const obs::TraceEvent* gauge = first_power_gauge(trace);
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->t, transfer_start);
@@ -241,10 +237,9 @@ TEST_F(DiskEdge, SamplerTickAtSleepTimeReadsSpinningDown) {
   obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kMetric) |
                          obs::kind_bit(obs::Kind::kPower));
   d->set_trace(&trace);
-  obs::MetricsSampler sampler(sim_, 3.0, 100.0, &trace);
+  obs::MetricsSampler sampler(3.0, 100.0, &trace);
   sampler.add_disk(d.get());
-  sampler.start();
-  sim_.run_until(3.0);
+  sampler.sample_until(3.0);
   const obs::TraceEvent* gauge = first_power_gauge(trace);
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->t, 3.0);
@@ -256,12 +251,127 @@ TEST_F(DiskEdge, HorizonAtSleepTimeCountsTheSpinDown) {
   // A snapshot exactly at the sleep time settles the spin-down into it:
   // counted, with zero spin-down and zero standby residency.
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(3.0));
-  sim_.run_until(3.0);
   const auto m = d->metrics(3.0);
   EXPECT_EQ(m.spin_downs, 1u);
   EXPECT_EQ(m.time_in(PowerState::kIdle), 3.0);
   EXPECT_EQ(m.time_in(PowerState::kSpinningDown), 0.0);
   EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
+}
+
+TEST_F(DiskEdge, SamplerTickAtCompletionReadsTheNextState) {
+  // The service starts at 1.0, after tick 1, and completes exactly at tick
+  // 2: the gauge reads the disk after the completion, idle with one
+  // request served.
+  const util::Bytes size = util::mb(36.0); // 0.5 s transfer
+  double completion = 0.0;
+  {
+    auto twin = make_disk(std::make_unique<NeverSpinDownPolicy>());
+    twin->submit(1.0, 0, size);
+    twin->settle_all();
+    ASSERT_EQ(completions_.size(), 1u);
+    completion = completions_[0].completion;
+  }
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
+  obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kMetric) |
+                         obs::kind_bit(obs::Kind::kPower));
+  d->set_trace(&trace);
+  obs::MetricsSampler sampler(completion / 2, 100.0, &trace);
+  sampler.add_disk(d.get());
+  ASSERT_LT(completion / 2, 1.0);
+  sampler.sample_until(1.0);
+  d->submit(1.0, 1, size);
+  sampler.sample_until(completion);
+  std::vector<const obs::TraceEvent*> gauges;
+  for (const auto& e : trace.events()) {
+    if (e.kind == obs::Kind::kMetric && e.code == obs::kMetricPowerState) {
+      gauges.push_back(&e);
+    }
+  }
+  ASSERT_EQ(gauges.size(), 2u);
+  EXPECT_EQ(gauges[1]->t, completion);
+  EXPECT_EQ(gauges[1]->value, static_cast<double>(PowerState::kIdle));
+  EXPECT_EQ(gauges[1]->aux, 1.0); // served total
+  // The transition into idle precedes the gauge on the disk's track.
+  const std::vector<Step> want = {
+      {obs::Kind::kPower, code_of(PowerState::kIdle), 0},
+      {obs::Kind::kMetric, obs::kMetricQueueDepth, 0},
+      {obs::Kind::kMetric, obs::kMetricPowerState, 0}};
+  EXPECT_EQ(steps_at(trace, completion), want);
+}
+
+TEST_F(DiskEdge, ArrivalAtSpinUpEndQueuesBehindTheWaitingRequest) {
+  // fixed:0 parks the disk at 10.  A read at 20 spins it up until exactly
+  // 35; a second read at 35 finds the first one already positioning.
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(0.0));
+  obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kPower) |
+                         obs::kind_bit(obs::Kind::kSpan));
+  d->set_trace(&trace);
+  const util::Bytes size = util::mb(72.0);
+  const double spun_up = 20.0 + params_.spinup_s;
+  d->submit(20.0, 0, size);
+  d->submit(spun_up, 1, size);
+  const std::vector<Step> want = {
+      {obs::Kind::kSpan, obs::kSpanPosition, 0},
+      {obs::Kind::kPower, code_of(PowerState::kPositioning), 0},
+      {obs::Kind::kSpan, obs::kSpanSubmit, 1},
+      {obs::Kind::kSpan, obs::kSpanEnqueue, 1}};
+  EXPECT_EQ(steps_at(trace, spun_up), want);
+  const auto m = d->metrics(d->settle_all());
+  ASSERT_EQ(completions_.size(), 2u);
+  EXPECT_EQ(completions_[0].service_start, spun_up);
+  EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
+  EXPECT_EQ(m.spin_ups, 1u);
+  EXPECT_EQ(m.positionings, 2u);
+  EXPECT_EQ(d->events(), 2u + 1u); // two completions, one spin-up end
+}
+
+TEST_F(DiskEdge, ArrivalAtBatchMemberCompletionWaitsForTheNextBatch) {
+  // Three adjacent extents queue behind a warm read and are served as one
+  // batch; a read for the next adjacent extent arrives exactly as the
+  // batch's first member completes.  The running batch is fixed, so the
+  // read is served as a batch of its own once the trio is done, and no
+  // earlier time moves.
+  const util::Bytes size = util::mb(72.0);
+  const std::uint64_t blocks = util::blocks_of(size);
+  const auto run = [&](bool with_arrival, double arrival) {
+    completions_.clear();
+    auto d = std::make_unique<Disk>(3, params_,
+                                    std::make_unique<NeverSpinDownPolicy>(),
+                                    util::Rng{5},
+                                    std::make_unique<BatchScheduler>(16, 64));
+    d->set_completion_callback(
+        [this](const Completion& c) { completions_.push_back(c); });
+    d->submit(0.0, 9, size, 10'000'000);
+    for (std::uint64_t i = 0; i < 3; ++i) d->submit(0.5, i, size, i * blocks);
+    if (with_arrival) d->submit(arrival, 3, size, 3 * blocks);
+    return d->metrics(d->settle_all());
+  };
+  EXPECT_EQ(run(false, 0.0).positionings, 2u);
+  ASSERT_EQ(completions_.size(), 4u);
+  const std::vector<Completion> before = completions_;
+  EXPECT_EQ(before[1].service_start, before[3].service_start); // one batch
+  const auto m = run(true, before[1].completion);
+  ASSERT_EQ(completions_.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(completions_[i].request_id, before[i].request_id);
+    EXPECT_EQ(completions_[i].completion, before[i].completion);
+  }
+  EXPECT_EQ(completions_[4].request_id, 3u);
+  EXPECT_EQ(completions_[4].service_start, before[3].completion);
+  EXPECT_EQ(m.positionings, 3u);
+}
+
+TEST_F(DiskEdge, SubmitBeforeTheDisksClockThrows) {
+  auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
+  d->submit(20.0, 0, util::mb(1.0));
+  EXPECT_THROW(d->submit(19.0, 1, util::mb(1.0)), std::invalid_argument);
+  d->settle(30.0);
+  EXPECT_THROW(d->submit(25.0, 1, util::mb(1.0)), std::invalid_argument);
+  EXPECT_THROW(d->submit(std::nan(""), 1, util::mb(1.0)),
+               std::invalid_argument);
+  d->submit(30.0, 1, util::mb(1.0)); // at the clock is fine
+  d->settle_all();
+  EXPECT_EQ(completions_.size(), 2u);
 }
 
 } // namespace

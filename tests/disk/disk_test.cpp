@@ -11,12 +11,11 @@ namespace {
 
 class DiskFixture : public ::testing::Test {
 protected:
-  des::Simulation sim_;
   DiskParams params_ = DiskParams::st3500630as();
   std::vector<Completion> completions_;
 
   std::unique_ptr<Disk> make_disk(std::unique_ptr<SpinDownPolicy> policy) {
-    auto d = std::make_unique<Disk>(sim_, 0, params_, std::move(policy),
+    auto d = std::make_unique<Disk>(0, params_, std::move(policy),
                                     util::Rng{1});
     d->set_completion_callback(
         [this](const Completion& c) { completions_.push_back(c); });
@@ -27,8 +26,8 @@ protected:
 TEST_F(DiskFixture, SingleRequestServiceTime) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0); // exactly 1 s transfer
-  sim_.schedule_at(0.0, [&] { d->submit(7, size); });
-  sim_.run();
+  d->submit(0.0, 7, size);
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 1u);
   const auto& c = completions_[0];
   EXPECT_EQ(c.request_id, 7u);
@@ -41,12 +40,10 @@ TEST_F(DiskFixture, SingleRequestServiceTime) {
 TEST_F(DiskFixture, FcfsQueueing) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] {
-    d->submit(0, size);
-    d->submit(1, size);
-    d->submit(2, size);
-  });
-  sim_.run();
+  d->submit(0.0, 0, size);
+  d->submit(0.0, 1, size);
+  d->submit(0.0, 2, size);
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 3u);
   const double unit = params_.service_time(size);
   for (int i = 0; i < 3; ++i) {
@@ -59,12 +56,11 @@ TEST_F(DiskFixture, FcfsQueueing) {
 
 TEST_F(DiskFixture, SpinsDownAfterThreshold) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
-  sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(72.0)); });
-  // The idle chain has no calendar events: run to its standby time.
-  sim_.run_until(params_.service_time(util::mb(72.0)) + 20.0 +
-                 params_.spindown_s);
-  EXPECT_EQ(d->state(), PowerState::kStandby);
-  const auto m = d->metrics(sim_.now());
+  d->submit(0.0, 0, util::mb(72.0));
+  const double standby =
+      params_.service_time(util::mb(72.0)) + 20.0 + params_.spindown_s;
+  EXPECT_EQ(d->state(standby), PowerState::kStandby);
+  const auto m = d->metrics(standby);
   EXPECT_EQ(m.spin_downs, 1u);
   EXPECT_EQ(m.spin_ups, 0u);
   EXPECT_NEAR(m.time_in(PowerState::kIdle), 20.0, 1e-9);
@@ -74,41 +70,39 @@ TEST_F(DiskFixture, SpinsDownAfterThreshold) {
 TEST_F(DiskFixture, RequestToStandbyDiskPaysSpinUp) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
+  d->submit(0.0, 0, size);
   const double t2 = 100.0; // disk is long in standby by then
-  sim_.schedule_at(t2, [&] { d->submit(1, size); });
-  sim_.run();
+  d->submit(t2, 1, size);
+  const double end = d->settle_all();
   ASSERT_EQ(completions_.size(), 2u);
   EXPECT_NEAR(completions_[1].response_time(),
               params_.spinup_s + params_.service_time(size), 1e-9);
-  EXPECT_EQ(d->metrics(sim_.now()).spin_ups, 1u);
+  EXPECT_EQ(d->metrics(end).spin_ups, 1u);
 }
 
 TEST_F(DiskFixture, ArrivalDuringSpinDownWaitsForFullRoundTrip) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
+  d->submit(0.0, 0, size);
   const double svc = params_.service_time(size);
   const double mid_spin_down = svc + 20.0 + 5.0; // 5 s into the spin-down
-  sim_.schedule_at(mid_spin_down, [&] { d->submit(1, size); });
-  sim_.run();
+  d->submit(mid_spin_down, 1, size);
+  const double end = d->settle_all(); // parked again, with no residency
   ASSERT_EQ(completions_.size(), 2u);
   // Must wait the remaining 5 s of spin-down, then the 15 s spin-up.
   const double expected_response = 5.0 + params_.spinup_s + svc;
   EXPECT_NEAR(completions_[1].response_time(), expected_response, 1e-9);
-  const auto m = d->metrics(sim_.now());
+  const auto m = d->metrics(end);
   EXPECT_NEAR(m.time_in(PowerState::kStandby), 0.0, 1e-9);
 }
 
 TEST_F(DiskFixture, ArrivalDuringIdleCancelsSpinDown) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(20.0));
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
+  d->submit(0.0, 0, size);
   const double svc = params_.service_time(size);
-  sim_.schedule_at(svc + 10.0, [&] { d->submit(1, size); }); // idle 10 < 20
-  sim_.schedule_at(svc + 10.0 + svc + 100.0, [&] {});        // run long enough
-  sim_.run();
-  const auto m = d->metrics(sim_.now());
+  d->submit(svc + 10.0, 1, size); // idle 10 < 20
+  const auto m = d->metrics(svc + 10.0 + svc + 100.0);
   // Exactly one spin-down (after the second service), none between requests.
   EXPECT_EQ(m.spin_downs, 1u);
   EXPECT_EQ(m.spin_ups, 0u);
@@ -118,29 +112,26 @@ TEST_F(DiskFixture, ArrivalDuringIdleCancelsSpinDown) {
 
 TEST_F(DiskFixture, NeverPolicyNeverSpinsDown) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
-  sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(10.0)); });
-  sim_.schedule_at(10'000.0, [&] {});
-  sim_.run();
-  EXPECT_EQ(d->state(), PowerState::kIdle);
-  EXPECT_EQ(d->metrics(sim_.now()).spin_downs, 0u);
+  d->submit(0.0, 0, util::mb(10.0));
+  EXPECT_EQ(d->state(10'000.0), PowerState::kIdle);
+  EXPECT_EQ(d->metrics(10'000.0).spin_downs, 0u);
 }
 
 TEST_F(DiskFixture, ImmediateSpinDownPolicy) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(0.0));
   // The disk starts idle: it should begin spinning down at t = 0.
-  sim_.run_until(params_.spindown_s);
-  EXPECT_EQ(d->state(), PowerState::kStandby);
-  EXPECT_EQ(d->metrics(sim_.now()).spin_downs, 1u);
+  EXPECT_EQ(d->state(params_.spindown_s), PowerState::kStandby);
+  EXPECT_EQ(d->metrics(params_.spindown_s).spin_downs, 1u);
 }
 
 TEST_F(DiskFixture, EnergyIntegrationMatchesHandComputation) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(30.0));
   const util::Bytes size = util::mb(144.0); // 2 s transfer
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
-  sim_.run_until(params_.service_time(size) + 30.0 + params_.spindown_s);
+  d->submit(0.0, 0, size);
   // Timeline: position (12.66 ms) + transfer (2 s) + idle 30 s +
   // spin-down 10 s; the run ends in standby with zero standby time.
-  const auto m = d->metrics(sim_.now());
+  const auto m =
+      d->metrics(params_.service_time(size) + 30.0 + params_.spindown_s);
   const double expected = params_.position_time() * params_.seek_w +
                           2.0 * params_.active_w + 30.0 * params_.idle_w +
                           params_.spindown_s * params_.spindown_w;
@@ -149,14 +140,13 @@ TEST_F(DiskFixture, EnergyIntegrationMatchesHandComputation) {
 
 TEST_F(DiskFixture, MetricsSnapshotAtIntermediateTime) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
-  sim_.schedule_at(0.0, [&] { d->submit(0, util::mb(720.0)); }); // 10 s
-  sim_.schedule_at(5.0, [&] {
-    const auto m = d->metrics(sim_.now());
+  d->submit(0.0, 0, util::mb(720.0)); // 10 s
+  {
+    const auto m = d->metrics(5.0);
     EXPECT_NEAR(m.busy_time(), 5.0, 1e-9);
     EXPECT_EQ(m.served, 0u); // still transferring
-  });
-  sim_.run();
-  const auto m = d->metrics(sim_.now());
+  }
+  const auto m = d->metrics(d->settle_all());
   EXPECT_EQ(m.served, 1u);
   EXPECT_EQ(m.bytes_served, util::mb(720.0));
 }
@@ -165,13 +155,13 @@ TEST_F(DiskFixture, IdleGapsRecordedBetweenArrivals) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
-  sim_.schedule_at(svc + 40.0, [&] { d->submit(1, size); });
-  sim_.run();
+  d->submit(0.0, 0, size);
+  d->submit(svc + 40.0, 1, size);
+  const double end = d->settle_all();
   // Period 0: [0, 0) before the first request (disk idle from t = 0),
   // counted but too short for any bin; period 1: 40 s between first
   // completion and second arrival.
-  const auto periods = d->metrics(sim_.now()).idle_periods;
+  const auto periods = d->metrics(end).idle_periods;
   EXPECT_EQ(periods.total(), 2u);
   ASSERT_EQ(periods.binned(), 1u);
   for (std::size_t i = 0; i < periods.bins(); ++i) {
@@ -184,18 +174,16 @@ TEST_F(DiskFixture, IdleGapsRecordedBetweenArrivals) {
 TEST_F(DiskFixture, BurstDuringSpinUpQueuesAll) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
+  d->submit(0.0, 0, size);
   // Disk reaches standby at svc + 5 + 10; burst arrives at 50.
-  sim_.schedule_at(50.0, [&] {
-    d->submit(1, size);
-    d->submit(2, size);
-    d->submit(3, size);
-  });
-  sim_.run();
+  d->submit(50.0, 1, size);
+  d->submit(50.0, 2, size);
+  d->submit(50.0, 3, size);
+  const double end = d->settle_all();
   ASSERT_EQ(completions_.size(), 4u);
   const double svc = params_.service_time(size);
   // One spin-up for the whole burst; responses stack behind it.
-  EXPECT_EQ(d->metrics(sim_.now()).spin_ups, 1u);
+  EXPECT_EQ(d->metrics(end).spin_ups, 1u);
   EXPECT_NEAR(completions_[1].response_time(), params_.spinup_s + svc, 1e-9);
   EXPECT_NEAR(completions_[3].response_time(), params_.spinup_s + 3 * svc,
               1e-9);
@@ -205,13 +193,11 @@ TEST_F(DiskFixture, ManyCyclesCountSpinEvents) {
   auto d = make_disk(std::make_unique<FixedThresholdPolicy>(10.0));
   const util::Bytes size = util::mb(72.0);
   // Requests spaced far enough apart that the disk standby-cycles each time.
-  for (int i = 0; i < 5; ++i) {
-    sim_.schedule_at(100.0 * i, [&, i] { d->submit(i, size); });
-  }
+  for (int i = 0; i < 5; ++i) d->submit(100.0 * i, i, size);
   // Until the last cycle parks: spin-up, service, idle, spin-down.
-  sim_.run_until(400.0 + params_.spinup_s + params_.service_time(size) +
-                 10.0 + params_.spindown_s);
-  const auto m = d->metrics(sim_.now());
+  const auto m = d->metrics(400.0 + params_.spinup_s +
+                            params_.service_time(size) + 10.0 +
+                            params_.spindown_s);
   EXPECT_EQ(m.served, 5u);
   EXPECT_EQ(m.spin_downs, 5u);
   EXPECT_EQ(m.spin_ups, 4u); // the first request found the disk idle
@@ -242,9 +228,9 @@ TEST_F(DiskFixture, PolicyObservesIdlePeriodsWithoutSpinDown) {
   auto d = make_disk(std::move(probe_owner));
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
-  sim_.schedule_at(30.0, [&] { d->submit(0, size); });
-  sim_.schedule_at(100.0, [&] { d->submit(1, size); });
-  sim_.run();
+  d->submit(30.0, 0, size);
+  d->submit(100.0, 1, size);
+  d->settle_all();
   ASSERT_EQ(probe->idle_periods.size(), 2u);
   // First period: construction (t = 0) to the first arrival.
   EXPECT_DOUBLE_EQ(probe->idle_periods[0].first, 30.0);
@@ -261,18 +247,19 @@ TEST_F(DiskFixture, PolicyObservesFullPeriodAcrossSpinDown) {
   ProbePolicy* probe = probe_owner.get();
   auto d = make_disk(std::move(probe_owner));
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(0, size); });
+  d->submit(0.0, 0, size);
   const double svc = params_.service_time(size);
-  sim_.schedule_at(svc + 200.0, [&] { d->submit(1, size); });
-  sim_.run_until(svc + 200.0 + params_.spinup_s + svc + 10.0 +
-                 params_.spindown_s);
+  d->submit(svc + 200.0, 1, size);
+  const double parked =
+      svc + 200.0 + params_.spinup_s + svc + 10.0 + params_.spindown_s;
+  d->settle(parked);
   ASSERT_EQ(probe->idle_periods.size(), 2u);
   EXPECT_DOUBLE_EQ(probe->idle_periods[0].first, 0.0); // arrival at t = 0
   EXPECT_NEAR(probe->idle_periods[1].first, 200.0, 1e-9);
   EXPECT_TRUE(probe->idle_periods[1].second);
   // An arrival during the spin-up must NOT be reported as another period.
   // (The trailing idle period parks the disk too.)
-  EXPECT_EQ(d->metrics(sim_.now()).spin_downs, 1u + 1u);
+  EXPECT_EQ(d->metrics(parked).spin_downs, 1u + 1u);
 }
 
 TEST_F(DiskFixture, PolicyObservesEveryCompletionResponse) {
@@ -280,11 +267,9 @@ TEST_F(DiskFixture, PolicyObservesEveryCompletionResponse) {
   ProbePolicy* probe = probe_owner.get();
   auto d = make_disk(std::move(probe_owner));
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] {
-    d->submit(0, size);
-    d->submit(1, size);
-  });
-  sim_.run();
+  d->submit(0.0, 0, size);
+  d->submit(0.0, 1, size);
+  d->settle_all();
   ASSERT_EQ(probe->responses.size(), 2u);
   ASSERT_EQ(completions_.size(), 2u);
   EXPECT_DOUBLE_EQ(probe->responses[0], completions_[0].response_time());
@@ -295,10 +280,9 @@ TEST_F(DiskFixture, MetricsExposeIdlePeriodHistogram) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   const util::Bytes size = util::mb(72.0);
   const double svc = params_.service_time(size);
-  sim_.schedule_at(50.0, [&] { d->submit(0, size); });
-  sim_.schedule_at(50.0 + svc + 400.0, [&] { d->submit(1, size); });
-  sim_.run();
-  const auto m = d->metrics(sim_.now());
+  d->submit(50.0, 0, size);
+  d->submit(50.0 + svc + 400.0, 1, size);
+  const auto m = d->metrics(d->settle_all());
   EXPECT_EQ(m.idle_periods.total(), 2u); // 50 s and 400 s periods
   // Both land in the bins that cover their durations.
   std::uint64_t in_range = 0;

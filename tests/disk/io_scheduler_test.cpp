@@ -169,12 +169,11 @@ TEST(SeekCurve, CalibratedMeanOverUniformDistancesEqualsAvgSeek) {
 
 class SchedulerDiskFixture : public ::testing::Test {
 protected:
-  des::Simulation sim_;
   DiskParams params_ = DiskParams::st3500630as();
   std::vector<Completion> completions_;
 
   std::unique_ptr<Disk> make_disk(std::unique_ptr<IoScheduler> sched) {
-    auto d = std::make_unique<Disk>(sim_, 0, params_,
+    auto d = std::make_unique<Disk>(0, params_,
                                     std::make_unique<NeverSpinDownPolicy>(),
                                     util::Rng{1}, std::move(sched));
     d->set_completion_callback(
@@ -189,12 +188,10 @@ TEST_F(SchedulerDiskFixture, SstfReordersAQueuedBurst) {
   const std::uint64_t blocks = util::blocks_of(size);
   // Burst of three while the first is in service: the far one (id 1) must
   // be served last even though it arrived first.
-  sim_.schedule_at(0.0, [&] {
-    d->submit(0, size, 0, blocks);
-    d->submit(1, size, 800'000'000, blocks); // far
-    d->submit(2, size, blocks + 10, blocks); // near the head after job 0
-  });
-  sim_.run();
+  d->submit(0.0, 0, size, 0);
+  d->submit(0.0, 1, size, 800'000'000); // far
+  d->submit(0.0, 2, size, blocks + 10); // near the head after job 0
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 3u);
   EXPECT_EQ(completions_[0].request_id, 0u);
   EXPECT_EQ(completions_[1].request_id, 2u);
@@ -207,11 +204,9 @@ TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
   const std::uint64_t capacity_blocks = util::blocks_of(params_.capacity);
   // One request at LBA 0 (head starts there: zero distance), then one at
   // half the stroke.
-  sim_.schedule_at(0.0, [&] { d->submit(0, size, 0, util::blocks_of(size)); });
-  sim_.schedule_at(5.0, [&] {
-    d->submit(1, size, capacity_blocks / 2, util::blocks_of(size));
-  });
-  sim_.run();
+  d->submit(0.0, 0, size, 0);
+  d->submit(5.0, 1, size, capacity_blocks / 2);
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 2u);
   const double transfer = params_.transfer_time(size);
   EXPECT_NEAR(completions_[0].response_time(),
@@ -233,15 +228,12 @@ TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
   const std::uint64_t warm_lba = 10'000'000;
   // A warm request occupies the head so the adjacent trio is all pending
   // when the next batch is popped.
-  sim_.schedule_at(0.0, [&] { d->submit(9, size, warm_lba, blocks); });
-  sim_.schedule_at(0.5, [&] {
-    d->submit(0, size, 0, blocks);
-    d->submit(1, size, blocks, blocks);     // adjacent
-    d->submit(2, size, 2 * blocks, blocks); // adjacent
-  });
-  sim_.run();
+  d->submit(0.0, 9, size, warm_lba);
+  d->submit(0.5, 0, size, 0);
+  d->submit(0.5, 1, size, blocks);     // adjacent
+  d->submit(0.5, 2, size, 2 * blocks); // adjacent
+  const auto m = d->metrics(d->settle_all());
   ASSERT_EQ(completions_.size(), 4u);
-  const auto m = d->metrics(sim_.now());
   // One positioning phase for the warm request, one for the whole trio.
   EXPECT_EQ(m.positionings, 2u);
   EXPECT_EQ(m.served, 4u);
@@ -268,28 +260,25 @@ TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
 TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
   auto d = make_disk(std::make_unique<FcfsScheduler>());
   const util::Bytes size = util::mb(720.0); // 10 s transfer
-  sim_.schedule_at(0.0, [&] {
-    d->submit(0, size);
-    d->submit(1, size);
-    d->submit(2, size);
-  });
-  // Mid-first-transfer: one in service, two queued, none served.
-  sim_.schedule_at(5.0, [&] {
-    const auto m = d->metrics(sim_.now());
+  d->submit(0.0, 0, size);
+  d->submit(0.0, 1, size);
+  d->submit(0.0, 2, size);
+  {
+    // Mid-first-transfer: one in service, two queued, none served.
+    const auto m = d->metrics(5.0);
     EXPECT_EQ(m.served, 0u);
     EXPECT_EQ(m.in_service, 1u);
     EXPECT_EQ(m.queued, 2u);
     EXPECT_EQ(m.served + m.in_service + m.queued, 3u);
-  });
-  // Mid-second-transfer: one served, one in service, one queued.
-  sim_.schedule_at(15.0, [&] {
-    const auto m = d->metrics(sim_.now());
+  }
+  {
+    // Mid-second-transfer: one served, one in service, one queued.
+    const auto m = d->metrics(15.0);
     EXPECT_EQ(m.served, 1u);
     EXPECT_EQ(m.in_service, 1u);
     EXPECT_EQ(m.queued, 1u);
-  });
-  sim_.run();
-  const auto m = d->metrics(sim_.now());
+  }
+  const auto m = d->metrics(d->settle_all());
   EXPECT_EQ(m.served, 3u);
   EXPECT_EQ(m.in_service, 0u);
   EXPECT_EQ(m.queued, 0u);
@@ -298,14 +287,14 @@ TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
 TEST_F(SchedulerDiskFixture, FcfsDefaultMatchesLegacyConstantPositioning) {
   // A Disk constructed without a scheduler serves FCFS with the constant
   // position_time() — the seed simulator's exact timing.
-  auto d = std::make_unique<Disk>(sim_, 0, params_,
+  auto d = std::make_unique<Disk>(0, params_,
                                   std::make_unique<NeverSpinDownPolicy>(),
                                   util::Rng{1});
   d->set_completion_callback(
       [this](const Completion& c) { completions_.push_back(c); });
   const util::Bytes size = util::mb(72.0);
-  sim_.schedule_at(0.0, [&] { d->submit(9, size, /*lba=*/12345); });
-  sim_.run();
+  d->submit(0.0, 9, size, /*lba=*/12345);
+  d->settle_all();
   ASSERT_EQ(completions_.size(), 1u);
   EXPECT_NEAR(completions_[0].completion, params_.service_time(size), 1e-12);
 }

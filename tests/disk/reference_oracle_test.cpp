@@ -6,9 +6,9 @@
 // the reference computed — the in-flight transfer start, the completion
 // that drains the queue, the next sleep time or the next standby time — so
 // the ties between an arrival and a disk transition are exercised on every
-// run.  The engine is driven as the fleet drives it: run the calendar to
-// the arrival time, then submit.  Every per-request time and the horizon
-// counters must match bit for bit.
+// run.  The disk is driven as the fleet drives it: each arrival is a
+// submit at its time, which settles the disk to that time first.  Every
+// per-request time and the horizon counters must match bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,8 +90,7 @@ TEST(ReferenceOracle, RandomTracesMatchTheNaiveDisk) {
         0, policies.size() - 1)];
     SCOPED_TRACE("policy " + policy.spec);
 
-    des::Simulation sim;
-    Disk disk(sim, 0, params,
+    Disk disk(0, params,
               sys::PolicySpec::parse(policy.spec).make(params), util::Rng{1});
     std::vector<Completion> got;
     disk.set_completion_callback(
@@ -106,12 +105,10 @@ TEST(ReferenceOracle, RandomTracesMatchTheNaiveDisk) {
       const util::Bytes bytes =
           rng.uniform_int(0, 3) == 0 ? 0 : rng.uniform_int(1, util::mb(150));
       want.push_back(ref.submit(a, bytes));
-      sim.run_until(a);
-      disk.submit(i, bytes);
+      disk.submit(a, i, bytes);
       last = a;
     }
     const double t_end = pick_end(rng, ref);
-    sim.run_until(t_end);
     const auto ref_m = ref.finish(t_end);
     const auto m = disk.metrics(t_end);
 

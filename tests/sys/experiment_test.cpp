@@ -199,7 +199,7 @@ TEST(PolicySpec, ParseRejectsGarbage) {
   EXPECT_THROW(PolicySpec::parse("share:1"), std::invalid_argument);
   EXPECT_THROW(PolicySpec::parse("share:2.5"), std::invalid_argument);
   // Non-finite or unrepresentable numbers must fail the parse, not reach
-  // the event calendar (a NaN timeout corrupts heap ordering) or trigger
+  // a disk's timeline (a NaN timeout never falls due) or trigger
   // an undefined float-to-int cast.
   EXPECT_THROW(PolicySpec::parse("fixed:nan"), std::invalid_argument);
   EXPECT_THROW(PolicySpec::parse("ewma:inf"), std::invalid_argument);

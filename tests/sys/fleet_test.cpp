@@ -177,8 +177,8 @@ TEST(FleetMerge, RejectsOverlappingDiskIds) {
 TEST(FleetTies, SimultaneousCompletionsMatchSingleCalendar) {
   // Regression for the latent completion-ordering assumption: requests of
   // identical size submitted at the same instant to different disks finish
-  // at identical timestamps.  In one calendar those completions execute in
-  // insertion order; sharded, each runs on its own calendar.  The result
+  // at identical timestamps.  In one shard those completions resolve disk
+  // by disk; sharded, each resolves on its own worker.  The result
   // must not depend on that interleaving — canonical aggregation folds
   // per-disk records in disk-id order either way.
   std::vector<workload::FileInfo> files(4);

@@ -304,6 +304,27 @@ TEST(ScenarioResolve, ReplicasAndRedirectOnlyTogether) {
   EXPECT_EQ(resolve_scenario(both).config.replicas, 2u);
 }
 
+TEST(ScenarioResolve, UnboundedMetricsTickCountIsRejectedBeforeTheRun) {
+  // metrics:1e-300 parses (finite, > 0), but over a 400 s horizon it would
+  // sample ~4e302 ticks, each two gauges per disk: resolution refuses it,
+  // naming the interval, the horizon and the tick count, without running.
+  const auto base = small_packed_scenario();
+  try {
+    (void)resolve_scenario(base.with("obs", "metrics:1e-300"));
+    FAIL() << "metrics:1e-300 resolved";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("obs=metrics:1e-300 over a 400 s horizon samples "
+                        "3.9999999999999995e+302 ticks, more than 1000000"),
+              std::string::npos)
+        << what;
+  }
+  // One tick per millisecond of a 400 s horizon is within the cap.
+  EXPECT_NO_THROW((void)resolve_scenario(base.with("obs", "metrics:0.001")));
+  EXPECT_THROW((void)resolve_scenario(base.with("obs", "metrics:0.0001")),
+               std::invalid_argument);
+}
+
 TEST(ScenarioResolve, MaidNeedsAnExplicitFarmAndPinsCacheDisks) {
   auto s = small_packed_scenario();
   s.placement = PlacementSpec::maid(2);

@@ -100,7 +100,7 @@ TEST(RunSweep, DeterministicAcrossThreadCounts) {
 
 TEST(RunSweep, DeterministicAcrossShardCounts) {
   // The same adaptive × non-stationary grid, but varying the *intra-run*
-  // parallelism: each config run with the calendar sharded 1/2/4/8 ways
+  // parallelism: each config run with the disks sharded 1/2/4/8 ways
   // must reproduce, bit for bit, the digest captured from the retired
   // single-calendar engine.  (Shard counts above the farm size clamp —
   // still a valid configuration.)

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "adapt/idle_predictor.h"
 #include "adapt/share.h"
@@ -198,6 +199,58 @@ TEST(SystemRun, TraceRunAccountsEveryRequest) {
   // The per-disk snapshot is taken at the measurement horizon (trace end
   // + 1 s); the final request is still in service there.
   EXPECT_EQ(r.per_disk[0].served + r.per_disk[1].served, 4u);
+}
+
+/// A small spin-down run with a front cache, so every term of both
+/// conservation identities is non-zero.
+RunResult conservation_run(const disk::DiskParams& params) {
+  const auto cat = uniform_catalog(4, util::mb(72.0));
+  const workload::Trace trace{
+      cat, {{0.0, 0}, {1.0, 1}, {2.0, 0}, {3.0, 3}, {100.0, 2}}};
+  auto cfg = replay_config(trace, {0, 0, 1, 1}, 2, PolicySpec::fixed(5.0));
+  cfg.params = params;
+  cfg.cache = CacheSpec::lru(util::mb(200.0));
+  const RunResult r = run_experiment(cfg);
+  EXPECT_GT(r.cache.hits, 0u);
+  EXPECT_GT(r.in_flight_at_horizon, 0u);
+  EXPECT_GT(r.power.spin_downs, 0u);
+  EXPECT_NO_THROW(check_conservation(r, params));
+  return r;
+}
+
+/// check_conservation's message on `r`, or "" when it passes.
+std::string conservation_error(const RunResult& r,
+                               const disk::DiskParams& params) {
+  try {
+    check_conservation(r, params);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Conservation, EnergyNotMatchingTheStateLedgerThrows) {
+  const auto params = disk::DiskParams::st3500630as();
+  RunResult r = conservation_run(params);
+  r.per_disk[1].state_time[static_cast<std::size_t>(
+      disk::PowerState::kStandby)] += 1.0; // one unbilled standby second
+  const std::string what = conservation_error(r, params);
+  EXPECT_NE(what.find("RunResult: energy " +
+                      util::format_roundtrip(r.power.energy) +
+                      " J != sum of state_time x state power"),
+            std::string::npos)
+      << what;
+}
+
+TEST(Conservation, RequestsNotAccountedAtTheHorizonThrow) {
+  const auto params = disk::DiskParams::st3500630as();
+  RunResult r = conservation_run(params);
+  r.in_flight_at_horizon -= 1; // a request lost at the horizon
+  const std::string what = conservation_error(r, params);
+  EXPECT_NE(what.find("RunResult: requests 5 != completed + in flight + "
+                      "cache hits 4"),
+            std::string::npos)
+      << what;
 }
 
 TEST(SystemRun, NeverPolicyMatchesAlwaysOnEnergy) {

@@ -107,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, HeapSortProperty,
                                            4096));
 
 // ---------------------------------------------------------------------------
-// D-ary instantiations (the simulation calendar uses Arity = 4).
+// D-ary instantiations (Arity = 4).
 
 TEST(DaryHeap, QuaternarySortsLikeBinary) {
   Rng rng{4242};
