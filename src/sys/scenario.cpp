@@ -20,6 +20,10 @@
 namespace spindown::sys {
 namespace {
 
+/// Upper bound on horizon / metrics interval: each tick emits two gauges
+/// per disk, so an unbounded tick count is an unbounded run and trace.
+constexpr double kMaxMetricTicks = 1e6;
+
 double parse_number(const std::string& s, const std::string& context) {
   return detail::parse_number(s, context, "ScenarioSpec");
 }
@@ -607,8 +611,6 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
     workload.trace = cat.trace.get();
   }
   if (spec.obs.metrics) {
-    // Each tick emits two gauges per disk, so an unbounded tick count is an
-    // unbounded run and trace.
     const double horizon = workload.measurement_horizon();
     const double ticks = horizon / spec.obs.metrics_interval_s;
     if (ticks > kMaxMetricTicks) {

@@ -255,12 +255,8 @@ public:
   /// hand.  So a resolved scenario is exactly its string, and the memo
   /// keys are canonical strings.  Throws, naming the interval, the horizon
   /// and the tick count, when `obs=metrics:<iv>` would sample more than
-  /// kMaxMetricTicks ticks over the measurement horizon.
+  /// 10^6 ticks over the measurement horizon.
   ResolvedScenario resolve(const ScenarioSpec& spec);
-
-  /// Upper bound on horizon / metrics interval (each tick emits two gauges
-  /// per disk).
-  static constexpr double kMaxMetricTicks = 1e6;
 
 private:
   struct CatalogEntry {
