@@ -59,14 +59,10 @@ static_assert(sizeof(ShardRecord) == 40);
 /// nothing.
 struct ShardBatch {
   std::vector<ShardRecord> records;
-  /// The routed frontier: the worker may advance its clock here after
-  /// replaying the batch (the router has routed every arrival below it).
-  double advance_to = 0.0;
   bool final = false;
 
   void reset() {
     records.clear();
-    advance_to = 0.0;
     final = false;
   }
 };
@@ -151,22 +147,12 @@ public:
   ShardSim(const ShardSim&) = delete;
   ShardSim& operator=(const ShardSim&) = delete;
 
-  /// Emit the sampler ticks up to `t`, and take the horizon snapshot
-  /// (the power/queue counters, each disk settled to the horizon) before
-  /// the shard first moves past the horizon.  A submission at t follows
-  /// (Disk::submit settles its disk to t first), so every transition at
-  /// t' <= t precedes it — a fixed tie rule that does not depend on how
-  /// many shards exist.
-  void advance(double t) {
-    if (snapshot_.empty() && t >= horizon_) {
-      if (sampler_ != nullptr) sampler_->sample_until(horizon_);
-      snapshot_.reserve(disks_.size());
-      for (const auto& d : disks_) snapshot_.push_back(d->metrics(horizon_));
-    }
-    if (sampler_ != nullptr) sampler_->sample_until(t);
-  }
-
+  /// Replay one routed submission.  Disk::submit settles its disk to the
+  /// record's time first, so every transition at t' <= t precedes a
+  /// submission at t — a fixed tie rule that does not depend on how many
+  /// shards exist.
   void submit(const ShardRecord& r) {
+    advance(r.time);
     disks_[r.local_disk]->submit(r.time, r.request_id, r.bytes, r.lba,
                                  r.background);
     ++submissions_;
@@ -195,6 +181,18 @@ public:
   }
 
 private:
+  /// Emit the sampler ticks up to `t`, and take the horizon snapshot (the
+  /// power/queue counters, each disk settled to the horizon) before the
+  /// shard first moves past the horizon.
+  void advance(double t) {
+    if (snapshot_.empty() && t >= horizon_) {
+      if (sampler_ != nullptr) sampler_->sample_until(horizon_);
+      snapshot_.reserve(disks_.size());
+      for (const auto& d : disks_) snapshot_.push_back(d->metrics(horizon_));
+    }
+    if (sampler_ != nullptr) sampler_->sample_until(t);
+  }
+
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::unique_ptr<obs::MetricsSampler> sampler_;
   std::vector<std::unique_ptr<disk::Disk>> disks_;
@@ -324,12 +322,8 @@ private:
             obs::Kind::kProfile, obs::kProfRingWait});
       }
       const double r0 = profiling ? seconds_since(prof_t0) : 0.0;
-      for (const ShardRecord& r : batch->records) {
-        sim->advance(r.time);
-        sim->submit(r);
-      }
+      for (const ShardRecord& r : batch->records) sim->submit(r);
       const bool final = batch->final;
-      if (!final) sim->advance(batch->advance_to);
       batch->reset();
       free_ring.try_push(batch); // capacity == arena count: cannot fail
       if (profiling) {
@@ -410,7 +404,7 @@ private:
   void feed() {
     const auto t0 = PerfClock::now();
     // Conservative windows: the router routes all arrivals below each
-    // frontier, then lets every shard advance to it.  Any length is
+    // frontier, then publishes every shard's batch.  Any length is
     // causally safe (no feedback path); this one bounds batch memory to a
     // few thousand submissions per shard at the bench's request rates.
     const double window = std::max(1e-3, horizon / 256.0);
@@ -656,7 +650,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         controller.flush_deadlines(frontier, subs);
         ship();
         for (std::uint32_t w = 0; w < shards; ++w) {
-          current[w]->advance_to = frontier;
           publish(w, current[w]);
           current[w] = nullptr;
         }
@@ -678,7 +671,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
         ship();
         for (std::uint32_t w = 0; w < shards; ++w) {
-          current[w]->advance_to = horizon;
           publish(w, current[w]);
           current[w] = nullptr;
         }
@@ -686,7 +678,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       for (std::uint32_t w = 0; w < shards; ++w) {
         ShardBatch* last = acquire(w);
         last->final = true;
-        last->advance_to = horizon;
         publish(w, last);
       }
     } catch (...) {
