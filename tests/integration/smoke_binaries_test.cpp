@@ -1,13 +1,16 @@
 // smoke_binaries_test.cpp — build-surface smoke test.
 //
 // Asserts that every bench and example binary produced by this build exits 0
-// when invoked with --help, and that the quickstart example completes a tiny
-// end-to-end simulation.  The binary directories and names are injected by
+// when invoked with --help, that the quickstart example completes a tiny
+// end-to-end simulation, and that policy_explorer prints its golden table
+// byte for byte.  The binary directories and names are injected by
 // tests/CMakeLists.txt at configure time.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +39,19 @@ int run(const std::string& command) {
 #else
   return raw;
 #endif
+}
+
+// Runs a command line and returns its stdout (empty if it could not be
+// spawned).
+std::string capture(const std::string& command) {
+  std::string out;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
+  pclose(pipe);
+  return out;
 }
 
 class SmokeTest : public ::testing::TestWithParam<std::string> {};
@@ -75,6 +91,20 @@ TEST(QuickstartSmoke, TinyEndToEndRunExitsZero) {
   const std::string quickstart =
       std::string{SPINDOWN_EXAMPLE_BIN_DIR} + "/quickstart";
   EXPECT_EQ(run("\"" + quickstart + "\" --files 500 --rate 1.0 --seed 1"), 0);
+}
+
+TEST(PolicyExplorerGolden, Gaps200Batch1MatchesGolden) {
+  // Every number in the table goes through the disk's response accounting;
+  // the golden file pins them all.
+  const std::string explorer =
+      std::string{SPINDOWN_EXAMPLE_BIN_DIR} + "/policy_explorer";
+  std::ifstream golden{std::string{SPINDOWN_GOLDEN_DIR} +
+                       "/policy_explorer_gaps200_batch1.txt"};
+  ASSERT_TRUE(golden.good());
+  std::stringstream want;
+  want << golden.rdbuf();
+  EXPECT_EQ(capture("\"" + explorer + "\" --gaps 200 --scheduler batch1"),
+            want.str());
 }
 
 }  // namespace
