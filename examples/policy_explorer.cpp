@@ -68,12 +68,6 @@ util::Joules run_policy(const disk::DiskParams& params,
                         std::uint64_t& spin_downs, double& mean_resp) {
   disk::Disk d{0, params, std::move(policy), util::Rng{seed},
                scheduler.make()};
-  double total_resp = 0.0;
-  std::uint64_t served = 0;
-  d.set_completion_callback([&](const disk::Completion& c) {
-    total_resp += c.response_time();
-    ++served;
-  });
 
   const util::Bytes file = util::mb(72.0); // 1 s transfer
   const double svc = params.service_time(file);
@@ -90,7 +84,9 @@ util::Joules run_policy(const disk::DiskParams& params,
   const double end = d.settle_all();
   const auto m = d.metrics(end);
   spin_downs = m.spin_downs;
-  mean_resp = served > 0 ? total_resp / static_cast<double>(served) : 0.0;
+  mean_resp = m.response.count() > 0
+                  ? m.response.sum() / static_cast<double>(m.response.count())
+                  : 0.0;
   // Subtract the service energy (identical across policies).
   const double busy =
       m.time_in(disk::PowerState::kPositioning) * params.seek_w +

@@ -47,20 +47,10 @@ void Disk::enter(PowerState next, double t) {
 }
 
 void Disk::settle(double t) {
-  if (settling_) {
-    // A completion callback submitting: the disk stands at the completion.
-    if (t > clock_) {
-      throw std::logic_error{
-          "Disk: a completion callback may only act at its completion time"};
-    }
-    return;
-  }
-  settling_ = true;
   while (due_ <= t && due_ < kNever) {
     clock_ = due_;
     apply_due();
   }
-  settling_ = false;
   clock_ = std::max(clock_, t);
 }
 
@@ -225,19 +215,13 @@ void Disk::finish_transfer(double t) {
                  job.request_id, t - job.arrival,
                  service_start_ - job.arrival);
   }
-  // Background work carries no response-time signal: the policy learns
-  // from foreground traffic only.
-  if (!job.background) policy_->observe_completion(t - job.arrival);
-  if (on_complete_) {
-    Completion c;
-    c.request_id = job.request_id;
-    c.disk_id = id_;
-    c.arrival = job.arrival;
-    c.service_start = service_start_;
-    c.completion = t;
-    c.bytes = job.bytes;
-    c.background = job.background;
-    on_complete_(c);
+  // Background work carries no response-time signal: the policy and the
+  // response books count foreground traffic only.
+  if (!job.background) {
+    const double response = t - job.arrival;
+    policy_->observe_completion(response);
+    response_.add(response);
+    if (response_hist_ != nullptr) response_hist_->add(response);
   }
   ++batch_pos_;
   if (batch_pos_ < batch_.size()) {
@@ -332,6 +316,7 @@ DiskMetrics Disk::metrics(double now) {
   m.destage_pending = bg_in_scheduler_ + bg_in_batch_;
   m.positionings = positionings_;
   m.idle_periods = idle_periods_;
+  m.response = response_;
   return m;
 }
 

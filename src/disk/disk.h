@@ -29,9 +29,9 @@
 // It keeps one due time, that of the current phase's end, and settle(t)
 // applies every transition due by `t` at its own timestamp and in the order
 // the state machine takes them: transfer start, transfer completion (which
-// fires the completion callback, then starts the next batch member, the
-// next batch or the idle period), spin-down, standby entry (and the wake of
-// a spin-down that requests arrived during), spin-up end.  It emits the
+// books the response, then starts the next batch member, the next batch or
+// the idle period), spin-down, standby entry (and the wake of a spin-down
+// that requests arrived during), spin-up end.  It emits the
 // power/policy/span trace events an eager machine would.  settle() runs at
 // the top of submit(), in state() and metrics(), and from the metrics
 // sampler, so every reader sees the settled state.  Tie rule: a transition
@@ -41,7 +41,11 @@
 // at a completion reads the state after it.
 //
 // Every state residency is integrated into a time-weighted ledger, so energy
-// is exact under the piecewise-constant power model.
+// is exact under the piecewise-constant power model.  The disk also keeps
+// its own response books: each foreground completion is folded into a
+// Welford accumulator (DiskMetrics::response) and, when one is attached,
+// the owner's response histogram.  A caller that needs per-request times
+// reads the kSpanComplete events of a trace buffer.
 #pragma once
 
 #include <array>
@@ -57,26 +61,9 @@
 #include "stats/histogram.h"
 #include "stats/time_weighted.h"
 #include "stats/welford.h"
-#include "util/inline_function.h"
 #include "util/rng.h"
 
 namespace spindown::disk {
-
-/// Completion record delivered to the owner's callback.
-struct Completion {
-  std::uint64_t request_id = 0;
-  std::uint32_t disk_id = 0;
-  double arrival = 0.0;       ///< submission time
-  double service_start = 0.0; ///< the request's batch began positioning
-  double completion = 0.0;
-  util::Bytes bytes = 0;
-  /// Destage (orchestration background) job: the driver must not fold this
-  /// completion into the response statistics.
-  bool background = false;
-
-  double response_time() const { return completion - arrival; }
-  double wait_time() const { return service_start - arrival; }
-};
 
 /// Aggregate per-disk counters; energy follows from the state-time ledger.
 /// `queued`/`in_service` snapshot the request population at metrics() time,
@@ -108,10 +95,10 @@ struct DiskMetrics {
   /// to ~28 h.  Exposes the idle structure the spin-down economics turn on —
   /// and the signal the adaptive policies (src/adapt/) learn from.
   stats::LogHistogram idle_periods{kIdleHistLo, kIdleHistHi, kIdleHistBins};
-  /// Response-time moments of every request this disk completed over the
-  /// whole episode (including services drained past the horizon).  Filled
-  /// by the run driver, not the Disk: the disk reports completions through
-  /// its callback and the driver owns the per-disk accumulators.
+  /// Response-time moments of every foreground request this disk completed
+  /// by the snapshot time.  The run driver's horizon snapshot overwrites it
+  /// after the drain with Disk::response(), so it also counts the services
+  /// that finish past the horizon.
   stats::Welford response;
   /// Integrated energy over [0, snapshot time] under the disk's own power
   /// model, and the energy the same window/busy-time would have cost with
@@ -137,11 +124,6 @@ struct DiskMetrics {
 
 class Disk {
 public:
-  /// Inline storage covers every capture in the simulator (a `this` pointer
-  /// or a couple of references); completions stay on the allocation-free
-  /// hot path.
-  using CompletionCallback = util::InlineFunction<void(const Completion&), 64>;
-
   /// The disk starts spun up and idle at t = 0, as in the paper's runs.
   /// `scheduler` defaults (nullptr) to FCFS — the seed-compatible
   /// discipline.
@@ -155,26 +137,28 @@ public:
   /// Submit a whole-file read arriving at `t`, after settling to `t`.
   /// `lba` is the first block of the file's extent in this disk's
   /// logical-block space (the router computes it from the catalog layout);
-  /// the extent is util::blocks_of(bytes) long.  Completion is reported
-  /// through the callback (if set), from settle().  `background` marks
+  /// the extent is util::blocks_of(bytes) long.  The request completes
+  /// from a later settle(), which books its response.  `background` marks
   /// orchestration destage work: it is serviced (and billed energy) like
   /// any job but stays out of the foreground served/queued/in-service
   /// counters, the response statistics, and the spin-down policy's
   /// completion signal.  Throws std::invalid_argument when `t` is earlier
-  /// than the time the disk is settled to (or NaN).  A completion callback
-  /// may submit at its own completion time.
+  /// than the time the disk is settled to (or NaN).
   void submit(double t, std::uint64_t request_id, util::Bytes bytes,
               std::uint64_t lba = 0, bool background = false);
-
-  void set_completion_callback(CompletionCallback cb) {
-    on_complete_ = std::move(cb);
-  }
 
   /// Attach a trace sink (null disables).  The buffer must be single-writer
   /// from the thread that drives this disk and outlive the disk's activity; the
   /// disk emits power transitions, request-lifecycle spans, and policy
   /// decisions on track `id()` subject to the buffer's kind mask.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
+
+  /// Attach a response-time histogram (null detaches).  Every foreground
+  /// completion adds its response to it; it must outlive the disk's
+  /// activity, and several disks driven from one thread may share it.
+  void set_response_histogram(stats::LinearHistogram* hist) {
+    response_hist_ = hist;
+  }
 
   /// Apply every transition due by `t`, each at its own time (see the file
   /// comment).  A `t` at or before the settled time changes nothing.
@@ -197,6 +181,8 @@ public:
   /// Requests in the active batch (cheap gauge taps for the sampler).
   std::size_t in_service_count() const { return batch_.size() - batch_pos_; }
   std::uint64_t served_count() const { return served_; }
+  /// Response-time moments of every foreground request completed so far.
+  const stats::Welford& response() const { return response_; }
   /// Discrete events resolved so far: one per completed transfer, one per
   /// spin-up end, one per spin-down that ends with requests waiting.  An
   /// engine statistic (RunResult::events), not a physical result.
@@ -238,11 +224,9 @@ private:
   std::uint64_t submit_seq_ = 0;
   /// The lazy timeline: the current phase ends at due_ (+infinity: never —
   /// standby, or idle under a policy that does not spin down), and the
-  /// disk is settled up to clock_.  settling_ guards settle() against a
-  /// completion callback that submits.
+  /// disk is settled up to clock_.
   double due_ = 0.0;
   double clock_ = 0.0;
-  bool settling_ = false;
   double idle_since_ = 0.0;
   /// True from go_idle() (or construction) until the arrival that ends the
   /// period; an arrival mid-spin-down/standby closes the same period, so
@@ -252,8 +236,9 @@ private:
   bool idle_spun_down_ = false;
   double service_start_ = 0.0;
 
-  CompletionCallback on_complete_;
   obs::TraceBuffer* trace_ = nullptr;
+  stats::LinearHistogram* response_hist_ = nullptr;
+  stats::Welford response_;
   std::uint64_t spin_ups_ = 0;
   std::uint64_t spin_downs_ = 0;
   std::uint64_t served_ = 0;

@@ -23,6 +23,8 @@ std::vector<std::string> parse_call(const std::string& name,
 
 using detail::split;
 
+constexpr double kMaxMetricTicks = 1e6;
+
 const workload::Trace& replayed(const workload::Trace* trace) {
   if (trace == nullptr) {
     throw std::invalid_argument{
@@ -61,6 +63,19 @@ std::string ObsSpec::spec() const {
   }
   if (profile) add("profile");
   return out;
+}
+
+void ObsSpec::check_metric_ticks(double horizon_s) const {
+  if (!metrics) return;
+  const double ticks = horizon_s / metrics_interval_s;
+  if (ticks > kMaxMetricTicks) {
+    throw std::invalid_argument{
+        "ObsSpec: obs=metrics:" + util::format_roundtrip(metrics_interval_s) +
+        " over a " + util::format_roundtrip(horizon_s) +
+        " s horizon samples " + util::format_roundtrip(ticks) +
+        " ticks, more than " + util::format_roundtrip(kMaxMetricTicks) +
+        "; use a longer interval"};
+  }
 }
 
 ObsSpec ObsSpec::parse(const std::string& name) {

@@ -164,6 +164,12 @@ struct ObsSpec {
   }
   /// Bitmask over obs::Kind for obs::TraceBuffer (kind_bit order).
   std::uint32_t kind_mask() const;
+  /// Throws std::invalid_argument, naming the interval, the horizon and the
+  /// tick count, when metrics sampling over `horizon_s` would take more than
+  /// 10^6 ticks: each tick emits two gauges per disk, so an unbounded tick
+  /// count is an unbounded run and trace.  Scenario resolution and the run
+  /// driver both call it.
+  void check_metric_ticks(double horizon_s) const;
 
   static ObsSpec off() { return {}; }
   static ObsSpec all() {

@@ -16,7 +16,6 @@
 #include "obs/trace.h"
 #include "orch/controller.h"
 #include "stats/summary.h"
-#include "stats/welford.h"
 #include "util/rng.h"
 #include "util/spsc_ring.h"
 #include "util/units.h"
@@ -105,12 +104,12 @@ struct FeedChunk {
 };
 
 /// One shard's disk group: the disks with id % shards == shard (local index
-/// l holds global disk shard + l * shards), per-disk response accumulators,
+/// l holds global disk shard + l * shards), the shard's response histogram,
 /// the metrics sampler, and the horizon-snapshot rule — the simulator's one
 /// episode.  Disks never interact, so there is no calendar: each disk
 /// settles its own timeline (disk.h) when a submission, a sampler tick or
-/// the snapshot reaches it.  Heap-allocated and never moved: the completion
-/// callbacks capture member addresses.
+/// the snapshot reaches it, and books its own responses.  Heap-allocated
+/// and never moved: every disk holds the address of hist_.
 class ShardSim {
 public:
   /// `obs_mask` non-zero enables tracing into a shard-private buffer
@@ -125,18 +124,12 @@ public:
       trace_ = std::make_unique<obs::TraceBuffer>(obs_mask);
     }
     disks_.reserve(disk_ids.size());
-    responses_.resize(disk_ids.size());
     for (std::size_t l = 0; l < disk_ids.size(); ++l) {
       disks_.push_back(std::make_unique<disk::Disk>(
           disk_ids[l], config.params, policies[l]->make(config.params),
           rngs[l], config.scheduler.make()));
       if (trace_ != nullptr) disks_.back()->set_trace(trace_.get());
-      disks_.back()->set_completion_callback(
-          [&resp = responses_[l], this](const disk::Completion& c) {
-            if (c.background) return; // destage I/O: not a client response
-            resp.add(c.response_time());
-            hist_.add(c.response_time());
-          });
+      disks_.back()->set_response_histogram(&hist_);
     }
     if (trace_ != nullptr) {
       sampler_ = std::make_unique<obs::MetricsSampler>(
@@ -172,7 +165,7 @@ public:
       partial.events += d->events();
     }
     for (std::size_t l = 0; l < snapshot_.size(); ++l) {
-      snapshot_[l].response = responses_[l];
+      snapshot_[l].response = disks_[l]->response();
     }
     partial.power.horizon_s = horizon_;
     partial.per_disk = std::move(snapshot_);
@@ -196,7 +189,6 @@ private:
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::unique_ptr<obs::MetricsSampler> sampler_;
   std::vector<std::unique_ptr<disk::Disk>> disks_;
-  std::vector<stats::Welford> responses_;
   stats::LinearHistogram hist_{stats::ResponseSummary::kHistLo,
                                stats::ResponseSummary::kHistHi,
                                stats::ResponseSummary::kHistBins};
@@ -802,6 +794,7 @@ std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
         "ExperimentConfig: the workload's measurement horizon must be "
         "positive (got " + util::format_roundtrip(horizon) + " s)"};
   }
+  config.obs.check_metric_ticks(horizon);
   shards = std::max<std::uint32_t>(
       1, std::min(shards, std::max<std::uint32_t>(1, config.num_disks)));
 

@@ -20,10 +20,6 @@
 namespace spindown::sys {
 namespace {
 
-/// Upper bound on horizon / metrics interval: each tick emits two gauges
-/// per disk, so an unbounded tick count is an unbounded run and trace.
-constexpr double kMaxMetricTicks = 1e6;
-
 double parse_number(const std::string& s, const std::string& context) {
   return detail::parse_number(s, context, "ScenarioSpec");
 }
@@ -610,19 +606,7 @@ ResolvedScenario ScenarioCache::resolve(const ScenarioSpec& spec) {
     }
     workload.trace = cat.trace.get();
   }
-  if (spec.obs.metrics) {
-    const double horizon = workload.measurement_horizon();
-    const double ticks = horizon / spec.obs.metrics_interval_s;
-    if (ticks > kMaxMetricTicks) {
-      throw std::invalid_argument{
-          "ScenarioSpec: obs=metrics:" +
-          util::format_roundtrip(spec.obs.metrics_interval_s) + " over a " +
-          util::format_roundtrip(horizon) + " s horizon samples " +
-          util::format_roundtrip(ticks) + " ticks, more than " +
-          util::format_roundtrip(kMaxMetricTicks) +
-          "; use a longer interval"};
-    }
-  }
+  spec.obs.check_metric_ticks(workload.measurement_horizon());
   const auto& mapping =
       mapping_for(spec, cat, std::max(1e-6, workload.mean_rate()));
 

@@ -1,4 +1,4 @@
-// binary_heap.h — the d-ary heap the Pack_Disks algorithm is built on.
+// binary_heap.h — the binary heap the Pack_Disks algorithm is built on.
 //
 // The paper's complexity argument (Lemma 7) relies on two heap properties:
 //   * O(n) construction from an unordered collection, and
@@ -7,14 +7,8 @@
 // small implementation so tests can verify the heap invariant directly and
 // so the allocator code reads like the paper's pseudocode (heaps S and L of
 // "size-intensive" / "load-intensive" elements).
-//
-// `Arity` generalises the branching factor.  Pack_Disks uses the default of
-// 2; a 4-ary heap trades slightly more comparisons per level for half the
-// levels and better cache behaviour on small keys (a 4-ary node's children
-// span a single 64-byte line at 16 bytes each).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -23,12 +17,10 @@
 
 namespace spindown::util {
 
-/// D-ary max-heap over T ordered by Compare (std::less -> max-heap, like
+/// Binary max-heap over T ordered by Compare (std::less -> max-heap, like
 /// std::priority_queue).  Construction from a vector is O(n) (Floyd).
-template <typename T, typename Compare = std::less<T>, std::size_t Arity = 2>
+template <typename T, typename Compare = std::less<T>>
 class BinaryHeap {
-  static_assert(Arity >= 2, "a heap needs at least two children per node");
-
 public:
   BinaryHeap() = default;
   explicit BinaryHeap(Compare cmp) : cmp_(std::move(cmp)) {}
@@ -86,7 +78,7 @@ public:
   }
 
 private:
-  static std::size_t parent(std::size_t i) { return (i - 1) / Arity; }
+  static std::size_t parent(std::size_t i) { return (i - 1) / 2; }
 
   // Both sifts move the displaced element as a "hole" (one move per level
   // instead of a three-move swap); the placement decisions are identical to
@@ -109,12 +101,11 @@ private:
     if (n == 0) return;
     T moving = std::move(data_[i]);
     for (;;) {
-      const std::size_t first = Arity * i + 1;
-      if (first >= n) break;
-      const std::size_t last = std::min(first + Arity, n);
-      std::size_t largest = first;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (cmp_(data_[largest], data_[c])) largest = c;
+      const std::size_t left = 2 * i + 1;
+      if (left >= n) break;
+      std::size_t largest = left;
+      if (left + 1 < n && cmp_(data_[left], data_[left + 1])) {
+        largest = left + 1;
       }
       if (!cmp_(moving, data_[largest])) break;
       data_[i] = std::move(data_[largest]);

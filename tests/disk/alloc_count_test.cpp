@@ -1,5 +1,6 @@
 // alloc_count_test.cpp — proves the steady-state request path (a disk's
-// submit/complete cycle, the front cache) is allocation-free.
+// submit/settle cycle with its response books, the front cache) is
+// allocation-free.
 //
 // The file replaces the global operator new/delete with counting versions
 // (they still allocate through std::malloc, so ASan keeps seeing every
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
 #include <new>
 
 #include "cache/recency.h"
@@ -22,6 +24,7 @@
 #include "disk/io_scheduler.h"
 #include "disk/spin_policy.h"
 #include "obs/trace.h"
+#include "stats/histogram.h"
 #include "util/units.h"
 
 namespace {
@@ -52,45 +55,51 @@ std::uint64_t allocation_count() {
   return g_news.load(std::memory_order_relaxed);
 }
 
-/// A closed loop through one disk: every completion resubmits at its own
-/// completion time, from inside the callback, so the disk never idles.
-/// Counts the allocations of the last `remaining - measure_at` cycles
-/// (once warm: the scheduler's and the batch's grow-only storage is
-/// sized by then).
-struct ClosedLoop {
-  Disk& disk;
-  std::uint64_t remaining;
-  std::uint64_t measure_at;
+/// An open loop through one disk: `n` requests arrive in time order, four
+/// at a quarter of a service time apart and then one after a pause of six
+/// service times, so the queue builds up to a few requests and drains to
+/// idle in every round.  Between arrivals the disk is settled on its own,
+/// which completes requests and books their responses.  Counts the
+/// allocations from request `measure_at` to the final drain (once warm:
+/// the scheduler's and the batch's grow-only storage is sized by then).
+std::uint64_t run_open_loop(Disk& disk, std::uint64_t n,
+                            std::uint64_t measure_at) {
+  const util::Bytes bytes = 100 * util::kBlockBytes;
+  const double svc = disk.params().service_time(bytes);
   std::uint64_t before = 0;
   std::uint64_t lba = 0;
-  void submit_next(double t) {
+  double t = 0.0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (i == measure_at) before = allocation_count();
     lba = (lba + 4096) % 1'000'000;
-    disk.submit(t, remaining, 100 * util::kBlockBytes, lba);
+    disk.submit(t, i, bytes, lba);
+    const double gap = i % 5 == 4 ? 6.0 * svc : 0.25 * svc;
+    disk.settle(t + 0.5 * gap);
+    t += gap;
   }
-  void operator()(const Completion& c) {
-    if (remaining == measure_at) before = allocation_count();
-    if (remaining-- > 0) submit_next(c.completion);
-  }
-  /// Runs the loop to the end; returns the allocations while measuring.
-  std::uint64_t run() {
-    disk.set_completion_callback([this](const Completion& c) { (*this)(c); });
-    submit_next(0.0);
-    disk.settle_all();
-    return allocation_count() - before;
-  }
-};
+  disk.settle_all();
+  return allocation_count() - before;
+}
 
-// The completion chain through the disk: submit -> completion (settled
-// lazily) -> completion callback -> resubmit.  With the InlineFunction
-// callback and the schedulers' grow-only storage the whole cycle must be
+// The request path through the disk: submit -> completion (settled lazily)
+// -> response books (the Welford and an attached histogram) -> next batch
+// or idle.  With the schedulers' grow-only storage the whole cycle must be
 // allocation-free once warm, end to end.
 void run_disk_cycle_test(std::unique_ptr<IoScheduler> sched) {
   Disk disk{0, DiskParams::st3500630as(),
             std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
             std::move(sched)};
-  ClosedLoop loop{disk, 20'000, /*measure_at=*/18'000};
-  EXPECT_EQ(loop.run(), 0u);
-  EXPECT_EQ(disk.metrics(disk.settle_all()).served, 20'001u);
+  stats::LinearHistogram hist{0.0, 1.0, 1000};
+  disk.set_response_histogram(&hist);
+  EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
+  const auto m = disk.metrics(disk.settle_all());
+  EXPECT_EQ(m.served, 20'000u);
+  EXPECT_EQ(m.response.count(), 20'000u);
+  EXPECT_EQ(hist.total(), 20'000u);
+  // The loop really queued (a response of several services) and drained
+  // (an idle period per round).
+  EXPECT_GT(m.response.max(), 2.0 * m.response.min());
+  EXPECT_GE(m.idle_periods.total(), 20'000u / 5);
 }
 
 TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeFcfs) {
@@ -113,8 +122,7 @@ TEST(AllocCount, DiskCycleWithObsOffIsAllocationFree) {
             std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
             std::make_unique<FcfsScheduler>()};
   disk.set_trace(nullptr); // obs=off: explicit null sink
-  ClosedLoop loop{disk, 20'000, /*measure_at=*/18'000};
-  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
 }
 
 // Tracing into a pre-reserved buffer: the emit path is a bounds-checked
@@ -129,8 +137,7 @@ TEST(AllocCount, DiskCycleTracingIntoReservedBufferIsAllocationFree) {
             std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
             std::make_unique<FcfsScheduler>()};
   disk.set_trace(&trace);
-  ClosedLoop loop{disk, 20'000, /*measure_at=*/18'000};
-  EXPECT_EQ(loop.run(), 0u);
+  EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
   EXPECT_GT(trace.size(), 5u * 20'000u); // the events really were recorded
 }
 
@@ -165,17 +172,17 @@ TEST(AllocCount, FifoCacheMissEvictHitCycleIsAllocationFree) {
 }
 
 TEST(AllocCount, OversizedCaptureDoesAllocate) {
-  // Sanity check that the counter actually observes the heap fallback path
-  // of an InlineFunction (a completion callback's storage).
+  // Sanity check that the counter actually observes a heap allocation: a
+  // 128-byte capture does not fit std::function's small buffer.
   struct Big {
     char blob[128];
   };
   Big big{};
   const std::uint64_t before = allocation_count();
-  Disk::CompletionCallback cb{[big](const Completion&) { (void)big; }};
+  std::function<void()> f{[big] { (void)big; }};
   const std::uint64_t after = allocation_count();
   EXPECT_GE(after - before, 1u);
-  cb(Completion{});
+  f();
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "disk/disk.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "support/span_completions.h"
 #include "util/units.h"
 
 namespace spindown::disk {
@@ -15,14 +16,19 @@ namespace {
 class DiskEdge : public ::testing::Test {
 protected:
   DiskParams params_ = DiskParams::st3500630as();
-  std::vector<Completion> completions_;
+  obs::TraceBuffer spans_{obs::kind_bit(obs::Kind::kSpan)};
 
+  /// The disk traces its spans into spans_ unless a test attaches its own
+  /// buffer.
   std::unique_ptr<Disk> make_disk(std::unique_ptr<SpinDownPolicy> policy) {
     auto d = std::make_unique<Disk>(3, params_, std::move(policy),
                                     util::Rng{5});
-    d->set_completion_callback(
-        [this](const Completion& c) { completions_.push_back(c); });
+    d->set_trace(&spans_);
     return d;
+  }
+
+  std::vector<obs::TraceEvent> completions() const {
+    return test_support::completions(spans_);
   }
 };
 
@@ -30,8 +36,9 @@ TEST_F(DiskEdge, ZeroByteReadStillPaysPositioning) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   d->submit(0.0, 0, 0);
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 1u);
-  EXPECT_NEAR(completions_[0].response_time(), params_.position_time(), 1e-12);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_NEAR(done[0].value, params_.position_time(), 1e-12);
 }
 
 TEST_F(DiskEdge, ArrivalDuringPositioningQueues) {
@@ -41,19 +48,21 @@ TEST_F(DiskEdge, ArrivalDuringPositioningQueues) {
   // Mid-positioning (positioning lasts 12.66 ms).
   d->submit(0.005, 1, size);
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 2u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
   const double svc = params_.service_time(size);
-  EXPECT_NEAR(completions_[1].completion, 2 * svc, 1e-9);
+  EXPECT_NEAR(done[1].t, 2 * svc, 1e-9);
 }
 
 TEST_F(DiskEdge, DiskIdCarriedInCompletions) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   d->submit(0.0, 77, util::mb(1.0));
-  d->settle_all();
-  ASSERT_EQ(completions_.size(), 1u);
-  EXPECT_EQ(completions_[0].disk_id, 3u);
-  EXPECT_EQ(completions_[0].request_id, 77u);
-  EXPECT_EQ(completions_[0].bytes, util::mb(1.0));
+  const double end = d->settle_all();
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].track, 3u);
+  EXPECT_EQ(done[0].id, 77u);
+  EXPECT_EQ(d->metrics(end).bytes_served, util::mb(1.0));
 }
 
 TEST_F(DiskEdge, BackToBackArrivalAtExactCompletionInstant) {
@@ -67,9 +76,10 @@ TEST_F(DiskEdge, BackToBackArrivalAtExactCompletionInstant) {
   d->submit(svc, 1, size);
   const double parked = 2 * svc + 30.0 + params_.spindown_s;
   d->settle(parked);
-  ASSERT_EQ(completions_.size(), 2u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
   // No idle gap in between: second service begins immediately.
-  EXPECT_NEAR(completions_[1].completion, 2 * svc, 1e-9);
+  EXPECT_NEAR(done[1].t, 2 * svc, 1e-9);
   EXPECT_EQ(d->metrics(parked).spin_downs, 1u); // only the final one
 }
 
@@ -103,12 +113,13 @@ TEST_F(DiskEdge, ManyRapidCyclesRemainConsistent) {
                             params_.service_time(size) + 1.0 +
                             params_.spindown_s);
   EXPECT_EQ(m.served, 50u);
-  EXPECT_EQ(completions_.size(), 50u);
+  const auto done = completions();
+  EXPECT_EQ(done.size(), 50u);
   EXPECT_EQ(m.spin_downs, 50u);
   EXPECT_EQ(m.spin_ups, 49u); // first request found it idle
   // Response of every cycled request includes the full spin-up.
-  for (std::size_t i = 1; i < completions_.size(); ++i) {
-    EXPECT_GE(completions_[i].response_time(), params_.spinup_s);
+  for (std::size_t i = 1; i < done.size(); ++i) {
+    EXPECT_GE(done[i].value, params_.spinup_s);
   }
 }
 
@@ -149,8 +160,10 @@ TEST_F(DiskEdge, ArrivalAtTransferStartFindsTheDiskTransferring) {
       {obs::Kind::kSpan, obs::kSpanEnqueue, 1}};
   EXPECT_EQ(steps_at(trace, transfer_start), want);
   const auto m = d->metrics(d->settle_all());
-  ASSERT_EQ(completions_.size(), 2u);
-  EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
+  const auto done = test_support::completions(trace);
+  ASSERT_EQ(done.size(), 2u);
+  // Request 1 waits from its arrival until request 0 completes.
+  EXPECT_EQ(done[1].aux, done[0].t - transfer_start);
   EXPECT_EQ(m.positionings, 2u);
   EXPECT_NEAR(m.time_in(PowerState::kPositioning),
               2 * params_.position_time(), 1e-12);
@@ -175,8 +188,9 @@ TEST_F(DiskEdge, ArrivalAtStandbyTimeFindsTheDiskParked) {
   // After the service, before the disk's next sleep (5 s later).
   const auto m = d->metrics(standby + params_.spinup_s +
                             params_.service_time(size) + 1.0);
-  ASSERT_EQ(completions_.size(), 1u);
-  EXPECT_EQ(completions_[0].service_start, standby + params_.spinup_s);
+  const auto done = test_support::completions(trace);
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].aux, (standby + params_.spinup_s) - standby);
   EXPECT_EQ(m.spin_downs, 1u);
   EXPECT_EQ(m.spin_ups, 1u);
   EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
@@ -194,9 +208,10 @@ TEST_F(DiskEdge, ArrivalAtStandbyTimeAfterAWakingArrivalQueues) {
   EXPECT_EQ(d->state(standby), PowerState::kSpinningUp);
   d->submit(standby, 1, size);
   const auto m = d->metrics(d->settle_all());
-  ASSERT_EQ(completions_.size(), 2u);
-  EXPECT_EQ(completions_[0].service_start, standby + params_.spinup_s);
-  EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].aux, (standby + params_.spinup_s) - 8.0);
+  EXPECT_EQ(done[1].aux, done[0].t - standby);
   EXPECT_EQ(m.spin_ups, 1u);
   EXPECT_EQ(m.time_in(PowerState::kStandby), 0.0);
 }
@@ -268,8 +283,9 @@ TEST_F(DiskEdge, SamplerTickAtCompletionReadsTheNextState) {
     auto twin = make_disk(std::make_unique<NeverSpinDownPolicy>());
     twin->submit(1.0, 0, size);
     twin->settle_all();
-    ASSERT_EQ(completions_.size(), 1u);
-    completion = completions_[0].completion;
+    const auto done = completions();
+    ASSERT_EQ(done.size(), 1u);
+    completion = done[0].t;
   }
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   obs::TraceBuffer trace(obs::kind_bit(obs::Kind::kMetric) |
@@ -317,9 +333,10 @@ TEST_F(DiskEdge, ArrivalAtSpinUpEndQueuesBehindTheWaitingRequest) {
       {obs::Kind::kSpan, obs::kSpanEnqueue, 1}};
   EXPECT_EQ(steps_at(trace, spun_up), want);
   const auto m = d->metrics(d->settle_all());
-  ASSERT_EQ(completions_.size(), 2u);
-  EXPECT_EQ(completions_[0].service_start, spun_up);
-  EXPECT_EQ(completions_[1].service_start, completions_[0].completion);
+  const auto done = test_support::completions(trace);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].aux, spun_up - 20.0);
+  EXPECT_EQ(done[1].aux, done[0].t - spun_up);
   EXPECT_EQ(m.spin_ups, 1u);
   EXPECT_EQ(m.positionings, 2u);
   EXPECT_EQ(d->events(), 2u + 1u); // two completions, one spin-up end
@@ -334,30 +351,31 @@ TEST_F(DiskEdge, ArrivalAtBatchMemberCompletionWaitsForTheNextBatch) {
   const util::Bytes size = util::mb(72.0);
   const std::uint64_t blocks = util::blocks_of(size);
   const auto run = [&](bool with_arrival, double arrival) {
-    completions_.clear();
+    spans_.events().clear();
     auto d = std::make_unique<Disk>(3, params_,
                                     std::make_unique<NeverSpinDownPolicy>(),
                                     util::Rng{5},
                                     std::make_unique<BatchScheduler>(16, 64));
-    d->set_completion_callback(
-        [this](const Completion& c) { completions_.push_back(c); });
+    d->set_trace(&spans_);
     d->submit(0.0, 9, size, 10'000'000);
     for (std::uint64_t i = 0; i < 3; ++i) d->submit(0.5, i, size, i * blocks);
     if (with_arrival) d->submit(arrival, 3, size, 3 * blocks);
     return d->metrics(d->settle_all());
   };
   EXPECT_EQ(run(false, 0.0).positionings, 2u);
-  ASSERT_EQ(completions_.size(), 4u);
-  const std::vector<Completion> before = completions_;
-  EXPECT_EQ(before[1].service_start, before[3].service_start); // one batch
-  const auto m = run(true, before[1].completion);
-  ASSERT_EQ(completions_.size(), 5u);
+  const auto before = completions();
+  ASSERT_EQ(before.size(), 4u);
+  EXPECT_EQ(before[1].aux, before[3].aux); // one batch, one arrival time
+  const double arrival = before[1].t;
+  const auto m = run(true, arrival);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 5u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(completions_[i].request_id, before[i].request_id);
-    EXPECT_EQ(completions_[i].completion, before[i].completion);
+    EXPECT_EQ(done[i].id, before[i].id);
+    EXPECT_EQ(done[i].t, before[i].t);
   }
-  EXPECT_EQ(completions_[4].request_id, 3u);
-  EXPECT_EQ(completions_[4].service_start, before[3].completion);
+  EXPECT_EQ(done[4].id, 3u);
+  EXPECT_EQ(done[4].aux, before[3].t - arrival);
   EXPECT_EQ(m.positionings, 3u);
 }
 
@@ -371,7 +389,7 @@ TEST_F(DiskEdge, SubmitBeforeTheDisksClockThrows) {
                std::invalid_argument);
   d->submit(30.0, 1, util::mb(1.0)); // at the clock is fine
   d->settle_all();
-  EXPECT_EQ(completions_.size(), 2u);
+  EXPECT_EQ(completions().size(), 2u);
 }
 
 } // namespace

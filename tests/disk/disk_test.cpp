@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "obs/trace.h"
+#include "stats/histogram.h"
+#include "support/span_completions.h"
 #include "util/units.h"
 
 namespace spindown::disk {
@@ -12,14 +15,17 @@ namespace {
 class DiskFixture : public ::testing::Test {
 protected:
   DiskParams params_ = DiskParams::st3500630as();
-  std::vector<Completion> completions_;
+  obs::TraceBuffer spans_{obs::kind_bit(obs::Kind::kSpan)};
 
   std::unique_ptr<Disk> make_disk(std::unique_ptr<SpinDownPolicy> policy) {
     auto d = std::make_unique<Disk>(0, params_, std::move(policy),
                                     util::Rng{1});
-    d->set_completion_callback(
-        [this](const Completion& c) { completions_.push_back(c); });
+    d->set_trace(&spans_);
     return d;
+  }
+
+  std::vector<obs::TraceEvent> completions() const {
+    return test_support::completions(spans_);
   }
 };
 
@@ -28,13 +34,14 @@ TEST_F(DiskFixture, SingleRequestServiceTime) {
   const util::Bytes size = util::mb(72.0); // exactly 1 s transfer
   d->submit(0.0, 7, size);
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 1u);
-  const auto& c = completions_[0];
-  EXPECT_EQ(c.request_id, 7u);
-  EXPECT_DOUBLE_EQ(c.arrival, 0.0);
-  EXPECT_NEAR(c.completion, params_.service_time(size), 1e-12);
-  EXPECT_NEAR(c.response_time(), 1.0 + params_.position_time(), 1e-12);
-  EXPECT_DOUBLE_EQ(c.wait_time(), 0.0);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 1u);
+  const auto& c = done[0];
+  EXPECT_EQ(c.id, 7u);
+  EXPECT_DOUBLE_EQ(c.t - c.value, 0.0); // arrival
+  EXPECT_NEAR(c.t, params_.service_time(size), 1e-12);
+  EXPECT_NEAR(c.value, 1.0 + params_.position_time(), 1e-12);
+  EXPECT_DOUBLE_EQ(c.aux, 0.0);
 }
 
 TEST_F(DiskFixture, FcfsQueueing) {
@@ -44,14 +51,15 @@ TEST_F(DiskFixture, FcfsQueueing) {
   d->submit(0.0, 1, size);
   d->submit(0.0, 2, size);
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 3u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 3u);
   const double unit = params_.service_time(size);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(completions_[i].request_id, static_cast<std::uint64_t>(i));
-    EXPECT_NEAR(completions_[i].completion, unit * (i + 1), 1e-9);
+    EXPECT_EQ(done[i].id, static_cast<std::uint64_t>(i));
+    EXPECT_NEAR(done[i].t, unit * (i + 1), 1e-9);
   }
   // Queue wait grows linearly.
-  EXPECT_NEAR(completions_[2].wait_time(), 2 * unit, 1e-9);
+  EXPECT_NEAR(done[2].aux, 2 * unit, 1e-9);
 }
 
 TEST_F(DiskFixture, SpinsDownAfterThreshold) {
@@ -74,9 +82,10 @@ TEST_F(DiskFixture, RequestToStandbyDiskPaysSpinUp) {
   const double t2 = 100.0; // disk is long in standby by then
   d->submit(t2, 1, size);
   const double end = d->settle_all();
-  ASSERT_EQ(completions_.size(), 2u);
-  EXPECT_NEAR(completions_[1].response_time(),
-              params_.spinup_s + params_.service_time(size), 1e-9);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_NEAR(done[1].value, params_.spinup_s + params_.service_time(size),
+              1e-9);
   EXPECT_EQ(d->metrics(end).spin_ups, 1u);
 }
 
@@ -88,10 +97,11 @@ TEST_F(DiskFixture, ArrivalDuringSpinDownWaitsForFullRoundTrip) {
   const double mid_spin_down = svc + 20.0 + 5.0; // 5 s into the spin-down
   d->submit(mid_spin_down, 1, size);
   const double end = d->settle_all(); // parked again, with no residency
-  ASSERT_EQ(completions_.size(), 2u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
   // Must wait the remaining 5 s of spin-down, then the 15 s spin-up.
   const double expected_response = 5.0 + params_.spinup_s + svc;
-  EXPECT_NEAR(completions_[1].response_time(), expected_response, 1e-9);
+  EXPECT_NEAR(done[1].value, expected_response, 1e-9);
   const auto m = d->metrics(end);
   EXPECT_NEAR(m.time_in(PowerState::kStandby), 0.0, 1e-9);
 }
@@ -106,8 +116,9 @@ TEST_F(DiskFixture, ArrivalDuringIdleCancelsSpinDown) {
   // Exactly one spin-down (after the second service), none between requests.
   EXPECT_EQ(m.spin_downs, 1u);
   EXPECT_EQ(m.spin_ups, 0u);
-  ASSERT_EQ(completions_.size(), 2u);
-  EXPECT_NEAR(completions_[1].response_time(), svc, 1e-9);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_NEAR(done[1].value, svc, 1e-9);
 }
 
 TEST_F(DiskFixture, NeverPolicyNeverSpinsDown) {
@@ -180,13 +191,13 @@ TEST_F(DiskFixture, BurstDuringSpinUpQueuesAll) {
   d->submit(50.0, 2, size);
   d->submit(50.0, 3, size);
   const double end = d->settle_all();
-  ASSERT_EQ(completions_.size(), 4u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 4u);
   const double svc = params_.service_time(size);
   // One spin-up for the whole burst; responses stack behind it.
   EXPECT_EQ(d->metrics(end).spin_ups, 1u);
-  EXPECT_NEAR(completions_[1].response_time(), params_.spinup_s + svc, 1e-9);
-  EXPECT_NEAR(completions_[3].response_time(), params_.spinup_s + 3 * svc,
-              1e-9);
+  EXPECT_NEAR(done[1].value, params_.spinup_s + svc, 1e-9);
+  EXPECT_NEAR(done[3].value, params_.spinup_s + 3 * svc, 1e-9);
 }
 
 TEST_F(DiskFixture, ManyCyclesCountSpinEvents) {
@@ -271,9 +282,48 @@ TEST_F(DiskFixture, PolicyObservesEveryCompletionResponse) {
   d->submit(0.0, 1, size);
   d->settle_all();
   ASSERT_EQ(probe->responses.size(), 2u);
-  ASSERT_EQ(completions_.size(), 2u);
-  EXPECT_DOUBLE_EQ(probe->responses[0], completions_[0].response_time());
-  EXPECT_DOUBLE_EQ(probe->responses[1], completions_[1].response_time());
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_DOUBLE_EQ(probe->responses[0], done[0].value);
+  EXPECT_DOUBLE_EQ(probe->responses[1], done[1].value);
+}
+
+TEST_F(DiskFixture, ResponseBooksCountForegroundCompletionsOnly) {
+  // Destage (background) jobs share the disk with client reads: they are
+  // served and traced like any job, one of them wakes the parked disk for
+  // a client read, but none enters the response books.
+  auto d = make_disk(std::make_unique<FixedThresholdPolicy>(5.0));
+  stats::LinearHistogram hist{0.0, 100.0, 1000};
+  d->set_response_histogram(&hist);
+  const util::Bytes size = util::mb(7.2); // 0.1 s transfer
+  constexpr std::uint64_t kDestage = 1000; // ids from here on: background
+  d->submit(0.0, 0, size);
+  d->submit(0.0, kDestage, size, 0, /*background=*/true);
+  d->submit(0.05, 1, size);
+  d->submit(30.0, kDestage + 1, size, 0, /*background=*/true);
+  d->submit(31.0, 2, size); // waits out the spin-up the destage began
+  d->submit(31.0, kDestage + 2, size, 0, /*background=*/true);
+  const auto m = d->metrics(d->settle_all());
+  std::uint64_t foreground = 0;
+  std::uint64_t background = 0;
+  double foreground_sum = 0.0;
+  for (const auto& c : completions()) {
+    if (c.id >= kDestage) {
+      ++background;
+      continue;
+    }
+    ++foreground;
+    foreground_sum += c.value;
+  }
+  EXPECT_EQ(foreground, 3u);
+  EXPECT_EQ(background, 3u);
+  EXPECT_EQ(m.served, 3u);
+  EXPECT_EQ(m.destage_served, 3u);
+  EXPECT_EQ(m.spin_ups, 1u);
+  EXPECT_EQ(m.response.count(), 3u);
+  EXPECT_EQ(hist.total(), 3u);
+  EXPECT_EQ(m.response.sum(), foreground_sum);
+  EXPECT_GT(m.response.max(), 30.0 + params_.spinup_s - 31.0);
 }
 
 TEST_F(DiskFixture, MetricsExposeIdlePeriodHistogram) {

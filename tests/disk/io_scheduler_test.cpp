@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "disk/disk.h"
+#include "obs/trace.h"
+#include "support/span_completions.h"
 #include "util/units.h"
 
 namespace spindown::disk {
@@ -170,15 +172,18 @@ TEST(SeekCurve, CalibratedMeanOverUniformDistancesEqualsAvgSeek) {
 class SchedulerDiskFixture : public ::testing::Test {
 protected:
   DiskParams params_ = DiskParams::st3500630as();
-  std::vector<Completion> completions_;
+  obs::TraceBuffer spans_{obs::kind_bit(obs::Kind::kSpan)};
 
   std::unique_ptr<Disk> make_disk(std::unique_ptr<IoScheduler> sched) {
     auto d = std::make_unique<Disk>(0, params_,
                                     std::make_unique<NeverSpinDownPolicy>(),
                                     util::Rng{1}, std::move(sched));
-    d->set_completion_callback(
-        [this](const Completion& c) { completions_.push_back(c); });
+    d->set_trace(&spans_);
     return d;
+  }
+
+  std::vector<obs::TraceEvent> completions() const {
+    return test_support::completions(spans_);
   }
 };
 
@@ -192,10 +197,11 @@ TEST_F(SchedulerDiskFixture, SstfReordersAQueuedBurst) {
   d->submit(0.0, 1, size, 800'000'000); // far
   d->submit(0.0, 2, size, blocks + 10); // near the head after job 0
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 3u);
-  EXPECT_EQ(completions_[0].request_id, 0u);
-  EXPECT_EQ(completions_[1].request_id, 2u);
-  EXPECT_EQ(completions_[2].request_id, 1u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[0].id, 0u);
+  EXPECT_EQ(done[1].id, 2u);
+  EXPECT_EQ(done[2].id, 1u);
 }
 
 TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
@@ -207,16 +213,17 @@ TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
   d->submit(0.0, 0, size, 0);
   d->submit(5.0, 1, size, capacity_blocks / 2);
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 2u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 2u);
   const double transfer = params_.transfer_time(size);
-  EXPECT_NEAR(completions_[0].response_time(),
+  EXPECT_NEAR(done[0].value,
               params_.seek_time(0.0) + params_.avg_rotation_s + transfer,
               1e-12);
   // Head is at blocks_of(size) after job 0; distance to capacity/2.
   const double dist =
       static_cast<double>(capacity_blocks / 2 - util::blocks_of(size)) /
       static_cast<double>(capacity_blocks);
-  EXPECT_NEAR(completions_[1].response_time(),
+  EXPECT_NEAR(done[1].value,
               params_.seek_time(dist) + params_.avg_rotation_s + transfer,
               1e-9);
 }
@@ -233,7 +240,8 @@ TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
   d->submit(0.5, 1, size, blocks);     // adjacent
   d->submit(0.5, 2, size, 2 * blocks); // adjacent
   const auto m = d->metrics(d->settle_all());
-  ASSERT_EQ(completions_.size(), 4u);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 4u);
   // One positioning phase for the warm request, one for the whole trio.
   EXPECT_EQ(m.positionings, 2u);
   EXPECT_EQ(m.served, 4u);
@@ -246,15 +254,14 @@ TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
   const double pos_trio =
       params_.seek_time(static_cast<double>(warm_lba + blocks) / cap) +
       params_.avg_rotation_s;
-  EXPECT_NEAR(completions_[3].completion,
+  EXPECT_NEAR(done[3].t,
               pos_warm + transfer + pos_trio + 3 * transfer, 1e-9);
   EXPECT_NEAR(m.time_in(PowerState::kPositioning), pos_warm + pos_trio, 1e-12);
   EXPECT_NEAR(m.time_in(PowerState::kTransfer), 4 * transfer, 1e-9);
-  // The trio shares one service_start (the batch's positioning start).
-  EXPECT_DOUBLE_EQ(completions_[1].service_start,
-                   completions_[2].service_start);
-  EXPECT_DOUBLE_EQ(completions_[1].service_start,
-                   completions_[3].service_start);
+  // The trio arrived together and shares one service start (the batch's
+  // positioning start), so it shares one wait.
+  EXPECT_DOUBLE_EQ(done[1].aux, done[2].aux);
+  EXPECT_DOUBLE_EQ(done[1].aux, done[3].aux);
 }
 
 TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
@@ -290,13 +297,13 @@ TEST_F(SchedulerDiskFixture, FcfsDefaultMatchesLegacyConstantPositioning) {
   auto d = std::make_unique<Disk>(0, params_,
                                   std::make_unique<NeverSpinDownPolicy>(),
                                   util::Rng{1});
-  d->set_completion_callback(
-      [this](const Completion& c) { completions_.push_back(c); });
+  d->set_trace(&spans_);
   const util::Bytes size = util::mb(72.0);
   d->submit(0.0, 9, size, /*lba=*/12345);
   d->settle_all();
-  ASSERT_EQ(completions_.size(), 1u);
-  EXPECT_NEAR(completions_[0].completion, params_.service_time(size), 1e-12);
+  const auto done = completions();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_NEAR(done[0].t, params_.service_time(size), 1e-12);
 }
 
 } // namespace

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "disk/disk.h"
+#include "obs/trace.h"
 #include "support/reference_disk.h"
+#include "support/span_completions.h"
 #include "sys/system.h"
 #include "util/rng.h"
 
@@ -92,9 +94,8 @@ TEST(ReferenceOracle, RandomTracesMatchTheNaiveDisk) {
 
     Disk disk(0, params,
               sys::PolicySpec::parse(policy.spec).make(params), util::Rng{1});
-    std::vector<Completion> got;
-    disk.set_completion_callback(
-        [&got](const Completion& c) { got.push_back(c); });
+    obs::TraceBuffer spans{obs::kind_bit(obs::Kind::kSpan)};
+    disk.set_trace(&spans);
     ReferenceDisk ref(params, policy.threshold);
 
     const auto n = rng.uniform_int(1, 60);
@@ -112,13 +113,17 @@ TEST(ReferenceOracle, RandomTracesMatchTheNaiveDisk) {
     const auto ref_m = ref.finish(t_end);
     const auto m = disk.metrics(t_end);
 
+    // The disk reports response and wait relative to the arrival; the
+    // reference side takes the same differences, so equality stays exact.
+    const auto got = test_support::completions(spans);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].request_id, i);
-      EXPECT_EQ(got[i].arrival, want[i].arrival) << "request " << i;
-      EXPECT_EQ(got[i].service_start, want[i].service_start) << "request "
-                                                             << i;
-      EXPECT_EQ(got[i].completion, want[i].completion) << "request " << i;
+      EXPECT_EQ(got[i].id, i);
+      EXPECT_EQ(got[i].value, want[i].completion - want[i].arrival)
+          << "request " << i;
+      EXPECT_EQ(got[i].aux, want[i].service_start - want[i].arrival)
+          << "request " << i;
+      EXPECT_EQ(got[i].t, want[i].completion) << "request " << i;
     }
     for (std::size_t s = 0; s < kPowerStateCount; ++s) {
       EXPECT_EQ(m.state_time[s], ref_m.state_time[s])

@@ -7,6 +7,7 @@
 
 #include "cache/lfu.h"
 #include "cache/recency.h"
+#include "obs/trace.h"
 #include "util/units.h"
 
 namespace spindown::sys {
@@ -110,6 +111,30 @@ TEST(RunExperiment, PoissonWorkloadEndToEnd) {
   EXPECT_DOUBLE_EQ(r.power.horizon_s, 300.0);
   EXPECT_GT(r.power.energy, 0.0);
   EXPECT_EQ(r.per_disk.size(), 4u);
+}
+
+TEST(RunExperiment, UnboundedMetricsTickCountThrowsBeforeTheRun) {
+  // A hand-built config never passes scenario resolution; the run driver
+  // applies the same tick cap instead of sampling ~3e302 ticks.
+  const auto cat = small_catalog();
+  ExperimentConfig cfg;
+  cfg.catalog = &cat;
+  cfg.mapping = {0, 0, 0, 0, 1, 1, 1, 1};
+  cfg.num_disks = 2;
+  cfg.workload = WorkloadSpec::poisson(0.5, 300.0);
+  cfg.obs.metrics = true;
+  cfg.obs.metrics_interval_s = 1e-300;
+  obs::RunTrace trace;
+  try {
+    (void)run_experiment(cfg, &trace);
+    FAIL() << "a 1e-300 s metrics interval ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "obs=metrics:1e-300 over a 300 s horizon samples"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(trace.events.empty());
 }
 
 TEST(RunExperiment, TraceWorkloadEndToEnd) {

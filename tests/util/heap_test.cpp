@@ -106,62 +106,5 @@ INSTANTIATE_TEST_SUITE_P(Sizes, HeapSortProperty,
                          ::testing::Values(1, 2, 3, 7, 10, 64, 100, 1000,
                                            4096));
 
-// ---------------------------------------------------------------------------
-// D-ary instantiations (Arity = 4).
-
-TEST(DaryHeap, QuaternarySortsLikeBinary) {
-  Rng rng{4242};
-  std::vector<std::uint64_t> values(2000);
-  for (auto& v : values) v = rng.uniform_int(0, 100000);
-  BinaryHeap<std::uint64_t, std::less<std::uint64_t>, 4> heap{values};
-  EXPECT_TRUE(heap.verify_invariant());
-  std::sort(values.rbegin(), values.rend());
-  for (std::uint64_t expected : values) ASSERT_EQ(heap.pop(), expected);
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(DaryHeap, QuaternaryInterleavedChurnKeepsInvariant) {
-  Rng rng{77};
-  BinaryHeap<std::uint64_t, std::less<std::uint64_t>, 4> heap;
-  for (int round = 0; round < 2000; ++round) {
-    if (heap.empty() || rng.uniform01() < 0.6) {
-      heap.push(rng.uniform_int(0, 1000));
-    } else {
-      heap.pop();
-    }
-    ASSERT_TRUE(heap.verify_invariant()) << "round " << round;
-  }
-}
-
-TEST(DaryHeap, QuaternaryMinHeapTieBreak) {
-  BinaryHeap<Keyed, KeyedLess, 4> heap{
-      std::vector<Keyed>{{1.0, 5}, {1.0, 2}, {1.0, 9}, {0.5, 1}, {1.0, 3}}};
-  EXPECT_EQ(heap.pop().id, 2);
-  EXPECT_EQ(heap.pop().id, 3);
-  EXPECT_EQ(heap.pop().id, 5);
-  EXPECT_EQ(heap.pop().id, 9);
-  EXPECT_EQ(heap.pop().id, 1);
-}
-
-TEST(DaryHeap, TernarySortsToo) {
-  Rng rng{9};
-  std::vector<std::uint64_t> values(500);
-  for (auto& v : values) v = rng.uniform_int(0, 5000);
-  BinaryHeap<std::uint64_t, std::less<std::uint64_t>, 3> heap{values};
-  std::sort(values.rbegin(), values.rend());
-  for (std::uint64_t expected : values) ASSERT_EQ(heap.pop(), expected);
-}
-
-TEST(DaryHeap, ReserveDoesNotChangeContents) {
-  BinaryHeap<std::uint64_t, std::less<std::uint64_t>, 4> heap;
-  heap.push(3);
-  heap.reserve(1024);
-  heap.push(9);
-  heap.push(1);
-  EXPECT_EQ(heap.pop(), 9u);
-  EXPECT_EQ(heap.pop(), 3u);
-  EXPECT_EQ(heap.pop(), 1u);
-}
-
 } // namespace
 } // namespace spindown::util
