@@ -36,9 +36,6 @@ public:
   bool empty() const { return data_.empty(); }
   std::size_t size() const { return data_.size(); }
 
-  /// Pre-size the backing array so steady-state pushes never reallocate.
-  void reserve(std::size_t n) { data_.reserve(n); }
-
   /// Largest element (by Compare).  Precondition: non-empty.
   const T& top() const {
     assert(!data_.empty());
