@@ -10,7 +10,7 @@
 //   * orch=off: every write goes to its file's home disk, spinning it up
 //     when it sleeps;
 //   * orch=offload+writes:1: a write aimed at a sleeping disk lands on an
-//     always-on log disk instead (core::WritePlacer, best-fit) and is
+//     always-on log disk instead (best fit over the log tier) and is
 //     destaged when its home disk next spins or at the destage deadline.
 // Off-loading avoids spin-ups at the cost of the log disk's own power and
 // the deferred destages — both sides of §1.1's trade-off appear in the

@@ -6,31 +6,20 @@
 namespace spindown::adapt {
 
 EwmaIdlePredictorPolicy::EwmaIdlePredictorPolicy(const disk::DiskParams& params,
-                                                 EwmaPredictorConfig config)
-    : break_even_(params.break_even_threshold()), config_(config) {
-  if (config_.alpha <= 0.0 || config_.alpha > 1.0) {
+                                                 double alpha)
+    : break_even_(params.break_even_threshold()), alpha_(alpha) {
+  if (alpha_ <= 0.0 || alpha_ > 1.0) {
     throw std::invalid_argument{"EwmaIdlePredictorPolicy: alpha in (0, 1]"};
-  }
-  if (config_.deviation_margin < 0.0) {
-    throw std::invalid_argument{"EwmaIdlePredictorPolicy: negative margin"};
-  }
-  if (config_.guard_factor < 1.0) {
-    throw std::invalid_argument{
-        "EwmaIdlePredictorPolicy: guard_factor must be >= 1"};
-  }
-  if (config_.park_fraction < 0.0 || config_.park_fraction > 1.0) {
-    throw std::invalid_argument{
-        "EwmaIdlePredictorPolicy: park_fraction in [0, 1]"};
   }
 }
 
 std::optional<double> EwmaIdlePredictorPolicy::idle_timeout(util::Rng&) {
-  if (observed_ < config_.warmup) return break_even_;
-  if (ewma_ - config_.deviation_margin * dev_ > break_even_) {
-    return config_.park_fraction * break_even_; // confident long: park early
+  if (observed_ < warmup) return break_even_;
+  if (ewma_ - deviation_margin * dev_ > break_even_) {
+    return park_fraction * break_even_; // confident long: park early
   }
-  return config_.guard_factor * break_even_; // short or uncertain: dodge the
-                                             // dead zone, bounded loss
+  // Short or uncertain: dodge the dead zone, bounded loss.
+  return guard_factor * break_even_;
 }
 
 void EwmaIdlePredictorPolicy::observe_idle(double duration, bool) {
@@ -43,8 +32,8 @@ void EwmaIdlePredictorPolicy::observe_idle(double duration, bool) {
   } else {
     // Asymmetric gain: a surprise-short period (the kind that turns an
     // aggressive park into a stall) adapts twice as fast as a long one.
-    const double gain = duration < ewma_ ? std::min(1.0, 2.0 * config_.alpha)
-                                         : config_.alpha;
+    const double gain = duration < ewma_ ? std::min(1.0, 2.0 * alpha_)
+                                         : alpha_;
     dev_ += gain * (std::abs(duration - ewma_) - dev_);
     ewma_ += gain * (duration - ewma_);
   }

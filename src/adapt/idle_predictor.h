@@ -9,13 +9,13 @@
 // [ewma − k·dev, ewma + k·dev] for the next period:
 //
 //   * band entirely above B  → predicted-long: park after a token
-//     park_fraction·B wait (default 0.1·B ≈ 5 s).  The arrival would have
+//     park_fraction·B wait (0.1·B ≈ 5 s).  The arrival would have
 //     met a parked disk under the fixed policy anyway, so this saves almost
 //     the whole B-seconds-at-idle-power ramp (≈ 400 J on Table 2's disk) at
 //     no extra response cost when the prediction holds — and the token wait
 //     means a sudden burst (gaps shorter than it) never triggers the park
 //     at all, so a regime change costs one wrong park at most rarely.
-//   * otherwise              → raise the threshold to guard·B (default 2B).
+//   * otherwise              → raise the threshold to guard·B (2B).
 //     This dodges the fixed policy's "dead zone" — gaps just past B where
 //     spinning down loses energy *and* delays the next arrival — while
 //     keeping the worst case bounded (a wrong prediction costs at most
@@ -38,18 +38,18 @@
 
 namespace spindown::adapt {
 
-struct EwmaPredictorConfig {
-  double alpha = 0.25;           ///< EWMA gain for mean and deviation
-  double deviation_margin = 1.0; ///< k in the ewma ± k·dev band
-  double guard_factor = 2.0;     ///< predicted-short threshold, in units of B
-  double park_fraction = 0.1;    ///< predicted-long threshold, in units of B
-  std::uint64_t warmup = 3;      ///< observations before trusting the band
-};
-
 class EwmaIdlePredictorPolicy final : public disk::SpinDownPolicy {
 public:
+  /// The `ewma` grammar key's default EWMA gain.
+  static constexpr double default_alpha = 0.25;
+  static constexpr double deviation_margin = 1.0; ///< k in ewma ± k·dev
+  static constexpr double guard_factor = 2.0;  ///< predicted-short T, in B
+  static constexpr double park_fraction = 0.1; ///< predicted-long T, in B
+  static constexpr std::uint64_t warmup = 3; ///< periods before the band
+
+  /// `alpha` in (0, 1]: the EWMA gain for mean and deviation.
   explicit EwmaIdlePredictorPolicy(const disk::DiskParams& params,
-                                   EwmaPredictorConfig config = {});
+                                   double alpha = default_alpha);
 
   std::optional<double> idle_timeout(util::Rng& rng) override;
   void observe_idle(double duration, bool spun_down) override;
@@ -63,7 +63,7 @@ public:
 
 private:
   double break_even_;
-  EwmaPredictorConfig config_;
+  double alpha_;
   double ewma_ = 0.0;
   double dev_ = 0.0;
   std::uint64_t observed_ = 0;

@@ -27,32 +27,20 @@ double counterfactual_idle_cost(const disk::DiskParams& params,
 }
 
 ShareThresholdPolicy::ShareThresholdPolicy(const disk::DiskParams& params,
-                                           ShareConfig config)
-    : params_(params), config_(config) {
-  if (config_.experts < 2) {
+                                           std::uint32_t experts)
+    : params_(params) {
+  if (experts < 2) {
     throw std::invalid_argument{"ShareThresholdPolicy: need >= 2 experts"};
-  }
-  if (config_.eta <= 0.0) {
-    throw std::invalid_argument{"ShareThresholdPolicy: eta must be > 0"};
-  }
-  if (config_.share < 0.0 || config_.share >= 1.0) {
-    throw std::invalid_argument{"ShareThresholdPolicy: share in [0, 1)"};
-  }
-  if (config_.delay_penalty_w < 0.0) {
-    throw std::invalid_argument{"ShareThresholdPolicy: negative penalty"};
-  }
-  if (config_.max_factor <= 0.0) {
-    throw std::invalid_argument{"ShareThresholdPolicy: max_factor must be > 0"};
   }
   // Grid: the "park immediately" extreme plus a geometric ladder from B/8
   // to max_factor·B — dense near the break-even point where the economics
   // pivot, sparse in the tails.
   const double B = params_.break_even_threshold();
-  const std::size_t n = config_.experts;
+  const std::size_t n = experts;
   thresholds_.reserve(n);
   thresholds_.push_back(0.0);
   const double lo = B / 8.0;
-  const double hi = config_.max_factor * B;
+  const double hi = max_factor * B;
   const auto rungs = static_cast<double>(n - 2);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const double frac = rungs > 0.0 ? static_cast<double>(i) / rungs : 0.0;
@@ -84,20 +72,20 @@ void ShareThresholdPolicy::observe_idle(double duration, bool) {
   double worst = 0.0;
   for (std::size_t i = 0; i < thresholds_.size(); ++i) {
     losses[i] = counterfactual_idle_cost(params_, thresholds_[i], duration,
-                                         config_.delay_penalty_w);
+                                         delay_penalty_w);
     worst = std::max(worst, losses[i]);
   }
   if (worst <= 0.0) return; // zero-length period: nothing to learn
   double sum = 0.0;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
-    weights_[i] *= std::exp(-config_.eta * losses[i] / worst);
+    weights_[i] *= std::exp(-eta * losses[i] / worst);
     sum += weights_[i];
   }
   // Fixed-share mixing (Herbster–Warmuth): keep a uniform floor under every
   // expert so a regime change can resurrect it.
   const double n = static_cast<double>(weights_.size());
   for (auto& w : weights_) {
-    w = (1.0 - config_.share) * (w / sum) + config_.share / n;
+    w = (1.0 - share) * (w / sum) + share / n;
   }
 }
 

@@ -15,7 +15,7 @@
 // arrival meets a parked (or retracting) disk and waits out the remaining
 // spin-down plus the full spin-up; that delay is billed at
 // `delay_penalty_w` joule-equivalents per second, making the energy/latency
-// exchange rate an explicit knob.
+// exchange rate explicit.
 //
 // The "share" (fixed-share) step redistributes a small fraction of every
 // weight uniformly each round, so the combiner can re-converge after a
@@ -32,14 +32,6 @@
 
 namespace spindown::adapt {
 
-struct ShareConfig {
-  std::uint32_t experts = 12;    ///< grid size: T=0 plus experts−1 geometric
-  double eta = 4.0;              ///< learning rate on normalised losses
-  double share = 0.05;           ///< fixed-share mixing fraction per round
-  double delay_penalty_w = 25.0; ///< J-equivalent per second of added delay
-  double max_factor = 2.0;       ///< grid spans (0, max_factor·B]
-};
-
 /// Energy-plus-penalty cost a fixed threshold T would have paid on an idle
 /// period of duration d (the counterfactual loss fed to every expert):
 /// idle draw until min(T, d); if d > T also the transition energy, standby
@@ -51,8 +43,16 @@ double counterfactual_idle_cost(const disk::DiskParams& params,
 
 class ShareThresholdPolicy final : public disk::SpinDownPolicy {
 public:
+  /// The `share` grammar key's default grid size.
+  static constexpr std::uint32_t default_experts = 12;
+  static constexpr double eta = 4.0;    ///< learning rate on normalised losses
+  static constexpr double share = 0.05; ///< fixed-share mixing per round
+  static constexpr double delay_penalty_w = 25.0; ///< J per second of delay
+  static constexpr double max_factor = 2.0; ///< grid spans (0, max_factor·B]
+
+  /// `experts` >= 2: the grid holds T = 0 plus experts − 1 geometric rungs.
   explicit ShareThresholdPolicy(const disk::DiskParams& params,
-                                ShareConfig config = {});
+                                std::uint32_t experts = default_experts);
 
   std::optional<double> idle_timeout(util::Rng& rng) override;
   void observe_idle(double duration, bool spun_down) override;
@@ -66,7 +66,6 @@ public:
 
 private:
   disk::DiskParams params_;
-  ShareConfig config_;
   std::vector<double> thresholds_;
   std::vector<double> weights_; ///< kept normalised to sum 1
   std::vector<double> losses_;  ///< per-round scratch (no steady-state allocs)

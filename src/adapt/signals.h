@@ -23,8 +23,8 @@ namespace spindown::adapt {
 class StreamingQuantile {
 public:
   /// `percentile` in (0, 100); `gain` in (0, 1) — the step size as a
-  /// fraction of the current estimate (validated by the policy config,
-  /// asserted here only by arithmetic).
+  /// fraction of the current estimate.  Not checked: the one caller,
+  /// SlackAwarePolicy, passes its constants (p99, gain 0.05).
   StreamingQuantile(double percentile, double gain)
       : p_(percentile / 100.0), gain_(gain) {}
 

@@ -5,7 +5,6 @@
 namespace spindown::core {
 
 double LoadModel::mu(util::Bytes bytes) const {
-  if (service_time) return service_time(bytes);
   if (include_positioning) return disk.service_time(bytes);
   return disk.transfer_time(bytes);
 }
@@ -18,19 +17,14 @@ std::vector<Item> normalize(const workload::FileCatalog& catalog,
   if (model.load_fraction <= 0.0 || model.load_fraction > 1.0) {
     throw std::invalid_argument{"LoadModel: load_fraction must be in (0, 1]"};
   }
-  if (model.capacity_fraction <= 0.0 || model.capacity_fraction > 1.0) {
-    throw std::invalid_argument{
-        "LoadModel: capacity_fraction must be in (0, 1]"};
-  }
-  const double usable_bytes =
-      model.capacity_fraction * static_cast<double>(model.disk.capacity);
+  const auto capacity = static_cast<double>(model.disk.capacity);
 
   std::vector<Item> items;
   items.reserve(catalog.size());
   for (const auto& f : catalog.files()) {
     Item it;
     it.index = f.id;
-    it.s = static_cast<double>(f.size) / usable_bytes;
+    it.s = static_cast<double>(f.size) / capacity;
     // Fraction of the *allowed* service capacity L this file consumes.
     it.l = model.rate * f.popularity * model.mu(f.size) / model.load_fraction;
     items.push_back(it);

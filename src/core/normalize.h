@@ -7,14 +7,13 @@
 // positioning + transfer model of DiskParams, and `include_positioning =
 // false` gives the paper's simpler l_i = r_i * s_i / B form.
 //
-// Normalization: sizes are divided by (capacity_fraction * disk capacity) —
+// Normalization: sizes are divided by the disk capacity — the whole disk is
 // the "total storage capacity of a disk that we are allowed to use" — and
 // loads by the load constraint L, expressed as a fraction of the maximum
 // transfer rate (§5: "the value of L is expressed as a fraction of the
 // maximum transfer rate of the disk (72 MB/s)").
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -27,19 +26,15 @@ namespace spindown::core {
 struct LoadModel {
   double rate = 6.0;             ///< R, requests per second (system-wide)
   double load_fraction = 0.8;    ///< L, fraction of max service rate per disk
-  double capacity_fraction = 1.0;///< fraction of disk space allowed for data
   bool include_positioning = true; ///< add seek+rotation to µ
   disk::DiskParams disk = disk::DiskParams::st3500630as();
-
-  /// Optional custom µ(bytes) -> seconds; overrides the disk model if set.
-  std::function<double(util::Bytes)> service_time;
 
   /// µ(s_i) under this model.
   double mu(util::Bytes bytes) const;
 };
 
 /// Build the normalized instance; item index == file id.
-/// Throws if any file exceeds a disk's (allowed) space or load capacity.
+/// Throws if any file exceeds a disk's space or load capacity.
 std::vector<Item> normalize(const workload::FileCatalog& catalog,
                             const LoadModel& model);
 

@@ -16,9 +16,9 @@
 //   * cold files are first-fit packed (by size) onto the cold zone, which
 //     is expected to spend most time in standby.
 //
-// Differences from the published SEA (block striping inside RAID groups,
-// redundancy) are documented here and in DESIGN.md; the preserved essence
-// is the hot/cold zoning + striping of the hot set.
+// The published SEA's block striping inside RAID groups and its redundancy
+// are left out (whole files, one copy); the preserved essence is the
+// hot/cold zoning + striping of the hot set.
 #pragma once
 
 #include "core/allocator.h"

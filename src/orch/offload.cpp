@@ -9,12 +9,12 @@ namespace spindown::orch {
 WriteOffload::WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
                            util::Bytes log_capacity, double deadline_s,
                            double horizon_s)
-    : placer_(log_disks, log_capacity, core::FitRule::kBestFit),
+    : log_capacity_(log_capacity), log_used_(log_disks, 0),
       data_disks_(data_disks), deadline_s_(deadline_s), horizon_s_(horizon_s),
       capacity_blocks_(std::max<std::uint64_t>(
           1, log_capacity / util::kBlockBytes)),
-      all_spinning_(log_disks, true), by_disk_(data_disks),
-      live_by_disk_(data_disks, 0), log_cursor_(log_disks, 0) {
+      by_disk_(data_disks), live_by_disk_(data_disks, 0),
+      log_cursor_(log_disks, 0) {
   if (data_disks == 0 || log_disks == 0) {
     throw std::invalid_argument{
         "WriteOffload: need at least one data disk and one log disk"};
@@ -24,13 +24,28 @@ WriteOffload::WriteOffload(std::uint32_t data_disks, std::uint32_t log_disks,
   }
 }
 
+std::optional<std::uint32_t> WriteOffload::place(util::Bytes bytes) {
+  // Best fit: the log disk left with the least free space; the strict <
+  // sends ties to the lowest log disk.
+  std::optional<std::uint32_t> best;
+  util::Bytes best_slack = 0;
+  for (std::uint32_t d = 0; d < log_used_.size(); ++d) {
+    if (log_used_[d] + bytes > log_capacity_) continue;
+    const util::Bytes slack = log_capacity_ - log_used_[d] - bytes;
+    if (!best.has_value() || slack < best_slack) {
+      best = d;
+      best_slack = slack;
+    }
+  }
+  if (best.has_value()) log_used_[*best] += bytes;
+  return best;
+}
+
 std::optional<WriteOffload::LogCopy> WriteOffload::absorb(
     double t, std::uint64_t request_id, workload::FileId file,
     util::Bytes bytes, std::uint64_t blocks, std::uint64_t target_lba,
     std::uint32_t target) {
-  // Every log disk is always-on, so the spinning-aware placer degenerates
-  // to best-fit over free buffer space — exactly §1.1's write rule.
-  const auto local = placer_.place(bytes, all_spinning_);
+  const auto local = place(bytes);
   if (!local.has_value()) return std::nullopt;
 
   PendingWrite p;
@@ -70,7 +85,8 @@ bool WriteOffload::has_pending(std::uint32_t target) const {
 
 void WriteOffload::settle(std::uint32_t seq, std::vector<PendingWrite>& out) {
   const PendingWrite& p = pending_[seq - base_];
-  placer_.release(p.log_disk - data_disks_, p.bytes);
+  util::Bytes& used = log_used_[p.log_disk - data_disks_];
+  used = p.bytes > used ? 0 : used - p.bytes;
   if (latest_[p.file] == seq) latest_[p.file] = kNil;
   --live_by_disk_[p.target];
   done_[seq - base_] = true;

@@ -12,10 +12,10 @@
 // destage lands, reads of an off-loaded file are routed to the log copy, so
 // the freshest bytes are always the ones served.
 //
-// Placement on the log tier reuses core::WritePlacer (§1.1's spinning-aware
-// best-fit — the log disks are all "spinning", so this degenerates to plain
-// best-fit over free space), and destaging returns the bytes via
-// WritePlacer::release.  Log-disk LBAs are handed out by a per-disk
+// Placement on the log tier is §1.1's write rule — write into an already
+// spinning disk, best fit — and every log disk is always spinning, so it is
+// plain best-fit over free buffer space (ties to the lowest log disk).
+// Destaging returns the bytes.  Log-disk LBAs are handed out by a per-disk
 // log-structured cursor that wraps at the disk's capacity.
 //
 // Determinism: deadlines are min(t + deadline_s, horizon), so with arrivals
@@ -37,7 +37,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/write_policy.h"
 #include "util/units.h"
 #include "workload/catalog.h"
 
@@ -102,16 +101,17 @@ private:
   static constexpr std::uint32_t kNil =
       std::numeric_limits<std::uint32_t>::max();
 
+  std::optional<std::uint32_t> place(util::Bytes bytes);
   void settle(std::uint32_t seq, std::vector<PendingWrite>& out);
   void drop_settled_prefix();
 
-  core::WritePlacer placer_; ///< indexed by log disk *local* id
+  util::Bytes log_capacity_;
+  std::vector<util::Bytes> log_used_; ///< per log disk (*local* id), bytes
   std::uint32_t data_disks_;
   double deadline_s_;
   double horizon_s_;
   std::uint64_t capacity_blocks_;
 
-  std::vector<bool> all_spinning_; ///< the placer's view of the tier
   /// Writes by sequence number (absorb order): pending_[s - base_] holds
   /// write s.  Every write below base_ is settled.
   std::vector<PendingWrite> pending_;

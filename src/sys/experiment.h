@@ -202,7 +202,7 @@ struct ObsSpec {
 ///     replicas can stay asleep;
 ///   * offload — write off-loading with deferred destage: a small tier of
 ///     always-on log disks absorbs writes aimed at sleeping data disks
-///     (core::WritePlacer, spinning-aware best-fit) and destages them in a
+///     (best fit over the log tier's free space) and destages them in a
 ///     batch when the target next serves a foreground read or when the
 ///     destage deadline expires.
 ///

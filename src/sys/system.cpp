@@ -7,10 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "adapt/idle_predictor.h"
 #include "sys/spec_grammar.h"
-#include "adapt/share.h"
-#include "adapt/slack.h"
 
 namespace spindown::sys {
 
@@ -85,21 +82,12 @@ std::unique_ptr<disk::SpinDownPolicy> PolicySpec::make(
     case Kind::kNever: return std::make_unique<disk::NeverSpinDownPolicy>();
     case Kind::kRandomized:
       return std::make_unique<disk::RandomizedCompetitivePolicy>(p);
-    case Kind::kEwma: {
-      adapt::EwmaPredictorConfig cfg;
-      cfg.alpha = ewma_alpha;
-      return std::make_unique<adapt::EwmaIdlePredictorPolicy>(p, cfg);
-    }
-    case Kind::kShare: {
-      adapt::ShareConfig cfg;
-      cfg.experts = share_experts;
-      return std::make_unique<adapt::ShareThresholdPolicy>(p, cfg);
-    }
-    case Kind::kSlack: {
-      adapt::SlackConfig cfg;
-      cfg.target_response_s = slack_target_s;
-      return std::make_unique<adapt::SlackAwarePolicy>(p, cfg);
-    }
+    case Kind::kEwma:
+      return std::make_unique<adapt::EwmaIdlePredictorPolicy>(p, ewma_alpha);
+    case Kind::kShare:
+      return std::make_unique<adapt::ShareThresholdPolicy>(p, share_experts);
+    case Kind::kSlack:
+      return std::make_unique<adapt::SlackAwarePolicy>(p, slack_target_s);
   }
   throw std::logic_error{"PolicySpec: unknown kind"};
 }
@@ -178,16 +166,6 @@ PolicySpec PolicySpec::parse(const std::string& name) {
       "PolicySpec: unknown policy '" + name +
       "' (want break-even|never|randomized|fixed:T|ewma[:a]|share[:n]|"
       "slack[:slo])"};
-}
-
-util::Joules always_on_energy(const disk::DiskParams& p, std::uint32_t disks,
-                              double horizon_s, double position_s,
-                              double transfer_s) {
-  // Idle draw for the whole window on every spindle, plus the service
-  // premium (seek/active over idle) for the actual busy time.
-  return static_cast<double>(disks) * horizon_s * p.idle_w +
-         position_s * (p.seek_w - p.idle_w) +
-         transfer_s * (p.active_w - p.idle_w);
 }
 
 void RunResult::recompute_from_per_disk(const stats::LinearHistogram& hist) {

@@ -15,6 +15,9 @@
 #include <memory>
 #include <vector>
 
+#include "adapt/idle_predictor.h"
+#include "adapt/share.h"
+#include "adapt/slack.h"
 #include "cache/cache.h"
 #include "disk/disk.h"
 #include "disk/spin_policy.h"
@@ -70,10 +73,13 @@ struct PolicySpec {
     kSlack, ///< slack-aware SLO controller (adapt/slack.h)
   };
   Kind kind = Kind::kBreakEven;
-  double fixed_threshold_s = 0.0;   ///< kFixed
-  double ewma_alpha = 0.25;         ///< kEwma: EWMA gain
-  std::uint32_t share_experts = 12; ///< kShare: threshold-grid size
-  double slack_target_s = 60.0;     ///< kSlack: p99 response SLO (seconds)
+  double fixed_threshold_s = 0.0; ///< kFixed
+  /// kEwma: EWMA gain
+  double ewma_alpha = adapt::EwmaIdlePredictorPolicy::default_alpha;
+  /// kShare: threshold-grid size
+  std::uint32_t share_experts = adapt::ShareThresholdPolicy::default_experts;
+  /// kSlack: p99 response SLO (seconds)
+  double slack_target_s = adapt::SlackAwarePolicy::default_target_response_s;
 
   static PolicySpec break_even() { return {}; }
   static PolicySpec fixed(double threshold_s) {
@@ -81,19 +87,23 @@ struct PolicySpec {
   }
   static PolicySpec never() { return PolicySpec{Kind::kNever, 0.0}; }
   static PolicySpec randomized() { return PolicySpec{Kind::kRandomized, 0.0}; }
-  static PolicySpec ewma(double alpha = 0.25) {
+  static PolicySpec ewma(
+      double alpha = adapt::EwmaIdlePredictorPolicy::default_alpha) {
     PolicySpec p;
     p.kind = Kind::kEwma;
     p.ewma_alpha = alpha;
     return p;
   }
-  static PolicySpec share(std::uint32_t experts = 12) {
+  static PolicySpec share(
+      std::uint32_t experts = adapt::ShareThresholdPolicy::default_experts) {
     PolicySpec p;
     p.kind = Kind::kShare;
     p.share_experts = experts;
     return p;
   }
-  static PolicySpec slack(double target_response_s = 60.0) {
+  static PolicySpec slack(
+      double target_response_s =
+          adapt::SlackAwarePolicy::default_target_response_s) {
     PolicySpec p;
     p.kind = Kind::kSlack;
     p.slack_target_s = target_response_s;
@@ -188,12 +198,5 @@ struct RunResult {
 /// run_experiment runs it on every result in builds with assertions on
 /// (!NDEBUG): a transition the disks failed to apply breaks one of them.
 void check_conservation(const RunResult& r, const disk::DiskParams& params);
-
-/// Closed-form energy of the same served workload with power management
-/// disabled (every disk spinning for the whole window): the Figure 5
-/// normalizer.  `position_s`/`transfer_s` are farm-total busy times.
-util::Joules always_on_energy(const disk::DiskParams& p, std::uint32_t disks,
-                              double horizon_s, double position_s,
-                              double transfer_s);
 
 } // namespace spindown::sys

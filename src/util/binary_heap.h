@@ -4,9 +4,10 @@
 //   * O(n) construction from an unordered collection, and
 //   * O(log n) insert / remove-max.
 // std::priority_queue provides both but hides its container; we keep our own
-// small implementation so tests can verify the heap invariant directly and
-// so the allocator code reads like the paper's pseudocode (heaps S and L of
-// "size-intensive" / "load-intensive" elements).
+// small implementation so tests can check the heap invariant directly
+// (verify_invariant()) and so the allocator code reads like the paper's
+// pseudocode (heaps S and L of "size-intensive" / "load-intensive"
+// elements).
 #pragma once
 
 #include <cassert>
@@ -23,7 +24,6 @@ template <typename T, typename Compare = std::less<T>>
 class BinaryHeap {
 public:
   BinaryHeap() = default;
-  explicit BinaryHeap(Compare cmp) : cmp_(std::move(cmp)) {}
 
   /// O(n) heapify of an existing collection.
   explicit BinaryHeap(std::vector<T> items, Compare cmp = Compare{})
@@ -60,11 +60,6 @@ public:
     }
     return out;
   }
-
-  void clear() { data_.clear(); }
-
-  /// Read-only view of the backing array (tests verify the invariant on it).
-  const std::vector<T>& raw() const { return data_; }
 
   /// True iff every parent >= child under Compare; O(n).
   bool verify_invariant() const {

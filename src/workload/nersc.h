@@ -50,7 +50,8 @@ struct NerscSpec {
   /// Scientific retrievals stage whole datasets, so most *requests* arrive
   /// in batches: 0.35 of epochs at mean batch size 8 puts ~80% of requests
   /// into batches, which is what Figures 5/6's flat Pack_Disk curves imply
-  /// about the real log (see DESIGN.md §4).
+  /// about the real log (the paper describes its batches only in words, so
+  /// those curves are the evidence for their share).
   double batch_fraction = 0.35;
   /// Batch size range (uniform) when a batch fires.
   std::size_t batch_min = 4;

@@ -8,6 +8,7 @@ namespace spindown::adapt {
 namespace {
 
 const disk::DiskParams kParams = disk::DiskParams::st3500630as();
+using Ewma = EwmaIdlePredictorPolicy; // for its constants
 
 TEST(EwmaIdlePredictor, WarmupBehavesLikeBreakEven) {
   EwmaIdlePredictorPolicy policy{kParams};
@@ -16,58 +17,54 @@ TEST(EwmaIdlePredictor, WarmupBehavesLikeBreakEven) {
   EXPECT_DOUBLE_EQ(*policy.idle_timeout(rng), B);
   policy.observe_idle(500.0, false);
   policy.observe_idle(500.0, false);
-  // Still inside the warmup window (default 3 observations).
+  // Still inside the warmup window (3 observations).
   EXPECT_DOUBLE_EQ(*policy.idle_timeout(rng), B);
 }
 
 TEST(EwmaIdlePredictor, ConfidentLongParksEarly) {
-  EwmaPredictorConfig cfg;
-  EwmaIdlePredictorPolicy policy{kParams, cfg};
+  EwmaIdlePredictorPolicy policy{kParams};
   util::Rng rng{1};
   for (int i = 0; i < 10; ++i) policy.observe_idle(500.0, false);
   // Constant long periods: deviation collapses, the band sits far above
   // break-even, and the policy parks after the token fraction.
-  const double expected = cfg.park_fraction * kParams.break_even_threshold();
+  const double expected = Ewma::park_fraction * kParams.break_even_threshold();
   EXPECT_DOUBLE_EQ(*policy.idle_timeout(rng), expected);
   EXPECT_NEAR(policy.predicted_idle(), 500.0, 1e-6);
 }
 
 TEST(EwmaIdlePredictor, ShortPeriodsUseTheGuardThreshold) {
-  EwmaPredictorConfig cfg;
-  EwmaIdlePredictorPolicy policy{kParams, cfg};
+  EwmaIdlePredictorPolicy policy{kParams};
   util::Rng rng{1};
   for (int i = 0; i < 10; ++i) policy.observe_idle(5.0, false);
-  const double expected = cfg.guard_factor * kParams.break_even_threshold();
+  const double expected = Ewma::guard_factor * kParams.break_even_threshold();
   EXPECT_DOUBLE_EQ(*policy.idle_timeout(rng), expected);
 }
 
 TEST(EwmaIdlePredictor, UncertainBandUsesTheGuardThreshold) {
   // Alternating short/long periods straddle break-even: the policy must not
   // park early on a coin flip.
-  EwmaPredictorConfig cfg;
-  EwmaIdlePredictorPolicy policy{kParams, cfg};
+  EwmaIdlePredictorPolicy policy{kParams};
   util::Rng rng{1};
   for (int i = 0; i < 40; ++i) {
     policy.observe_idle(i % 2 == 0 ? 5.0 : 150.0, false);
   }
-  const double expected = cfg.guard_factor * kParams.break_even_threshold();
+  const double expected = Ewma::guard_factor * kParams.break_even_threshold();
   EXPECT_DOUBLE_EQ(*policy.idle_timeout(rng), expected);
 }
 
 TEST(EwmaIdlePredictor, OneSurpriseShortPeriodExitsTheParkRegime) {
   // The asymmetric (fast-down) gain: after a lull, a single burst-length
   // period must pull the policy out of early parking.
-  EwmaPredictorConfig cfg;
-  EwmaIdlePredictorPolicy policy{kParams, cfg};
+  EwmaIdlePredictorPolicy policy{kParams};
   util::Rng rng{1};
   for (int i = 0; i < 10; ++i) policy.observe_idle(400.0, false);
-  const double park = cfg.park_fraction * kParams.break_even_threshold();
+  const double park = Ewma::park_fraction * kParams.break_even_threshold();
   ASSERT_DOUBLE_EQ(*policy.idle_timeout(rng), park);
   policy.observe_idle(2.0, true);
   policy.observe_idle(2.0, false);
   // Within two short periods the band must straddle or drop below B.
   EXPECT_DOUBLE_EQ(*policy.idle_timeout(rng),
-                   cfg.guard_factor * kParams.break_even_threshold());
+                   Ewma::guard_factor * kParams.break_even_threshold());
 }
 
 TEST(EwmaIdlePredictor, ConvergesToRegimeAfterChange) {
@@ -88,18 +85,7 @@ TEST(EwmaIdlePredictor, ConvergesToRegimeAfterChange) {
 }
 
 TEST(EwmaIdlePredictor, RejectsBadConfig) {
-  EwmaPredictorConfig bad_alpha;
-  bad_alpha.alpha = 0.0;
-  EXPECT_THROW((EwmaIdlePredictorPolicy{kParams, bad_alpha}),
-               std::invalid_argument);
-  EwmaPredictorConfig bad_guard;
-  bad_guard.guard_factor = 0.5;
-  EXPECT_THROW((EwmaIdlePredictorPolicy{kParams, bad_guard}),
-               std::invalid_argument);
-  EwmaPredictorConfig bad_park;
-  bad_park.park_fraction = 1.5;
-  EXPECT_THROW((EwmaIdlePredictorPolicy{kParams, bad_park}),
-               std::invalid_argument);
+  EXPECT_THROW((EwmaIdlePredictorPolicy{kParams, 0.0}), std::invalid_argument);
 }
 
 } // namespace

@@ -11,6 +11,7 @@ namespace spindown::adapt {
 namespace {
 
 const disk::DiskParams kParams = disk::DiskParams::st3500630as();
+using Share = ShareThresholdPolicy; // for its constants
 
 double weight_sum(const ShareThresholdPolicy& p) {
   return std::accumulate(p.weights().begin(), p.weights().end(), 0.0);
@@ -41,17 +42,16 @@ TEST(CounterfactualCost, MidRetractionArrivalPaysTheRemainder) {
 }
 
 TEST(ShareThresholdPolicy, StartsUniformWithExpectedGrid) {
-  ShareConfig cfg;
-  ShareThresholdPolicy policy{kParams, cfg};
-  ASSERT_EQ(policy.thresholds().size(), cfg.experts);
+  ShareThresholdPolicy policy{kParams};
+  ASSERT_EQ(policy.thresholds().size(), Share::default_experts);
   EXPECT_DOUBLE_EQ(policy.thresholds().front(), 0.0);
   const double B = kParams.break_even_threshold();
   EXPECT_NEAR(policy.thresholds()[1], B / 8.0, 1e-9);
-  EXPECT_NEAR(policy.thresholds().back(), cfg.max_factor * B, 1e-9);
+  EXPECT_NEAR(policy.thresholds().back(), Share::max_factor * B, 1e-9);
   EXPECT_TRUE(std::is_sorted(policy.thresholds().begin(),
                              policy.thresholds().end()));
   for (const double w : policy.weights()) {
-    EXPECT_DOUBLE_EQ(w, 1.0 / static_cast<double>(cfg.experts));
+    EXPECT_DOUBLE_EQ(w, 1.0 / static_cast<double>(Share::default_experts));
   }
 }
 
@@ -90,8 +90,7 @@ TEST(ShareThresholdPolicy, LongPeriodsPullTheThresholdDown) {
 }
 
 TEST(ShareThresholdPolicy, FixedShareFloorEnablesRecovery) {
-  ShareConfig cfg;
-  ShareThresholdPolicy policy{kParams, cfg};
+  ShareThresholdPolicy policy{kParams};
   for (int i = 0; i < 500; ++i) policy.observe_idle(600.0, false);
   const double low = policy.current_threshold();
   ASSERT_LT(low, 0.5 * kParams.break_even_threshold());
@@ -103,7 +102,8 @@ TEST(ShareThresholdPolicy, FixedShareFloorEnablesRecovery) {
   EXPECT_GT(policy.current_threshold(), low);
   EXPECT_GT(policy.current_threshold(), 0.6 * kParams.break_even_threshold());
   // No weight ever collapses below the mixing floor.
-  const double floor = cfg.share / static_cast<double>(cfg.experts);
+  const double floor =
+      Share::share / static_cast<double>(Share::default_experts);
   for (const double w : policy.weights()) EXPECT_GE(w, floor - 1e-12);
 }
 
@@ -120,7 +120,8 @@ TEST(ShareThresholdPolicy, BestExpertGetsTheMostWeight) {
   std::size_t expected = 0;
   for (std::size_t i = 0; i < policy.thresholds().size(); ++i) {
     const double c =
-        counterfactual_idle_cost(kParams, policy.thresholds()[i], 300.0, 25.0);
+        counterfactual_idle_cost(kParams, policy.thresholds()[i], 300.0,
+                                 Share::delay_penalty_w);
     if (c < best_cost) {
       best_cost = c;
       expected = i;
@@ -130,16 +131,7 @@ TEST(ShareThresholdPolicy, BestExpertGetsTheMostWeight) {
 }
 
 TEST(ShareThresholdPolicy, RejectsBadConfig) {
-  ShareConfig one;
-  one.experts = 1;
-  EXPECT_THROW((ShareThresholdPolicy{kParams, one}), std::invalid_argument);
-  ShareConfig bad_share;
-  bad_share.share = 1.0;
-  EXPECT_THROW((ShareThresholdPolicy{kParams, bad_share}),
-               std::invalid_argument);
-  ShareConfig bad_eta;
-  bad_eta.eta = 0.0;
-  EXPECT_THROW((ShareThresholdPolicy{kParams, bad_eta}), std::invalid_argument);
+  EXPECT_THROW((ShareThresholdPolicy{kParams, 1}), std::invalid_argument);
 }
 
 } // namespace

@@ -45,25 +45,6 @@ TEST(Normalize, PaperSimpleServiceModel) {
   EXPECT_NEAR(items[0].l, 0.1 * 0.8 * (100e6 / 72e6), 1e-9);
 }
 
-TEST(Normalize, CustomServiceFunctionWins) {
-  LoadModel model;
-  model.rate = 1.0;
-  model.load_fraction = 1.0;
-  model.service_time = [](util::Bytes) { return 0.25; };
-  const auto items = normalize(two_file_catalog(), model);
-  EXPECT_NEAR(items[0].l, 0.8 * 0.25, 1e-12);
-  EXPECT_NEAR(items[1].l, 0.2 * 0.25, 1e-12);
-}
-
-TEST(Normalize, CapacityFractionShrinksUsableSpace) {
-  LoadModel model;
-  model.rate = 0.01;
-  model.load_fraction = 1.0;
-  model.capacity_fraction = 0.5; // only half of each disk usable
-  const auto items = normalize(two_file_catalog(), model);
-  EXPECT_NEAR(items[0].s, 100e6 / 250e9, 1e-15);
-}
-
 TEST(Normalize, ThrowsWhenFileExceedsDisk) {
   std::vector<workload::FileInfo> files{{0, util::gb(600.0), 1.0}};
   const workload::FileCatalog cat{files};
@@ -90,9 +71,6 @@ TEST(Normalize, ParameterValidation) {
   EXPECT_THROW(normalize(cat, model), std::invalid_argument);
   model = LoadModel{};
   model.load_fraction = 1.5;
-  EXPECT_THROW(normalize(cat, model), std::invalid_argument);
-  model = LoadModel{};
-  model.capacity_fraction = 0.0;
   EXPECT_THROW(normalize(cat, model), std::invalid_argument);
 }
 

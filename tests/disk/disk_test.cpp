@@ -149,6 +149,29 @@ TEST_F(DiskFixture, EnergyIntegrationMatchesHandComputation) {
   EXPECT_NEAR(m.energy(params_), expected, 1e-9);
 }
 
+// The Figure 5 normalizer, per disk: idle draw for the whole window plus
+// the service premium (seek and active power over idle) for the busy time,
+// whatever the disk actually did in between (here it spins down twice).
+TEST(AlwaysOnEnergy, ClosedForm) {
+  Disk d{0, DiskParams::st3500630as(),
+         std::make_unique<FixedThresholdPolicy>(20.0), util::Rng{1}};
+  d.submit(0.0, 0, util::mb(72.0)); // 1 s transfer each
+  d.submit(100.0, 1, util::mb(72.0));
+  d.submit(100.5, 2, util::mb(144.0));
+  const double now = 200.0;
+  const auto m = d.metrics(now);
+  ASSERT_EQ(m.served, 3u);
+  EXPECT_EQ(m.spin_downs, 2u);
+  const double position = m.time_in(PowerState::kPositioning);
+  const double transfer = m.time_in(PowerState::kTransfer);
+  EXPECT_GT(position, 0.0);
+  EXPECT_NEAR(transfer, 4.0, 1e-9);
+  // st3500630as: idle 9.3 W, seek 12.6 W, active 13.0 W.
+  EXPECT_DOUBLE_EQ(m.always_on_j, now * 9.3 + position * (12.6 - 9.3) +
+                                      transfer * (13.0 - 9.3));
+  EXPECT_LT(m.energy_j, m.always_on_j);
+}
+
 TEST_F(DiskFixture, MetricsSnapshotAtIntermediateTime) {
   auto d = make_disk(std::make_unique<NeverSpinDownPolicy>());
   d->submit(0.0, 0, util::mb(720.0)); // 10 s

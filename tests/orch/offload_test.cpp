@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/write_policy.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -131,6 +130,30 @@ TEST(OrchOffload, FullTierRejectsUntilSpaceIsReleased) {
   EXPECT_TRUE(off.absorb(3.0, 3, 1, util::mb(6.0), 12, 0, 1).has_value());
 }
 
+TEST(OrchOffload, LogTierBestFitPicksTightestThenLowestId) {
+  // Three 10 MB log disks (global ids 4, 5, 6).
+  auto off = WriteOffload{kDataDisks, /*log_disks=*/3, util::mb(10.0),
+                          kDeadline, kHorizon};
+  const auto log_disk_of = [&](std::uint64_t id, double mb) {
+    const auto copy =
+        off.absorb(1.0, id, /*file=*/0, util::mb(mb), 2, 0, /*target=*/0);
+    return copy.has_value() ? std::optional{copy->log_disk} : std::nullopt;
+  };
+  // All empty: a three-way tie goes to the lowest id.
+  EXPECT_EQ(log_disk_of(1, 2.0), kDataDisks + 0); // used 2 / 0 / 0
+  // Disk 0 cannot take 9 MB; disks 1 and 2 tie, the lower id wins.
+  EXPECT_EQ(log_disk_of(2, 9.0), kDataDisks + 1); // used 2 / 9 / 0
+  // All three fit 1 MB; disk 1 is the tightest, ahead of the lower id 0.
+  EXPECT_EQ(log_disk_of(3, 1.0), kDataDisks + 1); // used 2 / 10 / 0
+  // Disk 0 keeps 5 MB, disk 2 would keep 7: the tighter one wins.
+  EXPECT_EQ(log_disk_of(4, 3.0), kDataDisks + 0); // used 5 / 10 / 0
+  EXPECT_EQ(log_disk_of(5, 5.0), kDataDisks + 0); // used 10 / 10 / 0
+  EXPECT_EQ(log_disk_of(6, 10.0), kDataDisks + 2); // used 10 / 10 / 10
+  // Full tier: nothing fits, the caller writes through.
+  EXPECT_EQ(log_disk_of(7, 1.0), std::nullopt);
+  EXPECT_EQ(off.buffered(), 6u);
+}
+
 // A disk whose debts always expire by deadline is never drained by a
 // foreground hit.  After thousands of such cycles it must owe nothing, a
 // triggered drain must find nothing, and no log copy may survive.
@@ -194,20 +217,27 @@ public:
   AppendOnlyOffload(std::uint32_t data_disks, std::uint32_t log_disks,
                     util::Bytes log_capacity, double deadline_s,
                     double horizon_s)
-      : placer_(log_disks, log_capacity, core::FitRule::kBestFit),
+      : log_capacity_(log_capacity), log_used_(log_disks, 0),
         data_disks_(data_disks), deadline_s_(deadline_s),
         horizon_s_(horizon_s),
         capacity_blocks_(std::max<std::uint64_t>(
             1, log_capacity / util::kBlockBytes)),
-        all_spinning_(log_disks, true), by_disk_(data_disks),
+        by_disk_(data_disks),
         live_by_disk_(data_disks, 0), log_cursor_(log_disks, 0) {}
 
   std::optional<WriteOffload::LogCopy> absorb(
       double t, std::uint64_t request_id, workload::FileId file,
       util::Bytes bytes, std::uint64_t blocks, std::uint64_t target_lba,
       std::uint32_t target) {
-    const auto local = placer_.place(bytes, all_spinning_);
+    // Best fit: the fullest log disk that still has room (equal capacities,
+    // so fullest == least slack left); the strict > keeps the lowest id.
+    std::optional<std::uint32_t> local;
+    for (std::uint32_t d = 0; d < log_used_.size(); ++d) {
+      if (log_capacity_ - log_used_[d] < bytes) continue;
+      if (!local.has_value() || log_used_[d] > log_used_[*local]) local = d;
+    }
     if (!local.has_value()) return std::nullopt;
+    log_used_[*local] += bytes;
     PendingWrite p;
     p.deadline = std::min(t + deadline_s_, horizon_s_);
     p.target = target;
@@ -267,19 +297,20 @@ private:
 
   void settle(std::uint32_t index, std::vector<PendingWrite>& out) {
     const PendingWrite& p = pending_[index];
-    placer_.release(p.log_disk - data_disks_, p.bytes);
+    util::Bytes& used = log_used_[p.log_disk - data_disks_];
+    used -= std::min(used, p.bytes);
     if (latest_[p.file] == index) latest_[p.file] = kNil;
     --live_by_disk_[p.target];
     done_[index] = true;
     out.push_back(p);
   }
 
-  core::WritePlacer placer_;
+  util::Bytes log_capacity_;
+  std::vector<util::Bytes> log_used_;
   std::uint32_t data_disks_;
   double deadline_s_;
   double horizon_s_;
   std::uint64_t capacity_blocks_;
-  std::vector<bool> all_spinning_;
   std::vector<PendingWrite> pending_;
   std::vector<bool> done_;
   std::uint32_t head_ = 0;

@@ -70,16 +70,6 @@ TEST(PolicySpec, FactoryNames) {
   EXPECT_TRUE(is_a<adapt::SlackAwarePolicy>(PolicySpec::slack().make(p)));
 }
 
-TEST(AlwaysOnEnergy, ClosedForm) {
-  const auto p = disk::DiskParams::st3500630as();
-  // 10 disks for 100 s, no service at all: pure idle.
-  EXPECT_DOUBLE_EQ(always_on_energy(p, 10, 100.0, 0.0, 0.0),
-                   10 * 100.0 * 9.3);
-  // Service premium: position at seek power, transfer at active power.
-  EXPECT_DOUBLE_EQ(always_on_energy(p, 1, 100.0, 2.0, 3.0),
-                   100.0 * 9.3 + 2.0 * (12.6 - 9.3) + 3.0 * (13.0 - 9.3));
-}
-
 TEST(Router, ValidatesMapping) {
   const auto cat = uniform_catalog(3, util::mb(10.0));
   const workload::Trace trace{cat, {{0.0, 0}}};

@@ -35,7 +35,7 @@ TEST(FileCatalog, NormalizePopularity) {
   EXPECT_DOUBLE_EQ(cat[1].popularity, 0.25);
 }
 
-// --- The Table 1 consistency checks from DESIGN.md §6 -----------------
+// --- The synthesized catalog must reproduce the paper's Table 1 --------
 
 class PaperCatalog : public ::testing::Test {
 protected:
