@@ -154,6 +154,50 @@ TEST(OrchOffload, LogTierBestFitPicksTightestThenLowestId) {
   EXPECT_EQ(off.buffered(), 6u);
 }
 
+// WritePlacer suite: the log tier's best-fit placement, seen through
+// absorb().  The suite keeps the name of the class that once held this rule.
+// Each absorb targets its own data disk so drain_disk can release it alone.
+std::optional<std::uint32_t> place_mb(WriteOffload& off, std::uint64_t id,
+                                      double mb, std::uint32_t target) {
+  const auto file = static_cast<workload::FileId>(id);
+  const auto copy = off.absorb(1.0, id, file, util::mb(mb), 2, 0, target);
+  return copy.has_value() ? std::optional{copy->log_disk} : std::nullopt;
+}
+
+TEST(WritePlacer, BestFitPicksTightestSpinningDisk) {
+  auto off = WriteOffload{kDataDisks, /*log_disks=*/3, util::mb(100.0),
+                          kDeadline, kHorizon};
+  ASSERT_EQ(place_mb(off, 1, 100.0, 3), kDataDisks + 0); // used 100 / 0 / 0
+  ASSERT_EQ(place_mb(off, 2, 80.0, 1), kDataDisks + 1);  // used 100 / 80 / 0
+  ASSERT_EQ(place_mb(off, 3, 50.0, 0), kDataDisks + 2);  // used 100 / 80 / 50
+  std::vector<PendingWrite> out;
+  off.drain_disk(3, out);                                // used 0 / 80 / 50
+  ASSERT_EQ(out.size(), 1u);
+  // All three fit 10 MB; disk 1 is the tightest, ahead of both the lowest
+  // id (disk 0) and the next-tightest (disk 2).
+  EXPECT_EQ(place_mb(off, 4, 10.0, 2), kDataDisks + 1);
+}
+
+TEST(WritePlacer, PlacementConsumesSpace) {
+  auto off = WriteOffload{kDataDisks, /*log_disks=*/1, util::mb(100.0),
+                          kDeadline, kHorizon};
+  EXPECT_EQ(place_mb(off, 1, 60.0, 0), kDataDisks + 0);
+  EXPECT_EQ(place_mb(off, 2, 60.0, 1), std::nullopt); // no longer fits
+  EXPECT_EQ(place_mb(off, 3, 40.0, 1), kDataDisks + 0); // exactly 40 left
+  EXPECT_EQ(place_mb(off, 4, 1.0, 2), std::nullopt);
+  EXPECT_EQ(off.buffered(), 2u);
+}
+
+TEST(WritePlacer, NulloptWhenNothingFits) {
+  auto off = WriteOffload{kDataDisks, /*log_disks=*/2, util::mb(50.0),
+                          kDeadline, kHorizon};
+  ASSERT_EQ(place_mb(off, 1, 45.0, 0), kDataDisks + 0);
+  ASSERT_EQ(place_mb(off, 2, 45.0, 1), kDataDisks + 1);
+  // 5 MB free on each log disk: a 10 MB write fits on neither.
+  EXPECT_EQ(place_mb(off, 3, 10.0, 2), std::nullopt);
+  EXPECT_EQ(off.buffered(), 2u);
+}
+
 // A disk whose debts always expire by deadline is never drained by a
 // foreground hit.  After thousands of such cycles it must owe nothing, a
 // triggered drain must find nothing, and no log copy may survive.
