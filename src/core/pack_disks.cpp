@@ -2,27 +2,19 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 #include <vector>
-
-#include "util/binary_heap.h"
 
 namespace spindown::core {
 
 namespace {
 
-/// Heap element: key is ~s or ~l; ties broken toward the smaller index so
-/// the packing is deterministic.
-struct HeapElem {
-  double key;
-  std::uint32_t index;
-};
-struct LowerPriority {
-  bool operator()(const HeapElem& a, const HeapElem& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    return a.index > b.index; // smaller index pops first among equal keys
-  }
-};
-using Heap = util::BinaryHeap<HeapElem, LowerPriority>;
+/// Remove and return the heap's top element.  Precondition: non-empty.
+HeapElem pop(PackHeap& heap) {
+  const HeapElem top = heap.top();
+  heap.pop();
+  return top;
+}
 
 /// Mutable state of one disk of the group being packed.
 struct OpenDisk {
@@ -69,8 +61,8 @@ public:
         ld.push_back(HeapElem{it.l_key(), it.index});
       }
     }
-    heap_s_ = Heap{std::move(st)};
-    heap_l_ = Heap{std::move(ld)};
+    heap_s_ = PackHeap{LowerPriority{}, std::move(st)};
+    heap_l_ = PackHeap{LowerPriority{}, std::move(ld)};
     open_count_ = group_.size();
   }
 
@@ -123,7 +115,7 @@ private:
     if (d.S >= d.L) {
       // Disk dominated by size: draw the most load-intensive item.
       if (heap_l_.empty()) return false;
-      const auto e = heap_l_.pop();
+      const auto e = pop(heap_l_);
       const Item& j = items_[e.index];
       if (d.S + j.s > 1.0) {
         // Overflow in the dominated dimension: evict the most recent
@@ -147,7 +139,7 @@ private:
     } else {
       // Disk dominated by load: draw the most size-intensive item.
       if (heap_s_.empty()) return false;
-      const auto e = heap_s_.pop();
+      const auto e = pop(heap_s_);
       const Item& j = items_[e.index];
       if (d.L + j.l > 1.0) {
         assert(!d.l_list.empty());
@@ -171,7 +163,7 @@ private:
 
   /// Defensive fallback (unreachable if the lemmas hold): close the full
   /// disk and put the drawn item back for the next disk to take.
-  bool retry_on_next_disk(OpenDisk& d, Heap& heap, HeapElem e) {
+  bool retry_on_next_disk(OpenDisk& d, PackHeap& heap, HeapElem e) {
     close(d);
     heap.push(e);
     return true;
@@ -191,9 +183,9 @@ private:
     }
   }
 
-  void pack_remaining(Heap& heap, bool size_side) {
+  void pack_remaining(PackHeap& heap, bool size_side) {
     while (!heap.empty()) {
-      const Item& j = items_[heap.pop().index];
+      const Item& j = items_[pop(heap).index];
       const auto add = [&](OpenDisk& d) {
         if (size_side) {
           d.add_s(j);
@@ -225,8 +217,8 @@ private:
 
   std::span<const Item> items_;
   double rho_ = 0.0;
-  Heap heap_s_;
-  Heap heap_l_;
+  PackHeap heap_s_;
+  PackHeap heap_l_;
   std::vector<OpenDisk> group_;
   std::size_t open_count_ = 0;
   std::size_t cursor_ = 0;

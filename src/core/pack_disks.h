@@ -44,10 +44,32 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <queue>
+#include <vector>
 
 #include "core/allocator.h"
 
 namespace spindown::core {
+
+/// An element of the heaps S and L: an item's key (~s or ~l) and index.
+struct HeapElem {
+  double key;
+  std::uint32_t index;
+};
+
+/// Heap order: the larger key first, ties toward the smaller index.  Each
+/// index is unique within a heap, so the pop sequence is fully determined
+/// whatever correct heap implementation runs it.
+struct LowerPriority {
+  bool operator()(const HeapElem& a, const HeapElem& b) const {
+    if (a.key != b.key) return a.key < b.key;
+    return a.index > b.index;
+  }
+};
+
+/// Max-heap under LowerPriority; building it from a vector is O(n).
+using PackHeap =
+    std::priority_queue<HeapElem, std::vector<HeapElem>, LowerPriority>;
 
 class PackDisks final : public Allocator {
 public:

@@ -76,11 +76,4 @@ constexpr bool can_transition(PowerState from, PowerState to) {
   return false;
 }
 
-/// True when the platters are spinning at speed and a request can be served
-/// without a spin-up.
-constexpr bool is_spun_up(PowerState s) {
-  return s == PowerState::kIdle || s == PowerState::kPositioning ||
-         s == PowerState::kTransfer;
-}
-
 } // namespace spindown::disk

@@ -201,7 +201,7 @@ void emit_profile(Emitter& out, const RunTrace& trace) {
              std::string{code_name(Kind::kProfile, e.code)} +
              R"(","pid":1,"tid":)" + fmt_u64(e.track) + R"(,"ts":)" +
              fmt(e.t * 1e6) + R"(,"dur":)" + fmt(e.value * 1e6) +
-             R"(,"args":{"window":)" + fmt_u64(e.id) + "}}");
+             R"(,"args":{"chunk":)" + fmt_u64(e.id) + "}}");
   }
 }
 

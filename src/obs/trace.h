@@ -77,7 +77,7 @@ inline constexpr std::uint8_t kMetricPowerState = 1; ///< value=state index,
                                                      ///< aux=served total
 
 /// Pipeline stage codes (kind == kProfile; wall-clock).
-inline constexpr std::uint8_t kProfRouterFill = 0;   ///< router fills a window
+inline constexpr std::uint8_t kProfRouterFill = 0;   ///< router routes a chunk
 inline constexpr std::uint8_t kProfRingWait = 1;     ///< worker waits on ring
 inline constexpr std::uint8_t kProfWorkerReplay = 2; ///< worker replays batch
 inline constexpr std::uint8_t kProfFeederFill = 3;   ///< feeder fills a chunk
@@ -95,7 +95,7 @@ inline constexpr std::uint32_t kFeederTrack = 0xfffffffdu;
 /// is what the shard bit-identity tests compare.
 struct TraceEvent {
   double t = 0.0;         ///< sim-time seconds (profile: wall-clock offset)
-  std::uint64_t id = 0;   ///< request id / window index / 0
+  std::uint64_t id = 0;   ///< request id / chunk index / 0
   double value = 0.0;     ///< primary payload (code-specific)
   double aux = 0.0;       ///< secondary payload (code-specific)
   std::uint32_t track = 0;

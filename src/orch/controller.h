@@ -140,9 +140,9 @@ public:
              std::uint64_t lba = workload::kNoLba);
 
   /// Emit background destages for every buffered write whose deadline has
-  /// passed (each at its own deadline time).  Call with the window frontier
-  /// before routing an arrival at t >= frontier, and once with the horizon
-  /// after the stream ends, so submission times stay globally monotone.
+  /// passed (each at its own deadline time).  Call with each arrival's time
+  /// before handling that arrival, and once with the horizon after the
+  /// stream ends, so submission times stay globally monotone.
   void flush_deadlines(double t, std::vector<Submission>& out);
 
   /// Deterministic read/write classification: a splitmix64 hash of the

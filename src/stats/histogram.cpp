@@ -152,14 +152,4 @@ double LogHistogram::percentile(double p) const {
   return bin_hi(counts_.size() - 1);
 }
 
-std::vector<double> LogHistogram::proportions() const {
-  std::vector<double> out;
-  if (total_ == 0) return out;
-  out.reserve(counts_.size());
-  for (auto c : counts_) {
-    out.push_back(static_cast<double>(c) / static_cast<double>(total_));
-  }
-  return out;
-}
-
 } // namespace spindown::stats

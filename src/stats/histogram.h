@@ -76,9 +76,6 @@ public:
   /// bin, over the binned mass.  p in [0,100]; 0 when no binned samples.
   double percentile(double p) const;
 
-  /// Fraction of the total in each bin (empty vector if no samples).
-  std::vector<double> proportions() const;
-
 private:
   double log_lo_, log_hi_, log_width_;
   std::vector<std::uint64_t> counts_;

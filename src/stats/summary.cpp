@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/units.h"
-
 namespace spindown::stats {
 
 ResponseSummary::ResponseSummary() : hist_(kHistLo, kHistHi, kHistBins) {}
@@ -35,15 +33,6 @@ ResponseSummary ResponseSummary::from_parts(const Welford& moments,
   out.moments_ = moments;
   out.hist_ = hist;
   return out;
-}
-
-std::string ResponseSummary::brief() const {
-  using util::format_double;
-  return "n=" + std::to_string(count()) +
-         " mean=" + format_double(mean(), 3) + "s" +
-         " p50=" + format_double(p50(), 3) + "s" +
-         " p95=" + format_double(p95(), 3) + "s" +
-         " max=" + format_double(max(), 3) + "s";
 }
 
 } // namespace spindown::stats

@@ -1,8 +1,6 @@
 // summary.h — the response-time summary reported by every experiment.
 #pragma once
 
-#include <string>
-
 #include "stats/histogram.h"
 #include "stats/welford.h"
 
@@ -49,9 +47,6 @@ public:
   double p50() const { return hist_.percentile(50.0); }
   double p95() const { return hist_.percentile(95.0); }
   double p99() const { return hist_.percentile(99.0); }
-
-  /// One-line report, e.g. "n=115832 mean=7.3s p95=24.1s max=312s".
-  std::string brief() const;
 
 private:
   Welford moments_;

@@ -31,7 +31,7 @@ using PerfClock = obs::ProfileClock;
 using obs::seconds_since;
 
 /// Ring capacity and arena count per routed shard: bounds router run-ahead
-/// (and batch memory) without stalling workers that lag a window or two.
+/// (and batch memory) without stalling workers that lag a chunk or two.
 /// Because the router can only hold batches it popped from the free ring,
 /// the full ring can never overflow — the free ring is the one
 /// backpressure point in the pipeline.
@@ -52,7 +52,7 @@ struct ShardRecord {
 };
 static_assert(sizeof(ShardRecord) == 40);
 
-/// Pre-routed submissions for one shard, one synchronization window.
+/// Pre-routed submissions for one shard, from one feeder chunk.
 /// Instances live in per-shard arenas and are recycled through the free
 /// ring — reset() keeps vector capacity, so the steady state allocates
 /// nothing.
@@ -67,10 +67,11 @@ struct ShardBatch {
 };
 
 /// Arrivals per feeder chunk and chunks in flight between feeder and
-/// router.  Bounds feeder run-ahead and handoff memory (160 KB per chunk)
-/// independently of the window length; like the shard arenas, the chunks
-/// are only ever held by one side, so the free ring is the feeder's one
-/// backpressure point.
+/// router.  Bounds feeder run-ahead and handoff memory (160 KB per chunk);
+/// like the shard arenas, the chunks are only ever held by one side, so
+/// the free ring is the feeder's one backpressure point.  A chunk is the
+/// pipeline's one unit of handoff: the router turns each into one batch
+/// per shard.
 constexpr std::size_t kChunkEntries = 4096;
 constexpr std::size_t kFeedChunks = 8;
 
@@ -86,19 +87,14 @@ struct FeedRecord {
 };
 static_assert(sizeof(FeedRecord) == 40);
 
-/// Cache-filtered arrivals, in arrival order, for (part of) one window.
-/// The router consumes the records without touching the catalog or the
-/// cache.
+/// Up to kChunkEntries cache-filtered arrivals, in arrival order.  The
+/// router consumes the records without touching the catalog or the cache.
 struct FeedChunk {
   std::vector<FeedRecord> records;
-  double frontier = 0.0; ///< the window this chunk belongs to ends here
-  bool ends_window = false; ///< no more arrivals below `frontier` follow
-  bool last = false; ///< empty terminal chunk: the stream is exhausted
+  bool last = false; ///< the stream ends with this chunk
 
   void reset() {
     records.clear();
-    frontier = 0.0;
-    ends_window = false;
     last = false;
   }
 };
@@ -260,8 +256,9 @@ struct PipelineAborted {};
 /// One routed shard: a private disk group, the full ring (router -> worker,
 /// carries filled batches) and the free ring (worker -> router, recycles
 /// drained arenas).  The arenas double-buffer generically: the router
-/// fills window N+1 (or several) while the worker drains window N, and a
-/// full free ring is what parks an idle router.
+/// fills the batch of chunk K+1 (or several) while the worker drains that
+/// of chunk K, and an empty free ring is what parks a router that ran
+/// ahead.
 struct RoutedShard {
   std::unique_ptr<ShardSim> sim;
   util::SpscRing<ShardBatch*> full{kBatchesPerShard};
@@ -330,18 +327,15 @@ private:
   }
 };
 
-/// The pipeline's first stage, on its own thread: pulls the arrival stream
-/// in conservative windows (one lookahead request decides where a window
-/// ends, so the stream's draw order is that of pulling it directly),
+/// The pipeline's first stage, on its own thread: pulls the arrival stream,
 /// resolves each arrival's catalog entry and front cache outcome in global
 /// arrival order (the cache has no other user), and forwards the results
-/// to the router in fixed-size chunks over `full`; the router returns
-/// drained chunks over `free_ring`.
+/// to the router in chunks of up to kChunkEntries over `full`; the router
+/// returns drained chunks over `free_ring`.
 struct Feeder {
   const workload::FileCatalog* catalog = nullptr;
   workload::RequestStream* stream = nullptr;
   cache::FileCache* cache = nullptr; ///< null: no front cache
-  double horizon = 0.0;
   util::SpscRing<FeedChunk*> full{kFeedChunks};
   util::SpscRing<FeedChunk*> free_ring{kFeedChunks};
   std::vector<std::unique_ptr<FeedChunk>> arenas;
@@ -355,7 +349,7 @@ struct Feeder {
   std::vector<obs::TraceEvent> prof; ///< kProfFeederFill per chunk
 
   /// Reserves every chunk up front (on the calling thread), so handoff
-  /// memory is kFeedChunks * kChunkEntries entries whatever the window.
+  /// memory is kFeedChunks * kChunkEntries entries for the whole run.
   void init() {
     arenas.reserve(kFeedChunks);
     for (std::size_t i = 0; i < kFeedChunks; ++i) {
@@ -395,53 +389,31 @@ private:
 
   void feed() {
     const auto t0 = PerfClock::now();
-    // Conservative windows: the router routes all arrivals below each
-    // frontier, then publishes every shard's batch.  Any length is
-    // causally safe (no feedback path); this one bounds batch memory to a
-    // few thousand submissions per shard at the bench's request rates.
-    const double window = std::max(1e-3, horizon / 256.0);
+    // One request of lookahead marks the chunk that ends the stream; the
+    // stream is still pulled draw for draw, in order.
     std::optional<workload::Request> next = stream->next();
-    double frontier = 0.0;
-    std::uint64_t chunk_idx = 0;
-    while (next.has_value()) {
-      frontier += window;
-      if (next->arrival >= frontier) {
-        // Idle stretch: jump the frontier to the next arrival's window
-        // instead of shipping empty windows one by one.
-        frontier = next->arrival + window;
+    for (std::uint64_t chunk_idx = 0;; ++chunk_idx) {
+      FeedChunk* chunk = acquire();
+      if (chunk == nullptr) return;
+      const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
+      auto& records = chunk->records;
+      while (next.has_value() && records.size() < kChunkEntries) {
+        const auto& file = catalog->by_id(next->file);
+        const bool hit = cache != nullptr && cache->access(file.id, file.size);
+        records.push_back(FeedRecord{next->arrival, next->id, next->lba,
+                                     file.size, next->file, hit});
+        next = stream->next();
       }
-      bool ends_window = false;
-      while (!ends_window) {
-        FeedChunk* chunk = acquire();
-        if (chunk == nullptr) return;
-        const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
-        auto& records = chunk->records;
-        while (next.has_value() && next->arrival < frontier &&
-               records.size() < kChunkEntries) {
-          const auto& file = catalog->by_id(next->file);
-          const bool hit =
-              cache != nullptr && cache->access(file.id, file.size);
-          records.push_back(FeedRecord{next->arrival, next->id, next->lba,
-                                       file.size, next->file, hit});
-          next = stream->next();
-        }
-        ends_window = !next.has_value() || next->arrival >= frontier;
-        chunk->frontier = frontier;
-        chunk->ends_window = ends_window;
-        full.try_push(chunk); // holds a popped chunk: cannot be full
-        if (profiling) {
-          prof.push_back(obs::TraceEvent{
-              f0, chunk_idx, seconds_since(prof_t0) - f0, 0.0,
-              obs::kFeederTrack, obs::Kind::kProfile,
-              obs::kProfFeederFill});
-        }
-        ++chunk_idx;
+      const bool last = !next.has_value();
+      chunk->last = last;
+      full.try_push(chunk); // holds a popped chunk: cannot be full
+      if (profiling) {
+        prof.push_back(obs::TraceEvent{
+            f0, chunk_idx, seconds_since(prof_t0) - f0, 0.0,
+            obs::kFeederTrack, obs::Kind::kProfile, obs::kProfFeederFill});
       }
+      if (last) break;
     }
-    FeedChunk* last = acquire();
-    if (last == nullptr) return;
-    last->last = true;
-    full.try_push(last);
     busy_s = seconds_since(t0) - stall_s;
   }
 };
@@ -517,7 +489,6 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   feeder.catalog = config.catalog;
   feeder.stream = stream.get();
   feeder.cache = cache.get();
-  feeder.horizon = horizon;
   feeder.profiling = profiling;
   feeder.prof_t0 = prof_t0;
   feeder.init();
@@ -534,8 +505,7 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
   // emitting its orchestration decisions onto the router track.
   auto controller = make_controller(config, setup, &router_trace);
   std::vector<orch::Submission> subs;
-  std::vector<obs::TraceEvent> router_prof; ///< kProfRouterFill per window
-  std::uint64_t window_idx = 0;
+  std::vector<obs::TraceEvent> router_prof; ///< kProfRouterFill per chunk
 
   RunResult root;
   root.power.horizon_s = horizon;
@@ -576,8 +546,10 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
       };
       const auto publish = [&](std::uint32_t shard, ShardBatch* arena) {
         auto& ring = states[shard]->full;
+        // Read before the push: a spinning worker may take the batch
+        // before a read after it.
+        high_water[shard] = std::max(high_water[shard], ring.size() + 1);
         ring.try_push(arena); // holds a popped arena: cannot be full
-        high_water[shard] = std::max(high_water[shard], ring.size());
       };
       std::vector<ShardBatch*> current(shards, nullptr);
       // Append the controller's submissions to their disks' batches.
@@ -589,21 +561,19 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         }
       };
 
-      // One window spans one or more feeder chunks; its shard batches are
-      // published once the chunk that ends it has been routed.
-      bool window_open = false;
-      double f0 = 0.0;
-      for (;;) {
+      // Each feeder chunk becomes one batch per shard.
+      for (std::uint64_t chunk_idx = 0;; ++chunk_idx) {
         FeedChunk* chunk = nullptr;
         take(feeder.full, chunk);
-        if (chunk->last) break;
-        if (!window_open) {
-          f0 = profiling ? seconds_since(prof_t0) : 0.0;
-          for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-          window_open = true;
-        }
+        const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
+        for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
         dispatched += chunk->records.size();
         for (const FeedRecord& r : chunk->records) {
+          // Deadline destages due by this arrival ship first, each at its
+          // own deadline time, so every shard batch and the router track
+          // stay in time order.
+          subs.clear();
+          controller.flush_deadlines(r.arrival, subs);
           if (r.hit) {
             // Cache hit, served from memory with zero latency: recorded
             // here, in arrival order.
@@ -613,64 +583,40 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
             }
             root.hits_response.add(0.0);
             root_hist.add(0.0);
-            continue;
+          } else {
+            if (span_trace) {
+              router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
+                                r.arrival, obs::kRouterTrack, r.id,
+                                config.mapping[r.file]);
+            }
+            workload::FileInfo info;
+            info.id = r.file;
+            info.size = r.size;
+            controller.route(r.arrival, r.id, info, subs, r.lba);
           }
-          if (span_trace) {
-            router_trace.emit(obs::Kind::kSpan, obs::kSpanCacheMiss,
-                              r.arrival, obs::kRouterTrack, r.id,
-                              config.mapping[r.file]);
-          }
-          // Deadline destages due before this arrival ship first (each at
-          // its own deadline time), then the arrival's rewritten
-          // submissions — so per-shard batch times stay non-decreasing.
-          workload::FileInfo info;
-          info.id = r.file;
-          info.size = r.size;
-          subs.clear();
-          controller.flush_deadlines(r.arrival, subs);
-          controller.route(r.arrival, r.id, info, subs, r.lba);
           ship();
         }
-        const double frontier = chunk->frontier;
-        const bool ends_window = chunk->ends_window;
+        const bool last = chunk->last;
         feeder.free_ring.try_push(chunk); // chunk count == capacity
-        if (!ends_window) continue;
-        // Destages due inside this window but after its last arrival:
-        // flushed at the frontier so the next window's arrivals (all
-        // >= frontier) still land after them.
-        subs.clear();
-        controller.flush_deadlines(frontier, subs);
-        ship();
-        for (std::uint32_t w = 0; w < shards; ++w) {
-          publish(w, current[w]);
-          current[w] = nullptr;
+        if (last) {
+          // Every remaining buffered write has a deadline <= horizon (the
+          // absorb-time cap), so one flush at the horizon drains the log
+          // tier inside the measurement window.
+          subs.clear();
+          controller.flush_deadlines(horizon, subs);
+          ship();
         }
-        window_open = false;
+        for (std::uint32_t w = 0; w < shards; ++w) {
+          current[w]->final = last;
+          publish(w, current[w]);
+        }
         if (profiling) {
           router_prof.push_back(obs::TraceEvent{
-              f0, window_idx, seconds_since(prof_t0) - f0, 0.0,
+              f0, chunk_idx, seconds_since(prof_t0) - f0, 0.0,
               obs::kRouterTrack, obs::Kind::kProfile,
               obs::kProfRouterFill});
         }
-        ++window_idx;
-      }
-      // Every remaining buffered write has a deadline <= horizon (the
-      // absorb-time cap), so one flush at the horizon drains the log tier
-      // inside the measurement window.
-      subs.clear();
-      controller.flush_deadlines(horizon, subs);
-      if (!subs.empty()) {
-        for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-        ship();
-        for (std::uint32_t w = 0; w < shards; ++w) {
-          publish(w, current[w]);
-          current[w] = nullptr;
-        }
-      }
-      for (std::uint32_t w = 0; w < shards; ++w) {
-        ShardBatch* last = acquire(w);
-        last->final = true;
-        publish(w, last);
+        if (last) break;
       }
     } catch (...) {
       router_error = std::current_exception();

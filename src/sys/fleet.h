@@ -12,30 +12,30 @@
 // disk resolves it itself, lazily (disk.h).
 //
 // Three kinds of thread form a pipeline:
-//   * the feeder (its own thread) pulls the arrival stream in conservative
-//     time windows, looks every arrival up in the catalog and the front
-//     cache in global arrival order, and forwards the cache-filtered
-//     arrivals to the router in fixed-size chunks;
+//   * the feeder (its own thread) pulls the arrival stream, looks every
+//     arrival up in the catalog and the front cache in global arrival
+//     order, and forwards the cache-filtered arrivals to the router in
+//     chunks of up to 4096;
 //   * the router (the calling thread) hands every cache miss, in the same
 //     arrival order, to the orchestration controller (orch/controller.h),
 //     the one place a miss's disk and extent are picked (with orchestration
-//     off it enables no mechanism and picks the primary copy), batches a
-//     whole window of submissions, and publishes each shard's batch;
+//     off it enables no mechanism and picks the primary copy), turns each
+//     chunk into one batch of submissions per shard, and publishes them;
 //   * one worker per shard replays its batches into its own disks: each
 //     record is a Disk::submit at the record's time, preceded by the
 //     metrics sampler's ticks up to that time.
 // Every handoff is a lock-free SPSC ring (util/spsc_ring.h) paired with a
 // second ring that recycles drained arenas (feeder chunks, shard batches)
 // back to their producer, so the feeder fills chunk K+1 while the router
-// routes chunk K and workers drain window N, and the steady state
-// allocates nothing.  An arena is one vector of fixed 40-byte records, one
-// per request: the consuming core reads one contiguous record per request,
-// not one cache line per field.  An idle stage parks on a futex instead of
-// spinning.
+// routes chunk K and workers drain the batches of earlier chunks, and the
+// steady state allocates nothing.  An arena is one vector of fixed 40-byte
+// records, one per request: the consuming core reads one contiguous record
+// per request, not one cache line per field.  An idle stage parks on a
+// futex instead of spinning.
 // Because the minimum cross-shard latency is infinite (no feedback path),
-// any window length is causally safe; the window bounds router/worker skew
-// and batch memory, never correctness.  shards=1 is the same pipeline with
-// one worker.
+// a batch may end anywhere in sim time; the chunk size and the arena rings
+// bound router/worker skew and batch memory, never correctness.  shards=1
+// is the same pipeline with one worker.
 //
 // Determinism: results are bit-identical at every shard count, because
 //   * each disk's RNG is split from the farm RNG in disk-id order,
@@ -45,8 +45,10 @@
 //     decision in that same order, whatever the shard count;
 //   * the router track of the trace has exactly one writer, the router:
 //     cache hit/miss spans (from the feeder's forwarded verdicts) and the
-//     controller's decisions are emitted there in arrival order, and the
-//     feeder writes only wall-clock profile samples;
+//     controller's decisions are emitted there in arrival order, each
+//     arrival preceded by the deadline destages due by its time, so the
+//     track is in time order; the feeder writes only wall-clock profile
+//     samples;
 //   * a disk's timeline is a function of its own arrivals alone, and
 //     submit() first settles the disk to the arrival (disk.h), so every
 //     transition at t <= arrival happens before a submission at t — a
@@ -78,7 +80,8 @@ struct ShardPerf {
   std::uint64_t submissions = 0; ///< requests replayed into this shard
   std::uint64_t batches = 0;     ///< routed batches consumed
   std::uint64_t events = 0;      ///< disk events resolved by the shard
-  /// Max full-ring occupancy observed right after a router publish:
+  /// Max full-ring occupancy a router publish brought the ring to (the
+  /// batches the worker had not yet taken, plus the published one):
   /// persistent highs mean workers lag the router, persistent lows mean
   /// the router is the bottleneck.
   std::size_t ring_high_water = 0;

@@ -1,8 +1,8 @@
 #include "util/math.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace spindown::util {
 
@@ -72,17 +72,6 @@ double mean(std::span<const double> xs) {
   double sum = 0.0;
   for (double v : xs) sum += v;
   return sum / static_cast<double>(xs.size());
-}
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  p = std::clamp(p, 0.0, 100.0);
-  const double idx = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 } // namespace spindown::util

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace spindown::util {
 
@@ -34,8 +33,5 @@ LinearFit log_log_fit(std::span<const double> x, std::span<const double> y);
 
 /// Arithmetic mean (0 for empty input).
 double mean(std::span<const double> xs);
-
-/// Exact percentile by sorting a copy; p in [0,100], linear interpolation.
-double percentile(std::vector<double> xs, double p);
 
 } // namespace spindown::util

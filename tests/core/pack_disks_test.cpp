@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/bounds.h"
 #include "instance_helpers.h"
+#include "util/rng.h"
 
 namespace spindown::core {
 namespace {
@@ -248,6 +250,103 @@ TEST(PackDisksV, AllItemsAssignedExactlyOnce) {
     EXPECT_LT(a.disk_of[it.index], a.disk_count);
   }
 }
+
+// The heaps S and L (PackHeap): larger keys first, equal keys toward the
+// smaller index, so the draw order is fully determined.  The suite keeps
+// the name of the hand-written heap PackHeap replaced.
+
+HeapElem pop_top(PackHeap& heap) {
+  const HeapElem top = heap.top();
+  heap.pop();
+  return top;
+}
+
+std::vector<std::uint32_t> drain_indices(PackHeap& heap) {
+  std::vector<std::uint32_t> out;
+  while (!heap.empty()) out.push_back(pop_top(heap).index);
+  return out;
+}
+
+TEST(BinaryHeap, EmptyBasics) {
+  // All items on one side leave the other heap empty.
+  PackHeap heap{LowerPriority{}, std::vector<HeapElem>{}};
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(heap.size(), 0u);
+}
+
+TEST(BinaryHeap, PushPopOrdering) {
+  const double keys[] = {0.5, 0.1, 0.9, 0.3, 0.7};
+  PackHeap heap;
+  for (std::uint32_t i = 0; i < 5; ++i) heap.push(HeapElem{keys[i], i});
+  EXPECT_EQ(drain_indices(heap), (std::vector<std::uint32_t>{2, 4, 0, 3, 1}));
+}
+
+TEST(BinaryHeap, HeapifyConstruction) {
+  PackHeap heap{LowerPriority{},
+                {{0.4, 0}, {0.8, 1}, {0.15, 2}, {0.16, 3}, {0.0, 4}}};
+  EXPECT_EQ(heap.top().index, 1u);
+  EXPECT_EQ(drain_indices(heap), (std::vector<std::uint32_t>{1, 0, 3, 2, 4}));
+}
+
+TEST(BinaryHeap, Duplicates) {
+  // An evicted item goes back into its heap and, among equal keys, is
+  // drawn again in index order.
+  PackHeap heap{LowerPriority{}, {{0.3, 4}, {0.3, 1}, {0.1, 0}}};
+  EXPECT_EQ(pop_top(heap).index, 1u);
+  heap.push(HeapElem{0.3, 1});
+  heap.push(HeapElem{0.3, 2});
+  EXPECT_EQ(drain_indices(heap), (std::vector<std::uint32_t>{1, 2, 4, 0}));
+}
+
+TEST(BinaryHeap, InterleavedPushPopKeepsInvariant) {
+  // Every pop returns the greatest element left, checked against a set
+  // ordered the same way; keys come from eight values, so ties are common.
+  util::Rng rng{99};
+  PackHeap heap;
+  std::set<HeapElem, LowerPriority> left;
+  std::uint32_t next = 0;
+  for (int round = 0; round < 2000; ++round) {
+    if (heap.empty() || rng.uniform01() < 0.6) {
+      const HeapElem e{static_cast<double>(rng.uniform_int(0, 7)) / 8.0,
+                       next++};
+      heap.push(e);
+      left.insert(e);
+    } else {
+      const HeapElem greatest = *left.rbegin();
+      left.erase(std::prev(left.end()));
+      ASSERT_EQ(pop_top(heap).index, greatest.index) << "round " << round;
+    }
+  }
+}
+
+TEST(BinaryHeap, TieBreakDeterminism) {
+  PackHeap heap{LowerPriority{}, {{1.0, 5}, {1.0, 2}, {1.0, 9}, {0.5, 1}}};
+  EXPECT_EQ(drain_indices(heap), (std::vector<std::uint32_t>{2, 5, 9, 1}));
+}
+
+// Property sweep: the pop sequence of a heap built from random keys (many
+// equal) equals the elements sorted by LowerPriority, descending.
+class HeapSortProperty : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(HeapSortProperty, MatchesStdSort) {
+  const std::size_t n = GetParam();
+  util::Rng rng{1000 + n};
+  std::vector<HeapElem> elems(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    elems[i] = HeapElem{static_cast<double>(rng.uniform_int(0, 500)) / 500.0,
+                        static_cast<std::uint32_t>(i)};
+  }
+  PackHeap heap{LowerPriority{}, elems};
+  std::sort(elems.rbegin(), elems.rend(), LowerPriority{});
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(pop_top(heap).index, elems[i].index) << "i=" << i << " n=" << n;
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, HeapSortProperty,
+                         ::testing::Values(1, 2, 3, 7, 10, 64, 100, 1000,
+                                           4096));
 
 } // namespace
 } // namespace spindown::core

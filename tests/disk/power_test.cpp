@@ -21,15 +21,6 @@ TEST(PowerStates, StateNames) {
   EXPECT_EQ(to_string(PowerState::kSpinningUp), "spinning_up");
 }
 
-TEST(PowerStates, SpunUpClassification) {
-  EXPECT_TRUE(is_spun_up(PowerState::kIdle));
-  EXPECT_TRUE(is_spun_up(PowerState::kPositioning));
-  EXPECT_TRUE(is_spun_up(PowerState::kTransfer));
-  EXPECT_FALSE(is_spun_up(PowerState::kStandby));
-  EXPECT_FALSE(is_spun_up(PowerState::kSpinningUp));
-  EXPECT_FALSE(is_spun_up(PowerState::kSpinningDown));
-}
-
 TEST(PowerStates, LegalTransitionsOfFigure1) {
   using S = PowerState;
   // The service path.

@@ -162,9 +162,9 @@ TEST(TraceFleetProfile, ProfileSamplesStayOutOfTheCanonicalStream) {
 
 TEST(TraceFleetIdentity, OrchestratedTraceIsByteIdenticalAcrossShards) {
   // The router track carries the cache hit/miss spans (from the feeder's
-  // verdicts) and every controller decision; both must land in the same
-  // order, so the exported file is byte-identical at shards 1 and 4 and
-  // matches the digest captured from the previous single-threaded router.
+  // verdicts) and every controller decision, deadline destages included;
+  // all of them must land in the same order, and in time order, so the
+  // exported file is byte-identical at shards 1 and 4.
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat, 12);
   cfg.orch = sys::OrchSpec::parse("redirect+offload:1:60");
@@ -180,15 +180,22 @@ TEST(TraceFleetIdentity, OrchestratedTraceIsByteIdenticalAcrossShards) {
     RunTrace trace;
     (void)sys::run_experiment(cfg, &trace);
     bool hit = false, offload = false, destage = false;
+    double router_t = 0.0;
+    std::size_t router_backsteps = 0;
     for (const auto& e : trace.events) {
       hit = hit || (e.kind == Kind::kSpan && e.code == kSpanCacheHit);
       const bool policy = e.kind == Kind::kPolicy;
       offload = offload || (policy && e.code == kPolicyOffload);
       destage = destage || (policy && e.code == kPolicyDestage);
+      if (e.track == kRouterTrack) {
+        router_backsteps += e.t < router_t ? 1 : 0;
+        router_t = e.t;
+      }
     }
     EXPECT_TRUE(hit && offload && destage)
         << "scenario must exercise the cache, off-loading and destaging";
-    EXPECT_EQ(trace_digest(trace), "9e0078b2bcbd4eba");
+    EXPECT_EQ(router_backsteps, 0u) << "router track must be in time order";
+    EXPECT_EQ(trace_digest(trace), "7fb1aac8ba72bd76");
     std::ostringstream os;
     write_chrome_trace(trace, os);
     files[shards == 1 ? 0 : 1] = os.str();

@@ -140,16 +140,6 @@ TEST(LogHistogram, NonPositiveDroppedButCounted) {
   EXPECT_EQ(h.bin_count(1), 0u);
 }
 
-TEST(LogHistogram, ProportionsSumToOneWhenAllBinned) {
-  LogHistogram h{1.0, 1e6, 80};
-  for (double x = 2.0; x < 9e5; x *= 1.7) h.add(x);
-  const auto props = h.proportions();
-  double sum = 0.0;
-  for (double p : props) sum += p;
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_EQ(props.size(), 80u);
-}
-
 TEST(LogHistogram, MergeIsExactBinwise) {
   LogHistogram a{1.0, 1000.0, 3};
   LogHistogram b{1.0, 1000.0, 3};

@@ -107,14 +107,6 @@ TEST(ResponseSummary, FromPartsValidatesParts) {
                std::invalid_argument);
 }
 
-TEST(ResponseSummary, BriefMentionsCountAndMean) {
-  ResponseSummary s;
-  s.add(2.0);
-  const auto text = s.brief();
-  EXPECT_NE(text.find("n=1"), std::string::npos);
-  EXPECT_NE(text.find("mean=2"), std::string::npos);
-}
-
 TEST(ResponseSummary, SubSecondResolution) {
   ResponseSummary s;
   for (int i = 0; i < 1000; ++i) s.add(0.05);

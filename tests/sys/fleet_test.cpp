@@ -286,12 +286,12 @@ TEST(FleetScenario, ShardsKeyChangesWallClockOnly) {
 }
 
 // Pipeline edge cases: the feeder hands the router cache-filtered arrivals
-// in chunks of up to 4096, and a window may span several chunks, end in an
-// exactly full one, or be skipped over entirely when the frontier jumps an
-// idle stretch.  Each replay below stresses one of those seams and must
-// reproduce, at every shard count, the digest captured from the previous
-// engine, whose router generated, cached and routed whole windows on one
-// thread.
+// in chunks of up to 4096, and the router turns each chunk into one batch
+// per shard, so a burst may span several chunks, and one chunk may hold
+// arrivals hundreds of seconds apart.  Each replay below stresses one of
+// those seams and must reproduce, at every shard count, the digest
+// captured from an earlier engine, whose router generated, cached and
+// routed whole time windows on one thread.
 
 /// 16 files of 1 MB on 8 disks: cheap to serve, so bursts of thousands of
 /// requests stay fast to simulate.
@@ -335,10 +335,11 @@ void expect_pipeline_digest(const workload::FileCatalog& cat,
 }
 
 TEST(FleetPipeline, WindowSpanningSeveralChunksMatchesPreviousEngine) {
-  // Horizon 601 s gives 2.35 s windows: the opening burst of 10 000
-  // arrivals in 1 s fills one window across three chunks (4096 + 4096 +
-  // 1808), and the 4096-arrival burst at 300 s (0.41 s long) fills exactly
-  // one whole chunk of the window holding it.
+  // The 14 215 arrivals take four chunks: the opening burst of 10 000
+  // arrivals in 1 s fills the first two (4096 + 4096); the third holds the
+  // burst's last 1808, the 59 sparse arrivals and the first 2229 of the
+  // 4096-arrival burst at 300 s (0.41 s long), whose other 1867 open the
+  // fourth.
   const auto cat = small_files();
   std::vector<workload::TraceRecord> records;
   add_burst(records, 0.0, 10'000, 1e-4, 16);
@@ -349,28 +350,27 @@ TEST(FleetPipeline, WindowSpanningSeveralChunksMatchesPreviousEngine) {
   expect_pipeline_digest(cat, trace, CacheSpec::lru(util::mb(3.0)),
                          PolicySpec::break_even(), "d9bccd8478b7b0fe");
 
-  // The profile confirms the seam is exercised: two windows take more
-  // than one chunk, so the feeder fills two more chunks than the router
-  // fills windows.
+  // The profile confirms the seams: the feeder fills four chunks, and the
+  // router fills one batch per shard for each of them.
   auto cfg = fleet_config(cat, 8);
   cfg.workload = WorkloadSpec::replay(trace);
   cfg.obs.profile = true;
   cfg.shards = 2;
   obs::RunTrace profiled;
   (void)run_experiment(cfg, &profiled);
-  std::size_t chunks = 0, windows = 0;
+  std::size_t feeder_fills = 0, router_fills = 0;
   for (const auto& e : profiled.profile) {
-    chunks += e.code == obs::kProfFeederFill ? 1 : 0;
-    windows += e.code == obs::kProfRouterFill ? 1 : 0;
+    feeder_fills += e.code == obs::kProfFeederFill ? 1 : 0;
+    router_fills += e.code == obs::kProfRouterFill ? 1 : 0;
   }
-  EXPECT_GT(windows, 0u);
-  EXPECT_EQ(chunks, windows + 2);
+  EXPECT_EQ(feeder_fills, 4u);
+  EXPECT_EQ(router_fills, feeder_fills);
 }
 
 TEST(FleetPipeline, IdleStretchesJumpTheFrontier) {
-  // Bursts separated by idle gaps of up to 687 s on a 1394 s horizon
-  // (5.4 s windows): the frontier jumps straight to the next burst, and
-  // the disks spin down in between.
+  // Bursts separated by idle gaps of up to 687 s on a 1394 s horizon: one
+  // chunk holds arrivals hundreds of seconds apart, and the disks spin
+  // down in between.
   const auto cat = small_files();
   std::vector<workload::TraceRecord> records;
   for (const double t0 : {0.0, 250.0, 251.0, 700.0, 1390.0}) {
@@ -384,7 +384,7 @@ TEST(FleetPipeline, IdleStretchesJumpTheFrontier) {
 TEST(FleetPipeline, CacheHeavyReplayWithAllHitChunks) {
   // Four files and a cache that holds them all: after four cold misses
   // every arrival is a hit, so nearly every chunk the feeder forwards is
-  // hits only and the shard batches stay empty window after window.
+  // hits only and the shard batches stay empty chunk after chunk.
   const auto cat = small_files();
   std::vector<workload::TraceRecord> records;
   add_burst(records, 0.0, 20'000, 0.01, 4);
@@ -399,11 +399,11 @@ TEST(FleetPipeline, ExplicitLbasWithOrchestrationAcrossChunkSeams) {
   // to the log tier with a 5 s destage deadline, SSTF so each address moves
   // the service order.  The sparse phases (one arrival per 0.5 s, each disk
   // idle 3.5 s against a 2 s spin-down) absorb writes; the 3 s burst of
-  // 12 000 arrivals at 300 s fills a 2.35 s window across three chunks.
-  // The burst touches only files 0 and 1 (primaries 0 and 1, replicas 3
-  // and 4), so a debt owed to disk 2, 5 or 6 can only destage by deadline
-  // there, mid-window and between chunk boundaries, while the requests on
-  // the burst's disks trigger destages of their own debts.
+  // 12 000 arrivals at 300 s spans three chunks.  The burst touches only
+  // files 0 and 1 (primaries 0 and 1, replicas 3 and 4), so a debt owed to
+  // disk 2, 5 or 6 can only destage by deadline there, mid-chunk and at
+  // chunk seams, while the requests on the burst's disks trigger destages
+  // of their own debts.
   const auto cat = small_files();
   util::Rng lba_rng{23};
   std::vector<workload::TraceRecord> records;

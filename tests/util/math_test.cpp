@@ -87,15 +87,5 @@ TEST(Mean, Basics) {
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{1.0, 2.0, 3.0}), 2.0);
 }
 
-TEST(Percentile, InterpolatesAndClamps) {
-  std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, -5), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 105), 40.0);
-}
-
 } // namespace
 } // namespace spindown::util

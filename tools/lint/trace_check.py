@@ -170,7 +170,7 @@ GOOD_CHROME = """{"traceEvents":[
 {"ph":"e","cat":"request","name":"request","id":7,"pid":0,"tid":3,"ts":4.0,"args":{}},
 {"ph":"C","pid":0,"tid":4294967294,"ts":0.0,"name":"queued","args":{"queued":1}},
 {"ph":"i","s":"t","cat":"policy","name":"timer_armed","pid":0,"tid":5,"ts":9.0,"args":{}},
-{"ph":"X","cat":"pipeline","name":"feeder_fill","pid":1,"tid":4294967293,"ts":2.0,"dur":1.0,"args":{"window":0}}
+{"ph":"X","cat":"pipeline","name":"feeder_fill","pid":1,"tid":4294967293,"ts":2.0,"dur":1.0,"args":{"chunk":0}}
 ],"displayTimeUnit":"ms"}
 """
 
