@@ -48,6 +48,9 @@ public:
   /// Presence check without side effects.
   virtual bool contains(workload::FileId id) const = 0;
 
+  /// Hint that access(id, ...) comes soon; never changes a result.
+  virtual void prefetch(workload::FileId /*id*/) const {}
+
   virtual util::Bytes capacity() const = 0;
   virtual util::Bytes used() const = 0;
   virtual std::size_t entries() const = 0;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "util/prefetch.h"
 
 namespace spindown::cache {
 
@@ -28,6 +29,9 @@ public:
   bool access(workload::FileId id, util::Bytes size) override;
   bool contains(workload::FileId id) const override {
     return id < slot_.size() && slot_[id] != kNil;
+  }
+  void prefetch(workload::FileId id) const override {
+    if (id < slot_.size()) util::prefetch(slot_.data() + id);
   }
 
   util::Bytes capacity() const override { return capacity_; }

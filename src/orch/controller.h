@@ -35,6 +35,7 @@
 
 #include "obs/trace.h"
 #include "orch/offload.h"
+#include "util/prefetch.h"
 #include "util/units.h"
 #include "workload/catalog.h"
 
@@ -144,6 +145,21 @@ public:
   /// before handling that arrival, and once with the horizon after the
   /// stream ends, so submission times stay globally monotone.
   void flush_deadlines(double t, std::vector<Submission>& out);
+
+  /// Whether flush_deadlines(t) may emit anything: false proves it would
+  /// not, so a caller can skip the call.
+  bool deadline_due(double t) const {
+    return offload_ != nullptr && offload_->next_deadline() <= t;
+  }
+
+  /// Hint that route() of `file` comes soon: prefetches the file's entries
+  /// in the tables route() reads.
+  void prefetch(workload::FileId file) const {
+    util::prefetch(mapping_.data() + file);
+    util::prefetch(extents_.data() + file);
+    if (!offset_.empty()) util::prefetch(offset_.data() + file);
+    if (offload_ != nullptr) offload_->prefetch(file);
+  }
 
   /// Deterministic read/write classification: a splitmix64 hash of the
   /// request id against `fraction` — no RNG draws, so arrival streams are

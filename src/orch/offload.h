@@ -37,6 +37,7 @@
 #include <optional>
 #include <vector>
 
+#include "util/prefetch.h"
 #include "util/units.h"
 #include "workload/catalog.h"
 
@@ -90,6 +91,20 @@ public:
   /// As drain_disk, but for every pending write whose deadline is <= `t`,
   /// fleet-wide, in deadline order.
   void drain_due(double t, std::vector<PendingWrite>& out);
+
+  /// The deadline of the oldest write that may still be live, or +inf:
+  /// deadlines never decrease in absorb order, so it bounds every live
+  /// deadline from below, and drain_due(t) drains nothing for any earlier t.
+  double next_deadline() const {
+    return head_ - base_ < pending_.size()
+               ? pending_[head_ - base_].deadline
+               : std::numeric_limits<double>::infinity();
+  }
+
+  /// Hint that log_copy(file) comes soon.
+  void prefetch(workload::FileId file) const {
+    if (file < latest_.size()) util::prefetch(latest_.data() + file);
+  }
 
   std::uint64_t buffered() const { return buffered_; }
   std::uint64_t destaged() const { return destaged_; }

@@ -4,7 +4,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "orch/controller.h"
 #include "stats/summary.h"
+#include "util/prefetch.h"
 #include "util/rng.h"
 #include "util/spsc_ring.h"
 #include "util/units.h"
@@ -387,24 +388,39 @@ private:
     return chunk;
   }
 
+  /// Resolve each request's catalog entry and front-cache outcome into
+  /// `records`, in arrival order, with both tables prefetched ahead.
+  void resolve(std::span<const workload::Request> reqs,
+               std::vector<FeedRecord>& records) {
+    const auto& files = catalog->files();
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (i + util::kPrefetchAhead < reqs.size()) {
+        const workload::FileId ahead = reqs[i + util::kPrefetchAhead].file;
+        if (ahead < files.size()) util::prefetch(files.data() + ahead);
+        if (cache != nullptr) cache->prefetch(ahead);
+      }
+      const workload::Request& r = reqs[i];
+      const auto& file = catalog->by_id(r.file);
+      const bool hit = cache != nullptr && cache->access(file.id, file.size);
+      records.push_back(
+          FeedRecord{r.arrival, r.id, r.lba, file.size, r.file, hit});
+    }
+  }
+
   void feed() {
     const auto t0 = PerfClock::now();
-    // One request of lookahead marks the chunk that ends the stream; the
-    // stream is still pulled draw for draw, in order.
-    std::optional<workload::Request> next = stream->next();
+    // One chunk of requests is drawn ahead, so the chunk that ends the
+    // stream knows it is last; the stream is still drawn in order.
+    std::vector<workload::Request> reqs(kChunkEntries);
+    std::size_t n = stream->fill(reqs);
     for (std::uint64_t chunk_idx = 0;; ++chunk_idx) {
       FeedChunk* chunk = acquire();
       if (chunk == nullptr) return;
       const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
-      auto& records = chunk->records;
-      while (next.has_value() && records.size() < kChunkEntries) {
-        const auto& file = catalog->by_id(next->file);
-        const bool hit = cache != nullptr && cache->access(file.id, file.size);
-        records.push_back(FeedRecord{next->arrival, next->id, next->lba,
-                                     file.size, next->file, hit});
-        next = stream->next();
-      }
-      const bool last = !next.has_value();
+      resolve(std::span{reqs}.first(n), chunk->records);
+      // A short fill has already ended the stream.
+      n = n < kChunkEntries ? 0 : stream->fill(reqs);
+      const bool last = n == 0;
       chunk->last = last;
       full.try_push(chunk); // holds a popped chunk: cannot be full
       if (profiling) {
@@ -567,13 +583,21 @@ std::vector<RunResult> run_routed(const ExperimentConfig& config,
         take(feeder.full, chunk);
         const double f0 = profiling ? seconds_since(prof_t0) : 0.0;
         for (std::uint32_t w = 0; w < shards; ++w) current[w] = acquire(w);
-        dispatched += chunk->records.size();
-        for (const FeedRecord& r : chunk->records) {
+        const auto& records = chunk->records;
+        dispatched += records.size();
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          if (i + util::kPrefetchAhead < records.size()) {
+            const FeedRecord& ahead = records[i + util::kPrefetchAhead];
+            if (!ahead.hit) controller.prefetch(ahead.file);
+          }
+          const FeedRecord& r = records[i];
           // Deadline destages due by this arrival ship first, each at its
           // own deadline time, so every shard batch and the router track
           // stay in time order.
           subs.clear();
-          controller.flush_deadlines(r.arrival, subs);
+          if (controller.deadline_due(r.arrival)) {
+            controller.flush_deadlines(r.arrival, subs);
+          }
           if (r.hit) {
             // Cache hit, served from memory with zero latency: recorded
             // here, in arrival order.

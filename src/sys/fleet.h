@@ -12,15 +12,18 @@
 // disk resolves it itself, lazily (disk.h).
 //
 // Three kinds of thread form a pipeline:
-//   * the feeder (its own thread) pulls the arrival stream, looks every
-//     arrival up in the catalog and the front cache in global arrival
-//     order, and forwards the cache-filtered arrivals to the router in
-//     chunks of up to 4096;
+//   * the feeder (its own thread) pulls the arrival stream a chunk of up
+//     to 4096 arrivals at a time, looks every arrival up in the catalog
+//     and the front cache in global arrival order, and forwards each
+//     chunk of cache-filtered arrivals to the router;
 //   * the router (the calling thread) hands every cache miss, in the same
 //     arrival order, to the orchestration controller (orch/controller.h),
 //     the one place a miss's disk and extent are picked (with orchestration
 //     off it enables no mechanism and picks the primary copy), turns each
-//     chunk into one batch of submissions per shard, and publishes them;
+//     chunk into one batch of submissions per shard, and publishes them.
+//     Both front stages work a chunk in passes, so the table entries a
+//     pass will read are known, and prefetched, 16 records ahead
+//     (util/prefetch.h);
 //   * one worker per shard replays its batches into its own disks: each
 //     record is a Disk::submit at the record's time, preceded by the
 //     metrics sampler's ticks up to that time.

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,54 +12,14 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-} // namespace
-
 Rng::Rng(std::uint64_t seed) {
   // SplitMix64 expansion guarantees a non-zero xoshiro state for any seed.
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform01() {
-  // Take the top 53 bits: uniform in [0,1) with full double precision.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform01();
-}
-
-std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
-  assert(lo <= hi);
-  const std::uint64_t span = hi - lo + 1;
-  if (span == 0) return next_u64(); // full 64-bit range requested
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = std::uint64_t(-1) - std::uint64_t(-1) % span;
-  std::uint64_t v = next_u64();
-  while (v >= limit) v = next_u64();
-  return lo + v % span;
-}
-
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument{"exponential rate must be > 0"};
-  // 1 - uniform01() is in (0,1], so the log is finite.
-  return -std::log(1.0 - uniform01()) / rate;
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -135,13 +94,6 @@ AliasTable::AliasTable(std::span<const double> weights) {
   // Numerical leftovers are probability-1 buckets.
   for (std::uint32_t i : large) prob_[i] = 1.0;
   for (std::uint32_t i : small) prob_[i] = 1.0;
-}
-
-std::size_t AliasTable::sample(Rng& rng) const {
-  assert(!prob_.empty());
-  const std::size_t i =
-      static_cast<std::size_t>(rng.uniform_int(0, prob_.size() - 1));
-  return rng.uniform01() < prob_[i] ? i : alias_[i];
 }
 
 } // namespace spindown::util

@@ -9,9 +9,14 @@
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
+
+#include "util/prefetch.h"
 
 namespace spindown::util {
 
@@ -25,19 +30,52 @@ public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform01();
+  double uniform01() {
+    // Take the top 53 bits: uniform in [0,1) with full double precision.
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
   /// Uniform integer in the inclusive range [lo, hi] (unbiased, via rejection).
-  std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi);
+  std::uint64_t uniform_int(std::uint64_t lo, std::uint64_t hi) {
+    assert(lo <= hi);
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    const std::uint64_t span = hi - lo + 1;
+    if (span == 0) return next_u64(); // full 64-bit range requested
+    // Rejection sampling to avoid modulo bias.  The limit kMax - kMax % span
+    // exceeds kMax - span, so only a draw in the top `span` values can reach
+    // it: the division that finds the limit waits for such a draw.
+    std::uint64_t v = next_u64();
+    if (v > kMax - span) {
+      const std::uint64_t limit = kMax - kMax % span;
+      while (v >= limit) v = next_u64();
+    }
+    return lo + v % span;
+  }
 
   /// Exponential variate with the given rate (mean 1/rate); rate must be > 0.
-  double exponential(double rate);
+  double exponential(double rate) {
+    if (rate <= 0.0) {
+      throw std::invalid_argument{"exponential rate must be > 0"};
+    }
+    // 1 - uniform01() is in (0,1], so the log is finite.
+    return -std::log(1.0 - uniform01()) / rate;
+  }
 
   /// Standard normal via Box–Muller (no cached spare, keeps state minimal).
   double normal(double mean = 0.0, double stddev = 1.0);
@@ -61,6 +99,10 @@ public:
   Rng split();
 
 private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 
@@ -72,8 +114,26 @@ public:
   /// Weights need not be normalized; they must be non-negative, not all zero.
   explicit AliasTable(std::span<const double> weights);
 
-  /// Sample an index in [0, size()).
-  std::size_t sample(Rng& rng) const;
+  /// Sample an index in [0, size()): resolve() of a uniform bucket and a
+  /// uniform coin, drawn in that order.
+  std::size_t sample(Rng& rng) const {
+    assert(!prob_.empty());
+    const auto i = static_cast<std::size_t>(rng.uniform_int(0, size() - 1));
+    return resolve(i, rng.uniform01());
+  }
+
+  /// The index that bucket `i` and `coin` in [0, 1) sample: the bucket
+  /// itself, or its alias.  Splitting the draws from this lookup lets a
+  /// caller draw many samples first and resolve them in a second pass.
+  std::size_t resolve(std::size_t i, double coin) const {
+    return coin < prob_[i] ? i : alias_[i];
+  }
+
+  /// Hint that resolve(i, ...) comes soon.
+  void prefetch(std::size_t i) const {
+    util::prefetch(prob_.data() + i);
+    util::prefetch(alias_.data() + i);
+  }
 
   std::size_t size() const { return prob_.size(); }
   bool empty() const { return prob_.empty(); }

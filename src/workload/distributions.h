@@ -41,6 +41,9 @@ public:
   /// O(1) sampling of a rank in [1, n].
   std::size_t sample(util::Rng& rng) const;
 
+  /// The alias table behind sample(): its indices are rank - 1.
+  const util::AliasTable& alias() const { return alias_; }
+
 private:
   std::size_t n_;
   double exponent_;

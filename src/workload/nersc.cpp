@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/prefetch.h"
 #include "workload/arrival.h"
 #include "workload/distributions.h"
 
@@ -75,9 +76,28 @@ std::vector<std::uint32_t> draw_access_counts(const NerscSpec& spec,
   std::iota(rank_to_file.begin(), rank_to_file.end(), 0u);
   rng.shuffle(std::span{rank_to_file});
   // Count by rank first: hot ranks stay in cache, and the file lookup is
-  // one sequential pass.
+  // one sequential pass.  The samples are drawn a chunk at a time (bucket,
+  // coin: zipf.sample()'s order), then resolved with the alias table
+  // prefetched ahead.
   std::vector<std::uint32_t> by_rank(spec.n_files, 0);
-  for (std::size_t e = 0; e < extra; ++e) by_rank[zipf.sample(rng) - 1] += 1;
+  const util::AliasTable& alias = zipf.alias();
+  constexpr std::size_t kChunk = 4096;
+  std::vector<std::uint32_t> buckets(std::min(kChunk, extra));
+  std::vector<double> coins(buckets.size());
+  for (std::size_t e = 0; e < extra; e += kChunk) {
+    const std::size_t m = std::min(kChunk, extra - e);
+    for (std::size_t j = 0; j < m; ++j) {
+      buckets[j] =
+          static_cast<std::uint32_t>(rng.uniform_int(0, spec.n_files - 1));
+      coins[j] = rng.uniform01();
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j + util::kPrefetchAhead < m) {
+        alias.prefetch(buckets[j + util::kPrefetchAhead]);
+      }
+      by_rank[alias.resolve(buckets[j], coins[j])] += 1;
+    }
+  }
   for (std::size_t r = 0; r < spec.n_files; ++r) {
     counts[rank_to_file[r]] += by_rank[r];
   }

@@ -1,6 +1,9 @@
 #include "workload/stream.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "util/prefetch.h"
 
 namespace spindown::workload {
 
@@ -18,28 +21,42 @@ ArrivalZipfStream::ArrivalZipfStream(const FileCatalog& catalog,
   file_choice_ = util::AliasTable{probs};
 }
 
-std::optional<Request> ArrivalZipfStream::next() {
-  const double t = arrivals_->next_arrival(rng_);
-  if (t >= horizon_) return std::nullopt;
-  Request r;
-  r.id = next_id_++;
-  r.arrival = t;
-  r.file = static_cast<FileId>(file_choice_.sample(rng_));
-  return r;
+std::size_t ArrivalZipfStream::fill(std::span<Request> out) {
+  if (coins_.size() < out.size()) coins_.resize(out.size());
+  // Pass 1: every draw, in next()'s order; `file` holds the alias bucket.
+  std::size_t n = 0;
+  for (; n < out.size(); ++n) {
+    const double t = arrivals_->next_arrival(rng_);
+    if (t >= horizon_) break;
+    Request& r = out[n];
+    r.id = next_id_++;
+    r.arrival = t;
+    r.file = static_cast<FileId>(
+        rng_.uniform_int(0, file_choice_.size() - 1));
+    r.lba = kNoLba;
+    coins_[n] = rng_.uniform01();
+  }
+  // Pass 2: the alias lookups, whose buckets are now all known.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + util::kPrefetchAhead < n) {
+      file_choice_.prefetch(out[i + util::kPrefetchAhead].file);
+    }
+    out[i].file = static_cast<FileId>(
+        file_choice_.resolve(out[i].file, coins_[i]));
+  }
+  return n;
 }
 
 TraceStream::TraceStream(const Trace& trace) : trace_(trace) {}
 
-std::optional<Request> TraceStream::next() {
-  if (pos_ >= trace_.size()) return std::nullopt;
-  const auto& rec = trace_.records()[pos_];
-  Request r;
-  r.id = pos_;
-  r.arrival = rec.time;
-  r.file = rec.file;
-  r.lba = rec.lba;
-  ++pos_;
-  return r;
+std::size_t TraceStream::fill(std::span<Request> out) {
+  const auto& records = trace_.records();
+  const std::size_t n = std::min(out.size(), records.size() - pos_);
+  for (std::size_t i = 0; i < n; ++i, ++pos_) {
+    const auto& rec = records[pos_];
+    out[i] = Request{pos_, rec.time, rec.file, rec.lba};
+  }
+  return n;
 }
 
 } // namespace spindown::workload

@@ -10,9 +10,12 @@
 //     real life workload data").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "util/rng.h"
 #include "workload/arrival.h"
@@ -36,8 +39,18 @@ struct Request {
 class RequestStream {
 public:
   virtual ~RequestStream() = default;
-  /// Next request, or nullopt when the stream is exhausted.
-  virtual std::optional<Request> next() = 0;
+
+  /// Write the next requests into `out`, in order, and return how many were
+  /// written: fewer than out.size() means the stream has ended.  Filling a
+  /// span of n gives the same requests, draw for draw, as n calls of next().
+  virtual std::size_t fill(std::span<Request> out) = 0;
+
+  /// Next request, or nullopt when the stream is exhausted: fill() of one.
+  std::optional<Request> next() {
+    Request r;
+    if (fill(std::span{&r, 1}) == 0) return std::nullopt;
+    return r;
+  }
 };
 
 /// General synthetic generator: arrival times from an ArrivalProcess, file
@@ -49,7 +62,11 @@ public:
                     std::unique_ptr<ArrivalProcess> arrivals, double horizon,
                     util::Rng rng);
 
-  std::optional<Request> next() override;
+  /// Draws every request of `out` first, in next()'s order (arrival, alias
+  /// bucket, coin), then resolves the alias lookups in a second pass with
+  /// the table prefetched ahead.  Allocates only when `out` is larger than
+  /// any span filled before.
+  std::size_t fill(std::span<Request> out) override;
 
   const ArrivalProcess& arrivals() const { return *arrivals_; }
 
@@ -58,6 +75,7 @@ private:
   double horizon_;
   util::Rng rng_;
   util::AliasTable file_choice_;
+  std::vector<double> coins_; ///< the pending requests' alias coins
   std::uint64_t next_id_ = 0;
 };
 
@@ -66,7 +84,7 @@ class TraceStream final : public RequestStream {
 public:
   explicit TraceStream(const Trace& trace);
 
-  std::optional<Request> next() override;
+  std::size_t fill(std::span<Request> out) override;
 
 private:
   const Trace& trace_;

@@ -1,6 +1,6 @@
-// alloc_count_test.cpp — proves the steady-state request path (a disk's
-// submit/settle cycle with its response books, the front cache) is
-// allocation-free.
+// alloc_count_test.cpp — proves the steady-state request path (arrival
+// generation, a disk's submit/settle cycle with its response books, the
+// front cache) is allocation-free.
 //
 // The file replaces the global operator new/delete with counting versions
 // (they still allocate through std::malloc, so ASan keeps seeing every
@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "stats/histogram.h"
 #include "util/units.h"
+#include "workload/stream.h"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -169,6 +170,31 @@ TEST(AllocCount, LruCacheMissEvictHitCycleIsAllocationFree) {
 
 TEST(AllocCount, FifoCacheMissEvictHitCycleIsAllocationFree) {
   run_cache_cycle_test<spindown::cache::FifoCache>();
+}
+
+TEST(AllocCount, StreamFillIsAllocationFree) {
+  // The feeder's loop: one request buffer, sized in advance, refilled a
+  // chunk at a time from a Zipf stream over a thinned (NHPP) process.
+  std::vector<spindown::workload::FileInfo> files;
+  for (spindown::workload::FileId i = 0; i < 5000; ++i) {
+    files.push_back({i, 100, 1.0 / static_cast<double>(i + 1)});
+  }
+  const spindown::workload::FileCatalog catalog{files};
+  spindown::workload::ArrivalZipfStream stream{
+      catalog,
+      std::make_unique<spindown::workload::PiecewiseRateArrivals>(
+          std::vector<spindown::workload::RateSegment>{{0.0, 50.0},
+                                                       {30.0, 400.0}},
+          60.0),
+      1e6, spindown::util::Rng{5}};
+  std::vector<spindown::workload::Request> buf(4096);
+  ASSERT_EQ(stream.fill(buf), buf.size()); // first call: sizes the coins
+  const std::uint64_t before = allocation_count();
+  std::uint64_t drawn = 0;
+  for (int chunk = 0; chunk < 100; ++chunk) drawn += stream.fill(buf);
+  const std::uint64_t after = allocation_count();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(drawn, 100u * buf.size());
 }
 
 TEST(AllocCount, OversizedCaptureDoesAllocate) {

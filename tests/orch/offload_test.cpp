@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -98,6 +99,39 @@ TEST(OrchOffload, TriggeredDrainSettlesBeforeTheDeadline) {
   EXPECT_EQ(out[0].request_id, 3u);
   EXPECT_EQ(off.destaged(), 3u);
   EXPECT_EQ(off.live(), 0u);
+}
+
+TEST(OrchOffload, NextDeadlineBoundsDrainDue) {
+  auto off = make_offload();
+  EXPECT_EQ(off.next_deadline(), std::numeric_limits<double>::infinity());
+  off.absorb(10.0, 1, 0, util::mb(1.0), 2, 100, 3);
+  off.absorb(11.0, 2, 1, util::mb(1.0), 2, 200, 3);
+  off.absorb(30.0, 3, 2, util::mb(1.0), 2, 300, 1);
+  EXPECT_DOUBLE_EQ(off.next_deadline(), 10.0 + kDeadline);
+
+  // Disk 3 serves a request: its debts, the head entry among them, settle
+  // early.  The head's deadline still bounds the one live deadline (130 s).
+  std::vector<PendingWrite> out;
+  off.drain_disk(3, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_LE(off.next_deadline(), 30.0 + kDeadline);
+
+  // Below the bound, drain_due drains nothing (it may step past settled
+  // entries, which only raises the bound).
+  for (double t = 0.0; t < 30.0 + kDeadline; t += 0.5) {
+    const double bound = off.next_deadline();
+    EXPECT_LE(bound, 30.0 + kDeadline);
+    if (t >= bound) continue;
+    out.clear();
+    off.drain_due(t, out);
+    EXPECT_TRUE(out.empty()) << "t = " << t;
+  }
+  EXPECT_DOUBLE_EQ(off.next_deadline(), 30.0 + kDeadline);
+  out.clear();
+  off.drain_due(30.0 + kDeadline, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].request_id, 3u);
+  EXPECT_EQ(off.next_deadline(), std::numeric_limits<double>::infinity());
 }
 
 TEST(OrchOffload, NewerWriteShadowsOlderUntilBothDestage) {

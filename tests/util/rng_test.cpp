@@ -65,6 +65,63 @@ TEST(Rng, UniformIntSingleton) {
   }
 }
 
+/// uniform_int as first written: the rejection limit computed on every
+/// call.  Counts the draws it rejects.
+std::uint64_t reference_uniform_int(Rng& rng, std::uint64_t lo,
+                                    std::uint64_t hi,
+                                    std::uint64_t& rejected) {
+  const std::uint64_t span = hi - lo + 1;
+  if (span == 0) return rng.next_u64();
+  const std::uint64_t limit = std::uint64_t(-1) - std::uint64_t(-1) % span;
+  std::uint64_t v = rng.next_u64();
+  while (v >= limit) {
+    ++rejected;
+    v = rng.next_u64();
+  }
+  return lo + v % span;
+}
+
+TEST(Rng, UniformIntMatchesRejectionReference) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  struct Range {
+    std::uint64_t lo, hi;
+  };
+  // Spans 1, 2, 3, 10, 2^32 + 1, 2^63, 2^63 + 1, 2^64 - 1 and the full range.
+  const std::array<Range, 10> ranges{{{0, 0},
+                                      {5, 6},
+                                      {0, 2},
+                                      {100, 109},
+                                      {0, std::uint64_t{1} << 32},
+                                      {0, kTwo63 - 1},
+                                      {0, kTwo63},
+                                      {1, kTwo63 + 1},
+                                      {0, kMax - 1},
+                                      {0, kMax}}};
+  constexpr int kDraws = 100000;
+  for (std::size_t k = 0; k < ranges.size(); ++k) {
+    const auto [lo, hi] = ranges[k];
+    Rng rng{1000 + k};
+    Rng ref{1000 + k};
+    std::uint64_t rejected = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(rng.uniform_int(lo, hi),
+                reference_uniform_int(ref, lo, hi, rejected))
+          << "range " << k << " draw " << i;
+    }
+    // Same generator state: the next raw draws agree.
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(rng.next_u64(), ref.next_u64()) << "range " << k;
+    }
+    if (hi - lo == kTwo63) {
+      // Span 2^63 + 1: the limit is 2^63 + 1, so about half the draws are
+      // rejected and the lazy path runs its loop many times.
+      EXPECT_NEAR(static_cast<double>(rejected) / (kDraws + rejected), 0.5,
+                  0.01);
+    }
+  }
+}
+
 TEST(Rng, ExponentialMeanMatchesRate) {
   Rng rng{13};
   const double rate = 4.0;
