@@ -399,10 +399,6 @@ WorkloadSpec WorkloadSpec::parse(const std::string& name) {
       "replay)"};
 }
 
-RunResult run_experiment(const ExperimentConfig& config) {
-  return run_experiment(config, nullptr, nullptr);
-}
-
 RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
                          FleetPerf* perf) {
   RunResult result;

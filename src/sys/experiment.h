@@ -149,7 +149,7 @@ struct CacheSpec {
 /// Observability selection (src/obs/): which trace-event families a run
 /// records, plus the sim-time metrics sampling interval.  Everything is off
 /// by default; an enabled spec only takes effect when the run is handed a
-/// RunTrace sink (run_experiment's trace overload), so carrying an enabled
+/// RunTrace sink (run_experiment's `trace` argument), so carrying an enabled
 /// ObsSpec through an untraced run is free.
 struct ObsSpec {
   bool spans = false;   ///< request lifecycle edges
@@ -281,16 +281,14 @@ struct ExperimentConfig {
 /// Run one experiment to completion on the fleet engine (sys/fleet.h) at
 /// `config.shards` shards.  Deterministic given the config.  Throws
 /// std::invalid_argument on config errors, including a workload whose
-/// measurement horizon is not positive.
-RunResult run_experiment(const ExperimentConfig& config);
-
-/// As above, also collecting observability output.  When `trace` is
-/// non-null and config.obs enables any kind, the canonical sim-time event
-/// stream (bit-identical at any shard count) and — with obs profile on —
-/// the wall-clock pipeline samples are appended to it.  When `perf`
-/// is non-null it receives the fleet pipeline diagnostics.  The RunResult
-/// is bit-identical to the untraced overload's.
-RunResult run_experiment(const ExperimentConfig& config, obs::RunTrace* trace,
+/// measurement horizon is not positive.  When `trace` is non-null and
+/// config.obs enables any kind, the canonical sim-time event stream
+/// (bit-identical at any shard count) and — with obs profile on — the
+/// wall-clock pipeline samples are appended to it.  When `perf` is
+/// non-null it receives the fleet pipeline diagnostics.  Neither changes
+/// the RunResult.
+RunResult run_experiment(const ExperimentConfig& config,
+                         obs::RunTrace* trace = nullptr,
                          FleetPerf* perf = nullptr);
 
 } // namespace spindown::sys

@@ -27,14 +27,24 @@
 //   * one worker per shard replays its batches into its own disks: each
 //     record is a Disk::submit at the record's time, preceded by the
 //     metrics sampler's ticks up to that time.
-// Every handoff is a lock-free SPSC ring (util/spsc_ring.h) paired with a
-// second ring that recycles drained arenas (feeder chunks, shard batches)
-// back to their producer, so the feeder fills chunk K+1 while the router
-// routes chunk K and workers drain the batches of earlier chunks, and the
-// steady state allocates nothing.  An arena is one vector of fixed 40-byte
-// records, one per request: the consuming core reads one contiguous record
-// per request, not one cache line per field.  An idle stage parks on a
-// futex instead of spinning.
+// fleet.cpp writes each of these ideas once:
+//   * one shard type, `Shard`: a disk group (disks shard, shard + shards,
+//     ..., built from per-disk RNGs split in disk-id order), its
+//     histogram, sampler and horizon snapshot, the handoff that feeds it,
+//     and its worker's outputs;
+//   * one handoff type, `Handoff<Record>`, serving both hops
+//     (feeder -> router, router -> each shard): a lock-free SPSC ring
+//     (util/spsc_ring.h) of filled batches paired with a ring that
+//     recycles drained ones back to the producer, so the feeder fills chunk
+//     K+1 while the router routes chunk K and workers drain the batches of
+//     earlier chunks, and the steady state allocates nothing.  A batch is
+//     one vector of fixed 40-byte records, one per request: the consuming
+//     core reads one contiguous record per request, not one cache line per
+//     field.  An idle stage parks on a futex instead of spinning;
+//   * one timing path, `StageClock`, one per stage: it measures each
+//     interval once, where the stage blocks or finishes a chunk, and that
+//     same double feeds the FleetPerf sums below and, under obs profile,
+//     the stage's kProfile sample.
 // Because the minimum cross-shard latency is infinite (no feedback path),
 // a batch may end anywhere in sim time; the chunk size and the arena rings
 // bound router/worker skew and batch memory, never correctness.  shards=1
@@ -127,7 +137,8 @@ inline constexpr std::uint32_t kAutoMinDisksPerShard = 32;
 /// stream (obs::append_canonical order — bit-identical at any shard count)
 /// plus, when config.obs.profile is set, wall-clock pipeline stage samples
 /// in RunTrace::profile.  Throws std::invalid_argument on config errors,
-/// including a non-positive measurement horizon.
+/// including a non-positive measurement horizon and orch offload on fewer
+/// disks than its log disks.
 std::vector<RunResult> run_fleet_partials(const ExperimentConfig& config,
                                           std::uint32_t shards,
                                           FleetPerf* perf = nullptr,

@@ -641,11 +641,6 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   return cache.resolve(spec);
 }
 
-RunResult run_scenario(const ScenarioSpec& spec) {
-  const auto resolved = resolve_scenario(spec);
-  return run_experiment(resolved.config);
-}
-
 RunResult run_scenario(const ScenarioSpec& spec, obs::RunTrace* trace,
                        FleetPerf* perf) {
   const auto resolved = resolve_scenario(spec);

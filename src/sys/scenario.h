@@ -279,14 +279,11 @@ private:
 /// One-shot resolution (fresh cache).
 ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
-/// Resolve and run one scenario.
-RunResult run_scenario(const ScenarioSpec& spec);
-
-/// Resolve and run one scenario, collecting observability output: when
-/// `trace` is non-null and spec.obs enables any kind, the canonical trace
-/// lands in it (run_experiment's traced overload); `perf`, when non-null,
-/// receives the fleet pipeline diagnostics.
-RunResult run_scenario(const ScenarioSpec& spec, obs::RunTrace* trace,
+/// Resolve and run one scenario.  When `trace` is non-null and spec.obs
+/// enables any kind, the canonical trace lands in it; `perf`, when
+/// non-null, receives the fleet pipeline diagnostics (as run_experiment).
+RunResult run_scenario(const ScenarioSpec& spec,
+                       obs::RunTrace* trace = nullptr,
                        FleetPerf* perf = nullptr);
 
 /// Resolve all scenarios through one shared cache, then run them in

@@ -262,6 +262,58 @@ TEST(FleetPerf, CountersDescribeThePipeline) {
   EXPECT_NE(json.find("\"feeder_stall_s\": "), std::string::npos);
 }
 
+TEST(FleetPerf, CountersAgreeWithTheProfile) {
+  // One clock per stage feeds both FleetPerf and the profile samples: each
+  // shard gets one router fill and one replay per batch, and its ring-wait
+  // samples add up to its wait counter exactly.
+  const auto cat = fleet_catalog();
+  auto cfg = fleet_config(cat);
+  cfg.shards = 3;
+  cfg.obs.profile = true;
+  FleetPerf perf;
+  obs::RunTrace trace;
+  (void)run_experiment(cfg, &trace, &perf);
+  ASSERT_EQ(perf.per_shard.size(), 3u);
+  std::uint64_t router_fills = 0;
+  for (const auto& e : trace.profile) {
+    router_fills += e.code == obs::kProfRouterFill ? 1 : 0;
+  }
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    SCOPED_TRACE("shard " + std::to_string(w));
+    std::uint64_t replays = 0;
+    double waited = 0.0;
+    for (const auto& e : trace.profile) {
+      if (e.track != w) continue;
+      replays += e.code == obs::kProfWorkerReplay ? 1 : 0;
+      if (e.code == obs::kProfRingWait) waited += e.value;
+    }
+    EXPECT_EQ(replays, perf.per_shard[w].batches);
+    EXPECT_EQ(router_fills, perf.per_shard[w].batches);
+    EXPECT_EQ(waited, perf.worker_wait_s[w]);
+  }
+}
+
+TEST(RunFleet, RejectsOffloadWithFewerDisksThanLogDisks) {
+  // A hand-built config (scenario resolution always adds the log disks):
+  // the data-disk count num_disks - log_disks would wrap around.
+  const auto cat = fleet_catalog();
+  auto cfg = fleet_config(cat, 6);
+  cfg.orch.offload = true;
+  cfg.orch.log_disks = 8;
+  for (const std::uint32_t shards : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    cfg.shards = shards;
+    try {
+      (void)run_experiment(cfg);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("8 log disks"), std::string::npos) << what;
+      EXPECT_NE(what.find("num_disks is 6"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(RunFleet, RequiresPositiveHorizon) {
   const auto cat = fleet_catalog();
   auto cfg = fleet_config(cat);
