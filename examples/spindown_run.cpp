@@ -65,7 +65,9 @@ void print_usage(const std::string& program) {
       << "  --metrics-interval <s>  sim-time gauge sampling period; implies\n"
       << "                     the metrics family\n"
       << "  --json             one JSON row per scenario on stdout (JSONL);\n"
-      << "                     sharded runs include a fleet_perf object\n"
+      << "                     a lone scenario's row includes a fleet_perf\n"
+      << "                     object (the pipeline runs at every shard\n"
+      << "                     count, shards=1 included)\n"
       << "  --threads <n>      parallel sweep width (default: hardware)\n"
       << "  --help             this text\n";
 }
@@ -208,7 +210,7 @@ int main(int argc, char** argv) {
     if (json) {
       for (std::size_t i = 0; i < specs.size(); ++i) {
         std::string row = sys::to_json(specs[i], results[i]);
-        if (have_perf && specs[i].shards != 1) {
+        if (have_perf) {
           // Splice the pipeline diagnostics into the scenario row.
           row.pop_back();
           row += ", \"fleet_perf\": " + sys::to_json(perf) + "}";

@@ -1,11 +1,17 @@
 #include "core/pack_disks.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace spindown::core {
+
+PackHeap::PackHeap(LowerPriority less, std::vector<HeapElem> elems)
+    : run_(std::move(elems)) {
+  std::sort(run_.begin(), run_.end(), less);
+}
 
 namespace {
 

@@ -8,7 +8,8 @@
 // Mechanics, following the pseudocode:
 //   * items are split into the size-intensive set ST (s >= l) keyed by
 //     ~s = s - l, and the load-intensive set LD (l > s) keyed by ~l = l - s;
-//     each set becomes a max-heap (O(n) build);
+//     each set becomes a max-priority queue (PackHeap: one O(n log n) sort
+//     plus a side heap for evicted items, which are few);
 //   * the current disk balances itself: when its size total dominates
 //     (S >= L) it draws the most load-intensive remaining item, and vice
 //     versa;
@@ -67,9 +68,45 @@ struct LowerPriority {
   }
 };
 
-/// Max-heap under LowerPriority; building it from a vector is O(n).
-using PackHeap =
-    std::priority_queue<HeapElem, std::vector<HeapElem>, LowerPriority>;
+/// Max-priority queue under LowerPriority, shaped for Pack_Disks: every
+/// element is known up front and only evictions and retries push one back.
+/// The initial elements are sorted once into a run popped from its back;
+/// pushed elements go to a small side heap; pop takes the greater of the
+/// two heads.  Indices are unique within a queue, so LowerPriority orders
+/// its elements totally and the pop sequence is the one any max-heap over
+/// the same elements gives.
+class PackHeap {
+public:
+  PackHeap() = default;
+  /// O(n log n) sort of `elems`; the comparator is stateless.
+  PackHeap(LowerPriority less, std::vector<HeapElem> elems);
+
+  /// The greatest element.  Precondition: !empty().
+  const HeapElem& top() const {
+    return side_first() ? side_.top() : run_.back();
+  }
+  /// Remove top().  Precondition: !empty().
+  void pop() {
+    if (side_first()) {
+      side_.pop();
+    } else {
+      run_.pop_back();
+    }
+  }
+  void push(const HeapElem& e) { side_.push(e); }
+  bool empty() const { return run_.empty() && side_.empty(); }
+  std::size_t size() const { return run_.size() + side_.size(); }
+
+private:
+  /// Whether the side heap holds the greatest element.
+  bool side_first() const {
+    return !side_.empty() &&
+           (run_.empty() || LowerPriority{}(run_.back(), side_.top()));
+  }
+
+  std::vector<HeapElem> run_; ///< ascending, so the greatest is at the back
+  std::priority_queue<HeapElem, std::vector<HeapElem>, LowerPriority> side_;
+};
 
 class PackDisks final : public Allocator {
 public:

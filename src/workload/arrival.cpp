@@ -57,16 +57,51 @@ PiecewiseRateArrivals::PiecewiseRateArrivals(std::vector<RateSegment> segments,
   }
 }
 
-double PiecewiseRateArrivals::rate_at(double t) const {
+double PiecewiseRateArrivals::phase(double t) const {
   if (period_ > 0.0) {
     t = std::fmod(t, period_);
     if (t < 0.0) t += period_;
   }
+  return t;
+}
+
+std::size_t PiecewiseRateArrivals::segment_of(double tm) const {
   // Few segments in practice: linear scan from the back.
   for (std::size_t i = segments_.size(); i-- > 0;) {
-    if (t >= segments_[i].start) return segments_[i].rate;
+    if (tm >= segments_[i].start) return i;
   }
-  return segments_.front().rate;
+  return 0;
+}
+
+double PiecewiseRateArrivals::rate_at(double t) const {
+  return segments_[segment_of(phase(t))].rate;
+}
+
+double PiecewiseRateArrivals::rate_forward(double t) {
+  if (t <= cursor_last_) return cursor_rate_;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double tm = phase(t);
+  const std::size_t i = segment_of(tm);
+  cursor_rate_ = segments_[i].rate;
+  // The segment ends at the next start, at the period's end, or never.
+  const double end = i + 1 < segments_.size() ? segments_[i + 1].start
+                     : period_ > 0.0          ? period_
+                                              : kInf;
+  // In absolute time the segment's span ends at base + end, rounded.  Step
+  // its last time down until that time has t's period start and segment.
+  // fmod is exact, so within one period the phase s - base rises with s,
+  // and every time between t and the last one is in segment i too.  (Two
+  // period starts round to the same base only when the period is below the
+  // spacing of doubles at t, where thinning cannot advance anyway.)
+  const double base = t - tm;
+  double last = std::nextafter(base + end, -kInf);
+  while (last > t) {
+    const double lm = phase(last);
+    if (last - lm == base && segment_of(lm) == i) break;
+    last = std::nextafter(last, -kInf);
+  }
+  cursor_last_ = std::max(last, t);
+  return cursor_rate_;
 }
 
 double PiecewiseRateArrivals::next_arrival(util::Rng& rng) {
@@ -74,7 +109,7 @@ double PiecewiseRateArrivals::next_arrival(util::Rng& rng) {
   // accepted with probability rate(t)/peak.
   for (;;) {
     now_ += rng.exponential(peak_);
-    const double r = rate_at(now_);
+    const double r = rate_forward(now_);
     if (r >= peak_ || rng.uniform01() * peak_ < r) return now_;
   }
 }

@@ -22,7 +22,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/rng.h"
@@ -81,15 +83,30 @@ public:
 
   /// The instantaneous rate at absolute time t.
   double rate_at(double t) const;
+  /// rate_at(t) for times that never decrease from one call to the next,
+  /// as next_arrival's thinning candidates do.  The rate found by the last
+  /// lookup is cached with the last time its segment covers, so fmod runs
+  /// only when t passes that time: about once per segment per period.
+  double rate_forward(double t);
   double peak_rate() const { return peak_; }
   double period() const { return period_; }
   const std::vector<RateSegment>& segments() const { return segments_; }
 
 private:
+  /// t's place in the rate function: fmod(t, period) in [0, period), or t
+  /// itself without a period.
+  double phase(double t) const;
+  /// The segment holding phase `tm`.
+  std::size_t segment_of(double tm) const;
+
   std::vector<RateSegment> segments_;
   double period_;
   double peak_ = 0.0;
   double now_ = 0.0;
+  double cursor_rate_ = 0.0;
+  /// The last time cursor_rate_ covers; below any time before the first
+  /// lookup.
+  double cursor_last_ = -std::numeric_limits<double>::infinity();
 };
 
 /// 2-state MMPP parameters: Poisson rate and mean (exponential) dwell time

@@ -20,9 +20,15 @@ NerscSpec NerscSpec::paper() {
 
 namespace {
 
-/// Reject batch and duration settings the generator cannot honour, naming
-/// the field and its value.
+/// Reject file counts and batch and duration settings the generator cannot
+/// honour, naming the field and its value.
 void validate(const NerscSpec& spec) {
+  if (spec.n_files == 0 || spec.n_requests < spec.n_files) {
+    throw std::invalid_argument{
+        "NerscSpec: n_files " + std::to_string(spec.n_files) +
+        " with n_requests " + std::to_string(spec.n_requests) +
+        ": need at least one file and one request per file"};
+  }
   if (spec.batch_min > spec.batch_max) {
     throw std::invalid_argument{
         "NerscSpec: batch_min " + std::to_string(spec.batch_min) +
@@ -63,9 +69,6 @@ std::vector<util::Bytes> draw_sizes(const NerscSpec& spec, util::Rng& rng) {
 /// independent of size.
 std::vector<std::uint32_t> draw_access_counts(const NerscSpec& spec,
                                               util::Rng& rng) {
-  if (spec.n_requests < spec.n_files) {
-    throw std::invalid_argument{"NerscSpec: n_requests < n_files"};
-  }
   std::vector<std::uint32_t> counts(spec.n_files, 1);
   const std::size_t extra = spec.n_requests - spec.n_files;
   if (extra == 0) return counts;
@@ -179,18 +182,28 @@ Trace synthesize_nersc(const NerscSpec& spec) {
   for (std::size_t b = 0; b < kBins; ++b) {
     rng.shuffle(std::span{tokens}.subspan(start[b], left[b]));
   }
+  // Remaining tokens per group of 8 consecutive bins, so a weighted pick
+  // skips whole groups before it scans bins.
+  constexpr std::size_t kGroup = 8;
+  static_assert(kBins % kGroup == 0);
+  std::array<std::size_t, kBins / kGroup> group_left{};
+  for (std::size_t b = 0; b < kBins; ++b) group_left[b / kGroup] += left[b];
 
   // Tokens leave a bin from the back of its slice.
   std::size_t remaining = spec.n_requests;
   auto pop_from_bin = [&](std::size_t b) {
     --remaining;
+    --group_left[b / kGroup];
     return tokens[start[b] + --left[b]];
   };
   auto pick_weighted_bin = [&]() {
-    // Weighted by remaining tokens; the counts sum to `remaining`, so the
-    // scan stops inside the array.
+    // Weighted by remaining tokens: the first bin whose running sum passes
+    // the target, found group first, then bin.  The counts sum to
+    // `remaining`, so both scans stop inside their arrays.
     auto target = rng.uniform_int(0, remaining - 1);
-    std::size_t b = 0;
+    std::size_t g = 0;
+    for (; target >= group_left[g]; ++g) target -= group_left[g];
+    std::size_t b = g * kGroup;
     for (; target >= left[b]; ++b) target -= left[b];
     return b;
   };
@@ -210,11 +223,17 @@ Trace synthesize_nersc(const NerscSpec& spec) {
   const double peak_rate =
       spec.diurnal ? epoch_rate / mean_intensity : epoch_rate;
   PoissonArrivals epochs{peak_rate};
+  double day0 = 0.0; // start of the day holding the latest epoch
   auto next_epoch = [&]() {
     for (;;) {
       const double t = epochs.next_arrival(rng);
       if (!spec.diurnal) return t;
-      const double tod = std::fmod(t, util::kDay);
+      // Epochs only move forward, so the day advances as a cursor.  With t
+      // in [day0, day0 + kDay), t - day0 is fmod(t, kDay) exactly: day0 is
+      // a whole number of days (exact), and for day0 > 0 it is at least
+      // t / 2, so the subtraction is exact (Sterbenz).
+      while (t >= day0 + util::kDay) day0 += util::kDay;
+      const double tod = t - day0;
       const double intensity =
           tod < spec.day_fraction * util::kDay ? 1.0 : spec.night_intensity;
       if (rng.uniform01() <= intensity) return t;

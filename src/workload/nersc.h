@@ -20,6 +20,12 @@
 // these aggregates — skewed cold-tail popularity, the arrival process, and
 // burstiness — so matching them preserves the behaviour being measured.
 //
+// Set-up cost: arrival epochs are thinned against the diurnal profile with
+// a day cursor instead of fmod, and each epoch's size bin is picked by
+// remaining tokens in two levels (groups of 8 bins, then bins); both give
+// the same values, draw for draw, as a per-epoch fmod and a linear scan.
+// Records carry only (time, file), 16 bytes each.
+//
 // Records are generated epoch by epoch, so they come out nearly sorted:
 // only a batch's tail, at most (batch_max - 1) * batch_spacing_s long, can
 // overlap later epochs.  The final rescale runs as an insertion pass that
@@ -75,8 +81,9 @@ struct NerscSpec {
 
 /// Build the synthetic trace.  Deterministic given the spec (seed included).
 /// Throws std::invalid_argument, naming the field and its value, when
-/// batch_min > batch_max, batch_fraction is outside [0, 1], batch_max is 0
-/// with batch_fraction 1, or duration_s is not finite and > 0.
+/// n_files is 0 or n_requests < n_files (both values named), batch_min >
+/// batch_max, batch_fraction is outside [0, 1], batch_max is 0 with
+/// batch_fraction 1, or duration_s is not finite and > 0.
 Trace synthesize_nersc(const NerscSpec& spec);
 
 } // namespace spindown::workload

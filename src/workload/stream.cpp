@@ -52,9 +52,17 @@ TraceStream::TraceStream(const Trace& trace) : trace_(trace) {}
 std::size_t TraceStream::fill(std::span<Request> out) {
   const auto& records = trace_.records();
   const std::size_t n = std::min(out.size(), records.size() - pos_);
-  for (std::size_t i = 0; i < n; ++i, ++pos_) {
-    const auto& rec = records[pos_];
-    out[i] = Request{pos_, rec.time, rec.file, rec.lba};
+  const auto lbas = trace_.lbas();
+  if (lbas.empty()) {
+    for (std::size_t i = 0; i < n; ++i, ++pos_) {
+      const auto& rec = records[pos_];
+      out[i] = Request{pos_, rec.time, rec.file, kNoLba};
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i, ++pos_) {
+      const auto& rec = records[pos_];
+      out[i] = Request{pos_, rec.time, rec.file, lbas[pos_]};
+    }
   }
   return n;
 }

@@ -15,8 +15,19 @@
 
 namespace spindown::workload {
 
-Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records)
-    : catalog_(std::move(catalog)), records_(std::move(records)) {
+Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records,
+             std::vector<std::uint64_t> lbas)
+    : catalog_(std::move(catalog)), records_(std::move(records)),
+      lbas_(std::move(lbas)) {
+  if (!lbas_.empty() && lbas_.size() != records_.size()) {
+    throw std::invalid_argument{
+        "Trace: " + std::to_string(lbas_.size()) + " lbas for " +
+        std::to_string(records_.size()) + " records"};
+  }
+  if (std::all_of(lbas_.begin(), lbas_.end(),
+                  [](std::uint64_t lba) { return lba == kNoLba; })) {
+    lbas_ = {};
+  }
   bool sorted = true;
   double prev = -std::numeric_limits<double>::infinity();
   for (const auto& r : records_) {
@@ -26,11 +37,29 @@ Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records)
     sorted = sorted && !(r.time < prev);
     prev = r.time;
   }
-  if (!sorted) {
-    std::stable_sort(records_.begin(), records_.end(),
-                     [](const TraceRecord& a, const TraceRecord& b) {
-                       return a.time < b.time;
-                     });
+  if (sorted) return;
+  const auto by_time = [](const TraceRecord& a, const TraceRecord& b) {
+    return a.time < b.time;
+  };
+  if (lbas_.empty()) {
+    std::stable_sort(records_.begin(), records_.end(), by_time);
+    return;
+  }
+  // Sort each record together with its address.
+  struct Row {
+    TraceRecord record;
+    std::uint64_t lba;
+  };
+  std::vector<Row> rows(records_.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = Row{records_[i], lbas_[i]};
+  }
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    return by_time(a.record, b.record);
+  });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    records_[i] = rows[i].record;
+    lbas_[i] = rows[i].lba;
   }
 }
 
@@ -52,15 +81,13 @@ void Trace::save(const std::filesystem::path& stem) const {
   {
     // The lba column is only written when some record carries an explicit
     // address, so traces saved by older revisions round-trip unchanged.
-    const bool with_lba =
-        std::any_of(records_.begin(), records_.end(),
-                    [](const TraceRecord& r) { return r.lba != kNoLba; });
     util::CsvWriter tr{std::filesystem::path{stem.string() + ".trace.csv"}};
-    if (with_lba) {
+    if (!lbas_.empty()) {
       tr.write_row({"time_s", "file_id", "lba"});
-      for (const auto& r : records_) {
+      for (std::size_t i = 0; i < records_.size(); ++i) {
+        const auto& r = records_[i];
         tr.row(util::format_roundtrip(r.time), std::to_string(r.file),
-               r.lba == kNoLba ? std::string{} : std::to_string(r.lba));
+               lbas_[i] == kNoLba ? std::string{} : std::to_string(lbas_[i]));
       }
     } else {
       tr.write_row({"time_s", "file_id"});
@@ -162,16 +189,23 @@ Trace Trace::load(const std::filesystem::path& stem) {
     files.push_back(f);
   }
   std::vector<TraceRecord> records;
+  std::vector<std::uint64_t> lbas; // starts at the first explicit lba
   DataRows tr{stem.string() + ".trace.csv", {"time_s", "file_id", "lba"}, 2};
   while (tr.next()) {
     TraceRecord rec;
     rec.time = tr.non_negative(0);
     rec.file = static_cast<FileId>(tr.count(1, kMaxFileId));
     // Optional third column: explicit lba (may be empty per-row).
-    if (tr.has(2)) rec.lba = tr.count(2);
+    if (tr.has(2)) {
+      if (lbas.empty()) lbas.assign(records.size(), kNoLba);
+      lbas.push_back(tr.count(2));
+    } else if (!lbas.empty()) {
+      lbas.push_back(kNoLba);
+    }
     records.push_back(rec);
   }
-  return Trace{FileCatalog{std::move(files)}, std::move(records)};
+  return Trace{FileCatalog{std::move(files)}, std::move(records),
+               std::move(lbas)};
 }
 
 std::shared_ptr<const Trace> Trace::load_shared(

@@ -8,9 +8,11 @@
 // histogram across 80 bins and its log-log linearity).
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "stats/histogram.h"
@@ -19,13 +21,14 @@
 
 namespace spindown::workload {
 
+/// One read request of a trace: 16 bytes, so a 2M-request replay keeps its
+/// records in 32 MB.  An explicit logical block address, which only loaded
+/// traces carry, lives in the Trace's own column (Trace::lba).
 struct TraceRecord {
   double time = 0.0; ///< arrival, seconds from trace start
   FileId file = 0;
-  /// Optional explicit logical block address; kNoLba = locate the file via
-  /// the catalog layout (the common case for synthesized traces).
-  std::uint64_t lba = kNoLba;
 };
+static_assert(sizeof(TraceRecord) == 16);
 
 class Trace {
 public:
@@ -34,19 +37,34 @@ public:
   /// order.  One pass checks every file id (throws std::invalid_argument on
   /// an unknown one) and whether the records are already sorted; sorted
   /// input, such as a synthesized or saved trace, is kept as given.
-  Trace(FileCatalog catalog, std::vector<TraceRecord> records);
+  /// `lbas` is empty or holds one address per record (kNoLba = locate the
+  /// file via the catalog layout); any other length throws
+  /// std::invalid_argument.  A sort permutes it with the records, and a
+  /// column of nothing but kNoLba is dropped, so a trace without explicit
+  /// addresses stores none.
+  Trace(FileCatalog catalog, std::vector<TraceRecord> records,
+        std::vector<std::uint64_t> lbas = {});
 
   const FileCatalog& catalog() const { return catalog_; }
   const std::vector<TraceRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
 
+  /// Explicit address of record i, or kNoLba.
+  std::uint64_t lba(std::size_t i) const {
+    return lbas_.empty() ? kNoLba : lbas_[i];
+  }
+  /// Every record's explicit address, in record order; empty when no record
+  /// has one.
+  std::span<const std::uint64_t> lbas() const { return lbas_; }
+
   /// End time of the trace (time of the last record; 0 if empty).
   double duration() const;
 
   /// Persist as two CSVs: <stem>.catalog.csv (id,size,popularity) and
-  /// <stem>.trace.csv (time,file[,lba]).  load() reads back the same bits.
-  /// Throws on I/O failure.
+  /// <stem>.trace.csv (time,file[,lba]; the lba column only when some
+  /// record has one).  load() reads back the same bits.  Throws on I/O
+  /// failure.
   void save(const std::filesystem::path& stem) const;
   /// Read what save() writes.  Every field parses strictly: a row with too
   /// few fields, or a field with a leading space, '+' or hex form or with
@@ -65,6 +83,7 @@ public:
 private:
   FileCatalog catalog_;
   std::vector<TraceRecord> records_; // sorted by time at construction
+  std::vector<std::uint64_t> lbas_;  // empty, or one per record
 };
 
 /// Aggregate statistics, mirroring §5.1's description of the NERSC log.

@@ -298,6 +298,19 @@ TEST(BinaryHeap, Duplicates) {
   EXPECT_EQ(drain_indices(heap), (std::vector<std::uint32_t>{1, 2, 4, 0}));
 }
 
+TEST(BinaryHeap, PushedElementTyingTheSortedHeadGoesByIndex) {
+  // Pushed elements wait beside the sorted initial elements; one whose key
+  // equals the sorted head's comes out before it at a smaller index and
+  // after it at a larger one.
+  PackHeap heap{LowerPriority{}, {{0.5, 3}, {0.2, 1}, {0.5, 7}}};
+  EXPECT_EQ(pop_top(heap).index, 3u);
+  heap.push(HeapElem{0.5, 9});
+  heap.push(HeapElem{0.5, 5});
+  EXPECT_EQ(heap.size(), 4u);
+  EXPECT_EQ(heap.top().index, 5u);
+  EXPECT_EQ(drain_indices(heap), (std::vector<std::uint32_t>{5, 7, 9, 1}));
+}
+
 TEST(BinaryHeap, InterleavedPushPopKeepsInvariant) {
   // Every pop returns the greatest element left, checked against a set
   // ordered the same way; keys come from eight values, so ties are common.
@@ -317,6 +330,37 @@ TEST(BinaryHeap, InterleavedPushPopKeepsInvariant) {
       ASSERT_EQ(pop_top(heap).index, greatest.index) << "round " << round;
     }
   }
+}
+
+TEST(BinaryHeap, EvictionPushesInterleaveWithTheSortedRun) {
+  // Pack_Disks' pattern: built once, then popped, with some popped
+  // elements pushed back (evictions).  Every pop returns the greatest
+  // element left; keys come from eight values, so ties are common.
+  util::Rng rng{7};
+  std::vector<HeapElem> elems;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    elems.push_back(
+        HeapElem{static_cast<double>(rng.uniform_int(0, 7)) / 8.0, i});
+  }
+  PackHeap heap{LowerPriority{}, elems};
+  std::set<HeapElem, LowerPriority> left(elems.begin(), elems.end());
+  std::vector<HeapElem> popped;
+  while (!heap.empty()) {
+    if (!popped.empty() && rng.uniform01() < 0.3) {
+      const std::size_t k = rng.uniform_int(0, popped.size() - 1);
+      heap.push(popped[k]);
+      left.insert(popped[k]);
+      popped.erase(popped.begin() + static_cast<std::ptrdiff_t>(k));
+      continue;
+    }
+    const HeapElem greatest = *left.rbegin();
+    left.erase(std::prev(left.end()));
+    const HeapElem got = pop_top(heap);
+    ASSERT_EQ(got.index, greatest.index);
+    popped.push_back(got);
+    if (popped.size() > 20) popped.erase(popped.begin());
+  }
+  EXPECT_TRUE(left.empty());
 }
 
 TEST(BinaryHeap, TieBreakDeterminism) {

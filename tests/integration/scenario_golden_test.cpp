@@ -10,6 +10,7 @@
 
 #include "core/normalize.h"
 #include "core/pack_disks.h"
+#include "support/physical_digest.h"
 #include "sys/scenario.h"
 #include "workload/catalog.h"
 #include "workload/trace.h"
@@ -125,6 +126,32 @@ TEST(ScenarioGolden, TraceByPathMatchesProgrammaticReplay) {
 
   std::filesystem::remove(stem + ".catalog.csv");
   std::filesystem::remove(stem + ".trace.csv");
+}
+
+/// FNV-1a of a resolved scenario's placement: the disk count, then the disk
+/// of every file.
+std::string placement_digest(const ResolvedScenario& r) {
+  test_support::Fnv1a h;
+  h.add(std::uint64_t{r.config.num_disks});
+  for (const auto d : r.config.mapping) h.add(std::uint64_t{d});
+  return h.hex();
+}
+
+TEST(ScenarioGolden, BenchmarkPlacementsPinned) {
+  // The two perfbench workloads' placements, pinned from a known-good
+  // build: Pack_Disks over 200 000 NERSC files and 120 000 Table 1 files,
+  // instances far larger than the packing equivalence cases reach.
+  const auto nersc = resolve_scenario(ScenarioSpec::parse(
+      "catalog=nersc(200000,2000000,20090531) placement=pack load=0.8 "
+      "cache=lru:16g policy=break-even workload=replay seed=1"));
+  EXPECT_EQ(nersc.config.num_disks, 221u);
+  EXPECT_EQ(placement_digest(nersc), "ecfbc89cb1bbd13c");
+
+  const auto diurnal = resolve_scenario(ScenarioSpec::parse(
+      "catalog=table1(120000,1) placement=pack load=0.7 policy=ewma "
+      "cache=lru:16g workload=nhpp(0:6;9000:0.16,540000,18000) "
+      "replicas=2 orch=redirect+offload:4 seed=1 shards=3"));
+  EXPECT_EQ(placement_digest(diurnal), "c626daa73e9c7616");
 }
 
 } // namespace

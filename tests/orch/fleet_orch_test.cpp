@@ -123,15 +123,16 @@ TEST(OrchFleet, ControllerSeeksToATraceRecordsExplicitLba) {
   // the queues differently and move the response times.
   const auto cat = fleet_catalog();
   std::vector<workload::TraceRecord> records;
+  std::vector<std::uint64_t> lbas;
   util::Rng rng{5};
   for (int i = 0; i < 600; ++i) {
     workload::TraceRecord r;
     r.time = 0.05 * i;
     r.file = static_cast<workload::FileId>(i % cat.size());
-    r.lba = rng.uniform_int(0, 500'000'000);
+    lbas.push_back(rng.uniform_int(0, 500'000'000));
     records.push_back(r);
   }
-  const workload::Trace trace{cat, records};
+  const workload::Trace trace{cat, records, lbas};
 
   auto off = orch_config(cat);
   off.orch = OrchSpec::off();

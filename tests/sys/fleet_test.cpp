@@ -191,7 +191,7 @@ TEST(FleetTies, SimultaneousCompletionsMatchSingleCalendar) {
   std::vector<workload::TraceRecord> records;
   for (const double t : {0.5, 40.5, 90.5}) {
     for (std::uint32_t f = 0; f < 4; ++f) {
-      records.push_back({t, f, workload::kNoLba});
+      records.push_back({t, f});
     }
   }
   const workload::Trace trace{cat, std::move(records)};
@@ -363,8 +363,7 @@ void add_burst(std::vector<workload::TraceRecord>& records, double t0,
                std::size_t count, double gap, std::uint32_t files) {
   for (std::size_t i = 0; i < count; ++i) {
     records.push_back({t0 + gap * static_cast<double>(i),
-                       static_cast<workload::FileId>((i * 5) % files),
-                       workload::kNoLba});
+                       static_cast<workload::FileId>((i * 5) % files)});
   }
 }
 
@@ -459,18 +458,19 @@ TEST(FleetPipeline, ExplicitLbasWithOrchestrationAcrossChunkSeams) {
   const auto cat = small_files();
   util::Rng lba_rng{23};
   std::vector<workload::TraceRecord> records;
+  std::vector<std::uint64_t> lbas;
   const auto add = [&](double t0, std::size_t count, double gap,
                        std::uint32_t files) {
     for (std::size_t i = 0; i < count; ++i) {
       records.push_back({t0 + gap * static_cast<double>(i),
-                         static_cast<workload::FileId>((i * 5) % files),
-                         lba_rng.uniform_int(0, 900'000'000)});
+                         static_cast<workload::FileId>((i * 5) % files)});
+      lbas.push_back(lba_rng.uniform_int(0, 900'000'000));
     }
   };
   add(0.0, 600, 0.5, 14);        // 0 .. 299.5 s, each disk every 3.5 s
   add(300.0, 12'000, 2.5e-4, 2); // 300 .. 303 s
   add(305.0, 592, 0.5, 16);      // 305 .. 600.5 s
-  const workload::Trace trace{cat, std::move(records)};
+  const workload::Trace trace{cat, std::move(records), std::move(lbas)};
 
   auto cfg = fleet_config(cat, 7);
   cfg.orch = OrchSpec::parse("redirect+offload:1:5+writes:0.4");
@@ -521,7 +521,7 @@ TEST(FleetPipeline, FeederErrorAbortsTheRunAndIsRethrown) {
   }
   std::vector<workload::TraceRecord> records;
   add_burst(records, 0.0, 50'000, 0.001, 16);
-  records.push_back({49.9995, 19, workload::kNoLba}); // unknown to `cat`
+  records.push_back({49.9995, 19}); // unknown to `cat`
   const workload::Trace trace{workload::FileCatalog{more}, std::move(records)};
   auto cfg = fleet_config(cat, 8);
   cfg.workload = WorkloadSpec::replay(trace);

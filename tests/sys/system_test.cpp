@@ -164,7 +164,7 @@ TEST(Router, ExplicitRequestLbaOverridesLayout) {
   const auto params = disk::DiskParams::st3500630as();
   const auto cat = uniform_catalog(3, util::mb(72.0));
   const std::uint64_t pinned = util::blocks_of(params.capacity) / 2;
-  const workload::Trace trace{cat, {{0.0, 0, pinned}}};
+  const workload::Trace trace{cat, {{0.0, 0}}, {pinned}};
   auto cfg = replay_config(trace, {0, 0, 0}, 1, PolicySpec::never());
   cfg.scheduler = SchedulerSpec::sstf();
   const auto r = run_experiment(cfg);

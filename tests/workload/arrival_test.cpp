@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "workload/distributions.h"
@@ -134,6 +136,95 @@ TEST(PiecewiseRateArrivals, StrictlyIncreasingAndDeterministic) {
     EXPECT_GT(t, prev);
     prev = t;
     EXPECT_DOUBLE_EQ(t, b.next_arrival(rb));
+  }
+}
+
+/// Rate functions for the cursor checks: the diurnal benchmark's day, and
+/// a non-integer period whose segment starts are not whole numbers.
+std::vector<PiecewiseRateArrivals> cursor_cases() {
+  return {
+      PiecewiseRateArrivals{{{0.0, 6.0}, {9000.0, 0.16}}, 86400.0},
+      PiecewiseRateArrivals{{{0.0, 6.0}, {0.1, 0.5}, {3000.3, 0.0},
+                             {4500.25, 2.0}, {9000.4, 1.0}},
+                            9000.5},
+      PiecewiseRateArrivals{{{0.0, 6.0}, {0.1, 0.5}, {3000.3, 2.0}}},
+  };
+}
+
+/// Feeds `times`, sorted, to a fresh copy's rate_forward and compares each
+/// answer with rate_at.
+void expect_cursor_matches(const PiecewiseRateArrivals& proto,
+                           std::vector<double> times) {
+  std::sort(times.begin(), times.end());
+  PiecewiseRateArrivals p = proto;
+  for (const double t : times) {
+    ASSERT_EQ(p.rate_forward(t), proto.rate_at(t))
+        << "t=" << t << " period=" << proto.period();
+  }
+}
+
+TEST(PiecewiseRateArrivals, RateForwardMatchesRateAtAtRandomTimes) {
+  for (const auto& proto : cursor_cases()) {
+    const double span = proto.period() > 0.0 ? proto.period() : 10'000.0;
+    util::Rng rng{17};
+    std::vector<double> times;
+    // Dense and sparse steps, and times far out where doubles are coarse.
+    for (int i = 0; i < 20'000; ++i) {
+      times.push_back(rng.uniform01() * 40.0 * span);
+    }
+    for (int i = 0; i < 2'000; ++i) {
+      times.push_back(rng.uniform01() * 1e6 * span);
+    }
+    expect_cursor_matches(proto, times);
+  }
+}
+
+TEST(PiecewiseRateArrivals, RateForwardMatchesRateAtAtEveryEdge) {
+  // Every segment start and period end of many periods, and the doubles
+  // one and two steps either side of it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& proto : cursor_cases()) {
+    const double period = proto.period();
+    std::vector<double> edges;
+    for (const auto& s : proto.segments()) edges.push_back(s.start);
+    if (period > 0.0) edges.push_back(period);
+    std::vector<double> times;
+    for (const double k : {0.0, 1.0, 2.0, 3.0, 17.0, 365.0, 1e5, 3e7}) {
+      if (period == 0.0 && k > 0.0) break;
+      for (const double e : edges) {
+        const double at = k * period + e;
+        double below = at, above = at;
+        times.push_back(at);
+        for (int step = 0; step < 2; ++step) {
+          below = std::nextafter(below, -kInf);
+          above = std::nextafter(above, kInf);
+          if (below >= 0.0) times.push_back(below);
+          times.push_back(above);
+        }
+      }
+    }
+    expect_cursor_matches(proto, times);
+  }
+}
+
+TEST(PiecewiseRateArrivals, ThinningDrawsAsWithRateAt) {
+  // next_arrival reads rates through the cursor; the thinning loop written
+  // with rate_at gives the same arrivals from the same draws.
+  for (const auto& proto : cursor_cases()) {
+    PiecewiseRateArrivals p = proto;
+    util::Rng rng{31}, ref_rng{31};
+    double now = 0.0;
+    for (int i = 0; i < 20'000; ++i) {
+      for (;;) {
+        now += ref_rng.exponential(proto.peak_rate());
+        const double r = proto.rate_at(now);
+        if (r >= proto.peak_rate() ||
+            ref_rng.uniform01() * proto.peak_rate() < r) {
+          break;
+        }
+      }
+      ASSERT_EQ(p.next_arrival(rng), now) << "arrival " << i;
+    }
   }
 }
 

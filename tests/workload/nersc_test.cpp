@@ -146,6 +146,30 @@ std::string rejection(const NerscSpec& spec) {
   return "";
 }
 
+TEST(NerscSynth, RejectsNoFilesOrTooFewRequestsNamingBoth) {
+  // nersc(0,0,1) used to fail deep in the catalog ("popularity sums to
+  // zero", a std::logic_error) and nersc(0,10,1) in ZipfPopularity.
+  NerscSpec spec;
+  spec.n_files = 0;
+  spec.n_requests = 0;
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: n_files 0 with n_requests 0: need at least one file "
+            "and one request per file");
+  spec.n_requests = 10;
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: n_files 0 with n_requests 10: need at least one file "
+            "and one request per file");
+  spec.n_files = 100;
+  spec.n_requests = 50;
+  EXPECT_EQ(rejection(spec),
+            "NerscSpec: n_files 100 with n_requests 50: need at least one "
+            "file and one request per file");
+  spec.n_files = 1;
+  spec.n_requests = 1;
+  spec.duration_s = 1000.0;
+  EXPECT_EQ(rejection(spec), "");
+}
+
 TEST(NerscSynth, RejectsBatchMinAboveBatchMax) {
   // nersc(10,20,1,1000,0.5,9,2): used to draw from a wrapped span.
   NerscSpec spec;
@@ -266,10 +290,11 @@ SynthDigests synth_digests(const NerscSpec& spec) {
   const auto trace = synthesize_nersc(spec);
   test_support::Fnv1a rec;
   rec.add(std::uint64_t{trace.size()});
-  for (const auto& r : trace.records()) {
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const auto& r = trace.records()[i];
     rec.add(r.time);
     rec.add(std::uint64_t{r.file});
-    rec.add(r.lba);
+    rec.add(trace.lba(i));
   }
   test_support::Fnv1a cat;
   cat.add(std::uint64_t{trace.catalog().size()});

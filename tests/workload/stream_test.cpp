@@ -171,12 +171,13 @@ void expect_same_requests(const std::vector<Request>& a,
 TEST(StreamFill, MatchesNextDrawForDraw) {
   const auto cat = zipf_catalog();
   std::vector<TraceRecord> records;
+  std::vector<std::uint64_t> lbas;
   for (std::size_t i = 0; i < 5000; ++i) {
     records.push_back({0.25 * static_cast<double>(i),
-                       static_cast<FileId>((i * 7919) % 2000),
-                       i % 3 == 0 ? kNoLba : 64 * i});
+                       static_cast<FileId>((i * 7919) % 2000)});
+    lbas.push_back(i % 3 == 0 ? kNoLba : 64 * i);
   }
-  const Trace trace{cat, records};
+  const Trace trace{cat, records, lbas};
   struct Case {
     const char* name;
     std::function<std::unique_ptr<RequestStream>()> make;

@@ -85,7 +85,9 @@ bool check_accepted(const Trace& t, const std::string& resaved) {
   for (std::size_t i = 0; i < t.size(); ++i) {
     const auto& a = t.records()[i];
     const auto& b = again.records()[i];
-    if (a.time != b.time || a.file != b.file || a.lba != b.lba) return false;
+    if (a.time != b.time || a.file != b.file || t.lba(i) != again.lba(i)) {
+      return false;
+    }
   }
   for (std::size_t i = 0; i < t.catalog().size(); ++i) {
     const auto& a = t.catalog()[i];

@@ -58,14 +58,51 @@ TEST(Trace, SortIsStableAmongEqualTimes) {
   }
   // Already sorted, ties included: every record comes back where it was.
   const std::vector<TraceRecord> in{
-      {0.5, 2, 7}, {1.0, 1}, {1.0, 0, 3}, {1.0, 2}, {4.0, 0}};
-  const Trace sorted{small_catalog(), in};
+      {0.5, 2}, {1.0, 1}, {1.0, 0}, {1.0, 2}, {4.0, 0}};
+  const std::vector<std::uint64_t> in_lbas{7, kNoLba, 3, kNoLba, kNoLba};
+  const Trace sorted{small_catalog(), in, in_lbas};
   ASSERT_EQ(sorted.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(sorted.records()[i].time, in[i].time) << i;
     EXPECT_EQ(sorted.records()[i].file, in[i].file) << i;
-    EXPECT_EQ(sorted.records()[i].lba, in[i].lba) << i;
+    EXPECT_EQ(sorted.lba(i), in_lbas[i]) << i;
   }
+}
+
+TEST(Trace, SortKeepsEachLbaWithItsRecord) {
+  // Unsorted, with explicit and missing addresses mixed: every address
+  // travels with its record, and ties keep their given order.
+  const Trace t{small_catalog(),
+                {{3.0, 0}, {1.0, 1}, {2.0, 2}, {1.0, 0}, {3.0, 1}},
+                {30, kNoLba, 20, 10, kNoLba}};
+  const std::vector<std::pair<double, std::uint64_t>> want{
+      {1.0, kNoLba}, {1.0, 10}, {2.0, 20}, {3.0, 30}, {3.0, kNoLba}};
+  ASSERT_EQ(t.size(), want.size());
+  ASSERT_EQ(t.lbas().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(t.records()[i].time, want[i].first) << i;
+    EXPECT_EQ(t.lba(i), want[i].second) << i;
+  }
+  EXPECT_EQ(t.records()[0].file, 1u);
+  EXPECT_EQ(t.records()[1].file, 0u);
+}
+
+TEST(Trace, NoLbaColumnStoresNone) {
+  // Without explicit addresses, given none or only kNoLba, the trace keeps
+  // no column and every record reads kNoLba.
+  const Trace none{small_catalog(), {{2.0, 1}, {1.0, 0}}};
+  const Trace all_missing{small_catalog(), {{2.0, 1}, {1.0, 0}},
+                          {kNoLba, kNoLba}};
+  for (const Trace* t : {&none, &all_missing}) {
+    EXPECT_TRUE(t->lbas().empty());
+    EXPECT_EQ(t->lba(0), kNoLba);
+    EXPECT_EQ(t->lba(1), kNoLba);
+  }
+}
+
+TEST(Trace, LbaColumnOfTheWrongLengthThrows) {
+  EXPECT_THROW((Trace{small_catalog(), {{1.0, 0}, {2.0, 1}}, {5}}),
+               std::invalid_argument);
 }
 
 TEST(Trace, RejectsUnknownFiles) {
@@ -148,15 +185,15 @@ TEST_F(TraceIo, LoadMissingFileThrows) {
 }
 
 TEST_F(TraceIo, LbaColumnRoundTrips) {
-  std::vector<TraceRecord> records{{1.0, 0}, {2.0, 1}, {3.0, 2}};
-  records[1].lba = 123'456'789;
-  const Trace original{small_catalog(), std::move(records)};
+  const Trace original{small_catalog(),
+                       {{1.0, 0}, {2.0, 1}, {3.0, 2}},
+                       {kNoLba, 123'456'789, kNoLba}};
   original.save(stem_);
   const Trace loaded = Trace::load(stem_);
   ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.records()[0].lba, kNoLba); // empty cell stays "no lba"
-  EXPECT_EQ(loaded.records()[1].lba, 123'456'789u);
-  EXPECT_EQ(loaded.records()[2].lba, kNoLba);
+  EXPECT_EQ(loaded.lba(0), kNoLba); // empty cell stays "no lba"
+  EXPECT_EQ(loaded.lba(1), 123'456'789u);
+  EXPECT_EQ(loaded.lba(2), kNoLba);
 }
 
 TEST_F(TraceIo, TracesWithoutLbaKeepTheLegacyTwoColumnFormat) {
