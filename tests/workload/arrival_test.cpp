@@ -139,16 +139,36 @@ TEST(PiecewiseRateArrivals, StrictlyIncreasingAndDeterministic) {
   }
 }
 
-/// Rate functions for the cursor checks: the diurnal benchmark's day, and
-/// a non-integer period whose segment starts are not whole numbers.
+/// Rate functions for the cursor checks: the diurnal benchmark's day, a
+/// non-integer period whose segment starts are not whole numbers, no
+/// period, and random periods and starts.  Where neither the period's
+/// multiples nor the starts are round numbers, a segment's end in absolute
+/// time rounds up past the true end at some periods.
 std::vector<PiecewiseRateArrivals> cursor_cases() {
-  return {
+  std::vector<PiecewiseRateArrivals> out{
       PiecewiseRateArrivals{{{0.0, 6.0}, {9000.0, 0.16}}, 86400.0},
       PiecewiseRateArrivals{{{0.0, 6.0}, {0.1, 0.5}, {3000.3, 0.0},
                              {4500.25, 2.0}, {9000.4, 1.0}},
                             9000.5},
       PiecewiseRateArrivals{{{0.0, 6.0}, {0.1, 0.5}, {3000.3, 2.0}}},
   };
+  util::Rng rng{41};
+  for (int c = 0; c < 40; ++c) {
+    const double period = 1.0 + rng.uniform01() * 1e5;
+    std::vector<double> starts{0.0};
+    for (std::uint64_t k = rng.uniform_int(1, 4); k > 0; --k) {
+      starts.push_back(rng.uniform01() * period);
+    }
+    std::sort(starts.begin(), starts.end());
+    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+    // Distinct rates, so a segment mix-up shows.
+    std::vector<RateSegment> segments;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      segments.push_back({starts[i], 1.0 + static_cast<double>(i)});
+    }
+    out.emplace_back(segments, period);
+  }
+  return out;
 }
 
 /// Feeds `times`, sorted, to a fresh copy's rate_forward and compares each
@@ -189,7 +209,9 @@ TEST(PiecewiseRateArrivals, RateForwardMatchesRateAtAtEveryEdge) {
     for (const auto& s : proto.segments()) edges.push_back(s.start);
     if (period > 0.0) edges.push_back(period);
     std::vector<double> times;
-    for (const double k : {0.0, 1.0, 2.0, 3.0, 17.0, 365.0, 1e5, 3e7}) {
+    std::vector<double> periods{0.0, 1.0, 2.0, 3.0, 17.0, 365.0, 1e5, 3e7};
+    for (int k = 4; k < 200; ++k) periods.push_back(k);
+    for (const double k : periods) {
       if (period == 0.0 && k > 0.0) break;
       for (const double e : edges) {
         const double at = k * period + e;
