@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -38,29 +39,23 @@ Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records,
     prev = r.time;
   }
   if (sorted) return;
-  const auto by_time = [](const TraceRecord& a, const TraceRecord& b) {
-    return a.time < b.time;
+  // Stable-sort the record order, then apply it to the records and to
+  // their addresses alike.
+  std::vector<std::size_t> order(records_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return records_[a].time < records_[b].time;
+                   });
+  const auto permute = [&order](auto& column) {
+    auto sorted_column = column;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      sorted_column[i] = column[order[i]];
+    }
+    column = std::move(sorted_column);
   };
-  if (lbas_.empty()) {
-    std::stable_sort(records_.begin(), records_.end(), by_time);
-    return;
-  }
-  // Sort each record together with its address.
-  struct Row {
-    TraceRecord record;
-    std::uint64_t lba;
-  };
-  std::vector<Row> rows(records_.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i] = Row{records_[i], lbas_[i]};
-  }
-  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
-    return by_time(a.record, b.record);
-  });
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    records_[i] = rows[i].record;
-    lbas_[i] = rows[i].lba;
-  }
+  permute(records_);
+  if (!lbas_.empty()) permute(lbas_);
 }
 
 double Trace::duration() const {

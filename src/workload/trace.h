@@ -6,6 +6,10 @@
 // and loaded from CSV, and summarized (the statistics the paper reports for
 // its NERSC log: distinct files, arrival rate, mean accessed size, size
 // histogram across 80 bins and its log-log linearity).
+//
+// Records are (time, file) pairs of 16 bytes, since a replay holds every
+// record in memory.  The rare explicit block address is kept in a column
+// of its own, which stays empty for synthesized traces.
 #pragma once
 
 #include <cstdint>
