@@ -139,7 +139,7 @@ TEST(PiecewiseRateArrivals, StrictlyIncreasingAndDeterministic) {
   }
 }
 
-/// Rate functions for the cursor checks: the diurnal benchmark's day, a
+/// Rate functions for the cursor checks: a day of 86 400 s, a
 /// non-integer period whose segment starts are not whole numbers, no
 /// period, and random periods and starts.  Where neither the period's
 /// multiples nor the starts are round numbers, a segment's end in absolute
@@ -209,9 +209,9 @@ TEST(PiecewiseRateArrivals, RateForwardMatchesRateAtAtEveryEdge) {
     for (const auto& s : proto.segments()) edges.push_back(s.start);
     if (period > 0.0) edges.push_back(period);
     std::vector<double> times;
-    std::vector<double> periods{0.0, 1.0, 2.0, 3.0, 17.0, 365.0, 1e5, 3e7};
-    for (int k = 4; k < 200; ++k) periods.push_back(k);
-    for (const double k : periods) {
+    std::vector<double> multiples{0.0, 1.0, 2.0, 3.0, 17.0, 365.0, 1e5, 3e7};
+    for (int k = 4; k < 200; ++k) multiples.push_back(k);
+    for (const double k : multiples) {
       if (period == 0.0 && k > 0.0) break;
       for (const double e : edges) {
         const double at = k * period + e;
