@@ -184,20 +184,15 @@ Trace Trace::load(const std::filesystem::path& stem) {
     files.push_back(f);
   }
   std::vector<TraceRecord> records;
-  std::vector<std::uint64_t> lbas; // starts at the first explicit lba
+  std::vector<std::uint64_t> lbas; // dropped by Trace when all kNoLba
   DataRows tr{stem.string() + ".trace.csv", {"time_s", "file_id", "lba"}, 2};
   while (tr.next()) {
     TraceRecord rec;
     rec.time = tr.non_negative(0);
     rec.file = static_cast<FileId>(tr.count(1, kMaxFileId));
-    // Optional third column: explicit lba (may be empty per-row).
-    if (tr.has(2)) {
-      if (lbas.empty()) lbas.assign(records.size(), kNoLba);
-      lbas.push_back(tr.count(2));
-    } else if (!lbas.empty()) {
-      lbas.push_back(kNoLba);
-    }
     records.push_back(rec);
+    // Optional third column: explicit lba (may be empty per-row).
+    lbas.push_back(tr.has(2) ? tr.count(2) : kNoLba);
   }
   return Trace{FileCatalog{std::move(files)}, std::move(records),
                std::move(lbas)};
