@@ -2,7 +2,7 @@
 //
 // The paper freezes the service discipline at FCFS with a constant seek
 // cost, so scheduling never interacts with power management.  This ablation
-// opens that axis: every I/O scheduler (io_scheduler.h) crossed with the
+// opens that axis: every queue discipline (io_scheduler.h) crossed with the
 // main spin-down policies, on a queue-building workload (many small files at
 // a rate high enough that disks hold several pending requests).  Geometry-
 // aware disciplines shorten the positioning phases, which drains queues

@@ -67,7 +67,7 @@ util::Joules run_policy(const disk::DiskParams& params,
                         const std::vector<double>& gaps, std::uint64_t seed,
                         std::uint64_t& spin_downs, double& mean_resp) {
   disk::Disk d{0, params, std::move(policy), util::Rng{seed},
-               scheduler.make()};
+               scheduler.queue()};
 
   const util::Bytes file = util::mb(72.0); // 1 s transfer
   const double svc = params.service_time(file);

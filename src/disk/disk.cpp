@@ -22,13 +22,12 @@ util::Joules DiskMetrics::energy(const DiskParams& p) const {
 
 Disk::Disk(std::uint32_t id, DiskParams params,
            std::unique_ptr<SpinDownPolicy> policy, util::Rng rng,
-           std::unique_ptr<IoScheduler> scheduler)
+           IoQueue queue)
     : id_(id),
       params_(std::move(params)),
       policy_(std::move(policy)),
       rng_(rng),
-      scheduler_(scheduler ? std::move(scheduler)
-                           : std::make_unique<FcfsScheduler>()),
+      queue_(std::move(queue)),
       ledger_(PowerState::kIdle, 0.0) {
   assert(policy_ != nullptr);
   capacity_blocks_ = std::max<double>(
@@ -81,23 +80,23 @@ void Disk::apply_due() {
       enter(PowerState::kStandby, t);
       due_ = kNever;
       // Requests that arrived during the spin-down wake the disk at once.
-      if (!scheduler_->empty()) {
+      if (!queue_.empty()) {
         ++events_;
         begin_spin_up(t);
       }
       break;
     case PowerState::kSpinningUp:
       ++events_;
-      if (!scheduler_->empty()) {
-        start_service(t);
-      } else {
-        // Cannot normally happen (spin-ups are demand-driven), but a policy
-        // extension could spin up proactively; settle into idle.
-        go_idle(t);
-      }
+      // A spin-up starts only with requests queued (an arrival in standby,
+      // or standby entry after a spin-down that requests arrived during),
+      // and nothing is served while it runs.
+      assert(!queue_.empty());
+      start_service(t);
       break;
     case PowerState::kStandby:
-      due_ = kNever; // standby waits for an arrival
+      // Standby waits for an arrival: its due time is always kNever, so
+      // settle() never applies it.
+      assert(false && "standby has no due transition");
       break;
   }
 }
@@ -119,13 +118,13 @@ void Disk::submit(double t, std::uint64_t request_id, util::Bytes bytes,
   job.blocks = util::blocks_of(bytes);
   job.seq = submit_seq_++;
   job.background = background;
-  if (background) ++bg_in_scheduler_;
-  scheduler_->push(job);
+  if (background) ++bg_in_queue_;
+  queue_.push(job);
   if (trace_ != nullptr && trace_->wants(obs::Kind::kSpan)) {
     trace_->emit(obs::Kind::kSpan, obs::kSpanSubmit, t, id_, request_id,
                  static_cast<double>(bytes));
     trace_->emit(obs::Kind::kSpan, obs::kSpanEnqueue, t, id_, request_id,
-                 static_cast<double>(scheduler_->size()));
+                 static_cast<double>(queue_.size()));
   }
   if (idle_period_open_) {
     // First arrival since the disk went idle: the idle period ends now,
@@ -155,7 +154,7 @@ void Disk::submit(double t, std::uint64_t request_id, util::Bytes bytes,
 }
 
 double Disk::positioning_time(std::uint64_t target_lba) const {
-  if (!scheduler_->geometry_aware()) return params_.position_time();
+  if (!queue_.geometry_aware) return params_.position_time();
   const double travel =
       static_cast<double>(target_lba > head_lba_ ? target_lba - head_lba_
                                                  : head_lba_ - target_lba);
@@ -164,17 +163,17 @@ double Disk::positioning_time(std::uint64_t target_lba) const {
 }
 
 void Disk::start_service(double t) {
-  assert(!scheduler_->empty());
+  assert(!queue_.empty());
   assert(state_ == PowerState::kIdle || state_ == PowerState::kTransfer ||
          state_ == PowerState::kSpinningUp);
   batch_.clear();
   batch_pos_ = 0;
-  scheduler_->pop_batch(head_lba_, batch_);
+  queue_.pop_batch(head_lba_, batch_);
   assert(!batch_.empty());
-  if (bg_in_scheduler_ > 0) {
+  if (bg_in_queue_ > 0) {
     for (const IoJob& job : batch_) {
       if (job.background) {
-        --bg_in_scheduler_;
+        --bg_in_queue_;
         ++bg_in_batch_;
       }
     }
@@ -229,7 +228,7 @@ void Disk::finish_transfer(double t) {
     // streams straight into it — no further positioning phase is billed.
     trace_transfer(t);
     due_ = t + params_.transfer_time(batch_[batch_pos_].bytes);
-  } else if (!scheduler_->empty()) {
+  } else if (!queue_.empty()) {
     start_service(t);
   } else {
     go_idle(t);
@@ -310,10 +309,10 @@ DiskMetrics Disk::metrics(double now) {
   m.spin_downs = spin_downs_;
   m.served = served_;
   m.bytes_served = bytes_served_;
-  m.queued = scheduler_->size() - bg_in_scheduler_;
+  m.queued = queue_.size() - bg_in_queue_;
   m.in_service = batch_.size() - batch_pos_ - bg_in_batch_;
   m.destage_served = destage_served_;
-  m.destage_pending = bg_in_scheduler_ + bg_in_batch_;
+  m.destage_pending = bg_in_queue_ + bg_in_batch_;
   m.positionings = positionings_;
   m.idle_periods = idle_periods_;
   m.response = response_;

@@ -1,16 +1,17 @@
-// disk.h — the simulated disk: power-state machine + pluggable I/O scheduler.
+// disk.h — the simulated disk: power-state machine + request queue.
 //
 // A Disk is a discrete-event actor built from two components:
 //
 //   * the Figure-1 power-state machine (idle/positioning/transfer/
 //     spin-down/standby/spin-up, encoded in power.h) — unchanged from the
 //     paper's model, and
-//   * a pluggable IoScheduler (io_scheduler.h) that decides the service
-//     order and the positioning cost.  The default FcfsScheduler serves in
-//     arrival order with the constant avg-seek + avg-rotation cost, exactly
-//     reproducing the seed simulator; geometry-aware disciplines (SSTF,
-//     SCAN, C-LOOK, batching) order by LBA and are billed
-//     DiskParams::seek_time(head travel) + rotation per positioning phase.
+//   * an IoQueue (io_scheduler.h), held by value, whose discipline decides
+//     the service order and the positioning cost.  The default FCFS queue
+//     serves in arrival order with the constant avg-seek + avg-rotation
+//     cost, exactly reproducing the seed simulator; geometry-aware
+//     disciplines (SSTF, SCAN, C-LOOK, batching) order by LBA and are
+//     billed DiskParams::seek_time(head travel) + rotation per positioning
+//     phase.
 //
 // Each service batch has two billed phases: positioning (at seek power) and
 // one transfer per batch member (at active power, back-to-back — a coalesced
@@ -79,7 +80,7 @@ struct DiskMetrics {
   std::uint64_t spin_downs = 0;
   std::uint64_t served = 0;
   util::Bytes bytes_served = 0;
-  std::uint64_t queued = 0;       ///< waiting in the scheduler at snapshot
+  std::uint64_t queued = 0;       ///< waiting in the queue at snapshot
   std::uint64_t in_service = 0;   ///< in the active batch (positioning or
                                   ///< transferring) at snapshot
   /// Orchestration destage (background) jobs, kept out of the foreground
@@ -125,11 +126,10 @@ struct DiskMetrics {
 class Disk {
 public:
   /// The disk starts spun up and idle at t = 0, as in the paper's runs.
-  /// `scheduler` defaults (nullptr) to FCFS — the seed-compatible
-  /// discipline.
+  /// `queue` defaults to FCFS — the seed-compatible discipline.
   Disk(std::uint32_t id, DiskParams params,
        std::unique_ptr<SpinDownPolicy> policy, util::Rng rng,
-       std::unique_ptr<IoScheduler> scheduler = nullptr);
+       IoQueue queue = IoQueue{});
 
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
@@ -176,8 +176,7 @@ public:
     settle(t);
     return state_;
   }
-  const IoScheduler& scheduler() const { return *scheduler_; }
-  std::size_t queue_length() const { return scheduler_->size(); }
+  std::size_t queue_length() const { return queue_.size(); }
   /// Requests in the active batch (cheap gauge taps for the sampler).
   std::size_t in_service_count() const { return batch_.size() - batch_pos_; }
   std::uint64_t served_count() const { return served_; }
@@ -210,7 +209,7 @@ private:
   DiskParams params_;
   std::unique_ptr<SpinDownPolicy> policy_;
   util::Rng rng_;
-  std::unique_ptr<IoScheduler> scheduler_;
+  IoQueue queue_;
 
   PowerState state_ = PowerState::kIdle;
   stats::TimeWeighted<PowerState, kPowerStateCount> ledger_;
@@ -244,10 +243,10 @@ private:
   std::uint64_t served_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t destage_served_ = 0;
-  /// Background population split by location (scheduler vs active batch),
+  /// Background population split by location (queue vs active batch),
   /// maintained so metrics() can report foreground queued/in_service
   /// without scanning the queue.
-  std::uint64_t bg_in_scheduler_ = 0;
+  std::uint64_t bg_in_queue_ = 0;
   std::uint64_t bg_in_batch_ = 0;
   std::uint64_t positionings_ = 0;
   util::Bytes bytes_served_ = 0;

@@ -1,27 +1,23 @@
-// io_scheduler.h — pluggable service disciplines for the disk's request
-// queue.
+// io_scheduler.h — the disk's request queue: one value type, one pick rule.
 //
-// The seed simulator served a strict FCFS queue with a constant positioning
-// cost, so the service order and the seek cost were frozen — a whole family
-// of scenarios (scheduling discipline × spin-down policy) was unreachable.
-// This interface makes the discipline a component: the Disk pushes every
-// accepted request into its scheduler and, whenever the head is free, asks
-// for the next *batch* — one or more jobs that share a single positioning
-// phase.  Disciplines:
+// A Disk holds one IoQueue.  It pushes every accepted request into it and,
+// whenever the head is free, pops the next *batch* — one or more jobs that
+// share a single positioning phase.  Which job goes next is the queue's
+// discipline, fixed at construction:
 //
-//   * FcfsScheduler  — arrival order, constant avg positioning cost.  The
-//                      default; bit-compatible with the pre-scheduler disk.
-//   * SstfScheduler  — shortest seek time first: nearest LBA to the head.
-//   * ScanScheduler  — the elevator (LOOK variant): sweeps in one direction,
-//                      serving requests in LBA order, and reverses at the
-//                      last pending request.
-//   * BatchScheduler — circular LOOK (sweeps upward only; on reaching the
-//                      top it jumps back to the lowest pending LBA) plus
-//                      coalescing: LBA-adjacent (or near-adjacent) extents
-//                      are merged into one batch and billed a single
-//                      positioning phase.  A batch of one is plain C-LOOK.
+//   * kFcfs  — arrival order, constant avg positioning cost.  The default;
+//              the seed simulator's queue.
+//   * kSstf  — shortest seek time first: the LBA nearest the head.
+//   * kScan  — the elevator (LOOK variant): sweeps in one direction, serving
+//              requests in LBA order, and reverses at the last pending
+//              request.
+//   * kClook — circular LOOK: sweeps upward only; on reaching the top it
+//              jumps back to the lowest pending LBA.
+//   * kBatch — C-LOOK plus coalescing: LBA-adjacent (or near-adjacent)
+//              extents are merged into one batch and billed a single
+//              positioning phase.  kClook is kBatch with batches of one.
 //
-// sys::SchedulerSpec names every discipline and builds it.
+// sys::SchedulerSpec parses and prints the discipline's name.
 //
 // Geometry: a job's location is an LBA extent (start block + length, 512-byte
 // blocks, per-disk address space; see workload::layout_extents).  Geometry-
@@ -29,9 +25,12 @@
 // phase via DiskParams::seek_time; FCFS keeps the legacy constant
 // avg_seek + avg_rotation so Table-1/-2 experiments reproduce exactly.
 //
-// All schedulers are allocation-free in steady state (grow-only storage):
-// the Disk's submit → complete cycle stays on the DES kernel's zero-alloc
-// hot path (asserted by tests/des/alloc_count_test.cpp).
+// Storage is one grow-only vector, so once the queue has reached its peak
+// length push and pop allocate nothing (tests/disk/alloc_count_test.cpp
+// checks every discipline).  FCFS pops at a moving front index, amortised
+// O(1).  The other disciplines scan the pool, break key ties by submission
+// sequence, and remove their pick by moving the last job into its slot, so
+// the pool's order never decides anything.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +40,10 @@
 
 namespace spindown::disk {
 
-/// One queued request as the scheduler sees it.
+/// The service disciplines (see the file comment).
+enum class Discipline { kFcfs, kSstf, kScan, kClook, kBatch };
+
+/// One queued request as the queue sees it.
 struct IoJob {
   std::uint64_t request_id = 0;
   util::Bytes bytes = 0;
@@ -55,88 +57,41 @@ struct IoJob {
   bool background = false;
 };
 
-/// Service-discipline interface.  Single-threaded, driven by one Disk.
-class IoScheduler {
+/// The request queue of one disk.  Single-threaded, driven by one Disk.
+class IoQueue {
 public:
-  virtual ~IoScheduler() = default;
+  /// `max_batch` and `coalesce_gap_blocks` apply to kBatch: after the sweep's
+  /// next job, any pending extent starting within `coalesce_gap_blocks`
+  /// after the batch's end joins it, up to `max_batch` jobs.  kClook is a
+  /// batch of one whatever `max_batch` says.
+  explicit IoQueue(Discipline kind = Discipline::kFcfs,
+                   std::uint32_t max_batch = 16,
+                   std::uint64_t coalesce_gap_blocks = 2048);
 
   /// Accept a request into the queue.
-  virtual void push(const IoJob& job) = 0;
+  void push(const IoJob& job) { jobs_.push_back(job); }
 
   /// Number of jobs waiting (not yet handed out via pop_batch).
-  virtual std::size_t size() const = 0;
+  std::size_t size() const { return jobs_.size() - front_; }
   bool empty() const { return size() == 0; }
 
-  /// Remove the next batch — one or more jobs served with a single
-  /// positioning phase, appended to `out` in transfer order.  The head is
-  /// currently at `head_lba`.  Precondition: !empty().
-  virtual void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) = 0;
+  /// Remove the next batch, appended to `out` in transfer order.  The head
+  /// is currently at `head_lba`.  Precondition: !empty().
+  void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out);
 
+  const Discipline discipline;
   /// Geometry-aware disciplines are billed DiskParams::seek_time(distance);
-  /// FCFS returns false and keeps the legacy constant positioning cost.
-  virtual bool geometry_aware() const = 0;
-};
-
-/// Arrival order; constant positioning cost (the seed behavior).
-class FcfsScheduler final : public IoScheduler {
-public:
-  void push(const IoJob& job) override;
-  std::size_t size() const override { return count_; }
-  void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
-  bool geometry_aware() const override { return false; }
+  /// FCFS keeps the legacy constant positioning cost.
+  const bool geometry_aware;
 
 private:
-  // Grow-only ring buffer: steady-state push/pop never allocates (a deque
-  // would allocate a fresh block every ~page of throughput).
-  std::vector<IoJob> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-};
+  IoJob take(std::size_t i);
 
-/// Shortest seek time first: the job whose LBA is nearest the head.
-class SstfScheduler final : public IoScheduler {
-public:
-  void push(const IoJob& job) override { jobs_.push_back(job); }
-  std::size_t size() const override { return jobs_.size(); }
-  void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
-  bool geometry_aware() const override { return true; }
-
-private:
+  const std::uint32_t max_batch_;
+  const std::uint64_t coalesce_gap_blocks_;
   std::vector<IoJob> jobs_;
-};
-
-/// Elevator (LOOK): serve in LBA order along the current sweep direction,
-/// reversing when no pending request remains ahead of the head.
-class ScanScheduler final : public IoScheduler {
-public:
-  void push(const IoJob& job) override { jobs_.push_back(job); }
-  std::size_t size() const override { return jobs_.size(); }
-  void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
-  bool geometry_aware() const override { return true; }
-
-private:
-  std::vector<IoJob> jobs_;
-  bool upward_ = true;
-};
-
-/// Circular LOOK (sweep upward; wrap to the lowest pending LBA at the top)
-/// with coalescing: after picking the sweep's next job, any pending extent
-/// starting within `coalesce_gap_blocks` after the batch's end is appended
-/// (up to `max_batch` jobs), so adjacent extents pay one positioning phase
-/// between them.  max_batch = 1 is plain C-LOOK.
-class BatchScheduler final : public IoScheduler {
-public:
-  explicit BatchScheduler(std::uint32_t max_batch = 16,
-                          std::uint64_t coalesce_gap_blocks = 2048);
-  void push(const IoJob& job) override { jobs_.push_back(job); }
-  std::size_t size() const override { return jobs_.size(); }
-  void pop_batch(std::uint64_t head_lba, std::vector<IoJob>& out) override;
-  bool geometry_aware() const override { return true; }
-
-private:
-  std::vector<IoJob> jobs_;
-  std::uint32_t max_batch_;
-  std::uint64_t coalesce_gap_blocks_;
+  std::size_t front_ = 0; ///< FCFS: jobs_[front_..] wait; always 0 otherwise
+  bool upward_ = true;    ///< kScan: the current sweep direction
 };
 
 } // namespace spindown::disk

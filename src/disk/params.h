@@ -54,8 +54,9 @@ struct DiskParams {
   /// calibrated so the mean over uniform independent head/target positions
   /// (E[|x - y|] = 1/3) is exactly avg_seek_s — Table 1/2's avg_seek_s
   /// keeps its meaning and FCFS under random placement matches the legacy
-  /// constant-cost model in expectation.  Used only by geometry-aware I/O
-  /// schedulers (io_scheduler.h); FCFS bills position_time() unchanged.
+  /// constant-cost model in expectation.  Used only by the geometry-aware
+  /// queue disciplines (io_scheduler.h); FCFS bills position_time()
+  /// unchanged.
   double seek_time(double distance_fraction) const {
     const double s_min = avg_seek_s / 3.0;
     const double s_max = 3.0 * avg_seek_s - 2.0 * s_min;

@@ -249,7 +249,7 @@ public:
     for (std::uint32_t d = shard; d < config.num_disks; d += shards) {
       disks_.push_back(std::make_unique<disk::Disk>(
           d, config.params, policy_for(config, d).make(config.params),
-          rngs[d], config.scheduler.make()));
+          rngs[d], config.scheduler.queue()));
       disks_.back()->set_response_histogram(&hist_);
       if (trace_ != nullptr) {
         disks_.back()->set_trace(trace_.get());

@@ -11,19 +11,6 @@
 
 namespace spindown::sys {
 
-std::unique_ptr<disk::IoScheduler> SchedulerSpec::make() const {
-  switch (kind) {
-    case Kind::kFcfs: return std::make_unique<disk::FcfsScheduler>();
-    case Kind::kSstf: return std::make_unique<disk::SstfScheduler>();
-    case Kind::kScan: return std::make_unique<disk::ScanScheduler>();
-    case Kind::kClook: return std::make_unique<disk::BatchScheduler>(1);
-    case Kind::kBatch:
-      return std::make_unique<disk::BatchScheduler>(max_batch,
-                                                    coalesce_gap_blocks);
-  }
-  throw std::logic_error{"SchedulerSpec: unknown kind"};
-}
-
 std::string SchedulerSpec::spec() const {
   switch (kind) {
     case Kind::kFcfs: return "fcfs";

@@ -26,11 +26,12 @@
 
 namespace spindown::sys {
 
-/// I/O scheduling discipline selection for a whole farm (io_scheduler.h).
-/// Declarative like PolicySpec so experiment grids can sweep the discipline
-/// axis; the default (FCFS) is bit-compatible with the seed simulator.
+/// I/O discipline selection for a whole farm: the grammar of
+/// disk::Discipline plus the batch parameters.  Declarative like PolicySpec
+/// so experiment grids can sweep the discipline axis; the default (FCFS) is
+/// bit-compatible with the seed simulator.
 struct SchedulerSpec {
-  enum class Kind { kFcfs, kSstf, kScan, kClook, kBatch };
+  using Kind = disk::Discipline;
   Kind kind = Kind::kFcfs;
   std::uint32_t max_batch = 16;             ///< kBatch: jobs per positioning
   std::uint64_t coalesce_gap_blocks = 2048; ///< kBatch: max forward gap (1 MiB)
@@ -55,7 +56,10 @@ struct SchedulerSpec {
   /// parse(spec()) round-trips the value.
   std::string spec() const;
 
-  std::unique_ptr<disk::IoScheduler> make() const;
+  /// An empty queue of this discipline, for a disk's constructor.
+  disk::IoQueue queue() const {
+    return disk::IoQueue{kind, max_batch, coalesce_gap_blocks};
+  }
 };
 
 /// Spin-down policy selection for a whole farm.  The static kinds are the

@@ -62,7 +62,7 @@ std::uint64_t allocation_count() {
 /// idle in every round.  Between arrivals the disk is settled on its own,
 /// which completes requests and books their responses.  Counts the
 /// allocations from request `measure_at` to the final drain (once warm:
-/// the scheduler's and the batch's grow-only storage is sized by then).
+/// the queue's and the batch's grow-only storage is sized by then).
 std::uint64_t run_open_loop(Disk& disk, std::uint64_t n,
                             std::uint64_t measure_at) {
   const util::Bytes bytes = 100 * util::kBlockBytes;
@@ -84,35 +84,29 @@ std::uint64_t run_open_loop(Disk& disk, std::uint64_t n,
 
 // The request path through the disk: submit -> completion (settled lazily)
 // -> response books (the Welford and an attached histogram) -> next batch
-// or idle.  With the schedulers' grow-only storage the whole cycle must be
-// allocation-free once warm, end to end.
-void run_disk_cycle_test(std::unique_ptr<IoScheduler> sched) {
-  Disk disk{0, DiskParams::st3500630as(),
-            std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
-            std::move(sched)};
-  stats::LinearHistogram hist{0.0, 1.0, 1000};
-  disk.set_response_histogram(&hist);
-  EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
-  const auto m = disk.metrics(disk.settle_all());
-  EXPECT_EQ(m.served, 20'000u);
-  EXPECT_EQ(m.response.count(), 20'000u);
-  EXPECT_EQ(hist.total(), 20'000u);
-  // The loop really queued (a response of several services) and drained
-  // (an idle period per round).
-  EXPECT_GT(m.response.max(), 2.0 * m.response.min());
-  EXPECT_GE(m.idle_periods.total(), 20'000u / 5);
-}
-
-TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeFcfs) {
-  run_disk_cycle_test(std::make_unique<FcfsScheduler>());
-}
-
-TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeSstf) {
-  run_disk_cycle_test(std::make_unique<SstfScheduler>());
-}
-
-TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeBatch) {
-  run_disk_cycle_test(std::make_unique<BatchScheduler>());
+// or idle.  With the queue's grow-only storage the whole cycle must be
+// allocation-free once warm, end to end, under every discipline.
+TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeEveryDiscipline) {
+  for (const Discipline kind :
+       {Discipline::kFcfs, Discipline::kSstf, Discipline::kScan,
+        Discipline::kClook, Discipline::kBatch}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "discipline " << static_cast<int>(kind));
+    Disk disk{0, DiskParams::st3500630as(),
+              std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
+              IoQueue{kind}};
+    stats::LinearHistogram hist{0.0, 1.0, 1000};
+    disk.set_response_histogram(&hist);
+    EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
+    const auto m = disk.metrics(disk.settle_all());
+    EXPECT_EQ(m.served, 20'000u);
+    EXPECT_EQ(m.response.count(), 20'000u);
+    EXPECT_EQ(hist.total(), 20'000u);
+    // The loop really queued (a response of several services) and drained
+    // (an idle period per round).
+    EXPECT_GT(m.response.max(), 2.0 * m.response.min());
+    EXPECT_GE(m.idle_periods.total(), 20'000u / 5);
+  }
 }
 
 // The same disk cycle with observability wired but OFF: a Disk holding a
@@ -120,8 +114,7 @@ TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeBatch) {
 // stay exactly as allocation-free as an untraced disk.
 TEST(AllocCount, DiskCycleWithObsOffIsAllocationFree) {
   Disk disk{0, DiskParams::st3500630as(),
-            std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
-            std::make_unique<FcfsScheduler>()};
+            std::make_unique<NeverSpinDownPolicy>(), util::Rng{1}};
   disk.set_trace(nullptr); // obs=off: explicit null sink
   EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
 }
@@ -135,8 +128,7 @@ TEST(AllocCount, DiskCycleTracingIntoReservedBufferIsAllocationFree) {
   // 5 span edges plus up to 3 power transitions per request.
   trace.reserve(10 * 21'000);
   Disk disk{0, DiskParams::st3500630as(),
-            std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
-            std::make_unique<FcfsScheduler>()};
+            std::make_unique<NeverSpinDownPolicy>(), util::Rng{1}};
   disk.set_trace(&trace);
   EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
   EXPECT_GT(trace.size(), 5u * 20'000u); // the events really were recorded

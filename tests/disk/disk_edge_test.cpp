@@ -355,7 +355,7 @@ TEST_F(DiskEdge, ArrivalAtBatchMemberCompletionWaitsForTheNextBatch) {
     auto d = std::make_unique<Disk>(3, params_,
                                     std::make_unique<NeverSpinDownPolicy>(),
                                     util::Rng{5},
-                                    std::make_unique<BatchScheduler>(16, 64));
+                                    IoQueue{Discipline::kBatch, 16, 64});
     d->set_trace(&spans_);
     d->submit(0.0, 9, size, 10'000'000);
     for (std::uint64_t i = 0; i < 3; ++i) d->submit(0.5, i, size, i * blocks);

@@ -1,10 +1,13 @@
-// io_scheduler_test.cpp — service disciplines, the seek curve, and the
-// disk's geometry-aware service loop.
+// io_scheduler_test.cpp — the queue's service disciplines (hand-built cases
+// and a randomised drain against a brute-force reference), the seek curve,
+// and the disk's geometry-aware service loop.
 #include "disk/io_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "disk/disk.h"
@@ -26,7 +29,7 @@ IoJob job(std::uint64_t id, std::uint64_t lba, std::uint64_t blocks = 8,
   return j;
 }
 
-std::vector<std::uint64_t> drain(IoScheduler& s, std::uint64_t head = 0) {
+std::vector<std::uint64_t> drain(IoQueue& s, std::uint64_t head = 0) {
   std::vector<std::uint64_t> order;
   std::vector<IoJob> batch;
   while (!s.empty()) {
@@ -41,18 +44,18 @@ std::vector<std::uint64_t> drain(IoScheduler& s, std::uint64_t head = 0) {
 }
 
 TEST(FcfsScheduler, ServesInArrivalOrderIgnoringGeometry) {
-  FcfsScheduler s;
+  IoQueue s;
   s.push(job(0, 900));
   s.push(job(1, 10));
   s.push(job(2, 500));
-  EXPECT_FALSE(s.geometry_aware());
+  EXPECT_FALSE(s.geometry_aware);
   EXPECT_EQ(drain(s), (std::vector<std::uint64_t>{0, 1, 2}));
 }
 
 TEST(FcfsScheduler, RingBufferSurvivesGrowthAndWrap) {
-  FcfsScheduler s;
-  // Interleave pushes and pops so head_ walks around the ring across a
-  // growth boundary.
+  IoQueue s{Discipline::kFcfs};
+  // Interleave pushes and pops so the front index moves across growth and
+  // compaction of the storage while the queue never drains.
   std::uint64_t next_push = 0, next_pop = 0;
   std::vector<IoJob> batch;
   for (int round = 0; round < 100; ++round) {
@@ -75,7 +78,7 @@ TEST(FcfsScheduler, RingBufferSurvivesGrowthAndWrap) {
 }
 
 TEST(SstfScheduler, PicksNearestLba) {
-  SstfScheduler s;
+  IoQueue s{Discipline::kSstf};
   s.push(job(0, 1000));
   s.push(job(1, 100));
   s.push(job(2, 1050));
@@ -87,7 +90,7 @@ TEST(SstfScheduler, PicksNearestLba) {
 }
 
 TEST(SstfScheduler, EqualDistanceBreaksTiesBySubmissionOrder) {
-  SstfScheduler s;
+  IoQueue s{Discipline::kSstf};
   s.push(job(7, 200, 8, /*seq=*/2));
   s.push(job(8, 200, 8, /*seq=*/1));
   std::vector<IoJob> batch;
@@ -96,7 +99,7 @@ TEST(SstfScheduler, EqualDistanceBreaksTiesBySubmissionOrder) {
 }
 
 TEST(ScanScheduler, SweepsUpThenReverses) {
-  ScanScheduler s;
+  IoQueue s{Discipline::kScan};
   s.push(job(0, 500));
   s.push(job(1, 300));
   s.push(job(2, 700));
@@ -107,7 +110,7 @@ TEST(ScanScheduler, SweepsUpThenReverses) {
 }
 
 TEST(BatchScheduler, SizeOneWrapsToLowestPendingLba) {
-  BatchScheduler s{/*max_batch=*/1}; // plain C-LOOK
+  IoQueue s{Discipline::kClook}; // a batch of one
   s.push(job(0, 500));
   s.push(job(1, 300));
   s.push(job(2, 700));
@@ -119,7 +122,7 @@ TEST(BatchScheduler, SizeOneWrapsToLowestPendingLba) {
 }
 
 TEST(BatchScheduler, CoalescesAdjacentExtentsIntoOneBatch) {
-  BatchScheduler s{/*max_batch=*/16, /*coalesce_gap_blocks=*/4};
+  IoQueue s{Discipline::kBatch, /*max_batch=*/16, /*coalesce_gap_blocks=*/4};
   s.push(job(0, 100, 10)); // [100, 110)
   s.push(job(1, 110, 10)); // exactly adjacent
   s.push(job(2, 123, 10)); // gap of 3 <= 4: coalesced
@@ -137,13 +140,140 @@ TEST(BatchScheduler, CoalescesAdjacentExtentsIntoOneBatch) {
 }
 
 TEST(BatchScheduler, RespectsMaxBatch) {
-  BatchScheduler s{/*max_batch=*/2, /*coalesce_gap_blocks=*/64};
+  IoQueue s{Discipline::kBatch, /*max_batch=*/2, /*coalesce_gap_blocks=*/64};
   s.push(job(0, 100, 10));
   s.push(job(1, 110, 10));
   s.push(job(2, 120, 10));
   std::vector<IoJob> batch;
   s.pop_batch(0, batch);
   EXPECT_EQ(batch.size(), 2u);
+}
+
+// ---- randomised drains against a brute-force reference ----------------------
+
+/// The pick rules of io_scheduler.h written the slow way: the pool keeps
+/// push order, a served job is erased (not swapped out), and every pick is
+/// the least (key, seq) over the jobs its rule admits.
+struct ReferenceQueue {
+  Discipline kind;
+  std::uint32_t max_batch;
+  std::uint64_t gap;
+  std::vector<IoJob> pool;
+  bool upward = true;
+
+  using Key = std::optional<std::uint64_t>;
+
+  template <typename Rule>
+  std::optional<std::size_t> pick(Rule rule) const {
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const Key k = rule(pool[i]);
+      if (!k) continue;
+      if (!best || std::pair{*k, pool[i].seq} <
+                       std::pair{*rule(pool[*best]), pool[*best].seq}) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  std::vector<std::uint64_t> pop(std::uint64_t head) {
+    std::vector<IoJob> batch;
+    const auto take = [&](std::size_t i) {
+      batch.push_back(pool[i]);
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+    switch (kind) {
+      case Discipline::kFcfs:
+        take(0);
+        break;
+      case Discipline::kSstf:
+        take(*pick([&](const IoJob& j) -> Key {
+          return j.lba > head ? j.lba - head : head - j.lba;
+        }));
+        break;
+      case Discipline::kScan: {
+        const auto ahead = [&](const IoJob& j) -> Key {
+          if (upward && j.lba >= head) return j.lba - head;
+          if (!upward && j.lba <= head) return head - j.lba;
+          return std::nullopt;
+        };
+        auto i = pick(ahead);
+        if (!i) {
+          upward = !upward;
+          i = pick(ahead);
+        }
+        take(*i);
+        break;
+      }
+      case Discipline::kClook:
+      case Discipline::kBatch: {
+        auto i = pick([&](const IoJob& j) -> Key {
+          if (j.lba >= head) return j.lba - head;
+          return std::nullopt;
+        });
+        if (!i) i = pick([](const IoJob& j) -> Key { return j.lba; });
+        take(*i);
+        const std::size_t n = kind == Discipline::kClook ? 1 : max_batch;
+        while (batch.size() < n) {
+          const std::uint64_t end = batch.back().lba + batch.back().blocks;
+          const auto next = pick([&](const IoJob& j) -> Key {
+            if (j.lba >= end && j.lba - end <= gap) return j.lba - end;
+            return std::nullopt;
+          });
+          if (!next) break;
+          take(*next);
+        }
+        break;
+      }
+    }
+    std::vector<std::uint64_t> ids;
+    for (const auto& j : batch) ids.push_back(j.request_id);
+    return ids;
+  }
+};
+
+TEST(IoQueueRandomDrain, EveryDisciplineMatchesTheBruteForceReference) {
+  // LBAs on a coarse grid so pools hold many duplicates (ties broken by
+  // seq); extents of 50, 100 or 150 blocks end 50 short of, exactly at, or
+  // 50 past the next grid point, so a 64-block gap coalesces some
+  // neighbours and not others.  Pushes and pops interleave, so the pool's
+  // storage order drifts away from seq order through swap-removal.
+  constexpr std::uint64_t kGrid = 100;
+  constexpr std::uint64_t kTop = 20 * kGrid;
+  util::Rng rng{2024};
+  for (const Discipline kind :
+       {Discipline::kFcfs, Discipline::kSstf, Discipline::kScan,
+        Discipline::kClook, Discipline::kBatch}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "discipline " << static_cast<int>(kind) << " trial "
+                   << trial);
+      IoQueue queue{kind, /*max_batch=*/4, /*coalesce_gap_blocks=*/64};
+      ReferenceQueue ref{kind, 4, 64, {}};
+      std::uint64_t head = trial % 2 == 0 ? 0 : kTop + 1000;
+      const std::uint64_t total = rng.uniform_int(1, 40);
+      std::uint64_t pushed = 0;
+      std::vector<IoJob> batch;
+      while (pushed < total || !queue.empty()) {
+        for (std::uint64_t k = rng.uniform_int(0, 3); k > 0 && pushed < total;
+             --k, ++pushed) {
+          const IoJob j = job(pushed, rng.uniform_int(0, kTop / kGrid) * kGrid,
+                              50 * rng.uniform_int(1, 3), pushed + 1);
+          queue.push(j);
+          ref.pool.push_back(j);
+        }
+        ASSERT_EQ(queue.size(), ref.pool.size());
+        if (queue.empty()) continue;
+        batch.clear();
+        queue.pop_batch(head, batch);
+        std::vector<std::uint64_t> ids;
+        for (const auto& j : batch) ids.push_back(j.request_id);
+        ASSERT_EQ(ids, ref.pop(head));
+        head = batch.back().lba + batch.back().blocks;
+      }
+    }
+  }
 }
 
 TEST(SeekCurve, CalibratedMeanOverUniformDistancesEqualsAvgSeek) {
@@ -174,10 +304,10 @@ protected:
   DiskParams params_ = DiskParams::st3500630as();
   obs::TraceBuffer spans_{obs::kind_bit(obs::Kind::kSpan)};
 
-  std::unique_ptr<Disk> make_disk(std::unique_ptr<IoScheduler> sched) {
+  std::unique_ptr<Disk> make_disk(IoQueue queue) {
     auto d = std::make_unique<Disk>(0, params_,
                                     std::make_unique<NeverSpinDownPolicy>(),
-                                    util::Rng{1}, std::move(sched));
+                                    util::Rng{1}, std::move(queue));
     d->set_trace(&spans_);
     return d;
   }
@@ -188,7 +318,7 @@ protected:
 };
 
 TEST_F(SchedulerDiskFixture, SstfReordersAQueuedBurst) {
-  auto d = make_disk(std::make_unique<SstfScheduler>());
+  auto d = make_disk(IoQueue{Discipline::kSstf});
   const util::Bytes size = util::mb(72.0);
   const std::uint64_t blocks = util::blocks_of(size);
   // Burst of three while the first is in service: the far one (id 1) must
@@ -205,7 +335,7 @@ TEST_F(SchedulerDiskFixture, SstfReordersAQueuedBurst) {
 }
 
 TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
-  auto d = make_disk(std::make_unique<SstfScheduler>());
+  auto d = make_disk(IoQueue{Discipline::kSstf});
   const util::Bytes size = util::mb(72.0); // 1 s transfer
   const std::uint64_t capacity_blocks = util::blocks_of(params_.capacity);
   // One request at LBA 0 (head starts there: zero distance), then one at
@@ -229,7 +359,7 @@ TEST_F(SchedulerDiskFixture, GeometrySeekIsBilledByDistance) {
 }
 
 TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
-  auto d = make_disk(std::make_unique<BatchScheduler>(16, 64));
+  auto d = make_disk(IoQueue{Discipline::kBatch, 16, 64});
   const util::Bytes size = util::mb(72.0); // 1 s transfer each
   const std::uint64_t blocks = util::blocks_of(size);
   const std::uint64_t warm_lba = 10'000'000;
@@ -265,7 +395,7 @@ TEST_F(SchedulerDiskFixture, BatchPaysOnePositioningPhaseForAdjacentExtents) {
 }
 
 TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
-  auto d = make_disk(std::make_unique<FcfsScheduler>());
+  auto d = make_disk(IoQueue{Discipline::kFcfs});
   const util::Bytes size = util::mb(720.0); // 10 s transfer
   d->submit(0.0, 0, size);
   d->submit(0.0, 1, size);
@@ -292,7 +422,7 @@ TEST_F(SchedulerDiskFixture, MetricsSnapshotCountsEveryRequestExactlyOnce) {
 }
 
 TEST_F(SchedulerDiskFixture, FcfsDefaultMatchesLegacyConstantPositioning) {
-  // A Disk constructed without a scheduler serves FCFS with the constant
+  // A Disk constructed without a queue serves FCFS with the constant
   // position_time() — the seed simulator's exact timing.
   auto d = std::make_unique<Disk>(0, params_,
                                   std::make_unique<NeverSpinDownPolicy>(),

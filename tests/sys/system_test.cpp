@@ -358,12 +358,21 @@ TEST(SystemRun, RandomizedPolicySeedsDifferPerDisk) {
 }
 
 TEST(SchedulerSpecTest, FactoryNamesAndParse) {
-  EXPECT_TRUE(is_a<disk::FcfsScheduler>(SchedulerSpec::fcfs().make()));
-  EXPECT_TRUE(is_a<disk::SstfScheduler>(SchedulerSpec::sstf().make()));
-  EXPECT_TRUE(is_a<disk::ScanScheduler>(SchedulerSpec::scan().make()));
+  // Each spec hands the disk a queue of its discipline; only FCFS keeps
+  // the constant positioning cost.
+  const auto check = [](const SchedulerSpec& spec, disk::Discipline kind,
+                        bool geometry_aware) {
+    const disk::IoQueue q = spec.queue();
+    EXPECT_EQ(q.discipline, kind) << spec.spec();
+    EXPECT_EQ(q.geometry_aware, geometry_aware) << spec.spec();
+  };
+  check(SchedulerSpec::fcfs(), disk::Discipline::kFcfs, false);
+  check(SchedulerSpec::sstf(), disk::Discipline::kSstf, true);
+  check(SchedulerSpec::scan(), disk::Discipline::kScan, true);
+  check(SchedulerSpec::clook(), disk::Discipline::kClook, true);
+  check(SchedulerSpec::batch(8), disk::Discipline::kBatch, true);
   // C-LOOK is a batch of one; batch(1) is clook().
-  EXPECT_TRUE(is_a<disk::BatchScheduler>(SchedulerSpec::clook().make()));
-  EXPECT_TRUE(is_a<disk::BatchScheduler>(SchedulerSpec::batch(8).make()));
+  check(SchedulerSpec::batch(1), disk::Discipline::kClook, true);
   EXPECT_EQ(SchedulerSpec::batch(1).spec(), "clook");
   EXPECT_EQ(SchedulerSpec::parse("batch1x4096").spec(), "clook");
   EXPECT_EQ(SchedulerSpec::parse("sstf").kind, SchedulerSpec::Kind::kSstf);

@@ -19,7 +19,7 @@ claim rule holds: the change wins at least 9 of every 10 pairs, and its
 median is better than the parent's by more than the parent's q3 - q1.
 Whether a metric is better higher or lower comes from BENCHMARK.json.
 With --merge, sections are added to an existing record made from the same
-two commits.
+two commits.  Each section records the --seconds and --trace it ran with.
 
 Every run must print "correct": true; any other outcome stops the tool.
 The benchmark's own files are only run, never read or changed.
@@ -185,6 +185,7 @@ def measure(args):
         with open(args.out) as f:
             record = json.load(f)
     metas = {}
+    sections = {}
     for workload in args.workload:
         for seed in args.seed:
             def run(side, i, workload=workload, seed=seed):
@@ -198,7 +199,19 @@ def measure(args):
             results, _ = run_pairs(run, args.pairs)
             rows, same = section(results, directions)
             rows["bit_identical"] = same
-            record[section_key(workload, seed, args.trace)] = rows
+            rows["settings"] = {"seconds": args.seconds, "trace": args.trace}
+            sections[section_key(workload, seed, args.trace)] = rows
+    out = build_record(record, sections, metas, args.what)
+    with open(args.out, "w") as f:
+        json.dump(out, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+def build_record(record, sections, metas, what):
+    """`record` (an earlier record, or {}) with `sections` added or replaced
+    under a fresh header.  Each section keeps the run settings it was
+    measured with, so a merge of runs of different lengths labels each."""
     commits = {side: metas[side].get("commit", "unknown") for side in metas}
     for side in ("parent", "change"):
         key = side + "_commit"
@@ -207,9 +220,9 @@ def measure(args):
                                % (key, record[key], commits[side]))
     header = {
         "bench": "perfbench pairs",
-        "what": args.what or record.get("what", ""),
+        "what": what or record.get("what", ""),
         "command": "python3 perfbench/run.py --workload <w> --seed <s> "
-                   "--seconds %g --trace <t>" % args.seconds,
+                   "--seconds <settings.seconds> --trace <settings.trace>",
         "machine": machine() + "; both sides measured on one machine in "
                    "one session",
         "nproc": os.cpu_count(),
@@ -223,13 +236,11 @@ def measure(args):
                 "median beats the parent's by more than the parent's "
                 "q3 - q1",
     }
-    sections = {k: v for k, v in record.items() if k not in header}
+    merged = {k: v for k, v in record.items() if k not in header}
+    merged.update(sections)
     out = dict(header)
-    out.update(sorted(sections.items()))
-    with open(args.out, "w") as f:
-        json.dump(out, f, indent=1)
-        f.write("\n")
-    return 0
+    out.update(sorted(merged.items()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +322,26 @@ def self_test():
 
     check(section_key("nersc-lru", 1, 1) == "nersc_lru_traced_seed1",
           "section key")
+
+    # A merge keeps each section's own run settings.
+    metas = {"parent": {"commit": "p"}, "change": {"commit": "c"}}
+    first = build_record({}, {"a_seed1": {"settings": {"seconds": 10.0,
+                                                       "trace": 0}}},
+                         metas, "first")
+    merged = build_record(first, {"a_traced_seed1": {
+        "settings": {"seconds": 5.0, "trace": 1}}}, metas, "")
+    settings = {k: merged.get(k, {}).get("settings")
+                for k in ("a_seed1", "a_traced_seed1")}
+    check(settings == {"a_seed1": {"seconds": 10.0, "trace": 0},
+                       "a_traced_seed1": {"seconds": 5.0, "trace": 1}},
+          "merge keeps each section's settings")
+    check(merged["what"] == "first", "merge keeps the description")
+    try:
+        build_record(merged, {}, {"parent": {"commit": "p"},
+                                  "change": {"commit": "other"}}, "")
+        failures.append("merge across commits accepted")
+    except RuntimeError:
+        pass
     directions = better_directions(os.path.join(ROOT, "BENCHMARK.json"))
     check(directions.get("req_per_s") == "higher", "BENCHMARK.json read")
 
