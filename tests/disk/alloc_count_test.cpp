@@ -85,28 +85,42 @@ std::uint64_t run_open_loop(Disk& disk, std::uint64_t n,
 // The request path through the disk: submit -> completion (settled lazily)
 // -> response books (the Welford and an attached histogram) -> next batch
 // or idle.  With the queue's grow-only storage the whole cycle must be
-// allocation-free once warm, end to end, under every discipline.
-TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeEveryDiscipline) {
-  for (const Discipline kind :
-       {Discipline::kFcfs, Discipline::kSstf, Discipline::kScan,
-        Discipline::kClook, Discipline::kBatch}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "discipline " << static_cast<int>(kind));
-    Disk disk{0, DiskParams::st3500630as(),
-              std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
-              IoQueue{kind}};
-    stats::LinearHistogram hist{0.0, 1.0, 1000};
-    disk.set_response_histogram(&hist);
-    EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
-    const auto m = disk.metrics(disk.settle_all());
-    EXPECT_EQ(m.served, 20'000u);
-    EXPECT_EQ(m.response.count(), 20'000u);
-    EXPECT_EQ(hist.total(), 20'000u);
-    // The loop really queued (a response of several services) and drained
-    // (an idle period per round).
-    EXPECT_GT(m.response.max(), 2.0 * m.response.min());
-    EXPECT_GE(m.idle_periods.total(), 20'000u / 5);
-  }
+// allocation-free once warm, end to end.
+void run_disk_cycle_test(Discipline kind) {
+  Disk disk{0, DiskParams::st3500630as(),
+            std::make_unique<NeverSpinDownPolicy>(), util::Rng{1},
+            IoQueue{kind}};
+  stats::LinearHistogram hist{0.0, 1.0, 1000};
+  disk.set_response_histogram(&hist);
+  EXPECT_EQ(run_open_loop(disk, 20'000, /*measure_at=*/18'000), 0u);
+  const auto m = disk.metrics(disk.settle_all());
+  EXPECT_EQ(m.served, 20'000u);
+  EXPECT_EQ(m.response.count(), 20'000u);
+  EXPECT_EQ(hist.total(), 20'000u);
+  // The loop really queued (a response of several services) and drained
+  // (an idle period per round).
+  EXPECT_GT(m.response.max(), 2.0 * m.response.min());
+  EXPECT_GE(m.idle_periods.total(), 20'000u / 5);
+}
+
+TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeFcfs) {
+  run_disk_cycle_test(Discipline::kFcfs);
+}
+
+TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeSstf) {
+  run_disk_cycle_test(Discipline::kSstf);
+}
+
+TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeScan) {
+  run_disk_cycle_test(Discipline::kScan);
+}
+
+TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeClook) {
+  run_disk_cycle_test(Discipline::kClook);
+}
+
+TEST(AllocCount, DiskSubmitCompleteCycleIsAllocationFreeBatch) {
+  run_disk_cycle_test(Discipline::kBatch);
 }
 
 // The same disk cycle with observability wired but OFF: a Disk holding a
