@@ -108,24 +108,28 @@ std::vector<std::uint32_t> draw_access_counts(const NerscSpec& spec,
 }
 
 /// Scale every time by `scale` and, in the same pass, stable-sort the
-/// nearly sorted records by time with insertion: O(n + inversions).
-/// Insertion moves a record only past larger times, so records of equal
-/// time keep their order.  Far from sorted input would make this quadratic,
-/// so insertion stops after 8 moves per record on average; the rest is only
-/// scaled, and the Trace constructor's std::stable_sort finishes in
-/// O(n log n).  The order is the same either way: at every step of this
-/// pass, records of equal time are still in input order.
-void scale_and_sort(std::vector<TraceRecord>& records, double scale) {
-  std::size_t moves_left = 8 * records.size();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    TraceRecord r = records[i];
-    r.time *= scale;
+/// nearly sorted records by time with insertion: O(n + inversions).  The
+/// two columns move in lockstep.  Insertion moves a record only past larger
+/// times, so records of equal time keep their order.  Far from sorted input
+/// would make this quadratic, so insertion stops after 8 moves per record
+/// on average; the rest is only scaled, and the Trace constructor's
+/// std::stable_sort finishes in O(n log n).  The order is the same either
+/// way: at every step of this pass, records of equal time are still in
+/// input order.
+void scale_and_sort(std::vector<double>& times, std::vector<FileId>& files,
+                    double scale) {
+  std::size_t moves_left = 8 * times.size();
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const double t = times[i] * scale;
+    const FileId f = files[i];
     std::size_t j = i;
-    for (; j > 0 && moves_left > 0 && r.time < records[j - 1].time; --j) {
-      records[j] = records[j - 1];
+    for (; j > 0 && moves_left > 0 && t < times[j - 1]; --j) {
+      times[j] = times[j - 1];
+      files[j] = files[j - 1];
       --moves_left;
     }
-    records[j] = r;
+    times[j] = t;
+    files[j] = f;
   }
 }
 
@@ -135,42 +139,48 @@ Trace synthesize_nersc(const NerscSpec& spec) {
   validate(spec);
   util::Rng rng{spec.seed};
 
-  const auto sizes = draw_sizes(spec, rng);
-  const auto counts = draw_access_counts(spec, rng);
-
-  // Catalog: popularity proportional to access count.
-  std::vector<FileInfo> files(spec.n_files);
-  for (std::size_t i = 0; i < spec.n_files; ++i) {
-    files[i].id = static_cast<FileId>(i);
-    files[i].size = sizes[i];
-    files[i].popularity = static_cast<double>(counts[i]);
-  }
-  FileCatalog catalog{std::move(files)};
-  catalog.normalize_popularity();
-
   // Request tokens grouped into 80 size bins so batches can draw
   // similar-size files (the §3.2 phenomenon).  The bins are slices of one
   // token array; `left[b]` counts the tokens bin b has not handed out yet,
   // which sit at the front of its slice.
-  const double lo = std::max<double>(1.0, static_cast<double>(spec.min_size));
-  const double hi = static_cast<double>(spec.max_size) * 1.0001;
   constexpr std::size_t kBins = 80;
-  const double log_lo = std::log(lo);
-  const double log_w = (std::log(hi) - log_lo) / static_cast<double>(kBins);
-  std::vector<std::uint8_t> bin_of(spec.n_files);
   std::array<std::size_t, kBins> left{};
-  for (std::size_t i = 0; i < spec.n_files; ++i) {
-    const double ls =
-        std::log(std::max<double>(1.0, static_cast<double>(sizes[i])));
-    const auto b = std::min(
-        static_cast<std::size_t>((ls - log_lo) / log_w), kBins - 1);
-    bin_of[i] = static_cast<std::uint8_t>(b);
-    left[b] += counts[i];
-  }
   std::array<std::size_t, kBins> start{};
-  std::exclusive_scan(left.begin(), left.end(), start.begin(), std::size_t{0});
-  std::vector<FileId> tokens(spec.n_requests);
+  std::vector<FileId> tokens;
+  FileCatalog catalog;
   {
+    // The per-file sizes, counts and bins only build the catalog and the
+    // tokens; this scope frees them before the record columns exist.
+    const auto sizes = draw_sizes(spec, rng);
+    const auto counts = draw_access_counts(spec, rng);
+
+    // Catalog: popularity proportional to access count.
+    std::vector<FileInfo> files(spec.n_files);
+    for (std::size_t i = 0; i < spec.n_files; ++i) {
+      files[i].id = static_cast<FileId>(i);
+      files[i].size = sizes[i];
+      files[i].popularity = static_cast<double>(counts[i]);
+    }
+    catalog = FileCatalog{std::move(files)};
+    catalog.normalize_popularity();
+
+    const double lo =
+        std::max<double>(1.0, static_cast<double>(spec.min_size));
+    const double hi = static_cast<double>(spec.max_size) * 1.0001;
+    const double log_lo = std::log(lo);
+    const double log_w = (std::log(hi) - log_lo) / static_cast<double>(kBins);
+    std::vector<std::uint8_t> bin_of(spec.n_files);
+    for (std::size_t i = 0; i < spec.n_files; ++i) {
+      const double ls =
+          std::log(std::max<double>(1.0, static_cast<double>(sizes[i])));
+      const auto b = std::min(
+          static_cast<std::size_t>((ls - log_lo) / log_w), kBins - 1);
+      bin_of[i] = static_cast<std::uint8_t>(b);
+      left[b] += counts[i];
+    }
+    std::exclusive_scan(left.begin(), left.end(), start.begin(),
+                        std::size_t{0});
+    tokens.resize(spec.n_requests);
     auto fill = start;
     for (std::size_t i = 0; i < spec.n_files; ++i) {
       std::fill_n(tokens.data() + fill[bin_of[i]], counts[i],
@@ -242,11 +252,14 @@ Trace synthesize_nersc(const NerscSpec& spec) {
 
   // Records come out in epoch order; only batch tails, at most
   // (batch_max - 1) * batch_spacing_s long, overlap later epochs.
-  std::vector<TraceRecord> records;
-  records.reserve(spec.n_requests);
+  std::vector<double> times;
+  std::vector<FileId> file_ids;
+  times.reserve(spec.n_requests);
+  file_ids.reserve(spec.n_requests);
   double t_max = 0.0;
   auto emit = [&](double t, FileId f) {
-    records.push_back(TraceRecord{t, f});
+    times.push_back(t);
+    file_ids.push_back(f);
     t_max = std::max(t_max, t);
   };
   while (remaining > 0) {
@@ -266,13 +279,14 @@ Trace synthesize_nersc(const NerscSpec& spec) {
       emit(t, pop_from_bin(pick_weighted_bin()));
     }
   }
-  assert(records.size() == spec.n_requests);
+  assert(times.size() == spec.n_requests);
 
   // Rescale timestamps to land the last arrival exactly at duration_s; this
   // pins the mean arrival rate to the published 0.044683/s.
-  scale_and_sort(records, t_max > 0.0 ? spec.duration_s / t_max : 1.0);
+  scale_and_sort(times, file_ids,
+                 t_max > 0.0 ? spec.duration_s / t_max : 1.0);
 
-  return Trace{std::move(catalog), std::move(records)};
+  return Trace{std::move(catalog), std::move(times), std::move(file_ids)};
 }
 
 } // namespace spindown::workload

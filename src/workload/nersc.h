@@ -24,7 +24,9 @@
 // a day cursor instead of fmod, and each epoch's size bin is picked by
 // remaining tokens in two levels (groups of 8 bins, then bins); both give
 // the same values, draw for draw, as a per-epoch fmod and a linear scan.
-// Records carry only (time, file), 16 bytes each.
+// The records are written straight into the Trace's time and file
+// columns, 12 bytes each, once the per-file sizes, counts and bins that
+// built the catalog and the tokens are freed.
 //
 // Records are generated epoch by epoch, so they come out nearly sorted:
 // only a batch's tail, at most (batch_max - 1) * batch_spacing_s long, can

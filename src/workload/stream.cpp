@@ -50,18 +50,17 @@ std::size_t ArrivalZipfStream::fill(std::span<Request> out) {
 TraceStream::TraceStream(const Trace& trace) : trace_(trace) {}
 
 std::size_t TraceStream::fill(std::span<Request> out) {
-  const auto& records = trace_.records();
-  const std::size_t n = std::min(out.size(), records.size() - pos_);
+  const auto& times = trace_.times();
+  const auto& files = trace_.files();
+  const std::size_t n = std::min(out.size(), times.size() - pos_);
   const auto lbas = trace_.lbas();
   if (lbas.empty()) {
     for (std::size_t i = 0; i < n; ++i, ++pos_) {
-      const auto& rec = records[pos_];
-      out[i] = Request{pos_, rec.time, rec.file, kNoLba};
+      out[i] = Request{pos_, times[pos_], files[pos_], kNoLba};
     }
   } else {
     for (std::size_t i = 0; i < n; ++i, ++pos_) {
-      const auto& rec = records[pos_];
-      out[i] = Request{pos_, rec.time, rec.file, lbas[pos_]};
+      out[i] = Request{pos_, times[pos_], files[pos_], lbas[pos_]};
     }
   }
   return n;

@@ -16,14 +16,19 @@
 
 namespace spindown::workload {
 
-Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records,
-             std::vector<std::uint64_t> lbas)
-    : catalog_(std::move(catalog)), records_(std::move(records)),
-      lbas_(std::move(lbas)) {
-  if (!lbas_.empty() && lbas_.size() != records_.size()) {
+Trace::Trace(FileCatalog catalog, std::vector<double> times,
+             std::vector<FileId> files, std::vector<std::uint64_t> lbas)
+    : catalog_(std::move(catalog)), times_(std::move(times)),
+      files_(std::move(files)), lbas_(std::move(lbas)) {
+  if (files_.size() != times_.size()) {
+    throw std::invalid_argument{
+        "Trace: " + std::to_string(files_.size()) + " files for " +
+        std::to_string(times_.size()) + " times"};
+  }
+  if (!lbas_.empty() && lbas_.size() != times_.size()) {
     throw std::invalid_argument{
         "Trace: " + std::to_string(lbas_.size()) + " lbas for " +
-        std::to_string(records_.size()) + " records"};
+        std::to_string(times_.size()) + " records"};
   }
   if (std::all_of(lbas_.begin(), lbas_.end(),
                   [](std::uint64_t lba) { return lba == kNoLba; })) {
@@ -31,35 +36,35 @@ Trace::Trace(FileCatalog catalog, std::vector<TraceRecord> records,
   }
   bool sorted = true;
   double prev = -std::numeric_limits<double>::infinity();
-  for (const auto& r : records_) {
-    if (r.file >= catalog_.size()) {
+  for (std::size_t i = 0; i < times_.size(); ++i) {
+    if (files_[i] >= catalog_.size()) {
       throw std::invalid_argument{"Trace: record references unknown file"};
     }
-    sorted = sorted && !(r.time < prev);
-    prev = r.time;
+    sorted = sorted && !(times_[i] < prev);
+    prev = times_[i];
   }
   if (sorted) return;
-  // Stable-sort the record order, then apply it to the records and to
-  // their addresses alike.
-  std::vector<std::size_t> order(records_.size());
+  // Stable-sort the record order, then apply it to every column.
+  std::vector<std::size_t> order(times_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return records_[a].time < records_[b].time;
+                     return times_[a] < times_[b];
                    });
-  const auto permute = [&order](auto& column) {
-    auto sorted_column = column;
+  const auto permute = [&order]<typename T>(std::vector<T>& column) {
+    std::vector<T> sorted_column(order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
       sorted_column[i] = column[order[i]];
     }
     column = std::move(sorted_column);
   };
-  permute(records_);
+  permute(times_);
+  permute(files_);
   if (!lbas_.empty()) permute(lbas_);
 }
 
 double Trace::duration() const {
-  return records_.empty() ? 0.0 : records_.back().time;
+  return times_.empty() ? 0.0 : times_.back();
 }
 
 void Trace::save(const std::filesystem::path& stem) const {
@@ -79,15 +84,14 @@ void Trace::save(const std::filesystem::path& stem) const {
     util::CsvWriter tr{std::filesystem::path{stem.string() + ".trace.csv"}};
     if (!lbas_.empty()) {
       tr.write_row({"time_s", "file_id", "lba"});
-      for (std::size_t i = 0; i < records_.size(); ++i) {
-        const auto& r = records_[i];
-        tr.row(util::format_roundtrip(r.time), std::to_string(r.file),
+      for (std::size_t i = 0; i < times_.size(); ++i) {
+        tr.row(util::format_roundtrip(times_[i]), std::to_string(files_[i]),
                lbas_[i] == kNoLba ? std::string{} : std::to_string(lbas_[i]));
       }
     } else {
       tr.write_row({"time_s", "file_id"});
-      for (const auto& r : records_) {
-        tr.row(util::format_roundtrip(r.time), std::to_string(r.file));
+      for (std::size_t i = 0; i < times_.size(); ++i) {
+        tr.row(util::format_roundtrip(times_[i]), std::to_string(files_[i]));
       }
     }
   }
@@ -183,18 +187,24 @@ Trace Trace::load(const std::filesystem::path& stem) {
     f.popularity = cat.non_negative(2);
     files.push_back(f);
   }
-  std::vector<TraceRecord> records;
-  std::vector<std::uint64_t> lbas; // dropped by Trace when all kNoLba
+  std::vector<double> times;
+  std::vector<FileId> ids;
+  // Optional third column: explicit lba, which may be empty per row.  The
+  // column starts at the first row that carries one, with kNoLba for the
+  // rows before it, so a file without addresses never allocates it.
+  std::vector<std::uint64_t> lbas;
   DataRows tr{stem.string() + ".trace.csv", {"time_s", "file_id", "lba"}, 2};
   while (tr.next()) {
-    TraceRecord rec;
-    rec.time = tr.non_negative(0);
-    rec.file = static_cast<FileId>(tr.count(1, kMaxFileId));
-    records.push_back(rec);
-    // Optional third column: explicit lba (may be empty per-row).
-    lbas.push_back(tr.has(2) ? tr.count(2) : kNoLba);
+    times.push_back(tr.non_negative(0));
+    ids.push_back(static_cast<FileId>(tr.count(1, kMaxFileId)));
+    if (tr.has(2)) {
+      lbas.resize(times.size() - 1, kNoLba);
+      lbas.push_back(tr.count(2));
+    } else if (!lbas.empty()) {
+      lbas.push_back(kNoLba);
+    }
   }
-  return Trace{FileCatalog{std::move(files)}, std::move(records),
+  return Trace{FileCatalog{std::move(files)}, std::move(times), std::move(ids),
                std::move(lbas)};
 }
 
@@ -222,9 +232,9 @@ TraceStats analyze(const Trace& trace) {
   // vector keeps this function free of unordered containers entirely.
   double bytes_sum = 0.0;
   std::vector<double> access_count(trace.catalog().size(), 0.0);
-  for (const auto& r : trace.records()) {
-    bytes_sum += static_cast<double>(trace.catalog().by_id(r.file).size);
-    access_count[r.file] += 1.0;
+  for (const FileId f : trace.files()) {
+    bytes_sum += static_cast<double>(trace.catalog().by_id(f).size);
+    access_count[f] += 1.0;
   }
   out.distinct_files = static_cast<std::size_t>(
       std::count_if(access_count.begin(), access_count.end(),

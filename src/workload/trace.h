@@ -7,9 +7,10 @@
 // its NERSC log: distinct files, arrival rate, mean accessed size, size
 // histogram across 80 bins and its log-log linearity).
 //
-// Records are (time, file) pairs of 16 bytes, since a replay holds every
-// record in memory.  The rare explicit block address is kept in a column
-// of its own, which stays empty for synthesized traces.
+// A replay holds every record in memory, so a Trace stores its records as
+// columns: arrival times and file ids, 12 bytes per record with no padding.
+// The rare explicit block address is kept in a third column, which stays
+// empty for synthesized traces.
 #pragma once
 
 #include <cstdint>
@@ -25,34 +26,28 @@
 
 namespace spindown::workload {
 
-/// One read request of a trace: 16 bytes, so a 2M-request replay keeps its
-/// records in 32 MB.  An explicit logical block address, which only loaded
-/// traces carry, lives in the Trace's own column (Trace::lba).
-struct TraceRecord {
-  double time = 0.0; ///< arrival, seconds from trace start
-  FileId file = 0;
-};
-static_assert(sizeof(TraceRecord) == 16);
-
 class Trace {
 public:
   Trace() = default;
-  /// Stable-sorts `records` by time, so records of equal time keep their
-  /// order.  One pass checks every file id (throws std::invalid_argument on
-  /// an unknown one) and whether the records are already sorted; sorted
-  /// input, such as a synthesized or saved trace, is kept as given.
-  /// `lbas` is empty or holds one address per record (kNoLba = locate the
-  /// file via the catalog layout); any other length throws
-  /// std::invalid_argument.  A sort permutes it with the records, and a
-  /// column of nothing but kNoLba is dropped, so a trace without explicit
-  /// addresses stores none.
-  Trace(FileCatalog catalog, std::vector<TraceRecord> records,
-        std::vector<std::uint64_t> lbas = {});
+  /// Record i is (times[i], files[i], lbas[i]).  The columns are
+  /// stable-sorted by time, so records of equal time keep their order.  One
+  /// pass checks every file id (throws std::invalid_argument on an unknown
+  /// one) and whether the times are already sorted; sorted input, such as a
+  /// synthesized or saved trace, is kept as given.  `files` must have one
+  /// entry per time, and `lbas` is empty or holds one address per record
+  /// (kNoLba = locate the file via the catalog layout); any other length
+  /// throws std::invalid_argument.  A column of nothing but kNoLba is
+  /// dropped, so a trace without explicit addresses stores none.
+  Trace(FileCatalog catalog, std::vector<double> times,
+        std::vector<FileId> files, std::vector<std::uint64_t> lbas = {});
 
   const FileCatalog& catalog() const { return catalog_; }
-  const std::vector<TraceRecord>& records() const { return records_; }
-  std::size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
+  /// Arrival of every record, seconds from trace start, in record order.
+  const std::vector<double>& times() const { return times_; }
+  /// File of every record, in record order.
+  const std::vector<FileId>& files() const { return files_; }
+  std::size_t size() const { return times_.size(); }
+  bool empty() const { return times_.empty(); }
 
   /// Explicit address of record i, or kNoLba.
   std::uint64_t lba(std::size_t i) const {
@@ -86,8 +81,9 @@ public:
 
 private:
   FileCatalog catalog_;
-  std::vector<TraceRecord> records_; // sorted by time at construction
-  std::vector<std::uint64_t> lbas_;  // empty, or one per record
+  std::vector<double> times_;       // sorted at construction
+  std::vector<FileId> files_;       // one per time
+  std::vector<std::uint64_t> lbas_; // empty, or one per time
 };
 
 /// Aggregate statistics, mirroring §5.1's description of the NERSC log.

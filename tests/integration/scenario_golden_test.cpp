@@ -85,16 +85,17 @@ TEST(ScenarioGolden, TraceByPathMatchesProgrammaticReplay) {
   spec.n_files = 40;
   util::Rng rng{3};
   const auto cat = workload::generate_catalog(spec, rng);
-  std::vector<workload::TraceRecord> records;
+  std::vector<double> times;
+  std::vector<workload::FileId> files;
   util::Rng arrivals{11};
   double t = 0.0;
   for (int i = 0; i < 120; ++i) {
     t += arrivals.exponential(0.05);
-    records.push_back(
-        {t, static_cast<workload::FileId>(
-                arrivals.uniform_int(0, spec.n_files - 1))});
+    times.push_back(t);
+    files.push_back(static_cast<workload::FileId>(
+        arrivals.uniform_int(0, spec.n_files - 1)));
   }
-  const workload::Trace trace{cat, records};
+  const workload::Trace trace{cat, times, files};
 
   const auto stem = (std::filesystem::temp_directory_path() /
                      "spindown_scenario_golden_tmp")

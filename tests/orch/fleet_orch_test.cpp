@@ -122,17 +122,16 @@ TEST(OrchFleet, ControllerSeeksToATraceRecordsExplicitLba) {
   // with orchestration off: an LBA-aware scheduler would otherwise order
   // the queues differently and move the response times.
   const auto cat = fleet_catalog();
-  std::vector<workload::TraceRecord> records;
+  std::vector<double> times;
+  std::vector<workload::FileId> files;
   std::vector<std::uint64_t> lbas;
   util::Rng rng{5};
   for (int i = 0; i < 600; ++i) {
-    workload::TraceRecord r;
-    r.time = 0.05 * i;
-    r.file = static_cast<workload::FileId>(i % cat.size());
+    times.push_back(0.05 * i);
+    files.push_back(static_cast<workload::FileId>(i % cat.size()));
     lbas.push_back(rng.uniform_int(0, 500'000'000));
-    records.push_back(r);
   }
-  const workload::Trace trace{cat, records, lbas};
+  const workload::Trace trace{cat, times, files, lbas};
 
   auto off = orch_config(cat);
   off.orch = OrchSpec::off();

@@ -139,7 +139,7 @@ TEST(RunExperiment, UnboundedMetricsTickCountThrowsBeforeTheRun) {
 
 TEST(RunExperiment, TraceWorkloadEndToEnd) {
   const auto cat = small_catalog();
-  const workload::Trace trace{cat, {{1.0, 0}, {2.0, 3}, {50.0, 7}}};
+  const workload::Trace trace{cat, {1.0, 2.0, 50.0}, {0, 3, 7}};
   ExperimentConfig cfg;
   cfg.catalog = &cat;
   cfg.mapping = {0, 0, 0, 0, 0, 0, 0, 0};
@@ -163,11 +163,10 @@ TEST(RunExperiment, TraceWorkloadNeedsTrace) {
 TEST(RunExperiment, CacheReducesDiskTraffic) {
   const auto cat = small_catalog();
   // Same file requested repeatedly: with a cache only the first goes to disk.
-  std::vector<workload::TraceRecord> records;
-  for (int i = 0; i < 20; ++i) {
-    records.push_back({static_cast<double>(i) * 10.0, 2});
-  }
-  const workload::Trace trace{cat, records};
+  std::vector<double> times;
+  for (int i = 0; i < 20; ++i) times.push_back(static_cast<double>(i) * 10.0);
+  const workload::Trace trace{cat, times,
+                              std::vector<workload::FileId>(20, 2)};
 
   ExperimentConfig cfg;
   cfg.catalog = &cat;
@@ -295,7 +294,7 @@ TEST(WorkloadSpec, MeanRateSummarizesEveryKind) {
       WorkloadSpec::mmpp({{9.0, 1.0}, {100.0, 300.0}}, 4000.0).mean_rate(),
       3.0);
   const auto cat = small_catalog();
-  const workload::Trace trace{cat, {{0.0, 0}, {10.0, 1}, {20.0, 2}}};
+  const workload::Trace trace{cat, {0.0, 10.0, 20.0}, {0, 1, 2}};
   EXPECT_DOUBLE_EQ(WorkloadSpec::replay(trace).mean_rate(), 3.0 / 20.0);
 }
 

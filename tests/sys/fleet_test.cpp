@@ -188,13 +188,15 @@ TEST(FleetTies, SimultaneousCompletionsMatchSingleCalendar) {
     files[i].popularity = 0.25;
   }
   const workload::FileCatalog cat{files};
-  std::vector<workload::TraceRecord> records;
+  std::vector<double> times;
+  std::vector<workload::FileId> ids;
   for (const double t : {0.5, 40.5, 90.5}) {
     for (std::uint32_t f = 0; f < 4; ++f) {
-      records.push_back({t, f});
+      times.push_back(t);
+      ids.push_back(f);
     }
   }
-  const workload::Trace trace{cat, std::move(records)};
+  const workload::Trace trace{cat, std::move(times), std::move(ids)};
 
   ExperimentConfig cfg;
   cfg.catalog = &cat;
@@ -357,13 +359,23 @@ workload::FileCatalog small_files() {
   return workload::FileCatalog{files};
 }
 
+/// A trace's time and file columns, built up burst by burst.
+struct Records {
+  std::vector<double> times;
+  std::vector<workload::FileId> files;
+  void push(double t, workload::FileId f) {
+    times.push_back(t);
+    files.push_back(f);
+  }
+};
+
 /// Appends `count` arrivals spaced `gap` seconds apart from `t0`, cycling
 /// the files with a stride so neighbouring requests hit different disks.
-void add_burst(std::vector<workload::TraceRecord>& records, double t0,
-               std::size_t count, double gap, std::uint32_t files) {
+void add_burst(Records& records, double t0, std::size_t count, double gap,
+               std::uint32_t files) {
   for (std::size_t i = 0; i < count; ++i) {
-    records.push_back({t0 + gap * static_cast<double>(i),
-                       static_cast<workload::FileId>((i * 5) % files)});
+    records.push(t0 + gap * static_cast<double>(i),
+                 static_cast<workload::FileId>((i * 5) % files));
   }
 }
 
@@ -392,12 +404,13 @@ TEST(FleetPipeline, WindowSpanningSeveralChunksMatchesPreviousEngine) {
   // 4096-arrival burst at 300 s (0.41 s long), whose other 1867 open the
   // fourth.
   const auto cat = small_files();
-  std::vector<workload::TraceRecord> records;
+  Records records;
   add_burst(records, 0.0, 10'000, 1e-4, 16);
   add_burst(records, 5.0, 59, 5.0, 16); // sparse: 5 s .. 295 s
   add_burst(records, 300.0, 4096, 1e-4, 16);
   add_burst(records, 305.0, 60, 5.0, 16); // sparse: 305 s .. 600 s
-  const workload::Trace trace{cat, std::move(records)};
+  const workload::Trace trace{cat, std::move(records.times),
+                              std::move(records.files)};
   expect_pipeline_digest(cat, trace, CacheSpec::lru(util::mb(3.0)),
                          PolicySpec::break_even(), "d9bccd8478b7b0fe");
 
@@ -423,11 +436,12 @@ TEST(FleetPipeline, IdleStretchesJumpTheFrontier) {
   // chunk holds arrivals hundreds of seconds apart, and the disks spin
   // down in between.
   const auto cat = small_files();
-  std::vector<workload::TraceRecord> records;
+  Records records;
   for (const double t0 : {0.0, 250.0, 251.0, 700.0, 1390.0}) {
     add_burst(records, t0, 300, 0.01, 16);
   }
-  const workload::Trace trace{cat, std::move(records)};
+  const workload::Trace trace{cat, std::move(records.times),
+                              std::move(records.files)};
   expect_pipeline_digest(cat, trace, CacheSpec::none(), PolicySpec::fixed(10.0),
                          "8fb07069eb453fb0");
 }
@@ -437,9 +451,10 @@ TEST(FleetPipeline, CacheHeavyReplayWithAllHitChunks) {
   // every arrival is a hit, so nearly every chunk the feeder forwards is
   // hits only and the shard batches stay empty chunk after chunk.
   const auto cat = small_files();
-  std::vector<workload::TraceRecord> records;
+  Records records;
   add_burst(records, 0.0, 20'000, 0.01, 4);
-  const workload::Trace trace{cat, std::move(records)};
+  const workload::Trace trace{cat, std::move(records.times),
+                              std::move(records.files)};
   expect_pipeline_digest(cat, trace, CacheSpec::lru(util::mb(8.0)),
                          PolicySpec::break_even(), "864a03ffd232ef37");
 }
@@ -457,20 +472,21 @@ TEST(FleetPipeline, ExplicitLbasWithOrchestrationAcrossChunkSeams) {
   // of their own debts.
   const auto cat = small_files();
   util::Rng lba_rng{23};
-  std::vector<workload::TraceRecord> records;
+  Records records;
   std::vector<std::uint64_t> lbas;
   const auto add = [&](double t0, std::size_t count, double gap,
                        std::uint32_t files) {
     for (std::size_t i = 0; i < count; ++i) {
-      records.push_back({t0 + gap * static_cast<double>(i),
-                         static_cast<workload::FileId>((i * 5) % files)});
+      records.push(t0 + gap * static_cast<double>(i),
+                   static_cast<workload::FileId>((i * 5) % files));
       lbas.push_back(lba_rng.uniform_int(0, 900'000'000));
     }
   };
   add(0.0, 600, 0.5, 14);        // 0 .. 299.5 s, each disk every 3.5 s
   add(300.0, 12'000, 2.5e-4, 2); // 300 .. 303 s
   add(305.0, 592, 0.5, 16);      // 305 .. 600.5 s
-  const workload::Trace trace{cat, std::move(records), std::move(lbas)};
+  const workload::Trace trace{cat, std::move(records.times),
+                              std::move(records.files), std::move(lbas)};
 
   auto cfg = fleet_config(cat, 7);
   cfg.orch = OrchSpec::parse("redirect+offload:1:5+writes:0.4");
@@ -519,10 +535,12 @@ TEST(FleetPipeline, FeederErrorAbortsTheRunAndIsRethrown) {
     more[i].size = util::mb(1.0);
     more[i].popularity = 1.0 / 20.0;
   }
-  std::vector<workload::TraceRecord> records;
+  Records records;
   add_burst(records, 0.0, 50'000, 0.001, 16);
-  records.push_back({49.9995, 19}); // unknown to `cat`
-  const workload::Trace trace{workload::FileCatalog{more}, std::move(records)};
+  records.push(49.9995, 19); // unknown to `cat`
+  const workload::Trace trace{workload::FileCatalog{more},
+                              std::move(records.times),
+                              std::move(records.files)};
   auto cfg = fleet_config(cat, 8);
   cfg.workload = WorkloadSpec::replay(trace);
   for (const std::uint32_t shards : {1u, 3u}) {

@@ -343,7 +343,7 @@ TEST(ScenarioResolve, InjectedRawTraceIsRejected) {
   std::vector<workload::FileInfo> files(2);
   files[0] = {0, util::mb(10.0), 0.5};
   files[1] = {1, util::mb(10.0), 0.5};
-  const workload::Trace trace{workload::FileCatalog{files}, {{1.0, 0}}};
+  const workload::Trace trace{workload::FileCatalog{files}, {1.0}, {0}};
   auto s = small_packed_scenario();
   s.workload = WorkloadSpec::replay(trace);
   EXPECT_THROW(resolve_scenario(s), std::invalid_argument);
@@ -420,7 +420,7 @@ TEST(ScenarioResolve, InputsOutsideTheGrammarAreRejectedNamingTheField) {
   std::vector<workload::FileInfo> files(2);
   files[0] = {0, util::mb(10.0), 0.5};
   files[1] = {1, util::mb(10.0), 0.5};
-  const workload::Trace trace{workload::FileCatalog{files}, {{1.0, 0}}};
+  const workload::Trace trace{workload::FileCatalog{files}, {1.0}, {0}};
   auto injected = small_packed_scenario();
   injected.workload = WorkloadSpec::replay(trace);
   expect_rejected(injected, "workload.trace");

@@ -72,7 +72,7 @@ TEST(PolicySpec, FactoryNames) {
 
 TEST(Router, ValidatesMapping) {
   const auto cat = uniform_catalog(3, util::mb(10.0));
-  const workload::Trace trace{cat, {{0.0, 0}}};
+  const workload::Trace trace{cat, {0.0}, {0}};
   // Shorter than the catalog.
   EXPECT_THROW(run_experiment(replay_config(trace, {0, 1}, 2,
                                             PolicySpec::never())),
@@ -87,7 +87,7 @@ TEST(SystemRun, ValidatesMapping) {
   // A mapping onto a disk outside the farm is rejected up front, before
   // any shard is spawned, whatever the shard count.
   const auto cat = uniform_catalog(2, util::mb(10.0));
-  const workload::Trace trace{cat, {{0.0, 0}, {1.0, 1}}};
+  const workload::Trace trace{cat, {0.0, 1.0}, {0, 1}};
   auto cfg = replay_config(trace, {0, 5}, 2, PolicySpec::never());
   for (const std::uint32_t shards : {1u, 2u}) {
     cfg.shards = shards;
@@ -98,7 +98,7 @@ TEST(SystemRun, ValidatesMapping) {
 
 TEST(Router, RoutesByMappingTable) {
   const auto cat = uniform_catalog(3, util::mb(72.0));
-  const workload::Trace trace{cat, {{0.0, 0}, {0.0, 1}, {0.0, 2}}};
+  const workload::Trace trace{cat, {0.0, 0.0, 0.0}, {0, 1, 2}};
   const auto r = run_experiment(
       replay_config(trace, {0, 1, 0}, 2, PolicySpec::never()));
   EXPECT_EQ(r.requests, 3u);
@@ -109,7 +109,7 @@ TEST(Router, RoutesByMappingTable) {
 
 TEST(Router, CacheHitsBypassDisks) {
   const auto cat = uniform_catalog(3, util::mb(72.0));
-  const workload::Trace trace{cat, {{0.0, 0}, {10.0, 0}}};
+  const workload::Trace trace{cat, {0.0, 10.0}, {0, 0}};
   auto cfg = replay_config(trace, {0, 1, 0}, 2, PolicySpec::never());
   cfg.cache = CacheSpec::lru(util::gb(1.0));
   const auto r = run_experiment(cfg);
@@ -124,7 +124,7 @@ TEST(Router, CacheHitsBypassDisks) {
 TEST(Router, NoCacheMeansEveryRequestHitsDisks) {
   const auto cat = uniform_catalog(3, util::mb(72.0));
   const workload::Trace trace{
-      cat, {{0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}, {0.0, 0}}};
+      cat, {0.0, 0.0, 0.0, 0.0, 0.0}, {0, 0, 0, 0, 0}};
   const auto r = run_experiment(
       replay_config(trace, {0, 0, 0}, 1, PolicySpec::never()));
   EXPECT_EQ(r.cache.hits, 0u);
@@ -141,7 +141,7 @@ TEST(Router, StampsRequestsWithLayoutLba) {
                                         {1, util::mb(144.0), 0.3},
                                         {2, util::mb(36.0), 0.2}};
   const workload::FileCatalog cat{files};
-  const workload::Trace trace{cat, {{0.0, 0}, {0.0, 2}, {0.0, 1}}};
+  const workload::Trace trace{cat, {0.0, 0.0, 0.0}, {0, 2, 1}};
   auto cfg = replay_config(trace, {0, 0, 0}, 1, PolicySpec::never());
   cfg.scheduler = SchedulerSpec::sstf();
   cfg.obs.spans = true;
@@ -164,7 +164,7 @@ TEST(Router, ExplicitRequestLbaOverridesLayout) {
   const auto params = disk::DiskParams::st3500630as();
   const auto cat = uniform_catalog(3, util::mb(72.0));
   const std::uint64_t pinned = util::blocks_of(params.capacity) / 2;
-  const workload::Trace trace{cat, {{0.0, 0}}, {pinned}};
+  const workload::Trace trace{cat, {0.0}, {0}, {pinned}};
   auto cfg = replay_config(trace, {0, 0, 0}, 1, PolicySpec::never());
   cfg.scheduler = SchedulerSpec::sstf();
   const auto r = run_experiment(cfg);
@@ -180,7 +180,7 @@ TEST(Router, ExplicitRequestLbaOverridesLayout) {
 TEST(SystemRun, TraceRunAccountsEveryRequest) {
   const auto cat = uniform_catalog(4, util::mb(72.0));
   const workload::Trace trace{
-      cat, {{0.0, 0}, {1.0, 1}, {2.0, 2}, {3.0, 3}, {100.0, 0}}};
+      cat, {0.0, 1.0, 2.0, 3.0, 100.0}, {0, 1, 2, 3, 0}};
   const auto r = run_experiment(
       replay_config(trace, {0, 0, 1, 1}, 2, PolicySpec::never()));
   EXPECT_EQ(r.requests, 5u);
@@ -196,7 +196,7 @@ TEST(SystemRun, TraceRunAccountsEveryRequest) {
 RunResult conservation_run(const disk::DiskParams& params) {
   const auto cat = uniform_catalog(4, util::mb(72.0));
   const workload::Trace trace{
-      cat, {{0.0, 0}, {1.0, 1}, {2.0, 0}, {3.0, 3}, {100.0, 2}}};
+      cat, {0.0, 1.0, 2.0, 3.0, 100.0}, {0, 1, 0, 3, 2}};
   auto cfg = replay_config(trace, {0, 0, 1, 1}, 2, PolicySpec::fixed(5.0));
   cfg.params = params;
   cfg.cache = CacheSpec::lru(util::mb(200.0));
@@ -247,7 +247,7 @@ TEST(SystemRun, NeverPolicyMatchesAlwaysOnEnergy) {
   // With spin-down disabled, measured energy must equal the closed-form
   // always-on normalizer (same integration window) — saving == 0.
   const auto cat = uniform_catalog(3, util::mb(144.0));
-  const workload::Trace trace{cat, {{5.0, 0}, {17.0, 1}, {31.0, 2}}};
+  const workload::Trace trace{cat, {5.0, 17.0, 31.0}, {0, 1, 2}};
   const auto r = run_experiment(
       replay_config(trace, {0, 1, 2}, 3, PolicySpec::never()));
   EXPECT_NEAR(r.power.energy, r.power.always_on_energy, 1e-6);
@@ -261,7 +261,7 @@ TEST(SystemRun, AggressivePolicySavesEnergyOnSparseLoad) {
   // 3999 s stretches the measurement window to 4000 s and lands too late
   // for a second spin-down.
   const workload::Trace trace{cat,
-                              {{0.0, 0}, {1.0, 1}, {2.0, 2}, {3999.0, 0}}};
+                              {0.0, 1.0, 2.0, 3999.0}, {0, 1, 2, 0}};
   const auto run_with = [&](PolicySpec policy) {
     return run_experiment(replay_config(trace, {0, 1, 2}, 3, policy));
   };
@@ -279,7 +279,7 @@ TEST(SystemRun, SpinUpPenaltyVisibleInResponseTimes) {
   const auto cat = uniform_catalog(1, util::mb(72.0));
   const auto params = disk::DiskParams::st3500630as();
   // Second request arrives long after the disk has gone to standby.
-  const workload::Trace trace{cat, {{0.0, 0}, {500.0, 0}}};
+  const workload::Trace trace{cat, {0.0, 500.0}, {0, 0}};
   const auto r = run_experiment(
       replay_config(trace, {0}, 1, PolicySpec::fixed(20.0)));
   EXPECT_EQ(r.power.spin_ups, 1u);
@@ -302,7 +302,7 @@ TEST(SystemRun, ArrivalAtTimerExpiryFindsTheDiskSpinningDown) {
   const double expiry = params.service_time(size) + threshold;
   const auto cat = uniform_catalog(1, size);
   const workload::Trace trace{cat,
-                              {{0.0, 0}, {expiry, 0}, {expiry + 100.0, 0}}};
+                              {0.0, expiry, expiry + 100.0}, {0, 0, 0}};
   const auto r = run_experiment(
       replay_config(trace, {0}, 1, PolicySpec::fixed(threshold)));
   EXPECT_EQ(r.power.spin_downs, 1u);
@@ -394,13 +394,15 @@ TEST(SystemRun, SchedulerDisciplineDifferentiatesQueueBuildingLoad) {
   // File 40 lives alone on disk 1; its read at 599 s only stretches the
   // window to 600 s, past the burst's full drain.
   const auto cat = uniform_catalog(41, util::mb(8.0));
-  std::vector<workload::TraceRecord> records;
+  std::vector<double> times(40, 0.0);
+  std::vector<workload::FileId> files;
   for (std::size_t i = 0; i < 40; ++i) {
     // Deterministic shuffle: stride 17 is coprime with 40.
-    records.push_back({0.0, static_cast<workload::FileId>((i * 17) % 40)});
+    files.push_back(static_cast<workload::FileId>((i * 17) % 40));
   }
-  records.push_back({599.0, 40});
-  const workload::Trace trace{cat, std::move(records)};
+  times.push_back(599.0);
+  files.push_back(40);
+  const workload::Trace trace{cat, std::move(times), std::move(files)};
   std::vector<std::uint32_t> mapping(41, 0);
   mapping[40] = 1;
 
@@ -448,7 +450,7 @@ TEST(SystemRun, HorizonSnapshotCountsInFlightExactlyOnce) {
   // drains them all.
   const auto cat = uniform_catalog(4, util::mb(720.0));
   const workload::Trace trace{
-      cat, {{0.0, 0}, {0.0, 1}, {2.0, 2}, {10.0, 3}}};
+      cat, {0.0, 0.0, 2.0, 10.0}, {0, 1, 2, 3}};
   const auto r = run_experiment(
       replay_config(trace, {0, 0, 1, 1}, 2, PolicySpec::never()));
   EXPECT_DOUBLE_EQ(r.power.horizon_s, 11.0);

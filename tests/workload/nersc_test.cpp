@@ -70,15 +70,16 @@ TEST_F(NerscTraceFixture, ContainsSameSizeBatches) {
   // §3.2's phenomenon: bursts of similar-size files close together in time.
   // Scan for windows of >= 4 requests within 10 s whose sizes fall in a
   // narrow band (same log bin width as the synthesizer).
-  const auto& records = trace().records();
+  const auto& times = trace().times();
+  const auto& files = trace().files();
   const auto& cat = trace().catalog();
   std::size_t batchy_windows = 0;
-  for (std::size_t i = 0; i + 4 < records.size(); ++i) {
-    if (records[i + 3].time - records[i].time > 10.0) continue;
-    const double s0 = static_cast<double>(cat.by_id(records[i].file).size);
+  for (std::size_t i = 0; i + 4 < times.size(); ++i) {
+    if (times[i + 3] - times[i] > 10.0) continue;
+    const double s0 = static_cast<double>(cat.by_id(files[i]).size);
     bool similar = true;
     for (std::size_t j = i + 1; j < i + 4; ++j) {
-      const double sj = static_cast<double>(cat.by_id(records[j].file).size);
+      const double sj = static_cast<double>(cat.by_id(files[j]).size);
       if (sj < s0 / 1.2 || sj > s0 * 1.2) {
         similar = false;
         break;
@@ -98,9 +99,25 @@ TEST(NerscSynth, DeterministicGivenSeed) {
   const auto b = synthesize_nersc(spec);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.records()[i].time, b.records()[i].time);
-    EXPECT_EQ(a.records()[i].file, b.records()[i].file);
+    EXPECT_DOUBLE_EQ(a.times()[i], b.times()[i]);
+    EXPECT_EQ(a.files()[i], b.files()[i]);
   }
+}
+
+TEST(NerscSynth, StoresTwelveBytesPerRecord) {
+  // The scenario grammar's nersc(2000,20000,7): exactly one time and one
+  // file id per request, reserved to size, and no address column.
+  NerscSpec spec;
+  spec.n_files = 2000;
+  spec.n_requests = 20'000;
+  spec.seed = 7;
+  const auto trace = synthesize_nersc(spec);
+  ASSERT_EQ(trace.size(), spec.n_requests);
+  EXPECT_EQ(trace.times().size(), spec.n_requests);
+  EXPECT_EQ(trace.files().size(), spec.n_requests);
+  EXPECT_EQ(trace.times().capacity(), trace.size());
+  EXPECT_EQ(trace.files().capacity(), trace.size());
+  EXPECT_TRUE(trace.lbas().empty());
 }
 
 TEST(NerscSynth, SeedChangesTrace) {
@@ -113,7 +130,7 @@ TEST(NerscSynth, SeedChangesTrace) {
   const auto b = synthesize_nersc(spec);
   bool differs = false;
   for (std::size_t i = 0; i < a.size() && !differs; ++i) {
-    differs = a.records()[i].file != b.records()[i].file;
+    differs = a.files()[i] != b.files()[i];
   }
   EXPECT_TRUE(differs);
 }
@@ -234,8 +251,8 @@ TEST(NerscSynth, DiurnalModulationCreatesQuietNights) {
   // Split arrivals by time of day.  The final rescale warps the period by
   // at most a few percent, so count over a slightly shrunk day window.
   std::size_t day = 0, night = 0;
-  for (const auto& r : trace.records()) {
-    const double tod = std::fmod(r.time, util::kDay);
+  for (const double t : trace.times()) {
+    const double tod = std::fmod(t, util::kDay);
     (tod < spec.day_fraction * util::kDay ? day : night) += 1;
   }
   // Expected ratio per unit time: 1 : 0.1; the day window holds 40% of the
@@ -251,8 +268,8 @@ TEST(NerscSynth, DiurnalOffIsHomogeneous) {
   spec.diurnal = false;
   const auto trace = synthesize_nersc(spec);
   std::size_t day = 0, night = 0;
-  for (const auto& r : trace.records()) {
-    const double tod = std::fmod(r.time, util::kDay);
+  for (const double t : trace.times()) {
+    const double tod = std::fmod(t, util::kDay);
     (tod < 0.4 * util::kDay ? day : night) += 1;
   }
   // Homogeneous Poisson: counts proportional to the window widths (40/60).
@@ -291,9 +308,8 @@ SynthDigests synth_digests(const NerscSpec& spec) {
   test_support::Fnv1a rec;
   rec.add(std::uint64_t{trace.size()});
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& r = trace.records()[i];
-    rec.add(r.time);
-    rec.add(std::uint64_t{r.file});
+    rec.add(trace.times()[i]);
+    rec.add(std::uint64_t{trace.files()[i]});
     rec.add(trace.lba(i));
   }
   test_support::Fnv1a cat;

@@ -87,7 +87,7 @@ TEST(ArrivalZipfStream, EmptyCatalogThrows) {
 }
 
 TEST(TraceStream, ReplaysVerbatim) {
-  const Trace trace{skewed_catalog(), {{1.0, 2}, {2.0, 0}, {3.5, 1}}};
+  const Trace trace{skewed_catalog(), {1.0, 2.0, 3.5}, {2, 0, 1}};
   TraceStream stream{trace};
   auto r0 = stream.next();
   ASSERT_TRUE(r0.has_value());
@@ -102,7 +102,7 @@ TEST(TraceStream, ReplaysVerbatim) {
 }
 
 TEST(TraceStream, EmptyTrace) {
-  const Trace trace{skewed_catalog(), {}};
+  const Trace trace{skewed_catalog(), {}, {}};
   TraceStream stream{trace};
   EXPECT_FALSE(stream.next().has_value());
 }
@@ -170,14 +170,15 @@ void expect_same_requests(const std::vector<Request>& a,
 
 TEST(StreamFill, MatchesNextDrawForDraw) {
   const auto cat = zipf_catalog();
-  std::vector<TraceRecord> records;
+  std::vector<double> times;
+  std::vector<FileId> files;
   std::vector<std::uint64_t> lbas;
   for (std::size_t i = 0; i < 5000; ++i) {
-    records.push_back({0.25 * static_cast<double>(i),
-                       static_cast<FileId>((i * 7919) % 2000)});
+    times.push_back(0.25 * static_cast<double>(i));
+    files.push_back(static_cast<FileId>((i * 7919) % 2000));
     lbas.push_back(i % 3 == 0 ? kNoLba : 64 * i);
   }
-  const Trace trace{cat, records, lbas};
+  const Trace trace{cat, times, files, lbas};
   struct Case {
     const char* name;
     std::function<std::unique_ptr<RequestStream>()> make;

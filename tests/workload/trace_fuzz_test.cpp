@@ -68,12 +68,13 @@ bool names_its_source(const std::exception& e) {
 /// The accepted-trace half of the contract; returns false on a violation.
 bool check_accepted(const Trace& t, const std::string& resaved) {
   double prev = 0.0;
-  for (const auto& r : t.records()) {
-    if (!std::isfinite(r.time) || r.time < prev ||
-        r.file >= t.catalog().size()) {
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const double time = t.times()[i];
+    if (!std::isfinite(time) || time < prev ||
+        t.files()[i] >= t.catalog().size()) {
       return false;
     }
-    prev = r.time;
+    prev = time;
   }
   remove_csvs(resaved);
   t.save(resaved);
@@ -83,9 +84,8 @@ bool check_accepted(const Trace& t, const std::string& resaved) {
     return false;
   }
   for (std::size_t i = 0; i < t.size(); ++i) {
-    const auto& a = t.records()[i];
-    const auto& b = again.records()[i];
-    if (a.time != b.time || a.file != b.file || t.lba(i) != again.lba(i)) {
+    if (t.times()[i] != again.times()[i] || t.files()[i] != again.files()[i] ||
+        t.lba(i) != again.lba(i)) {
       return false;
     }
   }

@@ -23,48 +23,51 @@ FileCatalog small_catalog() {
 
 TEST(Trace, SortsRecordsByTime) {
   const Trace t{small_catalog(),
-                {{5.0, 1}, {1.0, 0}, {3.0, 2}}};
-  EXPECT_DOUBLE_EQ(t.records()[0].time, 1.0);
-  EXPECT_DOUBLE_EQ(t.records()[1].time, 3.0);
-  EXPECT_DOUBLE_EQ(t.records()[2].time, 5.0);
+                {5.0, 1.0, 3.0}, {1, 0, 2}};
+  EXPECT_DOUBLE_EQ(t.times()[0], 1.0);
+  EXPECT_DOUBLE_EQ(t.times()[1], 3.0);
+  EXPECT_DOUBLE_EQ(t.times()[2], 5.0);
   EXPECT_DOUBLE_EQ(t.duration(), 5.0);
 }
 
 TEST(Trace, SortIsStableAmongEqualTimes) {
   // Unsorted: records of equal time keep the order they were given in.
   const Trace unsorted{small_catalog(),
-                       {{2.0, 2}, {1.0, 1}, {2.0, 0}, {1.0, 2}, {2.0, 1}}};
+                       {2.0, 1.0, 2.0, 1.0, 2.0}, {2, 1, 0, 2, 1}};
   const std::vector<std::pair<double, FileId>> want{
       {1.0, 1}, {1.0, 2}, {2.0, 2}, {2.0, 0}, {2.0, 1}};
   ASSERT_EQ(unsorted.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(unsorted.records()[i].time, want[i].first) << i;
-    EXPECT_EQ(unsorted.records()[i].file, want[i].second) << i;
+    EXPECT_EQ(unsorted.times()[i], want[i].first) << i;
+    EXPECT_EQ(unsorted.files()[i], want[i].second) << i;
   }
   // Enough records that an unstable sort would reorder ties: file i is
   // given i-th, so a stable result is ordered by (time, file).
   std::vector<FileInfo> files;
-  std::vector<TraceRecord> many;
+  std::vector<double> many_times;
+  std::vector<FileId> many_files;
   for (FileId i = 0; i < 200; ++i) {
     files.push_back({i, util::mb(1.0), 1.0});
-    many.push_back({static_cast<double>((i * 7) % 5), i});
+    many_times.push_back(static_cast<double>((i * 7) % 5));
+    many_files.push_back(i);
   }
-  const Trace big{FileCatalog{files}, many};
+  const Trace big{FileCatalog{files}, many_times, many_files};
   for (std::size_t i = 1; i < big.size(); ++i) {
-    const auto& a = big.records()[i - 1];
-    const auto& b = big.records()[i];
-    EXPECT_TRUE(a.time < b.time || (a.time == b.time && a.file < b.file))
+    const double ta = big.times()[i - 1];
+    const double tb = big.times()[i];
+    EXPECT_TRUE(ta < tb ||
+                (ta == tb && big.files()[i - 1] < big.files()[i]))
         << i;
   }
   // Already sorted, ties included: every record comes back where it was.
-  const std::vector<TraceRecord> in{
-      {0.5, 2}, {1.0, 1}, {1.0, 0}, {1.0, 2}, {4.0, 0}};
+  const std::vector<double> in_times{0.5, 1.0, 1.0, 1.0, 4.0};
+  const std::vector<FileId> in_files{2, 1, 0, 2, 0};
   const std::vector<std::uint64_t> in_lbas{7, kNoLba, 3, kNoLba, kNoLba};
-  const Trace sorted{small_catalog(), in, in_lbas};
-  ASSERT_EQ(sorted.size(), in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(sorted.records()[i].time, in[i].time) << i;
-    EXPECT_EQ(sorted.records()[i].file, in[i].file) << i;
+  const Trace sorted{small_catalog(), in_times, in_files, in_lbas};
+  ASSERT_EQ(sorted.size(), in_times.size());
+  for (std::size_t i = 0; i < in_times.size(); ++i) {
+    EXPECT_EQ(sorted.times()[i], in_times[i]) << i;
+    EXPECT_EQ(sorted.files()[i], in_files[i]) << i;
     EXPECT_EQ(sorted.lba(i), in_lbas[i]) << i;
   }
 }
@@ -73,25 +76,25 @@ TEST(Trace, SortKeepsEachLbaWithItsRecord) {
   // Unsorted, with explicit and missing addresses mixed: every address
   // travels with its record, and ties keep their given order.
   const Trace t{small_catalog(),
-                {{3.0, 0}, {1.0, 1}, {2.0, 2}, {1.0, 0}, {3.0, 1}},
+                {3.0, 1.0, 2.0, 1.0, 3.0}, {0, 1, 2, 0, 1},
                 {30, kNoLba, 20, 10, kNoLba}};
   const std::vector<std::pair<double, std::uint64_t>> want{
       {1.0, kNoLba}, {1.0, 10}, {2.0, 20}, {3.0, 30}, {3.0, kNoLba}};
   ASSERT_EQ(t.size(), want.size());
   ASSERT_EQ(t.lbas().size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(t.records()[i].time, want[i].first) << i;
+    EXPECT_EQ(t.times()[i], want[i].first) << i;
     EXPECT_EQ(t.lba(i), want[i].second) << i;
   }
-  EXPECT_EQ(t.records()[0].file, 1u);
-  EXPECT_EQ(t.records()[1].file, 0u);
+  EXPECT_EQ(t.files()[0], 1u);
+  EXPECT_EQ(t.files()[1], 0u);
 }
 
 TEST(Trace, NoLbaColumnStoresNone) {
   // Without explicit addresses, given none or only kNoLba, the trace keeps
   // no column and every record reads kNoLba.
-  const Trace none{small_catalog(), {{2.0, 1}, {1.0, 0}}};
-  const Trace all_missing{small_catalog(), {{2.0, 1}, {1.0, 0}},
+  const Trace none{small_catalog(), {2.0, 1.0}, {1, 0}};
+  const Trace all_missing{small_catalog(), {2.0, 1.0}, {1, 0},
                           {kNoLba, kNoLba}};
   for (const Trace* t : {&none, &all_missing}) {
     EXPECT_TRUE(t->lbas().empty());
@@ -101,21 +104,28 @@ TEST(Trace, NoLbaColumnStoresNone) {
 }
 
 TEST(Trace, LbaColumnOfTheWrongLengthThrows) {
-  EXPECT_THROW((Trace{small_catalog(), {{1.0, 0}, {2.0, 1}}, {5}}),
+  EXPECT_THROW((Trace{small_catalog(), {1.0, 2.0}, {0, 1}, {5}}),
+               std::invalid_argument);
+}
+
+TEST(Trace, ColumnsOfDifferentLengthsThrow) {
+  EXPECT_THROW((Trace{small_catalog(), {1.0, 2.0}, {0}}),
+               std::invalid_argument);
+  EXPECT_THROW((Trace{small_catalog(), {1.0}, {0, 1}}),
                std::invalid_argument);
 }
 
 TEST(Trace, RejectsUnknownFiles) {
-  EXPECT_THROW((Trace{small_catalog(), {{1.0, 9}}}), std::invalid_argument);
+  EXPECT_THROW((Trace{small_catalog(), {1.0}, {9}}), std::invalid_argument);
   // Sorted input skips the sort; unsorted input sorts after the check.
-  EXPECT_THROW((Trace{small_catalog(), {{1.0, 0}, {2.0, 9}, {3.0, 1}}}),
+  EXPECT_THROW((Trace{small_catalog(), {1.0, 2.0, 3.0}, {0, 9, 1}}),
                std::invalid_argument);
-  EXPECT_THROW((Trace{small_catalog(), {{3.0, 0}, {2.0, 1}, {1.0, 9}}}),
+  EXPECT_THROW((Trace{small_catalog(), {3.0, 2.0, 1.0}, {0, 1, 9}}),
                std::invalid_argument);
 }
 
 TEST(Trace, EmptyTraceBasics) {
-  const Trace t{small_catalog(), {}};
+  const Trace t{small_catalog(), {}, {}};
   EXPECT_TRUE(t.empty());
   EXPECT_DOUBLE_EQ(t.duration(), 0.0);
 }
@@ -133,7 +143,7 @@ protected:
   }
   /// Save a three-record trace, then rewrite its second data row's time.
   void small_trace_with_second_time(const std::string& time_s) {
-    const Trace trace{small_catalog(), {{1.0, 0}, {2.0, 1}, {3.0, 2}}};
+    const Trace trace{small_catalog(), {1.0, 2.0, 3.0}, {0, 1, 2}};
     trace.save(stem_);
     std::ofstream out{stem_.string() + ".trace.csv"};
     out << "time_s,file_id\n1.0,0\n" << time_s << ",1\n3.0,2\n";
@@ -163,14 +173,14 @@ protected:
 constexpr const char* kCatalogRows = "0,10,0.5\n1,20,0.3\n2,30,0.2\n";
 
 TEST_F(TraceIo, SaveLoadRoundTrip) {
-  const Trace original{small_catalog(), {{1.0, 0}, {2.5, 2}, {7.25, 1}}};
+  const Trace original{small_catalog(), {1.0, 2.5, 7.25}, {0, 2, 1}};
   original.save(stem_);
   const Trace loaded = Trace::load(stem_);
 
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded.records()[i].time, original.records()[i].time);
-    EXPECT_EQ(loaded.records()[i].file, original.records()[i].file);
+    EXPECT_DOUBLE_EQ(loaded.times()[i], original.times()[i]);
+    EXPECT_EQ(loaded.files()[i], original.files()[i]);
   }
   ASSERT_EQ(loaded.catalog().size(), original.catalog().size());
   for (std::size_t i = 0; i < loaded.catalog().size(); ++i) {
@@ -186,7 +196,7 @@ TEST_F(TraceIo, LoadMissingFileThrows) {
 
 TEST_F(TraceIo, LbaColumnRoundTrips) {
   const Trace original{small_catalog(),
-                       {{1.0, 0}, {2.0, 1}, {3.0, 2}},
+                       {1.0, 2.0, 3.0}, {0, 1, 2},
                        {kNoLba, 123'456'789, kNoLba}};
   original.save(stem_);
   const Trace loaded = Trace::load(stem_);
@@ -197,12 +207,22 @@ TEST_F(TraceIo, LbaColumnRoundTrips) {
 }
 
 TEST_F(TraceIo, TracesWithoutLbaKeepTheLegacyTwoColumnFormat) {
-  const Trace original{small_catalog(), {{1.0, 0}, {2.0, 1}}};
+  const Trace original{small_catalog(), {1.0, 2.0}, {0, 1}};
   original.save(stem_);
   std::ifstream in{stem_.string() + ".trace.csv"};
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "time_s,file_id");
+}
+
+TEST_F(TraceIo, TwoColumnFileLoadsWithoutAnLbaColumn) {
+  write(kCatalogRows, "1.0,0\n2.0,2\n3.5,1\n");
+  const Trace loaded = Trace::load(stem_);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_TRUE(loaded.lbas().empty());
+  EXPECT_EQ(loaded.lba(1), kNoLba);
+  EXPECT_EQ(loaded.times()[2], 3.5);
+  EXPECT_EQ(loaded.files()[1], 2u);
 }
 
 TEST_F(TraceIo, RejectsNonFiniteAndNegativeTimesNamingTheRow) {
@@ -230,13 +250,13 @@ TEST_F(TraceIo, SaveLoadRoundTripIsBitExact) {
                               {1, 11, 1e-9},
                               {2, 13, 2.0 / 3.0 - 1e-9}};
   const Trace original{FileCatalog{files},
-                       {{0.1, 0}, {1.0 / 7.0 + 1e4, 2}, {86399.123456789, 1}}};
+                       {0.1, 1.0 / 7.0 + 1e4, 86399.123456789}, {0, 2, 1}};
   original.save(stem_);
   const Trace loaded = Trace::load(stem_);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded.records()[i].time, original.records()[i].time);
-    EXPECT_EQ(loaded.records()[i].file, original.records()[i].file);
+    EXPECT_EQ(loaded.times()[i], original.times()[i]);
+    EXPECT_EQ(loaded.files()[i], original.files()[i]);
   }
   for (std::size_t i = 0; i < files.size(); ++i) {
     EXPECT_EQ(loaded.catalog()[i].popularity, files[i].popularity);
@@ -295,7 +315,7 @@ TEST_F(TraceIo, RejectsNegativeOrNonFinitePopularity) {
 }
 
 TEST(TraceAnalyze, BasicStatistics) {
-  const Trace t{small_catalog(), {{0.0, 0}, {50.0, 0}, {100.0, 1}}};
+  const Trace t{small_catalog(), {0.0, 50.0, 100.0}, {0, 0, 1}};
   const auto stats = analyze(t);
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.distinct_files, 2u);
@@ -314,7 +334,7 @@ TEST(TraceAnalyze, MinDisks) {
 }
 
 TEST(TraceAnalyze, EmptyTrace) {
-  const auto stats = analyze(Trace{small_catalog(), {}});
+  const auto stats = analyze(Trace{small_catalog(), {}, {}});
   EXPECT_EQ(stats.requests, 0u);
   EXPECT_EQ(stats.distinct_files, 0u);
 }
